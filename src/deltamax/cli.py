@@ -66,10 +66,6 @@ domain grammar (shape:param[:flags]):
   ball:center,..:radius [:closed-outer][:dim=N]
   annulus:r_in:r_out [:open-inner][:open-outer][:dim=N]
   all shapes accept :norm=l1|l2|linf (default l2)
-
-environment:
-  DELTAMAX_THREADS caps internal parallelism (default 1; results are
-  deterministic regardless).
 """
 
 

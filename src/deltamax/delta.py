@@ -19,7 +19,7 @@ continuity condition at p.  Four backends compute it:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
@@ -43,9 +43,10 @@ from .model import (
     NormTag,
     Point,
     RadialFn,
-    Shape,
     array_evaluator,
+    lattice,
     norm_of,
+    norm_of_rows,
     unwrap,
 )
 from .search import line_field, scan_side
@@ -132,6 +133,53 @@ def _finite_fp(v: float, where: str) -> float:
             f"{where} = {v!r} is beyond the float64 range, so delta(p, eps) "
             "cannot be resolved at this point")
     return v
+
+
+# ---------------------------------------------------------------------------
+# Line reduction
+# ---------------------------------------------------------------------------
+
+def line_bounds(dom: DomainSpec) -> tuple[float, float, bool, bool]:
+    """(lo, hi, open_lo, open_hi) of the line a 1-d problem on dom lives
+    on: the interval of a 1-d domain (a dim-1 ball is [c - r, c + r]),
+    or the radii of a ball/annulus in dimension >= 2."""
+    if dom.is_radial and dom.dimension > 1:
+        return dom.radius_interval()
+    if dom.is_radial:
+        c, r = dom.center[0], dom.r_out
+        return c - r, c + r, dom.open_outer, dom.open_outer
+    return dom.lo[0], dom.hi[0], dom.open_lo[0], dom.open_hi[0]
+
+
+def line_problem(f: FunctionSpec, dom: DomainSpec
+                 ) -> tuple[FunctionSpec, float, float, bool, bool] | None:
+    """The 1-d problem behind delta(p, eps) on (f, dom), or None for a
+    generic nD f.
+
+    Returns (profile, lo, hi, open_lo, open_hi).  A 1-d f on a 1-d domain
+    is its own profile on line_bounds(dom); a radial f = g(||x||) on an
+    origin-centered ball/annulus in dimension >= 2 reduces to g over the
+    radii.  A Monotone1DFn profile comes back clipped to its interval,
+    and a clipped end is closed.
+    """
+    g = unwrap(f)
+    if (isinstance(g, RadialFn) and dom.is_radial and dom.dimension > 1
+            and not any(dom.center)):
+        g = unwrap(g.inner)
+    elif g.dimension != 1:
+        return None
+    elif dom.dimension != 1:
+        raise DimensionMismatch(f"1-d function on a {dom.dimension}-d domain")
+    lo, hi, open_lo, open_hi = line_bounds(dom)
+    if isinstance(g, Monotone1DFn):
+        a, b = g.interval
+        if a > lo:
+            lo, open_lo = a, False
+        if b < hi:
+            hi, open_hi = b, False
+        if (lo, hi) != (a, b):
+            g = replace(g, interval=(lo, hi))
+    return g, lo, hi, open_lo, open_hi
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +326,6 @@ def delta_monotone_1d(g: Monotone1DFn, p: float, eps: float,
 # 1-d level-set backend
 # ---------------------------------------------------------------------------
 
-def _line_domain(dom: DomainSpec) -> tuple[float, float, bool, bool]:
-    if dom.dimension != 1:
-        raise DimensionMismatch("expected a 1-d domain")
-    if dom.shape in (Shape.INTERVAL, Shape.HALF_LINE, Shape.BOX):
-        return dom.lo[0], dom.hi[0], dom.open_lo[0], dom.open_hi[0]
-    # dim-1 ball: the interval around its center
-    c = dom.center[0]
-    return (c - dom.r_out, c + dom.r_out, dom.open_outer, dom.open_outer)
-
-
 def delta_level_set_1d(f: FunctionSpec, dom: DomainSpec, p: float, eps: float,
                        cfg: SearchConfig = DEFAULT_CONFIG) -> DeltaResult:
     """Outward scan for the nearest solution of |f(x) - f(p)| = eps."""
@@ -296,10 +334,10 @@ def delta_level_set_1d(f: FunctionSpec, dom: DomainSpec, p: float, eps: float,
         raise ValueError("eps must be positive")
     if not dom.contains(p):
         raise DomainViolation(f"{p} is outside the domain {dom.describe()}")
-    g = unwrap(f)
-    if isinstance(g, RadialFn):
-        g = g.inner  # 1-d section of a radial profile
-    lo, hi, open_lo, open_hi = _line_domain(dom)
+    problem = line_problem(f, dom)
+    if problem is None:
+        raise DimensionMismatch("the 1-d backend needs a 1-d function")
+    g, lo, hi, open_lo, open_hi = problem
     f_arr = array_evaluator(g)
     _finite_fp(float(f_arr(np.asarray([p]))[0]), f"f({p!r})")
     res = line_field(f_arr, np.asarray([p]), eps, lo, hi, open_lo, open_hi, cfg)
@@ -332,24 +370,6 @@ def delta_level_set_1d(f: FunctionSpec, dom: DomainSpec, p: float, eps: float,
 # Radial backend
 # ---------------------------------------------------------------------------
 
-def _radial_interval(f: RadialFn, dom: DomainSpec) -> tuple[float, float, bool, bool]:
-    if not dom.is_radial:
-        raise InvalidDomain(
-            "the radial backend needs a ball/annulus domain, got "
-            f"{dom.shape.value}")
-    if any(c != 0.0 for c in dom.center):
-        raise InvalidDomain("the radial backend needs an origin-centered domain")
-    lo, hi, open_lo, open_hi = dom.radius_interval()
-    inner = unwrap(f.inner)
-    if isinstance(inner, Monotone1DFn):
-        a, b = inner.interval
-        if a > lo:
-            lo, open_lo = a, False
-        if b < hi:
-            hi, open_hi = b, False
-    return lo, hi, open_lo, open_hi
-
-
 def _lift_witness(p: Point, t_p: float, t_witness: float, dim: int,
                   norm: NormTag) -> Point:
     if t_p == 0.0:
@@ -376,18 +396,19 @@ def delta_radial(f: FunctionSpec, dom: DomainSpec, p, eps: float,
         raise DimensionMismatch(f"expected dimension {g.dim}, got {pt.dim}")
     if not dom.contains(pt):
         raise DomainViolation(f"{pt.coords} is outside the domain {dom.describe()}")
-    lo, hi, open_lo, open_hi = _radial_interval(g, dom)
+    problem = line_problem(g, dom)
+    if problem is None or dom.dimension == 1:
+        raise InvalidDomain(
+            "the radial backend needs an origin-centered ball/annulus in "
+            f"dimension >= 2, got a {dom.dimension}-d {dom.shape.value}")
+    profile, lo, hi, open_lo, open_hi = problem
     t = norm_of(dom.norm, pt.as_array())
 
-    inner = unwrap(g.inner)
-    if isinstance(inner, Monotone1DFn):
-        eff = Monotone1DFn(fn=inner.fn, interval=(max(lo, inner.interval[0]),
-                                                  min(hi, inner.interval[1])),
-                           increasing=inner.increasing, label=inner.label)
-        base = delta_monotone_1d(eff, t, eps, cfg)
+    if isinstance(profile, Monotone1DFn):
+        base = delta_monotone_1d(profile, t, eps, cfg)
     else:
         line = DomainSpec.interval(lo, hi, open_lo=open_lo, open_hi=open_hi)
-        base = delta_level_set_1d(inner, line, t, eps, cfg)
+        base = delta_level_set_1d(profile, line, t, eps, cfg)
 
     witness = None
     if base.witness is not None:
@@ -526,12 +547,6 @@ def delta_ray_nd(f: FunctionSpec, dom: DomainSpec, p, eps: float,
 # Membership predicate and epsilon range
 # ---------------------------------------------------------------------------
 
-def _grid_on_box(lo: np.ndarray, hi: np.ndarray, per_axis: int) -> np.ndarray:
-    axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(len(lo))]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def is_delta_epsilon_number(f: FunctionSpec, dom: DomainSpec, p, eps: float,
                             beta: float, samples: int = 4096) -> bool:
     """Sampled check that beta is a valid delta at p: no grid point of the
@@ -553,9 +568,7 @@ def is_delta_epsilon_number(f: FunctionSpec, dom: DomainSpec, p, eps: float,
         raise NonFinite(f"f{pt.coords} = {fp!r}")
 
     per_axis = max(3, int(math.ceil(samples ** (1.0 / pt.dim))))
-    grid = _grid_on_box(p_arr - beta, p_arr + beta, per_axis)
-    from .model import norm_of_rows
-
+    grid = lattice([np.linspace(c - beta, c + beta, per_axis) for c in p_arr])
     inside = norm_of_rows(dom.norm, grid - p_arr) < beta
     inside &= dom.contains_rows(grid)
     pts = grid[inside]
@@ -578,7 +591,7 @@ def epsilon_bound(f: FunctionSpec, dom: DomainSpec, samples: int = 4096,
     lo, hi = dom.bounding_box(truncate=cfg.r_max)
     dim = dom.dimension
     per_axis = max(3, int(math.ceil(samples ** (1.0 / dim))))
-    grid = _grid_on_box(lo, hi, per_axis)
+    grid = lattice([np.linspace(a, b, per_axis) for a, b in zip(lo, hi)])
     mask = dom.contains_rows(grid)
     pts = grid[mask]
     if pts.shape[0] < 2:
@@ -615,19 +628,13 @@ def compute_delta(f: FunctionSpec, dom: DomainSpec | None, p, eps: float,
     if dom is None:
         raise InvalidDomain("no domain given and the function has no natural one")
 
-    if isinstance(g, RadialFn):
-        if dom.is_radial and all(c == 0.0 for c in dom.center):
-            return delta_radial(g, dom, p, eps, cfg)
+    problem = line_problem(g, dom)
+    if problem is None:
         return delta_ray_nd(g, dom, p, eps, directions, cfg, seed)
-    if isinstance(g, Monotone1DFn):
-        lo, hi, _, _ = _line_domain(dom)
-        a, b = g.interval
-        eff = Monotone1DFn(fn=g.fn, interval=(max(a, lo), min(b, hi)),
-                           increasing=g.increasing, label=g.label)
-        p_val = p.coords[0] if isinstance(p, Point) else float(p)
-        return delta_monotone_1d(eff, p_val, eps, cfg)
-    dim = g.dimension
-    if dim == 1:
-        p_val = p.coords[0] if isinstance(p, Point) else float(p)
-        return delta_level_set_1d(g, dom, p_val, eps, cfg)
-    return delta_ray_nd(g, dom, p, eps, directions, cfg, seed)
+    if dom.dimension > 1:  # only a radial f reduces to a line there
+        return delta_radial(g, dom, p, eps, cfg)
+    profile = problem[0]
+    p_val = p.coords[0] if isinstance(p, Point) else float(p)
+    if isinstance(profile, Monotone1DFn):
+        return delta_monotone_1d(profile, p_val, eps, cfg)
+    return delta_level_set_1d(profile, dom, p_val, eps, cfg)

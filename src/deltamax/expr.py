@@ -243,25 +243,6 @@ def parse_source(source: str) -> Ast:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _scalar_pow(a: float, b: float) -> float:
-    try:
-        return math.pow(a, b)
-    except (ValueError, OverflowError) as exc:
-        raise NonFinite(f"pow({a!r}, {b!r}) is undefined or overflows") from exc
-
-
-_SCALAR_FNS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "ln": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
-    "min": min,
-    "max": max,
-    "pow": _scalar_pow,
-}
-
 _ARRAY_FNS = {
     "sin": np.sin,
     "cos": np.cos,
@@ -278,49 +259,14 @@ _ARRAY_FNS = {
 def eval_ast(a: Ast, env: dict[str, float]) -> float:
     """Strict scalar evaluation in IEEE doubles.
 
-    Undefined operations (ln/sqrt of a negative, division by zero,
-    overflow) raise NonFinite instead of propagating NaN/inf.
+    The vectorized evaluator runs on the scalar environment; a NaN or
+    inf result (ln/sqrt of a negative, division by zero, overflow)
+    raises NonFinite instead of being returned.
     """
-    value = _eval_scalar(a, env)
+    value = float(eval_ast_array(a, env))
     if not math.isfinite(value):
         raise NonFinite(f"expression evaluated to {value!r}")
     return value
-
-
-def _eval_scalar(a: Ast, env: dict[str, float]) -> float:
-    if isinstance(a, Const):
-        return a.value
-    if isinstance(a, Var):
-        try:
-            return float(env[a.name])
-        except KeyError:
-            raise UnboundVariable(f"variable {a.name!r} is not bound") from None
-    if isinstance(a, Unary):
-        return -_eval_scalar(a.child, env)
-    if isinstance(a, Binary):
-        lhs = _eval_scalar(a.left, env)
-        rhs = _eval_scalar(a.right, env)
-        if a.op == "+":
-            return lhs + rhs
-        if a.op == "-":
-            return lhs - rhs
-        if a.op == "*":
-            return lhs * rhs
-        if a.op == "/":
-            if rhs == 0.0:
-                raise NonFinite("division by zero")
-            return lhs / rhs
-        if a.op == "^":
-            return _scalar_pow(lhs, rhs)
-        raise AssertionError(f"bad operator {a.op!r}")
-    if isinstance(a, Call):
-        args = [_eval_scalar(arg, env) for arg in a.args]
-        try:
-            out = _SCALAR_FNS[a.fn](*args)
-        except (ValueError, OverflowError) as exc:
-            raise NonFinite(f"{a.fn}({', '.join(map(repr, args))}) is undefined") from exc
-        return float(out)
-    raise AssertionError(f"bad node {a!r}")
 
 
 def eval_ast_array(a: Ast, env: dict[str, np.ndarray]) -> np.ndarray:

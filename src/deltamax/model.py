@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -92,6 +92,13 @@ def distance(n: NormTag, x, y) -> float:
     if xp.dim != yp.dim:
         raise DimensionMismatch(f"dimensions differ: {xp.dim} vs {yp.dim}")
     return norm_of(n, xp.as_array() - yp.as_array())
+
+
+def lattice(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Row-major grid of every combination of one value per axis, as
+    (n, d) rows."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def norm_of_rows(tag: NormTag, arr: np.ndarray) -> np.ndarray:

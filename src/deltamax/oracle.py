@@ -20,6 +20,7 @@ from .model import (
     FunctionSpec,
     Point,
     array_evaluator,
+    lattice,
     norm_of_rows,
     unwrap,
 )
@@ -66,8 +67,7 @@ class GridSpec:
         for a, b in zip(lo, hi):
             n = int(math.floor((b - a) / self.h + 1e-9)) + 1
             axes.append(np.minimum(a + self.h * np.arange(n), b))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return lattice(axes)
 
 
 def _masked_grid(dom: DomainSpec, g: GridSpec) -> np.ndarray:

@@ -18,7 +18,7 @@ treated as a definite |f - fp| >= eps exceedance, f = NaN as invalid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,6 +27,8 @@ SideEval = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 _MAX_BISECT = 160
 _TAIL_PROBES = 80
+_REFINE_POINTS = 256  # fine rescan inside each found bracket
+_CHUNK = 512          # base points per line_field batch
 
 
 @dataclass
@@ -114,8 +116,7 @@ def _bisect(eval_at, cols, fp, eps, lo, hi, hi_h, pos_scale, cfg):
 def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
               extents: np.ndarray, r0: np.ndarray,
               pos_scale: np.ndarray, cfg,
-              detect_points: int | None = None,
-              refine_points: int = 256) -> SideResult:
+              detect_points: int | None = None) -> SideResult:
     """Find the nearest crossing of h along one side for every column.
 
     detect_points controls the bracketing sweep resolution (defaults to
@@ -138,7 +139,7 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
     if detect_points is None:
         detect_points = cfg.scan_points
     frac = np.arange(1, detect_points + 1, dtype=float) / detect_points
-    frac_fine = np.arange(1, refine_points + 1, dtype=float) / refine_points
+    frac_fine = np.arange(1, _REFINE_POINTS + 1, dtype=float) / _REFINE_POINTS
 
     # Brackets accumulate here and are refined/bisected in one batch.
     br_cols: list[np.ndarray] = []
@@ -255,11 +256,6 @@ class FieldResult:
     root_h: np.ndarray          # h >= 0 at the violator end
     one_sided: np.ndarray
     searched: np.ndarray
-    failed: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.failed is None:
-            self.failed = np.isnan(self.values)
 
 
 def two_sided_scan(eval_pos: SideEval, eval_neg: SideEval, fp: np.ndarray,
@@ -304,8 +300,8 @@ def two_sided_scan(eval_pos: SideEval, eval_neg: SideEval, fp: np.ndarray,
 
 
 def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
-               open_lo: bool, open_hi: bool, cfg, r0=None,
-               chunk: int = 512, detect_points: int | None = None) -> FieldResult:
+               open_lo: bool, open_hi: bool, cfg,
+               detect_points: int | None = None) -> FieldResult:
     """delta field of a scalar function along an interval domain.
 
     `f_arr` is a lenient vectorized evaluator; `ps` must lie inside
@@ -324,8 +320,8 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
 
     fp_all = np.asarray(f_arr(ps), dtype=float)
 
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
+    for start in range(0, n, _CHUNK):
+        sl = slice(start, min(start + _CHUNK, n))
         p_c = ps[sl]
         fp = fp_all[sl]
         pos_scale = np.abs(p_c)
@@ -350,10 +346,7 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
 
         ext_pos = np.maximum(dom_hi - p_c, 0.0)
         ext_neg = np.maximum(p_c - dom_lo, 0.0)
-        if r0 is None:
-            r0_c = _estimate_r0(f_arr, p_c, fp, eps, ext_pos, ext_neg, cfg)
-        else:
-            r0_c = np.broadcast_to(np.asarray(r0, dtype=float), p_c.shape).copy()
+        r0_c = _estimate_r0(f_arr, p_c, fp, eps, ext_pos, ext_neg, cfg)
 
         bad_fp = ~np.isfinite(fp)
         res = two_sided_scan(

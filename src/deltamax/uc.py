@@ -12,23 +12,27 @@ refining window schedule to stabilize above a positive floor.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .delta import DEFAULT_CONFIG, SearchConfig, compute_delta, epsilon_bound
-from .errors import DeltamaxError, InvalidDomain, WitnessesStagnated
+from .delta import (
+    DEFAULT_CONFIG,
+    SearchConfig,
+    compute_delta,
+    epsilon_bound,
+    line_bounds,
+    line_problem,
+)
+from .errors import DeltamaxError, WitnessesStagnated
 from .model import (
     DomainSpec,
     FunctionSpec,
-    Monotone1DFn,
     Point,
-    RadialFn,
     Shape,
     array_evaluator,
+    lattice,
     unwrap,
 )
 from .search import line_field
@@ -38,15 +42,6 @@ _WITNESS_FACTOR = 2.0 ** 0.25  # finer than the trace schedule: keeps the
 #                                |f| rounding stays far below tol_f
 _PATIENCE = 24
 _MAX_WITNESS_STAGES = 400
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("DELTAMAX_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(cap, os.cpu_count() or 1))
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +117,9 @@ class UcVerdict:
 # Window schedules
 # ---------------------------------------------------------------------------
 
-def _line_bounds(dom: DomainSpec) -> tuple[float, float, bool, bool]:
-    if dom.is_radial:
-        return dom.radius_interval()
-    return dom.lo[0], dom.hi[0], dom.open_lo[0], dom.open_hi[0]
-
-
 def _make_window(dom: DomainSpec, lo: float, hi: float) -> DomainSpec:
-    if dom.is_radial:
+    """The window of dom between lo and hi on its line (see line_bounds)."""
+    if dom.is_radial and dom.dimension > 1:
         if dom.shape is Shape.BALL and lo == 0.0:
             return DomainSpec.ball(dom.center, hi, open_boundary=False, norm=dom.norm)
         return DomainSpec.annulus(dom.center, lo, hi, norm=dom.norm)
@@ -150,10 +140,9 @@ def default_schedule(dom: DomainSpec, stages: int = 21, resolution: int = 2048,
         # Generic nD: refine the (truncated) full window.
         return [(dom, resolution) for _ in range(min(stages, 3))]
 
-    lo, hi, open_lo, open_hi = _line_bounds(dom)
+    lo, hi, open_lo, open_hi = line_bounds(dom)
     lo_escape = math.isinf(lo) or open_lo
     hi_escape = math.isinf(hi) or open_hi
-    radial = dom.is_radial
 
     if not lo_escape and not hi_escape:
         out = []
@@ -184,8 +173,6 @@ def default_schedule(dom: DomainSpec, stages: int = 21, resolution: int = 2048,
                 w_hi = hi - min(width, cfg.r0) / g if open_hi else hi
         w_lo = max(w_lo, lo if not math.isinf(lo) else -cfg.r_max)
         w_hi = min(w_hi, hi if not math.isinf(hi) else cfg.r_max)
-        if radial:
-            w_lo = max(w_lo, 0.0)
         if not w_lo < w_hi:
             continue
         out.append((_make_window(dom, w_lo, w_hi), resolution))
@@ -196,85 +183,50 @@ def default_schedule(dom: DomainSpec, stages: int = 21, resolution: int = 2048,
 # Field evaluation per stage
 # ---------------------------------------------------------------------------
 
-def _lift_radial(dom: DomainSpec, t: float) -> Point:
-    coords = [0.0] * dom.dimension
-    coords[0] = t
-    return Point(tuple(coords))
-
-
 def _stage_field(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
                  resolution: int, eps: float, cfg: SearchConfig):
-    """Returns (points, values, witnesses, skipped) for one stage grid.
+    """Returns (points, values, witnesses) for one stage grid; a point
+    whose delta could not be found has value NaN and witness None.
 
-    1-d and radial functions use the vectorized line engine against the
-    *full* domain (the crossing may fall outside the window); generic nD
-    falls back to per-point ray estimates on a capped grid.
+    A problem that reduces to a line (delta.line_problem) runs the
+    vectorized line engine on the window's stretch of that line, against
+    the *full* line (the crossing may fall outside the window); a line
+    coordinate t lifts to the point (t, 0, ..., 0).  A generic nD f runs
+    compute_delta at each point of a capped lattice over the window.
     """
-    g = unwrap(f)
-    if isinstance(g, RadialFn) and dom.is_radial and all(c == 0.0 for c in dom.center):
-        lo, hi, open_lo, open_hi = dom.radius_interval()
-        wlo, whi, _, _ = window.radius_interval()
-        inner = unwrap(g.inner)
-        if isinstance(inner, Monotone1DFn):
-            lo = max(lo, inner.interval[0])
-            hi = min(hi, inner.interval[1])
-            open_lo = open_lo and lo == dom.r_in
-            open_hi = open_hi and hi == dom.r_out
+    problem = line_problem(f, dom)
+    if problem is not None:
+        profile, lo, hi, open_lo, open_hi = problem
+        wlo, whi, _, _ = line_bounds(window)
         ts = np.linspace(max(wlo, lo), min(whi, hi), resolution)
         keep = (ts > lo) if open_lo else (ts >= lo)
         keep &= (ts < hi) if open_hi else (ts <= hi)
         ts = ts[keep]
-        f_arr = array_evaluator(inner)
-        res = line_field(f_arr, ts, eps, lo, hi, open_lo, open_hi, cfg,
-                         detect_points=min(1024, cfg.scan_points))
-        pts = [_lift_radial(dom, t) for t in ts]
-        wits = [None if math.isnan(v) else _lift_radial(dom, t + off)
+        res = line_field(array_evaluator(profile), ts, eps, lo, hi, open_lo, open_hi,
+                         cfg, detect_points=min(1024, cfg.scan_points))
+        pad = (0.0,) * (dom.dimension - 1)
+        pts = [Point((t,) + pad) for t in ts]
+        wits = [None if math.isnan(v) else Point((t + off,) + pad)
                 for t, off, v in zip(ts, res.witness_offset, res.values)]
-        return pts, res.values, wits, int(np.count_nonzero(res.failed))
+        return pts, res.values, wits
 
-    if g.dimension == 1:
-        lo, hi, open_lo, open_hi = _line_bounds(dom)
-        wlo, whi, _, _ = _line_bounds(window)
-        if isinstance(g, Monotone1DFn):
-            lo = max(lo, g.interval[0])
-            hi = min(hi, g.interval[1])
-        ps = np.linspace(max(wlo, lo), min(whi, hi), resolution)
-        keep = (ps > lo) if open_lo else (ps >= lo)
-        keep &= (ps < hi) if open_hi else (ps <= hi)
-        ps = ps[keep]
-        f_arr = array_evaluator(g)
-        res = line_field(f_arr, ps, eps, lo, hi, open_lo, open_hi, cfg,
-                         detect_points=min(1024, cfg.scan_points))
-        pts = [Point((p,)) for p in ps]
-        wits = [None if math.isnan(v) else Point((p + off,))
-                for p, off, v in zip(ps, res.witness_offset, res.values)]
-        return pts, res.values, wits, int(np.count_nonzero(res.failed))
-
-    # Generic nD estimator path; the grid is capped to stay desk-scale.
+    # The grid is capped to stay desk-scale.
     per_axis = max(3, min(resolution, int(round(4096 ** (1.0 / dom.dimension)))))
     lo_arr, hi_arr = window.bounding_box(truncate=cfg.r_max)
-    axes = [np.linspace(lo_arr[i], hi_arr[i], per_axis) for i in range(dom.dimension)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=1)
-    grid = grid[dom.contains_rows(grid)]
-
-    def one(i: int):
+    grid = lattice([np.linspace(a, b, per_axis) for a, b in zip(lo_arr, hi_arr)])
+    pts = [Point(tuple(row)) for row in grid[dom.contains_rows(grid)]]
+    g = unwrap(f)
+    values, wits = [], []
+    for pt in pts:
         try:
-            r = compute_delta(g, dom, Point(tuple(grid[i])), eps, cfg, directions=16)
-            return r.value, r.witness
+            r = compute_delta(g, dom, pt, eps, cfg, directions=16)
         except DeltamaxError:
-            return math.nan, None
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(grid.shape[0])))
-    else:
-        results = [one(i) for i in range(grid.shape[0])]
-    values = np.asarray([v for v, _ in results])
-    wits = [w for _, w in results]
-    pts = [Point(tuple(row)) for row in grid]
-    return pts, values, wits, int(np.count_nonzero(np.isnan(values)))
+            values.append(math.nan)
+            wits.append(None)
+        else:
+            values.append(r.value)
+            wits.append(r.witness)
+    return pts, np.asarray(values), wits
 
 
 def infimum_delta(f: FunctionSpec, dom: DomainSpec, eps: float,
@@ -289,7 +241,8 @@ def infimum_delta(f: FunctionSpec, dom: DomainSpec, eps: float,
         schedule = default_schedule(dom, cfg=cfg)
     records = []
     for level, (window, resolution) in enumerate(schedule):
-        pts, values, _wits, skipped = _stage_field(f, dom, window, resolution, eps, cfg)
+        pts, values, _wits = _stage_field(f, dom, window, resolution, eps, cfg)
+        skipped = int(np.count_nonzero(np.isnan(values)))
         finite = np.isfinite(values)
         if np.any(finite):
             i = int(np.nanargmin(np.where(finite, values, np.inf)))
@@ -319,14 +272,12 @@ def witness_search(f: FunctionSpec, dom: DomainSpec, eps0: float,
     schedule = default_schedule(dom, stages=_MAX_WITNESS_STAGES,
                                 resolution=resolution,
                                 factor=_WITNESS_FACTOR, cfg=cfg)
-    f_arr_dim = unwrap(f).dimension
 
     pairs: list[tuple[Point, Point]] = []
     dists: list[float] = []
     since_last = 0
-    last_best = math.inf
     for window, res in schedule:
-        pts, values, wits, _skipped = _stage_field(f, dom, window, res, eps0, cfg)
+        pts, values, wits = _stage_field(f, dom, window, res, eps0, cfg)
         finite = np.isfinite(values)
         if not np.any(finite):
             since_last += 1
@@ -356,7 +307,6 @@ def witness_search(f: FunctionSpec, dom: DomainSpec, eps0: float,
                 return WitnessPairs(tuple(pairs), eps0, tuple(dists))
         else:
             since_last += 1
-            last_best = min(last_best, v)
             if since_last > _PATIENCE:
                 break
     raise WitnessesStagnated(

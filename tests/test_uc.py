@@ -1,0 +1,98 @@
+"""Uniform-continuity evidence: stage infima, witness chains and the line
+reduction behind them.
+
+The pinned figures are exact: a change to the schedule, the stage grids
+or the line search that moves any of them should be a deliberate one.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+import deltamax as dm
+from deltamax import uc
+from deltamax.delta import DEFAULT_CONFIG, compute_delta
+from deltamax.model import DomainSpec, ExpressionFn, Monotone1DFn, Point, RadialFn
+
+EPS = 0.5
+UNIT = DomainSpec.interval(0.0, 1.0, open_lo=True)  # (0, 1]
+
+
+def _case(name):
+    if name in ("exp_norm", "log_norm"):
+        entry = dm.catalog_lookup(name)
+        return entry.function, entry.domain
+    return {
+        "sqrt": (ExpressionFn.parse("sqrt(x)"), DomainSpec.half_line(0.0)),
+        "sin_inv": (ExpressionFn.parse("sin(1/x)"), UNIT),
+        "mono_exp": (Monotone1DFn(np.exp, (-1.0, 3.0), True), DomainSpec.interval(-2.0, 2.0)),
+        "radial_exp": (RadialFn(inner=Monotone1DFn(np.exp, (0.0, math.inf), True), dim=2),
+                       DomainSpec.ball((0.0, 0.0), 5.0)),
+    }[name]
+
+
+# (inf_delta, argmin, skipped) per stage of default_schedule(dom, 3, 64) at eps = 0.5
+STAGES = {
+    "sqrt": [(0.25000000000093126, (0.0,), 0)] * 3,
+    "sin_inv": [(0.13234060718467217, (0.5,), 0),
+                (0.04385159533798766, (0.2976190476190476,), 0)],
+    "exp_norm": [(0.16884762349884508, (1.0, 0.0), 0),
+                 (0.0654764951204469, (2.0, 0.0), 0),
+                 (0.009116140879948813, (4.0, 0.0), 0)],
+    "log_norm": [(0.19673467014405083, (0.5, 0.0), 0),
+                 (0.0983673350721527, (0.25, 0.0), 0)],
+    "mono_exp": [(0.07006592016080138, (2.0,), 0)],
+    "radial_exp": [(0.009116140879948813, (4.0, 0.0), 0),
+                   (0.005539128930305438, (4.5, 0.0), 0),
+                   (0.004316518018856441, (4.75, 0.0), 0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAGES))
+def test_stage_infima_are_pinned(name):
+    f, dom = _case(name)
+    schedule = uc.default_schedule(dom, stages=3, resolution=64)
+    trace = uc.infimum_delta(f, dom, EPS, schedule=schedule)
+    got = [(r.inf_delta, r.argmin.coords, r.skipped) for r in trace.records]
+    assert got == STAGES[name]
+
+
+def test_nd_stage_is_pinned():
+    f = ExpressionFn.parse("x1*x2")
+    box = DomainSpec.box((-2.0, -2.0), (2.0, 2.0))
+    (rec,) = uc.infimum_delta(f, box, EPS, schedule=[(box, 3)]).records
+    assert (rec.inf_delta, rec.argmin.coords, rec.skipped) == (0.1828388230787823, (2.0, 2.0), 0)
+
+
+def test_witness_distances_are_pinned():
+    w = uc.witness_search(ExpressionFn.parse("sin(1/x)"), UNIT, EPS, count=3)
+    assert w.distances == (0.4704206787231829, 0.21366354157865752, 0.08137158203660133)
+    f = ExpressionFn.parse("sin(1/x)")
+    for (x, y), d in zip(w.pairs, w.distances):
+        assert abs(x.coords[0] - y.coords[0]) == pytest.approx(d, rel=1e-12)
+        fx, fy = dm.eval_fn(f, x, UNIT), dm.eval_fn(f, y, UNIT)
+        assert abs(abs(fx - fy) - EPS) <= 1e-9
+
+
+def test_dim1_ball_stage_stays_inside_the_ball():
+    # The line of a dim-1 ball is [c - r, c + r], not the radii [0, r].
+    ball = DomainSpec.ball((5.0,), 1.0)
+    f = ExpressionFn.parse("x^2")
+    schedule = uc.default_schedule(ball, 3, 8)[:1]
+    (rec,) = uc.infimum_delta(f, ball, EPS, schedule=schedule).records
+    assert ball.contains(rec.argmin)
+    assert rec.argmin == Point((5.5,))
+    assert rec.inf_delta == pytest.approx(compute_delta(f, ball, 5.5, EPS).value, rel=1e-9)
+
+
+def test_clipped_monotone_end_is_sampled():
+    # (0, 1] clipped to exp's interval [0.5, 2] is [0.5, 1]: the clipped
+    # end is closed, so 0.5 is a stage point, as compute_delta accepts it.
+    f = Monotone1DFn(np.exp, (0.5, 2.0), True)
+    window, resolution = uc.default_schedule(UNIT, stages=3, resolution=8)[0]
+    pts, values = uc._stage_field(f, UNIT, window, resolution, 0.1, DEFAULT_CONFIG)[:2]
+    assert pts[0] == Point((0.5,))
+    assert values[0] == pytest.approx(compute_delta(f, UNIT, 0.5, 0.1).value, rel=1e-9)
