@@ -44,6 +44,7 @@ from .model import (
     Point,
     RadialFn,
     array_evaluator,
+    enclosure_evaluator,
     lattice,
     norm_of,
     norm_of_rows,
@@ -88,7 +89,13 @@ class DeltaResult:
 
     The bracket promise is certified_lower <= delta(p, eps) <=
     certified_upper, where the lower end rests on sampled clear points
-    (the grid oracle for ray_nd), not on a proof.  The levelset1d,
+    (the grid oracle for ray_nd).  For a 1-d expression function the
+    detect windows are first tested by an interval enclosure of the
+    expression; where every window below the crossing window was proved
+    clear, the clear radius up to that window's start rests on a proof
+    rather than on samples.  The levelset1d and radial diagnostics count
+    the windows ("detect_rounds") and the proved ones
+    ("enclosed_rounds"), over both sides.  The levelset1d,
     radial and ray_nd backends report the violator end of the final
     crossing bracket: `witness` is a sampled domain point with
     |f(witness) - f(p)| >= eps and `value` is its distance from p, an
@@ -340,7 +347,8 @@ def delta_level_set_1d(f: FunctionSpec, dom: DomainSpec, p: float, eps: float,
     g, lo, hi, open_lo, open_hi = problem
     f_arr = array_evaluator(g)
     _finite_fp(float(f_arr(np.asarray([p]))[0]), f"f({p!r})")
-    res = line_field(f_arr, np.asarray([p]), eps, lo, hi, open_lo, open_hi, cfg)
+    res = line_field(f_arr, np.asarray([p]), eps, lo, hi, open_lo, open_hi, cfg,
+                     f_enc=enclosure_evaluator(g))
     if math.isnan(res.values[0]):
         raise EmptySpherePreimage(
             f"no point with |f(x)-f({p})| = {eps} found within radius "
@@ -362,7 +370,9 @@ def delta_level_set_1d(f: FunctionSpec, dom: DomainSpec, p: float, eps: float,
         backend="levelset1d",
         one_sided=bool(res.one_sided[0]),
         diagnostics={"achiever_h": float(res.root_h[0]),
-                     "searched_radius": float(res.searched[0])},
+                     "searched_radius": float(res.searched[0]),
+                     "detect_rounds": int(res.detect_rounds[0]),
+                     "enclosed_rounds": int(res.enclosed_rounds[0])},
     )
 
 
@@ -420,7 +430,8 @@ def delta_radial(f: FunctionSpec, dom: DomainSpec, p, eps: float,
         certified_upper=base.certified_upper,
         backend="radial",
         one_sided=base.one_sided,
-        diagnostics=dict(base.diagnostics, radius=t, inner_backend=base.backend),
+        diagnostics={"detect_rounds": 0, "enclosed_rounds": 0, **base.diagnostics,
+                     "radius": t, "inner_backend": base.backend},
     )
 
 
@@ -636,5 +647,7 @@ def compute_delta(f: FunctionSpec, dom: DomainSpec | None, p, eps: float,
     profile = problem[0]
     p_val = p.coords[0] if isinstance(p, Point) else float(p)
     if isinstance(profile, Monotone1DFn):
+        if not dom.contains(p_val):
+            raise DomainViolation(f"{p_val} is outside the domain {dom.describe()}")
         return delta_monotone_1d(profile, p_val, eps, cfg)
     return delta_level_set_1d(profile, dom, p_val, eps, cfg)

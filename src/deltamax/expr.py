@@ -313,6 +313,146 @@ def _eval_array(a: Ast, env: dict[str, np.ndarray]):
     raise AssertionError(f"bad node {a!r}")
 
 
+# ---------------------------------------------------------------------------
+# Interval enclosure
+# ---------------------------------------------------------------------------
+
+_LIBM_ULPS = 16.0 * 2.0 ** -52  # relative widening that covers libm error
+_TWO_PI = 2.0 * math.pi
+
+
+def enclose_ast_array(a: Ast, env: dict[str, tuple[np.ndarray, np.ndarray]]
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Outward-rounded interval extension of eval_ast_array (Moore).
+
+    env maps each variable to (lo, hi) arrays.  The returned (lo, hi)
+    hold, for every choice of variables inside their intervals, both the
+    exact value and the value eval_ast_array computes.  Where no finite
+    bound is known -- pow, a power that is not an integer constant, ln
+    with lo <= 0, sqrt with lo < 0, division by an interval holding 0,
+    overflow -- the result is (-inf, +inf).  Internally such a node has
+    NaN ends, which every later node carries on.
+    """
+    with np.errstate(all="ignore"):
+        lo, hi = _enclose(a, env)
+        ok = np.isfinite(hi - lo)
+    return np.where(ok, lo, -np.inf), np.where(ok, hi, np.inf)
+
+
+def _unbounded_to_nan(lo, hi):
+    """An infinite end becomes NaN at both ends.  Later nodes cannot then
+    turn it finite (as min, max, exp or 1/x would), while the float
+    evaluation there may have met inf - inf or 0 * inf."""
+    g = (hi - lo) * 0.0
+    return lo + g, hi + g
+
+
+def _out(lo, hi):
+    """One rounding step outward (correctly rounded IEEE operations)."""
+    return _unbounded_to_nan(np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf))
+
+
+def _out_libm(lo, hi):
+    """Outward by a few ulps: libm results and chains of roundings."""
+    return _unbounded_to_nan(lo - (np.abs(lo) * _LIBM_ULPS + 1e-300),
+                             hi + (np.abs(hi) * _LIBM_ULPS + 1e-300))
+
+
+def _hull(*vals):
+    lo = hi = vals[0]
+    for v in vals[1:]:
+        lo, hi = np.minimum(lo, v), np.maximum(hi, v)
+    return lo, hi
+
+
+def _abs_iv(lo, hi):
+    return np.maximum(np.maximum(lo, -hi), 0.0), np.maximum(-lo, hi)
+
+
+def _periodic(fn, peak):
+    """Enclosure of sin or cos; `peak` is where fn has a maximum."""
+    def enclose(lo, hi):
+        vlo, vhi = _out_libm(*_hull(fn(lo), fn(hi)))
+        # Generous slack keeps the float 2*pi reduction conservative.
+        slack = 1e-9 * np.maximum(1.0, np.maximum(-lo, hi))
+        a = (lo - slack - peak) / _TWO_PI
+        b = (hi + slack - peak) / _TWO_PI
+        has_max = np.ceil(a) <= np.floor(b)
+        has_min = np.ceil(a - 0.5) <= np.floor(b - 0.5)
+        return (np.maximum(np.where(has_min, -1.0, vlo), -1.0),
+                np.minimum(np.where(has_max, 1.0, vhi), 1.0))
+    return enclose
+
+
+def _power(lo, hi, n: float):
+    if n % 2.0 == 0.0:
+        lo, hi = _abs_iv(lo, hi)
+    elif n < 0.0:  # a pole at 0 that the end values do not show
+        lo = np.where(lo * hi <= 0.0, np.nan, lo)
+    return _out_libm(*_hull(np.power(lo, n), np.power(hi, n)))
+
+
+def _divide(alo, ahi, blo, bhi):
+    blo = np.where(blo * bhi <= 0.0, np.nan, blo)  # a pole in the divisor
+    div = np.divide
+    return _out(*_hull(div(alo, blo), div(alo, bhi), div(ahi, blo), div(ahi, bhi)))
+
+
+def _unknown(*args):
+    return np.nan, np.nan
+
+
+# ln and sqrt below their domain give NaN or -inf at lo, which is enough.
+_ENCLOSE_FNS = {
+    "sin": _periodic(np.sin, 0.5 * math.pi),
+    "cos": _periodic(np.cos, 0.0),
+    "exp": lambda lo, hi: _out_libm(np.exp(lo), np.exp(hi)),
+    "ln": lambda lo, hi: _out_libm(np.log(lo), np.log(hi)),
+    "sqrt": lambda lo, hi: _out(np.sqrt(lo), np.sqrt(hi)),
+    "abs": _abs_iv,
+    "min": lambda alo, ahi, blo, bhi: (np.minimum(alo, blo), np.minimum(ahi, bhi)),
+    "max": lambda alo, ahi, blo, bhi: (np.maximum(alo, blo), np.maximum(ahi, bhi)),
+    "pow": _unknown,
+}
+
+
+def _enclose(a: Ast, env):
+    if isinstance(a, Const):
+        return a.value, a.value
+    if isinstance(a, Var):
+        try:
+            return env[a.name]
+        except KeyError:
+            raise UnboundVariable(f"variable {a.name!r} is not bound") from None
+    if isinstance(a, Unary):
+        lo, hi = _enclose(a.child, env)
+        return -hi, -lo
+    if isinstance(a, Binary):
+        alo, ahi = _enclose(a.left, env)
+        if a.op == "^" and isinstance(a.right, Const) and a.right.value == 2.0:
+            # evaluated as x*x: one rounding
+            alo, ahi = _abs_iv(alo, ahi)
+            return _out(alo * alo, ahi * ahi)
+        blo, bhi = _enclose(a.right, env)
+        if a.op == "+":
+            return _out(alo + blo, ahi + bhi)
+        if a.op == "-":
+            return _out(alo - bhi, ahi - blo)
+        if a.op == "*":
+            return _out(*_hull(alo * blo, alo * bhi, ahi * blo, ahi * bhi))
+        if a.op == "/":
+            return _divide(alo, ahi, blo, bhi)
+        if a.op == "^":
+            if np.ndim(blo) == 0 and blo == bhi and float(blo).is_integer():
+                return _power(alo, ahi, float(blo))
+            return _unknown()
+        raise AssertionError(f"bad operator {a.op!r}")
+    if isinstance(a, Call):
+        args = [bound for arg in a.args for bound in _enclose(arg, env)]
+        return _ENCLOSE_FNS[a.fn](*args)
+    raise AssertionError(f"bad node {a!r}")
+
+
 def free_vars(a: Ast) -> set[str]:
     """Exact set of variable names appearing in the tree."""
     if isinstance(a, Var):

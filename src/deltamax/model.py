@@ -507,3 +507,27 @@ def array_evaluator(f: FunctionSpec, norm: NormTag = NormTag.L2) -> Callable[[np
 
         return run
     raise TypeError(f"cannot build evaluator for {type(g).__name__}")
+
+
+IntervalFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def enclosure_evaluator(f: FunctionSpec) -> IntervalFn | None:
+    """Interval extension of a 1-d expression function, or None.
+
+    The returned callable maps (lo, hi) arrays to (lo, hi) bounds of f
+    over each interval (expr.enclose_ast_array; a constant f gives
+    scalars, which broadcast against the intervals); a radial profile
+    in r counts as 1-d.  Any other f (Monotone1DFn, nD, radial wrappers)
+    has no enclosure, and its searches keep sampling.
+    """
+    g = unwrap(f)
+    if not isinstance(g, ExpressionFn) or g.dimension != 1:
+        return None
+    ast = g.ast
+
+    def run(lo, hi):
+        iv = (lo, hi)
+        return expr_mod.enclose_ast_array(ast, {"x": iv, "r": iv, "x1": iv})
+
+    return run

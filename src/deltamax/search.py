@@ -9,6 +9,15 @@ reported crossing; the clear end raises the sampled clear radius.  All of
 it is vectorized over a batch of base points ("columns"); the scalar
 backends run a batch of size one.
 
+For a 1-d expression function, line_field first tests each detect window
+by an interval enclosure of the expression (expr.enclose_ast_array): a
+window whose bound on h is negative holds no crossing and is not
+sampled.  Where every window below the crossing window was proved so,
+the clear radius up to that window's start rests on a proof rather than
+on samples.  Skipping changes no result: the enclosure also bounds every
+float sample, so a skipped window is booked exactly as its samples would
+have been.
+
 Conventions: an evaluator maps (cols, ts) -> (f, valid) where ts has one
 row per probe offset and one column per selected base point.  Samples
 with valid=False (outside the domain) never form brackets; f = +/-inf is
@@ -24,6 +33,7 @@ from typing import Callable
 import numpy as np
 
 SideEval = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+SideEnclose = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 _MAX_BISECT = 160
 _TAIL_PROBES = 80
@@ -37,9 +47,11 @@ class SideResult:
 
     root: np.ndarray       # violator end of the crossing bracket; NaN when none
     root_h: np.ndarray     # h >= 0 at the root
-    clear: np.ndarray      # radius verified all-clear by sampling
+    clear: np.ndarray      # radius verified all-clear by sampling or enclosure
     step: np.ndarray       # grid step backing `clear`
     searched: np.ndarray   # how far the side was scanned
+    rounds: np.ndarray     # detect rounds
+    enclosed: np.ndarray   # detect rounds proved clear by enclosure
 
 
 def _h_of(f: np.ndarray, fp, eps: float) -> np.ndarray:
@@ -116,12 +128,16 @@ def _bisect(eval_at, cols, fp, eps, lo, hi, hi_h, pos_scale, cfg):
 def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
               extents: np.ndarray, r0: np.ndarray,
               pos_scale: np.ndarray, cfg,
-              detect_points: int | None = None) -> SideResult:
+              detect_points: int | None = None,
+              enclose_at: SideEnclose | None = None) -> SideResult:
     """Find the nearest crossing of h along one side for every column.
 
     detect_points controls the bracketing sweep resolution (defaults to
     cfg.scan_points); the fine rescan inside a found bracket keeps the
-    cleared-radius quality independent of it.
+    cleared-radius quality independent of it.  enclose_at(cols, t_lo,
+    t_end) returns, per window [t_lo, t_end], a value that is negative
+    only if h < 0 at every float sample of the window and at every real
+    offset in it; such a window is not sampled.
     """
     n = fp.size
     root = np.full(n, np.nan)
@@ -129,6 +145,8 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
     clear = np.zeros(n)
     step = np.zeros(n)
     searched = np.zeros(n)
+    detect = np.zeros(n, dtype=int)
+    enclosed = np.zeros(n, dtype=int)
 
     cap = np.minimum(extents, cfg.r_max)
     alive = cap > 0.0
@@ -161,11 +179,35 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
         cols = np.flatnonzero(alive)
         lo_c = wlo[cols]
         hi_c = np.minimum(whi[cols], cap[cols])
-        ts = lo_c[None, :] + (hi_c - lo_c)[None, :] * frac[:, None]
-        f, valid = eval_at(cols, ts)
-        h = _h_of(f, fp[cols], eps)
-        valid = valid & ~np.isnan(h)
-        found, blo, bhi, bhi_h = _first_crossing(ts, h, valid, carry_t[cols])
+        detect[cols] += 1
+        s = slice(None)
+        if enclose_at is not None:
+            t_end = lo_c + (hi_c - lo_c) * frac[-1]  # the last sample, bit for bit
+            proved = enclose_at(cols, lo_c, t_end) < 0.0
+            if proved.any():
+                enclosed[cols[proved]] += 1
+                s = np.flatnonzero(~proved)
+        scols = cols[s]
+        if scols.size:
+            # Inline, not in a helper: the sample arrays then live until the
+            # next round replaces them, which measurably spares large batches
+            # from being unmapped and mapped again every round.
+            ts = lo_c[s][None, :] + (hi_c[s] - lo_c[s])[None, :] * frac[:, None]
+            f, valid = eval_at(scols, ts)
+            h = _h_of(f, fp[scols], eps)
+            valid = valid & ~np.isnan(h)
+            crossing = _first_crossing(ts, h, valid, carry_t[scols])
+        if isinstance(s, slice):
+            found, blo, bhi, bhi_h = crossing
+        else:
+            # A window proved clear ends clear at its last sample; the
+            # sampled ones fill in, and all share the bookkeeping below.
+            found = np.zeros(cols.size, dtype=bool)
+            blo = t_end
+            bhi = np.full(cols.size, np.nan)
+            bhi_h = np.full(cols.size, np.nan)
+            if scols.size:
+                found[s], blo[s], bhi[s], bhi_h[s] = crossing
 
         searched[cols] = hi_c
         fcols = cols[found]
@@ -243,7 +285,7 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
         clear[cols] = np.maximum(clear[cols], t_clear)
 
     return SideResult(root=root, root_h=root_h, clear=clear, step=step,
-                      searched=searched)
+                      searched=searched, rounds=detect, enclosed=enclosed)
 
 
 @dataclass
@@ -252,15 +294,19 @@ class FieldResult:
 
     values: np.ndarray          # violator end; NaN where the sphere preimage was not found
     witness_offset: np.ndarray  # signed offset of the violator end
-    lower: np.ndarray           # sampled-clear lower bound; NaN below float resolution
+    lower: np.ndarray           # clear lower bound; NaN below float resolution
     root_h: np.ndarray          # h >= 0 at the violator end
     one_sided: np.ndarray
     searched: np.ndarray
+    detect_rounds: np.ndarray   # detect rounds, both sides
+    enclosed_rounds: np.ndarray  # of which proved clear by enclosure
 
 
 def two_sided_scan(eval_pos: SideEval, eval_neg: SideEval, fp: np.ndarray,
                    eps: float, ext_pos, ext_neg, r0, pos_scale, cfg,
-                   detect_points: int | None = None) -> FieldResult:
+                   detect_points: int | None = None,
+                   enclose_pos: SideEnclose | None = None,
+                   enclose_neg: SideEnclose | None = None) -> FieldResult:
     """Combine the +t and -t side scans into delta values and witnesses.
 
     Ties between equally distant crossings resolve to the negative side
@@ -270,9 +316,9 @@ def two_sided_scan(eval_pos: SideEval, eval_neg: SideEval, fp: np.ndarray,
     point itself there, so no positive lower bound exists.
     """
     side_p = scan_side(eval_pos, fp, eps, ext_pos, r0, pos_scale, cfg,
-                       detect_points=detect_points)
+                       detect_points=detect_points, enclose_at=enclose_pos)
     side_n = scan_side(eval_neg, fp, eps, ext_neg, r0, pos_scale, cfg,
-                       detect_points=detect_points)
+                       detect_points=detect_points, enclose_at=enclose_neg)
 
     rp, rn = side_p.root, side_n.root
     has_p, has_n = ~np.isnan(rp), ~np.isnan(rn)
@@ -296,75 +342,95 @@ def two_sided_scan(eval_pos: SideEval, eval_neg: SideEval, fp: np.ndarray,
     lower[clear < np.spacing(pos_scale)] = np.nan
     searched = np.maximum(side_p.searched, side_n.searched)
     return FieldResult(values=values, witness_offset=witness, lower=lower,
-                       root_h=root_h, one_sided=one_sided, searched=searched)
+                       root_h=root_h, one_sided=one_sided, searched=searched,
+                       detect_rounds=side_p.rounds + side_n.rounds,
+                       enclosed_rounds=side_p.enclosed + side_n.enclosed)
 
 
 def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
                open_lo: bool, open_hi: bool, cfg,
-               detect_points: int | None = None) -> FieldResult:
+               detect_points: int | None = None, f_enc=None) -> FieldResult:
     """delta field of a scalar function along an interval domain.
 
     `f_arr` is a lenient vectorized evaluator; `ps` must lie inside
     [dom_lo, dom_hi].  Initial window radii come from a local derivative
     probe so that very large and very small deltas are both reached in a
-    few doubling rounds.
+    few doubling rounds.  `f_enc`, an interval extension of f
+    (model.enclosure_evaluator), lets the detect sweep skip windows it
+    proves clear; the result is the same with or without it.
     """
     ps = np.asarray(ps, dtype=float)
     n = ps.size
-    out_values = np.empty(n)
-    out_witness = np.empty(n)
-    out_lower = np.empty(n)
-    out_rooth = np.empty(n)
-    out_onesided = np.empty(n, dtype=bool)
-    out_searched = np.empty(n)
+    dtypes = {"one_sided": bool, "detect_rounds": int, "enclosed_rounds": int}
+    out = {name: np.empty(n, dtype=dtypes.get(name, float))
+           for name in FieldResult.__dataclass_fields__}
 
     fp_all = np.asarray(f_arr(ps), dtype=float)
+    eps_in = eps * (1.0 - 2.0 ** -50)
+    check_lo = math.isfinite(dom_lo)
+    check_hi = math.isfinite(dom_hi)
+
+    def member(x):
+        """The domain test of the sample points; None when all pass."""
+        if not (check_lo or check_hi):
+            return None
+        if check_lo:
+            valid = (x > dom_lo) if open_lo else (x >= dom_lo)
+            if check_hi:
+                valid &= (x < dom_hi) if open_hi else (x <= dom_hi)
+            return valid
+        return (x < dom_hi) if open_hi else (x <= dom_hi)
 
     for start in range(0, n, _CHUNK):
         sl = slice(start, min(start + _CHUNK, n))
         p_c = ps[sl]
         fp = fp_all[sl]
         pos_scale = np.abs(p_c)
-
-        check_lo = math.isfinite(dom_lo)
-        check_hi = math.isfinite(dom_hi)
+        bad_fp = ~np.isfinite(fp)
+        fp_s = np.where(bad_fp, 0.0, fp)
 
         def eval_side(sign):
             def eval_at(cols, ts):
                 x = p_c[cols][None, :] + sign * ts
                 f = np.asarray(f_arr(x.ravel()), dtype=float).reshape(x.shape)
-                if not (check_lo or check_hi):
-                    return f, np.ones(x.shape, dtype=bool)
-                if check_lo:
-                    valid = (x > dom_lo) if open_lo else (x >= dom_lo)
-                    if check_hi:
-                        valid &= (x < dom_hi) if open_hi else (x <= dom_hi)
-                else:
-                    valid = (x < dom_hi) if open_hi else (x <= dom_hi)
-                return f, valid
+                valid = member(x)
+                return f, np.ones(x.shape, dtype=bool) if valid is None else valid
             return eval_at
+
+        def enclose_side(sign):
+            if f_enc is None:
+                return None
+
+            def enclose_at(cols, t_lo, t_end):
+                p = p_c[cols]
+                a = p + sign * t_lo
+                b = p + sign * t_end  # the window's last sample, as eval_at builds it
+                # One ulp more covers the real points that a and b round.
+                lo, hi = (a, b) if sign > 0 else (b, a)
+                flo, fhi = f_enc(np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf))
+                fpc = fp_s[cols]
+                # The max bounds |f - f(p)| over the window; eps_in, just
+                # below eps, absorbs its rounding, so h_up < 0 proves h < 0.
+                h_up = np.maximum(fhi - fpc, fpc - flo) - eps_in
+                # A clear window must end on a valid sample, as a sampled one does.
+                valid = member(b)
+                return h_up if valid is None else np.where(valid, h_up, np.inf)
+            return enclose_at
 
         ext_pos = np.maximum(dom_hi - p_c, 0.0)
         ext_neg = np.maximum(p_c - dom_lo, 0.0)
         r0_c = _estimate_r0(f_arr, p_c, fp, eps, ext_pos, ext_neg, cfg)
 
-        bad_fp = ~np.isfinite(fp)
         res = two_sided_scan(
-            eval_side(+1.0), eval_side(-1.0), np.where(bad_fp, 0.0, fp), eps,
+            eval_side(+1.0), eval_side(-1.0), fp_s, eps,
             np.where(bad_fp, 0.0, ext_pos), np.where(bad_fp, 0.0, ext_neg),
-            r0_c, pos_scale, cfg, detect_points=detect_points)
+            r0_c, pos_scale, cfg, detect_points=detect_points,
+            enclose_pos=enclose_side(+1.0), enclose_neg=enclose_side(-1.0))
         res.values[bad_fp] = np.nan
+        for name, arr in out.items():
+            arr[sl] = getattr(res, name)
 
-        out_values[sl] = res.values
-        out_witness[sl] = res.witness_offset
-        out_lower[sl] = res.lower
-        out_rooth[sl] = res.root_h
-        out_onesided[sl] = res.one_sided
-        out_searched[sl] = res.searched
-
-    return FieldResult(values=out_values, witness_offset=out_witness,
-                       lower=out_lower, root_h=out_rooth,
-                       one_sided=out_onesided, searched=out_searched)
+    return FieldResult(**out)
 
 
 def _estimate_r0(f_arr, ps, fp, eps, ext_pos, ext_neg, cfg) -> np.ndarray:

@@ -32,6 +32,7 @@ from .model import (
     Point,
     Shape,
     array_evaluator,
+    enclosure_evaluator,
     lattice,
     unwrap,
 )
@@ -203,7 +204,8 @@ def _stage_field(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
         keep &= (ts < hi) if open_hi else (ts <= hi)
         ts = ts[keep]
         res = line_field(array_evaluator(profile), ts, eps, lo, hi, open_lo, open_hi,
-                         cfg, detect_points=min(1024, cfg.scan_points))
+                         cfg, detect_points=min(1024, cfg.scan_points),
+                         f_enc=enclosure_evaluator(profile))
         pad = (0.0,) * (dom.dimension - 1)
         pts = [Point((t,) + pad) for t in ts]
         wits = [None if math.isnan(v) else Point((t + off,) + pad)

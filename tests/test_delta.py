@@ -157,6 +157,16 @@ class TestLevelSet1D:
         assert abs(res.value - (5.0 - math.sqrt(24))) <= 1e-9
         assert res.one_sided
 
+    def test_diagnostics_count_enclosed_rounds(self):
+        res = delta_level_set_1d(ExpressionFn.parse("x^2"), REALS, 3.0, 1.0)
+        diag = res.diagnostics
+        assert 1 <= diag["enclosed_rounds"] <= diag["detect_rounds"]
+
+    def test_monotone_profile_is_only_sampled(self):
+        res = delta_level_set_1d(cube(), REALS, 2.0, 1.0)
+        assert res.diagnostics["detect_rounds"] >= 2
+        assert res.diagnostics["enclosed_rounds"] == 0
+
     def test_open_boundary_divergence(self):
         # ln on (0, 1]: the nearest crossing sits between the last grid
         # sample and the open endpoint for large eps
@@ -195,6 +205,15 @@ class TestRadial:
         fx = math.log(math.hypot(*res.witness.coords))
         fp = math.log(0.25)
         assert abs(abs(fx - fp) - 0.5) <= 1e-9
+
+    def test_diagnostics_count_rounds(self):
+        entry = dm.catalog_lookup("log_norm")
+        res = delta_radial(entry.function, entry.domain, Point.of(2.0, 0.0), 1.0)
+        assert 1 <= res.diagnostics["enclosed_rounds"] <= res.diagnostics["detect_rounds"]
+        mono = dm.RadialFn(inner=exp_half(), dim=2)
+        res = delta_radial(mono, DomainSpec.ball((0.0, 0.0), 5.0), Point.of(1.0, 0.0), 0.5)
+        assert res.diagnostics["inner_backend"] == "monotone"
+        assert res.diagnostics["enclosed_rounds"] == 0
 
     def test_center_at_origin_in_ray(self):
         f = ExpressionFn.parse("r", dim=2)
@@ -395,6 +414,16 @@ class TestComputeDeltaRouting:
     def test_monotone(self):
         res = compute_delta(cube(), REALS, 1.0, 0.5)
         assert res.backend == "monotone"
+
+    def test_monotone_checks_the_domain(self):
+        # 0 lies in exp's interval (-1, 3) but not in (0, 1]
+        g = Monotone1DFn(fn=np.exp, interval=(-1.0, 3.0), increasing=True)
+        unit = DomainSpec.interval(0.0, 1.0, open_lo=True)
+        with pytest.raises(DomainViolation):
+            compute_delta(g, unit, 0.0, 0.1)
+        with pytest.raises(DomainViolation):
+            compute_delta(ExpressionFn.parse("exp(x)"), unit, 0.0, 0.1)
+        assert compute_delta(g, unit, 0.5, 0.1).backend == "monotone"
 
     def test_expression_1d(self):
         res = compute_delta(ExpressionFn.parse("x^2"), REALS, 1.0, 0.5)

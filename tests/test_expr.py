@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from deltamax.errors import LexError, NonFinite, ParseError, UnboundVariable
 from deltamax.expr import (
@@ -13,7 +16,9 @@ from deltamax.expr import (
     Const,
     Unary,
     Var,
+    enclose_ast_array,
     eval_ast,
+    eval_ast_array,
     free_vars,
     parse,
     parse_source,
@@ -229,3 +234,102 @@ class TestPrinter:
     def test_round_trip(self, src):
         ast = parse_source(src)
         assert parse_source(to_source(ast)) == ast
+
+
+# ---------------------------------------------------------------------------
+# Interval enclosure
+# ---------------------------------------------------------------------------
+
+_X = Var("x")
+_leaves = st.one_of(
+    st.just(_X),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, -1.5, math.pi]).map(Const),
+)
+
+
+def _extend(children):
+    unary = st.one_of(
+        children.map(lambda c: Unary("neg", c)),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "ln", "sqrt", "abs"]), children)
+        .map(lambda t: Call(t[0], (t[1],))),
+        st.tuples(children, st.sampled_from([2.0, 3.0, 4.0, 5.0, 0.0, 1.0, -1.0, -2.0]))
+        .map(lambda t: Binary("^", t[0], Const(t[1]))),
+    )
+    binary = st.tuples(st.sampled_from(["+", "-", "*", "/", "min", "max"]),
+                       children, children).map(
+        lambda t: Call(t[0], (t[1], t[2])) if t[0] in ("min", "max")
+        else Binary(t[0], t[1], t[2]))
+    return st.one_of(unary, binary)
+
+
+_asts = st.recursive(_leaves, _extend, max_leaves=6)
+
+
+@st.composite
+def _intervals(draw):
+    kind = draw(st.sampled_from(["straddle", "extremum", "wide", "ulps", "any"]))
+    if kind == "straddle":
+        return -draw(st.floats(1e-6, 20.0)), draw(st.floats(1e-6, 20.0))
+    if kind == "extremum":  # around a peak or trough of sin/cos
+        c = draw(st.integers(-8, 8)) * 0.5 * math.pi
+        return c - draw(st.floats(1e-9, 1.0)), c + draw(st.floats(1e-9, 1.0))
+    if kind == "wide":
+        lo = draw(st.floats(-30.0, 30.0))
+        return lo, lo + draw(st.floats(2.0 * math.pi, 40.0))
+    lo = draw(st.floats(-1e3, 1e3))
+    if kind == "ulps":
+        return lo, float(np.nextafter(lo, np.inf) + draw(st.integers(0, 6)) * abs(np.spacing(lo)))
+    return lo, lo + draw(st.floats(0.0, 10.0))
+
+
+def _enclose(ast, lo, hi):
+    elo, ehi = enclose_ast_array(ast, {"x": (np.array([lo]), np.array([hi]))})
+    return float(np.ravel(elo)[0]), float(np.ravel(ehi)[0])
+
+
+def _encloses(ast, lo, hi, xs):
+    """Every value at xs lies in the enclosure over [lo, hi], unless that
+    is (-inf, inf)."""
+    elo, ehi = _enclose(ast, lo, hi)
+    vals = eval_ast_array(ast, {"x": xs}) + np.zeros_like(xs)
+    if (elo, ehi) == (-math.inf, math.inf):
+        return True
+    return bool(np.all(np.isfinite(vals) & (elo <= vals) & (vals <= ehi)))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_asts, _intervals())
+def test_enclosure_holds_every_sampled_value(ast, interval):
+    lo, hi = interval
+    xs = np.clip(lo + (hi - lo) * np.linspace(0.0, 1.0, 257), lo, hi)
+    assert _encloses(ast, lo, hi, xs), to_source(ast)
+
+
+@pytest.mark.parametrize("src,lo,hi", [
+    ("x^2", -3.0, 2.0), ("x^3", -3.0, 2.0), ("x^4-x", -1.0, 1.0), ("x^-1", 0.5, 2.0),
+    ("sin(x)", 1.0, 2.0), ("sin(x)", -100.0, 100.0), ("cos(x)", -0.1, 0.1),
+    ("exp(x)", -3.0, 3.0), ("ln(x)", 1e-3, 5.0), ("sqrt(x)", 0.0, 4.0), ("abs(x)", -2.0, 1.0),
+    ("min(x, 1)-max(x, 0)", -2.0, 3.0), ("sin(1/x)", 0.01, 1.0), ("x*x-x/3", -4.0, 4.0),
+    ("(x+1)/(x-5)", -1.0, 4.0),
+])
+def test_enclosure_of_each_node(src, lo, hi):
+    ast = parse_source(src)
+    assert all(map(math.isfinite, _enclose(ast, lo, hi)))
+    assert _encloses(ast, lo, hi, np.linspace(lo, hi, 10001))
+
+
+def test_enclosure_is_tight_on_a_monotone_window():
+    elo, ehi = _enclose(parse_source("sqrt(x)"), 4.0, 9.0)
+    assert 2.0 - 1e-15 < elo <= 2.0 and 3.0 <= ehi < 3.0 + 1e-15
+
+
+@pytest.mark.parametrize("src,lo,hi", [
+    ("pow(x, 2)", 1.0, 2.0), ("x^0.5", 1.0, 2.0), ("x^x", 1.0, 2.0),
+    ("ln(x)", 0.0, 1.0), ("ln(x)", -1.0, 1.0), ("sqrt(x)", -1e-9, 1.0),
+    ("1/x", -1.0, 1.0), ("1/x", 0.0, 1.0), ("x^-2", -1.0, 1.0),
+    ("exp(x)", 700.0, 800.0), ("x^3", 1e200, 1e201), ("min(sqrt(x), 1)", -1.0, 1.0),
+    ("min(max(exp(x)-exp(x), 0), 1)", 0.0, 1000.0),  # inf - inf is NaN at 1000
+])
+def test_enclosure_gives_up_where_no_bound_holds(src, lo, hi):
+    assert _enclose(parse_source(src), lo, hi) == (-math.inf, math.inf)
