@@ -39,6 +39,7 @@ from .errors import (
     DomainViolation,
     EmptySpherePreimage,
     FloatResolutionLimit,
+    InvalidArgument,
     InvalidDomain,
     LexError,
     NonFinite,

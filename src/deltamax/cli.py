@@ -6,9 +6,9 @@ or extend the function catalog), certify (oracle sandwich for one
 delta).  Numbers print with 17 significant digits and identical
 invocations produce byte-identical output.
 
-Exit codes: 0 success (and EvidenceUC for uc), 2 parse errors,
-3 empty sphere preimage (the nonemptiness hypothesis fails),
-4 domain errors, 5 float-resolution limits (delta(p, eps) is below the
+Exit codes: 0 success (and EvidenceUC for uc), 2 parse errors and
+invalid arguments, 3 empty sphere preimage (the nonemptiness hypothesis
+fails), 4 domain errors, 5 float-resolution limits (delta(p, eps) is below the
 spacing of floats around p, or f(p) overflows), 10 EvidenceNotUC,
 11 Inconclusive.
 """
@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import catalog as catalog_mod
-from .delta import SearchConfig, compute_delta, epsilon_bound
+from .delta import SearchConfig, compute_delta, epsilon_bound, require_positive
 from .domaintext import format_domain, parse_domain
 from .errors import (
     ConstantFunction,
@@ -185,6 +185,8 @@ def cmd_scan(args) -> int:
         eps_values = sorted(float(v) for v in args.eps_grid.split(","))
     else:
         eps_values = [args.eps]
+    for eps in eps_values:  # a bad eps fails the command, not each row
+        require_positive("eps", eps)
     ps = np.linspace(args.p_min, args.p_max, args.p_count)
     rows = ["p,eps,delta,lower,upper,backend,error"]
     for eps in eps_values:

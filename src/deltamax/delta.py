@@ -14,13 +14,17 @@ continuity condition at p.  Four backends compute it:
 * ray_nd     -- direction sweep estimator for generic functions in
                 dimension >= 2; its value is only guaranteed to lie
                 between the certified bounds.
+
+The first three share one line front end: line_problem reduces (f, dom)
+to a profile on an interval of the line, and one helper validates the
+point, runs the monotone formula or the line engine at its line
+coordinate, and lifts the witness back along the ray through p.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -30,6 +34,7 @@ from .errors import (
     DomainViolation,
     EmptySpherePreimage,
     FloatResolutionLimit,
+    InvalidArgument,
     InvalidDomain,
     NonFinite,
     OutOfRange,
@@ -37,12 +42,12 @@ from .errors import (
 from .model import (
     CatalogFn,
     DomainSpec,
-    ExpressionFn,
     FunctionSpec,
     Monotone1DFn,
     NormTag,
     Point,
     RadialFn,
+    _as_point,
     array_evaluator,
     enclosure_evaluator,
     lattice,
@@ -51,6 +56,12 @@ from .model import (
     unwrap,
 )
 from .search import line_field, scan_side
+
+
+def require_positive(name: str, value: float) -> None:
+    """Raise InvalidArgument unless value > 0 (NaN included)."""
+    if not value > 0:
+        raise InvalidArgument(f"{name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -71,13 +82,9 @@ class SearchConfig:
 
     def __post_init__(self):
         for name in ("tol_x", "tol_f", "r0", "r_max"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            require_positive(name, getattr(self, name))
         if self.scan_points < 16:
-            raise ValueError("scan_points must be >= 16")
-
-    def tol_x_at(self, p: float) -> float:
-        return self.tol_x * max(1.0, abs(p))
+            raise InvalidArgument("scan_points must be >= 16")
 
 
 DEFAULT_CONFIG = SearchConfig()
@@ -100,7 +107,11 @@ class DeltaResult:
     crossing bracket: `witness` is a sampled domain point with
     |f(witness) - f(p)| >= eps and `value` is its distance from p, an
     upper bound on delta.  diagnostics["achiever_h"] is
-    |f(witness) - f(p)| - eps >= 0 there.
+    |f(witness) - f(p)| - eps >= 0 there.  The monotone backend's bounds
+    come from the final bisection bracket of each inverse image, rounded
+    outward by one ulp.  1-d and radial queries go through one line front
+    end, so a radial result carries the same numbers as its 1-d profile
+    at ||p||, with the witness lifted along the ray through p.
     """
 
     value: float
@@ -172,6 +183,8 @@ def line_problem(f: FunctionSpec, dom: DomainSpec
     g = unwrap(f)
     if (isinstance(g, RadialFn) and dom.is_radial and dom.dimension > 1
             and not any(dom.center)):
+        if g.dim != dom.dimension:
+            raise DimensionMismatch(f"{g.dim}-d radial function on a {dom.dimension}-d domain")
         g = unwrap(g.inner)
     elif g.dimension != 1:
         return None
@@ -187,6 +200,66 @@ def line_problem(f: FunctionSpec, dom: DomainSpec
         if (lo, hi) != (a, b):
             g = replace(g, interval=(lo, hi))
     return g, lo, hi, open_lo, open_hi
+
+
+def _line_delta(problem, dom: DomainSpec, p, eps: float, cfg: SearchConfig,
+                sample: bool = False) -> DeltaResult:
+    """delta(p, eps) of a line problem (see line_problem) on dom.
+
+    The line coordinate of p is p itself on a 1-d domain and ||p|| on a
+    radial one.  A Monotone1DFn profile takes the closed formula unless
+    `sample` asks for the line engine, which runs every other profile.
+    A radial witness is lifted along the ray through p (along the first
+    axis when p is the origin).
+    """
+    g, lo, hi, open_lo, open_hi = problem
+    require_positive("eps", eps)
+    pt = _as_point(p)
+    if pt.dim != dom.dimension:
+        raise DimensionMismatch(f"a {pt.dim}-d point on a {dom.dimension}-d domain")
+    radial = dom.dimension > 1
+    t = norm_of(dom.norm, pt.as_array()) if radial else pt.coords[0]
+    if not (dom.contains(pt) and lo <= t <= hi):
+        raise DomainViolation(f"{pt.coords} is outside the domain {dom.describe()}")
+    if isinstance(g, Monotone1DFn) and not sample:
+        backend = "monotone"
+        value, t_w, lower, upper, one_sided, diagnostics = _monotone_line(g, t, eps, cfg)
+    else:
+        backend = "levelset1d"
+        f_arr = array_evaluator(g)
+        _finite_fp(float(f_arr(np.asarray([t]))[0]), f"f({t!r})")
+        res = line_field(f_arr, np.asarray([t]), eps, lo, hi, open_lo, open_hi, cfg,
+                         f_enc=enclosure_evaluator(g))
+        if math.isnan(res.values[0]):
+            raise EmptySpherePreimage(
+                f"no point with |f(x)-f({t})| = {eps} found within radius "
+                f"{res.searched[0]}: the sphere preimage looks empty there, so "
+                "the nonemptiness hypothesis behind delta(p, eps) fails",
+                searched_radius=float(res.searched[0]))
+        value = upper = float(res.values[0])
+        lower = float(res.lower[0])
+        if math.isnan(lower):
+            raise FloatResolutionLimit(
+                f"delta({t!r}, {eps!r}) is below the float64 resolution at p: "
+                f"a violator sits {value!r} away, and no float closer to p than "
+                "that, other than p itself, could be sampled clear")
+        t_w = t + float(res.witness_offset[0])
+        one_sided = bool(res.one_sided[0])
+        diagnostics = {"achiever_h": float(res.root_h[0]),
+                       "searched_radius": float(res.searched[0]),
+                       "detect_rounds": int(res.detect_rounds[0]),
+                       "enclosed_rounds": int(res.enclosed_rounds[0])}
+    if radial and t != 0.0:
+        witness = Point(tuple(c * (t_w / t) for c in pt.coords))
+    else:
+        witness = Point((t_w,) + (0.0,) * (pt.dim - 1))
+    if radial:
+        diagnostics = {"detect_rounds": 0, "enclosed_rounds": 0, **diagnostics,
+                       "radius": t, "inner_backend": backend}
+        backend = "radial"
+    return DeltaResult(value=value, witness=witness, certified_lower=lower,
+                       certified_upper=upper, backend=backend, one_sided=one_sided,
+                       diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +281,17 @@ def inverse_monotone(g: Monotone1DFn, y: float, cfg: SearchConfig = DEFAULT_CONF
     """x in g's interval with |g(x) - y| <= tol_f, by bracketed bisection.
 
     Raises OutOfRange when y is provably outside the range (a finite
-    endpoint maps past y, or doubling expansion hits r_max with no sign
-    change).
+    endpoint maps past y), or when doubling expansion hits r_max with no
+    sign change.
     """
+    return _invert(g, y, cfg, start)[0]
+
+
+def _invert(g: Monotone1DFn, y: float, cfg: SearchConfig,
+            start: float | None) -> tuple[float, float, float]:
+    """inverse_monotone's x with the final bisection bracket [lo, hi],
+    which holds the preimage of y.  OutOfRange carries the distance from
+    start searched in vain (inf when the range provably misses y)."""
     a, b = g.interval
     gat = _mono_eval(g)
     sgn = 1.0 if g.increasing else -1.0
@@ -237,7 +318,7 @@ def inverse_monotone(g: Monotone1DFn, y: float, cfg: SearchConfig = DEFAULT_CONF
     if lo is None or hi is None:
         s0 = sigma(start)
         if s0 == 0:
-            return start
+            return start, start, start
         if s0 < 0:
             lo = start
         else:
@@ -245,6 +326,7 @@ def inverse_monotone(g: Monotone1DFn, y: float, cfg: SearchConfig = DEFAULT_CONF
         if lo is None or hi is None:
             want_hi = hi is None
             radius = cfg.r0
+            searched = 0.0
             while radius <= cfg.r_max:
                 probe = min(max(start + radius if want_hi else start - radius, a), b)
                 sp = sigma(probe)
@@ -254,11 +336,12 @@ def inverse_monotone(g: Monotone1DFn, y: float, cfg: SearchConfig = DEFAULT_CONF
                 if not want_hi and sp <= 0:
                     lo = probe
                     break
+                searched = abs(probe - start)
                 radius *= 2.0
             else:
                 raise OutOfRange(
                     f"no bracket for target {y!r}: expansion hit r_max "
-                    f"({cfg.r_max}) with no sign change")
+                    f"({cfg.r_max}) with no sign change", searched_radius=searched)
 
     # Bisect; keep the probe with the smallest |g - y|.
     best_x, best_s = lo, abs(sigma(lo))
@@ -279,54 +362,52 @@ def inverse_monotone(g: Monotone1DFn, y: float, cfg: SearchConfig = DEFAULT_CONF
             hi = mid
         else:
             lo = mid
-    return best_x
+    return best_x, lo, hi
 
 
-def delta_monotone_1d(g: Monotone1DFn, p: float, eps: float,
-                      cfg: SearchConfig = DEFAULT_CONFIG) -> DeltaResult:
-    """Two-sided closed formula: min over the inverse images of
-    g(p) +/- eps; one-sided when exactly one of them is attained."""
+def _monotone_line(g: Monotone1DFn, t: float, eps: float, cfg: SearchConfig):
+    """(value, witness, lower, upper, one_sided, diagnostics) at t by the
+    closed two-sided formula: min over the inverse images of g(t) +/- eps,
+    one-sided when exactly one of them is attained.
+
+    Each inverse image lies in its final bisection bracket, so delta lies
+    between the distance from t to the nearest bracket (or to where an
+    unattained side gave up) and the smallest distance to the farther end
+    of a bracket, each rounded outward by one ulp.
+    """
     a, b = g.interval
-    p = float(p)
-    if not (a <= p <= b):
-        raise DomainViolation(f"{p} outside the interval [{a}, {b}]")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    gat = _mono_eval(g)
-    gp = _finite_fp(gat(p), f"g({p!r})")
-
-    crossings: list[float] = []
+    gp = _finite_fp(_mono_eval(g)(t), f"g({t!r})")
+    sides = []          # (distance, crossing, nearest, farthest bracket end)
+    reach = math.inf    # no crossing of an unattained side lies closer
     for target in (gp - eps, gp + eps):
         try:
-            crossings.append(inverse_monotone(g, target, cfg, start=p))
-        except OutOfRange:
+            x, lo, hi = _invert(g, target, cfg, start=t)
+        except OutOfRange as miss:
+            reach = min(reach, miss.searched_radius)
             continue
-    if not crossings:
+        sides.append((abs(x - t), x, max(lo - t, t - hi, 0.0), max(hi - t, t - lo)))
+    if not sides:
         raise EmptySpherePreimage(
             f"neither g(p)+eps nor g(p)-eps is attained on [{a}, {b}]: the "
             f"sphere preimage is empty (eps={eps} exceeds the reachable "
             "variation), so no greatest delta exists at this point",
-            searched_radius=min(cfg.r_max, max(b - p, p - a)))
-
-    one_sided = len(crossings) == 1
-    dists = [abs(x - p) for x in crossings]
+            searched_radius=min(cfg.r_max, max(b - t, t - a)))
     # Min distance wins; on a tie the left crossing is the witness.
-    order = sorted(range(len(crossings)), key=lambda i: (dists[i], crossings[i]))
-    best = order[0]
-    value = dists[best]
-    tol_eff = cfg.tol_x_at(p)
-    lower = value - tol_eff
-    if lower <= 0:
-        lower = 0.5 * value
-    return DeltaResult(
-        value=value,
-        witness=Point((crossings[best],)),
-        certified_lower=lower,
-        certified_upper=value + tol_eff,
-        backend="monotone",
-        one_sided=one_sided,
-        diagnostics={"g_p": gp},
-    )
+    value, x = min(sides)[:2]
+    lower = min(math.nextafter(min(reach, *(s[2] for s in sides)), 0.0), value)
+    upper = max(math.nextafter(min(s[3] for s in sides), math.inf), value)
+    if not lower > 0.0:
+        raise FloatResolutionLimit(
+            f"delta({t!r}, {eps!r}) is below the float64 resolution at p: the "
+            f"bisection bracket of a crossing {value!r} away reaches p")
+    return value, x, lower, upper, len(sides) == 1, {"g_p": gp}
+
+
+def delta_monotone_1d(g: Monotone1DFn, p: float, eps: float,
+                      cfg: SearchConfig = DEFAULT_CONFIG) -> DeltaResult:
+    """The closed formula (see _monotone_line) on g's own interval."""
+    dom = DomainSpec.interval(*g.interval)
+    return _line_delta(line_problem(g, dom), dom, p, eps, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -335,60 +416,17 @@ def delta_monotone_1d(g: Monotone1DFn, p: float, eps: float,
 
 def delta_level_set_1d(f: FunctionSpec, dom: DomainSpec, p: float, eps: float,
                        cfg: SearchConfig = DEFAULT_CONFIG) -> DeltaResult:
-    """Outward scan for the nearest solution of |f(x) - f(p)| = eps."""
-    p = float(p)
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if not dom.contains(p):
-        raise DomainViolation(f"{p} is outside the domain {dom.describe()}")
+    """Outward scan for the nearest solution of |f(x) - f(p)| = eps on a
+    1-d domain; a Monotone1DFn is scanned too, not solved."""
     problem = line_problem(f, dom)
-    if problem is None:
-        raise DimensionMismatch("the 1-d backend needs a 1-d function")
-    g, lo, hi, open_lo, open_hi = problem
-    f_arr = array_evaluator(g)
-    _finite_fp(float(f_arr(np.asarray([p]))[0]), f"f({p!r})")
-    res = line_field(f_arr, np.asarray([p]), eps, lo, hi, open_lo, open_hi, cfg,
-                     f_enc=enclosure_evaluator(g))
-    if math.isnan(res.values[0]):
-        raise EmptySpherePreimage(
-            f"no point with |f(x)-f({p})| = {eps} found within radius "
-            f"{res.searched[0]}: the sphere preimage looks empty there, so "
-            "the nonemptiness hypothesis behind delta(p, eps) fails",
-            searched_radius=float(res.searched[0]))
-    value = float(res.values[0])
-    lower = float(res.lower[0])
-    if math.isnan(lower):
-        raise FloatResolutionLimit(
-            f"delta({p!r}, {eps!r}) is below the float64 resolution at p: "
-            f"a violator sits {value!r} away, and no float closer to p than "
-            "that, other than p itself, could be sampled clear")
-    return DeltaResult(
-        value=value,
-        witness=Point((p + float(res.witness_offset[0]),)),
-        certified_lower=lower,
-        certified_upper=value,
-        backend="levelset1d",
-        one_sided=bool(res.one_sided[0]),
-        diagnostics={"achiever_h": float(res.root_h[0]),
-                     "searched_radius": float(res.searched[0]),
-                     "detect_rounds": int(res.detect_rounds[0]),
-                     "enclosed_rounds": int(res.enclosed_rounds[0])},
-    )
+    if problem is None or dom.dimension != 1:
+        raise DimensionMismatch("the 1-d backend needs a 1-d function on a 1-d domain")
+    return _line_delta(problem, dom, p, eps, cfg, sample=True)
 
 
 # ---------------------------------------------------------------------------
 # Radial backend
 # ---------------------------------------------------------------------------
-
-def _lift_witness(p: Point, t_p: float, t_witness: float, dim: int,
-                  norm: NormTag) -> Point:
-    if t_p == 0.0:
-        coords = [0.0] * dim
-        coords[0] = t_witness
-        return Point(tuple(coords))
-    scale = t_witness / t_p
-    return Point(tuple(c * scale for c in p.coords))
-
 
 def delta_radial(f: FunctionSpec, dom: DomainSpec, p, eps: float,
                  cfg: SearchConfig = DEFAULT_CONFIG) -> DeltaResult:
@@ -401,38 +439,12 @@ def delta_radial(f: FunctionSpec, dom: DomainSpec, p, eps: float,
     g = unwrap(f)
     if not isinstance(g, RadialFn):
         raise TypeError("delta_radial needs a radial function")
-    pt = p if isinstance(p, Point) else Point(tuple(p) if np.ndim(p) else (float(p),))
-    if pt.dim != g.dim:
-        raise DimensionMismatch(f"expected dimension {g.dim}, got {pt.dim}")
-    if not dom.contains(pt):
-        raise DomainViolation(f"{pt.coords} is outside the domain {dom.describe()}")
     problem = line_problem(g, dom)
     if problem is None or dom.dimension == 1:
         raise InvalidDomain(
             "the radial backend needs an origin-centered ball/annulus in "
             f"dimension >= 2, got a {dom.dimension}-d {dom.shape.value}")
-    profile, lo, hi, open_lo, open_hi = problem
-    t = norm_of(dom.norm, pt.as_array())
-
-    if isinstance(profile, Monotone1DFn):
-        base = delta_monotone_1d(profile, t, eps, cfg)
-    else:
-        line = DomainSpec.interval(lo, hi, open_lo=open_lo, open_hi=open_hi)
-        base = delta_level_set_1d(profile, line, t, eps, cfg)
-
-    witness = None
-    if base.witness is not None:
-        witness = _lift_witness(pt, t, base.witness.coords[0], g.dim, dom.norm)
-    return DeltaResult(
-        value=base.value,
-        witness=witness,
-        certified_lower=base.certified_lower,
-        certified_upper=base.certified_upper,
-        backend="radial",
-        one_sided=base.one_sided,
-        diagnostics={"detect_rounds": 0, "enclosed_rounds": 0, **base.diagnostics,
-                     "radius": t, "inner_backend": base.backend},
-    )
+    return _line_delta(problem, dom, p, eps, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -481,15 +493,14 @@ def delta_ray_nd(f: FunctionSpec, dom: DomainSpec, p, eps: float,
     guaranteed.
     """
     g = unwrap(f)
-    pt = p if isinstance(p, Point) else Point(tuple(p))
+    pt = _as_point(p)
     if pt.dim < 2:
         raise DimensionMismatch("delta_ray_nd needs dimension >= 2")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    require_positive("eps", eps)
     if not dom.contains(pt):
         raise DomainViolation(f"{pt.coords} is outside the domain {dom.describe()}")
     if directions < 1:
-        raise ValueError("need at least one direction")
+        raise InvalidArgument(f"need at least one direction, got {directions!r}")
 
     f_arr = array_evaluator(g, norm=dom.norm)
     p_arr = pt.as_array()
@@ -566,9 +577,8 @@ def is_delta_epsilon_number(f: FunctionSpec, dom: DomainSpec, p, eps: float,
     True is sampled evidence of membership in (0, delta(p, eps)]; False
     is an exact refutation (a concrete violator was found).
     """
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    pt = p if isinstance(p, Point) else Point(tuple(p) if np.ndim(p) else (float(p),))
+    require_positive("beta", beta)
+    pt = _as_point(p)
     if not dom.contains(pt):
         raise DomainViolation(f"{pt.coords} is outside the domain {dom.describe()}")
     g = unwrap(f)
@@ -627,7 +637,8 @@ def epsilon_bound(f: FunctionSpec, dom: DomainSpec, samples: int = 4096,
 def compute_delta(f: FunctionSpec, dom: DomainSpec | None, p, eps: float,
                   cfg: SearchConfig = DEFAULT_CONFIG, directions: int = 64,
                   seed: int = 0) -> DeltaResult:
-    """Dispatch to the right backend for (f, dom)."""
+    """Dispatch to the right backend for (f, dom): the line front end for
+    a 1-d or radial problem (see line_problem), ray_nd otherwise."""
     g = unwrap(f)
     if dom is None:
         if isinstance(f, CatalogFn):
@@ -642,12 +653,4 @@ def compute_delta(f: FunctionSpec, dom: DomainSpec | None, p, eps: float,
     problem = line_problem(g, dom)
     if problem is None:
         return delta_ray_nd(g, dom, p, eps, directions, cfg, seed)
-    if dom.dimension > 1:  # only a radial f reduces to a line there
-        return delta_radial(g, dom, p, eps, cfg)
-    profile = problem[0]
-    p_val = p.coords[0] if isinstance(p, Point) else float(p)
-    if isinstance(profile, Monotone1DFn):
-        if not dom.contains(p_val):
-            raise DomainViolation(f"{p_val} is outside the domain {dom.describe()}")
-        return delta_monotone_1d(profile, p_val, eps, cfg)
-    return delta_level_set_1d(profile, dom, p_val, eps, cfg)
+    return _line_delta(problem, dom, p, eps, cfg)

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 
 class DeltamaxError(Exception):
     """Base class for every error raised by this package."""
+
+
+class InvalidArgument(DeltamaxError, ValueError):
+    """A numeric argument is outside its valid range (eps <= 0, no
+    directions, an empty eps grid, a bad SearchConfig field, ...)."""
 
 
 class DimensionMismatch(DeltamaxError):
@@ -76,7 +83,16 @@ class FloatResolutionLimit(DeltamaxError):
 
 
 class OutOfRange(DeltamaxError):
-    """Inverse evaluation target provably outside the function's range."""
+    """Inverse evaluation target outside the function's range.
+
+    searched_radius is inf when the range provably misses the target, or
+    the distance from the start within which no preimage exists when the
+    search gave up there.
+    """
+
+    def __init__(self, message: str, searched_radius: float = math.inf):
+        self.searched_radius = searched_radius
+        super().__init__(message)
 
 
 class ConstantFunction(DeltamaxError):

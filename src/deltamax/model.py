@@ -70,9 +70,11 @@ class NormTag(enum.Enum):
 
 
 def _as_point(p) -> Point:
+    """p as a Point: a number (Python or numpy, 0-d arrays included) is
+    a 1-d point, a sequence or array its coordinates."""
     if isinstance(p, Point):
         return p
-    if isinstance(p, (int, float)):
+    if np.ndim(p) == 0:
         return Point((float(p),))
     return Point(tuple(p))
 

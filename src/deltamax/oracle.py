@@ -19,6 +19,7 @@ from .model import (
     DomainSpec,
     FunctionSpec,
     Point,
+    _as_point,
     array_evaluator,
     lattice,
     norm_of_rows,
@@ -85,7 +86,7 @@ def grid_delta_bounds(f: FunctionSpec, dom: DomainSpec, p, eps: float,
     holds none); lower subtracts one grid-cell diagonal and is clamped to
     the radius of the window actually inspected around p.
     """
-    pt = p if isinstance(p, Point) else Point(tuple(p) if np.ndim(p) else (float(p),))
+    pt = _as_point(p)
     if not dom.contains(pt):
         raise DomainViolation(f"{pt.coords} is outside the domain {dom.describe()}")
     fn = unwrap(f)

@@ -159,17 +159,10 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
     frac = np.arange(1, detect_points + 1, dtype=float) / detect_points
     frac_fine = np.arange(1, _REFINE_POINTS + 1, dtype=float) / _REFINE_POINTS
 
-    # Brackets accumulate here and are refined/bisected in one batch.
-    br_cols: list[np.ndarray] = []
-    br = {"lo": [], "hi": [], "hi_h": []}
-
-    def stash(cols, blo, bhi, bhi_h):
-        br_cols.append(cols)
-        br["lo"].append(blo)
-        br["hi"].append(bhi)
-        br["hi_h"].append(bhi_h)
-
-    tail_cols: list[int] = []
+    # Brackets (cols, lo, hi, hi_h) accumulate here and are refined and
+    # bisected in one batch; tail marks exhausted finite sides.
+    brackets: list[tuple[np.ndarray, ...]] = []
+    tail = np.zeros(n, dtype=bool)
 
     rounds = 0
     while alive.any():
@@ -180,10 +173,15 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
         lo_c = wlo[cols]
         hi_c = np.minimum(whi[cols], cap[cols])
         detect[cols] += 1
-        s = slice(None)
+        # A window proved clear ends clear at its last sample (computed bit
+        # for bit as the sampler does); the sampled ones fill in below.
+        found = np.zeros(cols.size, dtype=bool)
+        blo = lo_c + (hi_c - lo_c) * frac[-1]
+        bhi = np.full(cols.size, np.nan)
+        bhi_h = np.full(cols.size, np.nan)
+        s = slice(None)  # the sampled windows
         if enclose_at is not None:
-            t_end = lo_c + (hi_c - lo_c) * frac[-1]  # the last sample, bit for bit
-            proved = enclose_at(cols, lo_c, t_end) < 0.0
+            proved = enclose_at(cols, lo_c, blo) < 0.0
             if proved.any():
                 enclosed[cols[proved]] += 1
                 s = np.flatnonzero(~proved)
@@ -196,23 +194,12 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
             f, valid = eval_at(scols, ts)
             h = _h_of(f, fp[scols], eps)
             valid = valid & ~np.isnan(h)
-            crossing = _first_crossing(ts, h, valid, carry_t[scols])
-        if isinstance(s, slice):
-            found, blo, bhi, bhi_h = crossing
-        else:
-            # A window proved clear ends clear at its last sample; the
-            # sampled ones fill in, and all share the bookkeeping below.
-            found = np.zeros(cols.size, dtype=bool)
-            blo = t_end
-            bhi = np.full(cols.size, np.nan)
-            bhi_h = np.full(cols.size, np.nan)
-            if scols.size:
-                found[s], blo[s], bhi[s], bhi_h[s] = crossing
+            found[s], blo[s], bhi[s], bhi_h[s] = _first_crossing(ts, h, valid, carry_t[scols])
 
         searched[cols] = hi_c
         fcols = cols[found]
         if fcols.size:
-            stash(fcols, blo[found], bhi[found], bhi_h[found])
+            brackets.append((fcols, blo[found], bhi[found], bhi_h[found]))
             clear[fcols] = blo[found]
             step[fcols] = (hi_c[found] - lo_c[found]) / detect_points
             alive[fcols] = False
@@ -225,17 +212,15 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
             done = ncols[exhausted]
             if done.size:
                 alive[done] = False
-                for c in done:
-                    if math.isfinite(extents[c]):
-                        tail_cols.append(int(c))
+                tail[done] = np.isfinite(extents[done])
             wlo[ncols] = hi_c[~found]
             whi[ncols] = 2.0 * np.maximum(hi_c[~found], 16.0 * np.spacing(pos_scale[ncols] + 1.0))
 
     # Geometric probes toward a finite boundary catch crossings that hide
     # between the last linear sample and the (possibly open) endpoint,
     # e.g. profiles diverging at a punctured origin.
-    if tail_cols:
-        cols = np.asarray(sorted(tail_cols), dtype=int)
+    if tail.any():
+        cols = np.flatnonzero(tail)
         ext = extents[cols]
         gap = ext - carry_t[cols]
         j = np.arange(1, _TAIL_PROBES + 1, dtype=float)[:, None]
@@ -248,18 +233,15 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
         searched[cols] = ext
         fcols = cols[found]
         if fcols.size:
-            stash(fcols, blo[found], bhi[found], bhi_h[found])
+            brackets.append((fcols, blo[found], bhi[found], bhi_h[found]))
             clear[fcols] = blo[found]
             step[fcols] = np.maximum(bhi[found] - blo[found], np.spacing(ext[found]))
         ncols = cols[~found]
         if ncols.size:
             clear[ncols] = np.maximum(clear[ncols], blo[~found])
 
-    if br_cols:
-        cols = np.concatenate(br_cols)
-        blo = np.concatenate(br["lo"])
-        bhi = np.concatenate(br["hi"])
-        bhi_h = np.concatenate(br["hi_h"])
+    if brackets:
+        cols, blo, bhi, bhi_h = (np.concatenate(part) for part in zip(*brackets))
 
         # One fine rescan inside the bracket sharpens both the cleared
         # radius and, for coarse windows, the choice of nearest crossing.
@@ -302,51 +284,6 @@ class FieldResult:
     enclosed_rounds: np.ndarray  # of which proved clear by enclosure
 
 
-def two_sided_scan(eval_pos: SideEval, eval_neg: SideEval, fp: np.ndarray,
-                   eps: float, ext_pos, ext_neg, r0, pos_scale, cfg,
-                   detect_points: int | None = None,
-                   enclose_pos: SideEnclose | None = None,
-                   enclose_neg: SideEnclose | None = None) -> FieldResult:
-    """Combine the +t and -t side scans into delta values and witnesses.
-
-    Ties between equally distant crossings resolve to the negative side
-    (the left crossing), which keeps results deterministic.  `lower` is
-    NaN where the nearest clear end is within one float spacing of the
-    base point: float64 cannot sample a clear point other than the base
-    point itself there, so no positive lower bound exists.
-    """
-    side_p = scan_side(eval_pos, fp, eps, ext_pos, r0, pos_scale, cfg,
-                       detect_points=detect_points, enclose_at=enclose_pos)
-    side_n = scan_side(eval_neg, fp, eps, ext_neg, r0, pos_scale, cfg,
-                       detect_points=detect_points, enclose_at=enclose_neg)
-
-    rp, rn = side_p.root, side_n.root
-    has_p, has_n = ~np.isnan(rp), ~np.isnan(rn)
-    use_neg = has_n & (~has_p | (rn <= rp))
-    values = np.where(use_neg, rn, rp)
-    values[~(has_p | has_n)] = np.nan
-    witness = np.where(use_neg, -rn, rp)
-    root_h = np.where(use_neg, side_n.root_h, side_p.root_h)
-    one_sided = has_p ^ has_n
-
-    # A side without a crossing was cleared up to its searched radius (or
-    # has no domain at all, which constrains nothing).
-    clear_p = np.where(has_p, side_p.clear, np.where(ext_pos > 0, side_p.clear, np.inf))
-    clear_n = np.where(has_n, side_n.clear, np.where(ext_neg > 0, side_n.clear, np.inf))
-    step = np.maximum(side_p.step, side_n.step)
-    clear = np.minimum(clear_p, clear_n)
-    lower = np.minimum(clear - step, values)
-    tol_eff = cfg.tol_x * np.maximum(1.0, pos_scale)
-    bad = ~(lower > 0.0)
-    lower[bad] = np.minimum(clear[bad], tol_eff[bad])
-    lower[clear < np.spacing(pos_scale)] = np.nan
-    searched = np.maximum(side_p.searched, side_n.searched)
-    return FieldResult(values=values, witness_offset=witness, lower=lower,
-                       root_h=root_h, one_sided=one_sided, searched=searched,
-                       detect_rounds=side_p.rounds + side_n.rounds,
-                       enclosed_rounds=side_p.enclosed + side_n.enclosed)
-
-
 def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
                open_lo: bool, open_hi: bool, cfg,
                detect_points: int | None = None, f_enc=None) -> FieldResult:
@@ -358,6 +295,13 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
     few doubling rounds.  `f_enc`, an interval extension of f
     (model.enclosure_evaluator), lets the detect sweep skip windows it
     proves clear; the result is the same with or without it.
+
+    Each point is scanned along +t and -t (scan_side).  Ties between
+    equally distant crossings resolve to the negative side (the left
+    crossing), which keeps results deterministic.  `lower` is NaN where
+    the nearest clear end is within one float spacing of the base point:
+    float64 cannot sample a clear point other than the base point itself
+    there, so no positive lower bound exists.
     """
     ps = np.asarray(ps, dtype=float)
     n = ps.size
@@ -420,15 +364,35 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
         ext_pos = np.maximum(dom_hi - p_c, 0.0)
         ext_neg = np.maximum(p_c - dom_lo, 0.0)
         r0_c = _estimate_r0(f_arr, p_c, fp, eps, ext_pos, ext_neg, cfg)
+        ext_pos = np.where(bad_fp, 0.0, ext_pos)
+        ext_neg = np.where(bad_fp, 0.0, ext_neg)
+        side_p, side_n = (
+            scan_side(eval_side(sign), fp_s, eps, ext, r0_c, pos_scale, cfg,
+                      detect_points=detect_points, enclose_at=enclose_side(sign))
+            for sign, ext in ((+1.0, ext_pos), (-1.0, ext_neg)))
 
-        res = two_sided_scan(
-            eval_side(+1.0), eval_side(-1.0), fp_s, eps,
-            np.where(bad_fp, 0.0, ext_pos), np.where(bad_fp, 0.0, ext_neg),
-            r0_c, pos_scale, cfg, detect_points=detect_points,
-            enclose_pos=enclose_side(+1.0), enclose_neg=enclose_side(-1.0))
-        res.values[bad_fp] = np.nan
+        rp, rn = side_p.root, side_n.root
+        has_p, has_n = ~np.isnan(rp), ~np.isnan(rn)
+        use_neg = has_n & (~has_p | (rn <= rp))
+        values = np.where(use_neg, rn, rp)
+        # A side without a crossing was cleared up to its searched radius
+        # (or has no domain at all, which constrains nothing).
+        clear = np.minimum(np.where(has_p | (ext_pos > 0), side_p.clear, np.inf),
+                           np.where(has_n | (ext_neg > 0), side_n.clear, np.inf))
+        lower = np.minimum(clear - np.maximum(side_p.step, side_n.step), values)
+        tol_eff = cfg.tol_x * np.maximum(1.0, pos_scale)
+        bad = ~(lower > 0.0)
+        lower[bad] = np.minimum(clear[bad], tol_eff[bad])
+        lower[clear < np.spacing(pos_scale)] = np.nan
+        values[bad_fp] = np.nan
+        chunk = dict(values=values, witness_offset=np.where(use_neg, -rn, rp),
+                     lower=lower, root_h=np.where(use_neg, side_n.root_h, side_p.root_h),
+                     one_sided=has_p ^ has_n,
+                     searched=np.maximum(side_p.searched, side_n.searched),
+                     detect_rounds=side_p.rounds + side_n.rounds,
+                     enclosed_rounds=side_p.enclosed + side_n.enclosed)
         for name, arr in out.items():
-            arr[sl] = getattr(res, name)
+            arr[sl] = chunk[name]
 
     return FieldResult(**out)
 

@@ -24,8 +24,9 @@ from .delta import (
     epsilon_bound,
     line_bounds,
     line_problem,
+    require_positive,
 )
-from .errors import DeltamaxError, WitnessesStagnated
+from .errors import DeltamaxError, InvalidArgument, WitnessesStagnated
 from .model import (
     DomainSpec,
     FunctionSpec,
@@ -195,6 +196,7 @@ def _stage_field(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
     coordinate t lifts to the point (t, 0, ..., 0).  A generic nD f runs
     compute_delta at each point of a capped lattice over the window.
     """
+    require_positive("eps", eps)
     problem = line_problem(f, dom)
     if problem is not None:
         profile, lo, hi, open_lo, open_hi = problem
@@ -231,6 +233,20 @@ def _stage_field(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
     return pts, np.asarray(values), wits
 
 
+def _stage_min(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
+               resolution: int, eps: float, cfg: SearchConfig):
+    """(inf_delta, argmin, skipped, witness) of one stage: the smallest
+    finite delta on the stage grid (+inf, None when there is none), the
+    point and witness that attain it, and the count of NaN points."""
+    pts, values, wits = _stage_field(f, dom, window, resolution, eps, cfg)
+    skipped = int(np.count_nonzero(np.isnan(values)))
+    finite = np.isfinite(values)
+    if not finite.any():
+        return math.inf, None, skipped, None
+    i = int(np.argmin(np.where(finite, values, np.inf)))
+    return float(values[i]), pts[i], skipped, wits[i]
+
+
 def infimum_delta(f: FunctionSpec, dom: DomainSpec, eps: float,
                   schedule: list[tuple[DomainSpec, int]] | None = None,
                   cfg: SearchConfig = DEFAULT_CONFIG) -> InfTrace:
@@ -241,19 +257,11 @@ def infimum_delta(f: FunctionSpec, dom: DomainSpec, eps: float,
     """
     if schedule is None:
         schedule = default_schedule(dom, cfg=cfg)
-    records = []
-    for level, (window, resolution) in enumerate(schedule):
-        pts, values, _wits = _stage_field(f, dom, window, resolution, eps, cfg)
-        skipped = int(np.count_nonzero(np.isnan(values)))
-        finite = np.isfinite(values)
-        if np.any(finite):
-            i = int(np.nanargmin(np.where(finite, values, np.inf)))
-            rec = StageRecord(level, window, resolution, float(values[i]),
-                              pts[i], skipped)
-        else:
-            rec = StageRecord(level, window, resolution, math.inf, None, skipped)
-        records.append(rec)
-    return InfTrace(eps=eps, records=tuple(records))
+    records = tuple(
+        StageRecord(level, window, resolution,
+                    *_stage_min(f, dom, window, resolution, eps, cfg)[:3])
+        for level, (window, resolution) in enumerate(schedule))
+    return InfTrace(eps=eps, records=records)
 
 
 # ---------------------------------------------------------------------------
@@ -279,29 +287,9 @@ def witness_search(f: FunctionSpec, dom: DomainSpec, eps0: float,
     dists: list[float] = []
     since_last = 0
     for window, res in schedule:
-        pts, values, wits = _stage_field(f, dom, window, res, eps0, cfg)
-        finite = np.isfinite(values)
-        if not np.any(finite):
-            since_last += 1
-            if since_last > _PATIENCE:
-                break
-            continue
-        i = int(np.nanargmin(np.where(finite, values, np.inf)))
-        v = float(values[i])
-        x, y = pts[i], wits[i]
-        if y is None:
-            continue
-        # Image-distance accuracy limit: float rounding of f at x scales
-        # the achievable |h|, so the acceptance threshold is ulp-aware.
-        fx = _scalar_f(f, x, dom)
-        tol_eff = max(cfg.tol_f, 32.0 * math.ulp(abs(fx) + eps0))
-        fy = _scalar_f(f, y, dom)
-        if not abs(abs(fy - fx) - eps0) <= tol_eff:
-            since_last += 1
-            if since_last > _PATIENCE:
-                break
-            continue
-        if not pairs or v <= 0.5 * dists[-1]:
+        v, x, _, y = _stage_min(f, dom, window, res, eps0, cfg)
+        if (y is not None and (not pairs or v <= 0.5 * dists[-1])
+                and _pins_eps(f, dom, x, y, eps0, cfg)):
             pairs.append((x, y))
             dists.append(v)
             since_last = 0
@@ -316,12 +304,21 @@ def witness_search(f: FunctionSpec, dom: DomainSpec, eps0: float,
         pairs=WitnessPairs(tuple(pairs), eps0, tuple(dists)) if pairs else None)
 
 
-def _scalar_f(f: FunctionSpec, x: Point, dom: DomainSpec) -> float:
+def _pins_eps(f: FunctionSpec, dom: DomainSpec, x: Point, y: Point, eps0: float,
+              cfg: SearchConfig) -> bool:
+    """|f(y) - f(x)| = eps0 to within the image-distance accuracy limit:
+    float rounding of f at x scales the achievable |h|, so the acceptance
+    threshold is ulp-aware."""
     g = unwrap(f)
     f_arr = array_evaluator(g, norm=dom.norm)
-    arr = x.as_array()
-    out = f_arr(arr if g.dimension == 1 and arr.size == 1 else arr.reshape(1, -1))
-    return float(np.asarray(out).ravel()[0])
+
+    def at(pt: Point) -> float:
+        arr = pt.as_array()
+        return float(f_arr(arr if g.dimension == 1 else arr[None, :])[0])
+
+    fx = at(x)
+    tol_eff = max(cfg.tol_f, 32.0 * math.ulp(abs(fx) + eps0))
+    return abs(abs(at(y) - fx) - eps0) <= tol_eff
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +349,7 @@ def uc_verdict(f: FunctionSpec, dom: DomainSpec,
         beta = epsilon_bound(f, dom, cfg=cfg).beta
         eps_grid = [beta / 8.0, beta / 4.0, beta / 2.0]
     if not eps_grid:
-        raise ValueError("eps_grid must be nonempty")
+        raise InvalidArgument("eps_grid must be nonempty")
 
     traces: list[InfTrace] = []
     partial_max = 0

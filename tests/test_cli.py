@@ -33,3 +33,16 @@ class TestFloatResolutionExit:
         assert code == cli.EXIT_RESOLUTION == 5
         assert out == ""
         assert "float64" in err
+
+
+class TestInvalidArgumentExit:
+    @pytest.mark.parametrize("argv", [
+        ("delta", "--fn", "square", "--p", "1", "--eps", "0"),
+        ("scan", "--fn", "square", "--eps", "0", "--p-min", "0", "--p-max", "1",
+         "--p-count", "2"),
+    ])
+    def test_eps_zero(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_PARSE == 2
+        assert out == ""
+        assert err.startswith("error:")

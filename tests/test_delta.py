@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -23,9 +25,12 @@ from deltamax.delta import (
 )
 from deltamax.errors import (
     ConstantFunction,
+    DeltamaxError,
+    DimensionMismatch,
     DomainViolation,
     EmptySpherePreimage,
     FloatResolutionLimit,
+    InvalidArgument,
     OutOfRange,
 )
 from deltamax.model import DomainSpec, ExpressionFn, Monotone1DFn, NormTag, Point
@@ -434,3 +439,150 @@ class TestComputeDeltaRouting:
         dom = DomainSpec.box((-5.0, -5.0), (5.0, 5.0))
         res = compute_delta(f, dom, Point.of(0.0, 0.0), 0.5)
         assert res.backend == "ray_nd"
+
+
+class TestMonotoneBracket:
+    """The monotone bounds are the bisection brackets of the inverse
+    images, so they hold the exact delta, not a padded value."""
+
+    @staticmethod
+    def exact(name, p, eps):
+        """delta on R at 50 digits: identity eps, exp ln(1 + eps e^-p),
+        cube the nearer of the two cube-root crossings."""
+        with localcontext() as ctx:
+            ctx.prec = 50
+            P, E = Decimal(p), Decimal(eps)
+            if name == "identity":
+                return E
+            if name == "exp":
+                return (1 + E * (-P).exp()).ln()
+            cbrt = lambda y: (abs(y) ** (Decimal(1) / 3)).copy_sign(y)
+            return min(cbrt(P ** 3 + E) - P, P - cbrt(P ** 3 - E))
+
+    def test_identity_one_ulp_case(self):
+        g = Monotone1DFn(fn=lambda x: x, interval=(-math.inf, math.inf), increasing=True)
+        eps = 667685.2413501737
+        res = delta_monotone_1d(g, 0.0, eps)
+        assert res.certified_lower <= eps <= res.certified_upper
+        assert res.certified_lower < res.certified_upper
+
+    def test_seeded_sweep_holds_the_exact_delta(self):
+        fns = {"identity": lambda x: x, "exp": np.exp, "cube": lambda x: x * x * x}
+        rng = np.random.default_rng(20)
+        for name, fn in fns.items():
+            g = Monotone1DFn(fn=fn, interval=(-math.inf, math.inf), increasing=True)
+            ps = np.concatenate([[0.0], rng.uniform(-5.0, 5.0, 299)])
+            epss = np.exp(rng.uniform(math.log(1e-3), math.log(1e6), 300))
+            for p, eps in zip(ps.tolist(), epss.tolist()):
+                res = delta_monotone_1d(g, p, eps)
+                want = self.exact(name, p, eps)
+                assert Decimal(res.certified_lower) <= want <= Decimal(res.certified_upper), \
+                    (name, p, eps)
+                assert res.certified_upper - res.certified_lower <= 1e-6 * float(want)
+
+    def test_crossing_below_resolution_is_typed(self):
+        # g(p) + eps rounds to g(p): the only bracket reaches p itself
+        g = Monotone1DFn(fn=lambda x: x, interval=(-math.inf, math.inf), increasing=True)
+        with pytest.raises(FloatResolutionLimit):
+            delta_monotone_1d(g, 1e8, 1e-12)
+
+
+def _same_result(a, b):
+    """Equal field by field, diagnostics included."""
+    return dataclasses.asdict(a) == dataclasses.asdict(b)
+
+
+class TestOneLineFrontEnd:
+    """compute_delta and the named backends reach the same answer."""
+
+    @pytest.mark.parametrize("name", ["exp_norm", "log_norm"])
+    def test_radial_catalog(self, name):
+        entry = dm.catalog_lookup(name)
+        for p in (Point.of(0.6, 0.8), Point.of(-2.0, 0.5), Point.of(0.0, 3.0)):
+            a = compute_delta(entry.function, entry.domain, p, 0.3)
+            assert a.backend == "radial"
+            assert _same_result(a, delta_radial(entry.function, entry.domain, p, 0.3))
+
+    def test_radial_monotone_profile(self):
+        f = dm.RadialFn(inner=exp_half(), dim=2)
+        ball = DomainSpec.ball((0.0, 0.0), 5.0)
+        for p in (Point.of(1.0, 0.0), Point.of(-0.5, 2.0), Point.of(0.0, 0.0)):
+            a = compute_delta(f, ball, p, 0.5)
+            assert a.diagnostics["inner_backend"] == "monotone"
+            assert _same_result(a, delta_radial(f, ball, p, 0.5))
+
+    @pytest.mark.parametrize("source", ["x^2", "sin(x)"])
+    def test_level_set(self, source):
+        f = ExpressionFn.parse(source)
+        for p in (-2.5, 0.0, 0.7, 3.0):
+            a = compute_delta(f, REALS, p, 0.4)
+            assert _same_result(a, delta_level_set_1d(f, REALS, p, 0.4))
+
+    def test_monotone(self):
+        for p in (-2.0, 0.0, 1.5):
+            a = compute_delta(cube(), REALS, p, 0.5)
+            assert a.backend == "monotone"
+            assert _same_result(a, delta_monotone_1d(cube(), p, 0.5))
+
+
+class TestPointDimension:
+    """A point must have the problem's dimension; numbers of any kind
+    are 1-d points."""
+
+    def test_two_d_point_on_a_line_problem(self):
+        square = dm.catalog_lookup("square").function
+        with pytest.raises(DimensionMismatch):
+            compute_delta(square, REALS, Point.of(1.0, 2.0), 0.5)
+        with pytest.raises(DimensionMismatch):
+            compute_delta(cube(), REALS, Point.of(1.0, 2.0), 0.5)
+
+    @pytest.mark.parametrize("p", [(1.0,), np.float32(1.0), np.int64(1), np.array(1.0)])
+    def test_one_d_point_forms(self, p):
+        square = dm.catalog_lookup("square").function
+        assert _same_result(compute_delta(square, REALS, p, 0.5),
+                            compute_delta(square, REALS, 1.0, 0.5))
+
+    def test_radial_point_of_the_wrong_dimension(self):
+        entry = dm.catalog_lookup("exp_norm")
+        with pytest.raises(DimensionMismatch):
+            compute_delta(entry.function, entry.domain, Point.of(0.6, 0.8, 0.0), 0.5)
+        # a 3-d radial function on a 2-d ball
+        ball = DomainSpec.ball((0.0, 0.0), 5.0)
+        with pytest.raises(DimensionMismatch):
+            compute_delta(dm.RadialFn(inner=exp_half(), dim=3), ball, Point.of(1.0, 0.0), 0.5)
+
+
+class TestInvalidArgument:
+    """Bad numeric arguments raise InvalidArgument, a DeltamaxError that
+    is still a ValueError."""
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("case", ["monotone", "levelset1d", "radial", "ray_nd"])
+    def test_eps(self, case, eps):
+        f, dom, p = {
+            "monotone": (cube(), REALS, 1.0),
+            "levelset1d": (ExpressionFn.parse("x^2"), REALS, 1.0),
+            "radial": (dm.catalog_lookup("exp_norm").function, None, Point.of(1.0, 0.0)),
+            "ray_nd": (ExpressionFn.parse("x1+x2"),
+                       DomainSpec.box((-5.0, -5.0), (5.0, 5.0)), Point.of(0.0, 0.0)),
+        }[case]
+        with pytest.raises(InvalidArgument):
+            compute_delta(f, dom, p, eps)
+
+    def test_other_arguments(self):
+        box = DomainSpec.box((-5.0, -5.0), (5.0, 5.0))
+        with pytest.raises(InvalidArgument):
+            compute_delta(ExpressionFn.parse("x1+x2"), box, Point.of(0.0, 0.0), 0.5,
+                          directions=0)
+        square = dm.catalog_lookup("square")
+        with pytest.raises(InvalidArgument):
+            is_delta_epsilon_number(square.function, square.domain, 3.0, 1.0, 0.0)
+        with pytest.raises(InvalidArgument):
+            dm.uc_verdict(square.function, square.domain, eps_grid=[])
+        for bad in ({"tol_x": 0.0}, {"r_max": math.nan}, {"scan_points": 8}):
+            with pytest.raises(InvalidArgument):
+                SearchConfig(**bad)
+
+    def test_is_a_deltamax_value_error(self):
+        assert issubclass(InvalidArgument, DeltamaxError)
+        assert issubclass(InvalidArgument, ValueError)

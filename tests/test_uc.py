@@ -96,3 +96,12 @@ def test_clipped_monotone_end_is_sampled():
     pts, values = uc._stage_field(f, UNIT, window, resolution, 0.1, DEFAULT_CONFIG)[:2]
     assert pts[0] == Point((0.5,))
     assert values[0] == pytest.approx(compute_delta(f, UNIT, 0.5, 0.1).value, rel=1e-9)
+
+
+def test_radial_stage_matches_compute_delta():
+    # The radial stage and compute_delta share the line reduction.
+    f, dom = _case("log_norm")
+    schedule = uc.default_schedule(dom, 3, 16)[:1]
+    (rec,) = uc.infimum_delta(f, dom, EPS, schedule=schedule).records
+    assert dom.contains(rec.argmin)
+    assert rec.inf_delta == pytest.approx(compute_delta(f, dom, rec.argmin, EPS).value, rel=1e-9)
