@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: delta (one delta(p, eps)), scan (CSV delta field sweep),
+Subcommands: delta (one delta(p, eps); --stats adds a `stat <key>
+<value>` line per diagnostics entry), scan (CSV delta field sweep),
 inf (CSV infimum trace), uc (uniform-continuity verdict), catalog (list
 or extend the function catalog), certify (oracle sandwich for one
 delta).  Numbers print with 17 significant digits and identical
@@ -174,6 +175,9 @@ def cmd_delta(args) -> int:
             f"oracle_step {_fmt(gs.h)}",
             f"sandwich_ok {str(ok).lower()}",
         ]
+    if args.stats:
+        lines += [f"stat {key} {_fmt(v) if isinstance(v, float) else v}"
+                  for key, v in res.diagnostics.items()]
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -328,6 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also run the brute-force oracle sandwich")
     sp.add_argument("--oracle-points", type=int, default=100001,
                     help="total oracle grid points for --certify")
+    sp.add_argument("--stats", action="store_true",
+                    help="also print each diagnostics entry as 'stat <key> <value>'")
     sp.set_defaults(func=cmd_delta)
 
     sp = sub.add_parser("scan", help="CSV sweep of the delta field")

@@ -13,7 +13,8 @@ continuity condition at p.  Four backends compute it:
                 ||p||, exact on origin-centered balls/annuli;
 * ray_nd     -- direction sweep estimator for generic functions in
                 dimension >= 2; its value is only guaranteed to lie
-                between the certified bounds.
+                between the certified bounds.  A ray without a crossing
+                stops at its exit from the domain's bounding box.
 
 The first three share one line front end: line_problem reduces (f, dom)
 to a profile on an interval of the line, and one helper validates the
@@ -102,7 +103,11 @@ class DeltaResult:
     clear, the clear radius up to that window's start rests on a proof
     rather than on samples.  The levelset1d and radial diagnostics count
     the windows ("detect_rounds") and the proved ones
-    ("enclosed_rounds"), over both sides.  The levelset1d,
+    ("enclosed_rounds"), over both sides, and give the farthest window
+    end scanned ("searched_radius").  The ray_nd diagnostics give the
+    ray count ("directions"), the grid oracle's step ("oracle_step"),
+    the farthest window end over all rays ("searched_radius") and the
+    windows summed over rays ("detect_rounds").  The levelset1d,
     radial and ray_nd backends report the violator end of the final
     crossing bracket: `witness` is a sampled domain point with
     |f(witness) - f(p)| >= eps and `value` is its distance from p, an
@@ -481,6 +486,24 @@ def direction_set(dim: int, count: int, norm: NormTag = NormTag.L2,
     return out / norms[:, None]
 
 
+def _box_exit(dom: DomainSpec, p_arr: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Per ray p + t*d, an offset past which every float sample lies
+    outside dom's bounding box (inf where the ray never leaves it).
+
+    Each face distance is padded outward by 2**-30, relative and
+    absolute, far more than the rounding of p + t*d and of the
+    membership test; as the computed sample moves monotonically with t,
+    every sample past the padded offset is outside the box.
+    """
+    lo, hi = dom.bounding_box()
+    pad = 2.0 ** -30
+    face = np.where(dirs > 0, hi, lo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = np.abs(face - p_arr) + pad * (1.0 + np.abs(p_arr) + np.abs(face))
+        t = np.where(dirs != 0, gap / np.abs(dirs), math.inf)
+    return (1.0 + pad) * np.min(t, axis=1)
+
+
 def delta_ray_nd(f: FunctionSpec, dom: DomainSpec, p, eps: float,
                  directions: int = 64, cfg: SearchConfig = DEFAULT_CONFIG,
                  seed: int = 0) -> DeltaResult:
@@ -488,9 +511,11 @@ def delta_ray_nd(f: FunctionSpec, dom: DomainSpec, p, eps: float,
 
     Runs the 1-d level-set search along each ray; the minimum crossing
     distance is an upper bound on the true delta (every crossing lies in
-    the sphere preimage).  The certified lower bound comes from the grid
-    oracle on the ball of that radius; only lower <= delta <= value is
-    guaranteed.
+    the sphere preimage).  A ray without a crossing stops at its exit
+    from the domain's bounding box, past which no sample is in the
+    domain, rather than at cfg.r_max.  The certified lower bound comes
+    from the grid oracle on the ball of that radius; only lower <= delta
+    <= value is guaranteed.
     """
     g = unwrap(f)
     pt = _as_point(p)
@@ -517,10 +542,12 @@ def delta_ray_nd(f: FunctionSpec, dom: DomainSpec, p, eps: float,
 
     fp_cols = np.full(n, float(fp))
     scale = np.full(n, norm_of(dom.norm, p_arr))
-    # Rays are clipped by the membership mask, so the extent is just the
-    # truncation radius; zero-extent skipping happens via the mask too.
+    # The membership mask clips each ray to the domain, so its extent
+    # stays infinite (no tail probes); a ray without a crossing stops at
+    # its bounding-box exit, past which every sample is outside.
     side = scan_side(eval_at, fp_cols, eps, np.full(n, math.inf),
-                     np.full(n, cfg.r0), scale, cfg)
+                     np.full(n, cfg.r0), scale, cfg,
+                     reach=_box_exit(dom, p_arr, dirs))
     roots = side.root
     if np.all(np.isnan(roots)):
         raise EmptySpherePreimage(
@@ -561,7 +588,9 @@ def delta_ray_nd(f: FunctionSpec, dom: DomainSpec, p, eps: float,
         backend="ray_nd",
         one_sided=False,
         diagnostics={"directions": n, "oracle_step": h,
-                     "achiever_h": float(side.root_h[best])},
+                     "achiever_h": float(side.root_h[best]),
+                     "searched_radius": float(np.max(side.searched)),
+                     "detect_rounds": int(np.sum(side.rounds))},
     )
 
 

@@ -129,7 +129,8 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
               extents: np.ndarray, r0: np.ndarray,
               pos_scale: np.ndarray, cfg,
               detect_points: int | None = None,
-              enclose_at: SideEnclose | None = None) -> SideResult:
+              enclose_at: SideEnclose | None = None,
+              reach: np.ndarray | None = None) -> SideResult:
     """Find the nearest crossing of h along one side for every column.
 
     detect_points controls the bracketing sweep resolution (defaults to
@@ -138,6 +139,15 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
     t_end) returns, per window [t_lo, t_end], a value that is negative
     only if h < 0 at every float sample of the window and at every real
     offset in it; such a window is not sampled.
+
+    reach, per column, is an offset beyond which no sample is valid
+    (e.g. the exit from the domain's bounding box).  A column without a
+    crossing stops once its next window would start beyond it; the
+    window straddling it is sampled in full and no tail probes start
+    there.  The windows it skips could only have held invalid samples,
+    so root and root_h are the same as without it; only searched,
+    clear, step and rounds stop there instead of at the truncation
+    radius.
     """
     n = fp.size
     root = np.full(n, np.nan)
@@ -213,6 +223,8 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
             if done.size:
                 alive[done] = False
                 tail[done] = np.isfinite(extents[done])
+            if reach is not None:
+                alive[ncols[hi_c[~found] > reach[ncols]]] = False
             wlo[ncols] = hi_c[~found]
             whi[ncols] = 2.0 * np.maximum(hi_c[~found], 16.0 * np.spacing(pos_scale[ncols] + 1.0))
 

@@ -46,3 +46,21 @@ class TestInvalidArgumentExit:
         assert code == cli.EXIT_PARSE == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+class TestDeltaStats:
+    @pytest.mark.parametrize("argv, key", [
+        (("--fn", "square", "--p", "3", "--eps", "1"), "detect_rounds"),
+        (("--fn", "x1*x2", "--domain", "box:-2,-2:2,2", "--p", "0.5,0.5", "--eps", "0.5"),
+         "searched_radius"),
+    ])
+    def test_stats_lines(self, capsys, argv, key):
+        code, plain, _ = run(capsys, "delta", *argv)
+        assert code == cli.EXIT_OK
+        code, out, _ = run(capsys, "delta", *argv, "--stats")
+        assert code == cli.EXIT_OK
+        assert out.startswith(plain)  # the result lines are unchanged
+        stats = [line.split(" ") for line in out[len(plain):].splitlines()]
+        assert all(len(words) == 3 and words[0] == "stat" for words in stats)
+        assert key in {words[1] for words in stats}
+        assert "stat" not in fields(plain)

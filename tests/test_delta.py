@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import deltamax as dm
+import deltamax.delta as delta_mod
 from deltamax.delta import (
     DEFAULT_CONFIG,
     SearchConfig,
@@ -34,6 +35,7 @@ from deltamax.errors import (
     OutOfRange,
 )
 from deltamax.model import DomainSpec, ExpressionFn, Monotone1DFn, NormTag, Point
+from deltamax.search import scan_side
 
 REALS = DomainSpec.interval(-math.inf, math.inf)
 HALF = DomainSpec.half_line(0.0)
@@ -243,11 +245,21 @@ class TestRayNd:
         res = delta_ray_nd(f, dom, Point.of(0.0, 0.0), 0.5, directions=64)
         assert res.value == pytest.approx(0.5, abs=1e-12)
 
-    def test_constant(self):
+    def test_constant(self, monkeypatch):
         f = ExpressionFn.parse("3")
         dom = DomainSpec.box((-10.0, -10.0), (10.0, 10.0))
-        with pytest.raises(EmptySpherePreimage):
+        sides = []
+
+        def spy(*args, **kw):
+            sides.append(scan_side(*args, **kw))
+            return sides[-1]
+
+        monkeypatch.setattr(delta_mod, "scan_side", spy)
+        with pytest.raises(EmptySpherePreimage) as info:
             delta_ray_nd(f, dom, Point.of(0.0, 0.0), 1.0, directions=8)
+        # Every ray stops at its exit from the box, not at r_max = 2**20.
+        assert info.value.searched_radius <= 16.0
+        assert sides[0].rounds.sum() <= 40
 
     def test_hole_in_domain_is_not_a_witness(self):
         # The +x1 ray crosses the annulus hole, where bisection midpoints
@@ -259,6 +271,58 @@ class TestRayNd:
         assert dom.contains(res.witness)
         assert res.witness.coords == pytest.approx((-3.5, 0.0), abs=1e-9)
         assert res.certified_lower <= 2.0 <= res.certified_upper
+
+    def test_crossing_beyond_the_annulus_hole(self):
+        # f(p) = -1.5: the only crossing, x1 = 2.5, lies past the hole on
+        # the +x1 ray (x1 = -5.5 is outside the outer radius).
+        f = ExpressionFn.parse("x1+0*x2")
+        dom = dm.parse_domain("annulus:1:5")
+        res = delta_ray_nd(f, dom, Point.of(-1.5, 0.0), 4.0, directions=4)
+        assert res.value == 4.0
+        assert res.witness.coords == (2.5, 0.0)
+        assert res.diagnostics["searched_radius"] <= 8.0
+
+    @pytest.mark.parametrize("src, p, eps, directions, want", [
+        # The +x1 ray never leaves the box; the crossing lies on it.
+        ("x1+0*x2", (0.0, 0.0), 3.0, 4, (3.0, (3.0, 0.0), 2.865312994059705)),
+        ("x1*x2", (0.5, 0.25), 0.75, 16,
+         (0.8622703884029761, (1.227545205774953, 0.7128047064048728), 0.7698540935177295)),
+    ])
+    def test_half_unbounded_box(self, src, p, eps, directions, want):
+        dom = DomainSpec.box((-1.0, -1.0), (math.inf, 1.0))
+        res = delta_ray_nd(ExpressionFn.parse(src), dom, Point(p), eps, directions=directions)
+        assert (res.value, res.witness.coords, res.certified_lower) == want
+
+    def test_l1_ball(self):
+        # In the L1 norm every point of x1 + x2 = f(p) - 1 on the
+        # down-left quadrant of p is exactly 1 away.
+        dom = DomainSpec.ball((0.0, 0.0), 2.0, norm=NormTag.L1)
+        res = delta_ray_nd(ExpressionFn.parse("x1+x2"), dom, Point.of(0.25, -0.5), 1.0,
+                           directions=16)
+        assert res.value == 1.0
+        assert res.witness.coords == (-0.75, -0.5)
+        assert res.certified_lower <= 1.0
+
+    def test_linf_ball(self):
+        dom = DomainSpec.ball((0.0, 0.0), 2.0, norm=NormTag.LINF)
+        res = delta_ray_nd(ExpressionFn.parse("x1*x2"), dom, Point.of(0.5, 0.5), 0.5,
+                           directions=16)
+        assert (res.value, res.certified_lower) == (0.4521979692945024, 0.34576329257003025)
+        assert dom.contains(res.witness)
+
+    @pytest.mark.parametrize("p, eps, directions, value, lower", [
+        ((0.5, 0.5), 0.5, 16, 0.5359349708078298, 0.5054210296583038),
+        ((-1.9, -1.9), 3.0, 16, 1.5550113904664613, 1.4806859920429278),
+        ((-1.25, 0.75), 0.1, 64, 0.06721745556569658, 0.06419968295334043),
+        ((1.5, -1.75), 2.0, 64, 1.1100711348863115, 1.0602337490401172),
+    ])
+    def test_product_on_box_pinned(self, p, eps, directions, value, lower):
+        dom = DomainSpec.box((-2.0, -2.0), (2.0, 2.0))
+        res = delta_ray_nd(ExpressionFn.parse("x1*x2"), dom, Point(p), eps,
+                           directions=directions)
+        assert (res.value, res.certified_lower, res.certified_upper) == (value, lower, value)
+        assert 0.0 < res.diagnostics["searched_radius"] <= 8.0
+        assert res.diagnostics["detect_rounds"] >= directions
 
     @pytest.mark.parametrize("k", [100.0, 1e13])
     def test_oracle_zooms_onto_near_violator(self, k):

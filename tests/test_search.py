@@ -1,7 +1,8 @@
-"""The line engine with and without interval enclosures of the expression.
+"""The line engine with and without interval enclosures of the expression,
+and scan_side with and without a reach.
 
-Skipping a detect window that the enclosure proves clear must not change
-any result, bit for bit.
+Skipping a detect window that the enclosure proves clear, or every window
+past a ray's bounding-box exit, must not change any crossing, bit for bit.
 """
 
 from __future__ import annotations
@@ -12,9 +13,17 @@ import math
 import numpy as np
 import pytest
 
-from deltamax.delta import DEFAULT_CONFIG
-from deltamax.model import ExpressionFn, Monotone1DFn, array_evaluator, enclosure_evaluator
-from deltamax.search import line_field
+from deltamax.delta import DEFAULT_CONFIG, _box_exit
+from deltamax.model import (
+    DomainSpec,
+    ExpressionFn,
+    Monotone1DFn,
+    NormTag,
+    array_evaluator,
+    enclosure_evaluator,
+    norm_of_rows,
+)
+from deltamax.search import line_field, scan_side
 
 INF = math.inf
 
@@ -50,3 +59,51 @@ def test_only_1d_expressions_have_an_enclosure():
     assert enclosure_evaluator(ExpressionFn.parse("x1*x2")) is None
     assert enclosure_evaluator(ExpressionFn.parse("exp(r)", dim=2)) is None
     assert enclosure_evaluator(Monotone1DFn(np.exp, (0.0, 1.0), True)) is None
+
+
+RAY_DOMAINS = {
+    "box": DomainSpec.box((-2.0, -1.0), (3.0, 0.5)),
+    "l2_ball": DomainSpec.ball((0.5, -0.5), 2.0),
+    "l1_ball": DomainSpec.ball((0.0, 1.0), 1.5, norm=NormTag.L1),
+    "linf_ball": DomainSpec.ball((1.0, 0.0), 1.0, norm=NormTag.LINF),
+    "annulus": DomainSpec.annulus((0.0, 0.0), 1.0, 5.0),
+    "box_3d": DomainSpec.box((-1.0, -1.0, 0.0), (1.0, 2.0, 1.0)),
+    "half_box": DomainSpec.box((-1.0, -1.0), (math.inf, 1.0)),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(RAY_DOMAINS))
+def test_reach_leaves_ray_crossings_bit_identical(name, seed):
+    dom = RAY_DOMAINS[name]
+    rng = np.random.default_rng(seed)
+    dim = dom.dimension
+    lo, hi = dom.bounding_box(truncate=4.0)
+    cand = lo + (hi - lo) * rng.random((400, dim))
+    pts = cand[dom.contains_rows(cand)][:4]
+    on_face = pts[0].copy()
+    on_face[0] = lo[0]
+    if dom.contains_rows(on_face[None, :])[0]:
+        pts[0] = on_face
+    f_arr = array_evaluator(ExpressionFn.parse("x1*x2+sin(3*x1)" if dim == 2 else "x1*x2-x3"),
+                            norm=dom.norm)
+    dirs = rng.standard_normal((24, dim))
+    dirs[:dim] = np.eye(dim)  # axis rays, some of them along a face
+    dirs /= norm_of_rows(dom.norm, dirs)[:, None]
+    for p in pts:
+        fp = float(f_arr(p[None, :])[0])
+        eps = float(np.exp(rng.uniform(np.log(1e-2), np.log(20.0))))
+
+        def eval_at(cols, ts):
+            x = p[None, None, :] + ts[:, :, None] * dirs[cols][None, :, :]
+            flat = x.reshape(-1, dim)
+            return f_arr(flat).reshape(ts.shape), dom.contains_rows(flat).reshape(ts.shape)
+
+        n = dirs.shape[0]
+        args = (eval_at, np.full(n, fp), eps, np.full(n, math.inf), np.full(n, 1.0),
+                np.full(n, float(np.max(np.abs(p)))), DEFAULT_CONFIG)
+        full = scan_side(*args, detect_points=256)
+        capped = scan_side(*args, detect_points=256, reach=_box_exit(dom, p, dirs))
+        assert np.array_equal(full.root, capped.root, equal_nan=True)
+        assert np.array_equal(full.root_h, capped.root_h, equal_nan=True)
+        assert np.all(capped.searched <= full.searched)
