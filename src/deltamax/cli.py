@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import catalog as catalog_mod
-from .delta import SearchConfig, compute_delta, epsilon_bound, require_positive
+from .delta import SearchConfig, compute_delta, require_positive
 from .domaintext import format_domain, parse_domain
 from .errors import (
     ConstantFunction,
@@ -43,7 +43,7 @@ from .errors import (
 )
 from .model import DomainSpec, Point, RadialFn, unwrap
 from .oracle import GridSpec, grid_delta_bounds
-from .uc import Verdict, default_schedule, infimum_delta, uc_verdict
+from .uc import Verdict, default_eps_grid, default_schedule, infimum_delta, uc_verdict
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -82,9 +82,10 @@ def _fmt_point(p: Point | None) -> str:
     return ";".join(_fmt(c) for c in p.coords)
 
 
-def _add_common(sp: argparse.ArgumentParser, fn_required: bool = True):
-    sp.add_argument("--fn", required=fn_required,
-                    help="catalog name or expression source")
+def _add_common(sp: argparse.ArgumentParser, rays: bool = False):
+    """The flags of a subcommand that solves a problem on (--fn, --domain);
+    `rays` adds the nD estimator's --directions and --seed."""
+    sp.add_argument("--fn", required=True, help="catalog name or expression source")
     sp.add_argument("--domain", help="domain text (default: the function's natural domain)")
     sp.add_argument("--dim", type=int, help="dimension for radial/nD functions")
     sp.add_argument("--tol-x", type=float, default=None, help="point tolerance")
@@ -94,9 +95,14 @@ def _add_common(sp: argparse.ArgumentParser, fn_required: bool = True):
     sp.add_argument("--r0", type=float, default=None, help="initial search radius")
     sp.add_argument("--r-max", type=float, default=None,
                     help="truncation radius for unbounded domains")
-    sp.add_argument("--directions", type=int, default=64,
-                    help="ray count for the nD estimator")
-    sp.add_argument("--seed", type=int, default=0, help="seed for direction sets")
+    if rays:
+        sp.add_argument("--directions", type=int, default=64,
+                        help="ray count for the nD estimator")
+        sp.add_argument("--seed", type=int, default=0, help="seed for direction sets")
+    _add_out(sp)
+
+
+def _add_out(sp: argparse.ArgumentParser):
     sp.add_argument("--out", help="write data output to this file instead of stdout")
 
 
@@ -165,16 +171,9 @@ def cmd_delta(args) -> int:
     if args.certify:
         radius = 4.0 * res.value
         per_axis = max(9, int(round(args.oracle_points ** (1.0 / dom.dimension))))
-        gs = GridSpec.around(p, radius, per_axis, dim=dom.dimension)
-        lo, up = grid_delta_bounds(fn, dom, p, args.eps, gs)
-        slack = gs.h * math.sqrt(dom.dimension)
-        ok = lo <= res.value <= up + slack
-        lines += [
-            f"oracle_lower {_fmt(lo)}",
-            f"oracle_upper {_fmt(up)}",
-            f"oracle_step {_fmt(gs.h)}",
-            f"sandwich_ok {str(ok).lower()}",
-        ]
+        lines += [line for line in _sandwich(fn, dom, p, args.eps, res.value, radius,
+                                             2.0 * radius / (per_axis - 1))
+                  if not line.startswith("grid_slack ")]
     if args.stats:
         lines += [f"stat {key} {_fmt(v) if isinstance(v, float) else v}"
                   for key, v in res.diagnostics.items()]
@@ -211,14 +210,31 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _trace_rows(trace) -> list[str]:
-    rows = []
-    for rec in trace.records:
-        rows.append(",".join([
-            _fmt(trace.eps), str(rec.level), format_domain(rec.window),
-            str(rec.resolution), _fmt(rec.inf_delta),
-            _fmt_point(rec.argmin), str(rec.skipped)]))
-    return rows
+def _sandwich(fn, dom: DomainSpec, p: Point, eps: float, value: float, radius: float,
+              h: float, require_radius: float | None = None) -> list[str]:
+    """Output lines of the grid-oracle sandwich of `value`: the oracle's
+    bounds on a box of half-width `radius` around p at step h, the grid
+    slack (one cell diagonal), and whether lower <= value <= upper + slack."""
+    window = DomainSpec.box(p.as_array() - radius, p.as_array() + radius, norm=dom.norm)
+    lo, up = grid_delta_bounds(fn, dom, p, eps, GridSpec(h=h, window=window),
+                               require_radius=require_radius)
+    slack = h * math.sqrt(dom.dimension)
+    ok = lo <= value <= up + slack
+    return [f"oracle_lower {_fmt(lo)}", f"oracle_upper {_fmt(up)}",
+            f"oracle_step {_fmt(h)}", f"grid_slack {_fmt(slack)}",
+            f"sandwich_ok {str(ok).lower()}"]
+
+
+def _trace_csv(traces) -> str:
+    """The infimum traces as CSV, one row per stage record."""
+    rows = ["eps,level,window,resolution,inf_delta,argmin,skipped"]
+    for trace in traces:
+        for rec in trace.records:
+            rows.append(",".join([
+                _fmt(trace.eps), str(rec.level), format_domain(rec.window),
+                str(rec.resolution), _fmt(rec.inf_delta),
+                _fmt_point(rec.argmin), str(rec.skipped)]))
+    return "\n".join(rows) + "\n"
 
 
 def cmd_inf(args) -> int:
@@ -226,9 +242,7 @@ def cmd_inf(args) -> int:
     cfg = _config(args)
     schedule = default_schedule(dom, stages=args.stages,
                                 resolution=args.resolution, cfg=cfg)
-    trace = infimum_delta(fn, dom, args.eps, schedule=schedule, cfg=cfg)
-    header = "eps,level,window,resolution,inf_delta,argmin,skipped"
-    _emit(args, "\n".join([header] + _trace_rows(trace)) + "\n")
+    _emit(args, _trace_csv([infimum_delta(fn, dom, args.eps, schedule=schedule, cfg=cfg)]))
     return EXIT_OK
 
 
@@ -238,8 +252,7 @@ def cmd_uc(args) -> int:
     if args.eps_grid:
         eps_grid = [float(v) for v in args.eps_grid.split(",")]
     else:
-        beta = epsilon_bound(fn, dom, cfg=cfg).beta
-        eps_grid = [beta / 8.0, beta / 4.0, beta / 2.0]
+        beta, eps_grid = default_eps_grid(fn, dom, cfg)
         print(f"eps grid from sampled beta={_fmt(beta)} (heuristic): "
               + ",".join(_fmt(e) for e in eps_grid), file=sys.stderr)
     verdict = uc_verdict(fn, dom, eps_grid=eps_grid, cfg=cfg, count=args.count)
@@ -262,12 +275,8 @@ def cmd_uc(args) -> int:
     _emit(args, "\n".join(lines) + "\n")
 
     if args.trace:
-        header = "eps,level,window,resolution,inf_delta,argmin,skipped"
-        rows = [header]
-        for trace in verdict.traces:
-            rows.extend(_trace_rows(trace))
         with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
+            fh.write(_trace_csv(verdict.traces))
 
     if verdict.kind is Verdict.EVIDENCE_NOT_UC:
         return EXIT_NOT_UC
@@ -293,22 +302,10 @@ def cmd_certify(args) -> int:
                         directions=args.directions, seed=args.seed)
     radius = args.window_radius if args.window_radius else 4.0 * res.value
     h = args.h if args.h else 2.0 * radius / 4096.0
-    window_lo = p.as_array() - radius
-    window_hi = p.as_array() + radius
-    gs = GridSpec(h=h, window=DomainSpec.box(window_lo, window_hi, norm=dom.norm))
-    lo, up = grid_delta_bounds(fn, dom, p, args.eps, gs,
-                               require_radius=args.window_radius)
-    slack = h * math.sqrt(dom.dimension)
-    ok = lo <= res.value <= up + slack
-    _emit(args, "\n".join([
-        f"value {_fmt(res.value)}",
-        f"backend {res.backend}",
-        f"oracle_lower {_fmt(lo)}",
-        f"oracle_upper {_fmt(up)}",
-        f"oracle_step {_fmt(h)}",
-        f"grid_slack {_fmt(slack)}",
-        f"sandwich_ok {str(ok).lower()}",
-    ]) + "\n")
+    lines = [f"value {_fmt(res.value)}", f"backend {res.backend}",
+             *_sandwich(fn, dom, p, args.eps, res.value, radius, h,
+                        require_radius=args.window_radius)]
+    _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -325,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("delta", help="compute one delta(p, eps)")
-    _add_common(sp)
+    _add_common(sp, rays=True)
     sp.add_argument("--p", required=True, help="point (comma-separated coordinates)")
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--certify", action="store_true",
@@ -337,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_delta)
 
     sp = sub.add_parser("scan", help="CSV sweep of the delta field")
-    _add_common(sp)
+    _add_common(sp, rays=True)
     sp.add_argument("--p-min", type=float, required=True)
     sp.add_argument("--p-max", type=float, required=True)
     sp.add_argument("--p-count", type=int, required=True)
@@ -362,12 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_uc)
 
     sp = sub.add_parser("catalog", help="list the function catalog as a manifest")
-    _add_common(sp, fn_required=False)
+    _add_out(sp)
     sp.add_argument("--load", help="register entries from a manifest file first")
     sp.set_defaults(func=cmd_catalog)
 
     sp = sub.add_parser("certify", help="oracle sandwich around one delta")
-    _add_common(sp)
+    _add_common(sp, rays=True)
     sp.add_argument("--p", required=True)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--h", type=float, help="oracle grid step")

@@ -55,6 +55,7 @@ from .model import (
     norm_of,
     norm_of_rows,
     unwrap,
+    value_at,
 )
 from .search import line_field, scan_side
 
@@ -146,18 +147,6 @@ class EpsilonRange:
     beta: float
 
 
-def _finite_fp(v: float, where: str) -> float:
-    """f(p) must be a finite float: NaN means f is undefined at p, inf
-    that f(p) lies beyond the float64 range."""
-    if math.isnan(v):
-        raise NonFinite(f"{where} = {v!r}")
-    if math.isinf(v):
-        raise FloatResolutionLimit(
-            f"{where} = {v!r} is beyond the float64 range, so delta(p, eps) "
-            "cannot be resolved at this point")
-    return v
-
-
 # ---------------------------------------------------------------------------
 # Line reduction
 # ---------------------------------------------------------------------------
@@ -215,7 +204,8 @@ def _line_delta(problem, dom: DomainSpec, p, eps: float, cfg: SearchConfig,
     radial one.  A Monotone1DFn profile takes the closed formula unless
     `sample` asks for the line engine, which runs every other profile.
     A radial witness is lifted along the ray through p (along the first
-    axis when p is the origin).
+    axis when p is the origin).  f(p) is read strictly (model.value_at)
+    before either runs.
     """
     g, lo, hi, open_lo, open_hi = problem
     require_positive("eps", eps)
@@ -226,15 +216,14 @@ def _line_delta(problem, dom: DomainSpec, p, eps: float, cfg: SearchConfig,
     t = norm_of(dom.norm, pt.as_array()) if radial else pt.coords[0]
     if not (dom.contains(pt) and lo <= t <= hi):
         raise DomainViolation(f"{pt.coords} is outside the domain {dom.describe()}")
+    fp = value_at(g, t)
     if isinstance(g, Monotone1DFn) and not sample:
         backend = "monotone"
-        value, t_w, lower, upper, one_sided, diagnostics = _monotone_line(g, t, eps, cfg)
+        value, t_w, lower, upper, one_sided, diagnostics = _monotone_line(g, t, fp, eps, cfg)
     else:
         backend = "levelset1d"
-        f_arr = array_evaluator(g)
-        _finite_fp(float(f_arr(np.asarray([t]))[0]), f"f({t!r})")
-        res = line_field(f_arr, np.asarray([t]), eps, lo, hi, open_lo, open_hi, cfg,
-                         f_enc=enclosure_evaluator(g))
+        res = line_field(array_evaluator(g), np.asarray([t]), eps, lo, hi, open_lo, open_hi,
+                         cfg, f_enc=enclosure_evaluator(g))
         if math.isnan(res.values[0]):
             raise EmptySpherePreimage(
                 f"no point with |f(x)-f({t})| = {eps} found within radius "
@@ -271,16 +260,6 @@ def _line_delta(problem, dom: DomainSpec, p, eps: float, cfg: SearchConfig,
 # Monotone backend
 # ---------------------------------------------------------------------------
 
-def _mono_eval(g: Monotone1DFn):
-    fn = g.fn
-
-    def at(x: float) -> float:
-        with np.errstate(all="ignore"):
-            return float(np.asarray(fn(np.asarray([x], dtype=float)), dtype=float)[0])
-
-    return at
-
-
 def inverse_monotone(g: Monotone1DFn, y: float, cfg: SearchConfig = DEFAULT_CONFIG,
                      start: float | None = None) -> float:
     """x in g's interval with |g(x) - y| <= tol_f, by bracketed bisection.
@@ -298,11 +277,12 @@ def _invert(g: Monotone1DFn, y: float, cfg: SearchConfig,
     which holds the preimage of y.  OutOfRange carries the distance from
     start searched in vain (inf when the range provably misses y)."""
     a, b = g.interval
-    gat = _mono_eval(g)
+    g_arr = array_evaluator(g)
     sgn = 1.0 if g.increasing else -1.0
 
     def sigma(x: float) -> float:
-        v = gat(x)
+        # An infinite g(x) is a valid far end of a bracket; NaN is not.
+        v = float(g_arr(np.asarray([x]))[0])
         if math.isnan(v):
             raise NonFinite(f"g({x!r}) is undefined")
         return sgn * (v - y)
@@ -370,10 +350,10 @@ def _invert(g: Monotone1DFn, y: float, cfg: SearchConfig,
     return best_x, lo, hi
 
 
-def _monotone_line(g: Monotone1DFn, t: float, eps: float, cfg: SearchConfig):
-    """(value, witness, lower, upper, one_sided, diagnostics) at t by the
-    closed two-sided formula: min over the inverse images of g(t) +/- eps,
-    one-sided when exactly one of them is attained.
+def _monotone_line(g: Monotone1DFn, t: float, gp: float, eps: float, cfg: SearchConfig):
+    """(value, witness, lower, upper, one_sided, diagnostics) at t, where
+    g(t) = gp, by the closed two-sided formula: min over the inverse
+    images of gp +/- eps, one-sided when exactly one of them is attained.
 
     Each inverse image lies in its final bisection bracket, so delta lies
     between the distance from t to the nearest bracket (or to where an
@@ -381,7 +361,6 @@ def _monotone_line(g: Monotone1DFn, t: float, eps: float, cfg: SearchConfig):
     of a bracket, each rounded outward by one ulp.
     """
     a, b = g.interval
-    gp = _finite_fp(_mono_eval(g)(t), f"g({t!r})")
     sides = []          # (distance, crossing, nearest, farthest bracket end)
     reach = math.inf    # no crossing of an unattained side lies closer
     for target in (gp - eps, gp + eps):
@@ -527,9 +506,9 @@ def delta_ray_nd(f: FunctionSpec, dom: DomainSpec, p, eps: float,
     if directions < 1:
         raise InvalidArgument(f"need at least one direction, got {directions!r}")
 
+    fp = value_at(g, pt, dom.norm)
     f_arr = array_evaluator(g, norm=dom.norm)
     p_arr = pt.as_array()
-    fp = _finite_fp(float(f_arr(p_arr.reshape(1, -1))[0]), f"f{pt.coords}")
     dirs = direction_set(pt.dim, directions, dom.norm, seed)
     n = dirs.shape[0]
 
@@ -610,13 +589,8 @@ def is_delta_epsilon_number(f: FunctionSpec, dom: DomainSpec, p, eps: float,
     pt = _as_point(p)
     if not dom.contains(pt):
         raise DomainViolation(f"{pt.coords} is outside the domain {dom.describe()}")
-    g = unwrap(f)
-    f_arr = array_evaluator(g, norm=dom.norm)
+    fp = value_at(f, pt, dom.norm)
     p_arr = pt.as_array()
-    fp = f_arr(p_arr.reshape(1, -1) if pt.dim > 1 else p_arr[:1])[0]
-    if not np.isfinite(fp):
-        raise NonFinite(f"f{pt.coords} = {fp!r}")
-
     per_axis = max(3, int(math.ceil(samples ** (1.0 / pt.dim))))
     grid = lattice([np.linspace(c - beta, c + beta, per_axis) for c in p_arr])
     inside = norm_of_rows(dom.norm, grid - p_arr) < beta
@@ -624,7 +598,7 @@ def is_delta_epsilon_number(f: FunctionSpec, dom: DomainSpec, p, eps: float,
     pts = grid[inside]
     if pts.size == 0:
         return True
-    fv = f_arr(pts if pt.dim > 1 else pts[:, 0])
+    fv = array_evaluator(f, norm=dom.norm)(pts)
     with np.errstate(invalid="ignore"):
         viol = np.abs(fv - fp) >= eps
     return not bool(np.any(viol & ~np.isnan(fv)))
@@ -637,17 +611,14 @@ def epsilon_bound(f: FunctionSpec, dom: DomainSpec, samples: int = 4096,
     Unbounded domains are sampled on their truncation window (radius
     r_max), which makes beta itself a sampled heuristic.
     """
-    g = unwrap(f)
     lo, hi = dom.bounding_box(truncate=cfg.r_max)
-    dim = dom.dimension
-    per_axis = max(3, int(math.ceil(samples ** (1.0 / dim))))
+    per_axis = max(3, int(math.ceil(samples ** (1.0 / dom.dimension))))
     grid = lattice([np.linspace(a, b, per_axis) for a, b in zip(lo, hi)])
     mask = dom.contains_rows(grid)
     pts = grid[mask]
     if pts.shape[0] < 2:
         raise ConstantFunction("domain sampling produced fewer than two points")
-    f_arr = array_evaluator(g, norm=dom.norm)
-    fv = f_arr(pts if dim > 1 else pts[:, 0])
+    fv = array_evaluator(f, norm=dom.norm)(pts)
     fv = fv[np.isfinite(fv)]
     if fv.size < 2:
         raise ConstantFunction("no finite samples to measure the image spread")

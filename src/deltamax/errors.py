@@ -23,7 +23,13 @@ class DomainViolation(DeltamaxError):
 
 
 class NonFinite(DeltamaxError):
-    """Evaluation produced inf/NaN where a finite real was required."""
+    """A value that must be finite is not: f(p) is NaN (f is undefined
+    at p), or a point has a non-finite coordinate.
+
+    The one strict read of f at a point (model.value_at, behind eval_fn
+    and every delta entry point) raises this for NaN and
+    FloatResolutionLimit for +/-inf.
+    """
 
 
 class UnknownCatalogEntry(DeltamaxError):
@@ -77,8 +83,10 @@ class FloatResolutionLimit(DeltamaxError):
     """delta(p, eps) is beyond what float64 resolves at p.
 
     Either no float other than p itself lies closer to p than the nearest
-    violator, so no positive lower bound can be sampled, or f(p)
-    overflows to inf.
+    violator, so no positive lower bound can be sampled, or f(p) is
+    +/-inf: the one strict read of f at a point (model.value_at, behind
+    eval_fn and every delta entry point) raises this for +/-inf and
+    NonFinite for NaN.
     """
 
 

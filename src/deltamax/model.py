@@ -3,16 +3,18 @@
 Scalar-valued continuous functions on subsets of R^n.  Domains are
 restricted to shapes whose metric balls (intersected with the domain)
 stay path-connected: intervals, boxes, balls, annuli (dim >= 2) and
-half-lines.  The codomain is R with |.| in this version; the norm tag is
-kept on FunctionSpec so vector codomains can be added without an API
-change.
+half-lines.  The codomain is R with |.|.
+
+This module is the one place that knows how f is evaluated:
+array_evaluator maps (n, d) rows to values for every FunctionSpec, and
+value_at reads f at one point under the strict f(p) rule.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -21,6 +23,7 @@ from . import expr as expr_mod
 from .errors import (
     DimensionMismatch,
     DomainViolation,
+    FloatResolutionLimit,
     InvalidDomain,
     NonFinite,
 )
@@ -300,8 +303,6 @@ class FunctionSpec:
     shared freely across threads.
     """
 
-    codomain_metric: NormTag = field(default=NormTag.L2, kw_only=True)
-
     @property
     def dimension(self) -> int:
         raise NotImplementedError
@@ -326,13 +327,12 @@ class ExpressionFn(FunctionSpec):
             raise InvalidDomain("mixing x with x1..x8 is ambiguous; use one style")
 
     @classmethod
-    def parse(cls, source: str, **kw) -> "FunctionSpec":
+    def parse(cls, source: str, dim: int = 2) -> "FunctionSpec":
+        """The expression as a FunctionSpec; an expression in r is the
+        profile of a `dim`-dimensional RadialFn."""
         ast = expr_mod.parse_source(source)
-        if "r" in expr_mod.free_vars(ast):
-            inner = cls(ast=ast, source=source)
-            return RadialFn(inner=inner, dim=kw.pop("dim", 2), **kw)
-        kw.pop("dim", None)
-        return cls(ast=ast, source=source, **kw)
+        fn = cls(ast=ast, source=source)
+        return RadialFn(inner=fn, dim=dim) if "r" in expr_mod.free_vars(ast) else fn
 
     @property
     def dimension(self) -> int:
@@ -342,12 +342,6 @@ class ExpressionFn(FunctionSpec):
         if "r" in names:
             return 1  # used as a radial profile g(r)
         return max(int(n[1:]) for n in names)
-
-    def _env_scalar(self, x: Point) -> dict[str, float]:
-        env = {"x": x.coords[0], "r": x.coords[0]}
-        for i, c in enumerate(x.coords, start=1):
-            env[f"x{i}"] = c
-        return env
 
 
 @dataclass(frozen=True)
@@ -437,40 +431,12 @@ def unwrap(f: FunctionSpec) -> FunctionSpec:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def eval_fn(f: FunctionSpec, x, dom: DomainSpec | None = None) -> float:
-    """Evaluate f at a point; strict about domain membership and finiteness."""
-    pt = _as_point(x)
-    g = unwrap(f)
-    if dom is None:
-        dom = g.domain_hint()
-    if dom is not None and not dom.contains(pt):
-        raise DomainViolation(f"{pt.coords} is outside the domain {dom.describe()}")
-    if isinstance(g, ExpressionFn):
-        value = expr_mod.eval_ast(g.ast, g._env_scalar(pt))
-    elif isinstance(g, Monotone1DFn):
-        a, b = g.interval
-        t = pt.coords[0]
-        if pt.dim != 1:
-            raise DimensionMismatch("monotone-1d function takes scalar input")
-        if not (a <= t <= b):
-            raise DomainViolation(f"{t} outside interval [{a}, {b}]")
-        value = float(np.asarray(g.fn(np.asarray([t])), dtype=float)[0])
-    elif isinstance(g, RadialFn):
-        if pt.dim != g.dim:
-            raise DimensionMismatch(f"expected dimension {g.dim}, got {pt.dim}")
-        radius = norm_of(dom.norm if dom is not None else NormTag.L2, pt.as_array())
-        return eval_fn(g.inner, Point((radius,)))
-    else:  # pragma: no cover
-        raise TypeError(f"cannot evaluate {type(g).__name__}")
-    if not math.isfinite(value):
-        raise NonFinite(f"f{pt.coords} = {value!r}")
-    return value
-
-
 def array_evaluator(f: FunctionSpec, norm: NormTag = NormTag.L2) -> Callable[[np.ndarray], np.ndarray]:
-    """Return a lenient vectorized evaluator.
+    """Return a lenient vectorized evaluator of f.
 
-    Input: (n,) array for 1-d functions, (n, d) rows otherwise.  Invalid
+    Input: (n, d) rows for every f, d being f's dimension; a 1-d f also
+    takes the line engine's (n,) array, and given (n, 1) rows evaluates
+    their column.  A radial f measures each row in `norm`.  Invalid
     points produce NaN (and genuine overflow produces inf), which the
     search layer interprets; it never raises on non-finite values.
     """
@@ -479,7 +445,7 @@ def array_evaluator(f: FunctionSpec, norm: NormTag = NormTag.L2) -> Callable[[np
         ast = g.ast
 
         def run(arr: np.ndarray) -> np.ndarray:
-            arr = np.asarray(arr, dtype=float)
+            arr = _columns(arr)
             if arr.ndim == 1:
                 env = {"x": arr, "r": arr, "x1": arr}
             else:
@@ -493,22 +459,68 @@ def array_evaluator(f: FunctionSpec, norm: NormTag = NormTag.L2) -> Callable[[np
         fn = g.fn
 
         def run(arr: np.ndarray) -> np.ndarray:
-            arr = np.asarray(arr, dtype=float)
+            arr = _columns(arr)
             with np.errstate(all="ignore"):
-                out = np.asarray(fn(arr), dtype=float)
-            return np.broadcast_to(out, arr.shape).astype(float, copy=False)
+                out = np.array(fn(arr), dtype=float)  # a copy: fn may return arr
+            # broadcast_to is slow on the monotone inverse's one-point
+            # calls, so only a constant fn (a scalar out) pays for it.
+            return out if out.shape == arr.shape else np.broadcast_to(out, arr.shape)
 
         return run
     if isinstance(g, RadialFn):
         inner_eval = array_evaluator(g.inner)
 
         def run(arr: np.ndarray) -> np.ndarray:
-            arr = np.asarray(arr, dtype=float)
-            radii = norm_of_rows(norm, arr)
-            return inner_eval(radii)
+            return inner_eval(norm_of_rows(norm, _columns(arr)))
 
         return run
     raise TypeError(f"cannot build evaluator for {type(g).__name__}")
+
+
+def _columns(arr) -> np.ndarray:
+    """arr as floats, with (n, 1) rows as their (n,) column."""
+    arr = np.asarray(arr, dtype=float)
+    return arr[:, 0] if arr.ndim == 2 and arr.shape[1] == 1 else arr
+
+
+def value_at(f: FunctionSpec, x, norm: NormTag = NormTag.L2) -> float:
+    """f(x) at one point x (a Point, a number or coordinates), read by
+    array_evaluator.  This is how every delta entry point reads f(p).
+
+    The read is strict: NaN means f is undefined at x and raises
+    NonFinite; +/-inf means f(x) lies beyond the float64 range, so
+    delta(x, eps) cannot be resolved there, and raises
+    FloatResolutionLimit.  Membership and dimension are not checked
+    (eval_fn adds those).
+    """
+    row = np.asarray(x.coords if isinstance(x, Point) else x, dtype=float).reshape(1, -1)
+    value = float(array_evaluator(f, norm)(row)[0])
+    if math.isfinite(value):
+        return value
+    where = f"f({', '.join(map(repr, row[0].tolist()))}) = {value!r}"
+    if math.isnan(value):
+        raise NonFinite(where)
+    raise FloatResolutionLimit(
+        f"{where} is beyond the float64 range, so delta(p, eps) cannot be "
+        "resolved at this point")
+
+
+def eval_fn(f: FunctionSpec, x, dom: DomainSpec | None = None) -> float:
+    """f at one point x, strict about dimension, membership and value.
+
+    x must have f's dimension and lie in dom (when given) and in f's own
+    domain (a Monotone1DFn's interval); a radial f measures ||x|| in
+    dom's norm (L2 without dom).  The value is read by value_at: NaN
+    raises NonFinite and +/-inf FloatResolutionLimit.
+    """
+    pt = _as_point(x)
+    g = unwrap(f)
+    if pt.dim != g.dimension:
+        raise DimensionMismatch(f"a {pt.dim}-d point for a {g.dimension}-d function")
+    for d in (dom, g.domain_hint()):
+        if d is not None and not d.contains(pt):
+            raise DomainViolation(f"{pt.coords} is outside the domain {d.describe()}")
+    return value_at(g, pt, dom.norm if dom is not None else NormTag.L2)
 
 
 IntervalFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation, InvalidDomain, NonFinite, WindowTooSmall
+from .errors import DomainViolation, InvalidDomain, WindowTooSmall
 from .model import (
     DomainSpec,
     FunctionSpec,
@@ -23,7 +23,7 @@ from .model import (
     array_evaluator,
     lattice,
     norm_of_rows,
-    unwrap,
+    value_at,
 )
 
 _MAX_GRID_POINTS = 10 ** 8
@@ -84,23 +84,19 @@ def grid_delta_bounds(f: FunctionSpec, dom: DomainSpec, p, eps: float,
 
     upper = min distance from p to a grid violator (inf when the window
     holds none); lower subtracts one grid-cell diagonal and is clamped to
-    the radius of the window actually inspected around p.
+    the radius of the window actually inspected around p.  f(p) is read
+    strictly (model.value_at) before the grid is enumerated.
     """
     pt = _as_point(p)
     if not dom.contains(pt):
         raise DomainViolation(f"{pt.coords} is outside the domain {dom.describe()}")
-    fn = unwrap(f)
-    f_arr = array_evaluator(fn, norm=dom.norm)
+    fp = value_at(f, pt, dom.norm)
     p_arr = pt.as_array()
 
     pts = _masked_grid(dom, g)
     if pts.shape[0] == 0:
         raise WindowTooSmall("the oracle window misses the domain entirely")
-    fv = f_arr(pts if pt.dim > 1 else pts[:, 0])
-    fp = f_arr(p_arr if pt.dim == 1 else p_arr.reshape(1, -1))
-    fp = float(np.asarray(fp).ravel()[0])
-    if not math.isfinite(fp):
-        raise NonFinite(f"f{pt.coords} = {fp!r}")
+    fv = array_evaluator(f, norm=dom.norm)(pts)
 
     with np.errstate(invalid="ignore"):
         viol = (np.abs(fv - fp) >= eps) & ~np.isnan(fv)
@@ -125,8 +121,7 @@ def grid_delta_bounds(f: FunctionSpec, dom: DomainSpec, p, eps: float,
 def _nearest_violators(f_arr, dom, pts, vpts, eps, chunk):
     """Per row of `pts`: distance to the nearest violator among `vpts`."""
     dim = pts.shape[1]
-    fv_p = f_arr(pts if dim > 1 else pts[:, 0])
-    fv_v = f_arr(vpts if dim > 1 else vpts[:, 0])
+    fv_p, fv_v = f_arr(pts), f_arr(vpts)
     out = np.full(pts.shape[0], math.inf)
     for start in range(0, pts.shape[0], chunk):
         rows = slice(start, min(start + chunk, pts.shape[0]))
@@ -150,8 +145,7 @@ def brute_force_inf(f: FunctionSpec, dom: DomainSpec, eps: float, g: GridSpec,
     that estimate so points near the window edge see the domain violators
     just outside.  Deterministic row-major argmin on ties.
     """
-    fn = unwrap(f)
-    f_arr = array_evaluator(fn, norm=dom.norm)
+    f_arr = array_evaluator(f, norm=dom.norm)
     pts = _masked_grid(dom, g)
     n = pts.shape[0]
     if n == 0:

@@ -26,7 +26,13 @@ from .delta import (
     line_problem,
     require_positive,
 )
-from .errors import DeltamaxError, InvalidArgument, WitnessesStagnated
+from .errors import (
+    DeltamaxError,
+    FloatResolutionLimit,
+    InvalidArgument,
+    NonFinite,
+    WitnessesStagnated,
+)
 from .model import (
     DomainSpec,
     FunctionSpec,
@@ -36,6 +42,7 @@ from .model import (
     enclosure_evaluator,
     lattice,
     unwrap,
+    value_at,
 )
 from .search import line_field
 
@@ -137,10 +144,12 @@ def default_schedule(dom: DomainSpec, stages: int = 21, resolution: int = 2048,
     refines the resolution on the full window.  Unbounded extents expand
     geometrically ([0, 2^k]-style); open finite boundaries are approached
     geometrically instead, since that is where the infimum can escape.
+    A generic nD domain gets one stage on its (truncated) full window:
+    _stage_field caps every nD grid at the same lattice, so more stages
+    would repeat it.
     """
     if dom.dimension > 1 and not dom.is_radial:
-        # Generic nD: refine the (truncated) full window.
-        return [(dom, resolution) for _ in range(min(stages, 3))]
+        return [(dom, resolution)]
 
     lo, hi, open_lo, open_hi = line_bounds(dom)
     lo_escape = math.isinf(lo) or open_lo
@@ -308,17 +317,13 @@ def _pins_eps(f: FunctionSpec, dom: DomainSpec, x: Point, y: Point, eps0: float,
               cfg: SearchConfig) -> bool:
     """|f(y) - f(x)| = eps0 to within the image-distance accuracy limit:
     float rounding of f at x scales the achievable |h|, so the acceptance
-    threshold is ulp-aware."""
-    g = unwrap(f)
-    f_arr = array_evaluator(g, norm=dom.norm)
-
-    def at(pt: Point) -> float:
-        arr = pt.as_array()
-        return float(f_arr(arr if g.dimension == 1 else arr[None, :])[0])
-
-    fx = at(x)
+    threshold is ulp-aware.  An end where f is not finite pins nothing."""
+    try:
+        fx, fy = value_at(f, x, dom.norm), value_at(f, y, dom.norm)
+    except (NonFinite, FloatResolutionLimit):
+        return False
     tol_eff = max(cfg.tol_f, 32.0 * math.ulp(abs(fx) + eps0))
-    return abs(abs(at(y) - fx) - eps0) <= tol_eff
+    return abs(abs(fy - fx) - eps0) <= tol_eff
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +336,14 @@ def _trace_is_stable(trace: InfTrace) -> bool:
         return False
     q3 = vals[(3 * (len(vals) - 1)) // 4]
     return vals[-1] >= 0.5 * q3
+
+
+def default_eps_grid(f: FunctionSpec, dom: DomainSpec,
+                     cfg: SearchConfig = DEFAULT_CONFIG) -> tuple[float, list[float]]:
+    """(beta, eps grid) that uc_verdict tests when given no grid: beta/8,
+    beta/4 and beta/2 for the sampled epsilon bound beta."""
+    beta = epsilon_bound(f, dom, cfg=cfg).beta
+    return beta, [beta / 8.0, beta / 4.0, beta / 2.0]
 
 
 def uc_verdict(f: FunctionSpec, dom: DomainSpec,
@@ -346,8 +359,7 @@ def uc_verdict(f: FunctionSpec, dom: DomainSpec,
     otherwise.  These are numerical evidence, not proof.
     """
     if eps_grid is None:
-        beta = epsilon_bound(f, dom, cfg=cfg).beta
-        eps_grid = [beta / 8.0, beta / 4.0, beta / 2.0]
+        eps_grid = default_eps_grid(f, dom, cfg)[1]
     if not eps_grid:
         raise InvalidArgument("eps_grid must be nonempty")
 

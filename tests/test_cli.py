@@ -64,3 +64,74 @@ class TestDeltaStats:
         assert all(len(words) == 3 and words[0] == "stat" for words in stats)
         assert key in {words[1] for words in stats}
         assert "stat" not in fields(plain)
+
+
+GOLDEN = {
+    ("delta", "--fn", "square", "--p", "3", "--eps", "1", "--certify"): """\
+value 0.16227766017005546
+witness 3.1622776601700555
+certified_lower 0.16227750122199019
+certified_upper 0.16227766017005546
+backend levelset1d
+one_sided false
+oracle_lower 0.16226467795724148
+oracle_upper 0.16227766017005507
+oracle_step 1.2982212813604437e-05
+sandwich_ok true
+""",
+    ("certify", "--fn", "square", "--p", "3", "--eps", "1"): """\
+value 0.16227766017005546
+backend levelset1d
+oracle_lower 0.16196071161503542
+oracle_upper 0.16227766017005507
+oracle_step 0.00031694855501963957
+grid_slack 0.00031694855501963957
+sandwich_ok true
+""",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_golden(capsys, argv):
+    assert run(capsys, *argv) == (cli.EXIT_OK, GOLDEN[argv], "")
+
+
+class TestFlags:
+    """Each subcommand takes exactly the flags it reads."""
+
+    PROBLEM = ["--domain", "--dim", "--tol-x", "--tol-f", "--scan-points", "--r0",
+               "--r-max", "--out"]
+    RAYS = ["--directions", "--seed"]
+    # subcommand -> (required arguments, optional flags)
+    FLAGS = {
+        "delta": (["--fn", "square", "--p", "1", "--eps", "1"],
+                  PROBLEM + RAYS + ["--certify", "--oracle-points", "--stats"]),
+        "scan": (["--fn", "square", "--p-min", "0", "--p-max", "1", "--p-count", "2"],
+                 PROBLEM + RAYS + ["--eps", "--eps-grid"]),
+        "inf": (["--fn", "square", "--eps", "1"], PROBLEM + ["--stages", "--resolution"]),
+        "uc": (["--fn", "square"], PROBLEM + ["--eps-grid", "--count", "--trace"]),
+        "catalog": ([], ["--out", "--load"]),
+        "certify": (["--fn", "square", "--p", "1", "--eps", "1"],
+                    PROBLEM + RAYS + ["--h", "--window-radius"]),
+    }
+    SWITCHES = {"--certify", "--stats"}
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_every_flag_parses(self, command):
+        required, flags = self.FLAGS[command]
+        for flag in flags:
+            value = [] if flag in self.SWITCHES else ["1"]
+            args = cli.build_parser().parse_args([command, *required, flag, *value])
+            assert getattr(args, flag[2:].replace("-", "_")) not in (None, False), flag
+
+    @pytest.mark.parametrize("argv", [
+        ("catalog", "--directions", "3"),
+        ("catalog", "--fn", "square"),
+        ("uc", "--fn", "square", "--seed", "1"),
+        ("inf", "--fn", "square", "--eps", "1", "--directions", "3"),
+    ])
+    def test_unread_flags_are_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_PARSE == 2
+        assert out == ""
+        assert "unrecognized arguments" in err

@@ -32,9 +32,11 @@ from deltamax.errors import (
     EmptySpherePreimage,
     FloatResolutionLimit,
     InvalidArgument,
+    NonFinite,
     OutOfRange,
 )
 from deltamax.model import DomainSpec, ExpressionFn, Monotone1DFn, NormTag, Point
+from deltamax.oracle import GridSpec, grid_delta_bounds
 from deltamax.search import scan_side
 
 REALS = DomainSpec.interval(-math.inf, math.inf)
@@ -650,3 +652,26 @@ class TestInvalidArgument:
     def test_is_a_deltamax_value_error(self):
         assert issubclass(InvalidArgument, DeltamaxError)
         assert issubclass(InvalidArgument, ValueError)
+
+
+class TestStrictFp:
+    """Every delta entry point reads f(p) by one rule: NaN raises
+    NonFinite, +/-inf raises FloatResolutionLimit (CLI exit 5)."""
+
+    ENTRY_POINTS = {
+        "compute_delta": lambda f, p: compute_delta(f, REALS, p, 1.0),
+        "is_delta_epsilon_number": lambda f, p: is_delta_epsilon_number(f, REALS, p, 1.0, 1.0),
+        "grid_delta_bounds": lambda f, p: grid_delta_bounds(
+            f, REALS, p, 1.0, GridSpec.around(p, 1e-3 * abs(p), 9)),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("source, p, error", [
+        ("square", 1e200, FloatResolutionLimit),     # f(p) = +inf
+        ("-x^2", 1e200, FloatResolutionLimit),       # f(p) = -inf
+        ("ln(x)", -1.0, NonFinite),                  # f(p) = NaN
+    ])
+    def test_same_exception_everywhere(self, entry, source, p, error):
+        f = dm.catalog_lookup(source).function if source == "square" else ExpressionFn.parse(source)
+        with pytest.raises(error):
+            self.ENTRY_POINTS[entry](f, p)

@@ -13,6 +13,7 @@ from deltamax.errors import (
     DimensionMismatch,
     DomainParseError,
     DomainViolation,
+    FloatResolutionLimit,
     InvalidDomain,
     NonFinite,
     UnknownCatalogEntry,
@@ -251,3 +252,51 @@ class TestCatalog:
         assert dom is not None
         fn2, dom2 = resolve_function("x^2+x")
         assert dom2 is None
+
+
+class TestEvaluatorRows:
+    """array_evaluator takes (n, d) rows for every f and agrees bit for bit
+    with the one strict point read behind eval_fn; a 1-d f also takes the
+    line engine's (n,) array."""
+
+    LINE = np.array([-7.5, -1.0, -0.3, 0.0, 0.25, 1.0, 2.5, 9.75])
+    PLANE = np.array([[0.5, 0.0], [-1.25, 2.0], [3.0, -0.75], [0.1, 0.2], [-4.0, -4.0]])
+
+    def _cases(self):
+        line, plane = self.LINE[:, None], self.PLANE
+        for name in dm.catalog_names():
+            f = dm.catalog_lookup(name).function
+            yield name, f, line if f.dimension == 1 else plane
+        yield "monotone", Monotone1DFn(np.exp, (-8.0, 10.0), True), line
+        yield "r profile", ExpressionFn.parse("ln(1+r)+sin(r)").inner, np.abs(line)
+        yield "x1*x2", ExpressionFn.parse("x1*x2"), plane
+
+    def test_rows_match_eval_fn(self):
+        for name, f, rows in self._cases():
+            got = array_evaluator(f)(rows)
+            want = [eval_fn(f, tuple(row)) for row in rows]
+            assert got.tolist() == want, name
+            if f.dimension == 1:
+                assert array_evaluator(f)(rows[:, 0]).tolist() == want, name
+
+    def test_radial_rows_use_the_norm(self):
+        f = dm.catalog_lookup("exp_norm").function
+        dom = DomainSpec.ball((0.0, 0.0), math.inf, norm=NormTag.L1)
+        got = array_evaluator(f, NormTag.L1)(self.PLANE)
+        assert got.tolist() == [eval_fn(f, tuple(row), dom) for row in self.PLANE]
+        assert got[1] == math.exp(3.25)
+
+    def test_strict_point_read(self):
+        square = dm.catalog_lookup("square").function
+        with pytest.raises(FloatResolutionLimit):
+            eval_fn(square, 1e200)
+        with pytest.raises(FloatResolutionLimit):
+            eval_fn(ExpressionFn.parse("ln(x)"), 0.0)
+        with pytest.raises(NonFinite):
+            eval_fn(ExpressionFn.parse("ln(x)"), -1.0)
+
+    def test_dimension_checked(self):
+        with pytest.raises(DimensionMismatch):
+            eval_fn(ExpressionFn.parse("x1*x2"), 1.0)
+        with pytest.raises(DimensionMismatch):
+            eval_fn(dm.catalog_lookup("square").function, Point.of(1.0, 2.0))

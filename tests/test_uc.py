@@ -105,3 +105,19 @@ def test_radial_stage_matches_compute_delta():
     (rec,) = uc.infimum_delta(f, dom, EPS, schedule=schedule).records
     assert dom.contains(rec.argmin)
     assert rec.inf_delta == pytest.approx(compute_delta(f, dom, rec.argmin, EPS).value, rel=1e-9)
+
+
+def test_generic_nd_schedule_is_one_stage():
+    # Every nD stage grid is capped at the same lattice, so a second stage
+    # would only repeat the first.
+    box = DomainSpec.box((-2.0, -2.0), (2.0, 2.0))
+    assert uc.default_schedule(box) == [(box, 2048)]
+    assert uc.default_schedule(box, stages=5, resolution=16) == [(box, 16)]
+    assert uc.default_schedule(box, stages=uc._MAX_WITNESS_STAGES) == [(box, 2048)]
+
+
+def test_default_eps_grid_is_the_verdicts_grid():
+    f, dom = ExpressionFn.parse("sin(x)"), DomainSpec.interval(0.0, 4.0)
+    beta, grid = uc.default_eps_grid(f, dom)
+    assert beta == dm.epsilon_bound(f, dom).beta
+    assert grid == [beta / 8.0, beta / 4.0, beta / 2.0]
