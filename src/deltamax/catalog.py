@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 from .domaintext import format_domain, parse_domain
 from .errors import DomainParseError, UnknownCatalogEntry
-from .model import CatalogFn, DomainSpec, ExpressionFn, FunctionSpec, RadialFn
+from .model import CatalogFn, DomainSpec, ExpressionFn, FunctionSpec
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def _make(name: str, source: str, domain: DomainSpec,
     fn = ExpressionFn.parse(source, dim=dim)
     return CatalogEntry(
         name=name,
-        function=CatalogFn(name=name, inner=fn),
+        function=CatalogFn(inner=fn, domain=domain),
         source=source,
         domain=domain,
         closed_form_delta=closed_form,
@@ -137,15 +137,13 @@ def load_manifest(text: str) -> list[CatalogEntry]:
     return out
 
 
-def resolve_function(text: str, dim: int | None = None) -> tuple[FunctionSpec, DomainSpec | None]:
-    """CLI helper: a catalog name resolves to its entry, anything else is
-    parsed as an expression (returns no natural domain then)."""
+def resolve_function(text: str, dim: int | None = None) -> FunctionSpec:
+    """CLI helper: a catalog name resolves to its entry's function (whose
+    natural domain is the entry's), anything else is parsed as an
+    expression (an expression in r is radial in `dim`, default 2)."""
     with _LOCK:
         _ensure_builtins()
         entry = _REGISTRY.get(text)
     if entry is not None:
-        return entry.function, entry.domain
-    fn = ExpressionFn.parse(text, dim=dim if dim else 2)
-    if isinstance(fn, RadialFn) and dim:
-        fn = RadialFn(inner=fn.inner, dim=dim)
-    return fn, None
+        return entry.function
+    return ExpressionFn.parse(text, dim=dim if dim else 2)

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import catalog as catalog_mod
-from .delta import SearchConfig, compute_delta, require_positive
+from .delta import SearchConfig, compute_delta
 from .domaintext import format_domain, parse_domain
 from .errors import (
     ConstantFunction,
@@ -41,7 +41,7 @@ from .errors import (
     UnknownCatalogEntry,
     WindowTooSmall,
 )
-from .model import DomainSpec, Point, RadialFn, unwrap
+from .model import DomainSpec, Point, require_positive
 from .oracle import GridSpec, grid_delta_bounds
 from .uc import Verdict, default_eps_grid, default_schedule, infimum_delta, uc_verdict
 
@@ -107,31 +107,16 @@ def _add_out(sp: argparse.ArgumentParser):
 
 
 def _config(args) -> SearchConfig:
-    base = SearchConfig()
-    kw = {}
-    for name in ("tol_x", "tol_f", "scan_points", "r0", "r_max"):
-        v = getattr(args, name)
-        if v is not None:
-            kw[name] = v
-    return SearchConfig(**{**base.__dict__, **kw}) if kw else base
+    names = ("tol_x", "tol_f", "scan_points", "r0", "r_max")
+    return SearchConfig(**{k: getattr(args, k) for k in names if getattr(args, k) is not None})
 
 
 def _resolve(args):
-    fn, natural = catalog_mod.resolve_function(args.fn, dim=args.dim)
+    """(f, dom): --domain when given, else f's natural domain."""
+    fn = catalog_mod.resolve_function(args.fn, dim=args.dim)
     if args.domain:
-        dom = parse_domain(args.domain, default_dim=args.dim)
-    elif natural is not None:
-        dom = natural
-    else:
-        g = unwrap(fn)
-        if isinstance(g, RadialFn):
-            dom = DomainSpec.ball((0.0,) * g.dim, math.inf)
-        elif g.dimension == 1:
-            dom = DomainSpec.interval(-math.inf, math.inf)
-        else:
-            d = g.dimension
-            dom = DomainSpec.box((-math.inf,) * d, (math.inf,) * d)
-    return fn, dom
+        return fn, parse_domain(args.domain, default_dim=args.dim)
+    return fn, fn.domain_hint()
 
 
 def _parse_point(text: str, dim: int) -> Point:
@@ -194,7 +179,7 @@ def cmd_scan(args) -> int:
     rows = ["p,eps,delta,lower,upper,backend,error"]
     for eps in eps_values:
         for p in ps:
-            pt = _parse_point(_fmt(float(p)), dom.dimension)
+            pt = Point((float(p),) + (0.0,) * (dom.dimension - 1))
             try:
                 res = compute_delta(fn, dom, pt, eps, cfg,
                                     directions=args.directions, seed=args.seed)

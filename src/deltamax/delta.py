@@ -41,29 +41,24 @@ from .errors import (
     OutOfRange,
 )
 from .model import (
-    CatalogFn,
     DomainSpec,
     FunctionSpec,
     Monotone1DFn,
     NormTag,
     Point,
     RadialFn,
-    _as_point,
     array_evaluator,
     enclosure_evaluator,
     lattice,
     norm_of,
     norm_of_rows,
+    point_in,
+    require_positive,
     unwrap,
     value_at,
 )
+from .oracle import GridSpec, grid_delta_bounds
 from .search import line_field, scan_side
-
-
-def require_positive(name: str, value: float) -> None:
-    """Raise InvalidArgument unless value > 0 (NaN included)."""
-    if not value > 0:
-        raise InvalidArgument(f"{name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -156,7 +151,7 @@ def line_bounds(dom: DomainSpec) -> tuple[float, float, bool, bool]:
     on: the interval of a 1-d domain (a dim-1 ball is [c - r, c + r]),
     or the radii of a ball/annulus in dimension >= 2."""
     if dom.is_radial and dom.dimension > 1:
-        return dom.radius_interval()
+        return dom.r_in, dom.r_out, dom.open_inner, dom.open_outer
     if dom.is_radial:
         c, r = dom.center[0], dom.r_out
         return c - r, c + r, dom.open_outer, dom.open_outer
@@ -204,17 +199,15 @@ def _line_delta(problem, dom: DomainSpec, p, eps: float, cfg: SearchConfig,
     radial one.  A Monotone1DFn profile takes the closed formula unless
     `sample` asks for the line engine, which runs every other profile.
     A radial witness is lifted along the ray through p (along the first
-    axis when p is the origin).  f(p) is read strictly (model.value_at)
-    before either runs.
+    axis when p is the origin).  eps and p pass the model gates, t must
+    lie on the clipped line, and f(p) is read strictly before either runs.
     """
     g, lo, hi, open_lo, open_hi = problem
     require_positive("eps", eps)
-    pt = _as_point(p)
-    if pt.dim != dom.dimension:
-        raise DimensionMismatch(f"a {pt.dim}-d point on a {dom.dimension}-d domain")
+    pt = point_in(dom, p)
     radial = dom.dimension > 1
     t = norm_of(dom.norm, pt.as_array()) if radial else pt.coords[0]
-    if not (dom.contains(pt) and lo <= t <= hi):
+    if not lo <= t <= hi:
         raise DomainViolation(f"{pt.coords} is outside the domain {dom.describe()}")
     fp = value_at(g, t)
     if isinstance(g, Monotone1DFn) and not sample:
@@ -390,7 +383,7 @@ def _monotone_line(g: Monotone1DFn, t: float, gp: float, eps: float, cfg: Search
 def delta_monotone_1d(g: Monotone1DFn, p: float, eps: float,
                       cfg: SearchConfig = DEFAULT_CONFIG) -> DeltaResult:
     """The closed formula (see _monotone_line) on g's own interval."""
-    dom = DomainSpec.interval(*g.interval)
+    dom = g.domain_hint()
     return _line_delta(line_problem(g, dom), dom, p, eps, cfg)
 
 
@@ -496,18 +489,15 @@ def delta_ray_nd(f: FunctionSpec, dom: DomainSpec, p, eps: float,
     from the grid oracle on the ball of that radius; only lower <= delta
     <= value is guaranteed.
     """
-    g = unwrap(f)
-    pt = _as_point(p)
-    if pt.dim < 2:
+    if dom.dimension < 2:
         raise DimensionMismatch("delta_ray_nd needs dimension >= 2")
     require_positive("eps", eps)
-    if not dom.contains(pt):
-        raise DomainViolation(f"{pt.coords} is outside the domain {dom.describe()}")
+    pt = point_in(dom, p)
     if directions < 1:
         raise InvalidArgument(f"need at least one direction, got {directions!r}")
 
-    fp = value_at(g, pt, dom.norm)
-    f_arr = array_evaluator(g, norm=dom.norm)
+    fp = value_at(f, pt, dom.norm)
+    f_arr = array_evaluator(f, norm=dom.norm)
     p_arr = pt.as_array()
     dirs = direction_set(pt.dim, directions, dom.norm, seed)
     n = dirs.shape[0]
@@ -539,8 +529,6 @@ def delta_ray_nd(f: FunctionSpec, dom: DomainSpec, p, eps: float,
     best = min(tied, key=lambda i: tuple(p_arr + roots[i] * dirs[i]))
     witness = Point(tuple(p_arr + roots[best] * dirs[best]))
 
-    from .oracle import GridSpec, grid_delta_bounds
-
     per_axis = int(max(9, min(65, round(cfg.scan_points ** (1.0 / pt.dim)))))
     # A grid violator within one cell of p leaves the oracle no positive
     # lower bound; zoom the window onto it until one appears.
@@ -553,7 +541,7 @@ def delta_ray_nd(f: FunctionSpec, dom: DomainSpec, p, eps: float,
                 f"at p: a violator sits {radius!r} away, too close for a grid "
                 "of distinct floats to certify a clear ball")
         window = DomainSpec.box(p_arr - radius, p_arr + radius, norm=dom.norm)
-        o_lower, o_upper = grid_delta_bounds(g, dom, pt, eps,
+        o_lower, o_upper = grid_delta_bounds(f, dom, pt, eps,
                                              GridSpec(h=h, window=window))
         if o_lower > 0:
             break
@@ -585,10 +573,9 @@ def is_delta_epsilon_number(f: FunctionSpec, dom: DomainSpec, p, eps: float,
     True is sampled evidence of membership in (0, delta(p, eps)]; False
     is an exact refutation (a concrete violator was found).
     """
+    require_positive("eps", eps)
     require_positive("beta", beta)
-    pt = _as_point(p)
-    if not dom.contains(pt):
-        raise DomainViolation(f"{pt.coords} is outside the domain {dom.describe()}")
+    pt = point_in(dom, p)
     fp = value_at(f, pt, dom.norm)
     p_arr = pt.as_array()
     per_axis = max(3, int(math.ceil(samples ** (1.0 / pt.dim))))
@@ -638,19 +625,11 @@ def compute_delta(f: FunctionSpec, dom: DomainSpec | None, p, eps: float,
                   cfg: SearchConfig = DEFAULT_CONFIG, directions: int = 64,
                   seed: int = 0) -> DeltaResult:
     """Dispatch to the right backend for (f, dom): the line front end for
-    a 1-d or radial problem (see line_problem), ray_nd otherwise."""
-    g = unwrap(f)
+    a 1-d or radial problem (see line_problem), ray_nd otherwise.
+    dom=None is f's natural domain (f.domain_hint()), as in the CLI."""
     if dom is None:
-        if isinstance(f, CatalogFn):
-            from .catalog import catalog_lookup
-
-            dom = catalog_lookup(f.name).domain
-        else:
-            dom = g.domain_hint()
-    if dom is None:
-        raise InvalidDomain("no domain given and the function has no natural one")
-
-    problem = line_problem(g, dom)
+        dom = f.domain_hint()
+    problem = line_problem(f, dom)
     if problem is None:
-        return delta_ray_nd(g, dom, p, eps, directions, cfg, seed)
+        return delta_ray_nd(f, dom, p, eps, directions, cfg, seed)
     return _line_delta(problem, dom, p, eps, cfg)

@@ -10,12 +10,14 @@ class DeltamaxError(Exception):
 
 
 class InvalidArgument(DeltamaxError, ValueError):
-    """A numeric argument is outside its valid range (eps <= 0, no
+    """A numeric argument is outside its valid range (eps <= 0 or NaN,
+    checked by model.require_positive at every entry point; no
     directions, an empty eps grid, a bad SearchConfig field, ...)."""
 
 
 class DimensionMismatch(DeltamaxError):
-    """Two points (or a point and a domain) disagree on dimension."""
+    """A point and its domain (model.point_in, at every entry point that
+    takes a point), or a function and its domain, disagree on dimension."""
 
 
 class DomainViolation(DeltamaxError):

@@ -5,9 +5,10 @@ restricted to shapes whose metric balls (intersected with the domain)
 stay path-connected: intervals, boxes, balls, annuli (dim >= 2) and
 half-lines.  The codomain is R with |.|.
 
-This module is the one place that knows how f is evaluated:
-array_evaluator maps (n, d) rows to values for every FunctionSpec, and
-value_at reads f at one point under the strict f(p) rule.
+This module owns evaluation and inputs: array_evaluator maps (n, d) rows
+to values for every FunctionSpec, value_at reads f at one point under
+the strict f(p) rule, point_in gates a point into a domain (every
+FunctionSpec has a natural one), and require_positive checks eps.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
     DimensionMismatch,
     DomainViolation,
     FloatResolutionLimit,
+    InvalidArgument,
     InvalidDomain,
     NonFinite,
 )
@@ -212,10 +214,8 @@ class DomainSpec:
             if len(self.lo) != self.dimension or len(self.hi) != self.dimension:
                 raise InvalidDomain("bounds do not match dimension")
             for a, b in zip(self.lo, self.hi):
-                if not a < b:
+                if not a < b:  # NaN included
                     raise InvalidDomain(f"empty interior: bounds [{a}, {b}]")
-                if math.isnan(a) or math.isnan(b):
-                    raise InvalidDomain("NaN bound")
             if self.shape is not Shape.BOX and self.dimension != 1:
                 raise InvalidDomain("interval/half-line domains are 1-dimensional")
         elif self.shape in (Shape.BALL, Shape.ANNULUS):
@@ -241,17 +241,9 @@ class DomainSpec:
     def is_radial(self) -> bool:
         return self.shape in (Shape.BALL, Shape.ANNULUS)
 
-    def radius_interval(self) -> tuple[float, float, bool, bool]:
-        """(lo, hi, open_lo, open_hi) of the radii covered by a radial domain."""
-        if not self.is_radial:
-            raise InvalidDomain(f"{self.shape.value} has no radius interval")
-        return self.r_in, self.r_out, self.open_inner, self.open_outer
-
     def contains(self, p) -> bool:
         pt = _as_point(p)
-        if pt.dim != self.dimension:
-            return False
-        return bool(self.contains_rows(pt.as_array().reshape(1, -1))[0])
+        return pt.dim == self.dimension and bool(self.contains_rows(pt.as_array()[None])[0])
 
     def contains_rows(self, arr: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (n, d) array (or (n,) when d == 1)."""
@@ -268,7 +260,8 @@ class DomainSpec:
             return ok
         radii = norm_of_rows(self.norm, arr - np.asarray(self.center))
         ok = (radii > self.r_in) if self.open_inner else (radii >= self.r_in)
-        ok &= (radii < self.r_out) if self.open_outer else (radii <= self.r_out)
+        if math.isfinite(self.r_out):  # inf bounds nothing, not even an overflowing norm
+            ok &= (radii < self.r_out) if self.open_outer else (radii <= self.r_out)
         return ok
 
     def bounding_box(self, truncate: float = INF) -> tuple[np.ndarray, np.ndarray]:
@@ -292,6 +285,29 @@ class DomainSpec:
 
 
 # ---------------------------------------------------------------------------
+# Input gates
+# ---------------------------------------------------------------------------
+
+def point_in(dom: DomainSpec, p) -> Point:
+    """p (a Point, a number or coordinates) as a Point of dom: a point of
+    another dimension raises DimensionMismatch, one outside dom
+    DomainViolation.  Every entry point takes its point through here."""
+    pt = _as_point(p)
+    if pt.dim != dom.dimension:
+        raise DimensionMismatch(f"a {pt.dim}-d point on a {dom.dimension}-d domain")
+    if not dom.contains(pt):
+        raise DomainViolation(f"{pt.coords} is outside the domain {dom.describe()}")
+    return pt
+
+
+def require_positive(name: str, value: float) -> None:
+    """Raise InvalidArgument unless value > 0 (NaN included); the one
+    check of eps, beta and the positive SearchConfig fields."""
+    if not value > 0:
+        raise InvalidArgument(f"{name} must be positive, got {value!r}")
+
+
+# ---------------------------------------------------------------------------
 # Function specifications
 # ---------------------------------------------------------------------------
 
@@ -307,9 +323,12 @@ class FunctionSpec:
     def dimension(self) -> int:
         raise NotImplementedError
 
-    def domain_hint(self) -> DomainSpec | None:
-        """Natural domain when the spec carries one (catalog, monotone)."""
-        return None
+    def domain_hint(self) -> DomainSpec:
+        """The natural domain of f, which every spec has: R^k for an
+        expression in k variables, an unbounded ball for a RadialFn, a
+        Monotone1DFn's interval, a catalog entry's domain.  It is the
+        domain of compute_delta(dom=None) and of the CLI without --domain."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -343,6 +362,12 @@ class ExpressionFn(FunctionSpec):
             return 1  # used as a radial profile g(r)
         return max(int(n[1:]) for n in names)
 
+    def domain_hint(self) -> DomainSpec:
+        d = self.dimension
+        if d == 1:
+            return DomainSpec.interval(-INF, INF)
+        return DomainSpec.box((-INF,) * d, (INF,) * d)
+
 
 @dataclass(frozen=True)
 class Monotone1DFn(FunctionSpec):
@@ -360,9 +385,7 @@ class Monotone1DFn(FunctionSpec):
     vectorized: bool = True
 
     def __post_init__(self):
-        a, b = self.interval
-        if not a < b:
-            raise InvalidDomain(f"degenerate interval [{a}, {b}]")
+        self.domain_hint()  # an empty (or NaN) interval raises InvalidDomain
         if not self.vectorized:
             object.__setattr__(self, "fn", np.vectorize(self.fn, otypes=[float]))
             object.__setattr__(self, "vectorized", True)
@@ -407,21 +430,28 @@ class RadialFn(FunctionSpec):
     def dimension(self) -> int:
         return self.dim
 
+    def domain_hint(self) -> DomainSpec:
+        return DomainSpec.ball((0.0,) * self.dim, INF)
+
 
 @dataclass(frozen=True)
 class CatalogFn(FunctionSpec):
-    """A named catalog entry's function, resolved at lookup time."""
+    """A catalog entry's function, carrying the entry's domain as its
+    natural one (so re-registering the name later does not change it)."""
 
-    name: str
     inner: FunctionSpec
+    domain: DomainSpec
 
     @property
     def dimension(self) -> int:
         return self.inner.dimension
 
+    def domain_hint(self) -> DomainSpec:
+        return self.domain
+
 
 def unwrap(f: FunctionSpec) -> FunctionSpec:
-    """Strip catalog naming wrappers."""
+    """Strip catalog wrappers."""
     while isinstance(f, CatalogFn):
         f = f.inner
     return f
@@ -508,19 +538,16 @@ def value_at(f: FunctionSpec, x, norm: NormTag = NormTag.L2) -> float:
 def eval_fn(f: FunctionSpec, x, dom: DomainSpec | None = None) -> float:
     """f at one point x, strict about dimension, membership and value.
 
-    x must have f's dimension and lie in dom (when given) and in f's own
-    domain (a Monotone1DFn's interval); a radial f measures ||x|| in
-    dom's norm (L2 without dom).  The value is read by value_at: NaN
-    raises NonFinite and +/-inf FloatResolutionLimit.
+    x passes point_in on the natural domain of f's formula (unwrap(f)'s:
+    a catalog entry's domain bounds its delta queries, not evaluation),
+    then on dom when given.  A radial f measures ||x|| in dom's norm (L2
+    without dom).  The value is read by value_at: NaN raises NonFinite
+    and +/-inf FloatResolutionLimit.
     """
-    pt = _as_point(x)
-    g = unwrap(f)
-    if pt.dim != g.dimension:
-        raise DimensionMismatch(f"a {pt.dim}-d point for a {g.dimension}-d function")
-    for d in (dom, g.domain_hint()):
-        if d is not None and not d.contains(pt):
-            raise DomainViolation(f"{pt.coords} is outside the domain {d.describe()}")
-    return value_at(g, pt, dom.norm if dom is not None else NormTag.L2)
+    pt = point_in(unwrap(f).domain_hint(), x)
+    if dom is None:
+        return value_at(f, pt)
+    return value_at(f, point_in(dom, pt), dom.norm)
 
 
 IntervalFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]

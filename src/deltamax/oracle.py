@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation, InvalidDomain, WindowTooSmall
+from .errors import DimensionMismatch, InvalidDomain, WindowTooSmall
 from .model import (
     DomainSpec,
     FunctionSpec,
@@ -23,6 +23,8 @@ from .model import (
     array_evaluator,
     lattice,
     norm_of_rows,
+    point_in,
+    require_positive,
     value_at,
 )
 
@@ -51,9 +53,12 @@ class GridSpec:
 
     @classmethod
     def around(cls, p, radius: float, points_per_axis: int,
-               dim: int = 1) -> "GridSpec":
-        """Convenience: a box window of the given radius centered at p."""
-        arr = p.as_array() if isinstance(p, Point) else np.atleast_1d(np.asarray(p, float))
+               dim: int | None = None) -> "GridSpec":
+        """A box window of the given radius centered at p; a given dim
+        must be p's (DimensionMismatch otherwise)."""
+        arr = _as_point(p).as_array()
+        if dim not in (None, arr.size):
+            raise DimensionMismatch(f"a {arr.size}-d point for a {dim}-d grid")
         window = DomainSpec.box(arr - radius, arr + radius)
         return cls(h=2.0 * radius / max(points_per_axis - 1, 1), window=window)
 
@@ -84,12 +89,11 @@ def grid_delta_bounds(f: FunctionSpec, dom: DomainSpec, p, eps: float,
 
     upper = min distance from p to a grid violator (inf when the window
     holds none); lower subtracts one grid-cell diagonal and is clamped to
-    the radius of the window actually inspected around p.  f(p) is read
-    strictly (model.value_at) before the grid is enumerated.
+    the radius of the window actually inspected around p.  eps and p pass
+    the model gates and f(p) is read strictly before the grid is built.
     """
-    pt = _as_point(p)
-    if not dom.contains(pt):
-        raise DomainViolation(f"{pt.coords} is outside the domain {dom.describe()}")
+    require_positive("eps", eps)
+    pt = point_in(dom, p)
     fp = value_at(f, pt, dom.norm)
     p_arr = pt.as_array()
 
@@ -145,6 +149,7 @@ def brute_force_inf(f: FunctionSpec, dom: DomainSpec, eps: float, g: GridSpec,
     that estimate so points near the window edge see the domain violators
     just outside.  Deterministic row-major argmin on ties.
     """
+    require_positive("eps", eps)
     f_arr = array_evaluator(f, norm=dom.norm)
     pts = _masked_grid(dom, g)
     n = pts.shape[0]

@@ -24,7 +24,6 @@ from .delta import (
     epsilon_bound,
     line_bounds,
     line_problem,
-    require_positive,
 )
 from .errors import (
     DeltamaxError,
@@ -41,7 +40,7 @@ from .model import (
     array_evaluator,
     enclosure_evaluator,
     lattice,
-    unwrap,
+    require_positive,
     value_at,
 )
 from .search import line_field
@@ -171,15 +170,13 @@ def default_schedule(dom: DomainSpec, stages: int = 21, resolution: int = 2048,
         w_lo = lo
         w_hi = hi
         if lo_escape:
-            base = hi if math.isfinite(hi) else (lo + cfg.r0 if math.isfinite(lo) else 0.0)
             if math.isinf(lo):
-                w_lo = base - cfg.r0 * g
+                w_lo = (hi if math.isfinite(hi) else 0.0) - cfg.r0 * g
             else:
                 w_lo = lo + min(width, cfg.r0) / g
         if hi_escape:
-            base = lo if math.isfinite(lo) else 0.0
             if math.isinf(hi):
-                w_hi = base + cfg.r0 * g
+                w_hi = (lo if math.isfinite(lo) else 0.0) + cfg.r0 * g
             else:
                 w_hi = hi - min(width, cfg.r0) / g if open_hi else hi
         w_lo = max(w_lo, lo if not math.isinf(lo) else -cfg.r_max)
@@ -228,11 +225,10 @@ def _stage_field(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
     lo_arr, hi_arr = window.bounding_box(truncate=cfg.r_max)
     grid = lattice([np.linspace(a, b, per_axis) for a, b in zip(lo_arr, hi_arr)])
     pts = [Point(tuple(row)) for row in grid[dom.contains_rows(grid)]]
-    g = unwrap(f)
     values, wits = [], []
     for pt in pts:
         try:
-            r = compute_delta(g, dom, pt, eps, cfg, directions=16)
+            r = compute_delta(f, dom, pt, eps, cfg, directions=16)
         except DeltamaxError:
             values.append(math.nan)
             wits.append(None)
@@ -286,11 +282,17 @@ def witness_search(f: FunctionSpec, dom: DomainSpec, eps0: float,
 
     Raises WitnessesStagnated (with the partial pairs attached) when the
     distances stop halving -- the signal that feeds an EvidenceUC or
-    Inconclusive verdict.
+    Inconclusive verdict.  A schedule (a generic nD one) of at most two
+    stages, fewer than `count`, raises so before evaluating any stage:
+    it cannot complete the chain, and uc_verdict ignores <= 2 pairs.
     """
+    require_positive("eps", eps0)
     schedule = default_schedule(dom, stages=_MAX_WITNESS_STAGES,
                                 resolution=resolution,
                                 factor=_WITNESS_FACTOR, cfg=cfg)
+    if len(schedule) < count and len(schedule) <= 2:
+        raise WitnessesStagnated(
+            f"a schedule of {len(schedule)} stage(s) cannot build {count} halving pairs")
 
     pairs: list[tuple[Point, Point]] = []
     dists: list[float] = []

@@ -135,3 +135,17 @@ class TestFlags:
         assert code == cli.EXIT_PARSE == 2
         assert out == ""
         assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("fn, domain", [
+    ("x^2", "interval:-inf:inf"),
+    ("exp(r)", "ball:0,0:inf"),
+    ("x1*x2", "box:-inf,-inf:inf,inf"),
+    ("square", "interval:-inf:inf"),
+])
+def test_natural_domain_is_the_default(capsys, fn, domain):
+    p = "1,1" if fn == "x1*x2" else "0.5"
+    argv = ("delta", "--fn", fn, "--p", p, "--eps", "0.5")
+    default = run(capsys, *argv)
+    assert default[0] == cli.EXIT_OK
+    assert default == run(capsys, *argv, "--domain", domain)

@@ -36,7 +36,7 @@ from deltamax.errors import (
     OutOfRange,
 )
 from deltamax.model import DomainSpec, ExpressionFn, Monotone1DFn, NormTag, Point
-from deltamax.oracle import GridSpec, grid_delta_bounds
+from deltamax.oracle import GridSpec, brute_force_inf, grid_delta_bounds
 from deltamax.search import scan_side
 
 REALS = DomainSpec.interval(-math.inf, math.inf)
@@ -617,6 +617,35 @@ class TestPointDimension:
         with pytest.raises(DimensionMismatch):
             compute_delta(dm.RadialFn(inner=exp_half(), dim=3), ball, Point.of(1.0, 0.0), 0.5)
 
+    @pytest.mark.parametrize("entry", [
+        "compute_delta", "compute_delta_natural", "ray_nd_3d", "ray_nd_1d", "levelset1d",
+        "monotone", "radial", "grid_delta_bounds", "is_delta_epsilon_number", "eval_fn",
+        "eval_fn_on_dom",
+    ])
+    def test_wrong_dimension_everywhere(self, entry):
+        # model.point_in is the one gate: a point of the wrong dimension is
+        # a DimensionMismatch (CLI exit 4) from every entry point.
+        f = ExpressionFn.parse("x1*x2")
+        box = DomainSpec.box((-2.0, -2.0), (2.0, 2.0))
+        p3, p2 = Point.of(0.5, 0.5, 0.5), Point.of(1.0, 2.0)
+        exp_norm = dm.catalog_lookup("exp_norm")
+        call = {
+            "compute_delta": lambda: compute_delta(f, box, p3, 0.5),
+            "compute_delta_natural": lambda: compute_delta(f, None, p3, 0.5),
+            "ray_nd_3d": lambda: delta_ray_nd(f, box, p3, 0.5),
+            "ray_nd_1d": lambda: delta_ray_nd(f, box, 0.5, 0.5),
+            "levelset1d": lambda: delta_level_set_1d(ExpressionFn.parse("x^2"), REALS, p2, 0.5),
+            "monotone": lambda: delta_monotone_1d(cube(), p2, 0.5),
+            "radial": lambda: delta_radial(exp_norm.function, exp_norm.domain, p3, 0.5),
+            "grid_delta_bounds": lambda: grid_delta_bounds(
+                f, box, p3, 0.5, GridSpec(h=0.5, window=box)),
+            "is_delta_epsilon_number": lambda: is_delta_epsilon_number(f, box, p3, 0.5, 0.1),
+            "eval_fn": lambda: dm.eval_fn(f, p3),
+            "eval_fn_on_dom": lambda: dm.eval_fn(f, p3, box),
+        }[entry]
+        with pytest.raises(DimensionMismatch):
+            call()
+
 
 class TestInvalidArgument:
     """Bad numeric arguments raise InvalidArgument, a DeltamaxError that
@@ -634,6 +663,22 @@ class TestInvalidArgument:
         }[case]
         with pytest.raises(InvalidArgument):
             compute_delta(f, dom, p, eps)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("entry", [
+        "grid_delta_bounds", "is_delta_epsilon_number", "brute_force_inf"])
+    def test_eps_of_the_oracle_and_the_predicate(self, entry, eps):
+        f = ExpressionFn.parse("x1*x2")
+        box = DomainSpec.box((-2.0, -2.0), (2.0, 2.0))
+        p = Point.of(0.1, 0.2)
+        call = {
+            "grid_delta_bounds": lambda: grid_delta_bounds(
+                f, box, p, eps, GridSpec.around(p, 0.5, 21)),
+            "is_delta_epsilon_number": lambda: is_delta_epsilon_number(f, box, p, eps, 0.1),
+            "brute_force_inf": lambda: brute_force_inf(f, box, eps, GridSpec(h=0.5, window=box)),
+        }[entry]
+        with pytest.raises(InvalidArgument):
+            call()
 
     def test_other_arguments(self):
         box = DomainSpec.box((-5.0, -5.0), (5.0, 5.0))
@@ -675,3 +720,33 @@ class TestStrictFp:
         f = dm.catalog_lookup(source).function if source == "square" else ExpressionFn.parse(source)
         with pytest.raises(error):
             self.ENTRY_POINTS[entry](f, p)
+
+
+class TestNaturalDomain:
+    """compute_delta(f, None, ...) runs on f.domain_hint(), the domain the
+    CLI picks without --domain, for every kind of f."""
+
+    @pytest.mark.parametrize("source, dom, p, eps", [
+        ("x^2", REALS, 3.0, 1.0),
+        ("exp(r)", DomainSpec.ball((0.0, 0.0), math.inf), Point.of(0.6, -0.8), 0.5),
+        ("x1*x2", DomainSpec.box((-math.inf, -math.inf), (math.inf, math.inf)),
+         Point.of(1.0, 1.0), 0.5),
+        ("log_norm", dm.catalog_lookup("log_norm").domain, Point.of(1.5, 2.0), 0.3),
+    ])
+    def test_equals_the_cli_default(self, source, dom, p, eps):
+        if source in dm.catalog_names():
+            f = dm.catalog_lookup(source).function
+        else:
+            f = ExpressionFn.parse(source)
+        assert _same_result(compute_delta(f, None, p, eps), compute_delta(f, dom, p, eps))
+
+    def test_catalog_domain_travels_with_the_function(self, monkeypatch):
+        from deltamax import catalog
+
+        square = dm.catalog_lookup("square")
+        monkeypatch.setitem(catalog._REGISTRY, "square", square)  # restored afterwards
+        dm.register("square", "x^3", DomainSpec.interval(0.0, 1.0))
+        assert dm.catalog_lookup("square").function != square.function
+        assert square.function.domain_hint() is square.domain
+        assert _same_result(compute_delta(square.function, None, 3.0, 1.0),
+                            compute_delta(square.function, REALS, 3.0, 1.0))

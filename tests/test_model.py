@@ -248,10 +248,10 @@ class TestCatalog:
     def test_resolve_function_prefers_catalog(self):
         from deltamax.catalog import resolve_function
 
-        fn, dom = resolve_function("square")
-        assert dom is not None
-        fn2, dom2 = resolve_function("x^2+x")
-        assert dom2 is None
+        entry = dm.catalog_lookup("square")
+        fn = resolve_function("square")
+        assert fn is entry.function and fn.domain_hint() is entry.domain
+        assert isinstance(resolve_function("x^2+x"), ExpressionFn)
 
 
 class TestEvaluatorRows:
@@ -294,6 +294,18 @@ class TestEvaluatorRows:
             eval_fn(ExpressionFn.parse("ln(x)"), 0.0)
         with pytest.raises(NonFinite):
             eval_fn(ExpressionFn.parse("ln(x)"), -1.0)
+
+    def test_overflowing_norm_is_inside_the_plane(self):
+        # (1e200, 1e200) lies in R^2, the natural domain of a radial f,
+        # although its norm overflows; f there is beyond float64.
+        f = dm.catalog_lookup("exp_norm").function
+        p = Point.of(1e200, 1e200)
+        with np.errstate(over="ignore"):
+            assert f.domain_hint().contains(p) and dm.catalog_lookup("exp_norm").domain.contains(p)
+            with pytest.raises(FloatResolutionLimit):
+                eval_fn(f, p)
+            with pytest.raises(FloatResolutionLimit):
+                dm.compute_delta(f, None, p, 1.0)
 
     def test_dimension_checked(self):
         with pytest.raises(DimensionMismatch):

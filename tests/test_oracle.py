@@ -9,7 +9,7 @@ import pytest
 
 import deltamax as dm
 from deltamax.delta import delta_level_set_1d, delta_radial
-from deltamax.errors import InvalidDomain, WindowTooSmall
+from deltamax.errors import DimensionMismatch, InvalidDomain, WindowTooSmall
 from deltamax.model import DomainSpec, ExpressionFn, Point
 from deltamax.oracle import GridSpec, brute_force_inf, grid_delta_bounds
 
@@ -28,6 +28,16 @@ class TestGridSpec:
     def test_window_must_be_bounded(self):
         with pytest.raises(InvalidDomain):
             GridSpec(h=0.1, window=REALS)
+
+    def test_around_takes_the_dimension_of_p(self):
+        p = Point.of(1.0, 2.0)
+        g = GridSpec.around(p, 0.5, 3)
+        assert g.window == GridSpec.around(p, 0.5, 3, dim=2).window
+        assert g.window == DomainSpec.box((0.5, 1.5), (1.5, 2.5))
+        with pytest.raises(DimensionMismatch):
+            GridSpec.around(p, 0.5, 3, dim=1)
+        with pytest.raises(DimensionMismatch):
+            GridSpec.around(1.0, 0.5, 3, dim=2)
 
     def test_points_include_clamped_endpoint(self):
         g = GridSpec(h=1e-3, window=DomainSpec.interval(0.0, 5.0))

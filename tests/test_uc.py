@@ -121,3 +121,18 @@ def test_default_eps_grid_is_the_verdicts_grid():
     beta, grid = uc.default_eps_grid(f, dom)
     assert beta == dm.epsilon_bound(f, dom).beta
     assert grid == [beta / 8.0, beta / 4.0, beta / 2.0]
+
+
+def test_short_schedule_witness_search_evaluates_no_stage(monkeypatch):
+    # A generic nD schedule has one stage: it cannot build a chain of two
+    # or more pairs, so witness_search gives up before evaluating it.
+    calls = []
+    monkeypatch.setattr(uc, "_stage_min", lambda *a: calls.append(a))
+    f, box = ExpressionFn.parse("x1*x2"), DomainSpec.box((-2.0, -2.0), (2.0, 2.0))
+    for count in (2, 8):
+        with pytest.raises(dm.WitnessesStagnated) as stalled:
+            uc.witness_search(f, box, EPS, count=count)
+        assert stalled.value.pairs is None
+    with pytest.raises(dm.InvalidArgument):  # eps is checked first
+        uc.witness_search(f, box, math.nan, count=2)
+    assert calls == []
