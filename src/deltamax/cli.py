@@ -43,7 +43,7 @@ from .errors import (
 )
 from .model import DomainSpec, Point, require_positive
 from .oracle import GridSpec, grid_delta_bounds
-from .uc import Verdict, default_eps_grid, default_schedule, infimum_delta, uc_verdict
+from .uc import Verdict, default_eps_grid, infimum_delta, stage_schedule, uc_verdict
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -225,8 +225,7 @@ def _trace_csv(traces) -> str:
 def cmd_inf(args) -> int:
     fn, dom = _resolve(args)
     cfg = _config(args)
-    schedule = default_schedule(dom, stages=args.stages,
-                                resolution=args.resolution, cfg=cfg)
+    schedule = stage_schedule(fn, dom, args.stages, args.resolution, cfg=cfg)
     _emit(args, _trace_csv([infimum_delta(fn, dom, args.eps, schedule=schedule, cfg=cfg)]))
     return EXIT_OK
 

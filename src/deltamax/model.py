@@ -469,13 +469,18 @@ def array_evaluator(f: FunctionSpec, norm: NormTag = NormTag.L2) -> Callable[[np
     their column.  A radial f measures each row in `norm`.  Invalid
     points produce NaN (and genuine overflow produces inf), which the
     search layer interprets; it never raises on non-finite values.
+
+    The width of the rows is checked: rows narrower than an expression
+    in x1..xk (k columns; wider rows leave the extra columns unread), or
+    of another width than a RadialFn's dim (1 for a Monotone1DFn), raise
+    DimensionMismatch.  An (n,) array is not checked.
     """
     g = unwrap(f)
     if isinstance(g, ExpressionFn):
-        ast = g.ast
+        ast, dim = g.ast, g.dimension
 
         def run(arr: np.ndarray) -> np.ndarray:
-            arr = _columns(arr)
+            arr = _columns(arr, dim)
             if arr.ndim == 1:
                 env = {"x": arr, "r": arr, "x1": arr}
             else:
@@ -489,7 +494,7 @@ def array_evaluator(f: FunctionSpec, norm: NormTag = NormTag.L2) -> Callable[[np
         fn = g.fn
 
         def run(arr: np.ndarray) -> np.ndarray:
-            arr = _columns(arr)
+            arr = _columns(arr, 1, exact=True)
             with np.errstate(all="ignore"):
                 out = np.array(fn(arr), dtype=float)  # a copy: fn may return arr
             # broadcast_to is slow on the monotone inverse's one-point
@@ -501,15 +506,18 @@ def array_evaluator(f: FunctionSpec, norm: NormTag = NormTag.L2) -> Callable[[np
         inner_eval = array_evaluator(g.inner)
 
         def run(arr: np.ndarray) -> np.ndarray:
-            return inner_eval(norm_of_rows(norm, _columns(arr)))
+            return inner_eval(norm_of_rows(norm, _columns(arr, g.dim, exact=True)))
 
         return run
     raise TypeError(f"cannot build evaluator for {type(g).__name__}")
 
 
-def _columns(arr) -> np.ndarray:
-    """arr as floats, with (n, 1) rows as their (n,) column."""
+def _columns(arr, dim: int = 1, exact: bool = False) -> np.ndarray:
+    """arr as floats, with (n, 1) rows as their (n,) column.  (n, d) rows
+    raise DimensionMismatch when d < dim (d != dim if exact)."""
     arr = np.asarray(arr, dtype=float)
+    if arr.ndim == 2 and (arr.shape[1] != dim if exact else arr.shape[1] < dim):
+        raise DimensionMismatch(f"a {dim}-d function evaluated at {arr.shape[1]}-d points")
     return arr[:, 0] if arr.ndim == 2 and arr.shape[1] == 1 else arr
 
 

@@ -27,6 +27,7 @@ from .delta import (
 )
 from .errors import (
     DeltamaxError,
+    DimensionMismatch,
     FloatResolutionLimit,
     InvalidArgument,
     NonFinite,
@@ -48,6 +49,7 @@ from .search import line_field
 _WITNESS_FACTOR = 2.0 ** 0.25  # finer than the trace schedule: keeps the
 #                                halving pairs at small coordinates, where
 #                                |f| rounding stays far below tol_f
+_WITNESS_RESOLUTION = 512
 _PATIENCE = 24
 _MAX_WITNESS_STAGES = 400
 
@@ -137,15 +139,16 @@ def _make_window(dom: DomainSpec, lo: float, hi: float) -> DomainSpec:
 def default_schedule(dom: DomainSpec, stages: int = 21, resolution: int = 2048,
                      factor: float = 2.0, cfg: SearchConfig = DEFAULT_CONFIG
                      ) -> list[tuple[DomainSpec, int]]:
-    """Window schedule for infimum scans.
+    """Window schedule for infimum scans, its stage count decided from
+    dom's shape alone (stage_schedule, which uc runs, decides from f too).
 
     Bounded domains with closed boundaries are compact: the schedule just
     refines the resolution on the full window.  Unbounded extents expand
     geometrically ([0, 2^k]-style); open finite boundaries are approached
-    geometrically instead, since that is where the infimum can escape.
-    A generic nD domain gets one stage on its (truncated) full window:
-    _stage_field caps every nD grid at the same lattice, so more stages
-    would repeat it.
+    geometrically instead, since that is where the infimum can escape;
+    either way the schedule has `stages` windows.  A generic nD domain
+    gets one stage on its (truncated) full window: _stage_field caps
+    every nD grid at the same lattice, so more stages would repeat it.
     """
     if dom.dimension > 1 and not dom.is_radial:
         return [(dom, resolution)]
@@ -164,8 +167,17 @@ def default_schedule(dom: DomainSpec, stages: int = 21, resolution: int = 2048,
         return out
 
     width = hi - lo if math.isfinite(hi - lo) else cfg.r0
+    line_lo = lo if not math.isinf(lo) else -cfg.r_max
+    line_hi = hi if not math.isinf(hi) else cfg.r_max
+    if not factor > 1:
+        raise InvalidArgument(f"factor must exceed 1, got {factor!r}")
+    # The windows grow with k toward (line_lo, line_hi), so only the first
+    # few can be empty (an open end's first step reaching across the
+    # line); they are skipped and do not count as stages.
     out = []
-    for k in range(stages):
+    k = -1
+    while line_lo < line_hi and len(out) < stages:
+        k += 1
         g = factor ** k
         w_lo = lo
         w_hi = hi
@@ -178,13 +190,24 @@ def default_schedule(dom: DomainSpec, stages: int = 21, resolution: int = 2048,
             if math.isinf(hi):
                 w_hi = (lo if math.isfinite(lo) else 0.0) + cfg.r0 * g
             else:
-                w_hi = hi - min(width, cfg.r0) / g if open_hi else hi
-        w_lo = max(w_lo, lo if not math.isinf(lo) else -cfg.r_max)
-        w_hi = min(w_hi, hi if not math.isinf(hi) else cfg.r_max)
-        if not w_lo < w_hi:
-            continue
-        out.append((_make_window(dom, w_lo, w_hi), resolution))
+                w_hi = hi - min(width, cfg.r0) / g
+        w_lo = max(w_lo, line_lo)
+        w_hi = min(w_hi, line_hi)
+        if w_lo < w_hi:
+            out.append((_make_window(dom, w_lo, w_hi), resolution))
     return out
+
+
+def stage_schedule(f: FunctionSpec, dom: DomainSpec, stages: int = 21, resolution: int = 2048,
+                   factor: float = 2.0, cfg: SearchConfig = DEFAULT_CONFIG
+                   ) -> list[tuple[DomainSpec, int]]:
+    """The schedule that infimum_delta, witness_search and the CLI's inf
+    run: default_schedule(dom, ...) for a problem that reduces to a line
+    (delta.line_problem), else the one stage (dom, resolution), since
+    every stage without a line is the same capped lattice."""
+    if line_problem(f, dom) is None:
+        return [(dom, resolution)]
+    return default_schedule(dom, stages, resolution, factor, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +216,15 @@ def default_schedule(dom: DomainSpec, stages: int = 21, resolution: int = 2048,
 
 def _stage_field(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
                  resolution: int, eps: float, cfg: SearchConfig):
-    """Returns (points, values, witnesses) for one stage grid; a point
-    whose delta could not be found has value NaN and witness None.
+    """Returns (points, values, witnesses) for one stage grid as rows:
+    points and witnesses (n, d), values (n,).  A point whose delta could
+    not be found has value NaN and NaN in its witness row.
 
     A problem that reduces to a line (delta.line_problem) runs the
     vectorized line engine on the window's stretch of that line, against
     the *full* line (the crossing may fall outside the window); a line
-    coordinate t lifts to the point (t, 0, ..., 0).  A generic nD f runs
-    compute_delta at each point of a capped lattice over the window.
+    coordinate t lifts to the row (t, 0, ..., 0).  A generic nD f runs
+    compute_delta at each row of a capped lattice over the window.
     """
     require_positive("eps", eps)
     problem = line_problem(f, dom)
@@ -214,54 +238,53 @@ def _stage_field(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
         res = line_field(array_evaluator(profile), ts, eps, lo, hi, open_lo, open_hi,
                          cfg, detect_points=min(1024, cfg.scan_points),
                          f_enc=enclosure_evaluator(profile))
-        pad = (0.0,) * (dom.dimension - 1)
-        pts = [Point((t,) + pad) for t in ts]
-        wits = [None if math.isnan(v) else Point((t + off,) + pad)
-                for t, off, v in zip(ts, res.witness_offset, res.values)]
-        return pts, res.values, wits
+        pad = np.zeros((ts.size, dom.dimension - 1))
+        wit_ts = np.where(np.isnan(res.values), np.nan, ts + res.witness_offset)
+        return np.column_stack([ts, pad]), res.values, np.column_stack([wit_ts, pad])
 
     # The grid is capped to stay desk-scale.
     per_axis = max(3, min(resolution, int(round(4096 ** (1.0 / dom.dimension)))))
     lo_arr, hi_arr = window.bounding_box(truncate=cfg.r_max)
     grid = lattice([np.linspace(a, b, per_axis) for a, b in zip(lo_arr, hi_arr)])
-    pts = [Point(tuple(row)) for row in grid[dom.contains_rows(grid)]]
-    values, wits = [], []
-    for pt in pts:
+    pts = grid[dom.contains_rows(grid)]
+    values, wits = np.full(len(pts), np.nan), np.full(pts.shape, np.nan)
+    for i, row in enumerate(pts):
         try:
-            r = compute_delta(f, dom, pt, eps, cfg, directions=16)
+            r = compute_delta(f, dom, row, eps, cfg, directions=16)
+        except DimensionMismatch:
+            raise  # a fault of the problem, not of this point
         except DeltamaxError:
-            values.append(math.nan)
-            wits.append(None)
-        else:
-            values.append(r.value)
-            wits.append(r.witness)
-    return pts, np.asarray(values), wits
+            continue
+        values[i], wits[i] = r.value, r.witness.coords
+    return pts, values, wits
 
 
 def _stage_min(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
                resolution: int, eps: float, cfg: SearchConfig):
     """(inf_delta, argmin, skipped, witness) of one stage: the smallest
-    finite delta on the stage grid (+inf, None when there is none), the
-    point and witness that attain it, and the count of NaN points."""
+    finite delta on the stage grid (+inf, None, None when there is none),
+    the point and witness that attain it (the stage's only two Points),
+    and the count of NaN points."""
     pts, values, wits = _stage_field(f, dom, window, resolution, eps, cfg)
     skipped = int(np.count_nonzero(np.isnan(values)))
     finite = np.isfinite(values)
     if not finite.any():
         return math.inf, None, skipped, None
     i = int(np.argmin(np.where(finite, values, np.inf)))
-    return float(values[i]), pts[i], skipped, wits[i]
+    return float(values[i]), Point(tuple(pts[i])), skipped, Point(tuple(wits[i]))
 
 
 def infimum_delta(f: FunctionSpec, dom: DomainSpec, eps: float,
                   schedule: list[tuple[DomainSpec, int]] | None = None,
                   cfg: SearchConfig = DEFAULT_CONFIG) -> InfTrace:
-    """Coarse-to-fine grid infima of delta(., eps) over a window schedule.
+    """Coarse-to-fine grid infima of delta(., eps) over a window schedule
+    (by default stage_schedule's), one StageRecord per stage.
 
     Per-point failures (empty sphere preimage) are skipped and counted,
     not fatal.
     """
     if schedule is None:
-        schedule = default_schedule(dom, cfg=cfg)
+        schedule = stage_schedule(f, dom, cfg=cfg)
     records = tuple(
         StageRecord(level, window, resolution,
                     *_stage_min(f, dom, window, resolution, eps, cfg)[:3])
@@ -274,22 +297,22 @@ def infimum_delta(f: FunctionSpec, dom: DomainSpec, eps: float,
 # ---------------------------------------------------------------------------
 
 def witness_search(f: FunctionSpec, dom: DomainSpec, eps0: float,
-                   count: int = 8, cfg: SearchConfig = DEFAULT_CONFIG,
-                   resolution: int = 512) -> WitnessPairs:
+                   count: int = 8, cfg: SearchConfig = DEFAULT_CONFIG) -> WitnessPairs:
     """Build `count` pairs (x_n, y_n) with |f(x_n) - f(y_n)| = eps0 and
     distances halving from pair to pair, by following the argmin of the
-    delta field through a fine geometric window schedule.
+    delta field through stage_schedule's windows at factor 2^(1/4), up to
+    400 stages of 512 points (fixed: no schedule or resolution keyword).
 
     Raises WitnessesStagnated (with the partial pairs attached) when the
     distances stop halving -- the signal that feeds an EvidenceUC or
-    Inconclusive verdict.  A schedule (a generic nD one) of at most two
-    stages, fewer than `count`, raises so before evaluating any stage:
-    it cannot complete the chain, and uc_verdict ignores <= 2 pairs.
+    Inconclusive verdict.  A schedule of at most two stages, fewer than
+    `count` (every problem without a line has one stage), raises so
+    before evaluating any stage: it cannot complete the chain, and
+    uc_verdict ignores <= 2 pairs.
     """
     require_positive("eps", eps0)
-    schedule = default_schedule(dom, stages=_MAX_WITNESS_STAGES,
-                                resolution=resolution,
-                                factor=_WITNESS_FACTOR, cfg=cfg)
+    schedule = stage_schedule(f, dom, _MAX_WITNESS_STAGES, _WITNESS_RESOLUTION,
+                              _WITNESS_FACTOR, cfg)
     if len(schedule) < count and len(schedule) <= 2:
         raise WitnessesStagnated(
             f"a schedule of {len(schedule)} stage(s) cannot build {count} halving pairs")
@@ -350,7 +373,6 @@ def default_eps_grid(f: FunctionSpec, dom: DomainSpec,
 
 def uc_verdict(f: FunctionSpec, dom: DomainSpec,
                eps_grid: list[float] | None = None,
-               schedule: list[tuple[DomainSpec, int]] | None = None,
                cfg: SearchConfig = DEFAULT_CONFIG,
                count: int = 8) -> UcVerdict:
     """Three-way evidence verdict on uniform continuity of f over dom.
@@ -358,7 +380,8 @@ def uc_verdict(f: FunctionSpec, dom: DomainSpec,
     EvidenceNotUC as soon as one eps yields a full chain of halving
     witness pairs; EvidenceUC when every eps has a stable positive
     infimum floor and no witness chain got anywhere; Inconclusive
-    otherwise.  These are numerical evidence, not proof.
+    otherwise.  These are numerical evidence, not proof.  Both halves
+    take stage_schedule's schedules; there is no schedule keyword.
     """
     if eps_grid is None:
         eps_grid = default_eps_grid(f, dom, cfg)[1]
@@ -374,8 +397,7 @@ def uc_verdict(f: FunctionSpec, dom: DomainSpec,
             if stalled.pairs is not None:
                 partial_max = max(partial_max, len(stalled.pairs.pairs))
             witnesses = None
-        trace = infimum_delta(f, dom, eps, schedule=schedule, cfg=cfg)
-        traces.append(trace)
+        traces.append(infimum_delta(f, dom, eps, cfg=cfg))
         if witnesses is not None:
             return UcVerdict(kind=Verdict.EVIDENCE_NOT_UC,
                              eps_tested=tuple(eps_grid[:len(traces)]),

@@ -149,3 +149,18 @@ def test_natural_domain_is_the_default(capsys, fn, domain):
     default = run(capsys, *argv)
     assert default[0] == cli.EXIT_OK
     assert default == run(capsys, *argv, "--domain", domain)
+
+
+@pytest.mark.parametrize("argv", [
+    ("delta", "--p", "1,1", "--eps", "0.5"),
+    ("inf", "--eps", "0.5"),
+    ("uc", "--eps-grid", "0.5"),
+    ("uc",),
+])
+def test_function_wider_than_domain_exits_4(capsys, argv):
+    # x3 does not exist on a 2-d box: a dimension error wherever f is
+    # evaluated, not a parse error, a skipped point or a verdict.
+    code, out, err = run(capsys, *argv, "--fn", "x1*x3", "--domain", "box:-2,-2:2,2")
+    assert code == cli.EXIT_DOMAIN == 4
+    assert out == ""
+    assert "3-d function" in err

@@ -620,11 +620,13 @@ class TestPointDimension:
     @pytest.mark.parametrize("entry", [
         "compute_delta", "compute_delta_natural", "ray_nd_3d", "ray_nd_1d", "levelset1d",
         "monotone", "radial", "grid_delta_bounds", "is_delta_epsilon_number", "eval_fn",
-        "eval_fn_on_dom",
+        "eval_fn_on_dom", "f_wider_than_domain", "radial_dim_off_domain", "nd_stage",
+        "epsilon_bound", "monotone_on_box",
     ])
     def test_wrong_dimension_everywhere(self, entry):
         # model.point_in is the one gate: a point of the wrong dimension is
-        # a DimensionMismatch (CLI exit 4) from every entry point.
+        # a DimensionMismatch (CLI exit 4) from every entry point.  So is
+        # an f of the wrong dimension, caught where f is evaluated.
         f = ExpressionFn.parse("x1*x2")
         box = DomainSpec.box((-2.0, -2.0), (2.0, 2.0))
         p3, p2 = Point.of(0.5, 0.5, 0.5), Point.of(1.0, 2.0)
@@ -642,6 +644,14 @@ class TestPointDimension:
             "is_delta_epsilon_number": lambda: is_delta_epsilon_number(f, box, p3, 0.5, 0.1),
             "eval_fn": lambda: dm.eval_fn(f, p3),
             "eval_fn_on_dom": lambda: dm.eval_fn(f, p3, box),
+            "f_wider_than_domain": lambda: compute_delta(ExpressionFn.parse("x1*x3"), box, p2, 0.5),
+            "radial_dim_off_domain": lambda: compute_delta(
+                ExpressionFn.parse("exp(r)", dim=3), box, Point.of(0.5, 0.5), 0.5),
+            "nd_stage": lambda: dm.infimum_delta(ExpressionFn.parse("x1*x3"), box, 0.5,
+                                                 schedule=[(box, 3)]),
+            "epsilon_bound": lambda: dm.epsilon_bound(ExpressionFn.parse("x1*x3"), box),
+            "monotone_on_box": lambda: grid_delta_bounds(
+                cube(), box, p2, 0.5, GridSpec(h=0.5, window=box)),
         }[entry]
         with pytest.raises(DimensionMismatch):
             call()

@@ -307,6 +307,30 @@ class TestEvaluatorRows:
             with pytest.raises(FloatResolutionLimit):
                 dm.compute_delta(f, None, p, 1.0)
 
+    @pytest.mark.parametrize("source, dim, width, ok", [
+        ("x1*x3", 2, 2, False),
+        ("x1*x3", 2, 3, True),
+        ("x1*x2", 2, 3, True),      # fewer variables than the rows: extra columns unread
+        ("x1*x2", 2, 1, False),
+        ("exp(r)", 3, 2, False),
+        ("exp(r)", 3, 3, True),
+        ("exp(r)", 3, 4, False),
+        ("exp(r)", 1, 1, True),
+        ("x^2", 1, 2, True),
+        ("monotone", 1, 1, True),
+        ("monotone", 1, 2, False),
+    ])
+    def test_row_width_checked(self, source, dim, width, ok):
+        f = (Monotone1DFn(np.exp, (-8.0, 10.0), True) if source == "monotone"
+             else ExpressionFn.parse(source, dim=dim))
+        ev = array_evaluator(f)
+        rows = np.full((3, width), 0.5)
+        if ok:
+            assert ev(rows).shape == (3,)
+        else:
+            with pytest.raises(DimensionMismatch):
+                ev(rows)
+
     def test_dimension_checked(self):
         with pytest.raises(DimensionMismatch):
             eval_fn(ExpressionFn.parse("x1*x2"), 1.0)

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 import deltamax as dm
-from deltamax import uc
+from deltamax import cli, uc
 from deltamax.delta import DEFAULT_CONFIG, compute_delta
 from deltamax.model import DomainSpec, ExpressionFn, Monotone1DFn, Point, RadialFn
 
 EPS = 0.5
 UNIT = DomainSpec.interval(0.0, 1.0, open_lo=True)  # (0, 1]
+BOX = DomainSpec.box((-2.0, -2.0), (2.0, 2.0))
 
 
 def _case(name):
@@ -38,12 +39,14 @@ def _case(name):
 STAGES = {
     "sqrt": [(0.25000000000093126, (0.0,), 0)] * 3,
     "sin_inv": [(0.13234060718467217, (0.5,), 0),
-                (0.04385159533798766, (0.2976190476190476,), 0)],
+                (0.04385159533798766, (0.2976190476190476,), 0),
+                (0.012783207733395993, (0.1527777777777778,), 0)],
     "exp_norm": [(0.16884762349884508, (1.0, 0.0), 0),
                  (0.0654764951204469, (2.0, 0.0), 0),
                  (0.009116140879948813, (4.0, 0.0), 0)],
     "log_norm": [(0.19673467014405083, (0.5, 0.0), 0),
-                 (0.0983673350721527, (0.25, 0.0), 0)],
+                 (0.0983673350721527, (0.25, 0.0), 0),
+                 (0.049183667536200154, (0.125, 0.0), 0)],
     "mono_exp": [(0.07006592016080138, (2.0,), 0)],
     "radial_exp": [(0.009116140879948813, (4.0, 0.0), 0),
                    (0.005539128930305438, (4.5, 0.0), 0),
@@ -94,7 +97,7 @@ def test_clipped_monotone_end_is_sampled():
     f = Monotone1DFn(np.exp, (0.5, 2.0), True)
     window, resolution = uc.default_schedule(UNIT, stages=3, resolution=8)[0]
     pts, values = uc._stage_field(f, UNIT, window, resolution, 0.1, DEFAULT_CONFIG)[:2]
-    assert pts[0] == Point((0.5,))
+    assert pts[0].tolist() == [0.5]
     assert values[0] == pytest.approx(compute_delta(f, UNIT, 0.5, 0.1).value, rel=1e-9)
 
 
@@ -136,3 +139,86 @@ def test_short_schedule_witness_search_evaluates_no_stage(monkeypatch):
     with pytest.raises(dm.InvalidArgument):  # eps is checked first
         uc.witness_search(f, box, math.nan, count=2)
     assert calls == []
+
+
+@pytest.mark.parametrize("path", ["line", "lattice"])
+def test_stage_field_returns_rows(path):
+    # Both paths return (n, d) points, (n,) values and (n, d) witnesses,
+    # with NaN witness rows exactly where no delta was found.
+    if path == "line":
+        f, dom = _case("log_norm")
+        (window, res), eps = uc.default_schedule(dom, stages=1, resolution=16)[0], EPS
+    else:  # |x1*x2| <= 4 on the box, so eps = 5 is out of reach from the origin
+        f, dom, window, res, eps = ExpressionFn.parse("x1*x2"), BOX, BOX, 3, 5.0
+    pts, values, wits = uc._stage_field(f, dom, window, res, eps, DEFAULT_CONFIG)
+    n, d = pts.shape
+    assert d == dom.dimension and values.shape == (n,) and wits.shape == (n, d)
+    assert np.isnan(wits).any(axis=1).tolist() == np.isnan(values).tolist()
+    assert np.isnan(values).any() == (path == "lattice")
+    found = ~np.isnan(values)
+    dist = np.sqrt(np.sum((wits[found] - pts[found]) ** 2, axis=1))
+    assert dist == pytest.approx(values[found], rel=1e-12)
+
+
+DISCS = [DomainSpec.ball((0.0, 0.0), 2.0, open_boundary=False),
+         DomainSpec.ball((0.0, 0.0), 2.0)]
+
+
+@pytest.mark.parametrize("disc", DISCS, ids=["closed", "open"])
+def test_problem_without_a_line_runs_one_stage(monkeypatch, capsys, disc):
+    # x1*x2 does not reduce to a line on a disc, so every stage would be
+    # the same capped lattice: the problem, not the disc's radii, sets
+    # the schedule.
+    calls = []
+    monkeypatch.setattr(uc, "_stage_min",
+                        lambda *a: calls.append(a) or (0.25, Point((2.0, 0.0)), 0, None))
+    f = ExpressionFn.parse("x1*x2")
+    assert uc.stage_schedule(f, disc) == [(disc, 2048)]
+    (rec,) = uc.infimum_delta(f, disc, EPS).records
+    assert (rec.window, rec.resolution, len(calls)) == (disc, 2048, 1)
+    with pytest.raises(dm.WitnessesStagnated):
+        uc.witness_search(f, disc, EPS)
+    assert len(calls) == 1
+    verdict = uc.uc_verdict(f, disc, eps_grid=[EPS])
+    assert (verdict.kind, len(calls)) == (uc.Verdict.EVIDENCE_UC, 2)
+    assert cli.main(["inf", "--fn", "x1*x2", "--domain", disc.describe(), "--eps", "0.5"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert (len(rows), len(calls)) == (2, 3)  # the header and one stage
+
+
+def test_explicit_schedule_runs_stage_by_stage(monkeypatch):
+    calls = []
+    monkeypatch.setattr(uc, "_stage_min",
+                        lambda *a: calls.append(a[2:4]) or (0.25, Point((2.0, 0.0)), 0, None))
+    f, disc = ExpressionFn.parse("x1*x2"), DISCS[0]
+    schedule = [(disc, 8), (BOX, 4), (disc, 16)]
+    trace = uc.infimum_delta(f, disc, EPS, schedule=schedule)
+    assert calls == schedule
+    assert [(r.level, r.window, r.resolution) for r in trace.records] == [
+        (k, w, res) for k, (w, res) in enumerate(schedule)]
+
+
+def test_removed_keywords_are_rejected():
+    f = ExpressionFn.parse("sqrt(x)")
+    half = DomainSpec.half_line(0.0)
+    with pytest.raises(TypeError):
+        uc.uc_verdict(f, half, eps_grid=[EPS], schedule=[(half, 64)])
+    with pytest.raises(TypeError):
+        uc.witness_search(f, half, EPS, resolution=64)
+
+
+@pytest.mark.parametrize("dom", [
+    UNIT,
+    DomainSpec.interval(0.0, 1.0, open_hi=True),
+    DomainSpec.interval(0.0, 1.0, open_lo=True, open_hi=True),
+    DomainSpec.annulus((0.0, 0.0), 0.0, math.inf, open_inner=True),
+], ids=["(0,1]", "[0,1)", "(0,1)", "punctured plane"])
+def test_open_finite_end_gets_every_stage(dom):
+    for stages in (1, 3, 21):
+        schedule = uc.default_schedule(dom, stages=stages, resolution=8)
+        assert len(schedule) == stages
+        assert len(set(schedule)) == stages  # windows keep growing
+    assert len(uc.default_schedule(dom, stages=uc._MAX_WITNESS_STAGES,
+                                   factor=uc._WITNESS_FACTOR)) == uc._MAX_WITNESS_STAGES
+    with pytest.raises(dm.InvalidArgument):
+        uc.default_schedule(dom, factor=1.0)
