@@ -478,6 +478,8 @@ def array_evaluator(f: FunctionSpec, norm: NormTag = NormTag.L2) -> Callable[[np
     g = unwrap(f)
     if isinstance(g, ExpressionFn):
         ast, dim = g.ast, g.dimension
+        # A bare variable (x, r, x1, ...) evaluates to its input column.
+        is_input = isinstance(ast, expr_mod.Var)
 
         def run(arr: np.ndarray) -> np.ndarray:
             arr = _columns(arr, dim)
@@ -487,7 +489,9 @@ def array_evaluator(f: FunctionSpec, norm: NormTag = NormTag.L2) -> Callable[[np
                 env = {f"x{i + 1}": arr[:, i] for i in range(arr.shape[1])}
                 env["x"] = arr[:, 0]
             out = expr_mod.eval_ast_array(ast, env)
-            return np.broadcast_to(out, arr.shape[:1]).astype(float, copy=False)
+            if out.shape != arr.shape[:1]:  # a constant expression's scalar
+                return np.full(arr.shape[:1], out)
+            return out.copy() if is_input else out
 
         return run
     if isinstance(g, Monotone1DFn):

@@ -9,6 +9,14 @@ reported crossing; the clear end raises the sampled clear radius.  All of
 it is vectorized over a batch of base points ("columns"); the scalar
 backends run a batch of size one.
 
+The work splits in two: the sweep (doubling detect windows, then tail
+probes) brackets each column's first crossing, and the settle step (the
+fine rescan and bisection) shrinks the brackets.  line_field sweeps the
++t and -t sides separately, since their detect windows differ and one
+sweep over both sides' windows measured slower on large batches, then
+settles both sides' brackets in one pass, so a point pays for one
+bisection loop rather than two.
+
 For a 1-d expression function, line_field first tests each detect window
 by an interval enclosure of the expression (expr.enclose_ast_array): a
 window whose bound on h is negative holds no crossing and is not
@@ -38,6 +46,7 @@ SideEnclose = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 _MAX_BISECT = 160
 _TAIL_PROBES = 80
 _REFINE_POINTS = 256  # fine rescan inside each found bracket
+_FRAC_FINE = np.arange(1, _REFINE_POINTS + 1, dtype=float) / _REFINE_POINTS
 _CHUNK = 512          # base points per line_field batch
 
 
@@ -55,9 +64,8 @@ class SideResult:
 
 
 def _h_of(f: np.ndarray, fp, eps: float) -> np.ndarray:
-    # f is always a fresh buffer from an evaluator; reuse it.
     with np.errstate(invalid="ignore"):
-        h = np.subtract(f, fp, out=f if f.base is None and f.flags.writeable else None)
+        h = np.subtract(f, fp)
         h = np.abs(h, out=h)
         h -= eps
     return h
@@ -133,6 +141,13 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
               reach: np.ndarray | None = None) -> SideResult:
     """Find the nearest crossing of h along one side for every column.
 
+    Two steps: the sweep brackets each column's first crossing (detect
+    windows, then tail probes), and the settle step refines every
+    bracket by one fine rescan and bisects it.  line_field runs the two
+    steps itself: one sweep per side, as one sweep over both sides'
+    windows measured slower on large batches, then one settle step for
+    the brackets of both sides.
+
     detect_points controls the bracketing sweep resolution (defaults to
     cfg.scan_points); the fine rescan inside a found bracket keeps the
     cleared-radius quality independent of it.  enclose_at(cols, t_lo,
@@ -149,9 +164,21 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
     clear, step and rounds stop there instead of at the truncation
     radius.
     """
+    side, brackets = _sweep(eval_at, fp, eps, extents, r0, pos_scale, cfg,
+                            detect_points, enclose_at, reach)
+    _settle(eval_at, fp, eps, pos_scale, cfg, side, brackets)
+    return side
+
+
+def _sweep(eval_at, fp, eps, extents, r0, pos_scale, cfg, detect_points,
+           enclose_at, reach=None) -> tuple[SideResult, list]:
+    """The bracketing half of scan_side (same arguments).
+
+    Returns the side with root and root_h still NaN, and the brackets
+    found: a list of (cols, lo, hi, hi_h) arrays, lo being the last clear
+    sample and hi the first violator, at most one bracket per column.
+    """
     n = fp.size
-    root = np.full(n, np.nan)
-    root_h = np.full(n, np.nan)
     clear = np.zeros(n)
     step = np.zeros(n)
     searched = np.zeros(n)
@@ -167,10 +194,9 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
     if detect_points is None:
         detect_points = cfg.scan_points
     frac = np.arange(1, detect_points + 1, dtype=float) / detect_points
-    frac_fine = np.arange(1, _REFINE_POINTS + 1, dtype=float) / _REFINE_POINTS
 
-    # Brackets (cols, lo, hi, hi_h) accumulate here and are refined and
-    # bisected in one batch; tail marks exhausted finite sides.
+    # Brackets (cols, lo, hi, hi_h) accumulate here; tail marks exhausted
+    # finite sides.
     brackets: list[tuple[np.ndarray, ...]] = []
     tail = np.zeros(n, dtype=bool)
 
@@ -252,34 +278,43 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
         if ncols.size:
             clear[ncols] = np.maximum(clear[ncols], blo[~found])
 
-    if brackets:
-        cols, blo, bhi, bhi_h = (np.concatenate(part) for part in zip(*brackets))
+    side = SideResult(root=np.full(n, np.nan), root_h=np.full(n, np.nan), clear=clear,
+                      step=step, searched=searched, rounds=detect, enclosed=enclosed)
+    return side, brackets
 
-        # One fine rescan inside the bracket sharpens both the cleared
-        # radius and, for coarse windows, the choice of nearest crossing.
-        wide = (bhi - blo) > 4.0 * cfg.tol_x * np.maximum(1.0, pos_scale[cols])
-        if wide.any():
-            idx = np.flatnonzero(wide)
-            ts = blo[idx][None, :] + (bhi - blo)[idx][None, :] * frac_fine[:, None]
-            f, valid = eval_at(cols[idx], ts)
-            h = _h_of(f, fp[cols[idx]], eps)
-            valid = valid & ~np.isnan(h)
-            found, rlo, rhi, rhi_h = _first_crossing(ts, h, valid, blo[idx])
-            upd = idx[found]
-            blo[upd] = rlo[found]
-            bhi[upd] = rhi[found]
-            bhi_h[upd] = rhi_h[found]
-            clear[cols[upd]] = rlo[found]
-            step[cols[upd]] = rhi[found] - rlo[found]
 
-        t_clear, t_viol, h_viol = _bisect(eval_at, cols, fp[cols], eps, blo,
-                                          bhi, bhi_h, pos_scale[cols], cfg)
-        root[cols] = t_viol
-        root_h[cols] = h_viol
-        clear[cols] = np.maximum(clear[cols], t_clear)
+def _settle(eval_at, fp, eps, pos_scale, cfg, side: SideResult, brackets: list) -> None:
+    """The settling half of scan_side: one fine rescan inside each
+    bracket, then bisection, written into side's root, root_h, clear and
+    step.  Columns are independent here (each one's bisection count is
+    its own), so brackets of several sweeps can be settled together."""
+    if not brackets:
+        return
+    cols, blo, bhi, bhi_h = (np.concatenate(part) for part in zip(*brackets))
+    clear, step = side.clear, side.step
 
-    return SideResult(root=root, root_h=root_h, clear=clear, step=step,
-                      searched=searched, rounds=detect, enclosed=enclosed)
+    # One fine rescan inside the bracket sharpens both the cleared
+    # radius and, for coarse windows, the choice of nearest crossing.
+    wide = (bhi - blo) > 4.0 * cfg.tol_x * np.maximum(1.0, pos_scale[cols])
+    if wide.any():
+        idx = np.flatnonzero(wide)
+        ts = blo[idx][None, :] + (bhi - blo)[idx][None, :] * _FRAC_FINE[:, None]
+        f, valid = eval_at(cols[idx], ts)
+        h = _h_of(f, fp[cols[idx]], eps)
+        valid = valid & ~np.isnan(h)
+        found, rlo, rhi, rhi_h = _first_crossing(ts, h, valid, blo[idx])
+        upd = idx[found]
+        blo[upd] = rlo[found]
+        bhi[upd] = rhi[found]
+        bhi_h[upd] = rhi_h[found]
+        clear[cols[upd]] = rlo[found]
+        step[cols[upd]] = rhi[found] - rlo[found]
+
+    t_clear, t_viol, h_viol = _bisect(eval_at, cols, fp[cols], eps, blo,
+                                      bhi, bhi_h, pos_scale[cols], cfg)
+    side.root[cols] = t_viol
+    side.root_h[cols] = h_viol
+    clear[cols] = np.maximum(clear[cols], t_clear)
 
 
 @dataclass
@@ -308,9 +343,13 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
     (model.enclosure_evaluator), lets the detect sweep skip windows it
     proves clear; the result is the same with or without it.
 
-    Each point is scanned along +t and -t (scan_side).  Ties between
-    equally distant crossings resolve to the negative side (the left
-    crossing), which keeps results deterministic.  `lower` is NaN where
+    Each point is swept along +t and then along -t, each side with its
+    own detect windows (one sweep over both sides measured slower on
+    large batches); the brackets of both sides are then settled in one
+    fine rescan and one bisection loop, on signed columns (x = p + s*t,
+    s = +-1), with the results of settling each side alone.
+    Ties between equally distant crossings resolve to the negative side
+    (the left crossing), which keeps results deterministic.  `lower` is NaN where
     the nearest clear end is within one float spacing of the base point:
     float64 cannot sample a clear point other than the base point itself
     there, so no positive lower bound exists.
@@ -345,13 +384,17 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
         bad_fp = ~np.isfinite(fp)
         fp_s = np.where(bad_fp, 0.0, fp)
 
-        def eval_side(sign):
-            def eval_at(cols, ts):
-                x = p_c[cols][None, :] + sign * ts
-                f = np.asarray(f_arr(x.ravel()), dtype=float).reshape(x.shape)
-                valid = member(x)
-                return f, np.ones(x.shape, dtype=bool) if valid is None else valid
-            return eval_at
+        # Column j < m is point j's +t side, column m + j its -t side:
+        # x = p + s*t with s = +-1 gives the floats p + t and p - t.
+        m = p_c.size
+        p_s = np.concatenate((p_c, p_c))
+        signs = np.repeat((1.0, -1.0), m)
+
+        def eval_at(cols, ts):
+            x = p_s[cols][None, :] + signs[cols][None, :] * ts
+            f = np.asarray(f_arr(x.ravel()), dtype=float).reshape(x.shape)
+            valid = member(x)
+            return f, np.ones(x.shape, dtype=bool) if valid is None else valid
 
         def enclose_side(sign):
             if f_enc is None:
@@ -378,10 +421,17 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
         r0_c = _estimate_r0(f_arr, p_c, fp, eps, ext_pos, ext_neg, cfg)
         ext_pos = np.where(bad_fp, 0.0, ext_pos)
         ext_neg = np.where(bad_fp, 0.0, ext_neg)
-        side_p, side_n = (
-            scan_side(eval_side(sign), fp_s, eps, ext, r0_c, pos_scale, cfg,
-                      detect_points=detect_points, enclose_at=enclose_side(sign))
-            for sign, ext in ((+1.0, ext_pos), (-1.0, ext_neg)))
+        (side_p, br_p), (side_n, br_n) = (
+            _sweep(lambda cols, ts, off=off: eval_at(cols + off, ts), fp_s, eps, ext,
+                   r0_c, pos_scale, cfg, detect_points, enclose_side(s))
+            for off, s, ext in ((0, 1.0, ext_pos), (m, -1.0, ext_neg)))
+        both = SideResult(**{k: np.concatenate((v, getattr(side_n, k)))
+                             for k, v in vars(side_p).items()})
+        _settle(eval_at, np.concatenate((fp_s, fp_s)), eps,
+                np.concatenate((pos_scale, pos_scale)), cfg, both,
+                br_p + [(cols + m, *rest) for cols, *rest in br_n])
+        side_p, side_n = (SideResult(**{k: v[half] for k, v in vars(both).items()})
+                          for half in (slice(None, m), slice(m, None)))
 
         rp, rn = side_p.root, side_n.root
         has_p, has_n = ~np.isnan(rp), ~np.isnan(rn)

@@ -167,8 +167,10 @@ def default_schedule(dom: DomainSpec, stages: int = 21, resolution: int = 2048,
         return out
 
     width = hi - lo if math.isfinite(hi - lo) else cfg.r0
-    line_lo = lo if not math.isinf(lo) else -cfg.r_max
-    line_hi = hi if not math.isinf(hi) else cfg.r_max
+    # An infinite end is truncated r_max from the finite one (from 0 on R),
+    # so a line lying wholly beyond r_max still has windows.
+    line_lo = lo if not math.isinf(lo) else (hi if math.isfinite(hi) else 0.0) - cfg.r_max
+    line_hi = hi if not math.isinf(hi) else (lo if math.isfinite(lo) else 0.0) + cfg.r_max
     if not factor > 1:
         raise InvalidArgument(f"factor must exceed 1, got {factor!r}")
     # The windows grow with k toward (line_lo, line_hi), so only the first

@@ -331,6 +331,20 @@ class TestEvaluatorRows:
             with pytest.raises(DimensionMismatch):
                 ev(rows)
 
+    def test_results_are_fresh_arrays_of_one_value_per_row(self):
+        # A bare variable evaluates to its input column; the caller still
+        # gets an array of its own that it may write to.
+        line, plane = self.LINE, self.PLANE
+        for source, arr, want in (("x", line, line), ("x", line[:, None], line),
+                                  ("x1", plane, plane[:, 0]), ("x2", plane, plane[:, 1])):
+            out = array_evaluator(ExpressionFn.parse(source))(arr)
+            assert out.flags.writeable and not np.shares_memory(out, arr), source
+            assert out.tolist() == want.tolist(), source
+        for arr in (self.LINE, self.LINE[:, None], self.PLANE):
+            const = array_evaluator(ExpressionFn.parse("3"))(arr)
+            assert const.shape == (arr.shape[0],) and const.flags.writeable
+            assert (const == 3.0).all()
+
     def test_dimension_checked(self):
         with pytest.raises(DimensionMismatch):
             eval_fn(ExpressionFn.parse("x1*x2"), 1.0)

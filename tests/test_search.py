@@ -1,8 +1,9 @@
 """The line engine with and without interval enclosures of the expression,
-and scan_side with and without a reach.
+on a batch and point by point, and scan_side with and without a reach.
 
 Skipping a detect window that the enclosure proves clear, or every window
-past a ray's bounding-box exit, must not change any crossing, bit for bit.
+past a ray's bounding-box exit, must not change any crossing, bit for bit;
+nor may settling a batch's brackets together.
 """
 
 from __future__ import annotations
@@ -52,6 +53,28 @@ def test_enclosure_leaves_field_bit_identical(name, eps):
                               equal_nan=True), field.name
     assert not sampled.enclosed_rounds.any()
     assert enclosed.enclosed_rounds.sum() > 0
+
+
+@pytest.mark.parametrize("enclose", [False, True], ids=["sampled", "enclosed"])
+@pytest.mark.parametrize("eps", [1e-3, 0.5, 3.0])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_batch_field_matches_points_alone(name, eps, enclose):
+    # Both sides of every point in a batch are settled together; no
+    # column may leak into another.
+    src, lo, hi, open_lo, open_hi, ps = CASES[name]
+    f = ExpressionFn.parse(src)
+    g = getattr(f, "inner", f)  # the profile of a radial function
+    f_arr, f_enc = array_evaluator(g), enclosure_evaluator(g) if enclose else None
+
+    def field_of(pts):
+        return line_field(f_arr, pts, eps, lo, hi, open_lo, open_hi, DEFAULT_CONFIG, f_enc=f_enc)
+
+    ps = ps[::8]
+    batch = field_of(ps)
+    alone = [field_of(ps[i:i + 1]) for i in range(ps.size)]
+    for field in dataclasses.fields(batch):
+        got = np.concatenate([getattr(res, field.name) for res in alone])
+        assert np.array_equal(getattr(batch, field.name), got, equal_nan=True), field.name
 
 
 def test_only_1d_expressions_have_an_enclosure():

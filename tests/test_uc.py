@@ -222,3 +222,26 @@ def test_open_finite_end_gets_every_stage(dom):
                                    factor=uc._WITNESS_FACTOR)) == uc._MAX_WITNESS_STAGES
     with pytest.raises(dm.InvalidArgument):
         uc.default_schedule(dom, factor=1.0)
+
+
+@pytest.mark.parametrize("dom, lo, hi", [
+    (DomainSpec.half_line(2e6), 2e6, 2e6 + DEFAULT_CONFIG.r_max),
+    (DomainSpec.interval(-math.inf, -2e6), -2e6 - DEFAULT_CONFIG.r_max, -2e6),
+], ids=["[2e6,inf)", "(-inf,-2e6]"])
+def test_line_beyond_the_truncation_radius_gets_every_stage(dom, lo, hi):
+    # The infinite end is truncated r_max from the finite one, not at
+    # +-r_max, which would leave no window at all.
+    schedule = uc.default_schedule(dom)
+    assert len(schedule) == 21
+    for window, _ in schedule:
+        w_lo, w_hi = window.bounding_box()
+        assert lo <= w_lo[0] < w_hi[0] <= hi
+
+
+def test_verdict_beyond_the_truncation_radius_runs_its_stages():
+    f, dom = ExpressionFn.parse("sqrt(x)"), DomainSpec.half_line(2e6)
+    verdict = uc.uc_verdict(f, dom, eps_grid=[EPS])
+    assert verdict.kind is uc.Verdict.EVIDENCE_UC
+    (trace,) = verdict.traces
+    assert len(trace.records) == 21
+    assert verdict.lower_bound == trace.floor() == compute_delta(f, dom, 2e6, EPS).value
