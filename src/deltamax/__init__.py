@@ -19,7 +19,6 @@ from .catalog import (
 from .delta import (
     DeltaResult,
     EpsilonRange,
-    SearchConfig,
     compute_delta,
     delta_level_set_1d,
     delta_monotone_1d,

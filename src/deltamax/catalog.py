@@ -47,6 +47,11 @@ _REGISTRY: dict[str, CatalogEntry] = {}
 def _make(name: str, source: str, domain: DomainSpec,
           closed_form: Callable[[float, float], float] | None,
           notes: str, dim: int = 1) -> CatalogEntry:
+    # Every entry must load back from its manifest line as it is; the
+    # flat grammar cannot write, e.g., a box open on some axes only.
+    text = format_domain(domain)
+    if parse_domain(text) != domain:
+        raise DomainParseError(f"{text!r} does not load back as {domain!r}")
     fn = ExpressionFn.parse(source, dim=dim)
     return CatalogEntry(
         name=name,

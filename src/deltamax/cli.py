@@ -4,8 +4,9 @@ Subcommands: delta (one delta(p, eps); --stats adds a `stat <key>
 <value>` line per diagnostics entry), scan (CSV delta field sweep),
 inf (CSV infimum trace), uc (uniform-continuity verdict), catalog (list
 or extend the function catalog), certify (oracle sandwich for one
-delta).  Numbers print with 17 significant digits and identical
-invocations produce byte-identical output.
+delta; the only subcommand that runs the oracle).  Numbers print with
+17 significant digits and identical invocations produce byte-identical
+output.  The search tolerances are the constants of deltamax.search.
 
 Exit codes: 0 success (and EvidenceUC for uc), 2 parse errors and
 invalid arguments, 3 empty sphere preimage (the nonemptiness hypothesis
@@ -23,7 +24,7 @@ import sys
 import numpy as np
 
 from . import catalog as catalog_mod
-from .delta import SearchConfig, compute_delta
+from .delta import compute_delta
 from .domaintext import format_domain, parse_domain
 from .errors import (
     ConstantFunction,
@@ -88,13 +89,6 @@ def _add_common(sp: argparse.ArgumentParser, rays: bool = False):
     sp.add_argument("--fn", required=True, help="catalog name or expression source")
     sp.add_argument("--domain", help="domain text (default: the function's natural domain)")
     sp.add_argument("--dim", type=int, help="dimension for radial/nD functions")
-    sp.add_argument("--tol-x", type=float, default=None, help="point tolerance")
-    sp.add_argument("--tol-f", type=float, default=None, help="function-value tolerance")
-    sp.add_argument("--scan-points", type=int, default=None,
-                    help="bracketing samples per doubling window")
-    sp.add_argument("--r0", type=float, default=None, help="initial search radius")
-    sp.add_argument("--r-max", type=float, default=None,
-                    help="truncation radius for unbounded domains")
     if rays:
         sp.add_argument("--directions", type=int, default=64,
                         help="ray count for the nD estimator")
@@ -104,11 +98,6 @@ def _add_common(sp: argparse.ArgumentParser, rays: bool = False):
 
 def _add_out(sp: argparse.ArgumentParser):
     sp.add_argument("--out", help="write data output to this file instead of stdout")
-
-
-def _config(args) -> SearchConfig:
-    names = ("tol_x", "tol_f", "scan_points", "r0", "r_max")
-    return SearchConfig(**{k: getattr(args, k) for k in names if getattr(args, k) is not None})
 
 
 def _resolve(args):
@@ -141,10 +130,8 @@ def _emit(args, text: str):
 
 def cmd_delta(args) -> int:
     fn, dom = _resolve(args)
-    cfg = _config(args)
     p = _parse_point(args.p, dom.dimension)
-    res = compute_delta(fn, dom, p, args.eps, cfg,
-                        directions=args.directions, seed=args.seed)
+    res = compute_delta(fn, dom, p, args.eps, directions=args.directions, seed=args.seed)
     lines = [
         f"value {_fmt(res.value)}",
         f"witness {_fmt_point(res.witness)}",
@@ -153,12 +140,6 @@ def cmd_delta(args) -> int:
         f"backend {res.backend}",
         f"one_sided {str(res.one_sided).lower()}",
     ]
-    if args.certify:
-        radius = 4.0 * res.value
-        per_axis = max(9, int(round(args.oracle_points ** (1.0 / dom.dimension))))
-        lines += [line for line in _sandwich(fn, dom, p, args.eps, res.value, radius,
-                                             2.0 * radius / (per_axis - 1))
-                  if not line.startswith("grid_slack ")]
     if args.stats:
         lines += [f"stat {key} {_fmt(v) if isinstance(v, float) else v}"
                   for key, v in res.diagnostics.items()]
@@ -168,7 +149,6 @@ def cmd_delta(args) -> int:
 
 def cmd_scan(args) -> int:
     fn, dom = _resolve(args)
-    cfg = _config(args)
     if args.eps_grid:
         eps_values = sorted(float(v) for v in args.eps_grid.split(","))
     else:
@@ -181,7 +161,7 @@ def cmd_scan(args) -> int:
         for p in ps:
             pt = Point((float(p),) + (0.0,) * (dom.dimension - 1))
             try:
-                res = compute_delta(fn, dom, pt, eps, cfg,
+                res = compute_delta(fn, dom, pt, eps,
                                     directions=args.directions, seed=args.seed)
                 rows.append(",".join([
                     _fmt(float(p)), _fmt(eps), _fmt(res.value),
@@ -193,21 +173,6 @@ def cmd_scan(args) -> int:
                     _fmt(float(p)), _fmt(eps), "nan", "nan", "nan", "", msg]))
     _emit(args, "\n".join(rows) + "\n")
     return EXIT_OK
-
-
-def _sandwich(fn, dom: DomainSpec, p: Point, eps: float, value: float, radius: float,
-              h: float, require_radius: float | None = None) -> list[str]:
-    """Output lines of the grid-oracle sandwich of `value`: the oracle's
-    bounds on a box of half-width `radius` around p at step h, the grid
-    slack (one cell diagonal), and whether lower <= value <= upper + slack."""
-    window = DomainSpec.box(p.as_array() - radius, p.as_array() + radius, norm=dom.norm)
-    lo, up = grid_delta_bounds(fn, dom, p, eps, GridSpec(h=h, window=window),
-                               require_radius=require_radius)
-    slack = h * math.sqrt(dom.dimension)
-    ok = lo <= value <= up + slack
-    return [f"oracle_lower {_fmt(lo)}", f"oracle_upper {_fmt(up)}",
-            f"oracle_step {_fmt(h)}", f"grid_slack {_fmt(slack)}",
-            f"sandwich_ok {str(ok).lower()}"]
 
 
 def _trace_csv(traces) -> str:
@@ -224,22 +189,20 @@ def _trace_csv(traces) -> str:
 
 def cmd_inf(args) -> int:
     fn, dom = _resolve(args)
-    cfg = _config(args)
-    schedule = stage_schedule(fn, dom, args.stages, args.resolution, cfg=cfg)
-    _emit(args, _trace_csv([infimum_delta(fn, dom, args.eps, schedule=schedule, cfg=cfg)]))
+    schedule = stage_schedule(fn, dom, args.stages, args.resolution)
+    _emit(args, _trace_csv([infimum_delta(fn, dom, args.eps, schedule=schedule)]))
     return EXIT_OK
 
 
 def cmd_uc(args) -> int:
     fn, dom = _resolve(args)
-    cfg = _config(args)
     if args.eps_grid:
         eps_grid = [float(v) for v in args.eps_grid.split(",")]
     else:
-        beta, eps_grid = default_eps_grid(fn, dom, cfg)
+        beta, eps_grid = default_eps_grid(fn, dom)
         print(f"eps grid from sampled beta={_fmt(beta)} (heuristic): "
               + ",".join(_fmt(e) for e in eps_grid), file=sys.stderr)
-    verdict = uc_verdict(fn, dom, eps_grid=eps_grid, cfg=cfg, count=args.count)
+    verdict = uc_verdict(fn, dom, eps_grid=eps_grid, count=args.count)
 
     lines = [f"verdict {verdict.kind.value}",
              "eps_tested " + ",".join(_fmt(e) for e in verdict.eps_tested)]
@@ -279,16 +242,23 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    """The grid-oracle sandwich of one delta: the oracle's bounds on a box
+    around p (half-width --window-radius, default 4x the value) at step
+    --h, the grid slack (one cell diagonal), and whether lower <= value
+    <= upper + slack."""
     fn, dom = _resolve(args)
-    cfg = _config(args)
     p = _parse_point(args.p, dom.dimension)
-    res = compute_delta(fn, dom, p, args.eps, cfg,
-                        directions=args.directions, seed=args.seed)
+    res = compute_delta(fn, dom, p, args.eps, directions=args.directions, seed=args.seed)
     radius = args.window_radius if args.window_radius else 4.0 * res.value
     h = args.h if args.h else 2.0 * radius / 4096.0
+    window = DomainSpec.box(p.as_array() - radius, p.as_array() + radius, norm=dom.norm)
+    lo, up = grid_delta_bounds(fn, dom, p, args.eps, GridSpec(h=h, window=window),
+                               require_radius=args.window_radius)
+    slack = h * math.sqrt(dom.dimension)
     lines = [f"value {_fmt(res.value)}", f"backend {res.backend}",
-             *_sandwich(fn, dom, p, args.eps, res.value, radius, h,
-                        require_radius=args.window_radius)]
+             f"oracle_lower {_fmt(lo)}", f"oracle_upper {_fmt(up)}",
+             f"oracle_step {_fmt(h)}", f"grid_slack {_fmt(slack)}",
+             f"sandwich_ok {str(lo <= res.value <= up + slack).lower()}"]
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -309,10 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, rays=True)
     sp.add_argument("--p", required=True, help="point (comma-separated coordinates)")
     sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--certify", action="store_true",
-                    help="also run the brute-force oracle sandwich")
-    sp.add_argument("--oracle-points", type=int, default=100001,
-                    help="total oracle grid points for --certify")
     sp.add_argument("--stats", action="store_true",
                     help="also print each diagnostics entry as 'stat <key> <value>'")
     sp.set_defaults(func=cmd_delta)

@@ -58,33 +58,7 @@ from .model import (
     value_at,
 )
 from .oracle import GridSpec, grid_delta_bounds
-from .search import line_field, scan_side
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Tolerances and truncation limits for the search backends.
-
-    tol_x is an absolute point tolerance scaled internally by
-    max(1, |p|); tol_f bounds ||f(witness)-f(p)| - eps|; scan_points is
-    the bracketing resolution per doubling window; unbounded searches
-    expand from r0 and give up at r_max.
-    """
-
-    tol_x: float = 1e-12
-    tol_f: float = 1e-10
-    scan_points: int = 4096
-    r0: float = 1.0
-    r_max: float = float(2 ** 20)
-
-    def __post_init__(self):
-        for name in ("tol_x", "tol_f", "r0", "r_max"):
-            require_positive(name, getattr(self, name))
-        if self.scan_points < 16:
-            raise InvalidArgument("scan_points must be >= 16")
-
-
-DEFAULT_CONFIG = SearchConfig()
+from .search import R0, R_MAX, SCAN_POINTS, TOL_F, TOL_X, line_field, scan_side
 
 
 @dataclass(frozen=True)
@@ -191,8 +165,7 @@ def line_problem(f: FunctionSpec, dom: DomainSpec
     return g, lo, hi, open_lo, open_hi
 
 
-def _line_delta(problem, dom: DomainSpec, p, eps: float, cfg: SearchConfig,
-                sample: bool = False) -> DeltaResult:
+def _line_delta(problem, dom: DomainSpec, p, eps: float, sample: bool = False) -> DeltaResult:
     """delta(p, eps) of a line problem (see line_problem) on dom.
 
     The line coordinate of p is p itself on a 1-d domain and ||p|| on a
@@ -212,11 +185,11 @@ def _line_delta(problem, dom: DomainSpec, p, eps: float, cfg: SearchConfig,
     fp = value_at(g, t)
     if isinstance(g, Monotone1DFn) and not sample:
         backend = "monotone"
-        value, t_w, lower, upper, one_sided, diagnostics = _monotone_line(g, t, fp, eps, cfg)
+        value, t_w, lower, upper, one_sided, diagnostics = _monotone_line(g, t, fp, eps)
     else:
         backend = "levelset1d"
         res = line_field(array_evaluator(g), np.asarray([t]), eps, lo, hi, open_lo, open_hi,
-                         cfg, f_enc=enclosure_evaluator(g))
+                         f_enc=enclosure_evaluator(g))
         if math.isnan(res.values[0]):
             raise EmptySpherePreimage(
                 f"no point with |f(x)-f({t})| = {eps} found within radius "
@@ -253,19 +226,17 @@ def _line_delta(problem, dom: DomainSpec, p, eps: float, cfg: SearchConfig,
 # Monotone backend
 # ---------------------------------------------------------------------------
 
-def inverse_monotone(g: Monotone1DFn, y: float, cfg: SearchConfig = DEFAULT_CONFIG,
-                     start: float | None = None) -> float:
-    """x in g's interval with |g(x) - y| <= tol_f, by bracketed bisection.
+def inverse_monotone(g: Monotone1DFn, y: float, start: float | None = None) -> float:
+    """x in g's interval with |g(x) - y| <= TOL_F, by bracketed bisection.
 
     Raises OutOfRange when y is provably outside the range (a finite
-    endpoint maps past y), or when doubling expansion hits r_max with no
+    endpoint maps past y), or when doubling expansion hits R_MAX with no
     sign change.
     """
-    return _invert(g, y, cfg, start)[0]
+    return _invert(g, y, start)[0]
 
 
-def _invert(g: Monotone1DFn, y: float, cfg: SearchConfig,
-            start: float | None) -> tuple[float, float, float]:
+def _invert(g: Monotone1DFn, y: float, start: float | None) -> tuple[float, float, float]:
     """inverse_monotone's x with the final bisection bracket [lo, hi],
     which holds the preimage of y.  OutOfRange carries the distance from
     start searched in vain (inf when the range provably misses y)."""
@@ -303,9 +274,9 @@ def _invert(g: Monotone1DFn, y: float, cfg: SearchConfig,
             hi = start
         if lo is None or hi is None:
             want_hi = hi is None
-            radius = cfg.r0
+            radius = R0
             searched = 0.0
-            while radius <= cfg.r_max:
+            while radius <= R_MAX:
                 probe = min(max(start + radius if want_hi else start - radius, a), b)
                 sp = sigma(probe)
                 if want_hi and sp >= 0:
@@ -319,7 +290,7 @@ def _invert(g: Monotone1DFn, y: float, cfg: SearchConfig,
             else:
                 raise OutOfRange(
                     f"no bracket for target {y!r}: expansion hit r_max "
-                    f"({cfg.r_max}) with no sign change", searched_radius=searched)
+                    f"({R_MAX}) with no sign change", searched_radius=searched)
 
     # Bisect; keep the probe with the smallest |g - y|.
     best_x, best_s = lo, abs(sigma(lo))
@@ -329,8 +300,8 @@ def _invert(g: Monotone1DFn, y: float, cfg: SearchConfig,
     for _ in range(200):
         width = hi - lo
         scale = max(1.0, abs(lo), abs(hi))
-        if width <= cfg.tol_x * scale and (
-                best_s <= cfg.tol_f or width <= 4 * math.ulp(scale)):
+        if width <= TOL_X * scale and (
+                best_s <= TOL_F or width <= 4 * math.ulp(scale)):
             break
         mid = 0.5 * (lo + hi)
         sm = sigma(mid)
@@ -343,7 +314,7 @@ def _invert(g: Monotone1DFn, y: float, cfg: SearchConfig,
     return best_x, lo, hi
 
 
-def _monotone_line(g: Monotone1DFn, t: float, gp: float, eps: float, cfg: SearchConfig):
+def _monotone_line(g: Monotone1DFn, t: float, gp: float, eps: float):
     """(value, witness, lower, upper, one_sided, diagnostics) at t, where
     g(t) = gp, by the closed two-sided formula: min over the inverse
     images of gp +/- eps, one-sided when exactly one of them is attained.
@@ -358,7 +329,7 @@ def _monotone_line(g: Monotone1DFn, t: float, gp: float, eps: float, cfg: Search
     reach = math.inf    # no crossing of an unattained side lies closer
     for target in (gp - eps, gp + eps):
         try:
-            x, lo, hi = _invert(g, target, cfg, start=t)
+            x, lo, hi = _invert(g, target, start=t)
         except OutOfRange as miss:
             reach = min(reach, miss.searched_radius)
             continue
@@ -368,7 +339,7 @@ def _monotone_line(g: Monotone1DFn, t: float, gp: float, eps: float, cfg: Search
             f"neither g(p)+eps nor g(p)-eps is attained on [{a}, {b}]: the "
             f"sphere preimage is empty (eps={eps} exceeds the reachable "
             "variation), so no greatest delta exists at this point",
-            searched_radius=min(cfg.r_max, max(b - t, t - a)))
+            searched_radius=min(R_MAX, max(b - t, t - a)))
     # Min distance wins; on a tie the left crossing is the witness.
     value, x = min(sides)[:2]
     lower = min(math.nextafter(min(reach, *(s[2] for s in sides)), 0.0), value)
@@ -380,33 +351,30 @@ def _monotone_line(g: Monotone1DFn, t: float, gp: float, eps: float, cfg: Search
     return value, x, lower, upper, len(sides) == 1, {"g_p": gp}
 
 
-def delta_monotone_1d(g: Monotone1DFn, p: float, eps: float,
-                      cfg: SearchConfig = DEFAULT_CONFIG) -> DeltaResult:
+def delta_monotone_1d(g: Monotone1DFn, p: float, eps: float) -> DeltaResult:
     """The closed formula (see _monotone_line) on g's own interval."""
     dom = g.domain_hint()
-    return _line_delta(line_problem(g, dom), dom, p, eps, cfg)
+    return _line_delta(line_problem(g, dom), dom, p, eps)
 
 
 # ---------------------------------------------------------------------------
 # 1-d level-set backend
 # ---------------------------------------------------------------------------
 
-def delta_level_set_1d(f: FunctionSpec, dom: DomainSpec, p: float, eps: float,
-                       cfg: SearchConfig = DEFAULT_CONFIG) -> DeltaResult:
+def delta_level_set_1d(f: FunctionSpec, dom: DomainSpec, p: float, eps: float) -> DeltaResult:
     """Outward scan for the nearest solution of |f(x) - f(p)| = eps on a
     1-d domain; a Monotone1DFn is scanned too, not solved."""
     problem = line_problem(f, dom)
     if problem is None or dom.dimension != 1:
         raise DimensionMismatch("the 1-d backend needs a 1-d function on a 1-d domain")
-    return _line_delta(problem, dom, p, eps, cfg, sample=True)
+    return _line_delta(problem, dom, p, eps, sample=True)
 
 
 # ---------------------------------------------------------------------------
 # Radial backend
 # ---------------------------------------------------------------------------
 
-def delta_radial(f: FunctionSpec, dom: DomainSpec, p, eps: float,
-                 cfg: SearchConfig = DEFAULT_CONFIG) -> DeltaResult:
+def delta_radial(f: FunctionSpec, dom: DomainSpec, p, eps: float) -> DeltaResult:
     """delta of the 1-d profile at ||p||, lifted along the ray through p.
 
     For origin-centered balls/annuli in a p-norm this equals the true
@@ -421,7 +389,7 @@ def delta_radial(f: FunctionSpec, dom: DomainSpec, p, eps: float,
         raise InvalidDomain(
             "the radial backend needs an origin-centered ball/annulus in "
             f"dimension >= 2, got a {dom.dimension}-d {dom.shape.value}")
-    return _line_delta(problem, dom, p, eps, cfg)
+    return _line_delta(problem, dom, p, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -477,15 +445,14 @@ def _box_exit(dom: DomainSpec, p_arr: np.ndarray, dirs: np.ndarray) -> np.ndarra
 
 
 def delta_ray_nd(f: FunctionSpec, dom: DomainSpec, p, eps: float,
-                 directions: int = 64, cfg: SearchConfig = DEFAULT_CONFIG,
-                 seed: int = 0) -> DeltaResult:
+                 directions: int = 64, seed: int = 0) -> DeltaResult:
     """Heuristic delta estimator for generic functions in dim >= 2.
 
     Runs the 1-d level-set search along each ray; the minimum crossing
     distance is an upper bound on the true delta (every crossing lies in
     the sphere preimage).  A ray without a crossing stops at its exit
     from the domain's bounding box, past which no sample is in the
-    domain, rather than at cfg.r_max.  The certified lower bound comes
+    domain, rather than at R_MAX.  The certified lower bound comes
     from the grid oracle on the ball of that radius; only lower <= delta
     <= value is guaranteed.
     """
@@ -515,8 +482,7 @@ def delta_ray_nd(f: FunctionSpec, dom: DomainSpec, p, eps: float,
     # stays infinite (no tail probes); a ray without a crossing stops at
     # its bounding-box exit, past which every sample is outside.
     side = scan_side(eval_at, fp_cols, eps, np.full(n, math.inf),
-                     np.full(n, cfg.r0), scale, cfg,
-                     reach=_box_exit(dom, p_arr, dirs))
+                     np.full(n, R0), scale, reach=_box_exit(dom, p_arr, dirs))
     roots = side.root
     if np.all(np.isnan(roots)):
         raise EmptySpherePreimage(
@@ -529,7 +495,7 @@ def delta_ray_nd(f: FunctionSpec, dom: DomainSpec, p, eps: float,
     best = min(tied, key=lambda i: tuple(p_arr + roots[i] * dirs[i]))
     witness = Point(tuple(p_arr + roots[best] * dirs[best]))
 
-    per_axis = int(max(9, min(65, round(cfg.scan_points ** (1.0 / pt.dim)))))
+    per_axis = int(max(9, min(65, round(SCAN_POINTS ** (1.0 / pt.dim)))))
     # A grid violator within one cell of p leaves the oracle no positive
     # lower bound; zoom the window onto it until one appears.
     radius = value
@@ -591,14 +557,13 @@ def is_delta_epsilon_number(f: FunctionSpec, dom: DomainSpec, p, eps: float,
     return not bool(np.any(viol & ~np.isnan(fv)))
 
 
-def epsilon_bound(f: FunctionSpec, dom: DomainSpec, samples: int = 4096,
-                  cfg: SearchConfig = DEFAULT_CONFIG) -> EpsilonRange:
+def epsilon_bound(f: FunctionSpec, dom: DomainSpec, samples: int = 4096) -> EpsilonRange:
     """beta = 0.99 * (sampled image spread) / 4.
 
     Unbounded domains are sampled on their truncation window (radius
-    r_max), which makes beta itself a sampled heuristic.
+    R_MAX), which makes beta itself a sampled heuristic.
     """
-    lo, hi = dom.bounding_box(truncate=cfg.r_max)
+    lo, hi = dom.bounding_box(truncate=R_MAX)
     per_axis = max(3, int(math.ceil(samples ** (1.0 / dom.dimension))))
     grid = lattice([np.linspace(a, b, per_axis) for a, b in zip(lo, hi)])
     mask = dom.contains_rows(grid)
@@ -610,7 +575,7 @@ def epsilon_bound(f: FunctionSpec, dom: DomainSpec, samples: int = 4096,
     if fv.size < 2:
         raise ConstantFunction("no finite samples to measure the image spread")
     spread = float(np.max(fv) - np.min(fv))
-    if spread < cfg.tol_f:
+    if spread < TOL_F:
         raise ConstantFunction(
             f"sampled image spread {spread!r} is below tol_f; the function "
             "looks constant and has no valid epsilon range")
@@ -622,8 +587,7 @@ def epsilon_bound(f: FunctionSpec, dom: DomainSpec, samples: int = 4096,
 # ---------------------------------------------------------------------------
 
 def compute_delta(f: FunctionSpec, dom: DomainSpec | None, p, eps: float,
-                  cfg: SearchConfig = DEFAULT_CONFIG, directions: int = 64,
-                  seed: int = 0) -> DeltaResult:
+                  directions: int = 64, seed: int = 0) -> DeltaResult:
     """Dispatch to the right backend for (f, dom): the line front end for
     a 1-d or radial problem (see line_problem), ray_nd otherwise.
     dom=None is f's natural domain (f.domain_hint()), as in the CLI."""
@@ -631,5 +595,5 @@ def compute_delta(f: FunctionSpec, dom: DomainSpec | None, p, eps: float,
         dom = f.domain_hint()
     problem = line_problem(f, dom)
     if problem is None:
-        return delta_ray_nd(f, dom, p, eps, directions, cfg, seed)
-    return _line_delta(problem, dom, p, eps, cfg)
+        return delta_ray_nd(f, dom, p, eps, directions, seed)
+    return _line_delta(problem, dom, p, eps)

@@ -12,7 +12,7 @@ class DeltamaxError(Exception):
 class InvalidArgument(DeltamaxError, ValueError):
     """A numeric argument is outside its valid range (eps <= 0 or NaN,
     checked by model.require_positive at every entry point; no
-    directions, an empty eps grid, a bad SearchConfig field, ...)."""
+    directions, an empty eps grid, ...)."""
 
 
 class DimensionMismatch(DeltamaxError):

@@ -302,7 +302,7 @@ def point_in(dom: DomainSpec, p) -> Point:
 
 def require_positive(name: str, value: float) -> None:
     """Raise InvalidArgument unless value > 0 (NaN included); the one
-    check of eps, beta and the positive SearchConfig fields."""
+    check of eps and beta."""
     if not value > 0:
         raise InvalidArgument(f"{name} must be positive, got {value!r}")
 

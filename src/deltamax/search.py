@@ -43,6 +43,16 @@ import numpy as np
 SideEval = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 SideEnclose = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
+# Tolerances and truncation limits of every search: TOL_X is an absolute
+# point tolerance scaled by max(1, |p|); TOL_F bounds ||f(witness) - f(p)|
+# - eps|; SCAN_POINTS is the bracketing resolution per doubling window;
+# unbounded searches expand from R0 and give up at R_MAX.
+TOL_X = 1e-12
+TOL_F = 1e-10
+SCAN_POINTS = 4096
+R0 = 1.0
+R_MAX = float(2 ** 20)
+
 _MAX_BISECT = 160
 _TAIL_PROBES = 80
 _REFINE_POINTS = 256  # fine rescan inside each found bracket
@@ -97,7 +107,7 @@ def _first_crossing(ts, h, valid, carry_t):
     return found, blo_t, bhi_t, bhi_h
 
 
-def _bisect(eval_at, cols, fp, eps, lo, hi, hi_h, pos_scale, cfg):
+def _bisect(eval_at, cols, fp, eps, lo, hi, hi_h, pos_scale):
     """Shrink brackets (lo, hi) with h(lo) < 0 <= h(hi) onto the crossing.
 
     Returns (lo, hi, hi_h): the clear end and the violator end of each
@@ -105,18 +115,18 @@ def _bisect(eval_at, cols, fp, eps, lo, hi, hi_h, pos_scale, cfg):
     samples.  An out-of-domain or undefined midpoint moves the upper
     limit of the search inward but never becomes the violator end, so a
     hole in the domain cannot pass for a crossing.  A bracket stops once
-    it is tol_x wide and |h| at its violator end is within tol_f, or
+    it is TOL_X wide and |h| at its violator end is within TOL_F, or
     once it is a few ulps wide.
     """
     lo = lo.copy()
     top = hi.copy()       # upper limit of the search, valid or not
     hi = hi.copy()        # last valid sample with h >= 0
     hi_h = hi_h.copy()
-    tol = cfg.tol_x * np.maximum(1.0, pos_scale)
+    tol = TOL_X * np.maximum(1.0, pos_scale)
     for _ in range(_MAX_BISECT):
         width = top - lo
         xulp = np.spacing(pos_scale + top)
-        act = (width > tol) | ((hi_h > cfg.tol_f) & (width > 4.0 * xulp))
+        act = (width > tol) | ((hi_h > TOL_F) & (width > 4.0 * xulp))
         if not act.any():
             break
         idx = np.flatnonzero(act)
@@ -135,8 +145,7 @@ def _bisect(eval_at, cols, fp, eps, lo, hi, hi_h, pos_scale, cfg):
 
 def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
               extents: np.ndarray, r0: np.ndarray,
-              pos_scale: np.ndarray, cfg,
-              detect_points: int | None = None,
+              pos_scale: np.ndarray, detect_points: int = SCAN_POINTS,
               enclose_at: SideEnclose | None = None,
               reach: np.ndarray | None = None) -> SideResult:
     """Find the nearest crossing of h along one side for every column.
@@ -149,7 +158,7 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
     the brackets of both sides.
 
     detect_points controls the bracketing sweep resolution (defaults to
-    cfg.scan_points); the fine rescan inside a found bracket keeps the
+    SCAN_POINTS); the fine rescan inside a found bracket keeps the
     cleared-radius quality independent of it.  enclose_at(cols, t_lo,
     t_end) returns, per window [t_lo, t_end], a value that is negative
     only if h < 0 at every float sample of the window and at every real
@@ -164,13 +173,13 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
     clear, step and rounds stop there instead of at the truncation
     radius.
     """
-    side, brackets = _sweep(eval_at, fp, eps, extents, r0, pos_scale, cfg,
+    side, brackets = _sweep(eval_at, fp, eps, extents, r0, pos_scale,
                             detect_points, enclose_at, reach)
-    _settle(eval_at, fp, eps, pos_scale, cfg, side, brackets)
+    _settle(eval_at, fp, eps, pos_scale, side, brackets)
     return side
 
 
-def _sweep(eval_at, fp, eps, extents, r0, pos_scale, cfg, detect_points,
+def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
            enclose_at, reach=None) -> tuple[SideResult, list]:
     """The bracketing half of scan_side (same arguments).
 
@@ -185,14 +194,12 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, cfg, detect_points,
     detect = np.zeros(n, dtype=int)
     enclosed = np.zeros(n, dtype=int)
 
-    cap = np.minimum(extents, cfg.r_max)
+    cap = np.minimum(extents, R_MAX)
     alive = cap > 0.0
     carry_t = np.zeros(n)
     wlo = np.zeros(n)
     whi = np.minimum(np.maximum(r0, 16.0 * np.spacing(pos_scale + 1.0)), cap)
 
-    if detect_points is None:
-        detect_points = cfg.scan_points
     frac = np.arange(1, detect_points + 1, dtype=float) / detect_points
 
     # Brackets (cols, lo, hi, hi_h) accumulate here; tail marks exhausted
@@ -203,7 +210,7 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, cfg, detect_points,
     rounds = 0
     while alive.any():
         rounds += 1
-        if rounds > 96:  # doubling from 1e-12-ish to r_max stays far below this
+        if rounds > 96:  # doubling from 1e-12-ish to R_MAX stays far below this
             break
         cols = np.flatnonzero(alive)
         lo_c = wlo[cols]
@@ -283,7 +290,7 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, cfg, detect_points,
     return side, brackets
 
 
-def _settle(eval_at, fp, eps, pos_scale, cfg, side: SideResult, brackets: list) -> None:
+def _settle(eval_at, fp, eps, pos_scale, side: SideResult, brackets: list) -> None:
     """The settling half of scan_side: one fine rescan inside each
     bracket, then bisection, written into side's root, root_h, clear and
     step.  Columns are independent here (each one's bisection count is
@@ -295,7 +302,7 @@ def _settle(eval_at, fp, eps, pos_scale, cfg, side: SideResult, brackets: list) 
 
     # One fine rescan inside the bracket sharpens both the cleared
     # radius and, for coarse windows, the choice of nearest crossing.
-    wide = (bhi - blo) > 4.0 * cfg.tol_x * np.maximum(1.0, pos_scale[cols])
+    wide = (bhi - blo) > 4.0 * TOL_X * np.maximum(1.0, pos_scale[cols])
     if wide.any():
         idx = np.flatnonzero(wide)
         ts = blo[idx][None, :] + (bhi - blo)[idx][None, :] * _FRAC_FINE[:, None]
@@ -311,7 +318,7 @@ def _settle(eval_at, fp, eps, pos_scale, cfg, side: SideResult, brackets: list) 
         step[cols[upd]] = rhi[found] - rlo[found]
 
     t_clear, t_viol, h_viol = _bisect(eval_at, cols, fp[cols], eps, blo,
-                                      bhi, bhi_h, pos_scale[cols], cfg)
+                                      bhi, bhi_h, pos_scale[cols])
     side.root[cols] = t_viol
     side.root_h[cols] = h_viol
     clear[cols] = np.maximum(clear[cols], t_clear)
@@ -332,8 +339,8 @@ class FieldResult:
 
 
 def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
-               open_lo: bool, open_hi: bool, cfg,
-               detect_points: int | None = None, f_enc=None) -> FieldResult:
+               open_lo: bool, open_hi: bool, detect_points: int = SCAN_POINTS,
+               f_enc=None) -> FieldResult:
     """delta field of a scalar function along an interval domain.
 
     `f_arr` is a lenient vectorized evaluator; `ps` must lie inside
@@ -418,17 +425,17 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
 
         ext_pos = np.maximum(dom_hi - p_c, 0.0)
         ext_neg = np.maximum(p_c - dom_lo, 0.0)
-        r0_c = _estimate_r0(f_arr, p_c, fp, eps, ext_pos, ext_neg, cfg)
+        r0_c = _estimate_r0(f_arr, p_c, fp, eps, ext_pos)
         ext_pos = np.where(bad_fp, 0.0, ext_pos)
         ext_neg = np.where(bad_fp, 0.0, ext_neg)
         (side_p, br_p), (side_n, br_n) = (
             _sweep(lambda cols, ts, off=off: eval_at(cols + off, ts), fp_s, eps, ext,
-                   r0_c, pos_scale, cfg, detect_points, enclose_side(s))
+                   r0_c, pos_scale, detect_points, enclose_side(s))
             for off, s, ext in ((0, 1.0, ext_pos), (m, -1.0, ext_neg)))
         both = SideResult(**{k: np.concatenate((v, getattr(side_n, k)))
                              for k, v in vars(side_p).items()})
         _settle(eval_at, np.concatenate((fp_s, fp_s)), eps,
-                np.concatenate((pos_scale, pos_scale)), cfg, both,
+                np.concatenate((pos_scale, pos_scale)), both,
                 br_p + [(cols + m, *rest) for cols, *rest in br_n])
         side_p, side_n = (SideResult(**{k: v[half] for k, v in vars(both).items()})
                           for half in (slice(None, m), slice(m, None)))
@@ -442,7 +449,7 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
         clear = np.minimum(np.where(has_p | (ext_pos > 0), side_p.clear, np.inf),
                            np.where(has_n | (ext_neg > 0), side_n.clear, np.inf))
         lower = np.minimum(clear - np.maximum(side_p.step, side_n.step), values)
-        tol_eff = cfg.tol_x * np.maximum(1.0, pos_scale)
+        tol_eff = TOL_X * np.maximum(1.0, pos_scale)
         bad = ~(lower > 0.0)
         lower[bad] = np.minimum(clear[bad], tol_eff[bad])
         lower[clear < np.spacing(pos_scale)] = np.nan
@@ -459,13 +466,13 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
     return FieldResult(**out)
 
 
-def _estimate_r0(f_arr, ps, fp, eps, ext_pos, ext_neg, cfg) -> np.ndarray:
+def _estimate_r0(f_arr, ps, fp, eps, ext_pos) -> np.ndarray:
     """Initial window radius ~ eps / |f'|, clamped to sane bounds."""
     s = 1e-6 * np.maximum(1.0, np.abs(ps))
     s = np.where(ext_pos >= s, s, -s)  # probe into the domain
     with np.errstate(all="ignore"):
         fs = np.asarray(f_arr(ps + s), dtype=float)
         slope = np.abs((fs - fp) / s)
-        est = np.where((slope > 0) & np.isfinite(slope), 0.5 * eps / slope, cfg.r0)
-    est = np.where(np.isfinite(est), est, cfg.r0)
-    return np.clip(est, 1e3 * cfg.tol_x * np.maximum(1.0, np.abs(ps)), cfg.r_max)
+        est = np.where((slope > 0) & np.isfinite(slope), 0.5 * eps / slope, R0)
+    est = np.where(np.isfinite(est), est, R0)
+    return np.clip(est, 1e3 * TOL_X * np.maximum(1.0, np.abs(ps)), R_MAX)

@@ -17,14 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .delta import (
-    DEFAULT_CONFIG,
-    SearchConfig,
-    compute_delta,
-    epsilon_bound,
-    line_bounds,
-    line_problem,
-)
+from .delta import compute_delta, epsilon_bound, line_bounds, line_problem
 from .errors import (
     DeltamaxError,
     DimensionMismatch,
@@ -44,11 +37,11 @@ from .model import (
     require_positive,
     value_at,
 )
-from .search import line_field
+from .search import R0, R_MAX, TOL_F, line_field
 
 _WITNESS_FACTOR = 2.0 ** 0.25  # finer than the trace schedule: keeps the
 #                                halving pairs at small coordinates, where
-#                                |f| rounding stays far below tol_f
+#                                |f| rounding stays far below TOL_F
 _WITNESS_RESOLUTION = 512
 _PATIENCE = 24
 _MAX_WITNESS_STAGES = 400
@@ -137,8 +130,7 @@ def _make_window(dom: DomainSpec, lo: float, hi: float) -> DomainSpec:
 
 
 def default_schedule(dom: DomainSpec, stages: int = 21, resolution: int = 2048,
-                     factor: float = 2.0, cfg: SearchConfig = DEFAULT_CONFIG
-                     ) -> list[tuple[DomainSpec, int]]:
+                     factor: float = 2.0) -> list[tuple[DomainSpec, int]]:
     """Window schedule for infimum scans, its stage count decided from
     dom's shape alone (stage_schedule, which uc runs, decides from f too).
 
@@ -166,11 +158,11 @@ def default_schedule(dom: DomainSpec, stages: int = 21, resolution: int = 2048,
         out.append((_make_window(dom, lo, hi), resolution))
         return out
 
-    width = hi - lo if math.isfinite(hi - lo) else cfg.r0
-    # An infinite end is truncated r_max from the finite one (from 0 on R),
-    # so a line lying wholly beyond r_max still has windows.
-    line_lo = lo if not math.isinf(lo) else (hi if math.isfinite(hi) else 0.0) - cfg.r_max
-    line_hi = hi if not math.isinf(hi) else (lo if math.isfinite(lo) else 0.0) + cfg.r_max
+    width = hi - lo if math.isfinite(hi - lo) else R0
+    # An infinite end is truncated R_MAX from the finite one (from 0 on R),
+    # so a line lying wholly beyond R_MAX still has windows.
+    line_lo = lo if not math.isinf(lo) else (hi if math.isfinite(hi) else 0.0) - R_MAX
+    line_hi = hi if not math.isinf(hi) else (lo if math.isfinite(lo) else 0.0) + R_MAX
     if not factor > 1:
         raise InvalidArgument(f"factor must exceed 1, got {factor!r}")
     # The windows grow with k toward (line_lo, line_hi), so only the first
@@ -185,14 +177,14 @@ def default_schedule(dom: DomainSpec, stages: int = 21, resolution: int = 2048,
         w_hi = hi
         if lo_escape:
             if math.isinf(lo):
-                w_lo = (hi if math.isfinite(hi) else 0.0) - cfg.r0 * g
+                w_lo = (hi if math.isfinite(hi) else 0.0) - R0 * g
             else:
-                w_lo = lo + min(width, cfg.r0) / g
+                w_lo = lo + min(width, R0) / g
         if hi_escape:
             if math.isinf(hi):
-                w_hi = (lo if math.isfinite(lo) else 0.0) + cfg.r0 * g
+                w_hi = (lo if math.isfinite(lo) else 0.0) + R0 * g
             else:
-                w_hi = hi - min(width, cfg.r0) / g
+                w_hi = hi - min(width, R0) / g
         w_lo = max(w_lo, line_lo)
         w_hi = min(w_hi, line_hi)
         if w_lo < w_hi:
@@ -201,15 +193,14 @@ def default_schedule(dom: DomainSpec, stages: int = 21, resolution: int = 2048,
 
 
 def stage_schedule(f: FunctionSpec, dom: DomainSpec, stages: int = 21, resolution: int = 2048,
-                   factor: float = 2.0, cfg: SearchConfig = DEFAULT_CONFIG
-                   ) -> list[tuple[DomainSpec, int]]:
+                   factor: float = 2.0) -> list[tuple[DomainSpec, int]]:
     """The schedule that infimum_delta, witness_search and the CLI's inf
     run: default_schedule(dom, ...) for a problem that reduces to a line
     (delta.line_problem), else the one stage (dom, resolution), since
     every stage without a line is the same capped lattice."""
     if line_problem(f, dom) is None:
         return [(dom, resolution)]
-    return default_schedule(dom, stages, resolution, factor, cfg)
+    return default_schedule(dom, stages, resolution, factor)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +208,7 @@ def stage_schedule(f: FunctionSpec, dom: DomainSpec, stages: int = 21, resolutio
 # ---------------------------------------------------------------------------
 
 def _stage_field(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
-                 resolution: int, eps: float, cfg: SearchConfig):
+                 resolution: int, eps: float):
     """Returns (points, values, witnesses) for one stage grid as rows:
     points and witnesses (n, d), values (n,).  A point whose delta could
     not be found has value NaN and NaN in its witness row.
@@ -238,21 +229,20 @@ def _stage_field(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
         keep &= (ts < hi) if open_hi else (ts <= hi)
         ts = ts[keep]
         res = line_field(array_evaluator(profile), ts, eps, lo, hi, open_lo, open_hi,
-                         cfg, detect_points=min(1024, cfg.scan_points),
-                         f_enc=enclosure_evaluator(profile))
+                         detect_points=1024, f_enc=enclosure_evaluator(profile))
         pad = np.zeros((ts.size, dom.dimension - 1))
         wit_ts = np.where(np.isnan(res.values), np.nan, ts + res.witness_offset)
         return np.column_stack([ts, pad]), res.values, np.column_stack([wit_ts, pad])
 
     # The grid is capped to stay desk-scale.
     per_axis = max(3, min(resolution, int(round(4096 ** (1.0 / dom.dimension)))))
-    lo_arr, hi_arr = window.bounding_box(truncate=cfg.r_max)
+    lo_arr, hi_arr = window.bounding_box(truncate=R_MAX)
     grid = lattice([np.linspace(a, b, per_axis) for a, b in zip(lo_arr, hi_arr)])
     pts = grid[dom.contains_rows(grid)]
     values, wits = np.full(len(pts), np.nan), np.full(pts.shape, np.nan)
     for i, row in enumerate(pts):
         try:
-            r = compute_delta(f, dom, row, eps, cfg, directions=16)
+            r = compute_delta(f, dom, row, eps, directions=16)
         except DimensionMismatch:
             raise  # a fault of the problem, not of this point
         except DeltamaxError:
@@ -262,12 +252,12 @@ def _stage_field(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
 
 
 def _stage_min(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
-               resolution: int, eps: float, cfg: SearchConfig):
+               resolution: int, eps: float):
     """(inf_delta, argmin, skipped, witness) of one stage: the smallest
     finite delta on the stage grid (+inf, None, None when there is none),
     the point and witness that attain it (the stage's only two Points),
     and the count of NaN points."""
-    pts, values, wits = _stage_field(f, dom, window, resolution, eps, cfg)
+    pts, values, wits = _stage_field(f, dom, window, resolution, eps)
     skipped = int(np.count_nonzero(np.isnan(values)))
     finite = np.isfinite(values)
     if not finite.any():
@@ -277,8 +267,7 @@ def _stage_min(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
 
 
 def infimum_delta(f: FunctionSpec, dom: DomainSpec, eps: float,
-                  schedule: list[tuple[DomainSpec, int]] | None = None,
-                  cfg: SearchConfig = DEFAULT_CONFIG) -> InfTrace:
+                  schedule: list[tuple[DomainSpec, int]] | None = None) -> InfTrace:
     """Coarse-to-fine grid infima of delta(., eps) over a window schedule
     (by default stage_schedule's), one StageRecord per stage.
 
@@ -286,10 +275,10 @@ def infimum_delta(f: FunctionSpec, dom: DomainSpec, eps: float,
     not fatal.
     """
     if schedule is None:
-        schedule = stage_schedule(f, dom, cfg=cfg)
+        schedule = stage_schedule(f, dom)
     records = tuple(
         StageRecord(level, window, resolution,
-                    *_stage_min(f, dom, window, resolution, eps, cfg)[:3])
+                    *_stage_min(f, dom, window, resolution, eps)[:3])
         for level, (window, resolution) in enumerate(schedule))
     return InfTrace(eps=eps, records=records)
 
@@ -299,7 +288,7 @@ def infimum_delta(f: FunctionSpec, dom: DomainSpec, eps: float,
 # ---------------------------------------------------------------------------
 
 def witness_search(f: FunctionSpec, dom: DomainSpec, eps0: float,
-                   count: int = 8, cfg: SearchConfig = DEFAULT_CONFIG) -> WitnessPairs:
+                   count: int = 8) -> WitnessPairs:
     """Build `count` pairs (x_n, y_n) with |f(x_n) - f(y_n)| = eps0 and
     distances halving from pair to pair, by following the argmin of the
     delta field through stage_schedule's windows at factor 2^(1/4), up to
@@ -314,7 +303,7 @@ def witness_search(f: FunctionSpec, dom: DomainSpec, eps0: float,
     """
     require_positive("eps", eps0)
     schedule = stage_schedule(f, dom, _MAX_WITNESS_STAGES, _WITNESS_RESOLUTION,
-                              _WITNESS_FACTOR, cfg)
+                              _WITNESS_FACTOR)
     if len(schedule) < count and len(schedule) <= 2:
         raise WitnessesStagnated(
             f"a schedule of {len(schedule)} stage(s) cannot build {count} halving pairs")
@@ -323,9 +312,9 @@ def witness_search(f: FunctionSpec, dom: DomainSpec, eps0: float,
     dists: list[float] = []
     since_last = 0
     for window, res in schedule:
-        v, x, _, y = _stage_min(f, dom, window, res, eps0, cfg)
+        v, x, _, y = _stage_min(f, dom, window, res, eps0)
         if (y is not None and (not pairs or v <= 0.5 * dists[-1])
-                and _pins_eps(f, dom, x, y, eps0, cfg)):
+                and _pins_eps(f, dom, x, y, eps0)):
             pairs.append((x, y))
             dists.append(v)
             since_last = 0
@@ -340,8 +329,7 @@ def witness_search(f: FunctionSpec, dom: DomainSpec, eps0: float,
         pairs=WitnessPairs(tuple(pairs), eps0, tuple(dists)) if pairs else None)
 
 
-def _pins_eps(f: FunctionSpec, dom: DomainSpec, x: Point, y: Point, eps0: float,
-              cfg: SearchConfig) -> bool:
+def _pins_eps(f: FunctionSpec, dom: DomainSpec, x: Point, y: Point, eps0: float) -> bool:
     """|f(y) - f(x)| = eps0 to within the image-distance accuracy limit:
     float rounding of f at x scales the achievable |h|, so the acceptance
     threshold is ulp-aware.  An end where f is not finite pins nothing."""
@@ -349,7 +337,7 @@ def _pins_eps(f: FunctionSpec, dom: DomainSpec, x: Point, y: Point, eps0: float,
         fx, fy = value_at(f, x, dom.norm), value_at(f, y, dom.norm)
     except (NonFinite, FloatResolutionLimit):
         return False
-    tol_eff = max(cfg.tol_f, 32.0 * math.ulp(abs(fx) + eps0))
+    tol_eff = max(TOL_F, 32.0 * math.ulp(abs(fx) + eps0))
     return abs(abs(fy - fx) - eps0) <= tol_eff
 
 
@@ -365,17 +353,15 @@ def _trace_is_stable(trace: InfTrace) -> bool:
     return vals[-1] >= 0.5 * q3
 
 
-def default_eps_grid(f: FunctionSpec, dom: DomainSpec,
-                     cfg: SearchConfig = DEFAULT_CONFIG) -> tuple[float, list[float]]:
+def default_eps_grid(f: FunctionSpec, dom: DomainSpec) -> tuple[float, list[float]]:
     """(beta, eps grid) that uc_verdict tests when given no grid: beta/8,
     beta/4 and beta/2 for the sampled epsilon bound beta."""
-    beta = epsilon_bound(f, dom, cfg=cfg).beta
+    beta = epsilon_bound(f, dom).beta
     return beta, [beta / 8.0, beta / 4.0, beta / 2.0]
 
 
 def uc_verdict(f: FunctionSpec, dom: DomainSpec,
                eps_grid: list[float] | None = None,
-               cfg: SearchConfig = DEFAULT_CONFIG,
                count: int = 8) -> UcVerdict:
     """Three-way evidence verdict on uniform continuity of f over dom.
 
@@ -386,7 +372,7 @@ def uc_verdict(f: FunctionSpec, dom: DomainSpec,
     take stage_schedule's schedules; there is no schedule keyword.
     """
     if eps_grid is None:
-        eps_grid = default_eps_grid(f, dom, cfg)[1]
+        eps_grid = default_eps_grid(f, dom)[1]
     if not eps_grid:
         raise InvalidArgument("eps_grid must be nonempty")
 
@@ -394,12 +380,12 @@ def uc_verdict(f: FunctionSpec, dom: DomainSpec,
     partial_max = 0
     for eps in eps_grid:
         try:
-            witnesses = witness_search(f, dom, eps, count=count, cfg=cfg)
+            witnesses = witness_search(f, dom, eps, count=count)
         except WitnessesStagnated as stalled:
             if stalled.pairs is not None:
                 partial_max = max(partial_max, len(stalled.pairs.pairs))
             witnesses = None
-        traces.append(infimum_delta(f, dom, eps, cfg=cfg))
+        traces.append(infimum_delta(f, dom, eps))
         if witnesses is not None:
             return UcVerdict(kind=Verdict.EVIDENCE_NOT_UC,
                              eps_tested=tuple(eps_grid[:len(traces)]),

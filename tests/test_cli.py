@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
-from deltamax import cli
+from deltamax import catalog, cli
 
 
 def run(capsys, *argv):
@@ -67,18 +69,6 @@ class TestDeltaStats:
 
 
 GOLDEN = {
-    ("delta", "--fn", "square", "--p", "3", "--eps", "1", "--certify"): """\
-value 0.16227766017005546
-witness 3.1622776601700555
-certified_lower 0.16227750122199019
-certified_upper 0.16227766017005546
-backend levelset1d
-one_sided false
-oracle_lower 0.16226467795724148
-oracle_upper 0.16227766017005507
-oracle_step 1.2982212813604437e-05
-sandwich_ok true
-""",
     ("certify", "--fn", "square", "--p", "3", "--eps", "1"): """\
 value 0.16227766017005546
 backend levelset1d
@@ -96,16 +86,69 @@ def test_golden(capsys, argv):
     assert run(capsys, *argv) == (cli.EXIT_OK, GOLDEN[argv], "")
 
 
+# Byte goldens of the paths no other test runs: scan's rows (the p = 0
+# row of square pins today's loose lower bound at a stationary point,
+# and log_norm's origin row fills the error column), the catalog
+# manifest, and uc's output with its exit codes 10 and 0.
+OUTPUT = {
+    ("scan", "--fn", "square", "--p-min", "-1", "--p-max", "1", "--p-count", "5",
+     "--eps", "0.5"): (cli.EXIT_OK, """\
+p,eps,delta,lower,upper,backend,error
+-1,0.5,0.22474487139239563,0.22474463297278785,0.22474487139239563,levelset1d,
+-0.5,0.5,0.36602540378519055,0.36602445010901097,0.36602540378519055,levelset1d,
+0,0.5,0.70710678118715564,0.46868820208472584,0.70710678118715564,levelset1d,
+0.5,0.5,0.36602540378511783,0.36602445011084561,0.36602540378511783,levelset1d,
+1,0.5,0.22474487139201765,0.22474463297264829,0.22474487139201765,levelset1d,
+"""),
+    ("scan", "--fn", "log_norm", "--p-min", "0", "--p-max", "1", "--p-count", "3",
+     "--eps", "0.5"): (cli.EXIT_OK, """\
+p,eps,delta,lower,upper,backend,error
+0,0.5,nan,nan,nan,,(0.0; 0.0) is outside the domain annulus:0.0:inf:open-inner:dim=2
+0.5,0.5,0.19673467014405083,0.19673443172432381,0.19673467014405083,radial,
+1,0.5,0.39346934028754155,0.39346886344923548,0.39346934028754155,radial,
+"""),
+    ("catalog",): (cli.EXIT_OK, """\
+square|x^2|interval:-inf:inf
+identity|x|interval:-inf:inf
+exp_norm|exp(r)|ball:0.0,0.0:inf:dim=2
+log_norm|ln(r)|annulus:0.0:inf:open-inner:dim=2
+"""),
+    ("uc", "--fn", "sin(1/x)", "--domain", "interval:0:1:open-left", "--eps-grid", "0.5",
+     "--count", "3"): (cli.EXIT_NOT_UC, """\
+verdict evidence-not-uc
+eps_tested 0.5
+witness_eps 0.5
+witness_pairs x | y | distance
+  0.84089641525371461 | 0.37047573653053173 | 0.47042067872318288
+  0.59460355750136051 | 0.38094001592270299 | 0.21366354157865752
+  0.42044820762685736 | 0.33907662559025603 | 0.081371582036601331
+note distances halve while |f(x)-f(y)| stays at eps; evidence, not a proof
+"""),
+    ("uc", "--fn", "sqrt(x)", "--domain", "half_line:0", "--eps-grid", "0.5"): (cli.EXIT_OK, """\
+verdict evidence-uc
+eps_tested 0.5
+delta_floor 0.25000000000093126
+note floor is numerical evidence from sampled windows, not a proof
+"""),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(OUTPUT), ids=" ".join)
+def test_output(capsys, monkeypatch, argv):
+    monkeypatch.setattr(catalog, "_REGISTRY", {})  # the builtins only
+    code, out = OUTPUT[argv]
+    assert run(capsys, *argv) == (code, out, "")
+
+
 class TestFlags:
     """Each subcommand takes exactly the flags it reads."""
 
-    PROBLEM = ["--domain", "--dim", "--tol-x", "--tol-f", "--scan-points", "--r0",
-               "--r-max", "--out"]
+    PROBLEM = ["--domain", "--dim", "--out"]
     RAYS = ["--directions", "--seed"]
     # subcommand -> (required arguments, optional flags)
     FLAGS = {
         "delta": (["--fn", "square", "--p", "1", "--eps", "1"],
-                  PROBLEM + RAYS + ["--certify", "--oracle-points", "--stats"]),
+                  PROBLEM + RAYS + ["--stats"]),
         "scan": (["--fn", "square", "--p-min", "0", "--p-max", "1", "--p-count", "2"],
                  PROBLEM + RAYS + ["--eps", "--eps-grid"]),
         "inf": (["--fn", "square", "--eps", "1"], PROBLEM + ["--stages", "--resolution"]),
@@ -114,7 +157,7 @@ class TestFlags:
         "certify": (["--fn", "square", "--p", "1", "--eps", "1"],
                     PROBLEM + RAYS + ["--h", "--window-radius"]),
     }
-    SWITCHES = {"--certify", "--stats"}
+    SWITCHES = {"--stats"}
 
     @pytest.mark.parametrize("command", sorted(FLAGS))
     def test_every_flag_parses(self, command):
@@ -124,11 +167,21 @@ class TestFlags:
             args = cli.build_parser().parse_args([command, *required, flag, *value])
             assert getattr(args, flag[2:].replace("-", "_")) not in (None, False), flag
 
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_help_lists_no_other_flag(self, capsys, command):
+        required, flags = self.FLAGS[command]
+        code, out, _ = run(capsys, command, "--help")
+        assert code == cli.EXIT_OK
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out))
+        assert listed == {"--help", *flags, *(a for a in required if a.startswith("--"))}
+
     @pytest.mark.parametrize("argv", [
         ("catalog", "--directions", "3"),
         ("catalog", "--fn", "square"),
         ("uc", "--fn", "square", "--seed", "1"),
         ("inf", "--fn", "square", "--eps", "1", "--directions", "3"),
+        ("delta", "--fn", "square", "--p", "3", "--eps", "1", "--certify"),
+        ("delta", "--fn", "square", "--p", "3", "--eps", "1", "--r-max", "10"),
     ])
     def test_unread_flags_are_rejected(self, capsys, argv):
         code, out, err = run(capsys, *argv)

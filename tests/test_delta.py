@@ -12,8 +12,6 @@ import pytest
 import deltamax as dm
 import deltamax.delta as delta_mod
 from deltamax.delta import (
-    DEFAULT_CONFIG,
-    SearchConfig,
     compute_delta,
     delta_level_set_1d,
     delta_monotone_1d,
@@ -37,7 +35,7 @@ from deltamax.errors import (
 )
 from deltamax.model import DomainSpec, ExpressionFn, Monotone1DFn, NormTag, Point
 from deltamax.oracle import GridSpec, brute_force_inf, grid_delta_bounds
-from deltamax.search import scan_side
+from deltamax.search import R_MAX, scan_side
 
 REALS = DomainSpec.interval(-math.inf, math.inf)
 HALF = DomainSpec.half_line(0.0)
@@ -52,19 +50,6 @@ def cube():
 def exp_half():
     return Monotone1DFn(fn=np.exp, interval=(0.0, math.inf), increasing=True,
                         label="exp")
-
-
-class TestSearchConfig:
-    def test_defaults(self):
-        cfg = SearchConfig()
-        assert cfg.tol_x == 1e-12 and cfg.tol_f == 1e-10
-        assert cfg.scan_points == 4096 and cfg.r0 == 1.0 and cfg.r_max == 2 ** 20
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SearchConfig(tol_x=0.0)
-        with pytest.raises(ValueError):
-            SearchConfig(scan_points=8)
 
 
 class TestInverseMonotone:
@@ -142,7 +127,7 @@ class TestLevelSet1D:
     def test_constant_has_empty_preimage(self):
         with pytest.raises(EmptySpherePreimage) as err:
             delta_level_set_1d(ExpressionFn.parse("7"), REALS, 0.0, 1.0)
-        assert err.value.searched_radius >= DEFAULT_CONFIG.r_max / 2
+        assert err.value.searched_radius >= R_MAX / 2
 
     def test_sine_nearest_crossing(self):
         # |sin x| = 0.5 nearest to 0 is x = pi/6; cross-checked against a
@@ -700,9 +685,6 @@ class TestInvalidArgument:
             is_delta_epsilon_number(square.function, square.domain, 3.0, 1.0, 0.0)
         with pytest.raises(InvalidArgument):
             dm.uc_verdict(square.function, square.domain, eps_grid=[])
-        for bad in ({"tol_x": 0.0}, {"r_max": math.nan}, {"scan_points": 8}):
-            with pytest.raises(InvalidArgument):
-                SearchConfig(**bad)
 
     def test_is_a_deltamax_value_error(self):
         assert issubclass(InvalidArgument, DeltamaxError)

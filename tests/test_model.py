@@ -237,6 +237,18 @@ class TestCatalog:
             assert name in dm.catalog_names()
             parse_domain(domain)
 
+    def test_entries_load_back_as_registered(self):
+        from deltamax.catalog import _builtin_entries
+
+        for entry in _builtin_entries():
+            assert parse_domain(format_domain(entry.domain)) == entry.domain, entry.name
+        # Open on one lower face only: the manifest's open-left would open both.
+        mixed = DomainSpec.box((0.0, 0.0), (1.0, 1.0), open_lo=(True, False))
+        assert not parse_domain(format_domain(mixed)).contains(Point.of(0.5, 0.0))
+        with pytest.raises(DomainParseError):
+            dm.register("tilt", "x1+x2", mixed)
+        assert "tilt" not in dm.catalog_names()
+
     def test_register_and_load(self):
         dm.register("cubic_test", "x^3", DomainSpec.interval(-math.inf, math.inf))
         entry = dm.catalog_lookup("cubic_test")

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from deltamax.delta import DEFAULT_CONFIG, _box_exit
+from deltamax.delta import _box_exit
 from deltamax.model import (
     DomainSpec,
     ExpressionFn,
@@ -43,7 +43,7 @@ def test_enclosure_leaves_field_bit_identical(name, eps):
     src, lo, hi, open_lo, open_hi, ps = CASES[name]
     f = ExpressionFn.parse(src)
     g = getattr(f, "inner", f)  # the profile of a radial function
-    args = (array_evaluator(g), ps, eps, lo, hi, open_lo, open_hi, DEFAULT_CONFIG)
+    args = (array_evaluator(g), ps, eps, lo, hi, open_lo, open_hi)
     sampled = line_field(*args, detect_points=1024)
     enclosed = line_field(*args, detect_points=1024, f_enc=enclosure_evaluator(g))
     for field in dataclasses.fields(sampled):
@@ -67,7 +67,7 @@ def test_batch_field_matches_points_alone(name, eps, enclose):
     f_arr, f_enc = array_evaluator(g), enclosure_evaluator(g) if enclose else None
 
     def field_of(pts):
-        return line_field(f_arr, pts, eps, lo, hi, open_lo, open_hi, DEFAULT_CONFIG, f_enc=f_enc)
+        return line_field(f_arr, pts, eps, lo, hi, open_lo, open_hi, f_enc=f_enc)
 
     ps = ps[::8]
     batch = field_of(ps)
@@ -124,7 +124,7 @@ def test_reach_leaves_ray_crossings_bit_identical(name, seed):
 
         n = dirs.shape[0]
         args = (eval_at, np.full(n, fp), eps, np.full(n, math.inf), np.full(n, 1.0),
-                np.full(n, float(np.max(np.abs(p)))), DEFAULT_CONFIG)
+                np.full(n, float(np.max(np.abs(p)))))
         full = scan_side(*args, detect_points=256)
         capped = scan_side(*args, detect_points=256, reach=_box_exit(dom, p, dirs))
         assert np.array_equal(full.root, capped.root, equal_nan=True)

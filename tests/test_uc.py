@@ -14,8 +14,9 @@ import pytest
 
 import deltamax as dm
 from deltamax import cli, uc
-from deltamax.delta import DEFAULT_CONFIG, compute_delta
+from deltamax.delta import compute_delta
 from deltamax.model import DomainSpec, ExpressionFn, Monotone1DFn, Point, RadialFn
+from deltamax.search import R_MAX
 
 EPS = 0.5
 UNIT = DomainSpec.interval(0.0, 1.0, open_lo=True)  # (0, 1]
@@ -96,7 +97,7 @@ def test_clipped_monotone_end_is_sampled():
     # end is closed, so 0.5 is a stage point, as compute_delta accepts it.
     f = Monotone1DFn(np.exp, (0.5, 2.0), True)
     window, resolution = uc.default_schedule(UNIT, stages=3, resolution=8)[0]
-    pts, values = uc._stage_field(f, UNIT, window, resolution, 0.1, DEFAULT_CONFIG)[:2]
+    pts, values = uc._stage_field(f, UNIT, window, resolution, 0.1)[:2]
     assert pts[0].tolist() == [0.5]
     assert values[0] == pytest.approx(compute_delta(f, UNIT, 0.5, 0.1).value, rel=1e-9)
 
@@ -150,7 +151,7 @@ def test_stage_field_returns_rows(path):
         (window, res), eps = uc.default_schedule(dom, stages=1, resolution=16)[0], EPS
     else:  # |x1*x2| <= 4 on the box, so eps = 5 is out of reach from the origin
         f, dom, window, res, eps = ExpressionFn.parse("x1*x2"), BOX, BOX, 3, 5.0
-    pts, values, wits = uc._stage_field(f, dom, window, res, eps, DEFAULT_CONFIG)
+    pts, values, wits = uc._stage_field(f, dom, window, res, eps)
     n, d = pts.shape
     assert d == dom.dimension and values.shape == (n,) and wits.shape == (n, d)
     assert np.isnan(wits).any(axis=1).tolist() == np.isnan(values).tolist()
@@ -225,12 +226,12 @@ def test_open_finite_end_gets_every_stage(dom):
 
 
 @pytest.mark.parametrize("dom, lo, hi", [
-    (DomainSpec.half_line(2e6), 2e6, 2e6 + DEFAULT_CONFIG.r_max),
-    (DomainSpec.interval(-math.inf, -2e6), -2e6 - DEFAULT_CONFIG.r_max, -2e6),
+    (DomainSpec.half_line(2e6), 2e6, 2e6 + R_MAX),
+    (DomainSpec.interval(-math.inf, -2e6), -2e6 - R_MAX, -2e6),
 ], ids=["[2e6,inf)", "(-inf,-2e6]"])
 def test_line_beyond_the_truncation_radius_gets_every_stage(dom, lo, hi):
-    # The infinite end is truncated r_max from the finite one, not at
-    # +-r_max, which would leave no window at all.
+    # The infinite end is truncated R_MAX from the finite one, not at
+    # +-R_MAX, which would leave no window at all.
     schedule = uc.default_schedule(dom)
     assert len(schedule) == 21
     for window, _ in schedule:
