@@ -18,15 +18,10 @@ from .catalog import (
 )
 from .delta import (
     DeltaResult,
-    EpsilonRange,
     compute_delta,
-    delta_level_set_1d,
-    delta_monotone_1d,
-    delta_radial,
     delta_ray_nd,
     direction_set,
     epsilon_bound,
-    inverse_monotone,
     is_delta_epsilon_number,
 )
 from .domaintext import format_domain, parse_domain

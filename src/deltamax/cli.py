@@ -34,6 +34,7 @@ from .errors import (
     DomainViolation,
     EmptySpherePreimage,
     FloatResolutionLimit,
+    InvalidArgument,
     InvalidDomain,
     LexError,
     NonFinite,
@@ -85,14 +86,13 @@ def _fmt_point(p: Point | None) -> str:
 
 def _add_common(sp: argparse.ArgumentParser, rays: bool = False):
     """The flags of a subcommand that solves a problem on (--fn, --domain);
-    `rays` adds the nD estimator's --directions and --seed."""
+    `rays` adds the nD estimator's ray count, --directions."""
     sp.add_argument("--fn", required=True, help="catalog name or expression source")
     sp.add_argument("--domain", help="domain text (default: the function's natural domain)")
     sp.add_argument("--dim", type=int, help="dimension for radial/nD functions")
     if rays:
         sp.add_argument("--directions", type=int, default=64,
                         help="ray count for the nD estimator")
-        sp.add_argument("--seed", type=int, default=0, help="seed for direction sets")
     _add_out(sp)
 
 
@@ -131,7 +131,7 @@ def _emit(args, text: str):
 def cmd_delta(args) -> int:
     fn, dom = _resolve(args)
     p = _parse_point(args.p, dom.dimension)
-    res = compute_delta(fn, dom, p, args.eps, directions=args.directions, seed=args.seed)
+    res = compute_delta(fn, dom, p, args.eps, directions=args.directions)
     lines = [
         f"value {_fmt(res.value)}",
         f"witness {_fmt_point(res.witness)}",
@@ -151,8 +151,10 @@ def cmd_scan(args) -> int:
     fn, dom = _resolve(args)
     if args.eps_grid:
         eps_values = sorted(float(v) for v in args.eps_grid.split(","))
-    else:
+    elif args.eps is not None:
         eps_values = [args.eps]
+    else:
+        raise InvalidArgument("scan needs --eps or --eps-grid")
     for eps in eps_values:  # a bad eps fails the command, not each row
         require_positive("eps", eps)
     ps = np.linspace(args.p_min, args.p_max, args.p_count)
@@ -161,8 +163,7 @@ def cmd_scan(args) -> int:
         for p in ps:
             pt = Point((float(p),) + (0.0,) * (dom.dimension - 1))
             try:
-                res = compute_delta(fn, dom, pt, eps,
-                                    directions=args.directions, seed=args.seed)
+                res = compute_delta(fn, dom, pt, eps, directions=args.directions)
                 rows.append(",".join([
                     _fmt(float(p)), _fmt(eps), _fmt(res.value),
                     _fmt(res.certified_lower), _fmt(res.certified_upper),
@@ -248,7 +249,7 @@ def cmd_certify(args) -> int:
     <= upper + slack."""
     fn, dom = _resolve(args)
     p = _parse_point(args.p, dom.dimension)
-    res = compute_delta(fn, dom, p, args.eps, directions=args.directions, seed=args.seed)
+    res = compute_delta(fn, dom, p, args.eps, directions=args.directions)
     radius = args.window_radius if args.window_radius else 4.0 * res.value
     h = args.h if args.h else 2.0 * radius / 4096.0
     window = DomainSpec.box(p.as_array() - radius, p.as_array() + radius, norm=dom.norm)

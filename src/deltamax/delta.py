@@ -3,14 +3,16 @@
 delta(p, eps) is the distance from p to the set of domain points whose
 image is exactly eps away from f(p).  On the domains this package
 accepts, that distance is the largest delta satisfying the epsilon-delta
-continuity condition at p.  Four backends compute it:
+continuity condition at p.  compute_delta routes (f, dom) by its
+hypotheses to one of four methods, whose name labels DeltaResult.backend:
 
 * monotone   -- closed two-sided formula for strictly monotone 1-d
                 functions, inverses by bracketed bisection;
 * levelset1d -- outward scan + bisection on |f(x)-f(p)| - eps for any
-                1-d function;
+                other 1-d function;
 * radial     -- reduction of f(x) = g(||x||) to the 1-d problem at
-                ||p||, exact on origin-centered balls/annuli;
+                ||p||, exact on origin-centered balls/annuli, where
+                dist(p, {||x|| = t}) = | ||p|| - t |;
 * ray_nd     -- direction sweep estimator for generic functions in
                 dimension >= 2; its value is only guaranteed to lie
                 between the certified bounds.  A ray without a crossing
@@ -36,7 +38,6 @@ from .errors import (
     EmptySpherePreimage,
     FloatResolutionLimit,
     InvalidArgument,
-    InvalidDomain,
     NonFinite,
     OutOfRange,
 )
@@ -104,18 +105,6 @@ class DeltaResult:
                 f"{self.value} <= {self.certified_upper} violated")
 
 
-@dataclass(frozen=True)
-class EpsilonRange:
-    """Sampled epsilon upper bound: delta(p, eps) is expected to be well
-    defined for every domain point whenever 0 < eps < beta.
-
-    beta is a heuristic (a quarter of 0.99x the sampled image spread),
-    not a proven bound.
-    """
-
-    beta: float
-
-
 # ---------------------------------------------------------------------------
 # Line reduction
 # ---------------------------------------------------------------------------
@@ -165,12 +154,12 @@ def line_problem(f: FunctionSpec, dom: DomainSpec
     return g, lo, hi, open_lo, open_hi
 
 
-def _line_delta(problem, dom: DomainSpec, p, eps: float, sample: bool = False) -> DeltaResult:
+def _line_delta(problem, dom: DomainSpec, p, eps: float) -> DeltaResult:
     """delta(p, eps) of a line problem (see line_problem) on dom.
 
     The line coordinate of p is p itself on a 1-d domain and ||p|| on a
-    radial one.  A Monotone1DFn profile takes the closed formula unless
-    `sample` asks for the line engine, which runs every other profile.
+    radial one.  A Monotone1DFn profile takes the closed formula; the
+    line engine runs every other profile.
     A radial witness is lifted along the ray through p (along the first
     axis when p is the origin).  eps and p pass the model gates, t must
     lie on the clipped line, and f(p) is read strictly before either runs.
@@ -183,7 +172,7 @@ def _line_delta(problem, dom: DomainSpec, p, eps: float, sample: bool = False) -
     if not lo <= t <= hi:
         raise DomainViolation(f"{pt.coords} is outside the domain {dom.describe()}")
     fp = value_at(g, t)
-    if isinstance(g, Monotone1DFn) and not sample:
+    if isinstance(g, Monotone1DFn):
         backend = "monotone"
         value, t_w, lower, upper, one_sided, diagnostics = _monotone_line(g, t, fp, eps)
     else:
@@ -226,20 +215,15 @@ def _line_delta(problem, dom: DomainSpec, p, eps: float, sample: bool = False) -
 # Monotone backend
 # ---------------------------------------------------------------------------
 
-def inverse_monotone(g: Monotone1DFn, y: float, start: float | None = None) -> float:
-    """x in g's interval with |g(x) - y| <= TOL_F, by bracketed bisection.
+def _invert(g: Monotone1DFn, y: float, start: float | None) -> tuple[float, float, float]:
+    """x in g's interval with |g(x) - y| <= TOL_F, by bracketed bisection,
+    and the final bisection bracket [lo, hi], which holds the preimage.
 
     Raises OutOfRange when y is provably outside the range (a finite
     endpoint maps past y), or when doubling expansion hits R_MAX with no
-    sign change.
+    sign change; it carries the distance from start searched in vain
+    (inf when the range provably misses y).
     """
-    return _invert(g, y, start)[0]
-
-
-def _invert(g: Monotone1DFn, y: float, start: float | None) -> tuple[float, float, float]:
-    """inverse_monotone's x with the final bisection bracket [lo, hi],
-    which holds the preimage of y.  OutOfRange carries the distance from
-    start searched in vain (inf when the range provably misses y)."""
     a, b = g.interval
     g_arr = array_evaluator(g)
     sgn = 1.0 if g.increasing else -1.0
@@ -351,47 +335,6 @@ def _monotone_line(g: Monotone1DFn, t: float, gp: float, eps: float):
     return value, x, lower, upper, len(sides) == 1, {"g_p": gp}
 
 
-def delta_monotone_1d(g: Monotone1DFn, p: float, eps: float) -> DeltaResult:
-    """The closed formula (see _monotone_line) on g's own interval."""
-    dom = g.domain_hint()
-    return _line_delta(line_problem(g, dom), dom, p, eps)
-
-
-# ---------------------------------------------------------------------------
-# 1-d level-set backend
-# ---------------------------------------------------------------------------
-
-def delta_level_set_1d(f: FunctionSpec, dom: DomainSpec, p: float, eps: float) -> DeltaResult:
-    """Outward scan for the nearest solution of |f(x) - f(p)| = eps on a
-    1-d domain; a Monotone1DFn is scanned too, not solved."""
-    problem = line_problem(f, dom)
-    if problem is None or dom.dimension != 1:
-        raise DimensionMismatch("the 1-d backend needs a 1-d function on a 1-d domain")
-    return _line_delta(problem, dom, p, eps, sample=True)
-
-
-# ---------------------------------------------------------------------------
-# Radial backend
-# ---------------------------------------------------------------------------
-
-def delta_radial(f: FunctionSpec, dom: DomainSpec, p, eps: float) -> DeltaResult:
-    """delta of the 1-d profile at ||p||, lifted along the ray through p.
-
-    For origin-centered balls/annuli in a p-norm this equals the true
-    distance to the sphere preimage, because dist(p, {||x|| = t}) is
-    exactly | ||p|| - t |.
-    """
-    g = unwrap(f)
-    if not isinstance(g, RadialFn):
-        raise TypeError("delta_radial needs a radial function")
-    problem = line_problem(g, dom)
-    if problem is None or dom.dimension == 1:
-        raise InvalidDomain(
-            "the radial backend needs an origin-centered ball/annulus in "
-            f"dimension >= 2, got a {dom.dimension}-d {dom.shape.value}")
-    return _line_delta(problem, dom, p, eps)
-
-
 # ---------------------------------------------------------------------------
 # nD ray estimator
 # ---------------------------------------------------------------------------
@@ -399,10 +342,10 @@ def delta_radial(f: FunctionSpec, dom: DomainSpec, p, eps: float) -> DeltaResult
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def direction_set(dim: int, count: int, norm: NormTag = NormTag.L2,
-                  seed: int = 0) -> np.ndarray:
+def direction_set(dim: int, count: int, norm: NormTag = NormTag.L2) -> np.ndarray:
     """Deterministic unit directions (in `norm`); the +/- axes come
-    first, then a seeded low-discrepancy fill."""
+    first, then a fill: golden-angle steps from angle 0 in 2-d, and
+    default_rng(0) normals otherwise."""
     axes = []
     for i in range(dim):
         for sign in (1.0, -1.0):
@@ -413,12 +356,11 @@ def direction_set(dim: int, count: int, norm: NormTag = NormTag.L2,
     extra = count - len(dirs)
     if extra > 0:
         if dim == 2:
-            offset = (seed % 997) / 997.0
             ks = np.arange(extra)
-            theta = 2.0 * math.pi * ((ks * _GOLDEN + offset) % 1.0)
+            theta = 2.0 * math.pi * ((ks * _GOLDEN) % 1.0)
             more = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         else:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(0)
             more = rng.standard_normal((extra, dim))
         dirs = dirs + list(more)
     out = np.asarray(dirs, dtype=float)
@@ -445,7 +387,7 @@ def _box_exit(dom: DomainSpec, p_arr: np.ndarray, dirs: np.ndarray) -> np.ndarra
 
 
 def delta_ray_nd(f: FunctionSpec, dom: DomainSpec, p, eps: float,
-                 directions: int = 64, seed: int = 0) -> DeltaResult:
+                 directions: int = 64) -> DeltaResult:
     """Heuristic delta estimator for generic functions in dim >= 2.
 
     Runs the 1-d level-set search along each ray; the minimum crossing
@@ -466,7 +408,7 @@ def delta_ray_nd(f: FunctionSpec, dom: DomainSpec, p, eps: float,
     fp = value_at(f, pt, dom.norm)
     f_arr = array_evaluator(f, norm=dom.norm)
     p_arr = pt.as_array()
-    dirs = direction_set(pt.dim, directions, dom.norm, seed)
+    dirs = direction_set(pt.dim, directions, dom.norm)
     n = dirs.shape[0]
 
     def eval_at(cols, ts):
@@ -557,8 +499,9 @@ def is_delta_epsilon_number(f: FunctionSpec, dom: DomainSpec, p, eps: float,
     return not bool(np.any(viol & ~np.isnan(fv)))
 
 
-def epsilon_bound(f: FunctionSpec, dom: DomainSpec, samples: int = 4096) -> EpsilonRange:
-    """beta = 0.99 * (sampled image spread) / 4.
+def epsilon_bound(f: FunctionSpec, dom: DomainSpec, samples: int = 4096) -> float:
+    """beta = 0.99 * (sampled image spread) / 4, below which delta(p, eps)
+    is expected to be defined at every domain point.
 
     Unbounded domains are sampled on their truncation window (radius
     R_MAX), which makes beta itself a sampled heuristic.
@@ -579,7 +522,7 @@ def epsilon_bound(f: FunctionSpec, dom: DomainSpec, samples: int = 4096) -> Epsi
         raise ConstantFunction(
             f"sampled image spread {spread!r} is below tol_f; the function "
             "looks constant and has no valid epsilon range")
-    return EpsilonRange(beta=0.99 * spread / 4.0)
+    return 0.99 * spread / 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +530,7 @@ def epsilon_bound(f: FunctionSpec, dom: DomainSpec, samples: int = 4096) -> Epsi
 # ---------------------------------------------------------------------------
 
 def compute_delta(f: FunctionSpec, dom: DomainSpec | None, p, eps: float,
-                  directions: int = 64, seed: int = 0) -> DeltaResult:
+                  directions: int = 64) -> DeltaResult:
     """Dispatch to the right backend for (f, dom): the line front end for
     a 1-d or radial problem (see line_problem), ray_nd otherwise.
     dom=None is f's natural domain (f.domain_hint()), as in the CLI."""
@@ -595,5 +538,5 @@ def compute_delta(f: FunctionSpec, dom: DomainSpec | None, p, eps: float,
         dom = f.domain_hint()
     problem = line_problem(f, dom)
     if problem is None:
-        return delta_ray_nd(f, dom, p, eps, directions, seed)
+        return delta_ray_nd(f, dom, p, eps, directions)
     return _line_delta(problem, dom, p, eps)

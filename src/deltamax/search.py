@@ -146,7 +146,6 @@ def _bisect(eval_at, cols, fp, eps, lo, hi, hi_h, pos_scale):
 def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
               extents: np.ndarray, r0: np.ndarray,
               pos_scale: np.ndarray, detect_points: int = SCAN_POINTS,
-              enclose_at: SideEnclose | None = None,
               reach: np.ndarray | None = None) -> SideResult:
     """Find the nearest crossing of h along one side for every column.
 
@@ -155,14 +154,11 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
     bracket by one fine rescan and bisects it.  line_field runs the two
     steps itself: one sweep per side, as one sweep over both sides'
     windows measured slower on large batches, then one settle step for
-    the brackets of both sides.
+    the brackets of both sides; only it skips windows by enclosure.
 
     detect_points controls the bracketing sweep resolution (defaults to
     SCAN_POINTS); the fine rescan inside a found bracket keeps the
-    cleared-radius quality independent of it.  enclose_at(cols, t_lo,
-    t_end) returns, per window [t_lo, t_end], a value that is negative
-    only if h < 0 at every float sample of the window and at every real
-    offset in it; such a window is not sampled.
+    cleared-radius quality independent of it.
 
     reach, per column, is an offset beyond which no sample is valid
     (e.g. the exit from the domain's bounding box).  A column without a
@@ -174,14 +170,17 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
     radius.
     """
     side, brackets = _sweep(eval_at, fp, eps, extents, r0, pos_scale,
-                            detect_points, enclose_at, reach)
+                            detect_points, reach=reach)
     _settle(eval_at, fp, eps, pos_scale, side, brackets)
     return side
 
 
 def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
-           enclose_at, reach=None) -> tuple[SideResult, list]:
-    """The bracketing half of scan_side (same arguments).
+           enclose_at: SideEnclose | None = None, reach=None) -> tuple[SideResult, list]:
+    """The bracketing half of scan_side (same arguments).  enclose_at(cols,
+    t_lo, t_end) returns, per window [t_lo, t_end], a value that is
+    negative only if h < 0 at every float sample of the window and at
+    every real offset in it; such a window is not sampled.
 
     Returns the side with root and root_h still NaN, and the brackets
     found: a list of (cols, lo, hi, hi_h) arrays, lo being the last clear

@@ -296,15 +296,17 @@ def witness_search(f: FunctionSpec, dom: DomainSpec, eps0: float,
 
     Raises WitnessesStagnated (with the partial pairs attached) when the
     distances stop halving -- the signal that feeds an EvidenceUC or
-    Inconclusive verdict.  A schedule of at most two stages, fewer than
-    `count` (every problem without a line has one stage), raises so
-    before evaluating any stage: it cannot complete the chain, and
-    uc_verdict ignores <= 2 pairs.
+    Inconclusive verdict.  uc_verdict ignores chains of <= 2 pairs, so a
+    count below 3 is an InvalidArgument, and a schedule of at most two
+    stages (every problem without a line has one) raises before
+    evaluating any stage.
     """
     require_positive("eps", eps0)
+    if count < 3:
+        raise InvalidArgument(f"a witness chain needs count >= 3 pairs, got {count!r}")
     schedule = stage_schedule(f, dom, _MAX_WITNESS_STAGES, _WITNESS_RESOLUTION,
                               _WITNESS_FACTOR)
-    if len(schedule) < count and len(schedule) <= 2:
+    if len(schedule) <= 2:
         raise WitnessesStagnated(
             f"a schedule of {len(schedule)} stage(s) cannot build {count} halving pairs")
 
@@ -356,7 +358,7 @@ def _trace_is_stable(trace: InfTrace) -> bool:
 def default_eps_grid(f: FunctionSpec, dom: DomainSpec) -> tuple[float, list[float]]:
     """(beta, eps grid) that uc_verdict tests when given no grid: beta/8,
     beta/4 and beta/2 for the sampled epsilon bound beta."""
-    beta = epsilon_bound(f, dom).beta
+    beta = epsilon_bound(f, dom)
     return beta, [beta / 8.0, beta / 4.0, beta / 2.0]
 
 

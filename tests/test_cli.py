@@ -49,6 +49,21 @@ class TestInvalidArgumentExit:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_scan_without_eps(self, capsys):
+        code, out, err = run(capsys, "scan", "--fn", "square", "--p-min", "0",
+                             "--p-max", "1", "--p-count", "2")
+        assert (code, out, err) == (cli.EXIT_PARSE, "", "error: scan needs --eps or --eps-grid\n")
+
+    @pytest.mark.parametrize("count", ["1", "0"])
+    def test_uc_count_below_three(self, capsys, count):
+        # f(x) = x is uniformly continuous: a chain of fewer than three
+        # pairs is no evidence against it, so the count itself is refused.
+        code, out, err = run(capsys, "uc", "--fn", "x", "--domain", "interval:0:1",
+                             "--eps-grid", "0.5", "--count", count)
+        assert code == cli.EXIT_PARSE == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestDeltaStats:
     @pytest.mark.parametrize("argv, key", [
@@ -144,7 +159,7 @@ class TestFlags:
     """Each subcommand takes exactly the flags it reads."""
 
     PROBLEM = ["--domain", "--dim", "--out"]
-    RAYS = ["--directions", "--seed"]
+    RAYS = ["--directions"]
     # subcommand -> (required arguments, optional flags)
     FLAGS = {
         "delta": (["--fn", "square", "--p", "1", "--eps", "1"],
@@ -182,6 +197,7 @@ class TestFlags:
         ("inf", "--fn", "square", "--eps", "1", "--directions", "3"),
         ("delta", "--fn", "square", "--p", "3", "--eps", "1", "--certify"),
         ("delta", "--fn", "square", "--p", "3", "--eps", "1", "--r-max", "10"),
+        ("delta", "--fn", "square", "--p", "3", "--eps", "1", "--seed", "1"),
     ])
     def test_unread_flags_are_rejected(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -13,13 +13,9 @@ import deltamax as dm
 import deltamax.delta as delta_mod
 from deltamax.delta import (
     compute_delta,
-    delta_level_set_1d,
-    delta_monotone_1d,
-    delta_radial,
     delta_ray_nd,
     direction_set,
     epsilon_bound,
-    inverse_monotone,
     is_delta_epsilon_number,
 )
 from deltamax.errors import (
@@ -33,9 +29,17 @@ from deltamax.errors import (
     NonFinite,
     OutOfRange,
 )
-from deltamax.model import DomainSpec, ExpressionFn, Monotone1DFn, NormTag, Point
+from deltamax.model import (
+    DomainSpec,
+    ExpressionFn,
+    Monotone1DFn,
+    NormTag,
+    Point,
+    array_evaluator,
+    enclosure_evaluator,
+)
 from deltamax.oracle import GridSpec, brute_force_inf, grid_delta_bounds
-from deltamax.search import R_MAX, scan_side
+from deltamax.search import R_MAX, line_field, scan_side
 
 REALS = DomainSpec.interval(-math.inf, math.inf)
 HALF = DomainSpec.half_line(0.0)
@@ -54,53 +58,54 @@ def exp_half():
 
 class TestInverseMonotone:
     def test_cube_root(self):
-        assert abs(inverse_monotone(cube(), 8.0) - 2.0) <= 1e-12
+        assert abs(delta_mod._invert(cube(), 8.0, None)[0] - 2.0) <= 1e-12
 
     def test_exp_log(self):
         g = Monotone1DFn(fn=np.exp, interval=(-math.inf, math.inf), increasing=True)
-        assert abs(inverse_monotone(g, 1.0)) <= 1e-12
+        assert abs(delta_mod._invert(g, 1.0, None)[0]) <= 1e-12
 
     def test_out_of_range_bounded(self):
         g = Monotone1DFn(fn=lambda x: x, interval=(0.0, 1.0), increasing=True)
         with pytest.raises(OutOfRange):
-            inverse_monotone(g, 2.0)
+            delta_mod._invert(g, 2.0, None)
 
     def test_out_of_range_half_line(self):
         with pytest.raises(OutOfRange):
-            inverse_monotone(exp_half(), 0.5)  # range is [1, inf)
+            delta_mod._invert(exp_half(), 0.5, None)  # range is [1, inf)
 
     def test_decreasing(self):
         g = Monotone1DFn(fn=lambda x: -x * x * x, interval=(-math.inf, math.inf),
                          increasing=False)
-        assert abs(inverse_monotone(g, -8.0) - 2.0) <= 1e-12
+        assert abs(delta_mod._invert(g, -8.0, None)[0] - 2.0) <= 1e-12
 
 
 class TestMonotoneBackend:
     def test_square_half_line_origin_is_one_sided(self):
         g = Monotone1DFn(fn=lambda x: x * x, interval=(0.0, math.inf),
                          increasing=True)
-        res = delta_monotone_1d(g, 0.0, 1.0)
+        res = compute_delta(g, None, 0.0, 1.0)
+        assert res.backend == "monotone"
         assert res.one_sided
         assert abs(res.value - 1.0) <= 1e-10
 
     def test_identity_tie_prefers_left_witness(self):
         g = Monotone1DFn(fn=lambda x: x, interval=(-math.inf, math.inf),
                          increasing=True)
-        res = delta_monotone_1d(g, 7.0, 0.5)
+        res = compute_delta(g, None, 7.0, 0.5)
         assert abs(res.value - 0.5) <= 1e-10
         assert res.witness.coords[0] == pytest.approx(6.5, abs=1e-10)
         assert not res.one_sided
 
     def test_exp_two_sides(self):
         # min(ln(e^2+0.1)-2, 2-ln(e^2-0.1)); the +eps side is closer
-        res = delta_monotone_1d(exp_half(), 2.0, 0.1)
+        res = compute_delta(exp_half(), None, 2.0, 0.1)
         expected = math.log(math.exp(2.0) + 0.1) - 2.0
         assert abs(res.value - expected) <= 1e-10
         assert not res.one_sided
 
     def test_exp_one_sided_near_left_end(self):
         # e^0.1 - 0.5 < 1 = g(0), so only the +eps inverse exists
-        res = delta_monotone_1d(exp_half(), 0.1, 0.5)
+        res = compute_delta(exp_half(), None, 0.1, 0.5)
         assert res.one_sided
         expected = math.log(math.exp(0.1) + 0.5) - 0.1
         assert abs(res.value - expected) <= 1e-10
@@ -108,10 +113,10 @@ class TestMonotoneBackend:
     def test_empty_preimage(self):
         g = Monotone1DFn(fn=lambda x: x, interval=(0.0, 1.0), increasing=True)
         with pytest.raises(EmptySpherePreimage):
-            delta_monotone_1d(g, 0.5, 5.0)
+            compute_delta(g, None, 0.5, 5.0)
 
     def test_achiever(self):
-        res = delta_monotone_1d(cube(), 2.0, 1.0)
+        res = compute_delta(cube(), None, 2.0, 1.0)
         x = res.witness.coords[0]
         assert abs(abs(x - 2.0) - res.value) <= 1e-12
         assert abs(abs(x ** 3 - 8.0) - 1.0) <= 1e-9
@@ -120,19 +125,20 @@ class TestMonotoneBackend:
 class TestLevelSet1D:
     def test_square_closed_form(self):
         f = ExpressionFn.parse("x^2")
-        res = delta_level_set_1d(f, REALS, 3.0, 1.0)
+        res = compute_delta(f, REALS, 3.0, 1.0)
+        assert res.backend == "levelset1d"
         assert abs(res.value - (math.sqrt(10) - 3.0)) <= 1e-9
         assert 0 < res.certified_lower <= res.value <= res.certified_upper
 
     def test_constant_has_empty_preimage(self):
         with pytest.raises(EmptySpherePreimage) as err:
-            delta_level_set_1d(ExpressionFn.parse("7"), REALS, 0.0, 1.0)
+            compute_delta(ExpressionFn.parse("7"), REALS, 0.0, 1.0)
         assert err.value.searched_radius >= R_MAX / 2
 
     def test_sine_nearest_crossing(self):
         # |sin x| = 0.5 nearest to 0 is x = pi/6; cross-checked against a
         # brute-force scan at step 1e-6
-        res = delta_level_set_1d(ExpressionFn.parse("sin(x)"), REALS, 0.0, 0.5)
+        res = compute_delta(ExpressionFn.parse("sin(x)"), REALS, 0.0, 0.5)
         xs = np.arange(0.0, 1.0, 1e-6)
         h = np.abs(np.abs(np.sin(xs)) - 0.5)
         brute = xs[int(np.argmin(h))]
@@ -141,32 +147,38 @@ class TestLevelSet1D:
 
     def test_domain_violation(self):
         with pytest.raises(DomainViolation):
-            delta_level_set_1d(ExpressionFn.parse("x^2"),
-                               DomainSpec.interval(0.0, 1.0), 2.0, 0.5)
+            compute_delta(ExpressionFn.parse("x^2"),
+                          DomainSpec.interval(0.0, 1.0), 2.0, 0.5)
 
     def test_domain_restriction_changes_delta(self):
         # On [-5, 5] the crossing sqrt(26) is outside, so delta(5) uses sqrt(24)
         f = ExpressionFn.parse("x^2")
-        res = delta_level_set_1d(f, DomainSpec.interval(-5.0, 5.0), 5.0, 1.0)
+        res = compute_delta(f, DomainSpec.interval(-5.0, 5.0), 5.0, 1.0)
         assert abs(res.value - (5.0 - math.sqrt(24))) <= 1e-9
         assert res.one_sided
 
     def test_diagnostics_count_enclosed_rounds(self):
-        res = delta_level_set_1d(ExpressionFn.parse("x^2"), REALS, 3.0, 1.0)
+        res = compute_delta(ExpressionFn.parse("x^2"), REALS, 3.0, 1.0)
         diag = res.diagnostics
         assert 1 <= diag["enclosed_rounds"] <= diag["detect_rounds"]
 
     def test_monotone_profile_is_only_sampled(self):
-        res = delta_level_set_1d(cube(), REALS, 2.0, 1.0)
-        assert res.diagnostics["detect_rounds"] >= 2
-        assert res.diagnostics["enclosed_rounds"] == 0
+        # A Monotone1DFn has no interval enclosure, so the line engine
+        # samples every window of it, as uc's stage fields do.
+        assert enclosure_evaluator(cube()) is None
+        res = line_field(array_evaluator(cube()), np.asarray([2.0]), 1.0,
+                         -math.inf, math.inf, False, False)
+        assert res.detect_rounds[0] >= 2
+        assert res.enclosed_rounds[0] == 0
+        assert res.values[0] == pytest.approx(compute_delta(cube(), None, 2.0, 1.0).value,
+                                              abs=1e-9)
 
     def test_open_boundary_divergence(self):
         # ln on (0, 1]: the nearest crossing sits between the last grid
         # sample and the open endpoint for large eps
         f = ExpressionFn.parse("ln(x)")
         dom = DomainSpec.interval(0.0, 1.0, open_lo=True)
-        res = delta_level_set_1d(f, dom, 0.25, 20.0)
+        res = compute_delta(f, dom, 0.25, 20.0)
         expected = 0.25 - 0.25 * math.exp(-20.0)
         assert abs(res.value - expected) <= 1e-9
 
@@ -174,19 +186,19 @@ class TestLevelSet1D:
 class TestRadial:
     def test_exp_norm(self):
         entry = dm.catalog_lookup("exp_norm")
-        res = delta_radial(entry.function, entry.domain, Point.of(0.6, 0.8), 0.1)
+        res = compute_delta(entry.function, entry.domain, Point.of(0.6, 0.8), 0.1)
         assert abs(res.value - (math.log(math.e + 0.1) - 1.0)) <= 1e-9
         assert res.backend == "radial"
 
     def test_log_norm(self):
         entry = dm.catalog_lookup("log_norm")
-        res = delta_radial(entry.function, entry.domain, Point.of(2.0, 0.0), 1.0)
+        res = compute_delta(entry.function, entry.domain, Point.of(2.0, 0.0), 1.0)
         assert abs(res.value - 2.0 * (1 - math.exp(-1))) <= 1e-9
 
     def test_norm_profile_identity(self):
         f = ExpressionFn.parse("r", dim=2)
         dom = DomainSpec.ball((0.0, 0.0), math.inf)
-        res = delta_radial(f, dom, Point.of(3.0, 4.0), 2.0)
+        res = compute_delta(f, dom, Point.of(3.0, 4.0), 2.0)
         assert abs(res.value - 2.0) <= 1e-9
         radius = math.hypot(*res.witness.coords)
         assert radius == pytest.approx(3.0, abs=1e-9)  # tie resolves inward
@@ -195,24 +207,26 @@ class TestRadial:
 
     def test_witness_achieves_eps(self):
         entry = dm.catalog_lookup("log_norm")
-        res = delta_radial(entry.function, entry.domain, Point.of(0.0, 0.25), 0.5)
+        res = compute_delta(entry.function, entry.domain, Point.of(0.0, 0.25), 0.5)
         fx = math.log(math.hypot(*res.witness.coords))
         fp = math.log(0.25)
         assert abs(abs(fx - fp) - 0.5) <= 1e-9
 
     def test_diagnostics_count_rounds(self):
         entry = dm.catalog_lookup("log_norm")
-        res = delta_radial(entry.function, entry.domain, Point.of(2.0, 0.0), 1.0)
+        res = compute_delta(entry.function, entry.domain, Point.of(2.0, 0.0), 1.0)
         assert 1 <= res.diagnostics["enclosed_rounds"] <= res.diagnostics["detect_rounds"]
         mono = dm.RadialFn(inner=exp_half(), dim=2)
-        res = delta_radial(mono, DomainSpec.ball((0.0, 0.0), 5.0), Point.of(1.0, 0.0), 0.5)
-        assert res.diagnostics["inner_backend"] == "monotone"
-        assert res.diagnostics["enclosed_rounds"] == 0
+        for p in (Point.of(1.0, 0.0), Point.of(-0.5, 2.0), Point.of(0.0, 0.0)):
+            res = compute_delta(mono, DomainSpec.ball((0.0, 0.0), 5.0), p, 0.5)
+            assert res.backend == "radial"
+            assert res.diagnostics["inner_backend"] == "monotone"
+            assert res.diagnostics["enclosed_rounds"] == 0
 
     def test_center_at_origin_in_ray(self):
         f = ExpressionFn.parse("r", dim=2)
         dom = DomainSpec.ball((0.0, 0.0), math.inf)
-        res = delta_radial(f, dom, Point.of(0.0, 0.0), 1.5)
+        res = compute_delta(f, dom, Point.of(0.0, 0.0), 1.5)
         assert abs(res.value - 1.5) <= 1e-9
         assert res.witness.coords == pytest.approx((1.5, 0.0))
 
@@ -329,10 +343,10 @@ class TestRayNd:
             delta_ray_nd(f, dom, Point.of(1.0, 0.0), 1.0, directions=8)
 
     def test_directions_deterministic(self):
-        a = direction_set(2, 32, seed=5)
-        b = direction_set(2, 32, seed=5)
+        a = direction_set(2, 32)
+        b = direction_set(2, 32)
         assert np.array_equal(a, b)
-        c = direction_set(3, 16, NormTag.L1, seed=1)
+        c = direction_set(3, 16, NormTag.L1)
         from deltamax.model import norm_of_rows
 
         assert np.allclose(norm_of_rows(NormTag.L1, c), 1.0)
@@ -362,13 +376,13 @@ class TestMembershipPredicate:
 
 class TestEpsilonBound:
     def test_identity_unit_interval(self):
-        eb = epsilon_bound(ExpressionFn.parse("x"), DomainSpec.interval(0.0, 1.0),
-                           samples=4001)
-        assert eb.beta == pytest.approx(0.2475, abs=1e-9)
+        beta = epsilon_bound(ExpressionFn.parse("x"), DomainSpec.interval(0.0, 1.0),
+                             samples=4001)
+        assert beta == pytest.approx(0.2475, abs=1e-9)
 
     def test_sine_truncated_reals(self):
-        eb = epsilon_bound(ExpressionFn.parse("sin(x)"), REALS, samples=4001)
-        assert eb.beta == pytest.approx(0.495, abs=2e-3)
+        beta = epsilon_bound(ExpressionFn.parse("sin(x)"), REALS, samples=4001)
+        assert beta == pytest.approx(0.495, abs=2e-3)
 
     def test_constant(self):
         with pytest.raises(ConstantFunction):
@@ -398,8 +412,9 @@ class TestBackendAgreement:
         dom = DomainSpec.interval(*interval)
         for p in ps:
             for eps in epss:
-                a = delta_monotone_1d(g, float(p), eps)
-                b = delta_level_set_1d(f, dom, float(p), eps)
+                a = compute_delta(g, None, float(p), eps)
+                b = compute_delta(f, dom, float(p), eps)
+                assert (a.backend, b.backend) == ("monotone", "levelset1d")
                 assert abs(a.value - b.value) <= 1e-9, (mono, p, eps)
                 assert a.one_sided == b.one_sided, (mono, p, eps)
 
@@ -417,12 +432,14 @@ class TestCatalogRegression:
             for _ in range(50):
                 p = float(rng.uniform(p_lo, p_hi))
                 eps = float(rng.uniform(0.05, 5.0))
-                got = delta_level_set_1d(entry.function, entry.domain, p, eps)
+                got = compute_delta(entry.function, entry.domain, p, eps)
+                assert got.backend == "levelset1d"
                 want = entry.closed_form_delta(p, eps)
                 assert abs(got.value - want) <= 1e-9, (name, p, eps)
                 assert got.certified_lower <= want <= got.certified_upper, (name, p, eps)
                 if name == "identity":
-                    mono = delta_monotone_1d(mono_identity, p, eps)
+                    mono = compute_delta(mono_identity, None, p, eps)
+                    assert mono.backend == "monotone"
                     assert mono.certified_lower <= want <= mono.certified_upper, (p, eps)
 
     def test_radial_entries(self):
@@ -437,7 +454,8 @@ class TestCatalogRegression:
                 p = Point.of(t * math.cos(theta), t * math.sin(theta))
                 if not entry.domain.contains(p):
                     continue
-                got = delta_radial(entry.function, entry.domain, p, eps)
+                got = compute_delta(entry.function, entry.domain, p, eps)
+                assert got.backend == "radial"
                 want = entry.closed_form_delta(t, eps)
                 assert abs(got.value - want) <= 1e-9, (name, t, eps)
                 assert got.certified_lower <= want <= got.certified_upper, (name, t, eps)
@@ -513,7 +531,7 @@ class TestMonotoneBracket:
     def test_identity_one_ulp_case(self):
         g = Monotone1DFn(fn=lambda x: x, interval=(-math.inf, math.inf), increasing=True)
         eps = 667685.2413501737
-        res = delta_monotone_1d(g, 0.0, eps)
+        res = compute_delta(g, None, 0.0, eps)
         assert res.certified_lower <= eps <= res.certified_upper
         assert res.certified_lower < res.certified_upper
 
@@ -525,7 +543,7 @@ class TestMonotoneBracket:
             ps = np.concatenate([[0.0], rng.uniform(-5.0, 5.0, 299)])
             epss = np.exp(rng.uniform(math.log(1e-3), math.log(1e6), 300))
             for p, eps in zip(ps.tolist(), epss.tolist()):
-                res = delta_monotone_1d(g, p, eps)
+                res = compute_delta(g, None, p, eps)
                 want = self.exact(name, p, eps)
                 assert Decimal(res.certified_lower) <= want <= Decimal(res.certified_upper), \
                     (name, p, eps)
@@ -535,45 +553,12 @@ class TestMonotoneBracket:
         # g(p) + eps rounds to g(p): the only bracket reaches p itself
         g = Monotone1DFn(fn=lambda x: x, interval=(-math.inf, math.inf), increasing=True)
         with pytest.raises(FloatResolutionLimit):
-            delta_monotone_1d(g, 1e8, 1e-12)
+            compute_delta(g, None, 1e8, 1e-12)
 
 
 def _same_result(a, b):
     """Equal field by field, diagnostics included."""
     return dataclasses.asdict(a) == dataclasses.asdict(b)
-
-
-class TestOneLineFrontEnd:
-    """compute_delta and the named backends reach the same answer."""
-
-    @pytest.mark.parametrize("name", ["exp_norm", "log_norm"])
-    def test_radial_catalog(self, name):
-        entry = dm.catalog_lookup(name)
-        for p in (Point.of(0.6, 0.8), Point.of(-2.0, 0.5), Point.of(0.0, 3.0)):
-            a = compute_delta(entry.function, entry.domain, p, 0.3)
-            assert a.backend == "radial"
-            assert _same_result(a, delta_radial(entry.function, entry.domain, p, 0.3))
-
-    def test_radial_monotone_profile(self):
-        f = dm.RadialFn(inner=exp_half(), dim=2)
-        ball = DomainSpec.ball((0.0, 0.0), 5.0)
-        for p in (Point.of(1.0, 0.0), Point.of(-0.5, 2.0), Point.of(0.0, 0.0)):
-            a = compute_delta(f, ball, p, 0.5)
-            assert a.diagnostics["inner_backend"] == "monotone"
-            assert _same_result(a, delta_radial(f, ball, p, 0.5))
-
-    @pytest.mark.parametrize("source", ["x^2", "sin(x)"])
-    def test_level_set(self, source):
-        f = ExpressionFn.parse(source)
-        for p in (-2.5, 0.0, 0.7, 3.0):
-            a = compute_delta(f, REALS, p, 0.4)
-            assert _same_result(a, delta_level_set_1d(f, REALS, p, 0.4))
-
-    def test_monotone(self):
-        for p in (-2.0, 0.0, 1.5):
-            a = compute_delta(cube(), REALS, p, 0.5)
-            assert a.backend == "monotone"
-            assert _same_result(a, delta_monotone_1d(cube(), p, 0.5))
 
 
 class TestPointDimension:
@@ -621,9 +606,9 @@ class TestPointDimension:
             "compute_delta_natural": lambda: compute_delta(f, None, p3, 0.5),
             "ray_nd_3d": lambda: delta_ray_nd(f, box, p3, 0.5),
             "ray_nd_1d": lambda: delta_ray_nd(f, box, 0.5, 0.5),
-            "levelset1d": lambda: delta_level_set_1d(ExpressionFn.parse("x^2"), REALS, p2, 0.5),
-            "monotone": lambda: delta_monotone_1d(cube(), p2, 0.5),
-            "radial": lambda: delta_radial(exp_norm.function, exp_norm.domain, p3, 0.5),
+            "levelset1d": lambda: compute_delta(ExpressionFn.parse("x^2"), REALS, p2, 0.5),
+            "monotone": lambda: compute_delta(cube(), None, p2, 0.5),
+            "radial": lambda: compute_delta(exp_norm.function, exp_norm.domain, p3, 0.5),
             "grid_delta_bounds": lambda: grid_delta_bounds(
                 f, box, p3, 0.5, GridSpec(h=0.5, window=box)),
             "is_delta_epsilon_number": lambda: is_delta_epsilon_number(f, box, p3, 0.5, 0.1),

@@ -249,7 +249,11 @@ class TestCatalog:
             dm.register("tilt", "x1+x2", mixed)
         assert "tilt" not in dm.catalog_names()
 
-    def test_register_and_load(self):
+    def test_register_and_load(self, monkeypatch):
+        from deltamax import catalog
+
+        # Register into a copy: the process-wide registry stays as it was.
+        monkeypatch.setattr(catalog, "_REGISTRY", dict(catalog._REGISTRY))
         dm.register("cubic_test", "x^3", DomainSpec.interval(-math.inf, math.inf))
         entry = dm.catalog_lookup("cubic_test")
         assert eval_fn(entry.function, 2.0) == 8.0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import deltamax as dm
-from deltamax.delta import delta_level_set_1d, delta_radial
+from deltamax.delta import compute_delta
 from deltamax.errors import DimensionMismatch, InvalidDomain, WindowTooSmall
 from deltamax.model import DomainSpec, ExpressionFn, Point
 from deltamax.oracle import GridSpec, brute_force_inf, grid_delta_bounds
@@ -123,7 +123,7 @@ class TestSandwich:
     @pytest.mark.parametrize("p,eps", [(3.0, 1.0), (-2.0, 0.5), (0.0, 2.0)])
     def test_square(self, p, eps):
         entry = dm.catalog_lookup("square")
-        res = delta_level_set_1d(entry.function, entry.domain, p, eps)
+        res = compute_delta(entry.function, entry.domain, p, eps)
         g = GridSpec.around(p, 4.0 * res.value, 20001)
         lo, up = grid_delta_bounds(entry.function, entry.domain, p, eps, g)
         assert lo <= res.value <= up + g.h
@@ -131,7 +131,7 @@ class TestSandwich:
     def test_radial(self):
         entry = dm.catalog_lookup("exp_norm")
         p = Point.of(1.0, 1.0)
-        res = delta_radial(entry.function, entry.domain, p, 0.5)
+        res = compute_delta(entry.function, entry.domain, p, 0.5)
         g = GridSpec.around(p, 4.0 * res.value, 301, dim=2)
         lo, up = grid_delta_bounds(entry.function, entry.domain, p, 0.5, g)
         assert lo <= res.value <= up + g.h * math.sqrt(2)

@@ -123,22 +123,36 @@ def test_generic_nd_schedule_is_one_stage():
 def test_default_eps_grid_is_the_verdicts_grid():
     f, dom = ExpressionFn.parse("sin(x)"), DomainSpec.interval(0.0, 4.0)
     beta, grid = uc.default_eps_grid(f, dom)
-    assert beta == dm.epsilon_bound(f, dom).beta
+    assert beta == dm.epsilon_bound(f, dom)
     assert grid == [beta / 8.0, beta / 4.0, beta / 2.0]
 
 
 def test_short_schedule_witness_search_evaluates_no_stage(monkeypatch):
-    # A generic nD schedule has one stage: it cannot build a chain of two
-    # or more pairs, so witness_search gives up before evaluating it.
+    # A generic nD schedule has one stage: it cannot build a chain of
+    # three or more pairs, so witness_search gives up before evaluating it.
     calls = []
     monkeypatch.setattr(uc, "_stage_min", lambda *a: calls.append(a))
     f, box = ExpressionFn.parse("x1*x2"), DomainSpec.box((-2.0, -2.0), (2.0, 2.0))
-    for count in (2, 8):
+    for count in (3, 8):
         with pytest.raises(dm.WitnessesStagnated) as stalled:
             uc.witness_search(f, box, EPS, count=count)
         assert stalled.value.pairs is None
     with pytest.raises(dm.InvalidArgument):  # eps is checked first
-        uc.witness_search(f, box, math.nan, count=2)
+        uc.witness_search(f, box, math.nan, count=3)
+    assert calls == []
+
+
+@pytest.mark.parametrize("count", [2, 1, 0, -1])
+def test_witness_chain_below_three_pairs_is_refused(monkeypatch, count):
+    # uc_verdict ignores chains of <= 2 pairs, so a count below 3 could
+    # only produce a verdict from no evidence; it is refused before any stage.
+    calls = []
+    monkeypatch.setattr(uc, "_stage_min", lambda *a: calls.append(a))
+    f = ExpressionFn.parse("x")
+    with pytest.raises(dm.InvalidArgument):
+        uc.witness_search(f, UNIT, EPS, count=count)
+    with pytest.raises(dm.InvalidArgument):
+        uc.uc_verdict(f, UNIT, eps_grid=[EPS], count=count)
     assert calls == []
 
 
