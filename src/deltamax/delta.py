@@ -412,10 +412,17 @@ def delta_ray_nd(f: FunctionSpec, dom: DomainSpec, p, eps: float,
     n = dirs.shape[0]
 
     def eval_at(cols, ts):
-        x = p_arr[None, None, :] + ts[:, :, None] * dirs[cols][None, :, :]
-        flat = x.reshape(-1, pt.dim)
-        fv = f_arr(flat).reshape(ts.shape)
-        valid = dom.contains_rows(flat).reshape(ts.shape)
+        # The samples p + t*d as column-major rows, one contiguous plane
+        # per axis: the evaluator and the membership test read whole axes,
+        # and with a length-d inner axis every numpy op on them strided.
+        # Each sample is the same float p_j + t*d_j either way.
+        x = np.empty((ts.size, pt.dim), order="F")
+        for j in range(pt.dim):
+            plane = x[:, j].reshape(ts.shape)
+            np.multiply(ts, dirs[cols, j], out=plane)
+            plane += p_arr[j]
+        fv = f_arr(x).reshape(ts.shape)
+        valid = dom.contains_rows(x).reshape(ts.shape)
         return fv, valid
 
     fp_cols = np.full(n, float(fp))

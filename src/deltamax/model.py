@@ -113,6 +113,10 @@ def norm_of_rows(tag: NormTag, arr: np.ndarray) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
     if arr.ndim == 1:
         return np.abs(arr)
+    if arr.shape[1] >= 8:
+        # numpy sums rows of 8 or more entries blockwise only when they
+        # are contiguous; row-major input keeps the sums layout-independent.
+        arr = np.ascontiguousarray(arr)
     if tag is NormTag.L1:
         return np.sum(np.abs(arr), axis=-1)
     if tag is NormTag.L2:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDomain, WindowTooSmall
+from .errors import DimensionMismatch, InvalidArgument, InvalidDomain, WindowTooSmall
 from .model import (
     DomainSpec,
     FunctionSpec,
@@ -40,7 +40,7 @@ class GridSpec:
 
     def __post_init__(self):
         if not self.h > 0:
-            raise InvalidDomain("grid step must be positive")
+            raise InvalidArgument(f"grid step must be positive, got {self.h!r}")
         if not self.window.is_bounded:
             raise InvalidDomain("oracle windows must be bounded")
         lo, hi = self.window.bounding_box()

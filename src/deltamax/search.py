@@ -87,19 +87,28 @@ def _first_crossing(ts, h, valid, carry_t):
     Returns (found, blo_t, bhi_t, bhi_h): the bracket's lower end is the
     last valid sample before the crossing, falling back to `carry_t` (the
     last all-clear sample of earlier windows) when this window has none.
+
+    Fast path: when every sample of the window is valid, the last one
+    before the crossing is row first_ge - 1 (the last row in a column
+    without a crossing), so the masked scan for it is skipped.
     """
     k, m = h.shape
     cols = np.arange(m)
-    ge = valid & (h >= 0.0)
+    ge = h >= 0.0
+    ge &= valid
     found = ge.any(axis=0)
     first_ge = np.where(found, ge.argmax(axis=0), 0)
 
-    rows = np.arange(k)[:, None]
-    prior = valid & (rows < first_ge[None, :]) if found.any() else np.zeros_like(valid)
-    # For columns without a crossing every valid sample counts as prior.
-    prior = np.where(found[None, :], prior, valid)
-    has_prior = prior.any(axis=0)
-    last_prior = np.where(has_prior, k - 1 - prior[::-1].argmax(axis=0), 0)
+    if valid.all():
+        last_prior = np.where(found, first_ge - 1, k - 1)
+        has_prior = last_prior >= 0
+    else:
+        rows = np.arange(k)[:, None]
+        prior = valid & (rows < first_ge[None, :]) if found.any() else np.zeros_like(valid)
+        # For columns without a crossing every valid sample counts as prior.
+        prior = np.where(found[None, :], prior, valid)
+        has_prior = prior.any(axis=0)
+        last_prior = np.where(has_prior, k - 1 - prior[::-1].argmax(axis=0), 0)
 
     blo_t = np.where(has_prior, ts[last_prior, cols], carry_t)
     bhi_t = np.where(found, ts[first_ge, cols], np.nan)

@@ -141,7 +141,9 @@ def default_schedule(dom: DomainSpec, stages: int = 21, resolution: int = 2048,
     either way the schedule has `stages` windows.  A generic nD domain
     gets one stage on its (truncated) full window: _stage_field caps
     every nD grid at the same lattice, so more stages would repeat it.
+    A resolution below 1 samples no point and raises InvalidArgument.
     """
+    _require_resolution(resolution)
     if dom.dimension > 1 and not dom.is_radial:
         return [(dom, resolution)]
 
@@ -199,8 +201,14 @@ def stage_schedule(f: FunctionSpec, dom: DomainSpec, stages: int = 21, resolutio
     (delta.line_problem), else the one stage (dom, resolution), since
     every stage without a line is the same capped lattice."""
     if line_problem(f, dom) is None:
+        _require_resolution(resolution)
         return [(dom, resolution)]
     return default_schedule(dom, stages, resolution, factor)
+
+
+def _require_resolution(resolution: int) -> None:
+    if not resolution >= 1:
+        raise InvalidArgument(f"resolution must be at least 1, got {resolution!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,18 @@ class TestInvalidArgumentExit:
                              "--p-max", "1", "--p-count", "2")
         assert (code, out, err) == (cli.EXIT_PARSE, "", "error: scan needs --eps or --eps-grid\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("inf", "--fn", "square", "--eps", "1", "--resolution", "0"),
+        ("certify", "--fn", "square", "--p", "3", "--eps", "1", "--h", "-1"),
+        ("certify", "--fn", "square", "--p", "3", "--eps", "1", "--h", "nan"),
+    ])
+    def test_bad_grid_sizes(self, capsys, argv):
+        # A stage of no points and a grid step <= 0 are bad arguments.
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_PARSE == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     @pytest.mark.parametrize("count", ["1", "0"])
     def test_uc_count_below_three(self, capsys, count):
         # f(x) = x is uniformly continuous: a chain of fewer than three

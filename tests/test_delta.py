@@ -352,6 +352,62 @@ class TestRayNd:
         assert np.allclose(norm_of_rows(NormTag.L1, c), 1.0)
 
 
+# (source, domain, p, eps, directions) -> (value, certified_lower, witness,
+# detect_rounds, searched_radius), each exact: any change to how the ray
+# samples are laid out, evaluated or scanned must leave every one of them
+# bit for bit as it is.
+RAY_PINS = {
+    "product_box": (
+        ("x1*x2", DomainSpec.box((-2.0, -2.0), (2.0, 2.0)), (1.0, 1.0), 0.5, 64),
+        (0.3178383641761684, 0.30356879829488537,
+         (1.2252931815221493, 1.2241968066271474), 74, 2.0)),
+    "half_unbounded_box": (
+        ("x1*x2", DomainSpec.box((-1.0, -1.0), (math.inf, 1.0)), (0.5, 0.25), 0.75, 64),
+        (0.7999079875617099, 0.7639955836042388,
+         (1.0184759478884071, 0.8591268176876162), 114, 8.0)),
+    "closed_disc": (
+        ("x1*x2+x1", DomainSpec.ball((0.0, 0.0), 2.0, open_boundary=False), (0.5, -0.3),
+         0.4, 64),
+        (0.3830230979783664, 0.3658270198874723,
+         (0.805100665100891, -0.06843947283714508), 88, 4.0)),
+    "annulus": (
+        ("x1+x2^2", DomainSpec.annulus((0.0, 0.0), 1.0, 3.0), (-1.5, 0.5), 1.0, 64),
+        (0.5591866639142609, 0.5340816047394763,
+         (-1.2629909720157393, 1.0064745262631838), 116, 4.0)),
+    "l1_ball": (
+        ("x1*x2", DomainSpec.ball((0.0, 0.0), 2.0, norm=NormTag.L1), (0.3, 0.2), 0.3, 32),
+        (0.7043033388345066, 0.6726831695073824,
+         (0.6530106212510233, 0.5512927175834833), 56, 4.0)),
+    "linf_box": (
+        ("sin(x1)+x2", DomainSpec.box((-3.0, -3.0), (3.0, 3.0), norm=NormTag.LINF),
+         (0.4, -0.7), 0.6, 32),
+        (0.318614689156675, 0.2941955176095852,
+         (0.08138531084332501, -0.9918771547497106), 45, 4.0)),
+    "product_3d": (
+        ("x1*x2*x3", DomainSpec.box((-1.5,) * 3, (1.5,) * 3), (0.5, 0.4, -0.3), 0.2, 64),
+        (0.4544088757893405, 0.3351034446924487,
+         (0.8369465462336125, 0.6447205893295458, -0.4818413719030191), 118, 4.0)),
+    "ball_3d": (
+        ("sin(x1)+x2*x3", DomainSpec.ball((0.0, 0.0, 0.0), 2.0, open_boundary=False),
+         (0.2, -0.4, 0.6), 0.3, 32),
+        (0.2419500772966785, 0.1828263010635001,
+         (0.017231205874922023, -0.49156607317828865, 0.7294258940113679), 34, 4.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAY_PINS))
+def test_ray_nd_outputs_pinned(name):
+    (src, dom, p, eps, directions), want = RAY_PINS[name]
+    f = ExpressionFn.parse(src, dim=len(p))
+    via_router = compute_delta(f, dom, Point(p), eps, directions=directions)
+    direct = delta_ray_nd(f, dom, Point(p), eps, directions=directions)
+    for res in (via_router, direct):
+        assert res.backend == "ray_nd"
+        assert (res.value, res.certified_lower, res.witness.coords,
+                res.diagnostics["detect_rounds"], res.diagnostics["searched_radius"]) == want
+        assert res.certified_upper == res.value
+
+
 class TestMembershipPredicate:
     def test_square_true_at_optimum(self):
         entry = dm.catalog_lookup("square")

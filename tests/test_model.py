@@ -74,6 +74,19 @@ class TestDistance:
         slack = 4 * np.spacing(dxy + dyz)
         assert np.all(dxz <= dxy + dyz + slack)
 
+    @pytest.mark.parametrize("tag", list(NormTag))
+    def test_row_norms_ignore_the_memory_layout(self, tag):
+        # The ray samples reach the membership test as column-major rows;
+        # their norms must be the row-major ones bit for bit, also in
+        # dimensions where numpy sums contiguous rows blockwise.
+        from deltamax.model import norm_of_rows
+
+        rng = np.random.default_rng(7)
+        for dim in (2, 3, 8, 13):
+            rows = rng.standard_normal((2000, dim)) * 10.0
+            assert np.array_equal(norm_of_rows(tag, np.asfortranarray(rows)),
+                                  norm_of_rows(tag, rows))
+
 
 class TestDomainSpec:
     def test_interval_ordering(self):

@@ -9,7 +9,7 @@ import pytest
 
 import deltamax as dm
 from deltamax.delta import compute_delta
-from deltamax.errors import DimensionMismatch, InvalidDomain, WindowTooSmall
+from deltamax.errors import DimensionMismatch, InvalidArgument, InvalidDomain, WindowTooSmall
 from deltamax.model import DomainSpec, ExpressionFn, Point
 from deltamax.oracle import GridSpec, brute_force_inf, grid_delta_bounds
 
@@ -22,8 +22,10 @@ class TestGridSpec:
             GridSpec(h=1e-9, window=DomainSpec.interval(0.0, 1e3))
 
     def test_positive_step(self):
-        with pytest.raises(InvalidDomain):
-            GridSpec(h=0.0, window=DomainSpec.interval(0.0, 1.0))
+        # A bad step is a bad argument (exit 2), not a domain error.
+        for h in (0.0, -1.0, math.nan):
+            with pytest.raises(InvalidArgument):
+                GridSpec(h=h, window=DomainSpec.interval(0.0, 1.0))
 
     def test_window_must_be_bounded(self):
         with pytest.raises(InvalidDomain):

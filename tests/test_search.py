@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deltamax.delta import _box_exit
 from deltamax.model import (
@@ -24,7 +26,7 @@ from deltamax.model import (
     enclosure_evaluator,
     norm_of_rows,
 )
-from deltamax.search import line_field, scan_side
+from deltamax.search import _first_crossing, line_field, scan_side
 
 INF = math.inf
 
@@ -130,3 +132,68 @@ def test_reach_leaves_ray_crossings_bit_identical(name, seed):
         assert np.array_equal(full.root, capped.root, equal_nan=True)
         assert np.array_equal(full.root_h, capped.root_h, equal_nan=True)
         assert np.all(capped.searched <= full.searched)
+
+
+def _crossing_by_loop(ts, h, valid, carry_t):
+    """_first_crossing column by column: the first valid h >= 0 sample and
+    the last valid sample before it (every valid sample without one)."""
+    k, m = h.shape
+    out = [np.zeros(m, dtype=bool)] + [np.full(m, np.nan) for _ in range(3)]
+    for j in range(m):
+        hits = [i for i in range(k) if valid[i, j] and h[i, j] >= 0.0]
+        first = hits[0] if hits else k
+        prior = [i for i in range(first) if valid[i, j]]
+        out[0][j] = bool(hits)
+        out[1][j] = ts[prior[-1], j] if prior else carry_t[j]
+        if hits:
+            out[2][j], out[3][j] = ts[first, j], h[first, j]
+    return tuple(out)
+
+
+H_SAMPLE = st.sampled_from([-1.0, -0.25, 0.0, 0.5, math.inf])
+
+
+@st.composite
+def windows(draw):
+    """(ts, h, valid, carry_t) of a detect window: increasing offsets per
+    column; valid is all True or has holes, as the callers pass it."""
+    k = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 5))
+    steps = np.array(draw(st.lists(st.sampled_from([0.125, 0.5, 1.0]), min_size=k * m,
+                                   max_size=k * m))).reshape(k, m)
+    ts = np.cumsum(steps, axis=0)
+    h = np.array(draw(st.lists(H_SAMPLE, min_size=k * m, max_size=k * m))).reshape(k, m)
+    if draw(st.booleans()):
+        valid = np.ones((k, m), dtype=bool)
+    else:
+        valid = np.array(draw(st.lists(st.booleans(), min_size=k * m,
+                                       max_size=k * m))).reshape(k, m)
+    carry_t = -np.arange(1, m + 1, dtype=float)
+    return ts, h, valid, carry_t
+
+
+def _window(h, valid):
+    h = np.array(h, dtype=float)
+    ts = np.cumsum(np.full(h.shape, 0.5), axis=0)
+    return ts, h, np.array(valid, dtype=bool), -np.arange(1.0, h.shape[1] + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows())
+# All valid: a crossing at row 0 (carry_t), mid-column, and none at all.
+@example(_window([[0.5, -1.0, -1.0], [-1.0, 0.0, -1.0], [-1.0, 0.5, -1.0]], [[True] * 3] * 3))
+# Holes: the only sample before the crossing is invalid (carry_t again),
+# an invalid violator is skipped, and a column with no valid sample.
+@example(_window([[-1.0, 0.5, -1.0], [0.5, -1.0, 0.5], [0.5, 0.5, -1.0]],
+                 [[False, False, False], [True, True, False], [True, True, False]]))
+def test_first_crossing_fast_path_matches_masked_scan(window):
+    ts, h, valid, carry_t = window
+    got = _first_crossing(ts, h, valid, carry_t)
+    for a, b in zip(got, _crossing_by_loop(ts, h, valid, carry_t)):
+        assert np.array_equal(a, b, equal_nan=True)
+    if valid.all():
+        # An invalid last row changes no bracket but takes the masked scan.
+        pad = (np.vstack((ts, ts[-1:] + 1.0)), np.vstack((h, np.full_like(h[:1], 0.5))),
+               np.vstack((valid, np.zeros_like(valid[:1]))), carry_t)
+        for a, b in zip(got, _first_crossing(*pad)):
+            assert np.array_equal(a, b, equal_nan=True)

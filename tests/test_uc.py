@@ -120,6 +120,20 @@ def test_generic_nd_schedule_is_one_stage():
     assert uc.default_schedule(box, stages=uc._MAX_WITNESS_STAGES) == [(box, 2048)]
 
 
+@pytest.mark.parametrize("resolution", [0, -4])
+def test_schedule_needs_a_point_per_window(resolution):
+    # A resolution below 1 samples nothing: an infimum over no points is
+    # refused, on a line and without one.
+    for f, dom in ((ExpressionFn.parse("x^2"), DomainSpec.interval(-1.0, 1.0)),
+                   (ExpressionFn.parse("sqrt(x)"), DomainSpec.half_line(0.0)),
+                   (ExpressionFn.parse("x1*x2"), BOX)):
+        with pytest.raises(dm.InvalidArgument):
+            uc.default_schedule(dom, resolution=resolution)
+        with pytest.raises(dm.InvalidArgument):
+            uc.stage_schedule(f, dom, resolution=resolution)
+    assert uc.default_schedule(UNIT, stages=1, resolution=1)[0][1] == 1
+
+
 def test_default_eps_grid_is_the_verdicts_grid():
     f, dom = ExpressionFn.parse("sin(x)"), DomainSpec.interval(0.0, 4.0)
     beta, grid = uc.default_eps_grid(f, dom)
