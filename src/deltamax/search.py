@@ -90,7 +90,8 @@ def _first_crossing(ts, h, valid, carry_t):
 
     Fast path: when every sample of the window is valid, the last one
     before the crossing is row first_ge - 1 (the last row in a column
-    without a crossing), so the masked scan for it is skipped.
+    without a crossing), so the masked scan for it is skipped.  The
+    masked scan takes the last valid row before that limit.
     """
     k, m = h.shape
     cols = np.arange(m)
@@ -99,14 +100,14 @@ def _first_crossing(ts, h, valid, carry_t):
     found = ge.any(axis=0)
     first_ge = np.where(found, ge.argmax(axis=0), 0)
 
+    # Rows before the crossing; every row of a column without one.
+    limit = np.where(found, first_ge, k)
     if valid.all():
-        last_prior = np.where(found, first_ge - 1, k - 1)
+        last_prior = limit - 1
         has_prior = last_prior >= 0
     else:
-        rows = np.arange(k)[:, None]
-        prior = valid & (rows < first_ge[None, :]) if found.any() else np.zeros_like(valid)
-        # For columns without a crossing every valid sample counts as prior.
-        prior = np.where(found[None, :], prior, valid)
+        prior = np.arange(k)[:, None] < limit
+        prior &= valid
         has_prior = prior.any(axis=0)
         last_prior = np.where(has_prior, k - 1 - prior[::-1].argmax(axis=0), 0)
 
