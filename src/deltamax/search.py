@@ -106,8 +106,10 @@ def _first_crossing(ts, h, valid, carry_t):
         last_prior = limit - 1
         has_prior = last_prior >= 0
     else:
-        prior = np.arange(k)[:, None] < limit
-        prior &= valid
+        prior = valid
+        if found.any():
+            prior = np.arange(k)[:, None] < limit
+            prior &= valid
         has_prior = prior.any(axis=0)
         last_prior = np.where(has_prior, k - 1 - prior[::-1].argmax(axis=0), 0)
 
