@@ -37,7 +37,6 @@ from .errors import (
     InvalidDomain,
     LexError,
     NonFinite,
-    OutOfRange,
     ParseError,
     UnboundVariable,
     UnknownCatalogEntry,
@@ -53,7 +52,6 @@ from .model import (
     NormTag,
     Point,
     RadialFn,
-    Shape,
     distance,
     eval_fn,
 )

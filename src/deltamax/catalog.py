@@ -32,7 +32,6 @@ class CatalogEntry:
     source: str
     domain: DomainSpec
     closed_form_delta: Callable[[float, float], float] | None = None
-    notes: str = ""
 
     def manifest_line(self) -> str:
         if "|" in self.name or "|" in self.source:
@@ -46,7 +45,7 @@ _REGISTRY: dict[str, CatalogEntry] = {}
 
 def _make(name: str, source: str, domain: DomainSpec,
           closed_form: Callable[[float, float], float] | None,
-          notes: str, dim: int = 1) -> CatalogEntry:
+          dim: int = 1) -> CatalogEntry:
     # Every entry must load back from its manifest line as it is; the
     # flat grammar cannot write, e.g., a box open on some axes only.
     text = format_domain(domain)
@@ -59,7 +58,6 @@ def _make(name: str, source: str, domain: DomainSpec,
         source=source,
         domain=domain,
         closed_form_delta=closed_form,
-        notes=notes,
     )
 
 
@@ -68,20 +66,16 @@ def _builtin_entries() -> list[CatalogEntry]:
     plane = DomainSpec.ball((0.0, 0.0), math.inf)
     punctured_plane = DomainSpec.annulus((0.0, 0.0), 0.0, math.inf, open_inner=True)
     # Closed forms are written without cancellation, so that they are
-    # accurate to a few ulps and can be checked against a strict bracket.
+    # accurate to a few ulps and can be checked against a strict bracket:
+    # sqrt(p^2+eps)-|p|, eps, ln(e^||p||+eps)-||p|| and ||p||(1-e^-eps).
     return [
         _make("square", "x^2", reals,
-              lambda p, eps: eps / (math.sqrt(p * p + eps) + abs(p)),
-              "x -> x^2 on R; optimal delta sqrt(p^2+eps)-|p|"),
-        _make("identity", "x", reals,
-              lambda p, eps: eps,
-              "x -> x on R; optimal delta is eps itself"),
+              lambda p, eps: eps / (math.sqrt(p * p + eps) + abs(p))),
+        _make("identity", "x", reals, lambda p, eps: eps),
         _make("exp_norm", "exp(r)", plane,
-              lambda t, eps: math.log1p(eps * math.exp(-t)),
-              "x -> e^||x||; optimal delta ln(e^||p||+eps)-||p||", dim=2),
+              lambda t, eps: math.log1p(eps * math.exp(-t)), dim=2),
         _make("log_norm", "ln(r)", punctured_plane,
-              lambda t, eps: -t * math.expm1(-eps),
-              "x -> ln||x|| off the origin; optimal delta ||p||(1-e^-eps)", dim=2),
+              lambda t, eps: -t * math.expm1(-eps), dim=2),
     ]
 
 
@@ -108,11 +102,10 @@ def catalog_names() -> list[str]:
 
 
 def register(name: str, source: str, domain: DomainSpec,
-             closed_form_delta: Callable[[float, float], float] | None = None,
-             notes: str = "") -> CatalogEntry:
+             closed_form_delta: Callable[[float, float], float] | None = None
+             ) -> CatalogEntry:
     """Register (or replace) a user entry and return it."""
-    entry = _make(name, source, domain, closed_form_delta, notes,
-                  dim=domain.dimension)
+    entry = _make(name, source, domain, closed_form_delta, dim=domain.dimension)
     with _LOCK:
         _ensure_builtins()
         _REGISTRY[name] = entry
@@ -151,4 +144,4 @@ def resolve_function(text: str, dim: int | None = None) -> FunctionSpec:
         entry = _REGISTRY.get(text)
     if entry is not None:
         return entry.function
-    return ExpressionFn.parse(text, dim=dim if dim else 2)
+    return ExpressionFn.parse(text, dim=2 if dim is None else dim)

@@ -9,10 +9,12 @@ delta; the only subcommand that runs the oracle).  Numbers print with
 output.  The search tolerances are the constants of deltamax.search.
 
 Exit codes: 0 success (and EvidenceUC for uc), 2 parse errors and
-invalid arguments, 3 empty sphere preimage (the nonemptiness hypothesis
-fails), 4 domain errors, 5 float-resolution limits (delta(p, eps) is below the
-spacing of floats around p, or f(p) overflows), 10 EvidenceNotUC,
-11 Inconclusive.
+invalid arguments (a numeric flag out of its range is refused, never read
+as absent), 3 empty sphere preimage (the nonemptiness hypothesis fails),
+4 domain and dimension errors (scan stops on a dimension error rather
+than writing it into every row), 5 float-resolution limits (delta(p, eps)
+is below the spacing of floats around p, or f(p) overflows),
+10 EvidenceNotUC, 11 Inconclusive.
 """
 
 from __future__ import annotations
@@ -102,6 +104,8 @@ def _add_out(sp: argparse.ArgumentParser):
 
 def _resolve(args):
     """(f, dom): --domain when given, else f's natural domain."""
+    if args.dim is not None and args.dim < 1:
+        raise InvalidArgument(f"--dim must be at least 1, got {args.dim!r}")
     fn = catalog_mod.resolve_function(args.fn, dim=args.dim)
     if args.domain:
         return fn, parse_domain(args.domain, default_dim=args.dim)
@@ -157,6 +161,8 @@ def cmd_scan(args) -> int:
         raise InvalidArgument("scan needs --eps or --eps-grid")
     for eps in eps_values:  # a bad eps fails the command, not each row
         require_positive("eps", eps)
+    if args.p_count < 1:
+        raise InvalidArgument(f"--p-count must be at least 1, got {args.p_count!r}")
     ps = np.linspace(args.p_min, args.p_max, args.p_count)
     rows = ["p,eps,delta,lower,upper,backend,error"]
     for eps in eps_values:
@@ -168,6 +174,8 @@ def cmd_scan(args) -> int:
                     _fmt(float(p)), _fmt(eps), _fmt(res.value),
                     _fmt(res.certified_lower), _fmt(res.certified_upper),
                     res.backend, ""]))
+            except DimensionMismatch:
+                raise  # a fault of the problem, not of this point
             except DeltamaxError as exc:
                 msg = str(exc).replace(",", ";").replace("\n", " ")
                 rows.append(",".join([
@@ -248,10 +256,12 @@ def cmd_certify(args) -> int:
     --h, the grid slack (one cell diagonal), and whether lower <= value
     <= upper + slack."""
     fn, dom = _resolve(args)
+    if args.window_radius is not None:
+        require_positive("window radius", args.window_radius)
     p = _parse_point(args.p, dom.dimension)
     res = compute_delta(fn, dom, p, args.eps, directions=args.directions)
-    radius = args.window_radius if args.window_radius else 4.0 * res.value
-    h = args.h if args.h else 2.0 * radius / 4096.0
+    radius = 4.0 * res.value if args.window_radius is None else args.window_radius
+    h = 2.0 * radius / 4096.0 if args.h is None else args.h
     window = DomainSpec.box(p.as_array() - radius, p.as_array() + radius, norm=dom.norm)
     lo, up = grid_delta_bounds(fn, dom, p, args.eps, GridSpec(h=h, window=window),
                                require_radius=args.window_radius)
@@ -296,7 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("inf", help="CSV infimum trace of delta(., eps)")
     _add_common(sp)
     sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--stages", type=int, default=21)
+    sp.add_argument("--stages", type=int, default=21,
+                    help="windows toward an unbounded or open end of a line "
+                         "(a compact line and an nD problem pick their own count)")
     sp.add_argument("--resolution", type=int, default=2048)
     sp.set_defaults(func=cmd_inf)
 

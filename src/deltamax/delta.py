@@ -39,7 +39,6 @@ from .errors import (
     FloatResolutionLimit,
     InvalidArgument,
     NonFinite,
-    OutOfRange,
 )
 from .model import (
     DomainSpec,
@@ -215,14 +214,14 @@ def _line_delta(problem, dom: DomainSpec, p, eps: float) -> DeltaResult:
 # Monotone backend
 # ---------------------------------------------------------------------------
 
-def _invert(g: Monotone1DFn, y: float, start: float | None) -> tuple[float, float, float]:
+def _invert(g: Monotone1DFn, y: float, start: float) -> tuple[float, float, float] | float:
     """x in g's interval with |g(x) - y| <= TOL_F, by bracketed bisection,
     and the final bisection bracket [lo, hi], which holds the preimage.
 
-    Raises OutOfRange when y is provably outside the range (a finite
-    endpoint maps past y), or when doubling expansion hits R_MAX with no
-    sign change; it carries the distance from start searched in vain
-    (inf when the range provably misses y).
+    When y is not attained, returns instead the distance from start
+    searched in vain: inf when y is provably outside the range (a finite
+    endpoint maps past y), or how far doubling expansion got before
+    hitting R_MAX with no sign change.
     """
     a, b = g.interval
     g_arr = array_evaluator(g)
@@ -236,17 +235,15 @@ def _invert(g: Monotone1DFn, y: float, start: float | None) -> tuple[float, floa
         return sgn * (v - y)
 
     # Establish lo with sigma <= 0 and hi with sigma >= 0.
-    if start is None:
-        start = 0.0
     start = min(max(start, a), b)
     lo = hi = None
     if math.isfinite(a):
         if sigma(a) > 0:
-            raise OutOfRange(f"target {y!r} outside the range on [{a}, {b}]")
+            return math.inf
         lo = a
     if math.isfinite(b):
         if sigma(b) < 0:
-            raise OutOfRange(f"target {y!r} outside the range on [{a}, {b}]")
+            return math.inf
         hi = b
     if lo is None or hi is None:
         s0 = sigma(start)
@@ -272,9 +269,7 @@ def _invert(g: Monotone1DFn, y: float, start: float | None) -> tuple[float, floa
                 searched = abs(probe - start)
                 radius *= 2.0
             else:
-                raise OutOfRange(
-                    f"no bracket for target {y!r}: expansion hit r_max "
-                    f"({R_MAX}) with no sign change", searched_radius=searched)
+                return searched
 
     # Bisect; keep the probe with the smallest |g - y|.
     best_x, best_s = lo, abs(sigma(lo))
@@ -312,11 +307,11 @@ def _monotone_line(g: Monotone1DFn, t: float, gp: float, eps: float):
     sides = []          # (distance, crossing, nearest, farthest bracket end)
     reach = math.inf    # no crossing of an unattained side lies closer
     for target in (gp - eps, gp + eps):
-        try:
-            x, lo, hi = _invert(g, target, start=t)
-        except OutOfRange as miss:
-            reach = min(reach, miss.searched_radius)
+        found = _invert(g, target, t)
+        if isinstance(found, float):  # target not attained
+            reach = min(reach, found)
             continue
+        x, lo, hi = found
         sides.append((abs(x - t), x, max(lo - t, t - hi, 0.0), max(hi - t, t - lo)))
     if not sides:
         raise EmptySpherePreimage(
@@ -427,11 +422,10 @@ def delta_ray_nd(f: FunctionSpec, dom: DomainSpec, p, eps: float,
 
     fp_cols = np.full(n, float(fp))
     scale = np.full(n, norm_of(dom.norm, p_arr))
-    # The membership mask clips each ray to the domain, so its extent
-    # stays infinite (no tail probes); a ray without a crossing stops at
-    # its bounding-box exit, past which every sample is outside.
-    side = scan_side(eval_at, fp_cols, eps, np.full(n, math.inf),
-                     np.full(n, R0), scale, reach=_box_exit(dom, p_arr, dirs))
+    # The membership mask clips each ray to the domain; a ray without a
+    # crossing stops at its bounding-box exit, past which every sample is
+    # outside.
+    side = scan_side(eval_at, fp_cols, eps, scale, reach=_box_exit(dom, p_arr, dirs))
     roots = side.root
     if np.all(np.isnan(roots)):
         raise EmptySpherePreimage(

@@ -12,7 +12,9 @@ Examples:
     annulus:0:1:open-inner:dim=2
 
 Flags: open-left, open-right (box-like; apply to every axis),
-open-inner, open-outer, closed-outer (radial), dim=N, norm=l1|l2|linf.
+open-inner, open-outer, closed-outer (radial), dim=N (N >= 1),
+norm=l1|l2|linf.  format_domain prints a 1-d box as the interval and a
+closed zero-radius annulus as the ball that they equal.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainParseError
-from .model import DomainSpec, NormTag, Shape
+from .model import DomainSpec, NormTag
 
 _NORMS = {"l1": NormTag.L1, "l2": NormTag.L2, "linf": NormTag.LINF}
 
@@ -51,10 +53,9 @@ def parse_domain(text: str, default_dim: int | None = None) -> DomainSpec:
         if tok in flags:
             flags[tok] = True
         elif tok.startswith("dim="):
-            try:
-                dim = int(tok[4:])
-            except ValueError:
-                raise DomainParseError(f"bad dimension flag {tok!r}") from None
+            if not (tok[4:].isdecimal() and int(tok[4:]) >= 1):
+                raise DomainParseError(f"bad dimension flag {tok!r}")
+            dim = int(tok[4:])
         elif tok.startswith("norm="):
             name = tok[5:].lower()
             if name not in _NORMS:
@@ -97,8 +98,8 @@ def parse_domain(text: str, default_dim: int | None = None) -> DomainSpec:
             center = _numlist(positional[0], "center")
             radius = _num(positional[1], "radius")
         if center is None:
-            center = (0.0,) * (dim if dim else 2)
-        elif len(center) == 1 and dim and dim > 1:
+            center = (0.0,) * (2 if dim is None else dim)
+        elif len(center) == 1 and dim is not None and dim > 1:
             center = center * dim
         return DomainSpec.ball(center, radius,
                                open_boundary=not flags["closed-outer"], norm=norm)
@@ -107,7 +108,7 @@ def parse_domain(text: str, default_dim: int | None = None) -> DomainSpec:
             center = _numlist(positional.pop(0), "center")
         else:
             need(2)
-            center = (0.0,) * (dim if dim else 2)
+            center = (0.0,) * (2 if dim is None else dim)
         return DomainSpec.annulus(center,
                                   _num(positional[0], "inner radius"),
                                   _num(positional[1], "outer radius"),
@@ -126,14 +127,14 @@ def format_domain(dom: DomainSpec) -> str:
     flags: list[str] = []
     if dom.norm is not NormTag.L2:
         flags.append(f"norm={dom.norm.value}")
-    if dom.shape in (Shape.INTERVAL, Shape.HALF_LINE):
-        a, b = dom.lo[0], dom.hi[0]
-        if dom.open_lo[0]:
-            flags.append("open-left")
-        if dom.open_hi[0] and math.isfinite(b):
-            flags.append("open-right")
-        return ":".join(["interval", _fmt(a), _fmt(b)] + flags)
-    if dom.shape is Shape.BOX:
+    if not dom.is_radial:
+        if dom.dimension == 1:
+            a, b = dom.lo[0], dom.hi[0]
+            if dom.open_lo[0]:
+                flags.append("open-left")
+            if dom.open_hi[0] and math.isfinite(b):
+                flags.append("open-right")
+            return ":".join(["interval", _fmt(a), _fmt(b)] + flags)
         if any(dom.open_lo):
             flags.append("open-left")
         if any(dom.open_hi):
@@ -142,7 +143,7 @@ def format_domain(dom: DomainSpec) -> str:
         hi = ",".join(_fmt(v) for v in dom.hi)
         return ":".join(["box", lo, hi] + flags)
     flags.append(f"dim={dom.dimension}")
-    if dom.shape is Shape.BALL:
+    if dom.is_ball:
         if not dom.open_outer and math.isfinite(dom.r_out):
             flags.append("closed-outer")
         center = ",".join(_fmt(v) for v in dom.center)

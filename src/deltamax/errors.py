@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 
 class DeltamaxError(Exception):
     """Base class for every error raised by this package."""
@@ -11,13 +9,17 @@ class DeltamaxError(Exception):
 
 class InvalidArgument(DeltamaxError, ValueError):
     """A numeric argument is outside its valid range (eps <= 0 or NaN,
-    checked by model.require_positive at every entry point; no
-    directions, an empty eps grid, ...)."""
+    checked by model.require_positive at every entry point, for every eps
+    of a uc grid before the first is tested; a stage count or resolution
+    below 1; no directions, an empty eps grid, ...).  CLI exit code 2,
+    also for a --dim, --p-count or --window-radius out of range."""
 
 
 class DimensionMismatch(DeltamaxError):
     """A point and its domain (model.point_in, at every entry point that
-    takes a point), or a function and its domain, disagree on dimension."""
+    takes a point), or a function and its domain, disagree on dimension.
+    CLI exit code 4 from every subcommand: a fault of the problem, which
+    no command skips as a failure at one point."""
 
 
 class DomainViolation(DeltamaxError):
@@ -90,19 +92,6 @@ class FloatResolutionLimit(DeltamaxError):
     eval_fn and every delta entry point) raises this for +/-inf and
     NonFinite for NaN.
     """
-
-
-class OutOfRange(DeltamaxError):
-    """Inverse evaluation target outside the function's range.
-
-    searched_radius is inf when the range provably misses the target, or
-    the distance from the start within which no preimage exists when the
-    search gave up there.
-    """
-
-    def __init__(self, message: str, searched_radius: float = math.inf):
-        self.searched_radius = searched_radius
-        super().__init__(message)
 
 
 class ConstantFunction(DeltamaxError):

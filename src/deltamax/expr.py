@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LexError, NonFinite, ParseError, UnboundVariable
+from .errors import LexError, ParseError, UnboundVariable
 
 ALLOWED_VARIABLES = frozenset({"x", "r"} | {f"x{i}" for i in range(1, 9)})
 
@@ -256,25 +256,13 @@ _ARRAY_FNS = {
 }
 
 
-def eval_ast(a: Ast, env: dict[str, float]) -> float:
-    """Strict scalar evaluation in IEEE doubles.
-
-    The vectorized evaluator runs on the scalar environment; a NaN or
-    inf result (ln/sqrt of a negative, division by zero, overflow)
-    raises NonFinite instead of being returned.
-    """
-    value = float(eval_ast_array(a, env))
-    if not math.isfinite(value):
-        raise NonFinite(f"expression evaluated to {value!r}")
-    return value
-
-
 def eval_ast_array(a: Ast, env: dict[str, np.ndarray]) -> np.ndarray:
-    """Vectorized evaluation used by the search internals.
+    """Vectorized evaluation in IEEE doubles, of arrays or of scalars.
 
-    Unlike eval_ast this is lenient: invalid points yield NaN/inf in the
-    output and the caller decides what they mean (usually: point outside
-    the usable domain, or a definite |f| = inf exceedance).
+    It is lenient: invalid points yield NaN/inf in the output and the
+    caller decides what they mean (usually: point outside the usable
+    domain, or a definite |f| = inf exceedance; model.value_at is the
+    one strict read of f at a point).
     """
     with np.errstate(all="ignore"):
         out = _eval_array(a, env)

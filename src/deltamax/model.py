@@ -128,36 +128,27 @@ def norm_of_rows(tag: NormTag, arr: np.ndarray) -> np.ndarray:
 # Domains
 # ---------------------------------------------------------------------------
 
-class Shape(enum.Enum):
-    INTERVAL = "interval"
-    HALF_LINE = "half_line"
-    BOX = "box"
-    BALL = "ball"
-    ANNULUS = "annulus"
-
-
-_TINY = 1e-300
-
-
 @dataclass(frozen=True)
 class DomainSpec:
     """A connected subset of R^n with per-boundary openness flags.
 
-    For BALL/ANNULUS the radius is measured in `norm`.  Unbounded extents
-    use explicit inf sentinels.  A dim-1 annulus is rejected: its metric
-    balls split into two components, which breaks the standing
+    Two families, told apart by `center`: a box (center None; a 1-d box
+    is an interval) with per-axis bounds, or a radial shell r_in <= |x -
+    center| <= r_out with the radius measured in `norm`.  A shell whose
+    inner radius is a closed 0 is a ball.  Unbounded extents use explicit
+    inf sentinels.  A dim-1 shell other than a ball is rejected: its
+    metric balls split into two components, which breaks the standing
     path-connectedness hypothesis.
     """
 
-    shape: Shape
     dimension: int
     norm: NormTag = NormTag.L2
-    # INTERVAL/HALF_LINE/BOX bounds (per axis); None for radial shapes
+    # box bounds (per axis); None for radial shells
     lo: tuple[float, ...] | None = None
     hi: tuple[float, ...] | None = None
     open_lo: tuple[bool, ...] | None = None
     open_hi: tuple[bool, ...] | None = None
-    # BALL/ANNULUS parameters; None for box-like shapes
+    # radial shell parameters; center None for boxes
     center: tuple[float, ...] | None = None
     r_in: float = 0.0
     r_out: float = INF
@@ -169,8 +160,7 @@ class DomainSpec:
     @classmethod
     def interval(cls, a: float, b: float, *, open_lo: bool = False,
                  open_hi: bool = False, norm: NormTag = NormTag.L2) -> "DomainSpec":
-        shape = Shape.HALF_LINE if math.isinf(b) and not math.isinf(a) else Shape.INTERVAL
-        return cls(shape, 1, norm, lo=(float(a),), hi=(float(b),),
+        return cls(1, norm, lo=(float(a),), hi=(float(b),),
                    open_lo=(open_lo,), open_hi=(open_hi or math.isinf(b),))
 
     @classmethod
@@ -188,22 +178,21 @@ class DomainSpec:
         d = len(lo_t)
         ol = tuple(open_lo) if open_lo is not None else (False,) * d
         oh = tuple(open_hi) if open_hi is not None else (False,) * d
-        return cls(Shape.BOX, d, norm, lo=lo_t, hi=hi_t, open_lo=ol, open_hi=oh)
+        if d == len(hi_t) == 1:  # an interval, open at +inf as every interval is
+            return cls.interval(lo_t[0], hi_t[0], open_lo=ol[0], open_hi=oh[0], norm=norm)
+        return cls(d, norm, lo=lo_t, hi=hi_t, open_lo=ol, open_hi=oh)
 
     @classmethod
     def ball(cls, center: Iterable[float], radius: float, *,
              open_boundary: bool = True, norm: NormTag = NormTag.L2) -> "DomainSpec":
-        c = tuple(float(v) for v in center)
-        return cls(Shape.BALL, len(c), norm, center=c, r_in=0.0,
-                   r_out=float(radius), open_inner=False,
-                   open_outer=open_boundary or math.isinf(radius))
+        return cls.annulus(center, 0.0, radius, open_outer=open_boundary, norm=norm)
 
     @classmethod
     def annulus(cls, center: Iterable[float], r_in: float, r_out: float, *,
                 open_inner: bool = False, open_outer: bool = False,
                 norm: NormTag = NormTag.L2) -> "DomainSpec":
         c = tuple(float(v) for v in center)
-        return cls(Shape.ANNULUS, len(c), norm, center=c, r_in=float(r_in),
+        return cls(len(c), norm, center=c, r_in=float(r_in),
                    r_out=float(r_out), open_inner=open_inner,
                    open_outer=open_outer or math.isinf(r_out))
 
@@ -212,7 +201,7 @@ class DomainSpec:
     def __post_init__(self):
         if self.dimension < 1:
             raise InvalidDomain("dimension must be >= 1")
-        if self.shape in (Shape.INTERVAL, Shape.HALF_LINE, Shape.BOX):
+        if self.center is None:
             if self.lo is None or self.hi is None:
                 raise InvalidDomain("box-like domain needs lo/hi bounds")
             if len(self.lo) != self.dimension or len(self.hi) != self.dimension:
@@ -220,30 +209,30 @@ class DomainSpec:
             for a, b in zip(self.lo, self.hi):
                 if not a < b:  # NaN included
                     raise InvalidDomain(f"empty interior: bounds [{a}, {b}]")
-            if self.shape is not Shape.BOX and self.dimension != 1:
-                raise InvalidDomain("interval/half-line domains are 1-dimensional")
-        elif self.shape in (Shape.BALL, Shape.ANNULUS):
-            if self.center is None or len(self.center) != self.dimension:
+        else:
+            if len(self.center) != self.dimension:
                 raise InvalidDomain("radial domain needs a center of matching dimension")
             if not (0.0 <= self.r_in < self.r_out):
                 raise InvalidDomain(f"need 0 <= r_in < r_out, got [{self.r_in}, {self.r_out}]")
-            if self.shape is Shape.ANNULUS and self.dimension == 1:
+            if self.dimension == 1 and not self.is_ball:
                 raise InvalidDomain(
                     "dim-1 annulus rejected: its metric balls are not path-connected")
-        else:  # pragma: no cover - enum is exhaustive
-            raise InvalidDomain(f"unknown shape {self.shape}")
 
     # -- queries ----------------------------------------------------------
 
     @property
     def is_bounded(self) -> bool:
-        if self.shape in (Shape.BALL, Shape.ANNULUS):
+        if self.is_radial:
             return math.isfinite(self.r_out)
         return all(math.isfinite(v) for v in self.lo + self.hi)
 
     @property
     def is_radial(self) -> bool:
-        return self.shape in (Shape.BALL, Shape.ANNULUS)
+        return self.center is not None
+
+    @property
+    def is_ball(self) -> bool:
+        return self.is_radial and self.r_in == 0.0 and not self.open_inner
 
     def contains(self, p) -> bool:
         pt = _as_point(p)
@@ -254,7 +243,7 @@ class DomainSpec:
         arr = np.asarray(arr, dtype=float)
         if self.dimension == 1 and arr.ndim == 1:
             arr = arr.reshape(-1, 1)
-        if self.shape in (Shape.INTERVAL, Shape.HALF_LINE, Shape.BOX):
+        if self.center is None:
             ok = np.ones(arr.shape[0], dtype=bool)
             for ax in range(self.dimension):
                 col = arr[:, ax]
@@ -271,7 +260,7 @@ class DomainSpec:
     def bounding_box(self, truncate: float = INF) -> tuple[np.ndarray, np.ndarray]:
         """Axis-aligned lo/hi arrays covering the domain, truncated for
         unbounded extents."""
-        if self.shape in (Shape.INTERVAL, Shape.HALF_LINE, Shape.BOX):
+        if self.center is None:
             lo = np.asarray(self.lo, dtype=float)
             hi = np.asarray(self.hi, dtype=float)
         else:

@@ -156,17 +156,18 @@ def _bisect(eval_at, cols, fp, eps, lo, hi, hi_h, pos_scale):
 
 
 def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
-              extents: np.ndarray, r0: np.ndarray,
               pos_scale: np.ndarray, detect_points: int = SCAN_POINTS,
               reach: np.ndarray | None = None) -> SideResult:
     """Find the nearest crossing of h along one side for every column.
+    Every side is unbounded (the valid mask is its only boundary): its
+    detect windows double from width R0, and no tail probes run.
 
-    Two steps: the sweep brackets each column's first crossing (detect
-    windows, then tail probes), and the settle step refines every
-    bracket by one fine rescan and bisects it.  line_field runs the two
-    steps itself: one sweep per side, as one sweep over both sides'
-    windows measured slower on large batches, then one settle step for
-    the brackets of both sides; only it skips windows by enclosure.
+    Two steps: the sweep brackets each column's first crossing, and the
+    settle step refines every bracket by one fine rescan and bisects it.
+    line_field runs the two steps itself: one sweep per side, as one
+    sweep over both sides' windows measured slower on large batches, then
+    one settle step for the brackets of both sides; only it skips windows
+    by enclosure and runs tail probes toward a finite end.
 
     detect_points controls the bracketing sweep resolution (defaults to
     SCAN_POINTS); the fine rescan inside a found bracket keeps the
@@ -181,18 +182,20 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
     clear, step and rounds stop there instead of at the truncation
     radius.
     """
-    side, brackets = _sweep(eval_at, fp, eps, extents, r0, pos_scale,
-                            detect_points, reach=reach)
+    n = fp.size
+    side, brackets = _sweep(eval_at, fp, eps, np.full(n, math.inf), np.full(n, R0),
+                            pos_scale, detect_points, reach=reach)
     _settle(eval_at, fp, eps, pos_scale, side, brackets)
     return side
 
 
 def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
            enclose_at: SideEnclose | None = None, reach=None) -> tuple[SideResult, list]:
-    """The bracketing half of scan_side (same arguments).  enclose_at(cols,
-    t_lo, t_end) returns, per window [t_lo, t_end], a value that is
-    negative only if h < 0 at every float sample of the window and at
-    every real offset in it; such a window is not sampled.
+    """The bracketing half of scan_side, for sides ending `extents` away
+    (tail probes approach a finite end) from a first window of width r0.
+    enclose_at(cols, t_lo, t_end) returns, per window [t_lo, t_end], a
+    value that is negative only if h < 0 at every float sample of the
+    window and at every real offset in it; such a window is not sampled.
 
     Returns the side with root and root_h still NaN, and the brackets
     found: a list of (cols, lo, hi, hi_h) arrays, lo being the last clear

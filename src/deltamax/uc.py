@@ -30,7 +30,6 @@ from .model import (
     DomainSpec,
     FunctionSpec,
     Point,
-    Shape,
     array_evaluator,
     enclosure_evaluator,
     lattice,
@@ -123,8 +122,6 @@ class UcVerdict:
 def _make_window(dom: DomainSpec, lo: float, hi: float) -> DomainSpec:
     """The window of dom between lo and hi on its line (see line_bounds)."""
     if dom.is_radial and dom.dimension > 1:
-        if dom.shape is Shape.BALL and lo == 0.0:
-            return DomainSpec.ball(dom.center, hi, open_boundary=False, norm=dom.norm)
         return DomainSpec.annulus(dom.center, lo, hi, norm=dom.norm)
     return DomainSpec.interval(lo, hi, norm=dom.norm)
 
@@ -134,16 +131,17 @@ def default_schedule(dom: DomainSpec, stages: int = 21, resolution: int = 2048,
     """Window schedule for infimum scans, its stage count decided from
     dom's shape alone (stage_schedule, which uc runs, decides from f too).
 
-    Bounded domains with closed boundaries are compact: the schedule just
-    refines the resolution on the full window.  Unbounded extents expand
-    geometrically ([0, 2^k]-style); open finite boundaries are approached
-    geometrically instead, since that is where the infimum can escape;
-    either way the schedule has `stages` windows.  A generic nD domain
-    gets one stage on its (truncated) full window: _stage_field caps
-    every nD grid at the same lattice, so more stages would repeat it.
-    A resolution below 1 samples no point and raises InvalidArgument.
+    Only a line with an escaping end has `stages` windows: unbounded
+    extents expand geometrically ([0, 2^k]-style), and open finite
+    boundaries are approached geometrically instead, since that is where
+    the infimum can escape.  The other domains pick their own stage
+    count.  A compact line (bounded, closed boundaries) refines the
+    resolution on its full window, up to `resolution`.  A generic nD
+    domain gets one stage on its (truncated) full window: _stage_field
+    caps every nD grid at the same lattice, so more stages would repeat
+    it.  A stage count or resolution below 1 raises InvalidArgument.
     """
-    _require_resolution(resolution)
+    _require_counts(stages, resolution)
     if dom.dimension > 1 and not dom.is_radial:
         return [(dom, resolution)]
 
@@ -201,14 +199,17 @@ def stage_schedule(f: FunctionSpec, dom: DomainSpec, stages: int = 21, resolutio
     (delta.line_problem), else the one stage (dom, resolution), since
     every stage without a line is the same capped lattice."""
     if line_problem(f, dom) is None:
-        _require_resolution(resolution)
+        _require_counts(stages, resolution)
         return [(dom, resolution)]
     return default_schedule(dom, stages, resolution, factor)
 
 
-def _require_resolution(resolution: int) -> None:
-    if not resolution >= 1:
-        raise InvalidArgument(f"resolution must be at least 1, got {resolution!r}")
+def _require_counts(stages: int, resolution: int) -> None:
+    """Raise InvalidArgument unless a schedule has at least one stage of
+    at least one point."""
+    for name, value in (("stages", stages), ("resolution", resolution)):
+        if not value >= 1:
+            raise InvalidArgument(f"{name} must be at least 1, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +386,8 @@ def uc_verdict(f: FunctionSpec, dom: DomainSpec,
         eps_grid = default_eps_grid(f, dom)[1]
     if not eps_grid:
         raise InvalidArgument("eps_grid must be nonempty")
+    for eps in eps_grid:  # a bad eps fails before any eps is tested
+        require_positive("eps", eps)
 
     traces: list[InfTrace] = []
     partial_max = 0

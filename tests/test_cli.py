@@ -66,6 +66,34 @@ class TestInvalidArgumentExit:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv, what", [
+        (("inf", "--fn", "square", "--eps", "1", "--stages", "0"), "stages"),
+        (("inf", "--fn", "square", "--eps", "1", "--stages", "-1"), "stages"),
+        (("inf", "--fn", "square", "--domain", "interval:0:1", "--eps", "1",
+          "--stages", "0"), "stages"),
+        (("uc", "--fn", "square", "--eps-grid=0.5,-1"), "eps"),
+        (("uc", "--fn", "square", "--eps-grid=0.5,nan"), "eps"),
+        (("certify", "--fn", "square", "--p", "3", "--eps", "1", "--h", "0"), "grid step"),
+        (("certify", "--fn", "square", "--p", "3", "--eps", "1", "--window-radius", "0"),
+         "window radius"),
+        (("certify", "--fn", "square", "--p", "3", "--eps", "1", "--window-radius", "-1"),
+         "window radius"),
+        (("certify", "--fn", "square", "--p", "3", "--eps", "1", "--window-radius", "nan"),
+         "window radius"),
+        (("delta", "--fn", "exp(r)", "--dim", "0", "--p", "1", "--eps", "0.5"), "--dim"),
+        (("scan", "--fn", "square", "--eps", "1", "--p-min", "0", "--p-max", "1",
+          "--p-count", "0"), "--p-count"),
+        (("scan", "--fn", "square", "--eps", "1", "--p-min", "0", "--p-max", "1",
+          "--p-count", "-2"), "--p-count"),
+    ])
+    def test_bad_numeric_flags(self, capsys, argv, what):
+        # A bad count, step, radius or eps is refused by name, never read
+        # as "absent" or carried into an empty output.
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_PARSE == 2
+        assert out == ""
+        assert err.startswith("error:") and what in err
+
     @pytest.mark.parametrize("count", ["1", "0"])
     def test_uc_count_below_three(self, capsys, count):
         # f(x) = x is uniformly continuous: a chain of fewer than three
@@ -234,6 +262,7 @@ def test_natural_domain_is_the_default(capsys, fn, domain):
 
 @pytest.mark.parametrize("argv", [
     ("delta", "--p", "1,1", "--eps", "0.5"),
+    ("scan", "--p-min", "0", "--p-max", "1", "--p-count", "2", "--eps", "0.5"),
     ("inf", "--eps", "0.5"),
     ("uc", "--eps-grid", "0.5"),
     ("uc",),

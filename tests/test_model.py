@@ -95,7 +95,7 @@ class TestDomainSpec:
 
     def test_dim1_annulus_rejected(self):
         with pytest.raises(InvalidDomain):
-            DomainSpec(dm.Shape.ANNULUS, 1, center=(0.0,), r_in=1.0, r_out=2.0)
+            DomainSpec(1, center=(0.0,), r_in=1.0, r_out=2.0)
 
     def test_annulus_radius_ordering(self):
         with pytest.raises(InvalidDomain):
@@ -156,9 +156,25 @@ class TestDomainText:
         with pytest.raises(DomainParseError):
             parse_domain("interval:a:b")
 
+    def test_family_decides_the_text(self):
+        # A 1-d box is an interval and a closed zero-radius annulus a ball.
+        box = DomainSpec.box((0.0,), (1.0,))
+        assert box == DomainSpec.interval(0.0, 1.0)
+        assert format_domain(box) == "interval:0.0:1.0"
+        assert DomainSpec.box((0.0,), (math.inf,)) == DomainSpec.half_line(0.0)
+        shell = DomainSpec.annulus((0.0, 0.0), 0.0, 1.0)
+        assert shell == DomainSpec.ball((0.0, 0.0), 1.0, open_boundary=False)
+        assert format_domain(shell) == "ball:0.0,0.0:1.0:dim=2:closed-outer"
+        assert parse_domain(format_domain(shell)) == shell
+
+    @pytest.mark.parametrize("flag", ["dim=0", "dim=-1", "dim=two"])
+    def test_bad_dimension_flag(self, flag):
+        with pytest.raises(DomainParseError):
+            parse_domain(f"ball:1:{flag}")
+
     def test_interval_to_inf_is_half_line(self):
         dom = parse_domain("interval:0:inf")
-        assert dom.shape is dm.Shape.HALF_LINE
+        assert dom == DomainSpec.half_line(0.0)
 
 
 class TestEval:

@@ -125,8 +125,7 @@ def test_reach_leaves_ray_crossings_bit_identical(name, seed):
             return f_arr(flat).reshape(ts.shape), dom.contains_rows(flat).reshape(ts.shape)
 
         n = dirs.shape[0]
-        args = (eval_at, np.full(n, fp), eps, np.full(n, math.inf), np.full(n, 1.0),
-                np.full(n, float(np.max(np.abs(p)))))
+        args = (eval_at, np.full(n, fp), eps, np.full(n, float(np.max(np.abs(p)))))
         full = scan_side(*args, detect_points=256)
         capped = scan_side(*args, detect_points=256, reach=_box_exit(dom, p, dirs))
         assert np.array_equal(full.root, capped.root, equal_nan=True)

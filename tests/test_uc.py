@@ -134,6 +134,19 @@ def test_schedule_needs_a_point_per_window(resolution):
     assert uc.default_schedule(UNIT, stages=1, resolution=1)[0][1] == 1
 
 
+@pytest.mark.parametrize("stages", [0, -1])
+def test_schedule_needs_a_stage(stages):
+    # A stage count below 1 is refused too, also where the domain picks
+    # its own count (a compact line, a generic nD problem).
+    for f, dom in ((ExpressionFn.parse("x^2"), DomainSpec.interval(-1.0, 1.0)),
+                   (ExpressionFn.parse("sqrt(x)"), DomainSpec.half_line(0.0)),
+                   (ExpressionFn.parse("x1*x2"), BOX)):
+        with pytest.raises(dm.InvalidArgument):
+            uc.default_schedule(dom, stages=stages)
+        with pytest.raises(dm.InvalidArgument):
+            uc.stage_schedule(f, dom, stages=stages)
+
+
 def test_default_eps_grid_is_the_verdicts_grid():
     f, dom = ExpressionFn.parse("sin(x)"), DomainSpec.interval(0.0, 4.0)
     beta, grid = uc.default_eps_grid(f, dom)
