@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .domaintext import format_domain, parse_domain
-from .errors import DomainParseError, UnknownCatalogEntry
+from .errors import DomainParseError, InvalidArgument, UnknownCatalogEntry
 from .model import CatalogFn, DomainSpec, ExpressionFn, FunctionSpec
 
 
@@ -34,8 +34,6 @@ class CatalogEntry:
     closed_form_delta: Callable[[float, float], float] | None = None
 
     def manifest_line(self) -> str:
-        if "|" in self.name or "|" in self.source:
-            raise ValueError("catalog names/expressions cannot contain '|'")
         return f"{self.name}|{self.source}|{format_domain(self.domain)}"
 
 
@@ -48,6 +46,8 @@ def _make(name: str, source: str, domain: DomainSpec,
           dim: int = 1) -> CatalogEntry:
     # Every entry must load back from its manifest line as it is; the
     # flat grammar cannot write, e.g., a box open on some axes only.
+    if "|" in name or "|" in source:
+        raise InvalidArgument("catalog names/expressions cannot contain '|'")
     text = format_domain(domain)
     if parse_domain(text) != domain:
         raise DomainParseError(f"{text!r} does not load back as {domain!r}")

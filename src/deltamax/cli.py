@@ -8,13 +8,16 @@ delta; the only subcommand that runs the oracle).  Numbers print with
 17 significant digits and identical invocations produce byte-identical
 output.  The search tolerances are the constants of deltamax.search.
 
-Exit codes: 0 success (and EvidenceUC for uc), 2 parse errors and
-invalid arguments (a numeric flag out of its range is refused, never read
-as absent), 3 empty sphere preimage (the nonemptiness hypothesis fails),
+Exit codes: 0 success (and EvidenceUC for uc), 2 parse errors, invalid
+arguments (a flag out of its range or given empty text is refused, never
+read as absent) and a --load, --out or --trace file that cannot be
+opened, 3 empty sphere preimage (the nonemptiness hypothesis fails),
 4 domain and dimension errors (scan stops on a dimension error rather
 than writing it into every row), 5 float-resolution limits (delta(p, eps)
 is below the spacing of floats around p, or f(p) overflows),
-10 EvidenceNotUC, 11 Inconclusive.
+10 EvidenceNotUC, 11 Inconclusive.  Each error's code is its class's
+`exit_code` (deltamax.errors); any other exception is a program fault
+and exits with a traceback.
 """
 
 from __future__ import annotations
@@ -25,35 +28,19 @@ import sys
 
 import numpy as np
 
-from . import catalog as catalog_mod
+from . import catalog as catalog_mod, errors
 from .delta import compute_delta
 from .domaintext import format_domain, parse_domain
-from .errors import (
-    ConstantFunction,
-    DeltamaxError,
-    DimensionMismatch,
-    DomainParseError,
-    DomainViolation,
-    EmptySpherePreimage,
-    FloatResolutionLimit,
-    InvalidArgument,
-    InvalidDomain,
-    LexError,
-    NonFinite,
-    ParseError,
-    UnboundVariable,
-    UnknownCatalogEntry,
-    WindowTooSmall,
-)
+from .errors import DeltamaxError, DimensionMismatch, InvalidArgument
 from .model import DomainSpec, Point, require_positive
 from .oracle import GridSpec, grid_delta_bounds
 from .uc import Verdict, default_eps_grid, infimum_delta, stage_schedule, uc_verdict
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_EMPTY_PREIMAGE = 3
-EXIT_DOMAIN = 4
-EXIT_RESOLUTION = 5
+EXIT_PARSE = DeltamaxError.exit_code
+EXIT_EMPTY_PREIMAGE = errors.EmptySpherePreimage.exit_code
+EXIT_DOMAIN = errors.DomainViolation.exit_code
+EXIT_RESOLUTION = errors.FloatResolutionLimit.exit_code
 EXIT_NOT_UC = 10
 EXIT_INCONCLUSIVE = 11
 
@@ -107,13 +94,20 @@ def _resolve(args):
     if args.dim is not None and args.dim < 1:
         raise InvalidArgument(f"--dim must be at least 1, got {args.dim!r}")
     fn = catalog_mod.resolve_function(args.fn, dim=args.dim)
-    if args.domain:
+    if args.domain is not None:
         return fn, parse_domain(args.domain, default_dim=args.dim)
     return fn, fn.domain_hint()
 
 
+def _floats(text: str, flag: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise InvalidArgument(f"{flag} takes comma-separated numbers, got {text!r}") from None
+
+
 def _parse_point(text: str, dim: int) -> Point:
-    coords = tuple(float(v) for v in text.split(","))
+    coords = tuple(_floats(text, "--p"))
     if len(coords) == 1 and dim > 1:
         # scalar shorthand for a radial position along the first axis
         coords = coords + (0.0,) * (dim - 1)
@@ -153,8 +147,8 @@ def cmd_delta(args) -> int:
 
 def cmd_scan(args) -> int:
     fn, dom = _resolve(args)
-    if args.eps_grid:
-        eps_values = sorted(float(v) for v in args.eps_grid.split(","))
+    if args.eps_grid is not None:
+        eps_values = sorted(_floats(args.eps_grid, "--eps-grid"))
     elif args.eps is not None:
         eps_values = [args.eps]
     else:
@@ -205,8 +199,8 @@ def cmd_inf(args) -> int:
 
 def cmd_uc(args) -> int:
     fn, dom = _resolve(args)
-    if args.eps_grid:
-        eps_grid = [float(v) for v in args.eps_grid.split(",")]
+    if args.eps_grid is not None:
+        eps_grid = _floats(args.eps_grid, "--eps-grid")
     else:
         beta, eps_grid = default_eps_grid(fn, dom)
         print(f"eps grid from sampled beta={_fmt(beta)} (heuristic): "
@@ -346,24 +340,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (LexError, ParseError) as exc:
-        print(f"error: {exc.position}: {exc.args[0].split(': ', 1)[-1]}",
-              file=sys.stderr)
-        return EXIT_PARSE
-    except (DomainParseError, UnknownCatalogEntry, UnboundVariable) as exc:
-        print(f"error: 0: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (EmptySpherePreimage, ConstantFunction) as exc:
+    except DeltamaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_PREIMAGE
-    except (DomainViolation, InvalidDomain, DimensionMismatch, NonFinite,
-            WindowTooSmall) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except FloatResolutionLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOLUTION
-    except ValueError as exc:
+        return exc.exit_code
+    except OSError as exc:  # an unopenable --load, --out or --trace file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

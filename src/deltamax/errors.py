@@ -4,26 +4,30 @@ from __future__ import annotations
 
 
 class DeltamaxError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; `exit_code` is
+    the status the CLI exits with when the error ends a subcommand."""
+    exit_code = 2
 
 
 class InvalidArgument(DeltamaxError, ValueError):
     """A numeric argument is outside its valid range (eps <= 0 or NaN,
     checked by model.require_positive at every entry point, for every eps
     of a uc grid before the first is tested; a stage count or resolution
-    below 1; no directions, an empty eps grid, ...).  CLI exit code 2,
-    also for a --dim, --p-count or --window-radius out of range."""
+    below 1; no directions, an empty eps grid, a CLI --dim or --p-count
+    below 1, ...), or a CLI number list that does not read as numbers."""
 
 
 class DimensionMismatch(DeltamaxError):
     """A point and its domain (model.point_in, at every entry point that
-    takes a point), or a function and its domain, disagree on dimension.
-    CLI exit code 4 from every subcommand: a fault of the problem, which
-    no command skips as a failure at one point."""
+    takes a point), or a function and its domain, disagree on dimension:
+    a fault of the problem, which no command skips as a failure at one
+    point."""
+    exit_code = 4
 
 
 class DomainViolation(DeltamaxError):
     """A point lies outside the domain it was supposed to belong to."""
+    exit_code = 4
 
 
 class NonFinite(DeltamaxError):
@@ -34,6 +38,7 @@ class NonFinite(DeltamaxError):
     and every delta entry point) raises this for NaN and
     FloatResolutionLimit for +/-inf.
     """
+    exit_code = 4
 
 
 class UnknownCatalogEntry(DeltamaxError):
@@ -42,6 +47,7 @@ class UnknownCatalogEntry(DeltamaxError):
 
 class InvalidDomain(DeltamaxError):
     """DomainSpec parameters violate the constructor invariants."""
+    exit_code = 4
 
 
 class DomainParseError(DeltamaxError):
@@ -77,6 +83,7 @@ class EmptySpherePreimage(DeltamaxError):
     The searched radius is attached so "no preimage within R" can be told
     apart from "no preimage at all", which finite sampling cannot decide.
     """
+    exit_code = 3
 
     def __init__(self, message: str, searched_radius: float):
         self.searched_radius = searched_radius
@@ -92,14 +99,17 @@ class FloatResolutionLimit(DeltamaxError):
     eval_fn and every delta entry point) raises this for +/-inf and
     NonFinite for NaN.
     """
+    exit_code = 5
 
 
 class ConstantFunction(DeltamaxError):
     """Sampled function spread is below tolerance; epsilon bound undefined."""
+    exit_code = 3
 
 
 class WindowTooSmall(DeltamaxError):
     """Oracle window contains no violator but is smaller than the requested radius."""
+    exit_code = 4
 
 
 class WitnessesStagnated(DeltamaxError):

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import deltamax as dm
 from deltamax import catalog, cli
 
 
@@ -274,3 +275,73 @@ def test_function_wider_than_domain_exits_4(capsys, argv):
     assert code == cli.EXIT_DOMAIN == 4
     assert out == ""
     assert "3-d function" in err
+
+
+class TestFailurePath:
+    """Each DeltamaxError ends a subcommand with its class's exit_code and
+    one `error:` line; anything else is a fault of the program."""
+
+    EXIT_CODES = {
+        "DeltamaxError": 2, "InvalidArgument": 2, "DomainParseError": 2,
+        "LexError": 2, "ParseError": 2, "UnboundVariable": 2,
+        "UnknownCatalogEntry": 2, "WitnessesStagnated": 2,
+        "EmptySpherePreimage": 3, "ConstantFunction": 3,
+        "DimensionMismatch": 4, "DomainViolation": 4, "NonFinite": 4,
+        "InvalidDomain": 4, "WindowTooSmall": 4,
+        "FloatResolutionLimit": 5,
+    }
+
+    def test_every_exported_error_has_a_code(self):
+        exported = {name for name in dm.__all__ if isinstance(getattr(dm, name), type)
+                    and issubclass(getattr(dm, name), dm.DeltamaxError)}
+        assert exported == set(self.EXIT_CODES)
+        assert {name: getattr(dm, name).exit_code for name in exported} == self.EXIT_CODES
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
+    def test_main_exits_with_the_code(self, capsys, monkeypatch, name):
+        cls = getattr(dm, name)
+        if cls in (dm.LexError, dm.ParseError):
+            exc, text = cls(7, "boom"), "7: boom"
+        elif cls is dm.EmptySpherePreimage:
+            exc, text = cls("boom", searched_radius=1.0), "boom"
+        else:
+            exc, text = cls("boom"), "boom"
+
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_catalog", fail)
+        assert run(capsys, "catalog") == (self.EXIT_CODES[name], "", f"error: {text}\n")
+
+    def test_a_plain_value_error_propagates(self, monkeypatch):
+        def fail(args):
+            raise ValueError("inconsistent bounds")
+
+        monkeypatch.setattr(cli, "cmd_catalog", fail)
+        with pytest.raises(ValueError, match="inconsistent bounds"):
+            cli.main(["catalog"])
+
+    @pytest.mark.parametrize("argv, what", [
+        (("delta", "--fn", "square", "--p", "1,abc", "--eps", "0.5"), "--p"),
+        (("certify", "--fn", "square", "--p", "3,", "--eps", "1"), "--p"),
+        (("scan", "--fn", "x", "--eps-grid", "0.5,abc", "--p-min", "0", "--p-max", "1",
+          "--p-count", "2"), "--eps-grid"),
+        (("uc", "--fn", "x", "--domain", "interval:0:1", "--eps-grid", ""), "--eps-grid"),
+        (("delta", "--fn", "x", "--domain", "", "--p", "0.5", "--eps", "0.1"),
+         "empty domain text"),
+        (("catalog", "--load", "{missing}/m.txt"), "{missing}/m.txt"),
+        (("delta", "--fn", "square", "--p", "3", "--eps", "1", "--out", "{missing}/o.txt"),
+         "{missing}/o.txt"),
+        (("uc", "--fn", "x", "--domain", "interval:0:1", "--eps-grid", "0.5",
+          "--trace", "{missing}/t.csv"), "{missing}/t.csv"),
+    ])
+    def test_bad_text_or_file_exits_2(self, capsys, tmp_path, argv, what):
+        # Empty text is refused, not read as absent; an unopenable file is
+        # one error line, not a traceback.
+        missing = str(tmp_path / "missing")
+        code, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
+        assert code == cli.EXIT_PARSE == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert what.format(missing=missing) in err
+        if "--trace" not in argv:  # uc prints its verdict before the trace
+            assert out == ""

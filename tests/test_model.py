@@ -290,6 +290,18 @@ class TestCatalog:
         assert loaded[0].name == "loaded_test"
         assert eval_fn(dm.catalog_lookup("loaded_test").function, 1.0) == 2.0
 
+    @pytest.mark.parametrize("name, source", [("a|b", "x"), ("ab", "x|x")])
+    def test_register_refuses_a_pipe(self, monkeypatch, name, source):
+        from deltamax import catalog
+
+        # The manifest separates fields with '|': such an entry is refused
+        # when it is registered, so every later manifest still serializes.
+        monkeypatch.setattr(catalog, "_REGISTRY", dict(catalog._REGISTRY))
+        with pytest.raises(dm.InvalidArgument, match="cannot contain"):
+            dm.register(name, source, DomainSpec.interval(0.0, 1.0))
+        assert name not in dm.catalog_names()
+        assert dm.serialize_manifest().count("\n") == len(dm.catalog_names())
+
     def test_resolve_function_prefers_catalog(self):
         from deltamax.catalog import resolve_function
 
