@@ -48,6 +48,13 @@ def _make(name: str, source: str, domain: DomainSpec,
     # flat grammar cannot write, e.g., a box open on some axes only.
     if "|" in name or "|" in source:
         raise InvalidArgument("catalog names/expressions cannot contain '|'")
+    if not name or name != name.strip() or name.startswith("#"):
+        raise InvalidArgument(f"catalog name {name!r} is empty, starts with '#' "
+                              "or has surrounding whitespace")
+    # The manifest is read line by line (str.splitlines, which also breaks
+    # at '\r' and other separators): the fields must not span two lines.
+    if len(f"{name}|{source}|".splitlines()) > 1:
+        raise InvalidArgument("catalog names/expressions cannot contain a line break")
     text = format_domain(domain)
     if parse_domain(text) != domain:
         raise DomainParseError(f"{text!r} does not load back as {domain!r}")

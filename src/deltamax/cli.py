@@ -93,6 +93,8 @@ def _resolve(args):
     """(f, dom): --domain when given, else f's natural domain."""
     if args.dim is not None and args.dim < 1:
         raise InvalidArgument(f"--dim must be at least 1, got {args.dim!r}")
+    if getattr(args, "directions", 1) < 1:  # refused even where no ray is cast
+        raise InvalidArgument(f"--directions must be at least 1, got {args.directions!r}")
     fn = catalog_mod.resolve_function(args.fn, dim=args.dim)
     if args.domain is not None:
         return fn, parse_domain(args.domain, default_dim=args.dim)
@@ -115,7 +117,7 @@ def _parse_point(text: str, dim: int) -> Point:
 
 
 def _emit(args, text: str):
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -224,7 +226,7 @@ def cmd_uc(args) -> int:
         lines.append(f"reason {verdict.reason}")
     _emit(args, "\n".join(lines) + "\n")
 
-    if args.trace:
+    if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(_trace_csv(verdict.traces))
 
@@ -236,7 +238,7 @@ def cmd_uc(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    if args.load:
+    if args.load is not None:
         with open(args.load, "r", encoding="utf-8") as fh:
             catalog_mod.load_manifest(fh.read())
     entries = [catalog_mod.catalog_lookup(name) for name in catalog_mod.catalog_names()]

@@ -17,6 +17,11 @@ sweep over both sides' windows measured slower on large batches, then
 settles both sides' brackets in one pass, so a point pays for one
 bisection loop rather than two.
 
+A detect window and a fine rescan are sampled in row blocks of at most
+2**16 samples (_scan_rows), and a column stops at the block that holds
+its first crossing: no sample past it can move the nearest crossing, so
+the brackets are those of the whole window, bit for bit.
+
 For a 1-d expression function, line_field first tests each detect window
 by an interval enclosure of the expression (expr.enclose_ast_array): a
 window whose bound on h is negative holds no crossing and is not
@@ -58,6 +63,7 @@ _TAIL_PROBES = 80
 _REFINE_POINTS = 256  # fine rescan inside each found bracket
 _FRAC_FINE = np.arange(1, _REFINE_POINTS + 1, dtype=float) / _REFINE_POINTS
 _CHUNK = 512          # base points per line_field batch
+_BLOCK_SAMPLES = 2 ** 16  # most samples per evaluator call of a window or rescan
 
 
 @dataclass
@@ -117,6 +123,32 @@ def _first_crossing(ts, h, valid, carry_t):
     bhi_t = np.where(found, ts[first_ge, cols], np.nan)
     bhi_h = np.where(found, h[first_ge, cols], np.nan)
     return found, blo_t, bhi_t, bhi_h
+
+
+def _scan_rows(eval_at, cols, lo, span, frac, fp, eps, carry):
+    """_first_crossing over the rows lo + span*frac of each column, sampled
+    in blocks of at most _BLOCK_SAMPLES.  A column stops at the block that
+    holds its first crossing; until then its last valid sample carries
+    over as the fallback clear end of its next block."""
+    out, pos, start = None, None, 0  # pos: where the live columns sit in out
+    while True:
+        stop = start + max(1, _BLOCK_SAMPLES // cols.size)
+        ts = lo + span * frac[start:stop, None]
+        f, valid = eval_at(cols, ts)
+        h = _h_of(f, fp, eps)
+        valid = valid & ~np.isnan(h)
+        block = _first_crossing(ts, h, valid, carry)
+        if out is None:
+            out = block
+        else:
+            for whole, part in zip(out, block):
+                whole[pos] = part
+        if stop >= frac.size or block[0].all():
+            return out
+        rest = np.flatnonzero(~block[0])
+        pos = rest if pos is None else pos[rest]
+        cols, lo, span, fp, carry = cols[rest], lo[rest], span[rest], fp[rest], block[1][rest]
+        start = stop
 
 
 def _bisect(eval_at, cols, fp, eps, lo, hi, hi_h, pos_scale):
@@ -244,14 +276,9 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
                 s = np.flatnonzero(~proved)
         scols = cols[s]
         if scols.size:
-            # Inline, not in a helper: the sample arrays then live until the
-            # next round replaces them, which measurably spares large batches
-            # from being unmapped and mapped again every round.
-            ts = lo_c[s][None, :] + (hi_c[s] - lo_c[s])[None, :] * frac[:, None]
-            f, valid = eval_at(scols, ts)
-            h = _h_of(f, fp[scols], eps)
-            valid = valid & ~np.isnan(h)
-            found[s], blo[s], bhi[s], bhi_h[s] = _first_crossing(ts, h, valid, carry_t[scols])
+            lo_s = lo_c[s]
+            found[s], blo[s], bhi[s], bhi_h[s] = _scan_rows(
+                eval_at, scols, lo_s, hi_c[s] - lo_s, frac, fp[scols], eps, carry_t[scols])
 
         searched[cols] = hi_c
         fcols = cols[found]
@@ -319,11 +346,8 @@ def _settle(eval_at, fp, eps, pos_scale, side: SideResult, brackets: list) -> No
     wide = (bhi - blo) > 4.0 * TOL_X * np.maximum(1.0, pos_scale[cols])
     if wide.any():
         idx = np.flatnonzero(wide)
-        ts = blo[idx][None, :] + (bhi - blo)[idx][None, :] * _FRAC_FINE[:, None]
-        f, valid = eval_at(cols[idx], ts)
-        h = _h_of(f, fp[cols[idx]], eps)
-        valid = valid & ~np.isnan(h)
-        found, rlo, rhi, rhi_h = _first_crossing(ts, h, valid, blo[idx])
+        found, rlo, rhi, rhi_h = _scan_rows(eval_at, cols[idx], blo[idx], (bhi - blo)[idx],
+                                            _FRAC_FINE, fp[cols[idx]], eps, blo[idx])
         upd = idx[found]
         blo[upd] = rlo[found]
         bhi[upd] = rhi[found]

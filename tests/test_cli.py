@@ -345,3 +345,31 @@ class TestFailurePath:
         assert what.format(missing=missing) in err
         if "--trace" not in argv:  # uc prints its verdict before the trace
             assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("delta", "--fn", "square", "--p", "3", "--eps", "1", "--out", ""),
+        ("catalog", "--load", ""),
+        ("uc", "--fn", "x", "--domain", "interval:0:1", "--eps-grid", "0.5", "--trace", ""),
+    ])
+    def test_empty_file_name_exits_2(self, capsys, argv):
+        # An empty --out, --load or --trace names no file: it is refused
+        # like an unopenable one, not read as absent.
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_PARSE == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        if "--trace" not in argv:
+            assert out == ""
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ("delta", "--fn", "square", "--p", "3", "--eps", "1"),
+        ("delta", "--fn", "x1*x2", "--p", "1,1", "--eps", "0.5"),
+        ("scan", "--fn", "square", "--eps", "1", "--p-min", "0", "--p-max", "1",
+         "--p-count", "2"),
+        ("certify", "--fn", "square", "--p", "3", "--eps", "1"),
+    ])
+    def test_directions_below_one_exits_2(self, capsys, argv, count):
+        # Refused whatever the problem, also where no ray is cast.
+        code, out, err = run(capsys, *argv, "--directions", count)
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert err == f"error: --directions must be at least 1, got {count}\n"

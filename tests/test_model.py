@@ -302,6 +302,28 @@ class TestCatalog:
         assert name not in dm.catalog_names()
         assert dm.serialize_manifest().count("\n") == len(dm.catalog_names())
 
+    @pytest.mark.parametrize("name, source", [
+        ("#c", "x"), (" sp ", "x"), ("sp ", "x"), ("", "x"),
+        ("a\nb", "x"), ("ab", "x\n+1"), ("ab", "x\r"),
+    ])
+    def test_register_refuses_what_does_not_load_back(self, monkeypatch, name, source):
+        from deltamax import catalog
+
+        # A comment name, surrounding blanks or a line break would make the
+        # manifest line load back as another entry, or as none.
+        monkeypatch.setattr(catalog, "_REGISTRY", dict(catalog._REGISTRY))
+        with pytest.raises(dm.InvalidArgument):
+            dm.register(name, source, DomainSpec.interval(0.0, 1.0))
+        assert name not in dm.catalog_names()
+
+    def test_inner_blank_loads_back(self, monkeypatch):
+        from deltamax import catalog
+
+        monkeypatch.setattr(catalog, "_REGISTRY", dict(catalog._REGISTRY))
+        entry = dm.register("a b", "x + 1", DomainSpec.interval(0.0, 1.0))
+        (loaded,) = dm.load_manifest(entry.manifest_line())
+        assert (loaded.name, loaded.source) == ("a b", "x + 1")
+
     def test_resolve_function_prefers_catalog(self):
         from deltamax.catalog import resolve_function
 

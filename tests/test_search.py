@@ -26,7 +26,14 @@ from deltamax.model import (
     enclosure_evaluator,
     norm_of_rows,
 )
-from deltamax.search import _first_crossing, line_field, scan_side
+from deltamax.search import (
+    _BLOCK_SAMPLES,
+    _first_crossing,
+    _h_of,
+    _scan_rows,
+    line_field,
+    scan_side,
+)
 
 INF = math.inf
 
@@ -196,3 +203,135 @@ def test_first_crossing_fast_path_matches_masked_scan(window):
                np.vstack((valid, np.zeros_like(valid[:1]))), carry_t)
         for a, b in zip(got, _first_crossing(*pad)):
             assert np.array_equal(a, b, equal_nan=True)
+
+
+# Sample values of a row-table evaluator: f = H + 1/2 with f(p) = 0 and
+# eps = 1/2 gives h = H; NaN (undefined) is invalid, inf a violator.
+ROW_EPS = 0.5
+ROW_H = np.array([0.0, 0.5, math.inf, -0.25, math.nan])
+
+
+class RowTable:
+    """An evaluator over a table of h, one row per offset lo + k*frac.
+    Row i of column j sits at lo_j + i + 1 (lo_j an integer, span k and
+    frac (i + 1)/k), so the row of a sample is read back from its offset;
+    `sizes` records the samples of every call."""
+
+    def __init__(self, h, valid):
+        self.h, self.valid, self.sizes = h, valid, []
+        k, m = h.shape
+        self.lo = np.arange(m, dtype=float) * 3.0
+        self.span = np.full(m, float(k))
+        self.frac = np.arange(1, k + 1, dtype=float) / k
+
+    def __call__(self, cols, ts):
+        self.sizes.append(ts.size)
+        rows = np.rint(ts - self.lo[cols]).astype(int) - 1
+        return self.h[rows, cols] + ROW_EPS, self.valid[rows, cols]
+
+    def scan(self, carry):
+        m = self.h.shape[1]
+        return _scan_rows(self, np.arange(m), self.lo, self.span, self.frac,
+                          np.zeros(m), ROW_EPS, carry)
+
+    def whole_window(self, carry):
+        """_first_crossing over every row at once, as a window was scanned
+        before it was split into blocks."""
+        ts = self.lo + self.span * self.frac[:, None]
+        h = _h_of(self.h + ROW_EPS, np.zeros(self.h.shape[1]), ROW_EPS)
+        return _first_crossing(ts, h, self.valid & ~np.isnan(h), carry)
+
+
+def _row_table(m, k, where, holes, seed):
+    """A table of m columns and k rows: each column clear (h < 0) up to
+    its first crossing ("row0", "early" within 64 rows, "any" row or
+    "none" at all), then any values; `holes` is the share of invalid
+    samples."""
+    rng = np.random.default_rng(seed)
+    first = {"row0": np.zeros(m, dtype=int), "none": np.full(m, k),
+             "early": rng.integers(0, min(k, 64) + 1, m),
+             "any": rng.integers(0, k + 1, m)}[where]
+    h = ROW_H[rng.integers(0, ROW_H.size, (k, m))]
+    h[np.arange(k)[:, None] < first] = -0.25
+    h[first[first < k], np.flatnonzero(first < k)] = 0.0
+    return RowTable(h, rng.random((k, m)) >= holes)
+
+
+@st.composite
+def row_tables(draw):
+    """1, 17, 64 or 1,024 columns and up to 4,096 rows (fewer for the
+    widest, to bound memory), with no holes, a few or mostly holes."""
+    m = draw(st.sampled_from([1, 17, 64, 1024]))
+    k = draw(st.integers(1, min(4096, 2 ** 19 // m)))
+    return _row_table(m, k, draw(st.sampled_from(["row0", "early", "any", "none"])),
+                      draw(st.sampled_from([0.0, 0.3, 0.95])),
+                      draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_tables(), st.booleans())
+# Several blocks each: 64 columns take 1,024 rows a block, 1,024 take 64;
+# mostly holes make columns fall back on a sample carried from an
+# earlier block, or on `carry`.
+@example(_row_table(64, 4096, "any", 0.3, 1), False)
+@example(_row_table(1024, 300, "any", 0.95, 2), False)
+@example(_row_table(1024, 300, "none", 0.95, 3), True)
+@example(_row_table(17, 4096, "row0", 0.0, 4), False)
+def test_scan_rows_matches_the_whole_window(table, carry_nan):
+    # Blocks change no bracket: a column's clear end may come from an
+    # earlier block (its carried last valid sample) or from `carry` when
+    # no block holds a valid sample before its crossing.
+    m = table.h.shape[1]
+    carry = np.full(m, np.nan) if carry_nan else -np.arange(1.0, m + 1)
+    got = table.scan(carry.copy())
+    for a, b in zip(got, table.whole_window(carry)):
+        assert np.array_equal(a, b, equal_nan=True)
+    assert max(table.sizes) <= _BLOCK_SAMPLES
+
+
+def test_scan_rows_stops_each_column_at_its_crossing():
+    # 1,024 columns crossing within their first 64 rows of 4,096: no call
+    # exceeds the block, and far less than the window is sampled.
+    rng = np.random.default_rng(7)
+    k, m = 4096, 1024
+    h = np.full((k, m), -0.25)
+    h[rng.integers(0, 64, m), np.arange(m)] = 0.5
+    table = RowTable(h, np.ones((k, m), dtype=bool))
+    found = table.scan(np.zeros(m))[0]
+    assert found.all()
+    assert max(table.sizes) <= _BLOCK_SAMPLES
+    assert sum(table.sizes) < k * m / 4
+
+
+def test_one_column_window_is_one_call():
+    h = np.full((4096, 1), -0.25)
+    h[-1] = 0.5
+    table = RowTable(h, np.ones(h.shape, dtype=bool))
+    assert table.scan(np.zeros(1))[0].all()
+    assert table.sizes == [4096]
+
+
+def test_line_and_ray_calls_stay_within_a_block():
+    # Many columns: every evaluator call of the sweep, rescan and
+    # bisection holds at most _BLOCK_SAMPLES samples.
+    sizes = []
+
+    def f_arr(x):
+        sizes.append(x.size)
+        return np.sin(x) + 0.01 * x * x
+
+    ps = np.linspace(-30.0, 30.0, 600)
+    line_field(f_arr, ps, 0.5, -math.inf, math.inf, True, True)
+    assert max(sizes) <= _BLOCK_SAMPLES
+
+    sizes.clear()
+    n = 300
+    angle = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+
+    def eval_at(cols, ts):
+        sizes.append(ts.size)
+        return np.sin(ts * (1.0 + angle[cols])), np.ones(ts.shape, dtype=bool)
+
+    side = scan_side(eval_at, np.zeros(n), 0.5, np.ones(n))
+    assert not np.isnan(side.root).any()
+    assert max(sizes) <= _BLOCK_SAMPLES
