@@ -51,6 +51,8 @@ def _make(name: str, source: str, domain: DomainSpec,
     if not name or name != name.strip() or name.startswith("#"):
         raise InvalidArgument(f"catalog name {name!r} is empty, starts with '#' "
                               "or has surrounding whitespace")
+    if source != source.strip():  # load_manifest strips every field
+        raise InvalidArgument(f"catalog expression {source!r} has surrounding whitespace")
     # The manifest is read line by line (str.splitlines, which also breaks
     # at '\r' and other separators): the fields must not span two lines.
     if len(f"{name}|{source}|".splitlines()) > 1:

@@ -17,6 +17,15 @@ sweep over both sides' windows measured slower on large batches, then
 settles both sides' brackets in one pass, so a point pays for one
 bisection loop rather than two.
 
+In minimum mode (line_field(..., minimum=True); a uc stage keeps only
+the least delta) only what can reach the batch's minimum is settled.
+Every settled root lies in the [blo, bhi] of its sweep bracket (bhi up
+to the rounding of the rescan's last row, which an 8-ulp pad absorbs),
+so the padded least bhi of a chunk, or the least delta of earlier chunks,
+bounds the minimum: the -t sweep of a point with a +t bracket stops once
+its last clear sample lies past it, and a bracket whose clear end blo
+lies past it is not settled.
+
 A detect window and a fine rescan are sampled in row blocks of at most
 2**16 samples (_scan_rows), and a column stops at the block that holds
 its first crossing: no sample past it can move the nearest crossing, so
@@ -222,12 +231,18 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
 
 
 def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
-           enclose_at: SideEnclose | None = None, reach=None) -> tuple[SideResult, list]:
+           enclose_at: SideEnclose | None = None, reach=None,
+           bound=None) -> tuple[SideResult, list]:
     """The bracketing half of scan_side, for sides ending `extents` away
     (tail probes approach a finite end) from a first window of width r0.
     enclose_at(cols, t_lo, t_end) returns, per window [t_lo, t_end], a
     value that is negative only if h < 0 at every float sample of the
     window and at every real offset in it; such a window is not sampled.
+    reach is scan_side's.  bound, per column, stops a column without a
+    crossing once its last valid clear sample lies beyond it, so that any
+    later bracket's clear end, and root, would too.  (reach's test, the
+    window's last sample, is not enough here: a crossing can hide between
+    the last valid sample and a stretch where f is undefined.)
 
     Returns the side with root and root_h still NaN, and the brackets
     found: a list of (cols, lo, hi, hi_h) arrays, lo being the last clear
@@ -299,6 +314,8 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
                 tail[done] = np.isfinite(extents[done])
             if reach is not None:
                 alive[ncols[hi_c[~found] > reach[ncols]]] = False
+            if bound is not None:
+                alive[ncols[blo[~found] > bound[ncols]]] = False
             wlo[ncols] = hi_c[~found]
             whi[ncols] = 2.0 * np.maximum(hi_c[~found], 16.0 * np.spacing(pos_scale[ncols] + 1.0))
 
@@ -366,7 +383,8 @@ def _settle(eval_at, fp, eps, pos_scale, side: SideResult, brackets: list) -> No
 class FieldResult:
     """Vectorized two-sided search outcome for a batch of base points."""
 
-    values: np.ndarray          # violator end; NaN where the sphere preimage was not found
+    values: np.ndarray          # violator end; NaN where the sphere preimage was not found,
+    #                             +inf where minimum mode did not refine it
     witness_offset: np.ndarray  # signed offset of the violator end
     lower: np.ndarray           # clear lower bound; NaN below float resolution
     root_h: np.ndarray          # h >= 0 at the violator end
@@ -378,7 +396,7 @@ class FieldResult:
 
 def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
                open_lo: bool, open_hi: bool, detect_points: int = SCAN_POINTS,
-               f_enc=None) -> FieldResult:
+               f_enc=None, minimum: bool = False) -> FieldResult:
     """delta field of a scalar function along an interval domain.
 
     `f_arr` is a lenient vectorized evaluator; `ps` must lie inside
@@ -398,6 +416,15 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
     the nearest clear end is within one float spacing of the base point:
     float64 cannot sample a clear point other than the base point itself
     there, so no positive lower bound exists.
+
+    minimum=True keeps only what the least delta of the batch needs.  The
+    minimum, its first argmin and its witness offset are those of the
+    full field, bit for bit, and so is the NaN mask (no crossing found).
+    Every other finite value and witness offset is the full one too; a
+    point with a crossing whose delta lies beyond the minimum's bound
+    (see the module notes) reads +inf in both instead.  lower, root_h,
+    one_sided, searched and the round counts describe the pruned search:
+    a -t side stopped at the bound counts as having no crossing.
     """
     ps = np.asarray(ps, dtype=float)
     n = ps.size
@@ -421,6 +448,7 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
             return valid
         return (x < dom_hi) if open_hi else (x <= dom_hi)
 
+    best = math.inf  # the least delta settled in earlier chunks (minimum mode)
     for start in range(0, n, _CHUNK):
         sl = slice(start, min(start + _CHUNK, n))
         p_c = ps[sl]
@@ -466,15 +494,31 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
         r0_c = _estimate_r0(f_arr, p_c, fp, eps, ext_pos)
         ext_pos = np.where(bad_fp, 0.0, ext_pos)
         ext_neg = np.where(bad_fp, 0.0, ext_neg)
-        (side_p, br_p), (side_n, br_n) = (
-            _sweep(lambda cols, ts, off=off: eval_at(cols + off, ts), fp_s, eps, ext,
-                   r0_c, pos_scale, detect_points, enclose_side(s))
-            for off, s, ext in ((0, 1.0, ext_pos), (m, -1.0, ext_neg)))
+        side_p, br_p = _sweep(eval_at, fp_s, eps, ext_pos, r0_c, pos_scale, detect_points,
+                              enclose_side(1.0))
+        stop = None
+        if minimum:
+            # A -t crossing beyond the least violator end so far cannot
+            # be the minimum: a point with a +t bracket stops its -t sweep
+            # there.
+            least = _least_hi(br_p, best)
+            stop = np.full(m, math.inf)
+            for cols, *_ in br_p:
+                stop[cols] = _pad(least)
+        side_n, br_n = _sweep(lambda cols, ts: eval_at(cols + m, ts), fp_s, eps, ext_neg,
+                              r0_c, pos_scale, detect_points, enclose_side(-1.0), bound=stop)
         both = SideResult(**{k: np.concatenate((v, getattr(side_n, k)))
                              for k, v in vars(side_p).items()})
+        brackets = br_p + [(cols + m, *rest) for cols, *rest in br_n]
+        if minimum:
+            # Only a bracket whose clear end is within the bound can hold
+            # the minimum; the others keep a root of +inf.
+            bound = _pad(_least_hi(br_n, least))
+            for cols, *_ in brackets:
+                both.root[cols] = math.inf
+            brackets = [tuple(part[br[1] <= bound] for part in br) for br in brackets]
         _settle(eval_at, np.concatenate((fp_s, fp_s)), eps,
-                np.concatenate((pos_scale, pos_scale)), both,
-                br_p + [(cols + m, *rest) for cols, *rest in br_n])
+                np.concatenate((pos_scale, pos_scale)), both, brackets)
         side_p, side_n = (SideResult(**{k: v[half] for k, v in vars(both).items()})
                           for half in (slice(None, m), slice(m, None)))
 
@@ -492,7 +536,12 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
         lower[bad] = np.minimum(clear[bad], tol_eff[bad])
         lower[clear < np.spacing(pos_scale)] = np.nan
         values[bad_fp] = np.nan
-        chunk = dict(values=values, witness_offset=np.where(use_neg, -rn, rp),
+        witness = np.where(use_neg, -rn, rp)
+        if minimum:
+            far = values > bound
+            values[far] = witness[far] = math.inf
+            best = float(np.min(values, initial=best, where=np.isfinite(values)))
+        chunk = dict(values=values, witness_offset=witness,
                      lower=lower, root_h=np.where(use_neg, side_n.root_h, side_p.root_h),
                      one_sided=has_p ^ has_n,
                      searched=np.maximum(side_p.searched, side_n.searched),
@@ -502,6 +551,18 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
             arr[sl] = chunk[name]
 
     return FieldResult(**out)
+
+
+def _least_hi(brackets: list, least: float) -> float:
+    """The least violator end of the brackets, or `least` if smaller."""
+    return min([least] + [float(bhi.min()) for _, _, bhi, _ in brackets])
+
+
+def _pad(t: float) -> float:
+    """t plus 8 ulps: a settled root can exceed its sweep bracket's
+    violator end by the rounding of the rescan's last row,
+    blo + (bhi - blo)*1.0."""
+    return t + 8.0 * math.ulp(t)
 
 
 def _estimate_r0(f_arr, ps, fp, eps, ext_pos) -> np.ndarray:

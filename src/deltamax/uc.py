@@ -225,8 +225,12 @@ def _stage_field(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
     A problem that reduces to a line (delta.line_problem) runs the
     vectorized line engine on the window's stretch of that line, against
     the *full* line (the crossing may fall outside the window); a line
-    coordinate t lifts to the row (t, 0, ..., 0).  A generic nD f runs
-    compute_delta at each row of a capped lattice over the window.
+    coordinate t lifts to the row (t, 0, ..., 0).  The engine runs in
+    minimum mode: a point whose delta cannot be the stage minimum is not
+    refined and reads +inf, in its value and its witness row, so only the
+    minimum, its point and witness and the NaN count are the full field's.
+    A generic nD f runs compute_delta at each row of a capped lattice over
+    the window.
     """
     require_positive("eps", eps)
     problem = line_problem(f, dom)
@@ -238,7 +242,7 @@ def _stage_field(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
         keep &= (ts < hi) if open_hi else (ts <= hi)
         ts = ts[keep]
         res = line_field(array_evaluator(profile), ts, eps, lo, hi, open_lo, open_hi,
-                         detect_points=1024, f_enc=enclosure_evaluator(profile))
+                         detect_points=1024, f_enc=enclosure_evaluator(profile), minimum=True)
         pad = np.zeros((ts.size, dom.dimension - 1))
         wit_ts = np.where(np.isnan(res.values), np.nan, ts + res.witness_offset)
         return np.column_stack([ts, pad]), res.values, np.column_stack([wit_ts, pad])
@@ -265,7 +269,9 @@ def _stage_min(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
     """(inf_delta, argmin, skipped, witness) of one stage: the smallest
     finite delta on the stage grid (+inf, None, None when there is none),
     the point and witness that attain it (the stage's only two Points),
-    and the count of NaN points."""
+    and the count of NaN points.  A +inf value (a delta that _stage_field
+    did not refine, being above the minimum) is neither the minimum nor
+    skipped."""
     pts, values, wits = _stage_field(f, dom, window, resolution, eps)
     skipped = int(np.count_nonzero(np.isnan(values)))
     finite = np.isfinite(values)

@@ -304,13 +304,14 @@ class TestCatalog:
 
     @pytest.mark.parametrize("name, source", [
         ("#c", "x"), (" sp ", "x"), ("sp ", "x"), ("", "x"),
-        ("a\nb", "x"), ("ab", "x\n+1"), ("ab", "x\r"),
+        ("a\nb", "x"), ("ab", "x\n+1"), ("ab", "x\r"), ("sp", " x + 1 "),
     ])
     def test_register_refuses_what_does_not_load_back(self, monkeypatch, name, source):
         from deltamax import catalog
 
-        # A comment name, surrounding blanks or a line break would make the
-        # manifest line load back as another entry, or as none.
+        # A comment name, surrounding blanks (in a name or an expression) or
+        # a line break would make the manifest line load back as another
+        # entry, or as none.
         monkeypatch.setattr(catalog, "_REGISTRY", dict(catalog._REGISTRY))
         with pytest.raises(dm.InvalidArgument):
             dm.register(name, source, DomainSpec.interval(0.0, 1.0))

@@ -1,9 +1,11 @@
 """The line engine with and without interval enclosures of the expression,
-on a batch and point by point, and scan_side with and without a reach.
+on a batch and point by point, in full and in minimum mode, and scan_side
+with and without a reach.
 
 Skipping a detect window that the enclosure proves clear, or every window
 past a ray's bounding-box exit, must not change any crossing, bit for bit;
-nor may settling a batch's brackets together.
+nor may settling a batch's brackets together, nor settling only the
+brackets that can hold the field's minimum.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deltamax.delta import _box_exit
+import deltamax as dm
+from deltamax.delta import _box_exit, line_problem
 from deltamax.model import (
     DomainSpec,
     ExpressionFn,
@@ -28,14 +31,17 @@ from deltamax.model import (
 )
 from deltamax.search import (
     _BLOCK_SAMPLES,
+    _FRAC_FINE,
     _first_crossing,
     _h_of,
+    _pad,
     _scan_rows,
     line_field,
     scan_side,
 )
 
 INF = math.inf
+UNIT = DomainSpec.interval(0.0, 1.0, open_lo=True)  # (0, 1]
 
 # (source, lo, hi, open_lo, open_hi, base points)
 CASES = {
@@ -335,3 +341,91 @@ def test_line_and_ray_calls_stay_within_a_block():
     side = scan_side(eval_at, np.zeros(n), 0.5, np.ones(n))
     assert not np.isnan(side.root).any()
     assert max(sizes) <= _BLOCK_SAMPLES
+
+
+def test_pad_covers_the_rescans_last_row():
+    # The fine rescan's last row, blo + (bhi - blo)*1.0, can round one ulp
+    # past bhi, and a root settled there exceeds the bracket's violator
+    # end: minimum mode's padded bound must still hold it.
+    blo, bhi = 1.5 * 2.0 ** -53, 0.75 + 2.0 ** -53
+    last = blo + (bhi - blo) * _FRAC_FINE[-1]
+    assert bhi < last <= _pad(bhi)
+
+
+# (f, domain) of the minimum-mode cases; a line coordinate is a radius for
+# log_norm and a clipped interval for the monotone profile.
+MIN_PROBLEMS = {
+    "square": lambda: (ExpressionFn.parse("x^2"), DomainSpec.interval(-2.0, 2.0)),
+    "sin": lambda: (ExpressionFn.parse("sin(x)"), DomainSpec.interval(0.0, 10.0)),
+    "sin_inv": lambda: (ExpressionFn.parse("sin(1/x)"), UNIT),
+    "log_norm": lambda: (dm.catalog_lookup("log_norm").function,
+                         dm.catalog_lookup("log_norm").domain),
+    "mono_clipped": lambda: (Monotone1DFn(np.exp, (0.5, 2.0), True), UNIT),
+    "sqrt_hole": lambda: (ExpressionFn.parse("sqrt(x^2-1)"), DomainSpec.interval(-INF, INF)),
+}
+
+
+def _minimum_pair(name, ps, eps, detect_points):
+    """line_field over ps in full and in minimum mode, with the evaluator
+    and enclosure that uc's stages pass."""
+    profile, lo, hi, open_lo, open_hi = line_problem(*MIN_PROBLEMS[name]())
+    args = (array_evaluator(profile), ps, eps, lo, hi, open_lo, open_hi)
+    kw = dict(detect_points=detect_points, f_enc=enclosure_evaluator(profile))
+    return line_field(*args, **kw), line_field(*args, **kw, minimum=True)
+
+
+def _assert_minimum_agrees(full, least):
+    """Minimum mode keeps every NaN, the first argmin, the minimum and its
+    witness offset bit for bit; each of its finite entries is the full
+    entry, and +inf marks only points whose full delta exceeds the minimum."""
+    nan = np.isnan(full.values)
+    assert np.array_equal(np.isnan(least.values), nan)
+    finite = np.isfinite(least.values)
+    for name in ("values", "witness_offset"):
+        assert np.array_equal(getattr(least, name)[finite], getattr(full, name)[finite]), name
+    far = ~finite & ~nan
+    assert np.all(least.values[far] == INF) and np.all(least.witness_offset[far] == INF)
+    if nan.all():
+        return
+    i = int(np.nanargmin(full.values))
+    assert int(np.nanargmin(least.values)) == i
+    assert least.values[i] == full.values[i]
+    assert least.witness_offset[i] == full.witness_offset[i]
+    assert np.all(full.values[far] > full.values[i])
+
+
+@pytest.mark.parametrize("detect_points", [1024, 4096])
+@pytest.mark.parametrize("name, eps, ps", [
+    # Four chunks; the minimum 2 - sqrt(3) ties at -2 (first chunk) and 2 (last).
+    ("square", 1.0, np.linspace(-2.0, 2.0, 2048)),
+    # |sin x - sin p| = 1.5 has no solution near many p: NaN entries.
+    ("sin", 1.5, np.linspace(0.0, 10.0, 512)),
+    # Tail probes toward the open end at 0.
+    ("sin_inv", 0.5, np.linspace(0.0, 1.0, 2049)[1:]),
+    ("log_norm", 0.5, np.linspace(1e-3, 8.0, 1500)),
+    ("mono_clipped", 0.1, np.linspace(0.5, 1.0, 700)),
+    # f is undefined on (-1, 1): the -t crossing of the first point lies
+    # between its last valid detect sample and that hole, past the +t
+    # violator end of the second; bisection from the clear end finds it.
+    ("sqrt_hole", 2.008904663364039, np.array([2.2625965502493823, 1.5])),
+])
+def test_minimum_mode_keeps_the_minimum(name, eps, ps, detect_points):
+    full, least = _minimum_pair(name, ps, eps, detect_points)
+    _assert_minimum_agrees(full, least)
+    if name != "sqrt_hole":  # two points: too few to need a skip
+        assert np.isinf(least.values).any()  # the mode did skip some refinement
+    if name == "square":
+        assert full.values[0] == full.values[-1] == np.nanmin(full.values)
+    if name == "sin":
+        assert np.isnan(full.values).any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(MIN_PROBLEMS)), st.floats(math.log(1e-3), math.log(3.0)),
+       st.integers(1, 1200), st.sampled_from([1024, 4096]), st.integers(0, 2 ** 32 - 1))
+def test_minimum_mode_agrees_on_random_points(name, log_eps, n, detect_points, seed):
+    profile, lo, hi, open_lo, open_hi = line_problem(*MIN_PROBLEMS[name]())
+    a, b = max(lo, -10.0), min(hi, 10.0)
+    ps = np.random.default_rng(seed).uniform(a, b, n)
+    ps = ps[ps > a] if open_lo else ps
+    _assert_minimum_agrees(*_minimum_pair(name, ps, math.exp(log_eps), detect_points))

@@ -93,12 +93,15 @@ def test_dim1_ball_stage_stays_inside_the_ball():
 
 
 def test_clipped_monotone_end_is_sampled():
-    # (0, 1] clipped to exp's interval [0.5, 2] is [0.5, 1]: the clipped
+    # (0, 1] clipped to exp(-x)'s interval [0.5, 2] is [0.5, 1]: the clipped
     # end is closed, so 0.5 is a stage point, as compute_delta accepts it.
-    f = Monotone1DFn(np.exp, (0.5, 2.0), True)
+    # f is steepest there, so 0.5 is the stage argmin, the one delta that a
+    # stage always refines (the others may read +inf).
+    f = Monotone1DFn(lambda x: np.exp(-x), (0.5, 2.0), False)
     window, resolution = uc.default_schedule(UNIT, stages=3, resolution=8)[0]
     pts, values = uc._stage_field(f, UNIT, window, resolution, 0.1)[:2]
     assert pts[0].tolist() == [0.5]
+    assert np.argmin(values) == 0
     assert values[0] == pytest.approx(compute_delta(f, UNIT, 0.5, 0.1).value, rel=1e-9)
 
 
