@@ -18,13 +18,19 @@ settles both sides' brackets in one pass, so a point pays for one
 bisection loop rather than two.
 
 In minimum mode (line_field(..., minimum=True); a uc stage keeps only
-the least delta) only what can reach the batch's minimum is settled.
-Every settled root lies in the [blo, bhi] of its sweep bracket (bhi up
-to the rounding of the rescan's last row, which an 8-ulp pad absorbs),
-so the padded least bhi of a chunk, or the least delta of earlier chunks,
-bounds the minimum: the -t sweep of a point with a +t bracket stops once
-its last clear sample lies past it, and a bracket whose clear end blo
-lies past it is not settled.
+the least delta) no side samples detect rows densely past a bound B on
+the minimum.  Every settled root lies in the [blo, bhi] of its sweep
+bracket (bhi up to the rounding of the rescan's last row, which an
+8-ulp pad absorbs), so past every clear sample of its side.  B, one
+float per sweep, starts at the padded least delta of earlier chunks (+t)
+or least bhi so far (-t) and drops to the padded least bhi after each
+detect round.  A column stops at the row block whose last clear sample
+passes B, and a bracket whose blo lies past B is not settled.  A cut
+side of a point with no crossing known walks on over the probe rows
+only (_PROBE_ROWS per window, every 64th of uc's 1,024: the same
+floats); a hit proves a crossing, and the point reads +inf.  A side
+that the probes leave undecided, of a point with no crossing, is swept
+again densely without B to tell NaN from +inf.
 
 A detect window and a fine rescan are sampled in row blocks of at most
 2**16 samples (_scan_rows), and a column stops at the block that holds
@@ -73,6 +79,7 @@ _REFINE_POINTS = 256  # fine rescan inside each found bracket
 _FRAC_FINE = np.arange(1, _REFINE_POINTS + 1, dtype=float) / _REFINE_POINTS
 _CHUNK = 512          # base points per line_field batch
 _BLOCK_SAMPLES = 2 ** 16  # most samples per evaluator call of a window or rescan
+_PROBE_ROWS = 16      # detect rows per window of a side cut at the minimum's bound
 
 
 @dataclass
@@ -86,6 +93,7 @@ class SideResult:
     searched: np.ndarray   # how far the side was scanned
     rounds: np.ndarray     # detect rounds
     enclosed: np.ndarray   # detect rounds proved clear by enclosure
+    undecided: np.ndarray  # cut at the minimum's bound; its probe rows found no crossing
 
 
 def _h_of(f: np.ndarray, fp, eps: float) -> np.ndarray:
@@ -134,11 +142,12 @@ def _first_crossing(ts, h, valid, carry_t):
     return found, blo_t, bhi_t, bhi_h
 
 
-def _scan_rows(eval_at, cols, lo, span, frac, fp, eps, carry):
+def _scan_rows(eval_at, cols, lo, span, frac, fp, eps, carry, bound=None):
     """_first_crossing over the rows lo + span*frac of each column, sampled
     in blocks of at most _BLOCK_SAMPLES.  A column stops at the block that
     holds its first crossing; until then its last valid sample carries
-    over as the fallback clear end of its next block."""
+    over as the fallback clear end of its next block.  With a bound B, a
+    column also stops, found False, at the block whose blo passes B."""
     out, pos, start = None, None, 0  # pos: where the live columns sit in out
     while True:
         stop = start + max(1, _BLOCK_SAMPLES // cols.size)
@@ -152,9 +161,10 @@ def _scan_rows(eval_at, cols, lo, span, frac, fp, eps, carry):
         else:
             for whole, part in zip(out, block):
                 whole[pos] = part
-        if stop >= frac.size or block[0].all():
+        done = block[0] if bound is None else block[0] | (block[1] > bound)
+        if stop >= frac.size or done.all():
             return out
-        rest = np.flatnonzero(~block[0])
+        rest = np.flatnonzero(~done)
         pos = rest if pos is None else pos[rest]
         cols, lo, span, fp, carry = cols[rest], lo[rest], span[rest], fp[rest], block[1][rest]
         start = stop
@@ -232,21 +242,29 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
 
 def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
            enclose_at: SideEnclose | None = None, reach=None,
-           bound=None) -> tuple[SideResult, list]:
+           bound=None, known=None) -> tuple[SideResult, list]:
     """The bracketing half of scan_side, for sides ending `extents` away
     (tail probes approach a finite end) from a first window of width r0.
     enclose_at(cols, t_lo, t_end) returns, per window [t_lo, t_end], a
     value that is negative only if h < 0 at every float sample of the
     window and at every real offset in it; such a window is not sampled.
-    reach is scan_side's.  bound, per column, stops a column without a
-    crossing once its last valid clear sample lies beyond it, so that any
-    later bracket's clear end, and root, would too.  (reach's test, the
-    window's last sample, is not enough here: a crossing can hide between
-    the last valid sample and a stretch where f is undefined.)
+    reach is scan_side's.
 
-    Returns the side with root and root_h still NaN, and the brackets
-    found: a list of (cols, lo, hi, hi_h) arrays, lo being the last clear
-    sample and hi the first violator, at most one bracket per column.
+    bound, a float, is minimum mode's B (see the module notes); it drops
+    to the padded least violator end after every detect round.  A column
+    whose last valid clear sample passes B samples no more detect rows
+    densely: it stops if `known` says that its point crosses already, and
+    otherwise probes the rest of its window, and the windows after it, on
+    the probe rows only.  A probe hit proves a crossing; a column out of
+    windows first is undecided.  Cut columns run no tail probes and keep
+    their clear radius at the cut.  (reach's test, the window's last
+    sample, would miss a crossing between the last valid sample and a
+    stretch where f is undefined.)
+
+    Returns the side and the brackets found: a list of (cols, lo, hi,
+    hi_h) arrays, lo being the last clear sample and hi the first
+    violator, at most one bracket per column.  root and root_h are NaN,
+    but with a bound root is +inf where a bracket or probe hit is.
     """
     n = fp.size
     clear = np.zeros(n)
@@ -254,6 +272,9 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
     searched = np.zeros(n)
     detect = np.zeros(n, dtype=int)
     enclosed = np.zeros(n, dtype=int)
+    root = np.full(n, np.nan)
+    probing = np.zeros(n, dtype=bool)
+    known = np.zeros(n, dtype=bool) if known is None else known
 
     cap = np.minimum(extents, R_MAX)
     alive = cap > 0.0
@@ -262,6 +283,8 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
     whi = np.minimum(np.maximum(r0, 16.0 * np.spacing(pos_scale + 1.0)), cap)
 
     frac = np.arange(1, detect_points + 1, dtype=float) / detect_points
+    stride = max(1, detect_points // _PROBE_ROWS)
+    probe_frac = frac[stride - 1::stride]
 
     # Brackets (cols, lo, hi, hi_h) accumulate here; tail marks exhausted
     # finite sides.
@@ -289,35 +312,59 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
             if proved.any():
                 enclosed[cols[proved]] += 1
                 s = np.flatnonzero(~proved)
-        scols = cols[s]
-        if scols.size:
-            lo_s = lo_c[s]
-            found[s], blo[s], bhi[s], bhi_h[s] = _scan_rows(
-                eval_at, scols, lo_s, hi_c[s] - lo_s, frac, fp[scols], eps, carry_t[scols])
+        probe = probing[cols]
+        parts = [(s, frac, bound)]
+        if probe.any():
+            s = np.arange(cols.size)[s]
+            parts = [(s[~probe[s]], frac, bound), (s[probe[s]], probe_frac, None)]
+        for part, rows, b in parts:
+            pcols = cols[part]
+            if pcols.size:
+                lo_s = lo_c[part]
+                found[part], blo[part], bhi[part], bhi_h[part] = _scan_rows(
+                    eval_at, pcols, lo_s, hi_c[part] - lo_s, rows, fp[pcols], eps,
+                    carry_t[pcols], b)
 
         searched[cols] = hi_c
+        miss = ~found
+        if probe.any():
+            # A probe row with h >= 0: the dense sweep crosses at or before it.
+            hit = cols[found & probe]
+            root[hit] = math.inf
+            alive[hit] = False
+            found &= ~probe
         fcols = cols[found]
         if fcols.size:
             brackets.append((fcols, blo[found], bhi[found], bhi_h[found]))
             clear[fcols] = blo[found]
             step[fcols] = (hi_c[found] - lo_c[found]) / detect_points
             alive[fcols] = False
-        ncols = cols[~found]
+            if bound is not None:
+                bound = min(bound, _pad(float(bhi[found].min())))
+        ncols = cols[miss]
         if ncols.size:
-            carry_t[ncols] = blo[~found]
-            clear[ncols] = hi_c[~found]
-            step[ncols] = (hi_c[~found] - lo_c[~found]) / detect_points
-            exhausted = hi_c[~found] >= cap[ncols]
-            done = ncols[exhausted]
+            nblo, nhi, nstep = blo[miss], hi_c[miss], (hi_c[miss] - lo_c[miss]) / detect_points
+            carry_t[ncols] = nblo
+            # The columns whose clear radius, and whose window, move on:
+            nclear, upd, move = nhi, slice(None), slice(None)
+            if bound is not None:
+                # A column cut at B keeps its last clear sample as its clear
+                # radius, and probes the rest of its window next.
+                cut = ~probe[miss] & (nblo > bound)
+                alive[ncols[cut & known[ncols]]] = False
+                probing[ncols[cut]] = True
+                nclear, upd, move = np.where(cut, nblo, nhi), ~probe[miss], ~cut
+            clear[ncols[upd]] = nclear[upd]
+            step[ncols[upd]] = nstep[upd]
+            mcols, mhi = ncols[move], nhi[move]
+            done = mcols[mhi >= cap[mcols]]
             if done.size:
                 alive[done] = False
-                tail[done] = np.isfinite(extents[done])
+                tail[done] = np.isfinite(extents[done]) & ~probing[done]
             if reach is not None:
-                alive[ncols[hi_c[~found] > reach[ncols]]] = False
-            if bound is not None:
-                alive[ncols[blo[~found] > bound[ncols]]] = False
-            wlo[ncols] = hi_c[~found]
-            whi[ncols] = 2.0 * np.maximum(hi_c[~found], 16.0 * np.spacing(pos_scale[ncols] + 1.0))
+                alive[ncols[nhi > reach[ncols]]] = False
+            wlo[mcols] = mhi
+            whi[mcols] = 2.0 * np.maximum(mhi, 16.0 * np.spacing(pos_scale[mcols] + 1.0))
 
     # Geometric probes toward a finite boundary catch crossings that hide
     # between the last linear sample and the (possibly open) endpoint,
@@ -343,8 +390,11 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
         if ncols.size:
             clear[ncols] = np.maximum(clear[ncols], blo[~found])
 
-    side = SideResult(root=np.full(n, np.nan), root_h=np.full(n, np.nan), clear=clear,
-                      step=step, searched=searched, rounds=detect, enclosed=enclosed)
+    for cols, *_ in brackets if bound is not None else ():
+        root[cols] = math.inf
+    side = SideResult(root=root, root_h=np.full(n, np.nan), clear=clear, step=step,
+                      searched=searched, rounds=detect, enclosed=enclosed,
+                      undecided=probing & np.isnan(root) & ~known)
     return side, brackets
 
 
@@ -381,7 +431,10 @@ def _settle(eval_at, fp, eps, pos_scale, side: SideResult, brackets: list) -> No
 
 @dataclass
 class FieldResult:
-    """Vectorized two-sided search outcome for a batch of base points."""
+    """Vectorized two-sided search outcome for a batch of base points.
+    In minimum mode lower, root_h, one_sided, searched and the round
+    counts describe the pruned search: a side cut at B keeps its clear
+    radius at the cut, and re-sweeps are not counted."""
 
     values: np.ndarray          # violator end; NaN where the sphere preimage was not found,
     #                             +inf where minimum mode did not refine it
@@ -417,14 +470,13 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
     float64 cannot sample a clear point other than the base point itself
     there, so no positive lower bound exists.
 
-    minimum=True keeps only what the least delta of the batch needs.  The
-    minimum, its first argmin and its witness offset are those of the
-    full field, bit for bit, and so is the NaN mask (no crossing found).
-    Every other finite value and witness offset is the full one too; a
-    point with a crossing whose delta lies beyond the minimum's bound
-    (see the module notes) reads +inf in both instead.  lower, root_h,
-    one_sided, searched and the round counts describe the pruned search:
-    a -t side stopped at the bound counts as having no crossing.
+    minimum=True keeps only what the least delta of the batch needs (see
+    the module notes).  The minimum, its first argmin and its witness
+    offset are those of the full field, bit for bit, and so is the NaN
+    mask (no crossing found).  Every other finite value and witness offset
+    is the full one too; a point whose delta lies past the bound B reads
+    +inf in both instead.  An undecided side is swept again by _sweep, not
+    by another line_field call.
     """
     ps = np.asarray(ps, dtype=float)
     n = ps.size
@@ -494,19 +546,17 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
         r0_c = _estimate_r0(f_arr, p_c, fp, eps, ext_pos)
         ext_pos = np.where(bad_fp, 0.0, ext_pos)
         ext_neg = np.where(bad_fp, 0.0, ext_neg)
-        side_p, br_p = _sweep(eval_at, fp_s, eps, ext_pos, r0_c, pos_scale, detect_points,
-                              enclose_side(1.0))
-        stop = None
-        if minimum:
-            # A -t crossing beyond the least violator end so far cannot
-            # be the minimum: a point with a +t bracket stops its -t sweep
-            # there.
-            least = _least_hi(br_p, best)
-            stop = np.full(m, math.inf)
-            for cols, *_ in br_p:
-                stop[cols] = _pad(least)
-        side_n, br_n = _sweep(lambda cols, ts: eval_at(cols + m, ts), fp_s, eps, ext_neg,
-                              r0_c, pos_scale, detect_points, enclose_side(-1.0), bound=stop)
+
+        def sweep(half, ext, **kw):
+            """_sweep of the chunk's +t (half 0) or -t (half 1) sides."""
+            at = eval_at if half == 0 else (lambda cols, ts: eval_at(cols + m, ts))
+            return _sweep(at, fp_s, eps, ext, r0_c, pos_scale, detect_points,
+                          enclose_side(1.0 - 2.0 * half), **kw)
+
+        side_p, br_p = sweep(0, ext_pos, bound=_pad(best) if minimum else None)
+        least = _least_hi(br_p, best)
+        side_n, br_n = sweep(1, ext_neg, bound=_pad(least) if minimum else None,
+                             known=~np.isnan(side_p.root))
         both = SideResult(**{k: np.concatenate((v, getattr(side_n, k)))
                              for k, v in vars(side_p).items()})
         brackets = br_p + [(cols + m, *rest) for cols, *rest in br_n]
@@ -514,9 +564,16 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
             # Only a bracket whose clear end is within the bound can hold
             # the minimum; the others keep a root of +inf.
             bound = _pad(_least_hi(br_n, least))
-            for cols, *_ in brackets:
-                both.root[cols] = math.inf
             brackets = [tuple(part[br[1] <= bound] for part in br) for br in brackets]
+            # A point with no crossing known and an undecided side: that
+            # side's dense sweep, without the bound, decides NaN or +inf.
+            none = np.isnan(side_p.root) & np.isnan(side_n.root)
+            for half, ext in enumerate((ext_pos, ext_neg)):
+                redo = none & both.undecided[half * m:(half + 1) * m]
+                if redo.any():
+                    for cols, *_ in sweep(half, np.where(redo, ext, 0.0))[1]:
+                        none[cols] = False
+                        both.root[cols + half * m] = math.inf
         _settle(eval_at, np.concatenate((fp_s, fp_s)), eps,
                 np.concatenate((pos_scale, pos_scale)), both, brackets)
         side_p, side_n = (SideResult(**{k: v[half] for k, v in vars(both).items()})

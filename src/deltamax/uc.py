@@ -415,9 +415,14 @@ def uc_verdict(f: FunctionSpec, dom: DomainSpec,
     if stable and all(fl > 0 and math.isfinite(fl) for fl in floors) and partial_max <= 2:
         return UcVerdict(kind=Verdict.EVIDENCE_UC, eps_tested=tuple(eps_grid),
                          traces=tuple(traces), lower_bound=min(floors))
+    # An eps at which every stage skipped all of its points has no delta.
+    empty = [t for t in traces if all(math.isinf(r.inf_delta) for r in t.records)]
     if partial_max > 2:
         reason = (f"witness distances halved {partial_max} time(s) but the "
                   f"chain of {count} needed for evidence did not complete")
+    elif empty:
+        reason = "; ".join(f"at eps {t.eps:.17g} all {len(t.records)} stages skipped every "
+                           "point: no x with |f(x) - f(p)| = eps was found" for t in empty)
     elif not stable:
         reason = "stage infima kept shrinking; no stable positive floor"
     else:

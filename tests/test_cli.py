@@ -186,6 +186,12 @@ eps_tested 0.5
 delta_floor 0.25000000000093126
 note floor is numerical evidence from sampled windows, not a proof
 """),
+    # No x on [0, 1] has |x - p| = 5: every stage skipped every point.
+    ("uc", "--fn", "x", "--domain", "interval:0:1", "--eps-grid", "5"): (cli.EXIT_INCONCLUSIVE, """\
+verdict inconclusive
+eps_tested 5
+reason at eps 5 all 4 stages skipped every point: no x with |f(x) - f(p)| = eps was found
+"""),
 }
 
 

@@ -5,7 +5,8 @@ with and without a reach.
 Skipping a detect window that the enclosure proves clear, or every window
 past a ray's bounding-box exit, must not change any crossing, bit for bit;
 nor may settling a batch's brackets together, nor settling only the
-brackets that can hold the field's minimum.
+brackets that can hold the field's minimum, nor sampling detect rows
+densely only up to that minimum's bound.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import deltamax as dm
+from deltamax import search
 from deltamax.delta import _box_exit, line_problem
 from deltamax.model import (
     DomainSpec,
@@ -32,10 +34,12 @@ from deltamax.model import (
 from deltamax.search import (
     _BLOCK_SAMPLES,
     _FRAC_FINE,
+    _PROBE_ROWS,
     _first_crossing,
     _h_of,
     _pad,
     _scan_rows,
+    _sweep,
     line_field,
     scan_side,
 )
@@ -309,6 +313,21 @@ def test_scan_rows_stops_each_column_at_its_crossing():
     assert sum(table.sizes) < k * m / 4
 
 
+def test_scan_rows_stops_each_column_past_the_bound():
+    # 1,024 clear columns of 4,096 rows, bound B = 1000: each column stops,
+    # not found, at a block whose last sample (its blo) passes B; those
+    # whose first block of 64 rows passes B stop there.
+    k, m, bound = 4096, 1024, 1000.0
+    table = RowTable(np.full((k, m), -0.25), np.ones((k, m), dtype=bool))
+    found, blo = _scan_rows(table, np.arange(m), table.lo, table.span, table.frac,
+                            np.zeros(m), ROW_EPS, np.zeros(m), bound)[:2]
+    first = table.lo + _BLOCK_SAMPLES // m
+    assert not found.any()
+    assert np.all(blo > bound)
+    assert np.array_equal(blo[first > bound], first[first > bound])
+    assert sum(table.sizes) < k * m / 4
+
+
 def test_one_column_window_is_one_call():
     h = np.full((4096, 1), -0.25)
     h[-1] = 0.5
@@ -429,3 +448,73 @@ def test_minimum_mode_agrees_on_random_points(name, log_eps, n, detect_points, s
     ps = np.random.default_rng(seed).uniform(a, b, n)
     ps = ps[ps > a] if open_lo else ps
     _assert_minimum_agrees(*_minimum_pair(name, ps, math.exp(log_eps), detect_points))
+
+
+def test_probe_rows_are_dense_detect_rows():
+    # One column, clear up to its crossing at t = 5, cut at B = 0.1 in its
+    # first window [0, 0.3]: it probes that window again and walks on, over
+    # the probe rows only, to the window [4.8, 9.6] that holds the crossing.
+    # Every probe row is the same float as the dense sweep's row there.
+    def recorder(calls):
+        def eval_at(cols, ts):
+            calls.append(ts[:, 0].copy())
+            return np.where(ts >= 5.0, 1.0, 0.0), np.ones(ts.shape, dtype=bool)
+        return eval_at
+
+    args = (np.zeros(1), 0.5, np.array([INF]), np.array([0.3]), np.ones(1), 1024)
+    dense, bounded = [], []
+    _, (br,) = _sweep(recorder(dense), *args)
+    side, brackets = _sweep(recorder(bounded), *args, bound=0.1)
+    assert br[2][0] == dense[-1][dense[-1] >= 5.0][0]  # the dense sweep's violator end
+    assert not brackets and side.root[0] == INF and not side.undecided[0]
+    assert [ts.size for ts in bounded] == [1024] + [_PROBE_ROWS] * len(dense)
+    assert np.array_equal(bounded[0], dense[0])
+    for probe, rows in zip(bounded[1:], dense):
+        assert np.array_equal(probe, rows[1024 // _PROBE_ROWS - 1::1024 // _PROBE_ROWS])
+
+
+def _counted_field(f, dom, ps, eps, minimum):
+    """line_field of f over ps as uc's stages run it (1,024 detect points),
+    with the number of samples its evaluator took."""
+    profile, lo, hi, open_lo, open_hi = line_problem(f, dom)
+    f_arr, taken = array_evaluator(profile), [0]
+
+    def counted(x):
+        taken[0] += np.size(x)
+        return f_arr(x)
+    res = line_field(counted, ps, eps, lo, hi, open_lo, open_hi, detect_points=1024,
+                     f_enc=enclosure_evaluator(profile), minimum=minimum)
+    return res, taken[0]
+
+
+@pytest.mark.parametrize("src, dom, ps, share", [
+    # The shares when only the -t side of a point with a +t bracket stopped
+    # at the bound: 59% and 8.8%.
+    ("sin(1/x)", UNIT, np.linspace(2.0 ** -10, 1.0, 2048), 0.30),
+    ("sqrt(x)", DomainSpec.half_line(0.0), np.linspace(0.0, 1024.0, 2048), 0.06),
+])
+def test_minimum_mode_sample_budget(src, dom, ps, share):
+    f = ExpressionFn.parse(src)
+    full, n_full = _counted_field(f, dom, ps, 0.5, False)
+    least, n_least = _counted_field(f, dom, ps, 0.5, True)
+    _assert_minimum_agrees(full, least)
+    assert n_least <= share * n_full
+
+
+def test_undecided_sides_are_swept_again(monkeypatch):
+    # |sin x - sin p| = 1.5 has no solution near many p: both sides of such
+    # a point are cut at B, their probe rows find nothing, and a dense
+    # sweep without the bound must decide NaN.
+    unbounded = []
+
+    def spy(*args, **kw):
+        if kw.get("bound") is None:
+            unbounded.append(args[3].size)
+        return _sweep(*args, **kw)
+    ps = np.linspace(0.0, 10.0, 2048)
+    full = _minimum_pair("sin", ps, 1.5, 1024)[0]
+    monkeypatch.setattr(search, "_sweep", spy)
+    least = _minimum_pair("sin", ps, 1.5, 1024)[1]
+    assert unbounded  # the re-sweep ran
+    _assert_minimum_agrees(full, least)
+    assert np.isnan(full.values).any()

@@ -81,6 +81,72 @@ def test_witness_distances_are_pinned():
         assert abs(abs(fx - fy) - EPS) <= 1e-9
 
 
+# uc_verdict at eps_grid=[0.5] on the full 21-stage, 2,048-point schedules.
+SQRT_VERDICT_STAGES = [(0.25000000000093126, (0.0,), 0)] * 21
+SIN_INV_VERDICT_STAGES = [
+    (0.13234060718467217, (0.5,), 0),
+    (0.043838856932622114, (0.2990962383976551,), 0),
+    (0.01223770164161938, (0.14637274059599414,), 0),
+    (0.0020338029814500184, (0.06433194919394236,), 0),
+    (0.0005182179462367092, (0.032196507083536885,), 0),
+    (0.0001453685710051595, (0.01610588666340987,), 0),
+    (3.5387104717097005e-05, (0.0078125,), 0),
+    (1.346502316917898e-05, (0.004879473009281876,), 0),
+    (1.9571832496923768e-06, (0.001953125,), 0),
+    (4.839233027657437e-07, (0.0009765625,), 0),
+    (1.2071949806686263e-07, (0.00048828125,), 0),
+    (3.230361430356021e-08, (0.000244140625,), 0),
+    (1.1919027187812497e-08, (0.0001220703125,), 0),
+    (1.9906257957050856e-09, (6.103515625e-05,), 0),
+    (6.952512433709922e-10, (3.0517578125e-05,), 0),
+    (1.3296380821088197e-10, (1.52587890625e-05,), 0),
+    (5.856328534840781e-11, (7.62939453125e-06,), 0),
+    (7.851803772196871e-12, (3.814697265625e-06,), 0),
+    (2.0466946910243507e-12, (1.9073486328125e-06,), 0),
+    (2.7058262746764285e-12, (9.5367431640625e-07,), 0),
+    (9.316052582913098e-10, (4.76837158203125e-07,), 0),
+]
+SIN_INV_VERDICT_PAIRS = [
+    (0.8408964152537146, 0.37047573653053173),
+    (0.5946035575013605, 0.380940015922703),
+    (0.42044820762685736, 0.33907662559025603),
+    (0.21022410381342868, 0.17358922682950279),
+    (0.17677669529663695, 0.16137095355742445),
+    (0.10686330033742529, 0.10129023080664867),
+    (0.064334637964775, 0.06230078824631088),
+    (0.03904694402222285, 0.039852938265137805),
+]
+SIN_INV_VERDICT_DISTANCES = (
+    0.4704206787231829, 0.21366354157865752, 0.08137158203660133, 0.03663487698392591,
+    0.01540574173921249, 0.005573069530776622, 0.0020338497184641214, 0.0008059942429149542,
+)
+
+
+def _stage_rows(verdict):
+    (trace,) = verdict.traces
+    return [(r.inf_delta, r.argmin.coords, r.skipped) for r in trace.records]
+
+
+def test_full_scale_sqrt_verdict_is_pinned():
+    f, dom = _case("sqrt")
+    verdict = uc.uc_verdict(f, dom, eps_grid=[EPS])
+    assert verdict.kind is uc.Verdict.EVIDENCE_UC
+    assert verdict.lower_bound == 0.25000000000093126
+    assert verdict.witnesses is None
+    assert _stage_rows(verdict) == SQRT_VERDICT_STAGES
+
+
+def test_full_scale_sin_inv_verdict_is_pinned():
+    f, dom = _case("sin_inv")
+    verdict = uc.uc_verdict(f, dom, eps_grid=[EPS])
+    assert verdict.kind is uc.Verdict.EVIDENCE_NOT_UC
+    assert verdict.lower_bound is None
+    assert _stage_rows(verdict) == SIN_INV_VERDICT_STAGES
+    w = verdict.witnesses
+    assert [(x.coords[0], y.coords[0]) for x, y in w.pairs] == SIN_INV_VERDICT_PAIRS
+    assert w.distances == SIN_INV_VERDICT_DISTANCES
+
+
 def test_dim1_ball_stage_stays_inside_the_ball():
     # The line of a dim-1 ball is [c - r, c + r], not the radii [0, r].
     ball = DomainSpec.ball((5.0,), 1.0)
@@ -290,3 +356,18 @@ def test_verdict_beyond_the_truncation_radius_runs_its_stages():
     (trace,) = verdict.traces
     assert len(trace.records) == 21
     assert verdict.lower_bound == trace.floor() == compute_delta(f, dom, 2e6, EPS).value
+
+
+def test_eps_without_delta_gets_its_own_reason():
+    # |x - p| = 5 has no solution on [0, 1]: every stage skips all of its
+    # points.  That is no delta at all, not stage infima that kept shrinking.
+    f, dom = ExpressionFn.parse("x"), DomainSpec.interval(0.0, 1.0)
+    verdict = uc.uc_verdict(f, dom, eps_grid=[5.0])
+    assert verdict.kind is uc.Verdict.INCONCLUSIVE
+    (trace,) = verdict.traces
+    assert all(r.inf_delta == math.inf and r.skipped == r.resolution for r in trace.records)
+    assert verdict.reason == ("at eps 5 all 4 stages skipped every point: "
+                              "no x with |f(x) - f(p)| = eps was found")
+    # An eps with a floor keeps the reason of the eps without one.
+    verdict = uc.uc_verdict(f, dom, eps_grid=[0.5, 5.0])
+    assert verdict.reason.startswith("at eps 5 all 4 stages")
