@@ -3,8 +3,9 @@
 Subcommands: delta (one delta(p, eps); --stats adds a `stat <key>
 <value>` line per diagnostics entry), scan (CSV delta field sweep),
 inf (CSV infimum trace), uc (uniform-continuity verdict), catalog (list
-or extend the function catalog), certify (oracle sandwich for one
-delta; the only subcommand that runs the oracle).  Numbers print with
+or extend the function catalog), certify (grid-oracle sandwich for one
+delta, with a chosen grid step and window; every nD delta also runs the
+oracle, inside delta_ray_nd, for its certified lower end).  Numbers print with
 17 significant digits and identical invocations produce byte-identical
 output.  The search tolerances are the constants of deltamax.search.
 
@@ -159,7 +160,11 @@ def cmd_scan(args) -> int:
         require_positive("eps", eps)
     if args.p_count < 1:
         raise InvalidArgument(f"--p-count must be at least 1, got {args.p_count!r}")
-    ps = np.linspace(args.p_min, args.p_max, args.p_count)
+    with np.errstate(all="ignore"):
+        ps = np.linspace(args.p_min, args.p_max, args.p_count)
+    if not np.isfinite(ps).all():
+        raise InvalidArgument("--p-min and --p-max must span a finite grid, "
+                              f"got {args.p_min!r} to {args.p_max!r}")
     rows = ["p,eps,delta,lower,upper,backend,error"]
     for eps in eps_values:
         for p in ps:

@@ -3,8 +3,9 @@
 Exhaustive grid enumeration of the delta definition: a violator is any
 grid point x with |f(x) - f(p)| >= eps, and the nearest violator bounds
 delta(p, eps) from above, while a violator-free ball bounds it from
-below (up to one grid cell of slack).  Used by the tests to certify the
-search backends and by the CLI --certify flag.
+below (up to one grid cell of slack).  Used by delta_ray_nd for the
+certified lower end of every nD delta, by the tests to check the search
+backends, and by the CLI certify subcommand.
 """
 
 from __future__ import annotations

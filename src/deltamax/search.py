@@ -11,31 +11,36 @@ backends run a batch of size one.
 
 The work splits in two: the sweep (doubling detect windows, then tail
 probes) brackets each column's first crossing, and the settle step (the
-fine rescan and bisection) shrinks the brackets.  line_field sweeps the
-+t and -t sides separately, since their detect windows differ and one
-sweep over both sides' windows measured slower on large batches, then
-settles both sides' brackets in one pass, so a point pays for one
-bisection loop rather than two.
+fine rescan and bisection) shrinks the brackets.  line_field keeps both
+sides of its points in one signed batch of columns (x = p + s*t,
+s = +-1), sweeps its +t half and then its -t half (the other half given
+no extent), and settles both halves' brackets in one pass.  The -t sweep
+starts from the bound B and the crossings that the whole +t sweep found;
+one joint sweep of both halves sampled 37.5M points instead of 21.7M on
+uc_1d's traced perfbench pass.
 
 In minimum mode (line_field(..., minimum=True); a uc stage keeps only
 the least delta) no side samples detect rows densely past a bound B on
 the minimum.  Every settled root lies in the [blo, bhi] of its sweep
 bracket (bhi up to the rounding of the rescan's last row, which an
-8-ulp pad absorbs), so past every clear sample of its side.  B, one
-float per sweep, starts at the padded least delta of earlier chunks (+t)
-or least bhi so far (-t) and drops to the padded least bhi after each
-detect round.  A column stops at the row block whose last clear sample
-passes B, and a bracket whose blo lies past B is not settled.  A cut
-side of a point with no crossing known walks on over the probe rows
-only (_PROBE_ROWS per window, every 64th of uc's 1,024: the same
-floats); a hit proves a crossing, and the point reads +inf.  A side
-that the probes leave undecided, of a point with no crossing, is swept
-again densely without B to tell NaN from +inf.
+8-ulp pad absorbs), so past every clear sample of its side.  B is one
+float that _sweep owns: a sweep takes it in, lowers it to the padded
+least bhi after each detect round and its tail probes, and returns it.
+The +t sweep starts from the padded least delta of earlier chunks, the
+-t sweep from the +t sweep's B, and the -t sweep's B picks the brackets
+to settle and the points that read +inf.  A column stops at the row
+block whose last clear sample passes B.  A cut side of a point with no
+crossing known walks on over the probe rows only (_PROBE_ROWS per
+window, every 64th of uc's 1,024: the same floats); a hit proves a
+crossing, and the point reads +inf.  A side that the probes leave
+undecided, of a point with no crossing, is swept again densely without
+B to tell NaN from +inf.
 
-A detect window and a fine rescan are sampled in row blocks of at most
-2**16 samples (_scan_rows), and a column stops at the block that holds
-its first crossing: no sample past it can move the nearest crossing, so
-the brackets are those of the whole window, bit for bit.
+Every sampled window (detect window, tail probes, fine rescan) goes
+through _scan_rows, in row blocks of at most 2**16 samples, and a column
+stops at the block that holds its first crossing: no sample past it can
+move the nearest crossing, so the brackets are those of the whole
+window, bit for bit.
 
 For a 1-d expression function, line_field first tests each detect window
 by an interval enclosure of the expression (expr.enclose_ast_array): a
@@ -74,7 +79,7 @@ R0 = 1.0
 R_MAX = float(2 ** 20)
 
 _MAX_BISECT = 160
-_TAIL_PROBES = 80
+_TAIL_FRAC = 0.5 ** np.arange(1, 81, dtype=float)  # tail probes toward a finite end
 _REFINE_POINTS = 256  # fine rescan inside each found bracket
 _FRAC_FINE = np.arange(1, _REFINE_POINTS + 1, dtype=float) / _REFINE_POINTS
 _CHUNK = 512          # base points per line_field batch
@@ -215,10 +220,9 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
 
     Two steps: the sweep brackets each column's first crossing, and the
     settle step refines every bracket by one fine rescan and bisects it.
-    line_field runs the two steps itself: one sweep per side, as one
-    sweep over both sides' windows measured slower on large batches, then
-    one settle step for the brackets of both sides; only it skips windows
-    by enclosure and runs tail probes toward a finite end.
+    line_field runs the two steps itself (see the module notes); only it
+    skips windows by enclosure, runs tail probes toward a finite end and
+    sets the bound B.
 
     detect_points controls the bracketing sweep resolution (defaults to
     SCAN_POINTS); the fine rescan inside a found bracket keeps the
@@ -234,37 +238,39 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
     radius.
     """
     n = fp.size
-    side, brackets = _sweep(eval_at, fp, eps, np.full(n, math.inf), np.full(n, R0),
-                            pos_scale, detect_points, reach=reach)
+    side, brackets, _ = _sweep(eval_at, fp, eps, np.full(n, math.inf), np.full(n, R0),
+                               pos_scale, detect_points, reach=reach)
     _settle(eval_at, fp, eps, pos_scale, side, brackets)
     return side
 
 
 def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
            enclose_at: SideEnclose | None = None, reach=None,
-           bound=None, known=None) -> tuple[SideResult, list]:
+           bound=None, known=None) -> tuple[SideResult, list, float | None]:
     """The bracketing half of scan_side, for sides ending `extents` away
-    (tail probes approach a finite end) from a first window of width r0.
-    enclose_at(cols, t_lo, t_end) returns, per window [t_lo, t_end], a
-    value that is negative only if h < 0 at every float sample of the
-    window and at every real offset in it; such a window is not sampled.
-    reach is scan_side's.
+    from a first window of width r0; a column with no extent is not
+    swept.  Tail probes, 80 rows ext - gap*0.5**j sampled in row blocks
+    like a detect window, approach a finite end.  enclose_at(cols, t_lo,
+    t_end) returns, per window [t_lo, t_end], a value that is negative
+    only if h < 0 at every float sample of the window and at every real
+    offset in it; such a window is not sampled.  reach is scan_side's.
 
     bound, a float, is minimum mode's B (see the module notes); it drops
-    to the padded least violator end after every detect round.  A column
-    whose last valid clear sample passes B samples no more detect rows
-    densely: it stops if `known` says that its point crosses already, and
-    otherwise probes the rest of its window, and the windows after it, on
-    the probe rows only.  A probe hit proves a crossing; a column out of
-    windows first is undecided.  Cut columns run no tail probes and keep
-    their clear radius at the cut.  (reach's test, the window's last
-    sample, would miss a crossing between the last valid sample and a
-    stretch where f is undefined.)
+    to the padded least violator end after every detect round and after
+    the tail probes.  A column whose last valid clear sample passes B
+    samples no more detect rows densely: it stops if `known` says that
+    its point crosses already, and otherwise probes the rest of its
+    window, and the windows after it, on the probe rows only.  A probe
+    hit proves a crossing; a column out of windows first is undecided.
+    Cut columns run no tail probes and keep their clear radius at the
+    cut.  (reach's test, the window's last sample, would miss a crossing
+    between the last valid sample and a stretch where f is undefined.)
 
-    Returns the side and the brackets found: a list of (cols, lo, hi,
-    hi_h) arrays, lo being the last clear sample and hi the first
-    violator, at most one bracket per column.  root and root_h are NaN,
-    but with a bound root is +inf where a bracket or probe hit is.
+    Returns the side, the brackets found and the final bound.  The
+    brackets are a list of (cols, lo, hi, hi_h) arrays, lo being the last
+    clear sample and hi the first violator, at most one bracket per
+    column.  root and root_h are NaN, but with a bound root is +inf where
+    a bracket or probe hit is.
     """
     n = fp.size
     clear = np.zeros(n)
@@ -368,24 +374,26 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
 
     # Geometric probes toward a finite boundary catch crossings that hide
     # between the last linear sample and the (possibly open) endpoint,
-    # e.g. profiles diverging at a punctured origin.
+    # e.g. profiles diverging at a punctured origin.  The rows
+    # ext + (carry - ext)*0.5**j are ext - gap*0.5**j bit for bit, as
+    # negation is exact; no sample at or below carry_t is valid.
     if tail.any():
         cols = np.flatnonzero(tail)
         ext = extents[cols]
-        gap = ext - carry_t[cols]
-        j = np.arange(1, _TAIL_PROBES + 1, dtype=float)[:, None]
-        ts = ext[None, :] - gap[None, :] * np.power(0.5, j)
-        ts = np.maximum(ts, carry_t[cols][None, :])
-        f, valid = eval_at(cols, ts)
-        h = _h_of(f, fp[cols], eps)
-        valid = valid & ~np.isnan(h) & (ts > carry_t[cols][None, :])
-        found, blo, bhi, bhi_h = _first_crossing(ts, h, valid, carry_t[cols])
+
+        def eval_tail(tcols, ts):
+            f, valid = eval_at(tcols, ts)
+            return f, valid & (ts > carry_t[tcols])
+        found, blo, bhi, bhi_h = _scan_rows(eval_tail, cols, ext, carry_t[cols] - ext,
+                                            _TAIL_FRAC, fp[cols], eps, carry_t[cols])
         searched[cols] = ext
         fcols = cols[found]
         if fcols.size:
             brackets.append((fcols, blo[found], bhi[found], bhi_h[found]))
             clear[fcols] = blo[found]
             step[fcols] = np.maximum(bhi[found] - blo[found], np.spacing(ext[found]))
+            if bound is not None:
+                bound = min(bound, _pad(float(bhi[found].min())))
         ncols = cols[~found]
         if ncols.size:
             clear[ncols] = np.maximum(clear[ncols], blo[~found])
@@ -395,7 +403,7 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
     side = SideResult(root=root, root_h=np.full(n, np.nan), clear=clear, step=step,
                       searched=searched, rounds=detect, enclosed=enclosed,
                       undecided=probing & np.isnan(root) & ~known)
-    return side, brackets
+    return side, brackets, bound
 
 
 def _settle(eval_at, fp, eps, pos_scale, side: SideResult, brackets: list) -> None:
@@ -434,7 +442,8 @@ class FieldResult:
     """Vectorized two-sided search outcome for a batch of base points.
     In minimum mode lower, root_h, one_sided, searched and the round
     counts describe the pruned search: a side cut at B keeps its clear
-    radius at the cut, and re-sweeps are not counted."""
+    radius at the cut, re-sweeps are not counted, and a +inf point whose
+    two sides were both re-swept may cross on both (one_sided False)."""
 
     values: np.ndarray          # violator end; NaN where the sphere preimage was not found,
     #                             +inf where minimum mode did not refine it
@@ -459,11 +468,9 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
     (model.enclosure_evaluator), lets the detect sweep skip windows it
     proves clear; the result is the same with or without it.
 
-    Each point is swept along +t and then along -t, each side with its
-    own detect windows (one sweep over both sides measured slower on
-    large batches); the brackets of both sides are then settled in one
-    fine rescan and one bisection loop, on signed columns (x = p + s*t,
-    s = +-1), with the results of settling each side alone.
+    Both sides of every point, each with its own detect windows, are
+    swept and settled in one signed batch (see the module notes), with
+    the results of sweeping and settling each side alone.
     Ties between equally distant crossings resolve to the negative side
     (the left crossing), which keeps results deterministic.  `lower` is NaN where
     the nearest clear end is within one float spacing of the base point:
@@ -475,8 +482,9 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
     offset are those of the full field, bit for bit, and so is the NaN
     mask (no crossing found).  Every other finite value and witness offset
     is the full one too; a point whose delta lies past the bound B reads
-    +inf in both instead.  An undecided side is swept again by _sweep, not
-    by another line_field call.
+    +inf in both instead.  The undecided sides of the points with no
+    crossing are swept again together, by one _sweep call, not by another
+    line_field call.
     """
     ps = np.asarray(ps, dtype=float)
     n = ps.size
@@ -507,13 +515,13 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
         fp = fp_all[sl]
         pos_scale = np.abs(p_c)
         bad_fp = ~np.isfinite(fp)
-        fp_s = np.where(bad_fp, 0.0, fp)
 
-        # Column j < m is point j's +t side, column m + j its -t side:
-        # x = p + s*t with s = +-1 gives the floats p + t and p - t.
+        # One signed batch: column j < m is point j's +t side, column m + j
+        # its -t side; x = p + s*t with s = +-1 gives the floats p + t and p - t.
         m = p_c.size
-        p_s = np.concatenate((p_c, p_c))
+        p_s = _twice(p_c)
         signs = np.repeat((1.0, -1.0), m)
+        fp2, scale2 = _twice(np.where(bad_fp, 0.0, fp)), _twice(pos_scale)
 
         def eval_at(cols, ts):
             x = p_s[cols][None, :] + signs[cols][None, :] * ts
@@ -521,62 +529,53 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
             valid = member(x)
             return f, np.ones(x.shape, dtype=bool) if valid is None else valid
 
-        def enclose_side(sign):
-            if f_enc is None:
-                return None
+        def enclose_at(cols, t_lo, t_end):
+            p, s = p_s[cols], signs[cols]
+            a = p + s * t_lo
+            b = p + s * t_end  # the window's last sample, as eval_at builds it
+            # One ulp more covers the real points that a and b round.
+            flo, fhi = f_enc(np.nextafter(np.minimum(a, b), -np.inf),
+                             np.nextafter(np.maximum(a, b), np.inf))
+            fpc = fp2[cols]
+            # The max bounds |f - f(p)| over the window; eps_in, just
+            # below eps, absorbs its rounding, so h_up < 0 proves h < 0.
+            h_up = np.maximum(fhi - fpc, fpc - flo) - eps_in
+            # A clear window must end on a valid sample, as a sampled one does.
+            valid = member(b)
+            return h_up if valid is None else np.where(valid, h_up, np.inf)
 
-            def enclose_at(cols, t_lo, t_end):
-                p = p_c[cols]
-                a = p + sign * t_lo
-                b = p + sign * t_end  # the window's last sample, as eval_at builds it
-                # One ulp more covers the real points that a and b round.
-                lo, hi = (a, b) if sign > 0 else (b, a)
-                flo, fhi = f_enc(np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf))
-                fpc = fp_s[cols]
-                # The max bounds |f - f(p)| over the window; eps_in, just
-                # below eps, absorbs its rounding, so h_up < 0 proves h < 0.
-                h_up = np.maximum(fhi - fpc, fpc - flo) - eps_in
-                # A clear window must end on a valid sample, as a sampled one does.
-                valid = member(b)
-                return h_up if valid is None else np.where(valid, h_up, np.inf)
-            return enclose_at
+        plus = signs > 0.0
+        ext = np.maximum(np.where(plus, dom_hi - p_s, p_s - dom_lo), 0.0)
+        r0 = _twice(_estimate_r0(f_arr, p_c, fp, eps, ext[:m]))
+        ext[_twice(bad_fp)] = 0.0
 
-        ext_pos = np.maximum(dom_hi - p_c, 0.0)
-        ext_neg = np.maximum(p_c - dom_lo, 0.0)
-        r0_c = _estimate_r0(f_arr, p_c, fp, eps, ext_pos)
-        ext_pos = np.where(bad_fp, 0.0, ext_pos)
-        ext_neg = np.where(bad_fp, 0.0, ext_neg)
+        def sweep(extents, **kw):
+            """_sweep of the columns with a nonzero extent."""
+            return _sweep(eval_at, fp2, eps, extents, r0, scale2, detect_points,
+                          enclose_at if f_enc is not None else None, **kw)
 
-        def sweep(half, ext, **kw):
-            """_sweep of the chunk's +t (half 0) or -t (half 1) sides."""
-            at = eval_at if half == 0 else (lambda cols, ts: eval_at(cols + m, ts))
-            return _sweep(at, fp_s, eps, ext, r0_c, pos_scale, detect_points,
-                          enclose_side(1.0 - 2.0 * half), **kw)
-
-        side_p, br_p = sweep(0, ext_pos, bound=_pad(best) if minimum else None)
-        least = _least_hi(br_p, best)
-        side_n, br_n = sweep(1, ext_neg, bound=_pad(least) if minimum else None,
-                             known=~np.isnan(side_p.root))
-        both = SideResult(**{k: np.concatenate((v, getattr(side_n, k)))
-                             for k, v in vars(side_p).items()})
-        brackets = br_p + [(cols + m, *rest) for cols, *rest in br_n]
+        # The -t sweep starts from the bound B, and the crossings known,
+        # that the whole +t sweep reached; it fills in the -t half of side.
+        side, brackets, bound = sweep(np.where(plus, ext, 0.0),
+                                      bound=_pad(best) if minimum else None)
+        side_n, br_n, bound = sweep(np.where(plus, 0.0, ext), bound=bound,
+                                    known=_twice(~np.isnan(side.root[:m])))
+        for name, arr in vars(side).items():
+            arr[m:] = getattr(side_n, name)[m:]
+        brackets += br_n
         if minimum:
             # Only a bracket whose clear end is within the bound can hold
             # the minimum; the others keep a root of +inf.
-            bound = _pad(_least_hi(br_n, least))
             brackets = [tuple(part[br[1] <= bound] for part in br) for br in brackets]
-            # A point with no crossing known and an undecided side: that
-            # side's dense sweep, without the bound, decides NaN or +inf.
-            none = np.isnan(side_p.root) & np.isnan(side_n.root)
-            for half, ext in enumerate((ext_pos, ext_neg)):
-                redo = none & both.undecided[half * m:(half + 1) * m]
-                if redo.any():
-                    for cols, *_ in sweep(half, np.where(redo, ext, 0.0))[1]:
-                        none[cols] = False
-                        both.root[cols + half * m] = math.inf
-        _settle(eval_at, np.concatenate((fp_s, fp_s)), eps,
-                np.concatenate((pos_scale, pos_scale)), both, brackets)
-        side_p, side_n = (SideResult(**{k: v[half] for k, v in vars(both).items()})
+            # The undecided sides of a point with no crossing known: their
+            # dense sweep, without the bound, decides NaN or +inf.
+            none = np.isnan(side.root[:m]) & np.isnan(side.root[m:])
+            redo = side.undecided & _twice(none)
+            if redo.any():
+                for cols, *_ in sweep(np.where(redo, ext, 0.0))[1]:
+                    side.root[cols] = math.inf
+        _settle(eval_at, fp2, eps, scale2, side, brackets)
+        side_p, side_n = (SideResult(**{k: v[half] for k, v in vars(side).items()})
                           for half in (slice(None, m), slice(m, None)))
 
         rp, rn = side_p.root, side_n.root
@@ -585,8 +584,8 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
         values = np.where(use_neg, rn, rp)
         # A side without a crossing was cleared up to its searched radius
         # (or has no domain at all, which constrains nothing).
-        clear = np.minimum(np.where(has_p | (ext_pos > 0), side_p.clear, np.inf),
-                           np.where(has_n | (ext_neg > 0), side_n.clear, np.inf))
+        clear = np.minimum(np.where(has_p | (ext[:m] > 0), side_p.clear, np.inf),
+                           np.where(has_n | (ext[m:] > 0), side_n.clear, np.inf))
         lower = np.minimum(clear - np.maximum(side_p.step, side_n.step), values)
         tol_eff = TOL_X * np.maximum(1.0, pos_scale)
         bad = ~(lower > 0.0)
@@ -610,9 +609,9 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
     return FieldResult(**out)
 
 
-def _least_hi(brackets: list, least: float) -> float:
-    """The least violator end of the brackets, or `least` if smaller."""
-    return min([least] + [float(bhi.min()) for _, _, bhi, _ in brackets])
+def _twice(a: np.ndarray) -> np.ndarray:
+    """a for the +t half of a signed batch and again for its -t half."""
+    return np.concatenate((a, a))
 
 
 def _pad(t: float) -> float:

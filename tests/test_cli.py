@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import warnings
 
 import pytest
 
@@ -94,6 +95,18 @@ class TestInvalidArgumentExit:
         assert code == cli.EXIT_PARSE == 2
         assert out == ""
         assert err.startswith("error:") and what in err
+
+    @pytest.mark.parametrize("p_min, p_max", [("0", "inf"), ("-1e308", "1e308")])
+    def test_scan_refuses_a_non_finite_grid(self, capsys, p_min, p_max):
+        # An infinite end, or a span that overflows, gives grid points of
+        # inf or NaN: one error line naming the flags, exit 2, no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "scan", "--fn", "square", "--eps", "1",
+                                 f"--p-min={p_min}", f"--p-max={p_max}", "--p-count", "3")
+        assert code == cli.EXIT_PARSE == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: --p-min and --p-max")
 
     @pytest.mark.parametrize("count", ["1", "0"])
     def test_uc_count_below_three(self, capsys, count):

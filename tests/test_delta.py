@@ -180,6 +180,31 @@ class TestLevelSet1D:
         expected = 0.25 - 0.25 * math.exp(-20.0)
         assert abs(res.value - expected) <= 1e-9
 
+    # The tail probes toward the open end at 0, pinned bit for bit: at
+    # eps = 30 only they reach the crossing near 4.7e-14.
+    @pytest.mark.parametrize("eps, value, lower, witness, achiever_h", [
+        (30.0, 0.49999999999995337, 0.4998779296874529, 4.6629367034256575e-14,
+         0.003398677839744124),
+        (3.0, 0.4751064658166797, 0.4749843955032702, 0.0248935341833203,
+         2.4571455981003965e-11),
+    ])
+    def test_tail_probe_results_pinned(self, eps, value, lower, witness, achiever_h):
+        res = compute_delta(ExpressionFn.parse("ln(x)"),
+                            DomainSpec.interval(0.0, 1.0, open_lo=True), 0.5, eps)
+        assert (res.value, res.certified_lower, res.certified_upper, res.witness.coords,
+                res.backend, res.one_sided) == (value, lower, value, (witness,),
+                                                "levelset1d", True)
+        assert res.diagnostics == {"achiever_h": achiever_h, "searched_radius": 0.5,
+                                   "detect_rounds": 2, "enclosed_rounds": 1}
+
+    def test_tail_probes_finding_nothing(self):
+        # |x - 0.5| = 0.75 has no solution on (0, 1]: both sides end in
+        # tail probes, and the radius searched is 0.5, either end's distance.
+        with pytest.raises(EmptySpherePreimage) as err:
+            compute_delta(ExpressionFn.parse("x"),
+                          DomainSpec.interval(0.0, 1.0, open_lo=True), 0.5, 0.75)
+        assert err.value.searched_radius == 0.5
+
 
 class TestRadial:
     def test_exp_norm(self):

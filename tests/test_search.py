@@ -336,18 +336,28 @@ def test_one_column_window_is_one_call():
     assert table.sizes == [4096]
 
 
-def test_line_and_ray_calls_stay_within_a_block():
-    # Many columns: every evaluator call of the sweep, rescan and
-    # bisection holds at most _BLOCK_SAMPLES samples.
+def test_line_and_ray_calls_stay_within_a_block(monkeypatch):
+    # Many columns: every evaluator call of the sweep, tail probes, rescan
+    # and bisection holds at most _BLOCK_SAMPLES samples, also with 2,048
+    # points per line_field batch.
     sizes = []
 
     def f_arr(x):
         sizes.append(x.size)
         return np.sin(x) + 0.01 * x * x
 
-    ps = np.linspace(-30.0, 30.0, 600)
-    line_field(f_arr, ps, 0.5, -math.inf, math.inf, True, True)
-    assert max(sizes) <= _BLOCK_SAMPLES
+    def ident(x):
+        sizes.append(x.size)
+        return x
+
+    for chunk in (search._CHUNK, 2048):
+        monkeypatch.setattr(search, "_CHUNK", chunk)
+        line_field(f_arr, np.linspace(-30.0, 30.0, 600), 0.5, -math.inf, math.inf, True, True)
+        # Tail-heavy: |x - p| = 5 has no solution on (0, 1], so every side
+        # of all 2,000 points ends in tail probes toward its end.
+        res = line_field(ident, np.linspace(0.0, 1.0, 2001)[1:], 5.0, 0.0, 1.0, True, False)
+        assert np.isnan(res.values).all()
+        assert max(sizes) <= _BLOCK_SAMPLES
 
     sizes.clear()
     n = 300
@@ -463,14 +473,33 @@ def test_probe_rows_are_dense_detect_rows():
 
     args = (np.zeros(1), 0.5, np.array([INF]), np.array([0.3]), np.ones(1), 1024)
     dense, bounded = [], []
-    _, (br,) = _sweep(recorder(dense), *args)
-    side, brackets = _sweep(recorder(bounded), *args, bound=0.1)
+    _, (br,), _ = _sweep(recorder(dense), *args)
+    side, brackets, _ = _sweep(recorder(bounded), *args, bound=0.1)
     assert br[2][0] == dense[-1][dense[-1] >= 5.0][0]  # the dense sweep's violator end
     assert not brackets and side.root[0] == INF and not side.undecided[0]
     assert [ts.size for ts in bounded] == [1024] + [_PROBE_ROWS] * len(dense)
     assert np.array_equal(bounded[0], dense[0])
     for probe, rows in zip(bounded[1:], dense):
         assert np.array_equal(probe, rows[1024 // _PROBE_ROWS - 1::1024 // _PROBE_ROWS])
+
+
+def test_sweep_returns_the_least_bound():
+    # Column 0 crosses at t = 0.5 in a detect window; column 1 ends at an
+    # open end 0.1 away and crosses only past 0.1 - 1e-9, which only its
+    # tail probes reach.  The returned B is the padded least violator end
+    # over all brackets: here the tail bracket's.
+    def eval_at(cols, ts):
+        far = np.where(cols == 0, ts >= 0.5, ts > 0.1 - 1e-9)
+        valid = (cols == 0) | (ts < 0.1)
+        return np.where(far, 1.0, 0.0), np.broadcast_to(valid, ts.shape)
+
+    side, brackets, bound = _sweep(eval_at, np.zeros(2), 0.5, np.array([INF, 0.1]),
+                                   np.full(2, 0.2), np.ones(2), 1024, bound=INF)
+    hi = {int(c): float(b) for cols, _, bhi, _ in brackets for c, b in zip(cols, bhi)}
+    assert sorted(hi) == [0, 1] and len(brackets) == 2
+    assert 0.1 - 1e-9 < hi[1] < 0.1 < 0.5 <= hi[0]
+    assert bound == _pad(min(hi.values())) == _pad(hi[1])
+    assert np.all(side.root == INF)
 
 
 def _counted_field(f, dom, ps, eps, minimum):
