@@ -505,7 +505,8 @@ def epsilon_bound(f: FunctionSpec, dom: DomainSpec, samples: int = 4096) -> floa
     is expected to be defined at every domain point.
 
     Unbounded domains are sampled on their truncation window (radius
-    R_MAX), which makes beta itself a sampled heuristic.
+    R_MAX), which makes beta itself a sampled heuristic.  A spread that
+    overflows float64 raises FloatResolutionLimit.
     """
     lo, hi = dom.bounding_box(truncate=R_MAX)
     per_axis = max(3, int(math.ceil(samples ** (1.0 / dom.dimension))))
@@ -518,7 +519,12 @@ def epsilon_bound(f: FunctionSpec, dom: DomainSpec, samples: int = 4096) -> floa
     fv = fv[np.isfinite(fv)]
     if fv.size < 2:
         raise ConstantFunction("no finite samples to measure the image spread")
-    spread = float(np.max(fv) - np.min(fv))
+    f_lo, f_hi = float(np.min(fv)), float(np.max(fv))
+    spread = f_hi - f_lo
+    if not math.isfinite(spread):
+        raise FloatResolutionLimit(
+            f"sampled image spread {f_lo!r} to {f_hi!r} overflows float64; "
+            "no epsilon range can be read from it")
     if spread < TOL_F:
         raise ConstantFunction(
             f"sampled image spread {spread!r} is below tol_f; the function "

@@ -10,11 +10,12 @@ class DeltamaxError(Exception):
 
 
 class InvalidArgument(DeltamaxError, ValueError):
-    """A numeric argument is outside its valid range (eps <= 0 or NaN,
-    checked by model.require_positive at every entry point, for every eps
-    of a uc grid before the first is tested; a stage count or resolution
-    below 1; no directions, an empty eps grid, a CLI --dim or --p-count
-    below 1, ...), or a CLI number list that does not read as numbers."""
+    """A numeric argument is outside its valid range (eps, beta or a
+    window radius <= 0, NaN or +inf, checked by model.require_positive at
+    every entry point, for every eps of a uc grid before the first is
+    tested; a stage count or resolution below 1; no directions, an empty
+    eps grid, a CLI --dim or --p-count below 1, ...), or a CLI number
+    list that does not read as numbers."""
 
 
 class DimensionMismatch(DeltamaxError):

@@ -294,10 +294,10 @@ def point_in(dom: DomainSpec, p) -> Point:
 
 
 def require_positive(name: str, value: float) -> None:
-    """Raise InvalidArgument unless value > 0 (NaN included); the one
-    check of eps and beta."""
-    if not value > 0:
-        raise InvalidArgument(f"{name} must be positive, got {value!r}")
+    """Raise InvalidArgument unless 0 < value < +inf (NaN included); the
+    one check of eps, beta and a window radius."""
+    if not 0 < value < math.inf:
+        raise InvalidArgument(f"{name} must be a positive finite number, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

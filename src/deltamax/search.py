@@ -13,11 +13,13 @@ The work splits in two: the sweep (doubling detect windows, then tail
 probes) brackets each column's first crossing, and the settle step (the
 fine rescan and bisection) shrinks the brackets.  line_field keeps both
 sides of its points in one signed batch of columns (x = p + s*t,
-s = +-1), sweeps its +t half and then its -t half (the other half given
-no extent), and settles both halves' brackets in one pass.  The -t sweep
-starts from the bound B and the crossings that the whole +t sweep found;
-one joint sweep of both halves sampled 37.5M points instead of 21.7M on
-uc_1d's traced perfbench pass.
+s = +-1) and settles both halves' brackets in one pass.  In full mode
+it sweeps both halves at once: without a bound no column's sweep reads
+another's, so each gets the brackets of a sweep of its half alone.  In
+minimum mode it sweeps its +t half and then its -t half (the other half
+given no extent): the -t sweep starts from the bound B and the crossings
+that the whole +t sweep found, and one joint sweep of both halves
+sampled 37.5M points instead of 21.7M on uc_1d's traced perfbench pass.
 
 In minimum mode (line_field(..., minimum=True); a uc stage keeps only
 the least delta) no side samples detect rows densely past a bound B on
@@ -82,7 +84,9 @@ _MAX_BISECT = 160
 _TAIL_FRAC = 0.5 ** np.arange(1, 81, dtype=float)  # tail probes toward a finite end
 _REFINE_POINTS = 256  # fine rescan inside each found bracket
 _FRAC_FINE = np.arange(1, _REFINE_POINTS + 1, dtype=float) / _REFINE_POINTS
-_CHUNK = 512          # base points per line_field batch
+# Base points per line_field batch: one default uc stage (2,048 points),
+# whose 4,096 signed columns, all live, take 16-row blocks under the cap.
+_CHUNK = 2048
 _BLOCK_SAMPLES = 2 ** 16  # most samples per evaluator call of a window or rescan
 _PROBE_ROWS = 16      # detect rows per window of a side cut at the minimum's bound
 
@@ -470,7 +474,9 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
 
     Both sides of every point, each with its own detect windows, are
     swept and settled in one signed batch (see the module notes), with
-    the results of sweeping and settling each side alone.
+    the results of sweeping and settling each side alone: full mode
+    sweeps the batch by one _sweep call, minimum mode its +t half and
+    then its -t half.
     Ties between equally distant crossings resolve to the negative side
     (the left crossing), which keeps results deterministic.  `lower` is NaN where
     the nearest clear end is within one float spacing of the base point:
@@ -554,16 +560,18 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
             return _sweep(eval_at, fp2, eps, extents, r0, scale2, detect_points,
                           enclose_at if f_enc is not None else None, **kw)
 
-        # The -t sweep starts from the bound B, and the crossings known,
-        # that the whole +t sweep reached; it fills in the -t half of side.
-        side, brackets, bound = sweep(np.where(plus, ext, 0.0),
-                                      bound=_pad(best) if minimum else None)
-        side_n, br_n, bound = sweep(np.where(plus, 0.0, ext), bound=bound,
-                                    known=_twice(~np.isnan(side.root[:m])))
-        for name, arr in vars(side).items():
-            arr[m:] = getattr(side_n, name)[m:]
-        brackets += br_n
-        if minimum:
+        if not minimum:
+            # Without a bound the halves are independent: one sweep.
+            side, brackets, _ = sweep(ext)
+        else:
+            # The -t sweep starts from the bound B, and the crossings known,
+            # that the whole +t sweep reached; it fills in the -t half of side.
+            side, brackets, bound = sweep(np.where(plus, ext, 0.0), bound=_pad(best))
+            side_n, br_n, bound = sweep(np.where(plus, 0.0, ext), bound=bound,
+                                        known=_twice(~np.isnan(side.root[:m])))
+            for name, arr in vars(side).items():
+                arr[m:] = getattr(side_n, name)[m:]
+            brackets += br_n
             # Only a bracket whose clear end is within the bound can hold
             # the minimum; the others keep a root of +inf.
             brackets = [tuple(part[br[1] <= bound] for part in br) for br in brackets]

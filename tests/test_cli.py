@@ -38,6 +38,14 @@ class TestFloatResolutionExit:
         assert out == ""
         assert "float64" in err
 
+    def test_uc_image_spread_overflows(self, capsys):
+        # The default eps grid reads the sampled image spread, which is +inf
+        # for 1e302*x on the truncated line: no eps is tested.
+        code, out, err = run(capsys, "uc", "--fn", "1e302*x")
+        assert code == cli.EXIT_RESOLUTION == 5
+        assert out == ""
+        assert "overflows float64" in err
+
 
 class TestInvalidArgumentExit:
     @pytest.mark.parametrize("argv", [
@@ -95,6 +103,24 @@ class TestInvalidArgumentExit:
         assert code == cli.EXIT_PARSE == 2
         assert out == ""
         assert err.startswith("error:") and what in err
+
+    @pytest.mark.parametrize("argv, what", [
+        (("delta", "--fn", "square", "--p", "1", "--eps", "inf"), "eps"),
+        (("inf", "--fn", "square", "--eps", "inf"), "eps"),
+        (("uc", "--fn", "x", "--domain", "interval:0:1", "--eps-grid", "inf"), "eps"),
+        (("scan", "--fn", "square", "--eps", "inf", "--p-min", "0", "--p-max", "1",
+          "--p-count", "2"), "eps"),
+        (("certify", "--fn", "square", "--p", "3", "--eps", "1", "--window-radius", "inf"),
+         "window radius"),
+    ], ids=["delta", "inf", "uc", "scan", "certify"])
+    def test_infinite_values(self, capsys, argv, what):
+        # An infinite eps or radius is refused up front: not searched out to
+        # the truncation radius, skipped at every point or written into
+        # every scan row.
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_PARSE == 2
+        assert out == ""
+        assert err == f"error: {what} must be a positive finite number, got inf\n"
 
     @pytest.mark.parametrize("p_min, p_max", [("0", "inf"), ("-1e308", "1e308")])
     def test_scan_refuses_a_non_finite_grid(self, capsys, p_min, p_max):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -467,6 +468,14 @@ class TestEpsilonBound:
         with pytest.raises(ConstantFunction):
             epsilon_bound(ExpressionFn.parse("2"), DomainSpec.interval(0.0, 1.0))
 
+    def test_spread_that_overflows(self):
+        # 1e302*x spans +-1e308 on the truncated line: its spread is +inf in
+        # float64, so no finite beta, and no eps grid, can be read from it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatResolutionLimit, match="overflows float64"):
+                epsilon_bound(ExpressionFn.parse("1e302*x"), REALS)
+
 
 class TestBackendAgreement:
     """Monotone formula vs generic level-set scan on monotone functions."""
@@ -710,7 +719,7 @@ class TestInvalidArgument:
     """Bad numeric arguments raise InvalidArgument, a DeltamaxError that
     is still a ValueError."""
 
-    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("case", ["monotone", "levelset1d", "radial", "ray_nd"])
     def test_eps(self, case, eps):
         f, dom, p = {
@@ -723,7 +732,7 @@ class TestInvalidArgument:
         with pytest.raises(InvalidArgument):
             compute_delta(f, dom, p, eps)
 
-    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("entry", [
         "grid_delta_bounds", "is_delta_epsilon_number", "brute_force_inf"])
     def test_eps_of_the_oracle_and_the_predicate(self, entry, eps):
@@ -749,6 +758,15 @@ class TestInvalidArgument:
             is_delta_epsilon_number(square.function, square.domain, 3.0, 1.0, 0.0)
         with pytest.raises(InvalidArgument):
             dm.uc_verdict(square.function, square.domain, eps_grid=[])
+
+    def test_infinite_beta(self):
+        # An infinite ball is no delta: refused, not searched, and without
+        # numpy warnings from an infinite radius.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgument, match="beta must be a positive finite"):
+                is_delta_epsilon_number(ExpressionFn.parse("x^2"), DomainSpec.interval(-5.0, 5.0),
+                                        1.0, 1.0, beta=math.inf)
 
     def test_is_a_deltamax_value_error(self):
         assert issubclass(InvalidArgument, DeltamaxError)

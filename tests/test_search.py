@@ -46,6 +46,7 @@ from deltamax.search import (
 
 INF = math.inf
 UNIT = DomainSpec.interval(0.0, 1.0, open_lo=True)  # (0, 1]
+REALS_1D = DomainSpec.interval(-INF, INF)
 
 # (source, lo, hi, open_lo, open_hi, base points)
 CASES = {
@@ -425,7 +426,7 @@ def _assert_minimum_agrees(full, least):
 
 @pytest.mark.parametrize("detect_points", [1024, 4096])
 @pytest.mark.parametrize("name, eps, ps", [
-    # Four chunks; the minimum 2 - sqrt(3) ties at -2 (first chunk) and 2 (last).
+    # One chunk, as a default uc stage; the minimum 2 - sqrt(3) ties at -2 and 2.
     ("square", 1.0, np.linspace(-2.0, 2.0, 2048)),
     # |sin x - sin p| = 1.5 has no solution near many p: NaN entries.
     ("sin", 1.5, np.linspace(0.0, 10.0, 512)),
@@ -437,6 +438,8 @@ def _assert_minimum_agrees(full, least):
     # between its last valid detect sample and that hole, past the +t
     # violator end of the second; bisection from the clear end finds it.
     ("sqrt_hole", 2.008904663364039, np.array([2.2625965502493823, 1.5])),
+    # Three chunks; the tie at -2 (first chunk) and 2 (last) spans them.
+    ("square", 1.0, np.linspace(-2.0, 2.0, 5000)),
 ])
 def test_minimum_mode_keeps_the_minimum(name, eps, ps, detect_points):
     full, least = _minimum_pair(name, ps, eps, detect_points)
@@ -547,3 +550,80 @@ def test_undecided_sides_are_swept_again(monkeypatch):
     assert unbounded  # the re-sweep ran
     _assert_minimum_agrees(full, least)
     assert np.isnan(full.values).any()
+
+
+def _sweep_calls(monkeypatch):
+    """Record the bound and the extents of every _sweep call."""
+    calls = []
+
+    def spy(*args, **kw):
+        calls.append((kw.get("bound"), args[3].copy()))
+        return _sweep(*args, **kw)
+    monkeypatch.setattr(search, "_sweep", spy)
+    return calls
+
+
+def test_a_uc_stage_is_one_chunk_of_two_bounded_sweeps(monkeypatch):
+    # A default uc stage (2,048 points) is one signed batch: its +t half is
+    # swept with the bound, then its -t half, each over every point.
+    calls = _sweep_calls(monkeypatch)
+    ps = np.linspace(-2.0, 2.0, 2048)
+    _minimum_pair("square", ps, 1.0, 1024)
+    bounded = [ext for bound, ext in calls if bound is not None]
+    assert len(bounded) == 2
+    (plus, minus), m = bounded, ps.size
+    assert plus.size == minus.size == 2 * m
+    assert np.array_equal(plus[:m], 2.0 - ps) and not plus[m:].any()
+    assert not minus[:m].any() and np.array_equal(minus[m:], ps + 2.0)
+
+
+# Full-mode FieldResults of line queries as compute_delta runs them (default
+# detect points, with the enclosure), recorded while the -t half was swept
+# after the +t half.  Without a bound the two halves are independent, so
+# one sweep of both must give them bit for bit.
+FULL_PINS = {
+    # Only the -t side of 1.9 crosses on [-2, 2]; -1.5 crosses on both.
+    "one_sided": ("x^2", DomainSpec.interval(-2.0, 2.0), [1.9, -1.5], 1.0, dict(
+        values=[0.28445055786053586, 0.30277563773214333],
+        witness_offset=[-0.28445055786053586, -0.30277563773214333],
+        lower=[0.09997558593750008, 0.3027753198393329],
+        root_h=[2.866151760372304e-12, 5.360156762890256e-13],
+        one_sided=[True, False],
+        searched=[0.5263155263419751, 0.6666670000024059],
+        detect_rounds=[4, 5], enclosed_rounds=[3, 3])),
+    # Only the tail probes toward the open end reach the crossing.
+    "tail": ("ln(x)", UNIT, [0.5], 30.0, dict(
+        values=[0.49999999999995337], witness_offset=[-0.49999999999995337],
+        lower=[0.4998779296874529], root_h=[0.003398677839744124], one_sided=[True],
+        searched=[0.5], detect_rounds=[2], enclosed_rounds=[1])),
+    # f is undefined on (-1, 1); the first point crosses between its last
+    # valid -t sample and that hole.
+    "hole": ("sqrt(x^2-1)", REALS_1D, [2.2625965502493823, 1.5], 2.008904663364039, dict(
+        values=[1.2623820830982986, 1.782947659358007],
+        witness_offset=[-1.2623820830982986, 1.782947659358007],
+        lower=[1.2623803645302016, 1.7829448033886885],
+        root_h=[5.489120269430714e-11, 1.7319479184152442e-14],
+        one_sided=[False, False],
+        searched=[3.604095084749143, 5.989398912485343],
+        detect_rounds=[5, 7], enclosed_rounds=[3, 2])),
+    # Three detect windows proved clear by the enclosure.
+    "enclosed": ("x^2", REALS_1D, [3.0], 1.0, dict(
+        values=[0.16227766017005546], witness_offset=[0.16227766017005546],
+        lower=[0.1622775012219902], root_h=[1.0601297617540695e-11], one_sided=[False],
+        searched=[0.3333331666711316], detect_rounds=[5], enclosed_rounds=[3])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_PINS))
+def test_full_mode_field_is_one_sweep_and_pinned(name, monkeypatch):
+    src, dom, ps, eps, want = FULL_PINS[name]
+    profile, lo, hi, open_lo, open_hi = line_problem(ExpressionFn.parse(src), dom)
+    calls = _sweep_calls(monkeypatch)
+    res = line_field(array_evaluator(profile), np.array(ps), eps, lo, hi, open_lo, open_hi,
+                     f_enc=enclosure_evaluator(profile))
+    assert [bound for bound, _ in calls] == [None]
+    assert sorted(want) == sorted(f.name for f in dataclasses.fields(res))
+    for field, values in want.items():
+        got = getattr(res, field)
+        assert got.dtype == np.asarray(values).dtype, field
+        assert np.array_equal(got, values), field
