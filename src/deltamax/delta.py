@@ -359,8 +359,7 @@ def direction_set(dim: int, count: int, norm: NormTag = NormTag.L2) -> np.ndarra
             more = rng.standard_normal((extra, dim))
         dirs = dirs + list(more)
     out = np.asarray(dirs, dtype=float)
-    norms = np.asarray([norm_of(norm, v) for v in out])
-    return out / norms[:, None]
+    return out / norm_of_rows(norm, out)[:, None]
 
 
 def _box_exit(dom: DomainSpec, p_arr: np.ndarray, dirs: np.ndarray) -> np.ndarray:

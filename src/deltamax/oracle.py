@@ -40,8 +40,7 @@ class GridSpec:
     window: DomainSpec
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise InvalidArgument(f"grid step must be positive, got {self.h!r}")
+        require_positive("grid step", self.h)
         if not self.window.is_bounded:
             raise InvalidDomain("oracle windows must be bounded")
         lo, hi = self.window.bounding_box()

@@ -10,16 +10,25 @@ it is vectorized over a batch of base points ("columns"); the scalar
 backends run a batch of size one.
 
 The work splits in two: the sweep (doubling detect windows, then tail
-probes) brackets each column's first crossing, and the settle step (the
-fine rescan and bisection) shrinks the brackets.  line_field keeps both
-sides of its points in one signed batch of columns (x = p + s*t,
-s = +-1) and settles both halves' brackets in one pass.  In full mode
-it sweeps both halves at once: without a bound no column's sweep reads
-another's, so each gets the brackets of a sweep of its half alone.  In
-minimum mode it sweeps its +t half and then its -t half (the other half
-given no extent): the -t sweep starts from the bound B and the crossings
-that the whole +t sweep found, and one joint sweep of both halves
-sampled 37.5M points instead of 21.7M on uc_1d's traced perfbench pass.
+probes) brackets each column's first crossing, and the settle step
+shrinks the brackets: one fine rescan, then bisection in predicted-path
+rounds of one evaluator call each (_bisect).  A round evaluates, in one
+call, the midpoints that plain bisection would visit if each column's
+root lay where the secant through its bracket's ends puts it, and keeps
+the levels up to the first that the prediction got wrong.  Every
+bracket, root and clear radius is plain bisection's, bit for bit, but a
+settle that took one call per halving (about 20 on a traced field_nd
+pass) mostly takes one or two.
+
+line_field keeps both sides of its points in one signed batch of columns
+(x = p + s*t, s = +-1) and settles both halves' brackets in one pass.
+In full mode it sweeps both halves at once: without a bound no column's
+sweep reads another's, so each gets the brackets of a sweep of its half
+alone.  In minimum mode it sweeps its +t half and then its -t half (the
+other half given no extent): the -t sweep starts from the bound B and
+the crossings that the whole +t sweep found, and one joint sweep of both
+halves sampled 37.5M points instead of 21.7M on uc_1d's traced perfbench
+pass.
 
 In minimum mode (line_field(..., minimum=True); a uc stage keeps only
 the least delta) no side samples detect rows densely past a bound B on
@@ -81,6 +90,7 @@ R0 = 1.0
 R_MAX = float(2 ** 20)
 
 _MAX_BISECT = 160
+_SPARE_LEVELS = 2  # levels predicted past the expected stop in a bisection round
 _TAIL_FRAC = 0.5 ** np.arange(1, 81, dtype=float)  # tail probes toward a finite end
 _REFINE_POINTS = 256  # fine rescan inside each found bracket
 _FRAC_FINE = np.arange(1, _REFINE_POINTS + 1, dtype=float) / _REFINE_POINTS
@@ -113,12 +123,13 @@ def _h_of(f: np.ndarray, fp, eps: float) -> np.ndarray:
     return h
 
 
-def _first_crossing(ts, h, valid, carry_t):
+def _first_crossing(ts, h, valid, carry_t, carry_h):
     """Locate the first valid h>=0 sample per column.
 
-    Returns (found, blo_t, bhi_t, bhi_h): the bracket's lower end is the
-    last valid sample before the crossing, falling back to `carry_t` (the
-    last all-clear sample of earlier windows) when this window has none.
+    Returns (found, blo_t, bhi_t, bhi_h, blo_h): the bracket's lower end
+    is the last valid sample before the crossing, falling back to
+    `carry_t` (the last all-clear sample of earlier windows, with h
+    `carry_h`) when this window has none.
 
     Fast path: when every sample of the window is valid, the last one
     before the crossing is row first_ge - 1 (the last row in a column
@@ -146,17 +157,19 @@ def _first_crossing(ts, h, valid, carry_t):
         last_prior = np.where(has_prior, k - 1 - prior[::-1].argmax(axis=0), 0)
 
     blo_t = np.where(has_prior, ts[last_prior, cols], carry_t)
+    blo_h = np.where(has_prior, h[last_prior, cols], carry_h)
     bhi_t = np.where(found, ts[first_ge, cols], np.nan)
     bhi_h = np.where(found, h[first_ge, cols], np.nan)
-    return found, blo_t, bhi_t, bhi_h
+    return found, blo_t, bhi_t, bhi_h, blo_h
 
 
-def _scan_rows(eval_at, cols, lo, span, frac, fp, eps, carry, bound=None):
+def _scan_rows(eval_at, cols, lo, span, frac, fp, eps, carry, carry_h, bound=None):
     """_first_crossing over the rows lo + span*frac of each column, sampled
     in blocks of at most _BLOCK_SAMPLES.  A column stops at the block that
-    holds its first crossing; until then its last valid sample carries
-    over as the fallback clear end of its next block.  With a bound B, a
-    column also stops, found False, at the block whose blo passes B."""
+    holds its first crossing; until then its last valid sample, and its
+    h, carry over as the fallback clear end of its next block (`carry`,
+    with h `carry_h`, NaN where unknown, for the first).  With a bound B,
+    a column also stops, found False, at the block whose blo passes B."""
     out, pos, start = None, None, 0  # pos: where the live columns sit in out
     while True:
         stop = start + max(1, _BLOCK_SAMPLES // cols.size)
@@ -164,7 +177,7 @@ def _scan_rows(eval_at, cols, lo, span, frac, fp, eps, carry, bound=None):
         f, valid = eval_at(cols, ts)
         h = _h_of(f, fp, eps)
         valid = valid & ~np.isnan(h)
-        block = _first_crossing(ts, h, valid, carry)
+        block = _first_crossing(ts, h, valid, carry, carry_h)
         if out is None:
             out = block
         else:
@@ -175,12 +188,34 @@ def _scan_rows(eval_at, cols, lo, span, frac, fp, eps, carry, bound=None):
             return out
         rest = np.flatnonzero(~done)
         pos = rest if pos is None else pos[rest]
-        cols, lo, span, fp, carry = cols[rest], lo[rest], span[rest], fp[rest], block[1][rest]
+        cols, lo, span, fp = cols[rest], lo[rest], span[rest], fp[rest]
+        carry, carry_h = block[1][rest], block[4][rest]
         start = stop
 
 
-def _bisect(eval_at, cols, fp, eps, lo, hi, hi_h, pos_scale):
-    """Shrink brackets (lo, hi) with h(lo) < 0 <= h(hi) onto the crossing.
+def _halving(lo, top, hi_h, tol, pos_scale):
+    """True where a bracket (lo, top) with h = hi_h at its violator end is
+    still bisected: it is wider than tol, or |h| there exceeds TOL_F and
+    it is wider than 4 ulps."""
+    width = top - lo
+    return (width > tol) | ((hi_h > TOL_F) & (width > 4.0 * np.spacing(pos_scale + top)))
+
+
+def _first(mask, default):
+    """Per column, the first row where mask holds; default where none does."""
+    return np.where(mask.any(axis=0), mask.argmax(axis=0), default)
+
+
+def _last(mask):
+    """Per row and column, the last row up to it where mask holds; -1
+    where none does."""
+    rows = np.arange(mask.shape[0])[:, None]
+    return np.maximum.accumulate(np.where(mask, rows, -1), axis=0)
+
+
+def _bisect(eval_at, cols, fp, eps, lo, lo_h, hi, hi_h, pos_scale):
+    """Shrink brackets (lo, hi) with h(lo) = lo_h < 0 <= h(hi) = hi_h onto
+    the crossing; lo_h may be NaN (unknown).
 
     Returns (lo, hi, hi_h): the clear end and the violator end of each
     final bracket, and h at the violator end.  Both ends are valid
@@ -188,31 +223,78 @@ def _bisect(eval_at, cols, fp, eps, lo, hi, hi_h, pos_scale):
     limit of the search inward but never becomes the violator end, so a
     hole in the domain cannot pass for a crossing.  A bracket stops once
     it is TOL_X wide and |h| at its violator end is within TOL_F, or
-    once it is a few ulps wide.
+    once it is a few ulps wide, or after _MAX_BISECT halvings.
+
+    The halvings are those of plain bisection, one midpoint 0.5*(lo + top)
+    per level, and so are the results, bit for bit; only the evaluator
+    calls are fewer.  Each round predicts a column's root by the secant
+    through its two ends (at lo where lo_h is NaN), follows the path of
+    midpoints that takes the clear branch below that root, and evaluates
+    as many of the path's levels as the stop test is expected to need,
+    plus _SPARE_LEVELS, in one call.  The levels are then applied in
+    order by plain bisection's rules, up to the first whose outcome
+    differs from the prediction, which is applied as evaluated; the next
+    round starts there.  Every round applies at least one level of every
+    live column, so no column needs more calls than it has levels.
     """
-    lo = lo.copy()
+    lo, lo_h, hi, hi_h = lo.copy(), lo_h.copy(), hi.copy(), hi_h.copy()
     top = hi.copy()       # upper limit of the search, valid or not
-    hi = hi.copy()        # last valid sample with h >= 0
-    hi_h = hi_h.copy()
     tol = TOL_X * np.maximum(1.0, pos_scale)
-    for _ in range(_MAX_BISECT):
-        width = top - lo
-        xulp = np.spacing(pos_scale + top)
-        act = (width > tol) | ((hi_h > TOL_F) & (width > 4.0 * xulp))
-        if not act.any():
-            break
-        idx = np.flatnonzero(act)
-        mid = 0.5 * (lo[idx] + top[idx])
-        f, valid = eval_at(cols[idx], mid[None, :])
-        hm = _h_of(f[0], fp[idx], eps)
-        ok = valid[0] & ~np.isnan(hm)
-        hit = ok & (hm >= 0.0)
+    levels = np.zeros(lo.size, dtype=int)
+    live = np.arange(lo.size)
+    while True:
+        live = live[_halving(lo[live], top[live], hi_h[live], tol[live], pos_scale[live])
+                    & (levels[live] < _MAX_BISECT)]
+        if not live.size:
+            return lo, hi, hi_h
+        m, at = live.size, np.arange(live.size)
+        l, t, l_h, h_h, tl, sc = (a[live] for a in (lo, top, lo_h, hi_h, tol, pos_scale))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = (h_h - l_h) / (hi[live] - l)
+            # The secant's root.  lo_h is unknown only where lo is the base
+            # point or the end of a window proved clear, and the first valid
+            # sample past it crossed: the root is predicted at lo.
+            guess = l - l_h / slope
+            guess = np.where(np.isnan(guess), l, guess)
+            # The width where the stop test should fire: tol, or less while
+            # h at the violator end, falling with the width at the secant's
+            # slope, stays above TOL_F (but not below 4 ulps).
+            w_stop = np.fmin(tl, np.maximum(TOL_F / slope, 4.0 * np.spacing(sc + t)))
+        need = math.ceil(math.log2(max(float(np.max((t - l) / w_stop)), 1.0)))
+        depth = min(need + _SPARE_LEVELS, _MAX_BISECT - int(levels[live].min()),
+                    max(1, _BLOCK_SAMPLES // m))
+
+        # The predicted path: the bracket before each level, and its midpoint.
+        los, tops, mids = np.empty((3, depth, m))
+        for j in range(depth):
+            los[j], tops[j] = l, t
+            mids[j] = 0.5 * (l + t)
+            below = mids[j] < guess
+            l = np.where(below, mids[j], l)
+            t = np.where(below, t, mids[j])
+        f, valid = eval_at(cols[live], mids)
+        hm = _h_of(f, fp[live], eps)
+        ok = valid & ~np.isnan(hm)
         clear = ok & (hm < 0.0)
-        top[idx[~clear]] = mid[~clear]
-        lo[idx[clear]] = mid[clear]
-        hi[idx[hit]] = mid[hit]
-        hi_h[idx[hit]] = hm[hit]
-    return lo, hi, hi_h
+        hit = ok & (hm >= 0.0)
+
+        # Up to the first mispredicted level the path is plain bisection's,
+        # so its brackets and, from the hits, the h at the violator end in
+        # force give the stop test of every level.
+        last_hit = _last(hit)
+        h_in = np.where(last_hit >= 0, hm[np.maximum(last_hit, 0), at], h_h)
+        h_in = np.vstack((h_h, h_in[:-1]))
+        going = _halving(los, tops, h_in, tl, sc)
+        going &= levels[live] + np.arange(depth)[:, None] < _MAX_BISECT
+        done = np.minimum(_first(~going, depth), _first(clear != (mids < guess), depth) + 1)
+        levels[live] += done
+        for moved, ends in ((clear, (lo, lo_h)), (~clear, (top,)), (hit, (hi, hi_h))):
+            # An end takes the midpoint (and h) of the last applied level
+            # that moved it.
+            row = _last(moved)[done - 1, at]
+            sel = row >= 0
+            for end, src in zip(ends, (mids, hm)):
+                end[live[sel]] = src[row[sel], at[sel]]
 
 
 def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
@@ -271,8 +353,9 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
     between the last valid sample and a stretch where f is undefined.)
 
     Returns the side, the brackets found and the final bound.  The
-    brackets are a list of (cols, lo, hi, hi_h) arrays, lo being the last
-    clear sample and hi the first violator, at most one bracket per
+    brackets are a list of (cols, lo, hi, hi_h, lo_h) arrays, lo being
+    the last clear sample and hi the first violator, with h at each (lo_h
+    NaN where lo was proved clear, not sampled), at most one bracket per
     column.  root and root_h are NaN, but with a bound root is +inf where
     a bracket or probe hit is.
     """
@@ -289,6 +372,7 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
     cap = np.minimum(extents, R_MAX)
     alive = cap > 0.0
     carry_t = np.zeros(n)
+    carry_h = np.full(n, np.nan)  # h at carry_t; NaN where unknown
     wlo = np.zeros(n)
     whi = np.minimum(np.maximum(r0, 16.0 * np.spacing(pos_scale + 1.0)), cap)
 
@@ -316,6 +400,7 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
         blo = lo_c + (hi_c - lo_c) * frac[-1]
         bhi = np.full(cols.size, np.nan)
         bhi_h = np.full(cols.size, np.nan)
+        blo_h = np.full(cols.size, np.nan)
         s = slice(None)  # the sampled windows
         if enclose_at is not None:
             proved = enclose_at(cols, lo_c, blo) < 0.0
@@ -331,9 +416,9 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
             pcols = cols[part]
             if pcols.size:
                 lo_s = lo_c[part]
-                found[part], blo[part], bhi[part], bhi_h[part] = _scan_rows(
+                found[part], blo[part], bhi[part], bhi_h[part], blo_h[part] = _scan_rows(
                     eval_at, pcols, lo_s, hi_c[part] - lo_s, rows, fp[pcols], eps,
-                    carry_t[pcols], b)
+                    carry_t[pcols], carry_h[pcols], b)
 
         searched[cols] = hi_c
         miss = ~found
@@ -345,7 +430,7 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
             found &= ~probe
         fcols = cols[found]
         if fcols.size:
-            brackets.append((fcols, blo[found], bhi[found], bhi_h[found]))
+            brackets.append((fcols, blo[found], bhi[found], bhi_h[found], blo_h[found]))
             clear[fcols] = blo[found]
             step[fcols] = (hi_c[found] - lo_c[found]) / detect_points
             alive[fcols] = False
@@ -355,6 +440,7 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
         if ncols.size:
             nblo, nhi, nstep = blo[miss], hi_c[miss], (hi_c[miss] - lo_c[miss]) / detect_points
             carry_t[ncols] = nblo
+            carry_h[ncols] = blo_h[miss]
             # The columns whose clear radius, and whose window, move on:
             nclear, upd, move = nhi, slice(None), slice(None)
             if bound is not None:
@@ -388,12 +474,13 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
         def eval_tail(tcols, ts):
             f, valid = eval_at(tcols, ts)
             return f, valid & (ts > carry_t[tcols])
-        found, blo, bhi, bhi_h = _scan_rows(eval_tail, cols, ext, carry_t[cols] - ext,
-                                            _TAIL_FRAC, fp[cols], eps, carry_t[cols])
+        found, blo, bhi, bhi_h, blo_h = _scan_rows(
+            eval_tail, cols, ext, carry_t[cols] - ext, _TAIL_FRAC, fp[cols], eps,
+            carry_t[cols], carry_h[cols])
         searched[cols] = ext
         fcols = cols[found]
         if fcols.size:
-            brackets.append((fcols, blo[found], bhi[found], bhi_h[found]))
+            brackets.append((fcols, blo[found], bhi[found], bhi_h[found], blo_h[found]))
             clear[fcols] = blo[found]
             step[fcols] = np.maximum(bhi[found] - blo[found], np.spacing(ext[found]))
             if bound is not None:
@@ -412,12 +499,14 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
 
 def _settle(eval_at, fp, eps, pos_scale, side: SideResult, brackets: list) -> None:
     """The settling half of scan_side: one fine rescan inside each
-    bracket, then bisection, written into side's root, root_h, clear and
-    step.  Columns are independent here (each one's bisection count is
-    its own), so brackets of several sweeps can be settled together."""
+    bracket, then rounds of bisection of one evaluator call each (see
+    _bisect; the results are plain bisection's), written into side's
+    root, root_h, clear and step.  Columns are independent here (each
+    one's halvings are its own), so brackets of several sweeps can be
+    settled together."""
     if not brackets:
         return
-    cols, blo, bhi, bhi_h = (np.concatenate(part) for part in zip(*brackets))
+    cols, blo, bhi, bhi_h, blo_h = (np.concatenate(part) for part in zip(*brackets))
     clear, step = side.clear, side.step
 
     # One fine rescan inside the bracket sharpens both the cleared
@@ -425,16 +514,18 @@ def _settle(eval_at, fp, eps, pos_scale, side: SideResult, brackets: list) -> No
     wide = (bhi - blo) > 4.0 * TOL_X * np.maximum(1.0, pos_scale[cols])
     if wide.any():
         idx = np.flatnonzero(wide)
-        found, rlo, rhi, rhi_h = _scan_rows(eval_at, cols[idx], blo[idx], (bhi - blo)[idx],
-                                            _FRAC_FINE, fp[cols[idx]], eps, blo[idx])
+        found, rlo, rhi, rhi_h, rlo_h = _scan_rows(
+            eval_at, cols[idx], blo[idx], (bhi - blo)[idx], _FRAC_FINE, fp[cols[idx]], eps,
+            blo[idx], blo_h[idx])
         upd = idx[found]
         blo[upd] = rlo[found]
+        blo_h[upd] = rlo_h[found]
         bhi[upd] = rhi[found]
         bhi_h[upd] = rhi_h[found]
         clear[cols[upd]] = rlo[found]
         step[cols[upd]] = rhi[found] - rlo[found]
 
-    t_clear, t_viol, h_viol = _bisect(eval_at, cols, fp[cols], eps, blo,
+    t_clear, t_viol, h_viol = _bisect(eval_at, cols, fp[cols], eps, blo, blo_h,
                                       bhi, bhi_h, pos_scale[cols])
     side.root[cols] = t_viol
     side.root_h[cols] = h_viol

@@ -112,7 +112,8 @@ class TestInvalidArgumentExit:
           "--p-count", "2"), "eps"),
         (("certify", "--fn", "square", "--p", "3", "--eps", "1", "--window-radius", "inf"),
          "window radius"),
-    ], ids=["delta", "inf", "uc", "scan", "certify"])
+        (("certify", "--fn", "square", "--p", "3", "--eps", "1", "--h", "inf"), "grid step"),
+    ], ids=["delta", "inf", "uc", "scan", "certify", "certify_step"])
     def test_infinite_values(self, capsys, argv, what):
         # An infinite eps or radius is refused up front: not searched out to
         # the truncation radius, skipped at every point or written into

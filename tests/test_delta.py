@@ -37,6 +37,8 @@ from deltamax.model import (
     Point,
     array_evaluator,
     enclosure_evaluator,
+    norm_of,
+    norm_of_rows,
 )
 from deltamax.oracle import GridSpec, brute_force_inf, grid_delta_bounds
 from deltamax.search import R_MAX, line_field, scan_side
@@ -366,14 +368,21 @@ class TestRayNd:
         with pytest.raises(FloatResolutionLimit):
             delta_ray_nd(f, dom, Point.of(1.0, 0.0), 1.0, directions=8)
 
-    def test_directions_deterministic(self):
+    def test_directions_deterministic(self, monkeypatch):
         a = direction_set(2, 32)
         b = direction_set(2, 32)
         assert np.array_equal(a, b)
         c = direction_set(3, 16, NormTag.L1)
-        from deltamax.model import norm_of_rows
-
         assert np.allclose(norm_of_rows(NormTag.L1, c), 1.0)
+        # The rows are normalised by one norm_of_rows call, bit for bit as
+        # by norm_of row by row.
+        counts = (1, 2, 5, 16, 64, 100)
+        got = {(norm, dim, n): direction_set(dim, n, norm)
+               for norm in NormTag for dim in range(2, 20) for n in counts}
+        monkeypatch.setattr(delta_mod, "norm_of_rows",
+                            lambda tag, rows: np.array([norm_of(tag, v) for v in rows]))
+        for (norm, dim, n), dirs in got.items():
+            assert np.array_equal(dirs, direction_set(dim, n, norm)), (norm, dim, n)
 
 
 # (source, domain, p, eps, directions) -> (value, certified_lower, witness,

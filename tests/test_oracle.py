@@ -23,7 +23,7 @@ class TestGridSpec:
 
     def test_positive_step(self):
         # A bad step is a bad argument (exit 2), not a domain error.
-        for h in (0.0, -1.0, math.nan):
+        for h in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(InvalidArgument):
                 GridSpec(h=h, window=DomainSpec.interval(0.0, 1.0))
 

@@ -34,7 +34,10 @@ from deltamax.model import (
 from deltamax.search import (
     _BLOCK_SAMPLES,
     _FRAC_FINE,
+    _MAX_BISECT,
     _PROBE_ROWS,
+    TOL_F,
+    TOL_X,
     _first_crossing,
     _h_of,
     _pad,
@@ -151,17 +154,19 @@ def test_reach_leaves_ray_crossings_bit_identical(name, seed):
         assert np.all(capped.searched <= full.searched)
 
 
-def _crossing_by_loop(ts, h, valid, carry_t):
+def _crossing_by_loop(ts, h, valid, carry_t, carry_h):
     """_first_crossing column by column: the first valid h >= 0 sample and
-    the last valid sample before it (every valid sample without one)."""
+    the last valid sample before it (every valid sample without one), with
+    h at each."""
     k, m = h.shape
-    out = [np.zeros(m, dtype=bool)] + [np.full(m, np.nan) for _ in range(3)]
+    out = [np.zeros(m, dtype=bool)] + [np.full(m, np.nan) for _ in range(4)]
     for j in range(m):
         hits = [i for i in range(k) if valid[i, j] and h[i, j] >= 0.0]
         first = hits[0] if hits else k
         prior = [i for i in range(first) if valid[i, j]]
         out[0][j] = bool(hits)
-        out[1][j] = ts[prior[-1], j] if prior else carry_t[j]
+        out[1][j], out[4][j] = (ts[prior[-1], j], h[prior[-1], j]) if prior else (
+            carry_t[j], carry_h[j])
         if hits:
             out[2][j], out[3][j] = ts[first, j], h[first, j]
     return tuple(out)
@@ -205,13 +210,14 @@ def _window(h, valid):
                  [[False, False, False], [True, True, False], [True, True, False]]))
 def test_first_crossing_fast_path_matches_masked_scan(window):
     ts, h, valid, carry_t = window
-    got = _first_crossing(ts, h, valid, carry_t)
-    for a, b in zip(got, _crossing_by_loop(ts, h, valid, carry_t)):
+    carry_h = carry_t / 8.0
+    got = _first_crossing(ts, h, valid, carry_t, carry_h)
+    for a, b in zip(got, _crossing_by_loop(ts, h, valid, carry_t, carry_h)):
         assert np.array_equal(a, b, equal_nan=True)
     if valid.all():
         # An invalid last row changes no bracket but takes the masked scan.
         pad = (np.vstack((ts, ts[-1:] + 1.0)), np.vstack((h, np.full_like(h[:1], 0.5))),
-               np.vstack((valid, np.zeros_like(valid[:1]))), carry_t)
+               np.vstack((valid, np.zeros_like(valid[:1]))), carry_t, carry_h)
         for a, b in zip(got, _first_crossing(*pad)):
             assert np.array_equal(a, b, equal_nan=True)
 
@@ -240,17 +246,18 @@ class RowTable:
         rows = np.rint(ts - self.lo[cols]).astype(int) - 1
         return self.h[rows, cols] + ROW_EPS, self.valid[rows, cols]
 
-    def scan(self, carry):
+    def scan(self, carry, carry_h=None):
         m = self.h.shape[1]
+        carry_h = np.full(m, np.nan) if carry_h is None else carry_h
         return _scan_rows(self, np.arange(m), self.lo, self.span, self.frac,
-                          np.zeros(m), ROW_EPS, carry)
+                          np.zeros(m), ROW_EPS, carry, carry_h)
 
-    def whole_window(self, carry):
+    def whole_window(self, carry, carry_h):
         """_first_crossing over every row at once, as a window was scanned
         before it was split into blocks."""
         ts = self.lo + self.span * self.frac[:, None]
         h = _h_of(self.h + ROW_EPS, np.zeros(self.h.shape[1]), ROW_EPS)
-        return _first_crossing(ts, h, self.valid & ~np.isnan(h), carry)
+        return _first_crossing(ts, h, self.valid & ~np.isnan(h), carry, carry_h)
 
 
 def _row_table(m, k, where, holes, seed):
@@ -289,13 +296,14 @@ def row_tables(draw):
 @example(_row_table(1024, 300, "none", 0.95, 3), True)
 @example(_row_table(17, 4096, "row0", 0.0, 4), False)
 def test_scan_rows_matches_the_whole_window(table, carry_nan):
-    # Blocks change no bracket: a column's clear end may come from an
-    # earlier block (its carried last valid sample) or from `carry` when
-    # no block holds a valid sample before its crossing.
+    # Blocks change no bracket: a column's clear end, and h there, may
+    # come from an earlier block (its carried last valid sample) or from
+    # `carry` when no block holds a valid sample before its crossing.
     m = table.h.shape[1]
     carry = np.full(m, np.nan) if carry_nan else -np.arange(1.0, m + 1)
-    got = table.scan(carry.copy())
-    for a, b in zip(got, table.whole_window(carry)):
+    carry_h = carry / 8.0
+    got = table.scan(carry.copy(), carry_h.copy())
+    for a, b in zip(got, table.whole_window(carry, carry_h)):
         assert np.array_equal(a, b, equal_nan=True)
     assert max(table.sizes) <= _BLOCK_SAMPLES
 
@@ -321,7 +329,7 @@ def test_scan_rows_stops_each_column_past_the_bound():
     k, m, bound = 4096, 1024, 1000.0
     table = RowTable(np.full((k, m), -0.25), np.ones((k, m), dtype=bool))
     found, blo = _scan_rows(table, np.arange(m), table.lo, table.span, table.frac,
-                            np.zeros(m), ROW_EPS, np.zeros(m), bound)[:2]
+                            np.zeros(m), ROW_EPS, np.zeros(m), np.full(m, np.nan), bound)[:2]
     first = table.lo + _BLOCK_SAMPLES // m
     assert not found.any()
     assert np.all(blo > bound)
@@ -380,6 +388,164 @@ def test_pad_covers_the_rescans_last_row():
     blo, bhi = 1.5 * 2.0 ** -53, 0.75 + 2.0 ** -53
     last = blo + (bhi - blo) * _FRAC_FINE[-1]
     assert bhi < last <= _pad(bhi)
+
+
+def _bisect_by_loop(eval_at, cols, fp, eps, lo, hi, hi_h, pos_scale):
+    """_bisect as plain bisection, the reference it must match: one
+    evaluator call per level, holding the midpoint of every live column."""
+    lo = lo.copy()
+    top = hi.copy()       # upper limit of the search, valid or not
+    hi = hi.copy()        # last valid sample with h >= 0
+    hi_h = hi_h.copy()
+    tol = TOL_X * np.maximum(1.0, pos_scale)
+    for _ in range(_MAX_BISECT):
+        width = top - lo
+        xulp = np.spacing(pos_scale + top)
+        act = (width > tol) | ((hi_h > TOL_F) & (width > 4.0 * xulp))
+        if not act.any():
+            break
+        idx = np.flatnonzero(act)
+        mid = 0.5 * (lo[idx] + top[idx])
+        f, valid = eval_at(cols[idx], mid[None, :])
+        hm = _h_of(f[0], fp[idx], eps)
+        ok = valid[0] & ~np.isnan(hm)
+        hit = ok & (hm >= 0.0)
+        clear = ok & (hm < 0.0)
+        top[idx[~clear]] = mid[~clear]
+        lo[idx[clear]] = mid[clear]
+        hi[idx[hit]] = mid[hit]
+        hi_h[idx[hit]] = hm[hit]
+    return lo, hi, hi_h
+
+
+class Brackets:
+    """Columns of crossing brackets for _bisect, with eps = 1: column j
+    is (kind, k, r, d_lo, d_hi, scale, lo_h known).  Its profile g(t) is
+    "smooth" t + k*t^2, "steep" k*expm1(t) (k up to 1e8, where the 4-ulp
+    rule stops), "holes" the smooth one with stretches of NaN f and of
+    invalid samples (never at the ends), or "jump" 0 up to t = r and 3
+    past it (at r = 0 with scale 0 the bracket [0, top] is still wider
+    than 4 ulps of top after _MAX_BISECT halvings).  f(p) = g(r) - 1 (0
+    for a jump), so h crosses 0 at r, inside the bracket
+    [r - d_lo, r + d_hi]; lo_h is NaN unless known.  `calls` counts the
+    evaluator calls."""
+
+    def __init__(self, columns):
+        self.columns, self.calls = columns, 0
+        m = len(columns)
+        self.cols = np.arange(m)
+        self.lo = np.array([r - d_lo for _, _, r, d_lo, _, _, _ in columns])
+        self.hi = np.array([r + d_hi for _, _, r, _, d_hi, _, _ in columns])
+        self.scale = np.array([c[5] for c in columns])
+        self.fp = np.array([0.0 if kind == "jump" else self.g(kind, k, np.array(r)) - 1.0
+                            for kind, k, r, *_ in columns])
+        lo_h, self.hi_h = (self.h_at(t)[0] for t in (self.lo, self.hi))
+        self.lo_h = np.where([c[6] for c in columns], lo_h, np.nan)
+
+    @staticmethod
+    def g(kind, k, t):
+        if kind == "steep":
+            return k * np.expm1(t)
+        if kind == "jump":
+            return np.where(t > 0.0, 3.0, 0.0)
+        return t + k * t * t
+
+    def h_at(self, t):
+        f, valid = self(self.cols, t[None, :])
+        self.calls -= 1
+        return _h_of(f[0], self.fp, 1.0), valid[0]
+
+    def __call__(self, cols, ts):
+        self.calls += 1
+        f = np.empty(ts.shape)
+        valid = np.ones(ts.shape, dtype=bool)
+        for i, j in enumerate(cols):
+            kind, k, r = self.columns[j][:3]
+            t = ts[:, i]
+            f[:, i] = self.g(kind, k, t - r if kind == "jump" else t)
+            if kind == "holes":
+                end = (t == self.lo[j]) | (t == self.hi[j])
+                f[:, i] = np.where(((t * 997.0) % 1.0 < 0.25) & ~end, np.nan, f[:, i])
+                valid[:, i] = ((t * 613.0 + 0.5) % 1.0 >= 0.2) | end
+        return f, valid
+
+    def bisect(self, how):
+        lo_h = (self.lo_h,) if how is search._bisect else ()
+        return how(self, self.cols, self.fp, 1.0, self.lo, *lo_h, self.hi, self.hi_h,
+                   self.scale)
+
+
+@st.composite
+def bracket_columns(draw):
+    """One to six columns of Brackets, any kinds mixed."""
+    unit = st.floats(1e-3, 1.0)
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["smooth", "steep", "holes", "jump"]))
+        known = draw(st.booleans())
+        if kind == "steep":
+            k = 10.0 ** draw(st.floats(4.0, 8.0))
+            r = draw(unit)
+            # g rises by less than 2 from lo to r: h(lo) > -1.
+            d_lo, d_hi = 0.2 / k * draw(unit), 0.2 / k * draw(unit)
+            scale = 10.0 ** draw(st.floats(1.0, 3.0))
+        elif kind == "jump":
+            k, r = 0.0, draw(st.sampled_from([0.0, 0.375, 1.1]))
+            d_lo, d_hi = (0.0 if r == 0.0 else draw(unit)), draw(unit)
+            scale = draw(st.sampled_from([0.0, 1.0, 7.5]))
+        else:
+            k, r = draw(st.floats(0.0, 2.0)), draw(st.floats(0.5, 3.0))
+            d_lo, d_hi = 0.1 * draw(unit), draw(unit)
+            scale = draw(st.floats(0.0, 10.0))
+        columns.append((kind, k, r, d_lo, d_hi, scale, known))
+    return Brackets(columns)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bracket_columns())
+# A column that halves _MAX_BISECT times beside two that stop early.
+@example(Brackets([("jump", 0.0, 0.0, 0.0, 1.0, 0.0, True),
+                   ("smooth", 1.0, 1.0, 0.05, 0.5, 1.0, False),
+                   ("steep", 1e8, 0.5, 1e-9, 2e-9, 100.0, True)]))
+@example(Brackets([("holes", 0.5, 2.0, 0.1, 1.0, 2.0, False),
+                   ("holes", 0.0, 1.5, 0.01, 0.9, 0.0, True)]))
+def test_bisect_matches_plain_bisection(br):
+    # The bracket's ends are valid: h < 0 at lo and h >= 0 at hi.
+    for t, want in ((br.lo, False), (br.hi, True)):
+        h, valid = br.h_at(t)
+        assert valid.all() and np.all((h >= 0.0) == want)
+    br.calls = 0
+    got, calls = br.bisect(search._bisect), br.calls
+    br.calls = 0
+    want = br.bisect(_bisect_by_loop)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert calls <= br.calls
+
+
+def test_bisect_cap_and_ulp_rule_are_reached():
+    # The examples above do reach _MAX_BISECT halvings and the 4-ulp stop.
+    capped = Brackets([("jump", 0.0, 0.0, 0.0, 1.0, 0.0, True)])
+    capped.bisect(_bisect_by_loop)
+    assert capped.calls == _MAX_BISECT
+    steep = Brackets([("steep", 1e8, 0.5, 1e-9, 2e-9, 100.0, True)])
+    lo, hi, hi_h = steep.bisect(_bisect_by_loop)
+    assert hi - lo <= 4.0 * np.spacing(100.0 + hi) and hi_h > TOL_F
+
+
+def test_smooth_brackets_settle_in_two_calls():
+    # Two smooth brackets as a fine rescan leaves them, which plain
+    # bisection halves about 30 times each: the secant predicts both
+    # paths, so two calls at most settle them.
+    br = Brackets([("smooth", 0.25, 0.7, 3e-4, 5e-4, 1.0, True),
+                   ("smooth", 0.0, 0.3, 1e-3, 2e-3, 0.0, True)])
+    got = br.bisect(search._bisect)
+    assert br.calls <= 2
+    br.calls = 0
+    want = br.bisect(_bisect_by_loop)
+    assert br.calls >= 12
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 # (f, domain) of the minimum-mode cases; a line coordinate is a radius for
@@ -498,7 +664,7 @@ def test_sweep_returns_the_least_bound():
 
     side, brackets, bound = _sweep(eval_at, np.zeros(2), 0.5, np.array([INF, 0.1]),
                                    np.full(2, 0.2), np.ones(2), 1024, bound=INF)
-    hi = {int(c): float(b) for cols, _, bhi, _ in brackets for c, b in zip(cols, bhi)}
+    hi = {int(c): float(b) for cols, _, bhi, *_ in brackets for c, b in zip(cols, bhi)}
     assert sorted(hi) == [0, 1] and len(brackets) == 2
     assert 0.1 - 1e-9 < hi[1] < 0.1 < 0.5 <= hi[0]
     assert bound == _pad(min(hi.values())) == _pad(hi[1])
