@@ -19,6 +19,7 @@ from .catalog import (
 from .delta import (
     DeltaResult,
     compute_delta,
+    delta_field,
     delta_ray_nd,
     direction_set,
     epsilon_bound,

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: delta (one delta(p, eps); --stats adds a `stat <key>
-<value>` line per diagnostics entry), scan (CSV delta field sweep),
-inf (CSV infimum trace), uc (uniform-continuity verdict), catalog (list
-or extend the function catalog), certify (grid-oracle sandwich for one
+<value>` line per diagnostics entry), scan (CSV delta field sweep, one
+delta_field call per eps, a row's error in its last column), inf (CSV
+infimum trace), uc (uniform-continuity verdict), catalog (list or extend
+the function catalog), certify (grid-oracle sandwich for one
 delta, with a chosen grid step and window; every nD delta also runs the
 oracle, inside delta_ray_nd, for its certified lower end).  Numbers print with
 17 significant digits and identical invocations produce byte-identical
@@ -30,9 +31,9 @@ import sys
 import numpy as np
 
 from . import catalog as catalog_mod, errors
-from .delta import compute_delta
+from .delta import compute_delta, delta_field
 from .domaintext import format_domain, parse_domain
-from .errors import DeltamaxError, DimensionMismatch, InvalidArgument
+from .errors import DeltamaxError, InvalidArgument
 from .model import DomainSpec, Point, require_positive
 from .oracle import GridSpec, grid_delta_bounds
 from .uc import Verdict, default_eps_grid, infimum_delta, stage_schedule, uc_verdict
@@ -156,7 +157,7 @@ def cmd_scan(args) -> int:
         eps_values = [args.eps]
     else:
         raise InvalidArgument("scan needs --eps or --eps-grid")
-    for eps in eps_values:  # a bad eps fails the command, not each row
+    for eps in eps_values:  # a bad eps fails the command before any row
         require_positive("eps", eps)
     if args.p_count < 1:
         raise InvalidArgument(f"--p-count must be at least 1, got {args.p_count!r}")
@@ -166,21 +167,16 @@ def cmd_scan(args) -> int:
         raise InvalidArgument("--p-min and --p-max must span a finite grid, "
                               f"got {args.p_min!r} to {args.p_max!r}")
     rows = ["p,eps,delta,lower,upper,backend,error"]
+    pts = [(float(p),) + (0.0,) * (dom.dimension - 1) for p in ps]
     for eps in eps_values:
-        for p in ps:
-            pt = Point((float(p),) + (0.0,) * (dom.dimension - 1))
-            try:
-                res = compute_delta(fn, dom, pt, eps, directions=args.directions)
-                rows.append(",".join([
-                    _fmt(float(p)), _fmt(eps), _fmt(res.value),
-                    _fmt(res.certified_lower), _fmt(res.certified_upper),
-                    res.backend, ""]))
-            except DimensionMismatch:
-                raise  # a fault of the problem, not of this point
-            except DeltamaxError as exc:
-                msg = str(exc).replace(",", ";").replace("\n", " ")
-                rows.append(",".join([
-                    _fmt(float(p)), _fmt(eps), "nan", "nan", "nan", "", msg]))
+        for pt, res in zip(pts, delta_field(fn, dom, pts, eps, directions=args.directions)):
+            if isinstance(res, DeltamaxError):
+                msg = str(res).replace(",", ";").replace("\n", " ")
+                cells = ["nan", "nan", "nan", "", msg]
+            else:
+                cells = [_fmt(res.value), _fmt(res.certified_lower),
+                         _fmt(res.certified_upper), res.backend, ""]
+            rows.append(",".join([_fmt(pt[0]), _fmt(eps), *cells]))
     _emit(args, "\n".join(rows) + "\n")
     return EXIT_OK
 

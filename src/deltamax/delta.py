@@ -18,10 +18,11 @@ hypotheses to one of four methods, whose name labels DeltaResult.backend:
                 between the certified bounds.  A ray without a crossing
                 stops at its exit from the domain's bounding box.
 
-The first three share one line front end: line_problem reduces (f, dom)
-to a profile on an interval of the line, and one helper validates the
-point, runs the monotone formula or the line engine at its line
-coordinate, and lifts the witness back along the ray through p.
+delta_field is the batched entry, with a DeltaResult or the point's
+DeltamaxError per row; compute_delta is its batch of one.  The first
+three backends share its line path: line_problem reduces (f, dom) to a
+profile on an interval of the line, and one line_field call (or the
+monotone formula per point) runs every point that passes the point gates.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 
 from .errors import (
     ConstantFunction,
+    DeltamaxError,
     DimensionMismatch,
     DomainViolation,
     EmptySpherePreimage,
@@ -153,61 +155,80 @@ def line_problem(f: FunctionSpec, dom: DomainSpec
     return g, lo, hi, open_lo, open_hi
 
 
-def _line_delta(problem, dom: DomainSpec, p, eps: float) -> DeltaResult:
-    """delta(p, eps) of a line problem (see line_problem) on dom.
+def _attempt(call, *args):
+    """call(*args), or the DeltamaxError it raises at one point; a fault
+    of the problem (DimensionMismatch, InvalidArgument) raises."""
+    try:
+        return call(*args)
+    except (DimensionMismatch, InvalidArgument):
+        raise
+    except DeltamaxError as exc:
+        return exc
 
-    The line coordinate of p is p itself on a 1-d domain and ||p|| on a
-    radial one.  A Monotone1DFn profile takes the closed formula; the
-    line engine runs every other profile.
-    A radial witness is lifted along the ray through p (along the first
-    axis when p is the origin).  eps and p pass the model gates, t must
-    lie on the clipped line, and f(p) is read strictly before either runs.
+
+def _line_rows(problem, dom: DomainSpec, ps, eps: float) -> list:
+    """delta_field of a line problem (see line_problem) on dom.
+
+    The line coordinate t of p is p itself on a 1-d domain and ||p|| on
+    a radial one.  The point gates are point_in, t on the clipped line
+    and a strict read of f(p).  A radial witness is lifted along the ray
+    through p (along the first axis when p is the origin).
     """
     g, lo, hi, open_lo, open_hi = problem
-    require_positive("eps", eps)
-    pt = point_in(dom, p)
     radial = dom.dimension > 1
-    t = norm_of(dom.norm, pt.as_array()) if radial else pt.coords[0]
-    if not lo <= t <= hi:
-        raise DomainViolation(f"{pt.coords} is outside the domain {dom.describe()}")
-    fp = value_at(g, t)
-    if isinstance(g, Monotone1DFn):
-        backend = "monotone"
-        value, t_w, lower, upper, one_sided, diagnostics = _monotone_line(g, t, fp, eps)
-    else:
-        backend = "levelset1d"
-        res = line_field(array_evaluator(g), np.asarray([t]), eps, lo, hi, open_lo, open_hi,
-                         f_enc=enclosure_evaluator(g))
-        if math.isnan(res.values[0]):
-            raise EmptySpherePreimage(
-                f"no point with |f(x)-f({t})| = {eps} found within radius "
-                f"{res.searched[0]}: the sphere preimage looks empty there, so "
-                "the nonemptiness hypothesis behind delta(p, eps) fails",
-                searched_radius=float(res.searched[0]))
-        value = upper = float(res.values[0])
-        lower = float(res.lower[0])
-        if math.isnan(lower):
-            raise FloatResolutionLimit(
-                f"delta({t!r}, {eps!r}) is below the float64 resolution at p: "
-                f"a violator sits {value!r} away, and no float closer to p than "
-                "that, other than p itself, could be sampled clear")
-        t_w = t + float(res.witness_offset[0])
-        one_sided = bool(res.one_sided[0])
-        diagnostics = {"achiever_h": float(res.root_h[0]),
-                       "searched_radius": float(res.searched[0]),
-                       "detect_rounds": int(res.detect_rounds[0]),
-                       "enclosed_rounds": int(res.enclosed_rounds[0])}
-    if radial and t != 0.0:
-        witness = Point(tuple(c * (t_w / t) for c in pt.coords))
-    else:
-        witness = Point((t_w,) + (0.0,) * (pt.dim - 1))
-    if radial:
-        diagnostics = {"detect_rounds": 0, "enclosed_rounds": 0, **diagnostics,
-                       "radius": t, "inner_backend": backend}
-        backend = "radial"
-    return DeltaResult(value=value, witness=witness, certified_lower=lower,
-                       certified_upper=upper, backend=backend, one_sided=one_sided,
-                       diagnostics=diagnostics)
+    backend = "monotone" if isinstance(g, Monotone1DFn) else "levelset1d"
+
+    def gate(p):
+        pt = point_in(dom, p)
+        t = norm_of(dom.norm, pt.as_array()) if radial else pt.coords[0]
+        if not lo <= t <= hi:
+            raise DomainViolation(f"{pt.coords} is outside the domain {dom.describe()}")
+        return pt, t, value_at(g, t)
+
+    rows = [_attempt(gate, p) for p in ps]
+    live = [i for i, row in enumerate(rows) if isinstance(row, tuple)]
+    ts = [rows[i][1] for i in live]
+    res = line_field(array_evaluator(g), np.asarray(ts), eps, lo, hi, open_lo, open_hi,
+                     f_enc=enclosure_evaluator(g)) if backend == "levelset1d" and ts else None
+
+    def solve(k, pt, t, fp):
+        value, t_w, lower, upper, one_sided, diagnostics = (
+            _monotone_line(g, t, fp, eps) if backend == "monotone" else _field_row(res, k, t, eps))
+        if radial and t != 0.0:
+            witness = Point(tuple(c * (t_w / t) for c in pt.coords))
+        else:
+            witness = Point((t_w,) + (0.0,) * (pt.dim - 1))
+        if radial:
+            diagnostics = {"detect_rounds": 0, "enclosed_rounds": 0, **diagnostics,
+                           "radius": t, "inner_backend": backend}
+        return DeltaResult(value=value, witness=witness, certified_lower=lower,
+                           certified_upper=upper, backend="radial" if radial else backend,
+                           one_sided=one_sided, diagnostics=diagnostics)
+
+    for k, i in enumerate(live):
+        rows[i] = _attempt(solve, k, *rows[i])
+    return rows
+
+
+def _field_row(res, k: int, t: float, eps: float):
+    """(value, witness, lower, upper, one_sided, diagnostics) of row k of
+    a line_field result, whose line coordinate is t."""
+    value, lower, searched = float(res.values[k]), float(res.lower[k]), float(res.searched[k])
+    if math.isnan(value):
+        raise EmptySpherePreimage(
+            f"no point with |f(x)-f({t})| = {eps} found within radius "
+            f"{searched}: the sphere preimage looks empty there, so "
+            "the nonemptiness hypothesis behind delta(p, eps) fails",
+            searched_radius=searched)
+    if math.isnan(lower):
+        raise FloatResolutionLimit(
+            f"delta({t!r}, {eps!r}) is below the float64 resolution at p: "
+            f"a violator sits {value!r} away, and no float closer to p than "
+            "that, other than p itself, could be sampled clear")
+    return (value, t + float(res.witness_offset[k]), lower, value, bool(res.one_sided[k]),
+            {"achiever_h": float(res.root_h[k]), "searched_radius": searched,
+             "detect_rounds": int(res.detect_rounds[k]),
+             "enclosed_rounds": int(res.enclosed_rounds[k])})
 
 
 # ---------------------------------------------------------------------------
@@ -535,14 +556,31 @@ def epsilon_bound(f: FunctionSpec, dom: DomainSpec, samples: int = 4096) -> floa
 # Auto-routing front door
 # ---------------------------------------------------------------------------
 
-def compute_delta(f: FunctionSpec, dom: DomainSpec | None, p, eps: float,
-                  directions: int = 64) -> DeltaResult:
-    """Dispatch to the right backend for (f, dom): the line front end for
-    a 1-d or radial problem (see line_problem), ray_nd otherwise.
-    dom=None is f's natural domain (f.domain_hint()), as in the CLI."""
+def delta_field(f: FunctionSpec, dom: DomainSpec | None, ps, eps: float,
+                directions: int = 64) -> list:
+    """Per p of ps, compute_delta's DeltaResult or the DeltamaxError it
+    raises there.  A fault of the problem, a DimensionMismatch or an
+    InvalidArgument (bad eps or directions), raises once.  A line problem
+    runs one line_field call; a generic nD f, compute_delta per point."""
     if dom is None:
         dom = f.domain_hint()
     problem = line_problem(f, dom)
+    require_positive("eps", eps)
     if problem is None:
+        return [_attempt(compute_delta, f, dom, p, eps, directions) for p in ps]
+    return _line_rows(problem, dom, ps, eps)
+
+
+def compute_delta(f: FunctionSpec, dom: DomainSpec | None, p, eps: float,
+                  directions: int = 64) -> DeltaResult:
+    """delta(p, eps) by ray_nd for a generic nD f, else as delta_field's
+    batch of one (a 1-d or radial problem), raising its row's error.
+    dom=None is f's natural domain (f.domain_hint()), as in the CLI."""
+    if dom is None:
+        dom = f.domain_hint()
+    if line_problem(f, dom) is None:
         return delta_ray_nd(f, dom, p, eps, directions)
-    return _line_delta(problem, dom, p, eps)
+    (row,) = delta_field(f, dom, [p], eps)
+    if isinstance(row, DeltamaxError):
+        raise row
+    return row

@@ -17,10 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .delta import compute_delta, epsilon_bound, line_bounds, line_problem
+from .delta import DeltaResult, delta_field, epsilon_bound, line_bounds, line_problem
 from .errors import (
-    DeltamaxError,
-    DimensionMismatch,
     FloatResolutionLimit,
     InvalidArgument,
     NonFinite,
@@ -229,8 +227,8 @@ def _stage_field(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
     minimum mode: a point whose delta cannot be the stage minimum is not
     refined and reads +inf, in its value and its witness row, so only the
     minimum, its point and witness and the NaN count are the full field's.
-    A generic nD f runs compute_delta at each row of a capped lattice over
-    the window.
+    A generic nD f runs one delta_field call over the rows of a capped
+    lattice over the window; a row whose delta raised reads NaN.
     """
     require_positive("eps", eps)
     problem = line_problem(f, dom)
@@ -253,14 +251,9 @@ def _stage_field(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
     grid = lattice([np.linspace(a, b, per_axis) for a, b in zip(lo_arr, hi_arr)])
     pts = grid[dom.contains_rows(grid)]
     values, wits = np.full(len(pts), np.nan), np.full(pts.shape, np.nan)
-    for i, row in enumerate(pts):
-        try:
-            r = compute_delta(f, dom, row, eps, directions=16)
-        except DimensionMismatch:
-            raise  # a fault of the problem, not of this point
-        except DeltamaxError:
-            continue
-        values[i], wits[i] = r.value, r.witness.coords
+    for i, r in enumerate(delta_field(f, dom, pts, eps, directions=16)):
+        if isinstance(r, DeltaResult):
+            values[i], wits[i] = r.value, r.witness.coords
     return pts, values, wits
 
 

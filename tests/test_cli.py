@@ -203,6 +203,28 @@ p,eps,delta,lower,upper,backend,error
 0.5,0.5,0.19673467014405083,0.19673443172432381,0.19673467014405083,radial,
 1,0.5,0.39346934028754155,0.39346886344923548,0.39346934028754155,radial,
 """),
+    # Row errors of scan's other kinds: a NaN f(p) (NonFinite), an f(p)
+    # of -inf (FloatResolutionLimit) and, at the second eps of a grid, an
+    # empty sphere preimage.
+    ("scan", "--fn", "ln(x)", "--p-min", "-2", "--p-max", "2", "--p-count", "5",
+     "--eps", "0.5"): (cli.EXIT_OK, """\
+p,eps,delta,lower,upper,backend,error
+-2,0.5,nan,nan,nan,,f(-2.0) = nan
+-1,0.5,nan,nan,nan,,f(-1.0) = nan
+0,0.5,nan,nan,nan,,f(0.0) = -inf is beyond the float64 range; so delta(p; eps) cannot be resolved at this point
+1,0.5,0.39346934028754155,0.39346886344923548,0.39346934028754155,levelset1d,
+2,0.5,0.78693868057570837,0.78693772689909602,0.78693868057570837,levelset1d,
+"""),
+    ("scan", "--fn", "x", "--domain", "interval:0:1", "--p-min", "0", "--p-max", "1",
+     "--p-count", "3", "--eps-grid", "0.5,5"): (cli.EXIT_OK, """\
+p,eps,delta,lower,upper,backend,error
+0,0.5,0.5,0.4999997615805114,0.5,levelset1d,
+0.5,0.5,0.5,0.49999999999999301,0.5,levelset1d,
+1,0.5,0.50000000000017408,0.49999952316210639,0.50000000000017408,levelset1d,
+0,5,nan,nan,nan,,no point with |f(x)-f(0.0)| = 5.0 found within radius 1.0: the sphere preimage looks empty there; so the nonemptiness hypothesis behind delta(p; eps) fails
+0.5,5,nan,nan,nan,,no point with |f(x)-f(0.5)| = 5.0 found within radius 0.5: the sphere preimage looks empty there; so the nonemptiness hypothesis behind delta(p; eps) fails
+1,5,nan,nan,nan,,no point with |f(x)-f(1.0)| = 5.0 found within radius 1.0: the sphere preimage looks empty there; so the nonemptiness hypothesis behind delta(p; eps) fails
+"""),
     ("catalog",): (cli.EXIT_OK, """\
 square|x^2|interval:-inf:inf
 identity|x|interval:-inf:inf

@@ -14,6 +14,7 @@ import deltamax as dm
 import deltamax.delta as delta_mod
 from deltamax.delta import (
     compute_delta,
+    delta_field,
     delta_ray_nd,
     direction_set,
     epsilon_bound,
@@ -607,6 +608,128 @@ class TestComputeDeltaRouting:
         assert res.backend == "ray_nd"
 
 
+def _bits(x):
+    """x with every float as its hex text, so that == compares bits
+    (a Point or a DeltaResult goes through dataclasses.asdict first)."""
+    if dataclasses.is_dataclass(x):
+        x = dataclasses.asdict(x)
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (tuple, list)):
+        return tuple(_bits(v) for v in x)
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    return x
+
+
+def _outcome(call):
+    """call()'s result, or the DeltamaxError it raised."""
+    try:
+        return call()
+    except DeltamaxError as exc:
+        return exc
+
+
+def _row_bits(row):
+    """A delta_field row, or a compute_delta outcome, compared bit for
+    bit: a result field by field, an error by type, text and radius."""
+    if isinstance(row, DeltamaxError):
+        return type(row), str(row), _bits(getattr(row, "searched_radius", None))
+    return _bits(row)
+
+
+def _raised(row):
+    """A delta_field row, raised when it is an error."""
+    if isinstance(row, DeltamaxError):
+        raise row
+    return row
+
+
+class TestDeltaField:
+    """delta_field(f, dom, ps, eps) is compute_delta at every p of ps, bit
+    for bit, with each failed point's error in its row."""
+
+    BOX = DomainSpec.box((-2.0, -2.0), (2.0, 2.0))
+    CASES = {
+        "monotone": (cube(), REALS, [-2.0, -0.5, 0.0, 1.0, 2.0], 0.5),
+        # one-sided near the left end; -1 is outside exp's (0, inf)
+        "monotone_one_sided": (exp_half(), None, [0.1, -1.0, 2.0], 0.5),
+        "monotone_empty": (Monotone1DFn(fn=lambda x: x, interval=(0.0, 1.0), increasing=True),
+                           None, [0.25, 2.0, 0.5], 5.0),
+        "monotone_resolution": (cube(), REALS, [1.0, 1e8, 2.0], 1e-9),
+        # 1e16 has no float clear of p; square(1e200) overflows
+        "levelset1d": (ExpressionFn.parse("x^2"), REALS,
+                       [-3.0, -1.0, 1e16, 0.0, 1e200, 0.5, math.nan, 3.0], 0.5),
+        "levelset1d_strict_fp": (ExpressionFn.parse("ln(x)"), None,
+                                 [-2.0, -1.0, 0.0, 1.0, 2.0], 0.5),
+        "levelset1d_empty": (ExpressionFn.parse("x"), DomainSpec.interval(0.0, 1.0),
+                             [0.0, 0.5, 1.0, 1.5], 5.0),
+        "levelset1d_open_end": (ExpressionFn.parse("sin(1/x)"),
+                                DomainSpec.interval(0.0, 1.0, open_lo=True),
+                                [0.0, 0.001, 0.3, 1.0], 0.5),
+        "radial": (dm.catalog_lookup("log_norm").function, None,
+                   [Point.of(0.0, 0.0), (0.5, 0.0), (1.0, 1.0), (0.3, -0.4)], 0.5),
+        "radial_origin": (dm.catalog_lookup("exp_norm").function, None,
+                          [(0.0, 0.0), (0.6, 0.8), (-1.0, 2.0)], 0.5),
+        "radial_monotone": (dm.RadialFn(inner=exp_half(), dim=2),
+                            DomainSpec.ball((0.0, 0.0), 5.0),
+                            [(1.0, 0.0), (0.0, 0.0), (4.0, 4.0)], 0.5),
+        "ray_nd": (ExpressionFn.parse("x1*x2"), BOX, [(1.0, 1.0), (3.0, 0.0), (0.5, -0.5)], 0.5),
+        "ray_nd_empty": (ExpressionFn.parse("x1+x2"), DomainSpec.box((-1.0, -1.0), (1.0, 1.0)),
+                         [(0.0, 0.0), (0.5, 0.5)], 10.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_equal_compute_delta(self, case):
+        f, dom, ps, eps = self.CASES[case]
+        rows = delta_field(f, dom, ps, eps, directions=16)
+        assert len(rows) == len(ps)
+        for p, row in zip(ps, rows):
+            want = _outcome(lambda: compute_delta(f, dom, p, eps, directions=16))
+            assert _row_bits(row) == _row_bits(want), p
+
+    def test_every_backend_and_row_failure_is_covered(self):
+        seen = set()
+        for f, dom, ps, eps in self.CASES.values():
+            for row in delta_field(f, dom, ps, eps, directions=16):
+                seen.add(type(row).__name__ if isinstance(row, DeltamaxError)
+                         else row.diagnostics.get("inner_backend", row.backend))
+        assert seen >= {"monotone", "levelset1d", "ray_nd", "DomainViolation", "NonFinite",
+                        "FloatResolutionLimit", "EmptySpherePreimage"}
+        assert "radial" in {r.backend for r in delta_field(*self.CASES["radial"])
+                            if not isinstance(r, DeltamaxError)}
+
+    def test_many_chunks_in_one_line_field_call(self, monkeypatch):
+        # 2,090 rows reach the line engine, more than one 2,048-point
+        # chunk; rows outside the domain and NaN points fail in between.
+        ps = np.linspace(-10.0, 10.0, 2200)
+        ps[::150] = math.nan
+        f, dom = ExpressionFn.parse("x^2"), DomainSpec.interval(-9.5, 9.5)
+        calls = []
+
+        def counted(f_arr, ts, *args, **kwargs):
+            calls.append(ts.size)
+            return line_field(f_arr, ts, *args, **kwargs)
+
+        monkeypatch.setattr(delta_mod, "line_field", counted)
+        rows = delta_field(f, dom, ps, 0.5)
+        assert calls == [sum(isinstance(r, dm.DeltaResult) for r in rows)]
+        assert calls[0] > 2048
+        monkeypatch.undo()
+        for p, row in zip(ps, rows):
+            assert _row_bits(row) == _row_bits(_outcome(lambda: compute_delta(f, dom, p, 0.5)))
+
+    def test_no_points(self):
+        assert delta_field(ExpressionFn.parse("x^2"), REALS, [], 0.5) == []
+        assert delta_field(ExpressionFn.parse("x1*x2"), self.BOX, [], 0.5) == []
+
+    def test_bad_directions_raise_once(self):
+        # A fault of the problem is not written into every row.
+        with pytest.raises(InvalidArgument, match="at least one direction"):
+            delta_field(ExpressionFn.parse("x1*x2"), self.BOX,
+                        [(1.0, 1.0), (0.5, 0.5), (3.0, 0.0)], 0.5, directions=0)
+
+
 class TestMonotoneBracket:
     """The monotone bounds are the bisection brackets of the inverse
     images, so they hold the exact delta, not a padded value."""
@@ -688,7 +811,7 @@ class TestPointDimension:
         "compute_delta", "compute_delta_natural", "ray_nd_3d", "ray_nd_1d", "levelset1d",
         "monotone", "radial", "grid_delta_bounds", "is_delta_epsilon_number", "eval_fn",
         "eval_fn_on_dom", "f_wider_than_domain", "radial_dim_off_domain", "nd_stage",
-        "epsilon_bound", "monotone_on_box",
+        "epsilon_bound", "monotone_on_box", "delta_field", "delta_field_line",
     ])
     def test_wrong_dimension_everywhere(self, entry):
         # model.point_in is the one gate: a point of the wrong dimension is
@@ -701,6 +824,9 @@ class TestPointDimension:
         call = {
             "compute_delta": lambda: compute_delta(f, box, p3, 0.5),
             "compute_delta_natural": lambda: compute_delta(f, None, p3, 0.5),
+            "delta_field": lambda: delta_field(f, box, [Point.of(1.0, 1.0), p3], 0.5),
+            "delta_field_line": lambda: delta_field(ExpressionFn.parse("x^2"), REALS,
+                                                    [1.0, p2], 0.5),
             "ray_nd_3d": lambda: delta_ray_nd(f, box, p3, 0.5),
             "ray_nd_1d": lambda: delta_ray_nd(f, box, 0.5, 0.5),
             "levelset1d": lambda: compute_delta(ExpressionFn.parse("x^2"), REALS, p2, 0.5),
@@ -729,8 +855,11 @@ class TestInvalidArgument:
     is still a ValueError."""
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
-    @pytest.mark.parametrize("case", ["monotone", "levelset1d", "radial", "ray_nd"])
+    @pytest.mark.parametrize("case", ["monotone", "levelset1d", "radial", "ray_nd",
+                                      "delta_field/monotone", "delta_field/levelset1d",
+                                      "delta_field/radial", "delta_field/ray_nd"])
     def test_eps(self, case, eps):
+        entry, _, case = case.rpartition("/")
         f, dom, p = {
             "monotone": (cube(), REALS, 1.0),
             "levelset1d": (ExpressionFn.parse("x^2"), REALS, 1.0),
@@ -739,7 +868,10 @@ class TestInvalidArgument:
                        DomainSpec.box((-5.0, -5.0), (5.0, 5.0)), Point.of(0.0, 0.0)),
         }[case]
         with pytest.raises(InvalidArgument):
-            compute_delta(f, dom, p, eps)
+            if entry:
+                delta_field(f, dom, [p, p], eps)
+            else:
+                compute_delta(f, dom, p, eps)
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("entry", [
@@ -788,6 +920,7 @@ class TestStrictFp:
 
     ENTRY_POINTS = {
         "compute_delta": lambda f, p: compute_delta(f, REALS, p, 1.0),
+        "delta_field": lambda f, p: _raised(delta_field(f, REALS, [p], 1.0)[0]),
         "is_delta_epsilon_number": lambda f, p: is_delta_epsilon_number(f, REALS, p, 1.0, 1.0),
         "grid_delta_bounds": lambda f, p: grid_delta_bounds(
             f, REALS, p, 1.0, GridSpec.around(p, 1e-3 * abs(p), 9)),
