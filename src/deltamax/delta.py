@@ -6,10 +6,11 @@ accepts, that distance is the largest delta satisfying the epsilon-delta
 continuity condition at p.  compute_delta routes (f, dom) by its
 hypotheses to one of four methods, whose name labels DeltaResult.backend:
 
-* monotone   -- closed two-sided formula for strictly monotone 1-d
-                functions, inverses by bracketed bisection;
-* levelset1d -- outward scan + bisection on |f(x)-f(p)| - eps for any
-                other 1-d function;
+* monotone   -- the paper's explicit formula for a strictly monotone 1-d
+                function: min over the inverse images of f(p) +/- eps;
+* levelset1d -- the same formula for any other 1-d function, on pieces
+                of the line that interval enclosures of f and f' prove
+                monotone (search.piece_field);
 * radial     -- reduction of f(x) = g(||x||) to the 1-d problem at
                 ||p||, exact on origin-centered balls/annuli, where
                 dist(p, {||x|| = t}) = | ||p|| - t |;
@@ -21,8 +22,15 @@ hypotheses to one of four methods, whose name labels DeltaResult.backend:
 delta_field is the batched entry, with a DeltaResult or the point's
 DeltamaxError per row; compute_delta is its batch of one.  The first
 three backends share its line path: line_problem reduces (f, dom) to a
-profile on an interval of the line, and one line_field call (or the
-monotone formula per point) runs every point that passes the point gates.
+profile on an interval of the line, and one piece_field call runs every
+point that passes the point gates.  The points it leaves (a profile
+without an enclosure of f', or one it cannot cut into few enough
+pieces) go through one call of the sampled line engine, line_field.
+
+Every result's diagnostics["lower_kind"] says what its bracket rests on:
+"proof" where enclosures of f proved both ends (piece_field on an
+expression profile), "samples" otherwise (line_field points, Monotone1DFn
+profiles, whose monotonicity is the user's claim, and ray_nd).
 """
 
 from __future__ import annotations
@@ -40,7 +48,6 @@ from .errors import (
     EmptySpherePreimage,
     FloatResolutionLimit,
     InvalidArgument,
-    NonFinite,
 )
 from .model import (
     DomainSpec,
@@ -56,37 +63,46 @@ from .model import (
     norm_of_rows,
     point_in,
     require_positive,
+    slope_enclosure,
     unwrap,
     value_at,
 )
 from .oracle import GridSpec, grid_delta_bounds
-from .search import R0, R_MAX, SCAN_POINTS, TOL_F, TOL_X, line_field, scan_side
+from .search import R_MAX, SCAN_POINTS, TOL_F, line_field, piece_field, scan_side
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeltaResult:
-    """A computed delta with its achiever and sampled-certified bounds.
+    """A computed delta with its achiever and certified bounds.
 
     The bracket promise is certified_lower <= delta(p, eps) <=
-    certified_upper, where the lower end rests on sampled clear points
-    (the grid oracle for ray_nd).  For a 1-d expression function the
-    detect windows are first tested by an interval enclosure of the
-    expression; where every window below the crossing window was proved
-    clear, the clear radius up to that window's start rests on a proof
-    rather than on samples.  The levelset1d and radial diagnostics count
-    the windows ("detect_rounds") and the proved ones
-    ("enclosed_rounds"), over both sides, and give the farthest window
-    end scanned ("searched_radius").  The ray_nd diagnostics give the
-    ray count ("directions"), the grid oracle's step ("oracle_step"),
-    the farthest window end over all rays ("searched_radius") and the
-    windows summed over rays ("detect_rounds").  The levelset1d,
-    radial and ray_nd backends report the violator end of the final
-    crossing bracket: `witness` is a sampled domain point with
-    |f(witness) - f(p)| >= eps and `value` is its distance from p, an
-    upper bound on delta.  diagnostics["achiever_h"] is
-    |f(witness) - f(p)| - eps >= 0 there.  The monotone backend's bounds
-    come from the final bisection bracket of each inverse image, rounded
-    outward by one ulp.  1-d and radial queries go through one line front
+    certified_upper, and diagnostics["lower_kind"] says what backs it:
+
+    * "proof" -- interval enclosures of f and of f(p), rounded outward,
+      proved every point closer to p than certified_lower clear and a
+      point certified_upper away (or nearer) a violator, on pieces where
+      an enclosure of f' proved f monotone.  Both ends hold for the
+      exact f; a radial result's are those of its profile at the float
+      ||p||.
+    * "samples" -- the same two ends, resting on a user's claim or on
+      samples.  For a Monotone1DFn they are proofs if the function is
+      monotone as claimed, from its values widened by 16 ulps.  Points
+      the piece walk leaves go through the sampled line engine: the lower
+      end is a clear radius less its grid step, which an enclosure
+      proved where a detect window was skipped, and the upper end is the
+      sampled violator.  ray_nd's lower end is the grid oracle's.
+
+    `witness` is a domain point with |f(witness) - f(p)| >= eps as
+    evaluated, the violator end of the final crossing bracket, and
+    `value` its distance from p; diagnostics["achiever_h"] is
+    |f(witness) - f(p)| - eps >= 0 there.  The line backends'
+    diagnostics count the windows tested ("detect_rounds") and the ones
+    proved clear ("enclosed_rounds"), over both sides, and give the
+    farthest window end reached ("searched_radius").  The ray_nd
+    diagnostics give the ray count ("directions"), the grid oracle's step
+    ("oracle_step"), the farthest window end over all rays
+    ("searched_radius") and the windows summed over rays
+    ("detect_rounds").  1-d and radial queries go through one line front
     end, so a radial result carries the same numbers as its 1-d profile
     at ||p||, with the witness lifted along the ray through p.
     """
@@ -171,12 +187,15 @@ def _line_rows(problem, dom: DomainSpec, ps, eps: float) -> list:
 
     The line coordinate t of p is p itself on a 1-d domain and ||p|| on
     a radial one.  The point gates are point_in, t on the clipped line
-    and a strict read of f(p).  A radial witness is lifted along the ray
-    through p (along the first axis when p is the origin).
+    and a strict read of f(p).  Every row that passes runs through one
+    piece_field call, the rows it does not settle through one line_field
+    call.  A radial witness is lifted along the ray through p (along the
+    first axis when p is the origin).
     """
     g, lo, hi, open_lo, open_hi = problem
     radial = dom.dimension > 1
-    backend = "monotone" if isinstance(g, Monotone1DFn) else "levelset1d"
+    claimed = isinstance(g, Monotone1DFn)  # one monotone piece, on the user's claim
+    backend = "monotone" if claimed else "levelset1d"
 
     def gate(p):
         pt = point_in(dom, p)
@@ -187,20 +206,33 @@ def _line_rows(problem, dom: DomainSpec, ps, eps: float) -> list:
 
     rows = [_attempt(gate, p) for p in ps]
     live = [i for i, row in enumerate(rows) if isinstance(row, tuple)]
-    ts = [rows[i][1] for i in live]
-    res = line_field(array_evaluator(g), np.asarray(ts), eps, lo, hi, open_lo, open_hi,
-                     f_enc=enclosure_evaluator(g)) if backend == "levelset1d" and ts else None
+    ts = np.asarray([rows[i][1] for i in live], dtype=float)
+    f_arr = array_evaluator(g)
+    f_enc, f_slope = ((_claimed_enclosure(g), None) if claimed
+                      else (enclosure_evaluator(g), slope_enclosure(g)))
+    piece = (piece_field(f_arr, f_enc, f_slope, ts, eps, lo, hi)
+             if claimed or f_slope is not None else None)
+    done = piece.done if piece is not None else np.zeros(ts.size, dtype=bool)
+    back = np.flatnonzero(~done)
+    if back.size:
+        fb = line_field(f_arr, ts[back], eps, lo, hi, open_lo, open_hi, f_enc=f_enc)
+        at_fb = np.cumsum(~done) - 1  # a row's index in fb
 
     def solve(k, pt, t, fp):
-        value, t_w, lower, upper, one_sided, diagnostics = (
-            _monotone_line(g, t, fp, eps) if backend == "monotone" else _field_row(res, k, t, eps))
+        if done[k]:
+            value, t_w, lower, upper, one_sided, diagnostics = _field_row(
+                piece, k, t, eps, piece.witness[k], piece.upper[k])
+        else:
+            j = at_fb[k]
+            value, t_w, lower, upper, one_sided, diagnostics = _field_row(
+                fb, j, t, eps, t + fb.witness_offset[j], fb.values[j])
+        diagnostics["lower_kind"] = "proof" if done[k] and not claimed else "samples"
         if radial and t != 0.0:
             witness = Point(tuple(c * (t_w / t) for c in pt.coords))
         else:
             witness = Point((t_w,) + (0.0,) * (pt.dim - 1))
         if radial:
-            diagnostics = {"detect_rounds": 0, "enclosed_rounds": 0, **diagnostics,
-                           "radius": t, "inner_backend": backend}
+            diagnostics.update(radius=t, inner_backend=backend)
         return DeltaResult(value=value, witness=witness, certified_lower=lower,
                            certified_upper=upper, backend="radial" if radial else backend,
                            one_sided=one_sided, diagnostics=diagnostics)
@@ -210,9 +242,10 @@ def _line_rows(problem, dom: DomainSpec, ps, eps: float) -> list:
     return rows
 
 
-def _field_row(res, k: int, t: float, eps: float):
+def _field_row(res, k: int, t: float, eps: float, witness: float, upper: float):
     """(value, witness, lower, upper, one_sided, diagnostics) of row k of
-    a line_field result, whose line coordinate is t."""
+    a piece_field or line_field result, whose line coordinate is t, given
+    the row's witness and upper end."""
     value, lower, searched = float(res.values[k]), float(res.lower[k]), float(res.searched[k])
     if math.isnan(value):
         raise EmptySpherePreimage(
@@ -224,131 +257,30 @@ def _field_row(res, k: int, t: float, eps: float):
         raise FloatResolutionLimit(
             f"delta({t!r}, {eps!r}) is below the float64 resolution at p: "
             f"a violator sits {value!r} away, and no float closer to p than "
-            "that, other than p itself, could be sampled clear")
-    return (value, t + float(res.witness_offset[k]), lower, value, bool(res.one_sided[k]),
+            "that, other than p itself, could be shown clear")
+    return (value, float(witness), lower, float(upper), bool(res.one_sided[k]),
             {"achiever_h": float(res.root_h[k]), "searched_radius": searched,
              "detect_rounds": int(res.detect_rounds[k]),
              "enclosed_rounds": int(res.enclosed_rounds[k])})
 
 
-# ---------------------------------------------------------------------------
-# Monotone backend
-# ---------------------------------------------------------------------------
+_LOW_PAD, _HIGH_PAD = 1.0 - 16.0 * 2.0 ** -52, 1.0 + 16.0 * 2.0 ** -52
 
-def _invert(g: Monotone1DFn, y: float, start: float) -> tuple[float, float, float] | float:
-    """x in g's interval with |g(x) - y| <= TOL_F, by bracketed bisection,
-    and the final bisection bracket [lo, hi], which holds the preimage.
 
-    When y is not attained, returns instead the distance from start
-    searched in vain: inf when y is provably outside the range (a finite
-    endpoint maps past y), or how far doubling expansion got before
-    hitting R_MAX with no sign change.
-    """
-    a, b = g.interval
+def _claimed_enclosure(g: Monotone1DFn):
+    """(lo, hi) -> the hull of g at the two ends, widened by 16 ulps: an
+    enclosure of g over [lo, hi] only because g is monotone, which rests
+    on the user's claim (Monotone1DFn samples it, it does not prove it)."""
     g_arr = array_evaluator(g)
-    sgn = 1.0 if g.increasing else -1.0
 
-    def sigma(x: float) -> float:
-        # An infinite g(x) is a valid far end of a bracket; NaN is not.
-        v = float(g_arr(np.asarray([x]))[0])
-        if math.isnan(v):
-            raise NonFinite(f"g({x!r}) is undefined")
-        return sgn * (v - y)
+    def run(lo, hi):
+        v = g_arr(np.concatenate((np.ravel(lo), np.ravel(hi)))).reshape((2,) + np.shape(lo))
+        a, b = np.fmin(v[0], v[1]), np.fmax(v[0], v[1])
+        # Outward by 16 ulps relative (and 1e-300), which keeps +/-inf.
+        return (np.minimum(a * _LOW_PAD, a * _HIGH_PAD) - 1e-300,
+                np.maximum(b * _LOW_PAD, b * _HIGH_PAD) + 1e-300)
 
-    # Establish lo with sigma <= 0 and hi with sigma >= 0.
-    start = min(max(start, a), b)
-    lo = hi = None
-    if math.isfinite(a):
-        if sigma(a) > 0:
-            return math.inf
-        lo = a
-    if math.isfinite(b):
-        if sigma(b) < 0:
-            return math.inf
-        hi = b
-    if lo is None or hi is None:
-        s0 = sigma(start)
-        if s0 == 0:
-            return start, start, start
-        if s0 < 0:
-            lo = start
-        else:
-            hi = start
-        if lo is None or hi is None:
-            want_hi = hi is None
-            radius = R0
-            searched = 0.0
-            while radius <= R_MAX:
-                probe = min(max(start + radius if want_hi else start - radius, a), b)
-                sp = sigma(probe)
-                if want_hi and sp >= 0:
-                    hi = probe
-                    break
-                if not want_hi and sp <= 0:
-                    lo = probe
-                    break
-                searched = abs(probe - start)
-                radius *= 2.0
-            else:
-                return searched
-
-    # Bisect; keep the probe with the smallest |g - y|.
-    best_x, best_s = lo, abs(sigma(lo))
-    s_hi = abs(sigma(hi))
-    if s_hi < best_s:
-        best_x, best_s = hi, s_hi
-    for _ in range(200):
-        width = hi - lo
-        scale = max(1.0, abs(lo), abs(hi))
-        if width <= TOL_X * scale and (
-                best_s <= TOL_F or width <= 4 * math.ulp(scale)):
-            break
-        mid = 0.5 * (lo + hi)
-        sm = sigma(mid)
-        if abs(sm) < best_s:
-            best_x, best_s = mid, abs(sm)
-        if sm >= 0:
-            hi = mid
-        else:
-            lo = mid
-    return best_x, lo, hi
-
-
-def _monotone_line(g: Monotone1DFn, t: float, gp: float, eps: float):
-    """(value, witness, lower, upper, one_sided, diagnostics) at t, where
-    g(t) = gp, by the closed two-sided formula: min over the inverse
-    images of gp +/- eps, one-sided when exactly one of them is attained.
-
-    Each inverse image lies in its final bisection bracket, so delta lies
-    between the distance from t to the nearest bracket (or to where an
-    unattained side gave up) and the smallest distance to the farther end
-    of a bracket, each rounded outward by one ulp.
-    """
-    a, b = g.interval
-    sides = []          # (distance, crossing, nearest, farthest bracket end)
-    reach = math.inf    # no crossing of an unattained side lies closer
-    for target in (gp - eps, gp + eps):
-        found = _invert(g, target, t)
-        if isinstance(found, float):  # target not attained
-            reach = min(reach, found)
-            continue
-        x, lo, hi = found
-        sides.append((abs(x - t), x, max(lo - t, t - hi, 0.0), max(hi - t, t - lo)))
-    if not sides:
-        raise EmptySpherePreimage(
-            f"neither g(p)+eps nor g(p)-eps is attained on [{a}, {b}]: the "
-            f"sphere preimage is empty (eps={eps} exceeds the reachable "
-            "variation), so no greatest delta exists at this point",
-            searched_radius=min(R_MAX, max(b - t, t - a)))
-    # Min distance wins; on a tie the left crossing is the witness.
-    value, x = min(sides)[:2]
-    lower = min(math.nextafter(min(reach, *(s[2] for s in sides)), 0.0), value)
-    upper = max(math.nextafter(min(s[3] for s in sides), math.inf), value)
-    if not lower > 0.0:
-        raise FloatResolutionLimit(
-            f"delta({t!r}, {eps!r}) is below the float64 resolution at p: the "
-            f"bisection bracket of a crossing {value!r} away reaches p")
-    return value, x, lower, upper, len(sides) == 1, {"g_p": gp}
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +418,7 @@ def delta_ray_nd(f: FunctionSpec, dom: DomainSpec, p, eps: float,
         diagnostics={"directions": n, "oracle_step": h,
                      "achiever_h": float(side.root_h[best]),
                      "searched_radius": float(np.max(side.searched)),
-                     "detect_rounds": int(np.sum(side.rounds))},
+                     "detect_rounds": int(np.sum(side.rounds)), "lower_kind": "samples"},
     )
 
 
@@ -561,7 +493,8 @@ def delta_field(f: FunctionSpec, dom: DomainSpec | None, ps, eps: float,
     """Per p of ps, compute_delta's DeltaResult or the DeltamaxError it
     raises there.  A fault of the problem, a DimensionMismatch or an
     InvalidArgument (bad eps or directions), raises once.  A line problem
-    runs one line_field call; a generic nD f, compute_delta per point."""
+    runs one piece_field call (and one line_field call for the points it
+    leaves); a generic nD f, compute_delta per point."""
     if dom is None:
         dom = f.domain_hint()
     problem = line_problem(f, dom)

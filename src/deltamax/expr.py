@@ -441,6 +441,89 @@ def _enclose(a: Ast, env):
     raise AssertionError(f"bad node {a!r}")
 
 
+# ---------------------------------------------------------------------------
+# Symbolic derivative
+# ---------------------------------------------------------------------------
+
+_ZERO, _ONE = Const(0.0), Const(1.0)
+
+
+def _add(a: Ast, b: Ast) -> Ast:
+    if a == _ZERO:
+        return b
+    return a if b == _ZERO else Binary("+", a, b)
+
+
+def _sub(a: Ast, b: Ast) -> Ast:
+    if b == _ZERO:
+        return a
+    return _neg(b) if a == _ZERO else Binary("-", a, b)
+
+
+def _neg(a: Ast) -> Ast:
+    return Const(-a.value) if isinstance(a, Const) else Unary("neg", a)
+
+
+def _mul(a: Ast, b: Ast) -> Ast:
+    if _ZERO in (a, b):
+        return _ZERO
+    if a == _ONE:
+        return b
+    return a if b == _ONE else Binary("*", a, b)
+
+
+def derivative(a: Ast, var: str) -> Ast | None:
+    """d a / d var by forward symbolic differentiation, or None where a
+    uses abs, min, max or pow, or a power whose exponent is not a
+    constant.  Zero and one factors and terms are folded away; its
+    interval extension is enclose_ast_array of the result."""
+    if isinstance(a, Const):
+        return _ZERO
+    if isinstance(a, Var):
+        return _ONE if a.name == var else _ZERO
+    if isinstance(a, Unary):
+        d = derivative(a.child, var)
+        return None if d is None else _neg(d)
+    if isinstance(a, Binary):
+        if a.op == "^":
+            if not isinstance(a.right, Const):
+                return None
+            d, n = derivative(a.left, var), a.right.value
+            if d is None:
+                return None
+            power = _ONE if n == 1.0 else a.left if n == 2.0 else Binary("^", a.left, Const(n - 1.0))
+            return _mul(_mul(Const(n), power), d)
+        da, db = derivative(a.left, var), derivative(a.right, var)
+        if da is None or db is None:
+            return None
+        if a.op == "+":
+            return _add(da, db)
+        if a.op == "-":
+            return _sub(da, db)
+        if a.op == "*":
+            return _add(_mul(da, a.right), _mul(a.left, db))
+        if a.op == "/":
+            if db == _ZERO:
+                return _ZERO if da == _ZERO else Binary("/", da, a.right)
+            return Binary("/", _sub(_mul(da, a.right), _mul(a.left, db)),
+                          Binary("^", a.right, Const(2.0)))
+        raise AssertionError(f"bad operator {a.op!r}")
+    if isinstance(a, Call):
+        if a.fn not in ("sin", "cos", "exp", "ln", "sqrt"):
+            return None
+        (u,) = a.args
+        du = derivative(u, var)
+        if du is None or du == _ZERO:
+            return du
+        outer = {"sin": lambda: Call("cos", (u,)),
+                 "cos": lambda: _neg(Call("sin", (u,))),
+                 "exp": lambda: a,
+                 "ln": lambda: Binary("/", _ONE, u),
+                 "sqrt": lambda: Binary("/", Const(0.5), a)}[a.fn]()
+        return _mul(outer, du)
+    raise AssertionError(f"bad node {a!r}")
+
+
 def free_vars(a: Ast) -> set[str]:
     """Exact set of variable names appearing in the tree."""
     if isinstance(a, Var):

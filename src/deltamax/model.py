@@ -37,7 +37,7 @@ INF = math.inf
 # Points and norms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """An immutable point of R^n (n >= 1, all coordinates finite)."""
 
@@ -570,7 +570,24 @@ def enclosure_evaluator(f: FunctionSpec) -> IntervalFn | None:
     g = unwrap(f)
     if not isinstance(g, ExpressionFn) or g.dimension != 1:
         return None
-    ast = g.ast
+    return _interval_fn(g.ast)
+
+
+def slope_enclosure(f: FunctionSpec) -> IntervalFn | None:
+    """Interval extension of f' for a 1-d expression function
+    (expr.derivative, enclosed as enclosure_evaluator encloses f), or
+    None: no enclosure of f, or abs, min, max or pow in the expression."""
+    g = unwrap(f)
+    if enclosure_evaluator(g) is None:
+        return None
+    var = next(iter(expr_mod.free_vars(g.ast)), "x")
+    d = expr_mod.derivative(g.ast, var)
+    return None if d is None else _interval_fn(d)
+
+
+def _interval_fn(ast: expr_mod.Ast) -> IntervalFn:
+    """(lo, hi) -> enclose_ast_array of ast, its one variable (x, r or x1)
+    over [lo, hi]."""
 
     def run(lo, hi):
         iv = (lo, hi)

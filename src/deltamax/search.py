@@ -62,6 +62,29 @@ on samples.  Skipping changes no result: the enclosure also bounds every
 float sample, so a skipped window is booked exactly as its samples would
 have been.
 
+piece_field is the proved engine of 1-d and radial delta queries: the
+paper's explicit formula, the nearest solution of |f(x) - f(p)| = eps,
+read off pieces of the line on which f is proved monotone (interval
+analysis: Moore 1966; Hansen & Walster 2004).  Each side of each point
+walks out from p in rounds.  A round tests _RUNGS windows of doubling
+width, the first r0 = eps / (2 |f'(p)|) wide, by one enclosure of f over
+the windows and their ends and one of f' over the windows.  A window
+passes when the enclosure of f proves it clear (|f - f(p)| < eps for
+every f(p) in f(p)'s enclosure), or when f' proves f monotone on it and
+its end is proved clear.  The frontier moves to the first window that
+does not pass: if f is monotone there and its end proved a violator, that
+window holds the side's one nearest crossing; otherwise it is split, the
+next round starting with windows 1/16 as wide.  The crossing is then
+inverted by k-section, one evaluator call per round for every bracket,
+and the ends of the final bracket are proved by enclosures of f(x) and of
+f(p): the nearest point inward proved clear and outward proved a
+violator.  Both ends of delta's bracket are then proofs.  A point whose
+side splits more than _MAX_SPLITS windows (sin(1/x) near 0, a crossing
+at the domain's very end, a hole in f's natural domain) is left to
+line_field, as are functions with no enclosure of f' (abs, min, max,
+pow).  A caller that claims f monotone passes no f' enclosure: every
+window is then monotone, and the bracket rests on that claim.
+
 Conventions: an evaluator maps (cols, ts) -> (f, valid) where ts has one
 row per probe offset and one column per selected base point.  Samples
 with valid=False (outside the domain) never form brackets; f = +/-inf is
@@ -96,9 +119,27 @@ _REFINE_POINTS = 256  # fine rescan inside each found bracket
 _FRAC_FINE = np.arange(1, _REFINE_POINTS + 1, dtype=float) / _REFINE_POINTS
 # Base points per line_field batch: one default uc stage (2,048 points),
 # whose 4,096 signed columns, all live, take 16-row blocks under the cap.
+# piece_field walks its points in batches of the same size.
 _CHUNK = 2048
 _BLOCK_SAMPLES = 2 ** 16  # most samples per evaluator call of a window or rescan
 _PROBE_ROWS = 16      # detect rows per window of a side cut at the minimum's bound
+# piece_field: windows tested per side and walk round, their ends in units
+# of the first width; the shrink of a window that failed, and the limits
+# past which a point falls back to line_field.
+_RUNGS = 16
+_RUNG_ENDS = 2.0 ** np.arange(1, _RUNGS + 1) - 1.0
+_SPLIT = 1.0 / 16.0
+_MAX_SPLITS = 16
+_WALK_ROUNDS = 64
+# k-section points per bracket and round: evenly spread, then at 0 and
+# +/-2**-j (j = 1..40) of the bracket width around the secant root.
+_KSECT_AROUND = np.concatenate(([-1.0], -(0.5 ** np.arange(1, 41)), [0.0],
+                                0.5 ** np.arange(40, 0, -1), [1.0]))
+_KSECT_EVEN = np.linspace(0.0, 1.0, _KSECT_AROUND.size)
+_KSECT_BLOCK = _BLOCK_SAMPLES // _KSECT_AROUND.size  # brackets per evaluator call
+_KSECT_ROUNDS = 40
+_PAIR = np.array([[-1], [0]])  # a crossing point's predecessor and itself
+_LADDER = 2.0 ** np.arange(48) - 1.0  # proof candidates, in final bracket widths
 
 
 @dataclass
@@ -683,9 +724,13 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
         values = np.where(use_neg, rn, rp)
         # A side without a crossing was cleared up to its searched radius
         # (or has no domain at all, which constrains nothing).
-        clear = np.minimum(np.where(has_p | (ext[:m] > 0), side_p.clear, np.inf),
-                           np.where(has_n | (ext[m:] > 0), side_n.clear, np.inf))
-        lower = np.minimum(clear - np.maximum(side_p.step, side_n.step), values)
+        live_p, live_n = has_p | (ext[:m] > 0), has_n | (ext[m:] > 0)
+        clear = np.minimum(np.where(live_p, side_p.clear, np.inf),
+                           np.where(live_n, side_n.clear, np.inf))
+        # Each side's clear radius less its own grid step.
+        lower = np.minimum(np.where(live_p, side_p.clear - side_p.step, np.inf),
+                           np.where(live_n, side_n.clear - side_n.step, np.inf))
+        lower = np.minimum(lower, values)
         tol_eff = TOL_X * np.maximum(1.0, pos_scale)
         bad = ~(lower > 0.0)
         lower[bad] = np.minimum(clear[bad], tol_eff[bad])
@@ -708,6 +753,229 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
     return FieldResult(**out)
 
 
+@dataclass
+class PieceResult:
+    """Per-point outcome of piece_field.  Where `done` is False the walk
+    gave up on the point, and its other entries mean nothing."""
+
+    done: np.ndarray
+    values: np.ndarray           # violator end; NaN where no side crosses
+    witness: np.ndarray          # its line coordinate
+    lower: np.ndarray            # proved lower bound; NaN where no float but p was proved clear
+    upper: np.ndarray            # proved upper bound
+    root_h: np.ndarray           # h >= 0 at the violator end, as evaluated
+    one_sided: np.ndarray
+    searched: np.ndarray         # farthest window end, both sides
+    detect_rounds: np.ndarray    # windows tested, both sides
+    enclosed_rounds: np.ndarray  # of which proved clear (0 without f_slope)
+
+
+def piece_field(f_arr, f_enc, f_slope, ps: np.ndarray, eps: float, dom_lo: float,
+                dom_hi: float) -> PieceResult:
+    """delta field of a scalar function along an interval domain, from
+    windows proved clear or proved monotone (see the module notes).
+
+    f_arr evaluates f; f_enc(lo, hi) encloses it over intervals and
+    f_slope(lo, hi) encloses f'.  f_slope None means that f is monotone
+    on the whole line, as the caller claims, and f_enc then only needs
+    to enclose f at the two ends of each interval.  `ps` must lie inside
+    [dom_lo, dom_hi].  A point whose sides the walk cannot settle within
+    _MAX_SPLITS window splits or _WALK_ROUNDS rounds is not done.  Points
+    are walked in chunks of _CHUNK, which bounds the arrays of a round.
+    """
+    ps = np.asarray(ps, dtype=float)
+    with np.errstate(all="ignore"):
+        parts = [_pieces(f_arr, f_enc, f_slope, ps[i:i + _CHUNK], eps, dom_lo, dom_hi)
+                 for i in range(0, max(ps.size, 1), _CHUNK)]
+    if len(parts) == 1:
+        return parts[0]
+    return PieceResult(**{name: np.concatenate([getattr(r, name) for r in parts])
+                          for name in PieceResult.__dataclass_fields__})
+
+
+def _pieces(f_arr, f_enc, f_slope, ps, eps, dom_lo, dom_hi) -> PieceResult:
+    """piece_field, with numpy's floating-point warnings off."""
+    n = ps.size
+    fp = np.asarray(f_arr(ps), dtype=float)
+    # One signed batch, as in line_field: column j < n is point j's +t
+    # side, column n + j its -t side.
+    p, s, fpc = _twice(ps), np.repeat((1.0, -1.0), n), _twice(fp)
+    fp_lo, fp_hi = (_twice(a) for a in _enclosed(f_enc, ps, ps))
+
+    def band(cols, lo, hi):
+        """(clear, violator) per interval [lo, hi] of f values beside
+        column cols: every value within eps of every f(p) of its
+        enclosure, or every one farther than eps.  A float difference
+        below (above) the float eps proves the exact one below (above)."""
+        a, b = fp_lo[cols, None], fp_hi[cols, None]
+        return np.maximum(hi - a, b - lo) < eps, np.maximum(lo - b, a - hi) > eps
+
+    far = np.repeat((dom_hi, dom_lo), n)
+    ext = s * (far - p)
+    x_end = np.where(ext <= R_MAX, far, p + s * R_MAX)  # far: the side ends at the domain's end
+    if f_slope is None:
+        r0 = _estimate_r0(f_arr, ps, fp, eps, ext[:n])
+    else:
+        d_lo, d_hi = _enclosed(f_slope, ps, ps)
+        r0 = _r0(ps, np.abs(0.5 * (d_lo + d_hi)), eps)
+
+    # The walk.  xa is each side's frontier: [p, xa] is proved clear.
+    xa, w, xb = p.copy(), _twice(r0), np.full(2 * n, np.nan)
+    count = np.zeros((3, 2 * n), dtype=int)  # windows tested, passed; splits
+    failed = ~np.isfinite(fp_hi - fp_lo)
+    walking = (ext > 0.0) & ~failed
+    for _ in range(_WALK_ROUNDS):
+        cols = np.flatnonzero(walking)
+        if not cols.size:
+            break
+        sc, ec = s[cols, None], x_end[cols, None]
+        ends = xa[cols, None] + sc * (w[cols, None] * _RUNG_ENDS)
+        ends = np.where(sc > 0.0, np.minimum(ends, ec), np.maximum(ends, ec))
+        starts = np.concatenate((xa[cols, None], ends[:, :-1]), axis=1)
+        lo, hi = np.minimum(starts, ends), np.maximum(starts, ends)
+        f_lo, f_hi = _enclosed(f_enc, np.concatenate((lo, ends), axis=1),
+                               np.concatenate((hi, ends), axis=1))
+        clear, hit = band(cols, f_lo, f_hi)
+        # A window passes if the enclosure proves it clear, or if f is
+        # monotone on it and clear at both ends (its start is the frontier).
+        if f_slope is None:
+            mono = np.ones(lo.shape, dtype=bool)
+        else:
+            # A finite enclosure of f proves f defined, and so continuous,
+            # on the window; one of f' that excludes 0, f monotone there.
+            d_lo, d_hi = _enclosed(f_slope, lo, hi)
+            mono = np.isfinite(f_hi[:, :_RUNGS] - f_lo[:, :_RUNGS]) & ((d_lo > 0.0) | (d_hi < 0.0))
+        passes = clear[:, :_RUNGS] | (mono & clear[:, _RUNGS:])
+        k = np.argmin(np.concatenate((passes, np.zeros((cols.size, 1), dtype=bool)), axis=1),
+                      axis=1)
+        rows, kk = np.arange(cols.size), np.minimum(k, _RUNGS - 1)
+        count[:2, cols] += [kk + 1, k]
+        at_k = ends[rows, kk]
+        xa[cols] = front = np.where(k < _RUNGS, starts[rows, kk], at_k)
+        at_end, grow = front == ec[:, 0], k == _RUNGS
+        cross = ~at_end & ~grow & mono[rows, kk] & hit[rows, _RUNGS + kk]
+        walking[cols[at_end | cross]] = False
+        xb[cols[cross]] = at_k[cross]
+        w[cols[grow]] *= 2.0 ** _RUNGS
+        split = ~at_end & ~grow & ~cross
+        if split.any():
+            sp = cols[split]
+            w[sp] = np.abs(at_k[split] - front[split]) * _SPLIT
+            count[2, sp] += 1
+            # A monotone window that ends at the side's end, with a finite
+            # enclosure there that eps falls inside, stays so however it
+            # is split.
+            tie = mono[rows, kk] & (at_k == ec[:, 0]) & np.isfinite(
+                f_hi[rows, _RUNGS + kk] - f_lo[rows, _RUNGS + kk])
+            gave_up = sp[(count[2, sp] > _MAX_SPLITS) | (w[sp] == 0.0) | tie[split]]
+            failed[gave_up] = True
+            walking[gave_up] = False
+    failed |= walking
+
+    # Each crossing window [xa, xb] is monotone, clear at xa and a
+    # violator at xb: k-section onto the crossing, then proofs of the ends.
+    bc = np.flatnonzero(~np.isnan(xb))
+    l, u, h_u = _ksection(f_arr, xa[bc], xb[bc], fpc[bc], eps,
+                          TOL_X * np.maximum(1.0, np.abs(p[bc])))
+    l_pr, u_pr = _proved_ends(f_enc, band, bc, s[bc], xa[bc], l, u, xb[bc])
+
+    # Per side: a crossing side's bracket; a side without one constrains
+    # nothing when it reached the domain's end, and bounds delta by how
+    # far it was proved clear when it stopped at R_MAX.
+    soft = np.flatnonzero(~failed & np.isnan(xb) & (ext > R_MAX))
+    m = bc.size
+    # |x - p| one float toward 0 (toward inf for the violators u_pr): past
+    # the exact distance, which lies within half a float of the rounded one.
+    ends = np.nextafter(np.abs(np.concatenate((l_pr, x_end[soft], u_pr))
+                               - np.concatenate((p[bc], p[soft], p[bc]))),
+                        np.repeat((0.0, np.inf), (m + soft.size, m)))
+    low = np.full(2 * n, np.inf)
+    low[bc], low[soft] = ends[:m], ends[m:m + soft.size]
+    side = np.full((5, 2 * n), np.nan)  # value, upper, witness, h; how far the side went
+    side[:4, bc] = np.abs(u - p[bc]), ends[m + soft.size:], u, h_u
+    side[4] = np.abs(np.where(np.isnan(xb), x_end, xb) - p)
+    has = ~np.isnan(side[0])
+    pick = np.arange(n) + n * (has[n:] & ~(side[0, :n] < side[0, n:]))
+    value, _, witness, root_h, _ = side[:, pick]
+    lower = np.minimum(low[:n], low[n:])
+    return PieceResult(
+        done=~(failed[:n] | failed[n:]), values=value, witness=witness,
+        lower=np.where(lower > 0.0, lower, np.nan), upper=np.fmin(side[1, :n], side[1, n:]),
+        root_h=root_h, one_sided=has[:n] ^ has[n:],
+        searched=np.fmax(side[4, :n], side[4, n:]),
+        detect_rounds=count[0, :n] + count[0, n:],
+        enclosed_rounds=(count[1, :n] + count[1, n:]) * (f_slope is not None))
+
+
+def _ksection(f_arr, l, u, fp, eps, tol):
+    """Brackets (l, u) of monotone windows, h(l) < 0 <= h(u), shrunk onto
+    the computed sign change of h = |f - fp| - eps; returns the final l, u
+    and h(u).
+
+    One evaluator call per round and block of brackets.  The first round
+    spreads its points evenly over each bracket; later ones put them at
+    0 and +/-2**-j of the width from the secant root, so the bracket
+    shrinks to about the secant's error, which falls quadratically.  Point
+    0 of a bracket is l, the last u.  A bracket stops once it is tol wide
+    and h(u) <= TOL_F, or 4 floats wide, or when the floats no longer
+    shrink it.
+    """
+    br = np.full((4, l.size), np.nan)  # rows l, u, h(l), h(u)
+    br[0], br[1] = l, u
+    live = np.arange(l.size)
+    for r in range(_KSECT_ROUNDS):
+        going = np.zeros(live.size, dtype=bool)
+        for start in range(0, live.size, _KSECT_BLOCK):
+            b = live[start:start + _KSECT_BLOCK]
+            lb, ub, hl, hu = br[:, b]
+            frac = _KSECT_EVEN if r == 0 else np.clip(
+                np.fmin(np.fmax(hl / (hl - hu), 0.0), 1.0)[:, None] + _KSECT_AROUND, 0.0, 1.0)
+            pts = lb[:, None] + (ub - lb)[:, None] * frac
+            pts[:, -1] = ub
+            h = np.abs(np.asarray(f_arr(pts.ravel()), dtype=float).reshape(pts.shape)
+                       - fp[b, None]) - eps
+            ge = h >= 0.0
+            ge[:, 0], ge[:, -1] = False, True
+            at, i = np.arange(b.size), ge.argmax(axis=1) + _PAIR
+            new = np.concatenate((pts[at, i], h[at, i]))  # the rows of br
+            width = np.abs(new[1] - new[0])
+            going[start:start + b.size] = (new[0] != lb) | (new[1] != ub)
+            going[start:start + b.size] &= (width > tol[b]) | (
+                (new[3] > TOL_F) & (width > 4.0 * np.spacing(np.abs(new[1]))))
+            br[:, b] = new
+        live = live[going]
+        if not live.size:
+            break
+    return br[0], br[1], br[3]
+
+
+def _proved_ends(f_enc, band, cols, sign, xa, l, u, xb):
+    """Proved ends of the brackets (l, u) inside monotone windows (xa, xb)
+    of columns cols, on the side `sign` of p: the nearest candidate
+    outward from u proved a violator, and the nearest inward from l proved
+    clear (the window being monotone, every point between xa and it is
+    then clear too), stepping by the bracket's width times 0, 1, 3, 7, ...
+    xb and xa, proved already, where no candidate between them is.
+    band(cols, lo, hi) is piece_field's test of f enclosures."""
+    steps = (u - l)[:, None] * _LADDER
+    cand = np.concatenate((u[:, None] + steps, l[:, None] - steps), axis=1)
+    ok, hit = band(cols, *_enclosed(f_enc, cand, cand))
+    hit, ok = hit[:, :_LADDER.size], ok[:, _LADDER.size:]
+    at = np.arange(cols.size)
+    u_pr = np.where(hit.any(axis=1), cand[at, hit.argmax(axis=1)], xb)
+    l_pr = np.where(ok.any(axis=1), cand[at, _LADDER.size + ok.argmax(axis=1)], xa)
+    return (np.where(sign * (l_pr - xa) < 0.0, xa, l_pr),   # short of xa
+            np.where(sign * (u_pr - xb) > 0.0, xb, u_pr))   # past xb
+
+
+def _enclosed(enc, lo, hi):
+    """enc(lo, hi), each end shaped as lo (a constant f gives scalars)."""
+    a, b = enc(lo, hi)
+    if np.shape(a) != np.shape(lo):
+        a, b = np.full(np.shape(lo), a), np.full(np.shape(lo), b)
+    return a, b
+
+
 def _twice(a: np.ndarray) -> np.ndarray:
     """a for the +t half of a signed batch and again for its -t half."""
     return np.concatenate((a, a))
@@ -721,12 +989,18 @@ def _pad(t: float) -> float:
 
 
 def _estimate_r0(f_arr, ps, fp, eps, ext_pos) -> np.ndarray:
-    """Initial window radius ~ eps / |f'|, clamped to sane bounds."""
+    """Initial window radius ~ eps / |f'|, by a difference quotient."""
     s = 1e-6 * np.maximum(1.0, np.abs(ps))
     s = np.where(ext_pos >= s, s, -s)  # probe into the domain
     with np.errstate(all="ignore"):
         fs = np.asarray(f_arr(ps + s), dtype=float)
-        slope = np.abs((fs - fp) / s)
-        est = np.where((slope > 0) & np.isfinite(slope), 0.5 * eps / slope, R0)
+        return _r0(ps, np.abs((fs - fp) / s), eps)
+
+
+def _r0(ps, slope, eps) -> np.ndarray:
+    """Initial window radius 0.5 eps / slope, clamped to sane bounds (R0
+    where the slope is 0 or not finite).  The caller turns off numpy's
+    warnings."""
+    est = np.where((slope > 0) & np.isfinite(slope), 0.5 * eps / slope, R0)
     est = np.where(np.isfinite(est), est, R0)
     return np.clip(est, 1e3 * TOL_X * np.maximum(1.0, np.abs(ps)), R_MAX)

@@ -166,12 +166,12 @@ class TestDeltaStats:
 
 GOLDEN = {
     ("certify", "--fn", "square", "--p", "3", "--eps", "1"): """\
-value 0.16227766017005546
+value 0.16227766016837952
 backend levelset1d
-oracle_lower 0.16196071161503542
-oracle_upper 0.16227766017005507
-oracle_step 0.00031694855501963957
-grid_slack 0.00031694855501963957
+oracle_lower 0.16196071161336315
+oracle_upper 0.16227766016837952
+oracle_step 0.00031694855501636626
+grid_slack 0.00031694855501636626
 sandwich_ok true
 """,
 }
@@ -183,25 +183,26 @@ def test_golden(capsys, argv):
 
 
 # Byte goldens of the paths no other test runs: scan's rows (the p = 0
-# row of square pins today's loose lower bound at a stationary point,
-# and log_norm's origin row fills the error column), the catalog
+# row of square pins the proved bracket at a stationary point, the x row
+# at 0.5 a point left to the sampled engine, its crossings sitting on the
+# domain's two ends, and log_norm's origin row fills the error column), the catalog
 # manifest, and uc's output with its exit codes 10 and 0.
 OUTPUT = {
     ("scan", "--fn", "square", "--p-min", "-1", "--p-max", "1", "--p-count", "5",
      "--eps", "0.5"): (cli.EXIT_OK, """\
 p,eps,delta,lower,upper,backend,error
--1,0.5,0.22474487139239563,0.22474463297278785,0.22474487139239563,levelset1d,
--0.5,0.5,0.36602540378519055,0.36602445010901097,0.36602540378519055,levelset1d,
-0,0.5,0.70710678118715564,0.46868820208472584,0.70710678118715564,levelset1d,
-0.5,0.5,0.36602540378511783,0.36602445011084561,0.36602540378511783,levelset1d,
-1,0.5,0.22474487139201765,0.22474463297264829,0.22474487139201765,levelset1d,
+-1,0.5,0.22474487139159227,0.22474487139158669,0.2247448713915923,levelset1d,
+-0.5,0.5,0.36602540378444126,0.3660254037844301,0.36602540378444132,levelset1d,
+0,0.5,0.70710678118654757,0.70710678118654735,0.70710678118654779,levelset1d,
+0.5,0.5,0.36602540378444126,0.3660254037844301,0.36602540378444132,levelset1d,
+1,0.5,0.22474487139159227,0.22474487139158669,0.2247448713915923,levelset1d,
 """),
     ("scan", "--fn", "log_norm", "--p-min", "0", "--p-max", "1", "--p-count", "3",
      "--eps", "0.5"): (cli.EXIT_OK, """\
 p,eps,delta,lower,upper,backend,error
 0,0.5,nan,nan,nan,,(0.0; 0.0) is outside the domain annulus:0.0:inf:open-inner:dim=2
-0.5,0.5,0.19673467014405083,0.19673443172432381,0.19673467014405083,radial,
-1,0.5,0.39346934028754155,0.39346886344923548,0.39346934028754155,radial,
+0.5,0.5,0.19673467014368329,0.19673467014367971,0.19673467014368681,radial,
+1,0.5,0.39346934028736658,0.39346934028736474,0.3934693402873683,radial,
 """),
     # Row errors of scan's other kinds: a NaN f(p) (NonFinite), an f(p)
     # of -inf (FloatResolutionLimit) and, at the second eps of a grid, an
@@ -212,15 +213,15 @@ p,eps,delta,lower,upper,backend,error
 -2,0.5,nan,nan,nan,,f(-2.0) = nan
 -1,0.5,nan,nan,nan,,f(-1.0) = nan
 0,0.5,nan,nan,nan,,f(0.0) = -inf is beyond the float64 range; so delta(p; eps) cannot be resolved at this point
-1,0.5,0.39346934028754155,0.39346886344923548,0.39346934028754155,levelset1d,
-2,0.5,0.78693868057570837,0.78693772689909602,0.78693868057570837,levelset1d,
+1,0.5,0.39346934028736658,0.39346934028736474,0.3934693402873683,levelset1d,
+2,0.5,0.78693868057473315,0.78693868057472594,0.78693868057474015,levelset1d,
 """),
     ("scan", "--fn", "x", "--domain", "interval:0:1", "--p-min", "0", "--p-max", "1",
      "--p-count", "3", "--eps-grid", "0.5,5"): (cli.EXIT_OK, """\
 p,eps,delta,lower,upper,backend,error
-0,0.5,0.5,0.4999997615805114,0.5,levelset1d,
+0,0.5,0.5,0.49999999999999439,0.50000000000000566,levelset1d,
 0.5,0.5,0.5,0.49999999999999301,0.5,levelset1d,
-1,0.5,0.50000000000017408,0.49999952316210639,0.50000000000017408,levelset1d,
+1,0.5,0.5,0.49999999999999439,0.50000000000000566,levelset1d,
 0,5,nan,nan,nan,,no point with |f(x)-f(0.0)| = 5.0 found within radius 1.0: the sphere preimage looks empty there; so the nonemptiness hypothesis behind delta(p; eps) fails
 0.5,5,nan,nan,nan,,no point with |f(x)-f(0.5)| = 5.0 found within radius 0.5: the sphere preimage looks empty there; so the nonemptiness hypothesis behind delta(p; eps) fails
 1,5,nan,nan,nan,,no point with |f(x)-f(1.0)| = 5.0 found within radius 1.0: the sphere preimage looks empty there; so the nonemptiness hypothesis behind delta(p; eps) fails

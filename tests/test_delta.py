@@ -42,7 +42,7 @@ from deltamax.model import (
     norm_of_rows,
 )
 from deltamax.oracle import GridSpec, brute_force_inf, grid_delta_bounds
-from deltamax.search import R_MAX, line_field, scan_side
+from deltamax.search import R_MAX, line_field, piece_field, scan_side
 
 REALS = DomainSpec.interval(-math.inf, math.inf)
 HALF = DomainSpec.half_line(0.0)
@@ -60,25 +60,43 @@ def exp_half():
 
 
 class TestInverseMonotone:
+    """The inverse images behind the monotone formula, each read as the
+    delta whose nearer crossing it is: the piece walk's one piece."""
+
     def test_cube_root(self):
-        assert abs(delta_mod._invert(cube(), 8.0, 0.0)[0] - 2.0) <= 1e-12
+        res = compute_delta(cube(), None, 0.0, 8.0)  # x^3 = +-8
+        assert abs(res.value - 2.0) <= 1e-12
+        assert res.witness.coords == pytest.approx((-2.0,), abs=1e-12)
+        assert res.certified_lower <= 2.0 <= res.certified_upper
 
     def test_exp_log(self):
-        g = Monotone1DFn(fn=np.exp, interval=(-math.inf, math.inf), increasing=True)
-        assert abs(delta_mod._invert(g, 1.0, 0.0)[0]) <= 1e-12
+        # exp(x) = e - (e - 1) = 1 at x = 0, the only crossing on (-inf, 1].
+        g = Monotone1DFn(fn=np.exp, interval=(-math.inf, 1.0), increasing=True)
+        res = compute_delta(g, None, 1.0, math.e - 1.0)
+        assert abs(res.witness.coords[0]) <= 1e-12
+        assert res.one_sided and res.certified_lower <= 1.0 <= res.certified_upper
 
     def test_out_of_range_bounded(self):
-        g = Monotone1DFn(fn=lambda x: x, interval=(0.0, 1.0), increasing=True)
         # A target the range provably misses was searched for in vain everywhere.
-        assert delta_mod._invert(g, 2.0, 0.0) == math.inf
+        g = Monotone1DFn(fn=lambda x: x, interval=(0.0, 1.0), increasing=True)
+        with pytest.raises(EmptySpherePreimage) as err:
+            compute_delta(g, None, 0.0, 2.0)
+        assert err.value.searched_radius == 1.0
 
     def test_out_of_range_half_line(self):
-        assert delta_mod._invert(exp_half(), 0.5, 0.0) == math.inf  # range is [1, inf)
+        # exp(0.1) - 0.6 is below the range [1, inf): only the +eps side crosses,
+        # and the -t side, clear up to 0, bounds nothing.
+        res = compute_delta(exp_half(), None, 0.1, 0.6)
+        want = math.log(math.exp(0.1) + 0.6) - 0.1
+        assert res.one_sided and abs(res.value - want) <= 1e-12
+        assert res.certified_lower <= want <= res.certified_upper
 
     def test_decreasing(self):
         g = Monotone1DFn(fn=lambda x: -x * x * x, interval=(-math.inf, math.inf),
                          increasing=False)
-        assert abs(delta_mod._invert(g, -8.0, 0.0)[0] - 2.0) <= 1e-12
+        res = compute_delta(g, None, 0.0, 8.0)
+        assert abs(res.value - 2.0) <= 1e-12
+        assert res.certified_lower <= 2.0 <= res.certified_upper
 
 
 class TestMonotoneBackend:
@@ -184,22 +202,25 @@ class TestLevelSet1D:
         expected = 0.25 - 0.25 * math.exp(-20.0)
         assert abs(res.value - expected) <= 1e-9
 
-    # The tail probes toward the open end at 0, pinned bit for bit: at
-    # eps = 30 only they reach the crossing near 4.7e-14.
-    @pytest.mark.parametrize("eps, value, lower, witness, achiever_h", [
-        (30.0, 0.49999999999995337, 0.4998779296874529, 4.6629367034256575e-14,
-         0.003398677839744124),
-        (3.0, 0.4751064658166797, 0.4749843955032702, 0.0248935341833203,
-         2.4571455981003965e-11),
-    ])
-    def test_tail_probe_results_pinned(self, eps, value, lower, witness, achiever_h):
+    # The open end at 0, pinned bit for bit: at eps = 30 the crossing sits
+    # 4.7e-14 from it, and the walk splits its way there window by window.
+    @pytest.mark.parametrize("eps, value, lower, upper, witness, achiever_h, rounds", [
+        (30.0, 0.4999999999999532, 0.49999999999995315, 0.49999999999995326,
+         4.6788114844200975e-14, 0.0, (71, 59)),
+        (3.0, 0.4751064658160684, 0.4751064658160669, 0.4751064658160698,
+         0.024893534183931615, 1.4210854715202004e-14, (25, 22)),
+    ], ids=["eps30", "eps3"])
+    def test_open_end_results_pinned(self, eps, value, lower, upper, witness, achiever_h,
+                                     rounds):
         res = compute_delta(ExpressionFn.parse("ln(x)"),
                             DomainSpec.interval(0.0, 1.0, open_lo=True), 0.5, eps)
         assert (res.value, res.certified_lower, res.certified_upper, res.witness.coords,
-                res.backend, res.one_sided) == (value, lower, value, (witness,),
+                res.backend, res.one_sided) == (value, lower, upper, (witness,),
                                                 "levelset1d", True)
         assert res.diagnostics == {"achiever_h": achiever_h, "searched_radius": 0.5,
-                                   "detect_rounds": 2, "enclosed_rounds": 1}
+                                   "detect_rounds": rounds[0], "enclosed_rounds": rounds[1],
+                                   "lower_kind": "proof"}
+        assert lower <= 0.5 - 0.5 * math.exp(-eps) <= upper
 
     def test_tail_probes_finding_nothing(self):
         # |x - 0.5| = 0.75 has no solution on (0, 1]: both sides end in
@@ -532,6 +553,7 @@ class TestCatalogRegression:
                 eps = float(rng.uniform(0.05, 5.0))
                 got = compute_delta(entry.function, entry.domain, p, eps)
                 assert got.backend == "levelset1d"
+                assert got.diagnostics["lower_kind"] == "proof"
                 want = entry.closed_form_delta(p, eps)
                 assert abs(got.value - want) <= 1e-9, (name, p, eps)
                 assert got.certified_lower <= want <= got.certified_upper, (name, p, eps)
@@ -554,9 +576,85 @@ class TestCatalogRegression:
                     continue
                 got = compute_delta(entry.function, entry.domain, p, eps)
                 assert got.backend == "radial"
+                assert got.diagnostics["lower_kind"] == "proof"
                 want = entry.closed_form_delta(t, eps)
                 assert abs(got.value - want) <= 1e-9, (name, t, eps)
                 assert got.certified_lower <= want <= got.certified_upper, (name, t, eps)
+
+
+class TestProvedBrackets:
+    """Line brackets that the sampled engine missed or left loose, now
+    proved on monotone pieces, against exact deltas."""
+
+    def test_stationary_point(self):
+        # r0 = eps / |f'(0)| is unbounded; the sampled lower end read 0.46.
+        res = compute_delta(dm.catalog_lookup("square").function, None, 0.0, 2.0)
+        assert res.diagnostics["lower_kind"] == "proof"
+        assert res.certified_lower <= math.sqrt(2.0) <= res.certified_upper
+        assert math.sqrt(2.0) - res.certified_lower <= 1e-9
+
+    def test_exp_sweep_has_no_miss(self):
+        f = ExpressionFn.parse("exp(x)")
+        rng = np.random.default_rng(5)
+        ps = rng.uniform(-10.0, 10.0, 2000)
+        epss = np.exp(rng.uniform(math.log(1e-3), math.log(3.0), 2000))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for p, eps in zip(ps.tolist(), epss.tolist()):
+                res = compute_delta(f, None, p, eps)
+                want = (1 + Decimal(eps) * (-Decimal(p)).exp()).ln()
+                assert Decimal(res.certified_lower) <= want <= Decimal(res.certified_upper), \
+                    (p, eps)
+
+    @pytest.mark.parametrize("p, eps", [
+        # exp_norm items of perfbench's point_queries at seeds 77 and 2026
+        # (||p|| = 8.613309618380125 and 8.74693447885361), where the sampled
+        # violator end passed h >= 0 only through the rounding of f.
+        ((-8.535521116233118, -1.1549813229737174), 0.04064303801275888),
+        ((-8.100170873391342, -3.300923294961674), 0.9176995703054758),
+    ])
+    def test_violator_end_past_the_rounding(self, p, eps):
+        entry = dm.catalog_lookup("exp_norm")
+        res = compute_delta(entry.function, None, p, eps)
+        t = res.diagnostics["radius"]
+        assert t == math.hypot(*p)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = (1 + Decimal(eps) * (-Decimal(t)).exp()).ln()
+        assert Decimal(res.certified_lower) <= want <= Decimal(res.certified_upper)
+        assert res.diagnostics["lower_kind"] == "proof"
+
+    def test_sliver_beside_a_hole(self):
+        # sqrt(x^2-1) at eps = f(p) - 0.01: the -t violators [1, 1.00005] end
+        # where f becomes undefined, thinner than a detect step.
+        f = ExpressionFn.parse("sqrt(x^2-1)")
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for p in np.linspace(1.05, 6.0, 400).tolist():
+                eps = math.sqrt(p * p - 1.0) - 0.01
+                res = compute_delta(f, None, p, eps)
+                fp, e = (Decimal(p) ** 2 - 1).sqrt(), Decimal(eps)
+                want = min(Decimal(p) - (1 + (fp - e) ** 2).sqrt(),
+                           (1 + (fp + e) ** 2).sqrt() - Decimal(p))
+                assert Decimal(res.certified_lower) <= want <= Decimal(res.certified_upper), p
+
+    @pytest.mark.parametrize("src, p, want", [("1/x", 2.0, 1.0), ("exp(x)", -2.0, None)])
+    def test_one_sided_queries(self, src, p, want):
+        # The side without a crossing bounds nothing; the sampled engine
+        # subtracted its coarse grid step and read about 2e-12.
+        want = math.log1p(0.5 * math.exp(2.0)) if want is None else want
+        res = compute_delta(ExpressionFn.parse(src), None, p, 0.5)
+        assert res.one_sided and res.diagnostics["lower_kind"] == "proof"
+        assert res.certified_lower <= want <= res.certified_upper
+        assert want - res.certified_lower <= 1e-9 * want
+
+    def test_one_sided_fallback_subtracts_its_own_step(self):
+        # min has no derivative rule: line_field, whose lower end is now
+        # the least over sides of clear - step, that side's own step
+        # (1e-12 when the far side's coarse step was subtracted).
+        res = compute_delta(ExpressionFn.parse("min(x, 0)"), None, 1.0, 0.5)
+        assert res.diagnostics["lower_kind"] == "samples" and res.one_sided
+        assert res.value == 1.5 and 1.4999 < res.certified_lower <= 1.5
 
 
 class TestFloatResolution:
@@ -704,7 +802,8 @@ class TestDeltaField:
         # chunk; rows outside the domain and NaN points fail in between.
         ps = np.linspace(-10.0, 10.0, 2200)
         ps[::150] = math.nan
-        f, dom = ExpressionFn.parse("x^2"), DomainSpec.interval(-9.5, 9.5)
+        # x^2 with no derivative rule (abs): every row takes line_field.
+        f, dom = ExpressionFn.parse("abs(x)^2"), DomainSpec.interval(-9.5, 9.5)
         calls = []
 
         def counted(f_arr, ts, *args, **kwargs):
@@ -715,6 +814,29 @@ class TestDeltaField:
         rows = delta_field(f, dom, ps, 0.5)
         assert calls == [sum(isinstance(r, dm.DeltaResult) for r in rows)]
         assert calls[0] > 2048
+        monkeypatch.undo()
+        for p, row in zip(ps, rows):
+            assert _row_bits(row) == _row_bits(_outcome(lambda: compute_delta(f, dom, p, 0.5)))
+
+    def test_many_chunks_in_one_piece_field_call(self, monkeypatch):
+        # The same rows of x^2 itself: one piece_field call walks them in
+        # 2,048-point chunks, and no row needs line_field.
+        ps = np.linspace(-10.0, 10.0, 2200)
+        ps[::150] = math.nan
+        f, dom = ExpressionFn.parse("x^2"), DomainSpec.interval(-9.5, 9.5)
+        calls = []
+
+        def counted(f_arr, f_enc, f_slope, ts, *args):
+            calls.append(ts.size)
+            return piece_field(f_arr, f_enc, f_slope, ts, *args)
+
+        monkeypatch.setattr(delta_mod, "piece_field", counted)
+        monkeypatch.setattr(delta_mod, "line_field", None)
+        rows = delta_field(f, dom, ps, 0.5)
+        assert calls == [sum(isinstance(r, dm.DeltaResult) for r in rows)]
+        assert calls[0] > 2048
+        assert {r.diagnostics["lower_kind"] for r in rows if isinstance(r, dm.DeltaResult)} \
+            == {"proof"}
         monkeypatch.undo()
         for p, row in zip(ps, rows):
             assert _row_bits(row) == _row_bits(_outcome(lambda: compute_delta(f, dom, p, 0.5)))

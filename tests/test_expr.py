@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from deltamax.errors import LexError, ParseError, UnboundVariable
@@ -16,6 +16,7 @@ from deltamax.expr import (
     Const,
     Unary,
     Var,
+    derivative,
     enclose_ast_array,
     eval_ast_array,
     free_vars,
@@ -332,3 +333,82 @@ def test_enclosure_is_tight_on_a_monotone_window():
 ])
 def test_enclosure_gives_up_where_no_bound_holds(src, lo, hi):
     assert _enclose(parse_source(src), lo, hi) == (-math.inf, math.inf)
+
+
+# ---------------------------------------------------------------------------
+# Symbolic derivative
+# ---------------------------------------------------------------------------
+
+def _extend_smooth(children):
+    """_extend without abs, min and max, whose derivative is None."""
+    unary = st.one_of(
+        children.map(lambda c: Unary("neg", c)),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "ln", "sqrt"]), children)
+        .map(lambda t: Call(t[0], (t[1],))),
+        st.tuples(children, st.sampled_from([2.0, 3.0, 4.0, 0.0, 1.0, -1.0, -2.0, 0.5]))
+        .map(lambda t: Binary("^", t[0], Const(t[1]))),
+    )
+    binary = st.tuples(st.sampled_from(["+", "-", "*", "/"]), children, children).map(
+        lambda t: Binary(t[0], t[1], t[2]))
+    return st.one_of(unary, binary)
+
+
+_smooth_asts = st.recursive(_leaves, _extend_smooth, max_leaves=6)
+
+
+def _value(ast, x):
+    return float(np.ravel(eval_ast_array(ast, {"x": np.array([x])}))[0])
+
+
+def _central(ast, x, h):
+    return (_value(ast, x + h) - _value(ast, x - h)) / (2.0 * h)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_smooth_asts, st.floats(-3.0, 3.0))
+@example(Binary("^", _X, Const(-2.0)), 2.4918250443237124e-63)  # a pole inside the step
+def test_derivative_agrees_with_central_differences(ast, x):
+    d_ast = derivative(ast, "x")
+    assert d_ast is not None
+    d = float(np.ravel(eval_ast_array(d_ast, {"x": np.array([x])}))[0])
+    h = 1e-5 * max(1.0, abs(x))
+    coarse, fine = _central(ast, x, h), _central(ast, x, 0.5 * h)
+    # Only where f is smooth enough there for the differences to settle,
+    # and moves little over the step (no pole within it).
+    assume(math.isfinite(d) and math.isfinite(coarse) and math.isfinite(fine))
+    assume(abs(coarse - fine) <= 1e-6 * (1.0 + abs(fine)))
+    fx = _value(ast, x)
+    assume(all(abs(_value(ast, x + t) - fx) <= 1e-2 * (1.0 + abs(fx)) for t in (-h, h)))
+    assert abs(d - fine) <= 1e-4 * (1.0 + abs(fine)), (to_source(ast), to_source(d_ast), x)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_smooth_asts, _intervals())
+def test_derivative_enclosure_holds_every_sampled_slope(ast, interval):
+    lo, hi = interval
+    xs = np.clip(lo + (hi - lo) * np.linspace(0.0, 1.0, 257), lo, hi)
+    d_ast = derivative(ast, "x")
+    assert _encloses(d_ast, lo, hi, xs), (to_source(ast), to_source(d_ast))
+
+
+@pytest.mark.parametrize("src,want", [
+    ("7", "0.0"), ("x", "1.0"), ("x^2", "2.0*x"), ("x^3", "3.0*x^2.0"), ("-x", "-1.0"),
+    ("x*x", "x+x"), ("1/x", "-1.0/x^2.0"), ("x/2", "1.0/2.0"), ("sin(x)", "cos(x)"),
+    ("cos(2*x)", "-sin(2.0*x)*2.0"), ("exp(x)", "exp(x)"), ("ln(x)", "1.0/x"),
+    ("sqrt(x)", "0.5/sqrt(x)"), ("exp(3)", "0.0"),
+])
+def test_derivative_rules(src, want):
+    assert to_source(derivative(parse_source(src), "x")) == want
+
+
+@pytest.mark.parametrize("src", ["abs(x)", "min(x, 1)", "max(x, 1)", "pow(x, 2)", "x^x",
+                                 "2^x", "sin(abs(x))"])
+def test_derivative_gives_up_on_corners_and_variable_powers(src):
+    assert derivative(parse_source(src), "x") is None
+
+
+def test_derivative_of_another_variable():
+    assert to_source(derivative(parse_source("exp(r)*x1"), "r")) == "exp(r)*x1"
+    assert to_source(derivative(parse_source("exp(r)*x1"), "x1")) == "exp(r)"

@@ -743,16 +743,17 @@ def test_a_uc_stage_is_one_chunk_of_two_bounded_sweeps(monkeypatch):
     assert not minus[:m].any() and np.array_equal(minus[m:], ps + 2.0)
 
 
-# Full-mode FieldResults of line queries as compute_delta runs them (default
-# detect points, with the enclosure), recorded while the -t half was swept
-# after the +t half.  Without a bound the two halves are independent, so
-# one sweep of both must give them bit for bit.
+# Full-mode FieldResults of line queries as compute_delta ran them before
+# the piece walk (default detect points, with the enclosure), recorded
+# while the -t half was swept after the +t half.  Without a bound the two
+# halves are independent, so one sweep of both must give them bit for bit.
+# `lower` is each side's clear radius less that side's own grid step.
 FULL_PINS = {
     # Only the -t side of 1.9 crosses on [-2, 2]; -1.5 crosses on both.
     "one_sided": ("x^2", DomainSpec.interval(-2.0, 2.0), [1.9, -1.5], 1.0, dict(
         values=[0.28445055786053586, 0.30277563773214333],
         witness_offset=[-0.28445055786053586, -0.30277563773214333],
-        lower=[0.09997558593750008, 0.3027753198393329],
+        lower=[0.09997558593750008, 0.3027754787851318],
         root_h=[2.866151760372304e-12, 5.360156762890256e-13],
         one_sided=[True, False],
         searched=[0.5263155263419751, 0.6666670000024059],
@@ -760,14 +761,14 @@ FULL_PINS = {
     # Only the tail probes toward the open end reach the crossing.
     "tail": ("ln(x)", UNIT, [0.5], 30.0, dict(
         values=[0.49999999999995337], witness_offset=[-0.49999999999995337],
-        lower=[0.4998779296874529], root_h=[0.003398677839744124], one_sided=[True],
+        lower=[0.4998779296875], root_h=[0.003398677839744124], one_sided=[True],
         searched=[0.5], detect_rounds=[2], enclosed_rounds=[1])),
     # f is undefined on (-1, 1); the first point crosses between its last
     # valid -t sample and that hole.
     "hole": ("sqrt(x^2-1)", REALS_1D, [2.2625965502493823, 1.5], 2.008904663364039, dict(
         values=[1.2623820830982986, 1.782947659358007],
         witness_offset=[-1.2623820830982986, 1.782947659358007],
-        lower=[1.2623803645302016, 1.7829448033886885],
+        lower=[1.2623812238134307, 1.7829462313726665],
         root_h=[5.489120269430714e-11, 1.7319479184152442e-14],
         one_sided=[False, False],
         searched=[3.604095084749143, 5.989398912485343],
@@ -775,7 +776,7 @@ FULL_PINS = {
     # Three detect windows proved clear by the enclosure.
     "enclosed": ("x^2", REALS_1D, [3.0], 1.0, dict(
         values=[0.16227766017005546], witness_offset=[0.16227766017005546],
-        lower=[0.1622775012219902], root_h=[1.0601297617540695e-11], one_sided=[False],
+        lower=[0.16227758069481016], root_h=[1.0601297617540695e-11], one_sided=[False],
         searched=[0.3333331666711316], detect_rounds=[5], enclosed_rounds=[3])),
 }
 
