@@ -436,6 +436,7 @@ def is_delta_epsilon_number(f: FunctionSpec, dom: DomainSpec, p, eps: float,
     """
     require_positive("eps", eps)
     require_positive("beta", beta)
+    require_positive("samples", samples)
     pt = point_in(dom, p)
     fp = value_at(f, pt, dom.norm)
     p_arr = pt.as_array()
@@ -460,6 +461,7 @@ def epsilon_bound(f: FunctionSpec, dom: DomainSpec, samples: int = 4096) -> floa
     R_MAX), which makes beta itself a sampled heuristic.  A spread that
     overflows float64 raises FloatResolutionLimit.
     """
+    require_positive("samples", samples)
     lo, hi = dom.bounding_box(truncate=R_MAX)
     per_axis = max(3, int(math.ceil(samples ** (1.0 / dom.dimension))))
     grid = lattice([np.linspace(a, b, per_axis) for a, b in zip(lo, hi)])

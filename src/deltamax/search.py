@@ -3,22 +3,22 @@
 Everything here works on h(t) = |f(x(t)) - f(p)| - eps along a half-line
 of offsets t >= 0 from a base point.  The scan walks outward in doubling
 windows, brackets the first sign change between consecutive valid
-samples, refines the bracket with one fine rescan, and bisects.  The
-violator end of the final bracket (a valid sample with h >= 0) is the
-reported crossing; the clear end raises the sampled clear radius.  All of
-it is vectorized over a batch of base points ("columns"); the scalar
-backends run a batch of size one.
+samples, refines the bracket with one fine rescan, and inverts it by
+k-section (_ksection).  The violator end of the final bracket (a valid
+sample with h >= 0) is the reported crossing; the clear end raises the
+sampled clear radius.  All of it is vectorized over a batch of base
+points ("columns"); the scalar backends run a batch of size one.
 
 The work splits in two: the sweep (doubling detect windows, then tail
 probes) brackets each column's first crossing, and the settle step
-shrinks the brackets: one fine rescan, then bisection in predicted-path
-rounds of one evaluator call each (_bisect).  A round evaluates, in one
-call, the midpoints that plain bisection would visit if each column's
-root lay where the secant through its bracket's ends puts it, and keeps
-the levels up to the first that the prediction got wrong.  Every
-bracket, root and clear radius is plain bisection's, bit for bit, but a
-settle that took one call per halving (about 20 on a traced field_nd
-pass) mostly takes one or two.
+shrinks the brackets: one fine rescan, then k-section rounds of one
+evaluator call each.  _ksection is the one bracket inverter of the
+module; piece_field inverts its proved monotone windows with it too.
+Its first round spreads its points evenly over each bracket, later ones
+crowd them around the secant root, so a smooth bracket mostly settles
+in two calls.  On sampled ends no point lies nearer the secant root than
+half the stop width, so no violator end that the settle places passes
+eps by rounding alone (an end that the sweep found stays as it is).
 
 line_field keeps both sides of its points in one signed batch of columns
 (x = p + s*t, s = +-1) and settles both halves' brackets in one pass.
@@ -112,8 +112,6 @@ SCAN_POINTS = 4096
 R0 = 1.0
 R_MAX = float(2 ** 20)
 
-_MAX_BISECT = 160
-_SPARE_LEVELS = 2  # levels predicted past the expected stop in a bisection round
 _TAIL_FRAC = 0.5 ** np.arange(1, 81, dtype=float)  # tail probes toward a finite end
 _REFINE_POINTS = 256  # fine rescan inside each found bracket
 _FRAC_FINE = np.arange(1, _REFINE_POINTS + 1, dtype=float) / _REFINE_POINTS
@@ -131,14 +129,14 @@ _RUNG_ENDS = 2.0 ** np.arange(1, _RUNGS + 1) - 1.0
 _SPLIT = 1.0 / 16.0
 _MAX_SPLITS = 16
 _WALK_ROUNDS = 64
-# k-section points per bracket and round: evenly spread, then at 0 and
-# +/-2**-j (j = 1..40) of the bracket width around the secant root.
+# k-section points per round, one column per bracket: evenly spread, then
+# at 0 and +/-2**-j (j = 1..40) of the bracket width around the secant root.
 _KSECT_AROUND = np.concatenate(([-1.0], -(0.5 ** np.arange(1, 41)), [0.0],
-                                0.5 ** np.arange(40, 0, -1), [1.0]))
-_KSECT_EVEN = np.linspace(0.0, 1.0, _KSECT_AROUND.size)
+                                0.5 ** np.arange(40, 0, -1), [1.0]))[:, None]
+_KSECT_EVEN = np.linspace(0.0, 1.0, _KSECT_AROUND.size)[:, None]
+_KSECT_ROWS = np.arange(_KSECT_AROUND.size)[:, None]
 _KSECT_BLOCK = _BLOCK_SAMPLES // _KSECT_AROUND.size  # brackets per evaluator call
 _KSECT_ROUNDS = 40
-_PAIR = np.array([[-1], [0]])  # a crossing point's predecessor and itself
 _LADDER = 2.0 ** np.arange(48) - 1.0  # proof candidates, in final bracket widths
 
 
@@ -234,110 +232,6 @@ def _scan_rows(eval_at, cols, lo, span, frac, fp, eps, carry, carry_h, bound=Non
         start = stop
 
 
-def _halving(lo, top, hi_h, tol, pos_scale):
-    """True where a bracket (lo, top) with h = hi_h at its violator end is
-    still bisected: it is wider than tol, or |h| there exceeds TOL_F and
-    it is wider than 4 ulps."""
-    width = top - lo
-    return (width > tol) | ((hi_h > TOL_F) & (width > 4.0 * np.spacing(pos_scale + top)))
-
-
-def _first(mask, default):
-    """Per column, the first row where mask holds; default where none does."""
-    return np.where(mask.any(axis=0), mask.argmax(axis=0), default)
-
-
-def _last(mask):
-    """Per row and column, the last row up to it where mask holds; -1
-    where none does."""
-    rows = np.arange(mask.shape[0])[:, None]
-    return np.maximum.accumulate(np.where(mask, rows, -1), axis=0)
-
-
-def _bisect(eval_at, cols, fp, eps, lo, lo_h, hi, hi_h, pos_scale):
-    """Shrink brackets (lo, hi) with h(lo) = lo_h < 0 <= h(hi) = hi_h onto
-    the crossing; lo_h may be NaN (unknown).
-
-    Returns (lo, hi, hi_h): the clear end and the violator end of each
-    final bracket, and h at the violator end.  Both ends are valid
-    samples.  An out-of-domain or undefined midpoint moves the upper
-    limit of the search inward but never becomes the violator end, so a
-    hole in the domain cannot pass for a crossing.  A bracket stops once
-    it is TOL_X wide and |h| at its violator end is within TOL_F, or
-    once it is a few ulps wide, or after _MAX_BISECT halvings.
-
-    The halvings are those of plain bisection, one midpoint 0.5*(lo + top)
-    per level, and so are the results, bit for bit; only the evaluator
-    calls are fewer.  Each round predicts a column's root by the secant
-    through its two ends (at lo where lo_h is NaN), follows the path of
-    midpoints that takes the clear branch below that root, and evaluates
-    as many of the path's levels as the stop test is expected to need,
-    plus _SPARE_LEVELS, in one call.  The levels are then applied in
-    order by plain bisection's rules, up to the first whose outcome
-    differs from the prediction, which is applied as evaluated; the next
-    round starts there.  Every round applies at least one level of every
-    live column, so no column needs more calls than it has levels.
-    """
-    lo, lo_h, hi, hi_h = lo.copy(), lo_h.copy(), hi.copy(), hi_h.copy()
-    top = hi.copy()       # upper limit of the search, valid or not
-    tol = TOL_X * np.maximum(1.0, pos_scale)
-    levels = np.zeros(lo.size, dtype=int)
-    live = np.arange(lo.size)
-    while True:
-        live = live[_halving(lo[live], top[live], hi_h[live], tol[live], pos_scale[live])
-                    & (levels[live] < _MAX_BISECT)]
-        if not live.size:
-            return lo, hi, hi_h
-        m, at = live.size, np.arange(live.size)
-        l, t, l_h, h_h, tl, sc = (a[live] for a in (lo, top, lo_h, hi_h, tol, pos_scale))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (h_h - l_h) / (hi[live] - l)
-            # The secant's root.  lo_h is unknown only where lo is the base
-            # point or the end of a window proved clear, and the first valid
-            # sample past it crossed: the root is predicted at lo.
-            guess = l - l_h / slope
-            guess = np.where(np.isnan(guess), l, guess)
-            # The width where the stop test should fire: tol, or less while
-            # h at the violator end, falling with the width at the secant's
-            # slope, stays above TOL_F (but not below 4 ulps).
-            w_stop = np.fmin(tl, np.maximum(TOL_F / slope, 4.0 * np.spacing(sc + t)))
-        need = math.ceil(math.log2(max(float(np.max((t - l) / w_stop)), 1.0)))
-        depth = min(need + _SPARE_LEVELS, _MAX_BISECT - int(levels[live].min()),
-                    max(1, _BLOCK_SAMPLES // m))
-
-        # The predicted path: the bracket before each level, and its midpoint.
-        los, tops, mids = np.empty((3, depth, m))
-        for j in range(depth):
-            los[j], tops[j] = l, t
-            mids[j] = 0.5 * (l + t)
-            below = mids[j] < guess
-            l = np.where(below, mids[j], l)
-            t = np.where(below, t, mids[j])
-        f, valid = eval_at(cols[live], mids)
-        hm = _h_of(f, fp[live], eps)
-        ok = valid & ~np.isnan(hm)
-        clear = ok & (hm < 0.0)
-        hit = ok & (hm >= 0.0)
-
-        # Up to the first mispredicted level the path is plain bisection's,
-        # so its brackets and, from the hits, the h at the violator end in
-        # force give the stop test of every level.
-        last_hit = _last(hit)
-        h_in = np.where(last_hit >= 0, hm[np.maximum(last_hit, 0), at], h_h)
-        h_in = np.vstack((h_h, h_in[:-1]))
-        going = _halving(los, tops, h_in, tl, sc)
-        going &= levels[live] + np.arange(depth)[:, None] < _MAX_BISECT
-        done = np.minimum(_first(~going, depth), _first(clear != (mids < guess), depth) + 1)
-        levels[live] += done
-        for moved, ends in ((clear, (lo, lo_h)), (~clear, (top,)), (hit, (hi, hi_h))):
-            # An end takes the midpoint (and h) of the last applied level
-            # that moved it.
-            row = _last(moved)[done - 1, at]
-            sel = row >= 0
-            for end, src in zip(ends, (mids, hm)):
-                end[live[sel]] = src[row[sel], at[sel]]
-
-
 def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
               pos_scale: np.ndarray, detect_points: int = SCAN_POINTS,
               reach: np.ndarray | None = None) -> SideResult:
@@ -346,7 +240,7 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
     detect windows double from width R0, and no tail probes run.
 
     Two steps: the sweep brackets each column's first crossing, and the
-    settle step refines every bracket by one fine rescan and bisects it.
+    settle step refines every bracket by one fine rescan and k-section.
     line_field runs the two steps itself (see the module notes); only it
     skips windows by enclosure, runs tail probes toward a finite end and
     sets the bound B.
@@ -540,11 +434,10 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
 
 def _settle(eval_at, fp, eps, pos_scale, side: SideResult, brackets: list) -> None:
     """The settling half of scan_side: one fine rescan inside each
-    bracket, then rounds of bisection of one evaluator call each (see
-    _bisect; the results are plain bisection's), written into side's
-    root, root_h, clear and step.  Columns are independent here (each
-    one's halvings are its own), so brackets of several sweeps can be
-    settled together."""
+    bracket, which sets the grid step behind the clear radius, then
+    k-section of sampled ends (_ksection), written into side's root,
+    root_h, clear and step.  Columns are independent here, so brackets of
+    several sweeps can be settled together."""
     if not brackets:
         return
     cols, blo, bhi, bhi_h, blo_h = (np.concatenate(part) for part in zip(*brackets))
@@ -566,8 +459,9 @@ def _settle(eval_at, fp, eps, pos_scale, side: SideResult, brackets: list) -> No
         clear[cols[upd]] = rlo[found]
         step[cols[upd]] = rhi[found] - rlo[found]
 
-    t_clear, t_viol, h_viol = _bisect(eval_at, cols, fp[cols], eps, blo, blo_h,
-                                      bhi, bhi_h, pos_scale[cols])
+    scale = pos_scale[cols]
+    t_clear, t_viol, h_viol = _ksection(eval_at, cols, fp[cols], eps, blo, blo_h, bhi, bhi_h,
+                                        TOL_X * np.maximum(1.0, scale), scale, True)
     side.root[cols] = t_viol
     side.root_h[cols] = h_viol
     clear[cols] = np.maximum(clear[cols], t_clear)
@@ -875,8 +769,12 @@ def _pieces(f_arr, f_enc, f_slope, ps, eps, dom_lo, dom_hi) -> PieceResult:
     # Each crossing window [xa, xb] is monotone, clear at xa and a
     # violator at xb: k-section onto the crossing, then proofs of the ends.
     bc = np.flatnonzero(~np.isnan(xb))
-    l, u, h_u = _ksection(f_arr, xa[bc], xb[bc], fpc[bc], eps,
-                          TOL_X * np.maximum(1.0, np.abs(p[bc])))
+    def eval_at(_, xs):
+        return np.asarray(f_arr(xs.ravel()), dtype=float).reshape(xs.shape), True
+
+    nan = np.full(bc.size, np.nan)
+    l, u, h_u = _ksection(eval_at, bc, fpc[bc], eps, xa[bc], nan, xb[bc], nan,
+                          TOL_X * np.maximum(1.0, np.abs(p[bc])), np.zeros(bc.size), False)
     l_pr, u_pr = _proved_ends(f_enc, band, bc, s[bc], xa[bc], l, u, xb[bc])
 
     # Per side: a crossing side's bracket; a side without one constrains
@@ -907,45 +805,73 @@ def _pieces(f_arr, f_enc, f_slope, ps, eps, dom_lo, dom_hi) -> PieceResult:
         enclosed_rounds=(count[1, :n] + count[1, n:]) * (f_slope is not None))
 
 
-def _ksection(f_arr, l, u, fp, eps, tol):
-    """Brackets (l, u) of monotone windows, h(l) < 0 <= h(u), shrunk onto
-    the computed sign change of h = |f - fp| - eps; returns the final l, u
-    and h(u).
+def _ksection(eval_at, cols, fp, eps, l, l_h, u, u_h, tol, scale, sampled):
+    """Shrink brackets (l, u) of columns cols, h(l) = l_h < 0 <= h(u) = u_h
+    for h = |f - fp| - eps, onto its sign change; l_h and u_h may be NaN
+    (unknown).  Returns the final l, u and h(u), valid samples both.
 
-    One evaluator call per round and block of brackets.  The first round
-    spreads its points evenly over each bracket; later ones put them at
-    0 and +/-2**-j of the width from the secant root, so the bracket
-    shrinks to about the secant's error, which falls quadratically.  Point
-    0 of a bracket is l, the last u.  A bracket stops once it is tol wide
-    and h(u) <= TOL_F, or 4 floats wide, or when the floats no longer
-    shrink it.
+    eval_at(cols, rows) -> (f, valid) samples rows of the caller's
+    coordinate, one column per bracket, and u may lie below l.  One
+    evaluator call per round and block of brackets.  The first round
+    spreads its points evenly over each bracket; later ones put them at 0
+    and +/-2**-j of the width from the secant root, so the bracket shrinks
+    to about the secant's error, which falls quadratically.  Point 0 of a
+    bracket is l, the last u.  The new u is the first valid point with
+    h >= 0 and the new l the last valid one before it with h < 0: an
+    invalid or NaN sample never becomes an end, so a hole in the domain
+    cannot pass for a crossing.  A bracket stops once it is tol wide and
+    h(u) <= TOL_F, or 4 floats of scale + |u| wide, or when the floats no
+    longer move it, or after _KSECT_ROUNDS rounds.
+
+    sampled: the ends are the result, with no proof to follow them, and
+    the coordinate is an offset t >= 0.  A bracket that meets the stop
+    test as given is returned as it is, and from the second round on no
+    point lies nearer the secant root than half the width w_stop at which
+    the stop test should fire, min(tol, max(TOL_F / h', 4 floats)), less
+    one float of the point's own rounding: at the root h rounds to about
+    0, so a point there could become a violator end where the exact
+    |f - fp| is still below eps, and points half w_stop off the root leave
+    a bracket that meets the stop test.
     """
-    br = np.full((4, l.size), np.nan)  # rows l, u, h(l), h(u)
-    br[0], br[1] = l, u
+    def unsettled(br, b):
+        width = np.abs(br[1] - br[0])
+        return (width > tol[b]) | ((br[3] > TOL_F) & (width > 4.0 * np.spacing(
+            scale[b] + np.abs(br[1]))))
+
+    br = np.array((l, u, l_h, u_h))  # rows l, u, h(l), h(u)
     live = np.arange(l.size)
+    if sampled:  # a sample is known at each end: the bracket may be settled already
+        live = live[unsettled(br, live)]
     for r in range(_KSECT_ROUNDS):
+        if not live.size:
+            break
         going = np.zeros(live.size, dtype=bool)
         for start in range(0, live.size, _KSECT_BLOCK):
             b = live[start:start + _KSECT_BLOCK]
             lb, ub, hl, hu = br[:, b]
-            frac = _KSECT_EVEN if r == 0 else np.clip(
-                np.fmin(np.fmax(hl / (hl - hu), 0.0), 1.0)[:, None] + _KSECT_AROUND, 0.0, 1.0)
-            pts = lb[:, None] + (ub - lb)[:, None] * frac
-            pts[:, -1] = ub
-            h = np.abs(np.asarray(f_arr(pts.ravel()), dtype=float).reshape(pts.shape)
-                       - fp[b, None]) - eps
-            ge = h >= 0.0
-            ge[:, 0], ge[:, -1] = False, True
-            at, i = np.arange(b.size), ge.argmax(axis=1) + _PAIR
-            new = np.concatenate((pts[at, i], h[at, i]))  # the rows of br
-            width = np.abs(new[1] - new[0])
-            going[start:start + b.size] = (new[0] != lb) | (new[1] != ub)
-            going[start:start + b.size] &= (width > tol[b]) | (
-                (new[3] > TOL_F) & (width > 4.0 * np.spacing(np.abs(new[1]))))
+            w = ub - lb
+            frac = _KSECT_EVEN
+            if r:
+                around = _KSECT_AROUND
+                if sampled:
+                    w_stop = np.fmin(tol[b], np.maximum(TOL_F * w / (hu - hl),
+                                                        4.0 * np.spacing(scale[b] + ub)))
+                    gap = 0.5 * (w_stop - np.spacing(ub)) / w
+                    around = np.copysign(np.maximum(np.abs(around), gap), around)
+                frac = np.clip(np.fmin(np.fmax(hl / (hl - hu), 0.0), 1.0) + around, 0.0, 1.0)
+            pts = lb + w * frac
+            pts[-1] = ub
+            f, valid = eval_at(cols[b], pts)
+            h = np.where(valid, np.abs(f - fp[b]) - eps, np.nan)  # NaN: never an end
+            i = (h >= 0.0).argmax(axis=0)
+            j, ar = i - 1, np.arange(b.size)
+            if not (h[j, ar] < 0.0).all():  # l: the last point before i with h < 0
+                j = _KSECT_ROWS.size - 1 - ((h < 0.0) & (_KSECT_ROWS < i))[::-1].argmax(axis=0)
+            at = np.array((j, i)), ar
+            new = np.concatenate((pts[at], h[at]))  # the rows of br
+            going[start:start + b.size] = ((new[0] != lb) | (new[1] != ub)) & unsettled(new, b)
             br[:, b] = new
         live = live[going]
-        if not live.size:
-            break
     return br[0], br[1], br[3]
 
 

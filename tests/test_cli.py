@@ -238,15 +238,15 @@ verdict evidence-not-uc
 eps_tested 0.5
 witness_eps 0.5
 witness_pairs x | y | distance
-  0.84089641525371461 | 0.37047573653053173 | 0.47042067872318288
-  0.59460355750136051 | 0.38094001592270299 | 0.21366354157865752
-  0.42044820762685736 | 0.33907662559025603 | 0.081371582036601331
+  0.84089641525371461 | 0.37047573653038079 | 0.47042067872333382
+  0.59460355750136051 | 0.38094001592226756 | 0.21366354157909295
+  0.42044820762685736 | 0.33907662559052448 | 0.081371582036332865
 note distances halve while |f(x)-f(y)| stays at eps; evidence, not a proof
 """),
     ("uc", "--fn", "sqrt(x)", "--domain", "half_line:0", "--eps-grid", "0.5"): (cli.EXIT_OK, """\
 verdict evidence-uc
 eps_tested 0.5
-delta_floor 0.25000000000093126
+delta_floor 0.25000000000049999
 note floor is numerical evidence from sampled windows, not a proof
 """),
     # No x on [0, 1] has |x - p| = 5: every stage skipped every point.

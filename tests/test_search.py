@@ -1,12 +1,14 @@
 """The line engine with and without interval enclosures of the expression,
-on a batch and point by point, in full and in minimum mode, and scan_side
-with and without a reach.
+on a batch and point by point, in full and in minimum mode, scan_side
+with and without a reach, and the one bracket inverter, _ksection.
 
 Skipping a detect window that the enclosure proves clear, or every window
 past a ray's bounding-box exit, must not change any crossing, bit for bit;
 nor may settling a batch's brackets together, nor settling only the
 brackets that can hold the field's minimum, nor sampling detect rows
-densely only up to that minimum's bound.
+densely only up to that minimum's bound.  _ksection must return valid
+samples on both sides of the crossing, inside the bracket it was given,
+and stop by its stop rule.
 """
 
 from __future__ import annotations
@@ -34,12 +36,12 @@ from deltamax.model import (
 from deltamax.search import (
     _BLOCK_SAMPLES,
     _FRAC_FINE,
-    _MAX_BISECT,
     _PROBE_ROWS,
     TOL_F,
     TOL_X,
     _first_crossing,
     _h_of,
+    _ksection,
     _pad,
     _scan_rows,
     _sweep,
@@ -347,7 +349,7 @@ def test_one_column_window_is_one_call():
 
 def test_line_and_ray_calls_stay_within_a_block(monkeypatch):
     # Many columns: every evaluator call of the sweep, tail probes, rescan
-    # and bisection holds at most _BLOCK_SAMPLES samples, also with 2,048
+    # and k-section holds at most _BLOCK_SAMPLES samples, also with 2,048
     # points per line_field batch.
     sizes = []
 
@@ -390,45 +392,15 @@ def test_pad_covers_the_rescans_last_row():
     assert bhi < last <= _pad(bhi)
 
 
-def _bisect_by_loop(eval_at, cols, fp, eps, lo, hi, hi_h, pos_scale):
-    """_bisect as plain bisection, the reference it must match: one
-    evaluator call per level, holding the midpoint of every live column."""
-    lo = lo.copy()
-    top = hi.copy()       # upper limit of the search, valid or not
-    hi = hi.copy()        # last valid sample with h >= 0
-    hi_h = hi_h.copy()
-    tol = TOL_X * np.maximum(1.0, pos_scale)
-    for _ in range(_MAX_BISECT):
-        width = top - lo
-        xulp = np.spacing(pos_scale + top)
-        act = (width > tol) | ((hi_h > TOL_F) & (width > 4.0 * xulp))
-        if not act.any():
-            break
-        idx = np.flatnonzero(act)
-        mid = 0.5 * (lo[idx] + top[idx])
-        f, valid = eval_at(cols[idx], mid[None, :])
-        hm = _h_of(f[0], fp[idx], eps)
-        ok = valid[0] & ~np.isnan(hm)
-        hit = ok & (hm >= 0.0)
-        clear = ok & (hm < 0.0)
-        top[idx[~clear]] = mid[~clear]
-        lo[idx[clear]] = mid[clear]
-        hi[idx[hit]] = mid[hit]
-        hi_h[idx[hit]] = hm[hit]
-    return lo, hi, hi_h
-
-
 class Brackets:
-    """Columns of crossing brackets for _bisect, with eps = 1: column j
+    """Columns of crossing brackets for _ksection, with eps = 1: column j
     is (kind, k, r, d_lo, d_hi, scale, lo_h known).  Its profile g(t) is
     "smooth" t + k*t^2, "steep" k*expm1(t) (k up to 1e8, where the 4-ulp
     rule stops), "holes" the smooth one with stretches of NaN f and of
     invalid samples (never at the ends), or "jump" 0 up to t = r and 3
-    past it (at r = 0 with scale 0 the bracket [0, top] is still wider
-    than 4 ulps of top after _MAX_BISECT halvings).  f(p) = g(r) - 1 (0
-    for a jump), so h crosses 0 at r, inside the bracket
-    [r - d_lo, r + d_hi]; lo_h is NaN unless known.  `calls` counts the
-    evaluator calls."""
+    past it.  f(p) = g(r) - 1 (0 for a jump), so h crosses 0 at r, inside
+    the bracket [r - d_lo, r + d_hi]; lo_h is NaN unless known.  `calls`
+    counts the evaluator calls."""
 
     def __init__(self, columns):
         self.columns, self.calls = columns, 0
@@ -441,6 +413,7 @@ class Brackets:
                             for kind, k, r, *_ in columns])
         lo_h, self.hi_h = (self.h_at(t)[0] for t in (self.lo, self.hi))
         self.lo_h = np.where([c[6] for c in columns], lo_h, np.nan)
+        self.tol = TOL_X * np.maximum(1.0, self.scale)
 
     @staticmethod
     def g(kind, k, t):
@@ -469,10 +442,17 @@ class Brackets:
                 valid[:, i] = ((t * 613.0 + 0.5) % 1.0 >= 0.2) | end
         return f, valid
 
-    def bisect(self, how):
-        lo_h = (self.lo_h,) if how is search._bisect else ()
-        return how(self, self.cols, self.fp, 1.0, self.lo, *lo_h, self.hi, self.hi_h,
-                   self.scale)
+    def ksection(self, sampled):
+        self.calls = 0
+        return _ksection(self, self.cols, self.fp, 1.0, self.lo, self.lo_h, self.hi,
+                         self.hi_h, self.tol, self.scale, sampled)
+
+    def settled(self, lo, hi, hi_h):
+        """Where each bracket meets the stop rule: tol wide, and h at its
+        violator end within TOL_F or the bracket 4 floats wide."""
+        width = hi - lo
+        return (width <= self.tol) & (
+            (hi_h <= TOL_F) | (width <= 4.0 * np.spacing(self.scale + hi)))
 
 
 @st.composite
@@ -492,7 +472,8 @@ def bracket_columns(draw):
         elif kind == "jump":
             k, r = 0.0, draw(st.sampled_from([0.0, 0.375, 1.1]))
             d_lo, d_hi = (0.0 if r == 0.0 else draw(unit)), draw(unit)
-            scale = draw(st.sampled_from([0.0, 1.0, 7.5]))
+            # At r = 0 with scale 0 the stop needs subnormal widths.
+            scale = draw(st.sampled_from([0.0, 1.0, 7.5][r == 0.0:]))
         else:
             k, r = draw(st.floats(0.0, 2.0)), draw(st.floats(0.5, 3.0))
             d_lo, d_hi = 0.1 * draw(unit), draw(unit)
@@ -502,50 +483,63 @@ def bracket_columns(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(bracket_columns())
-# A column that halves _MAX_BISECT times beside two that stop early.
-@example(Brackets([("jump", 0.0, 0.0, 0.0, 1.0, 0.0, True),
+@given(bracket_columns(), st.booleans())
+@example(Brackets([("jump", 0.0, 0.375, 0.5, 1.0, 0.0, True),
                    ("smooth", 1.0, 1.0, 0.05, 0.5, 1.0, False),
-                   ("steep", 1e8, 0.5, 1e-9, 2e-9, 100.0, True)]))
+                   ("steep", 1e8, 0.5, 1e-9, 2e-9, 100.0, True)]), True)
 @example(Brackets([("holes", 0.5, 2.0, 0.1, 1.0, 2.0, False),
-                   ("holes", 0.0, 1.5, 0.01, 0.9, 0.0, True)]))
-def test_bisect_matches_plain_bisection(br):
+                   ("holes", 0.0, 1.5, 0.01, 0.9, 0.0, True)]), True)
+def test_ksection_keeps_a_valid_crossing_bracket(br, sampled):
     # The bracket's ends are valid: h < 0 at lo and h >= 0 at hi.
     for t, want in ((br.lo, False), (br.hi, True)):
         h, valid = br.h_at(t)
         assert valid.all() and np.all((h >= 0.0) == want)
-    br.calls = 0
-    got, calls = br.bisect(search._bisect), br.calls
-    br.calls = 0
-    want = br.bisect(_bisect_by_loop)
-    for a, b in zip(got, want):
-        assert np.array_equal(a.view(np.int64), b.view(np.int64))
-    assert calls <= br.calls
+    lo, hi, hi_h = br.ksection(sampled)
+    # Both ends are valid samples inside the input bracket, h(lo) < 0 <= h(hi).
+    assert np.all((br.lo <= lo) & (lo < hi) & (hi <= br.hi))
+    for t, want in ((lo, False), (hi, True)):
+        h, valid = br.h_at(t)
+        assert valid.all() and np.all((h >= 0.0) == want)
+    assert np.array_equal(br.h_at(hi)[0], hi_h)
+    # The stop rule holds, except across a hole, which no valid end can cross.
+    hole = np.array([kind == "holes" for kind, *_ in br.columns])
+    gap = np.linspace(lo, hi, 4097)[1:-1]
+    f, valid = br(br.cols, gap)
+    assert np.all(br.settled(lo, hi, hi_h) | (hole & ~(valid & ~np.isnan(f)).all(axis=0)))
 
 
-def test_bisect_cap_and_ulp_rule_are_reached():
-    # The examples above do reach _MAX_BISECT halvings and the 4-ulp stop.
-    capped = Brackets([("jump", 0.0, 0.0, 0.0, 1.0, 0.0, True)])
-    capped.bisect(_bisect_by_loop)
-    assert capped.calls == _MAX_BISECT
+def test_ksection_reaches_the_ulp_rule_and_the_round_cap():
+    # A steep profile stops at 4 floats, with h at its violator end above TOL_F.
     steep = Brackets([("steep", 1e8, 0.5, 1e-9, 2e-9, 100.0, True)])
-    lo, hi, hi_h = steep.bisect(_bisect_by_loop)
+    lo, hi, hi_h = steep.ksection(True)
     assert hi - lo <= 4.0 * np.spacing(100.0 + hi) and hi_h > TOL_F
+    # A jump at t = 0 with scale 0 is still wider than 4 floats of its
+    # violator end after _KSECT_ROUNDS rounds, and stops there.
+    capped = Brackets([("jump", 0.0, 0.0, 0.0, 1.0, 0.0, True)])
+    lo, hi, hi_h = capped.ksection(True)
+    assert capped.calls == search._KSECT_ROUNDS
+    assert lo[0] == 0.0 and 0.0 < hi[0] < 1e-30 and hi_h[0] == 2.0
 
 
-def test_smooth_brackets_settle_in_two_calls():
-    # Two smooth brackets as a fine rescan leaves them, which plain
-    # bisection halves about 30 times each: the secant predicts both
-    # paths, so two calls at most settle them.
+def test_smooth_brackets_settle_in_three_calls():
+    # Two smooth brackets as a fine rescan leaves them, which bisection
+    # would halve about 30 times each: one evenly spread round and the
+    # secant's quadratic convergence settle both in three calls at most.
     br = Brackets([("smooth", 0.25, 0.7, 3e-4, 5e-4, 1.0, True),
                    ("smooth", 0.0, 0.3, 1e-3, 2e-3, 0.0, True)])
-    got = br.bisect(search._bisect)
-    assert br.calls <= 2
-    br.calls = 0
-    want = br.bisect(_bisect_by_loop)
-    assert br.calls >= 12
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+    for sampled in (False, True):
+        lo, hi, hi_h = br.ksection(sampled)
+        assert br.calls <= 3
+        assert br.settled(lo, hi, hi_h).all()
+
+
+def test_sampled_ends_keep_off_the_secant_root():
+    # For a linear h the secant root is the crossing itself, where h rounds
+    # to about 0: sampled ends lie half a stop width from it, so the
+    # violator end holds a clear excess; unsampled ones may sit on it.
+    br = Brackets([("smooth", 0.0, 0.3, 1e-3, 2e-3, 0.0, True)])
+    lo, hi, hi_h = br.ksection(True)
+    assert hi - 0.3 >= 0.45 * TOL_X and 0.3 - lo >= 0.45 * TOL_X
 
 
 # (f, domain) of the minimum-mode cases; a line coordinate is a radius for
@@ -602,7 +596,7 @@ def _assert_minimum_agrees(full, least):
     ("mono_clipped", 0.1, np.linspace(0.5, 1.0, 700)),
     # f is undefined on (-1, 1): the -t crossing of the first point lies
     # between its last valid detect sample and that hole, past the +t
-    # violator end of the second; bisection from the clear end finds it.
+    # violator end of the second; the settle from the clear end finds it.
     ("sqrt_hole", 2.008904663364039, np.array([2.2625965502493823, 1.5])),
     # Three chunks; the tie at -2 (first chunk) and 2 (last) spans them.
     ("square", 1.0, np.linspace(-2.0, 2.0, 5000)),
@@ -744,39 +738,39 @@ def test_a_uc_stage_is_one_chunk_of_two_bounded_sweeps(monkeypatch):
 
 
 # Full-mode FieldResults of line queries as compute_delta ran them before
-# the piece walk (default detect points, with the enclosure), recorded
-# while the -t half was swept after the +t half.  Without a bound the two
-# halves are independent, so one sweep of both must give them bit for bit.
+# the piece walk (default detect points, with the enclosure), settled by
+# k-section.  Without a bound the two halves are independent, so one sweep
+# of both must give them as a sweep of each half alone would, bit for bit.
 # `lower` is each side's clear radius less that side's own grid step.
 FULL_PINS = {
     # Only the -t side of 1.9 crosses on [-2, 2]; -1.5 crosses on both.
     "one_sided": ("x^2", DomainSpec.interval(-2.0, 2.0), [1.9, -1.5], 1.0, dict(
-        values=[0.28445055786053586, 0.30277563773214333],
-        witness_offset=[-0.28445055786053586, -0.30277563773214333],
-        lower=[0.09997558593750008, 0.3027754787851318],
-        root_h=[2.866151760372304e-12, 5.360156762890256e-13],
+        values=[0.2844505578605987, 0.30277563773274474],
+        witness_offset=[-0.2844505578605987, -0.30277563773274474],
+        lower=[0.09997558593750008, 0.302775478785446],
+        root_h=[3.069544618483633e-12, 2.7049473771967314e-12],
         one_sided=[True, False],
         searched=[0.5263155263419751, 0.6666670000024059],
         detect_rounds=[4, 5], enclosed_rounds=[3, 3])),
     # Only the tail probes toward the open end reach the crossing.
     "tail": ("ln(x)", UNIT, [0.5], 30.0, dict(
-        values=[0.49999999999995337], witness_offset=[-0.49999999999995337],
-        lower=[0.4998779296875], root_h=[0.003398677839744124], one_sided=[True],
+        values=[0.49999999999995354], witness_offset=[-0.49999999999995354],
+        lower=[0.4998779296875], root_h=[0.006976499187626217], one_sided=[True],
         searched=[0.5], detect_rounds=[2], enclosed_rounds=[1])),
     # f is undefined on (-1, 1); the first point crosses between its last
     # valid -t sample and that hole.
     "hole": ("sqrt(x^2-1)", REALS_1D, [2.2625965502493823, 1.5], 2.008904663364039, dict(
-        values=[1.2623820830982986, 1.782947659358007],
-        witness_offset=[-1.2623820830982986, 1.782947659358007],
-        lower=[1.2623812238134307, 1.7829462313726665],
-        root_h=[5.489120269430714e-11, 1.7319479184152442e-14],
+        values=[1.2623820830981658, 1.7829476593587401],
+        witness_offset=[-1.2623820830981658, 1.7829476593587401],
+        lower=[1.2623812238128662, 1.782946231373262],
+        root_h=[4.8480330860911636e-11, 7.87370169064161e-13],
         one_sided=[False, False],
         searched=[3.604095084749143, 5.989398912485343],
         detect_rounds=[5, 7], enclosed_rounds=[3, 2])),
     # Three detect windows proved clear by the enclosure.
     "enclosed": ("x^2", REALS_1D, [3.0], 1.0, dict(
-        values=[0.16227766017005546], witness_offset=[0.16227766017005546],
-        lower=[0.16227758069481016], root_h=[1.0601297617540695e-11], one_sided=[False],
+        values=[0.16227766016987907], witness_offset=[0.16227766016987907],
+        lower=[0.16227758069405912], root_h=[9.485745522397337e-12], one_sided=[False],
         searched=[0.3333331666711316], detect_rounds=[5], enclosed_rounds=[3])),
 }
 

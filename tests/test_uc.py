@@ -38,20 +38,20 @@ def _case(name):
 
 # (inf_delta, argmin, skipped) per stage of default_schedule(dom, 3, 64) at eps = 0.5
 STAGES = {
-    "sqrt": [(0.25000000000093126, (0.0,), 0)] * 3,
-    "sin_inv": [(0.13234060718467217, (0.5,), 0),
-                (0.04385159533798766, (0.2976190476190476,), 0),
-                (0.012783207733395993, (0.1527777777777778,), 0)],
-    "exp_norm": [(0.16884762349884508, (1.0, 0.0), 0),
-                 (0.0654764951204469, (2.0, 0.0), 0),
-                 (0.009116140879948813, (4.0, 0.0), 0)],
-    "log_norm": [(0.19673467014405083, (0.5, 0.0), 0),
-                 (0.0983673350721527, (0.25, 0.0), 0),
-                 (0.049183667536200154, (0.125, 0.0), 0)],
-    "mono_exp": [(0.07006592016080138, (2.0,), 0)],
-    "radial_exp": [(0.009116140879948813, (4.0, 0.0), 0),
-                   (0.005539128930305438, (4.5, 0.0), 0),
-                   (0.004316518018856441, (4.75, 0.0), 0)],
+    "sqrt": [(0.2500000000005, (0.0,), 0)] * 3,
+    "sin_inv": [(0.13234060718468973, (0.5,), 0),
+                (0.04385159533810481, (0.2976190476190476,), 0),
+                (0.012783207733652185, (0.1527777777777778,), 0)],
+    "exp_norm": [(0.1688476234988056, (1.0, 0.0), 0),
+                 (0.0654764951205681, (2.0, 0.0), 0),
+                 (0.009116140880057107, (4.0, 0.0), 0)],
+    "log_norm": [(0.19673467014418328, (0.5, 0.0), 0),
+                 (0.09836733507234163, (0.25, 0.0), 0),
+                 (0.049183667536420804, (0.125, 0.0), 0)],
+    "mono_exp": [(0.07006592016128133, (2.0,), 0)],
+    "radial_exp": [(0.009116140880057107, (4.0, 0.0), 0),
+                   (0.005539128930542014, (4.5, 0.0), 0),
+                   (0.004316518019147504, (4.75, 0.0), 0)],
 }
 
 
@@ -68,12 +68,12 @@ def test_nd_stage_is_pinned():
     f = ExpressionFn.parse("x1*x2")
     box = DomainSpec.box((-2.0, -2.0), (2.0, 2.0))
     (rec,) = uc.infimum_delta(f, box, EPS, schedule=[(box, 3)]).records
-    assert (rec.inf_delta, rec.argmin.coords, rec.skipped) == (0.1828388230787823, (2.0, 2.0), 0)
+    assert (rec.inf_delta, rec.argmin.coords, rec.skipped) == (0.18283882308007415, (2.0, 2.0), 0)
 
 
 def test_witness_distances_are_pinned():
     w = uc.witness_search(ExpressionFn.parse("sin(1/x)"), UNIT, EPS, count=3)
-    assert w.distances == (0.4704206787231829, 0.21366354157865752, 0.08137158203660133)
+    assert w.distances == (0.4704206787233338, 0.21366354157909295, 0.08137158203633287)
     f = ExpressionFn.parse("sin(1/x)")
     for (x, y), d in zip(w.pairs, w.distances):
         assert abs(x.coords[0] - y.coords[0]) == pytest.approx(d, rel=1e-12)
@@ -82,43 +82,43 @@ def test_witness_distances_are_pinned():
 
 
 # uc_verdict at eps_grid=[0.5] on the full 21-stage, 2,048-point schedules.
-SQRT_VERDICT_STAGES = [(0.25000000000093126, (0.0,), 0)] * 21
+SQRT_VERDICT_STAGES = [(0.2500000000005, (0.0,), 0)] * 21
 SIN_INV_VERDICT_STAGES = [
-    (0.13234060718467217, (0.5,), 0),
-    (0.043838856932622114, (0.2990962383976551,), 0),
-    (0.01223770164161938, (0.14637274059599414,), 0),
-    (0.0020338029814500184, (0.06433194919394236,), 0),
-    (0.0005182179462367092, (0.032196507083536885,), 0),
-    (0.0001453685710051595, (0.01610588666340987,), 0),
-    (3.5387104717097005e-05, (0.0078125,), 0),
-    (1.346502316917898e-05, (0.004879473009281876,), 0),
-    (1.9571832496923768e-06, (0.001953125,), 0),
-    (4.839233027657437e-07, (0.0009765625,), 0),
-    (1.2071949806686263e-07, (0.00048828125,), 0),
-    (3.230361430356021e-08, (0.000244140625,), 0),
-    (1.1919027187812497e-08, (0.0001220703125,), 0),
-    (1.9906257957050856e-09, (6.103515625e-05,), 0),
-    (6.952512433709922e-10, (3.0517578125e-05,), 0),
-    (1.3296380821088197e-10, (1.52587890625e-05,), 0),
-    (5.856328534840781e-11, (7.62939453125e-06,), 0),
-    (7.851803772196871e-12, (3.814697265625e-06,), 0),
-    (2.0466946910243507e-12, (1.9073486328125e-06,), 0),
-    (2.7058262746764285e-12, (9.5367431640625e-07,), 0),
-    (9.316052582913098e-10, (4.76837158203125e-07,), 0),
+    (0.13234060718468973, (0.5,), 0),
+    (0.04383885693274783, (0.2990962383976551,), 0),
+    (0.012237701641594255, (0.14637274059599414,), 0),
+    (0.0020338029814020624, (0.06433194919394236,), 0),
+    (0.000518217946285197, (0.032196507083536885,), 0),
+    (0.0001453685710106758, (0.01610588666340987,), 0),
+    (3.5387104719827745e-05, (0.0078125,), 0),
+    (1.3465023170243584e-05, (0.004879473009281876,), 0),
+    (1.9571832498254914e-06, (0.001953125,), 0),
+    (4.839233027809015e-07, (0.0009765625,), 0),
+    (1.207194980762853e-07, (0.00048828125,), 0),
+    (3.230361430247507e-08, (0.000244140625,), 0),
+    (1.191902718705272e-08, (0.0001220703125,), 0),
+    (1.990625795734369e-09, (6.103515625e-05,), 0),
+    (6.952512433249025e-10, (3.0517578125e-05,), 0),
+    (1.329638082113761e-10, (1.52587890625e-05,), 0),
+    (5.856328534979038e-11, (7.62939453125e-06,), 0),
+    (7.851803774014926e-12, (3.814697265625e-06,), 0),
+    (2.0466946913164554e-12, (1.9073486328125e-06,), 0),
+    (5.849560545272977e-13, (9.5367431640625e-07,), 0),
+    (9.31605258291453e-10, (4.76837158203125e-07,), 0),
 ]
 SIN_INV_VERDICT_PAIRS = [
-    (0.8408964152537146, 0.37047573653053173),
-    (0.5946035575013605, 0.380940015922703),
-    (0.42044820762685736, 0.33907662559025603),
-    (0.21022410381342868, 0.17358922682950279),
-    (0.17677669529663695, 0.16137095355742445),
-    (0.10686330033742529, 0.10129023080664867),
-    (0.064334637964775, 0.06230078824631088),
-    (0.03904694402222285, 0.039852938265137805),
+    (0.8408964152537146, 0.3704757365303808),
+    (0.5946035575013605, 0.38094001592226756),
+    (0.42044820762685736, 0.3390766255905245),
+    (0.21022410381342868, 0.17358922682904093),
+    (0.17677669529663695, 0.16137095355746695),
+    (0.10686330033742529, 0.10129023080647855),
+    (0.064334637964775, 0.06230078824644012),
+    (0.03904694402222285, 0.03985293826511114),
 ]
 SIN_INV_VERDICT_DISTANCES = (
-    0.4704206787231829, 0.21366354157865752, 0.08137158203660133, 0.03663487698392591,
-    0.01540574173921249, 0.005573069530776622, 0.0020338497184641214, 0.0008059942429149542,
+    0.4704206787233338, 0.21366354157909295, 0.08137158203633287, 0.03663487698438774,
+    0.015405741739170017, 0.0055730695309467474, 0.0020338497183348754, 0.0008059942428882875,
 )
 
 
@@ -131,7 +131,7 @@ def test_full_scale_sqrt_verdict_is_pinned():
     f, dom = _case("sqrt")
     verdict = uc.uc_verdict(f, dom, eps_grid=[EPS])
     assert verdict.kind is uc.Verdict.EVIDENCE_UC
-    assert verdict.lower_bound == 0.25000000000093126
+    assert verdict.lower_bound == 0.2500000000005
     assert verdict.witnesses is None
     assert _stage_rows(verdict) == SQRT_VERDICT_STAGES
 
