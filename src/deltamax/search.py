@@ -30,22 +30,29 @@ the crossings that the whole +t sweep found, and one joint sweep of both
 halves sampled 37.5M points instead of 21.7M on uc_1d's traced perfbench
 pass.
 
-In minimum mode (line_field(..., minimum=True); a uc stage keeps only
-the least delta) no side samples detect rows densely past a bound B on
-the minimum.  Every settled root lies in the [blo, bhi] of its sweep
+In minimum mode (line_field(..., bound=...); a uc stage keeps only the
+least delta) no side samples detect rows densely past a bound B on the
+minimum.  Every settled root lies in the [blo, bhi] of its sweep
 bracket (bhi up to the rounding of the rescan's last row, which an
 8-ulp pad absorbs), so past every clear sample of its side.  B is one
 float that _sweep owns: a sweep takes it in, lowers it to the padded
 least bhi after each detect round and its tail probes, and returns it.
-The +t sweep starts from the padded least delta of earlier chunks, the
--t sweep from the +t sweep's B, and the -t sweep's B picks the brackets
-to settle and the points that read +inf.  A column stops at the row
-block whose last clear sample passes B.  A cut side of a point with no
-crossing known walks on over the probe rows only (_PROBE_ROWS per
-window, every 64th of uc's 1,024: the same floats); a hit proves a
-crossing, and the point reads +inf.  A side that the probes leave
-undecided, of a point with no crossing, is swept again densely without
-B to tell NaN from +inf.
+The +t sweep starts from the padded least of the caller's bound and the
+deltas of earlier chunks, the -t sweep from the +t sweep's B, and the
+-t sweep's B picks the brackets to settle and the points that read
++inf.  A column stops at the row block whose last clear sample passes B.
+
+The caller's bound is inf for an infimum stage, which also counts the
+points with no crossing (NaN), and half the last pair's distance for a
+witness stage (uc.witness_search), which reads only a least delta within
+it.  So the NaN mask is settled only under the bound inf: there a cut
+side of a point with no crossing known walks on over the probe rows only
+(_PROBE_ROWS per window, every 64th of uc's 1,024: the same floats); a
+hit proves a crossing, and the point reads +inf.  A side that the probes
+leave undecided, of a point with no crossing, is swept again densely
+without B to tell NaN from +inf.  Under a finite bound every point
+counts as crossing: a cut side stops, no side is swept again, and a
+point with no crossing reads +inf.
 
 Every sampled window (detect window, tail probes, fine rescan) goes
 through _scan_rows, in row blocks of at most 2**16 samples, and a column
@@ -476,7 +483,8 @@ class FieldResult:
     two sides were both re-swept may cross on both (one_sided False)."""
 
     values: np.ndarray          # violator end; NaN where the sphere preimage was not found,
-    #                             +inf where minimum mode did not refine it
+    #                             +inf where minimum mode did not refine it (and, under
+    #                             a finite bound, where it found no crossing)
     witness_offset: np.ndarray  # signed offset of the violator end
     lower: np.ndarray           # clear lower bound; NaN below float resolution
     root_h: np.ndarray          # h >= 0 at the violator end
@@ -488,7 +496,7 @@ class FieldResult:
 
 def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
                open_lo: bool, open_hi: bool, detect_points: int = SCAN_POINTS,
-               f_enc=None, minimum: bool = False) -> FieldResult:
+               f_enc=None, bound: float | None = None) -> FieldResult:
     """delta field of a scalar function along an interval domain.
 
     `f_arr` is a lenient vectorized evaluator; `ps` must lie inside
@@ -509,14 +517,19 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
     float64 cannot sample a clear point other than the base point itself
     there, so no positive lower bound exists.
 
-    minimum=True keeps only what the least delta of the batch needs (see
-    the module notes).  The minimum, its first argmin and its witness
-    offset are those of the full field, bit for bit, and so is the NaN
-    mask (no crossing found).  Every other finite value and witness offset
-    is the full one too; a point whose delta lies past the bound B reads
-    +inf in both instead.  The undecided sides of the points with no
-    crossing are swept again together, by one _sweep call, not by another
-    line_field call.
+    `bound`, the caller's bound on the least delta, selects the mode.
+    None is full mode.  A float keeps only what a least delta of the
+    batch within it needs (minimum mode, see the module notes): where the
+    minimum is at most the bound, it, its first argmin and its witness
+    offset are those of the full field, bit for bit.  Every other finite
+    value and witness offset is the full one too; a point whose delta
+    lies past the running bound B, or past the caller's, reads +inf in
+    both instead, so where the minimum exceeds the caller's bound every
+    point reads +inf.  The NaN mask (no crossing found) is the full
+    field's only under the bound inf; the undecided sides of the points
+    with no crossing are then swept again together, by one _sweep call,
+    not by another line_field call.  Under a finite bound no point reads
+    NaN: one with no crossing reads +inf.
     """
     ps = np.asarray(ps, dtype=float)
     n = ps.size
@@ -540,7 +553,9 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
             return valid
         return (x < dom_hi) if open_hi else (x <= dom_hi)
 
-    best = math.inf  # the least delta settled in earlier chunks (minimum mode)
+    # Minimum mode: the least delta settled in earlier chunks, or the caller's bound.
+    best = math.inf if bound is None else bound
+    decide = bound == math.inf  # minimum mode settles the NaN mask only under the bound inf
     for start in range(0, n, _CHUNK):
         sl = slice(start, min(start + _CHUNK, n))
         p_c = ps[sl]
@@ -586,23 +601,26 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
             return _sweep(eval_at, fp2, eps, extents, r0, scale2, detect_points,
                           enclose_at if f_enc is not None else None, **kw)
 
-        if not minimum:
+        if bound is None:
             # Without a bound the halves are independent: one sweep.
             side, brackets, _ = sweep(ext)
         else:
             # The -t sweep starts from the bound B, and the crossings known,
             # that the whole +t sweep reached; it fills in the -t half of side.
-            side, brackets, bound = sweep(np.where(plus, ext, 0.0), bound=_pad(best))
-            side_n, br_n, bound = sweep(np.where(plus, 0.0, ext), bound=bound,
-                                        known=_twice(~np.isnan(side.root[:m])))
+            # Under a finite caller's bound every point counts as crossing.
+            known = np.full(2 * m, not decide)
+            side, brackets, b = sweep(np.where(plus, ext, 0.0), bound=_pad(best), known=known)
+            side_n, br_n, b = sweep(np.where(plus, 0.0, ext), bound=b,
+                                    known=known | _twice(~np.isnan(side.root[:m])))
             for name, arr in vars(side).items():
                 arr[m:] = getattr(side_n, name)[m:]
             brackets += br_n
             # Only a bracket whose clear end is within the bound can hold
             # the minimum; the others keep a root of +inf.
-            brackets = [tuple(part[br[1] <= bound] for part in br) for br in brackets]
-            # The undecided sides of a point with no crossing known: their
-            # dense sweep, without the bound, decides NaN or +inf.
+            brackets = [tuple(part[br[1] <= b] for part in br) for br in brackets]
+            # The undecided sides of a point with no crossing known (none
+            # under a finite bound): their dense sweep, without the bound,
+            # decides NaN or +inf.
             none = np.isnan(side.root[:m]) & np.isnan(side.root[m:])
             redo = side.undecided & _twice(none)
             if redo.any():
@@ -631,8 +649,8 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
         lower[clear < np.spacing(pos_scale)] = np.nan
         values[bad_fp] = np.nan
         witness = np.where(use_neg, -rn, rp)
-        if minimum:
-            far = values > bound
+        if bound is not None:
+            far = (values > min(b, bound)) | (np.isnan(values) & (not decide))
             values[far] = witness[far] = math.inf
             best = float(np.min(values, initial=best, where=np.isfinite(values)))
         chunk = dict(values=values, witness_offset=witness,

@@ -12,6 +12,7 @@ refining window schedule to stabilize above a positive floor.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -137,9 +138,10 @@ def default_schedule(dom: DomainSpec, stages: int = 21, resolution: int = 2048,
     resolution on its full window, up to `resolution`.  A generic nD
     domain gets one stage on its (truncated) full window: _stage_field
     caps every nD grid at the same lattice, so more stages would repeat
-    it.  A stage count or resolution below 1 raises InvalidArgument.
+    it.  A stage count or resolution that is not an integer of at least 1
+    raises InvalidArgument.
     """
-    _require_counts(stages, resolution)
+    _require_counts(stages=stages, resolution=resolution)
     if dom.dimension > 1 and not dom.is_radial:
         return [(dom, resolution)]
 
@@ -197,17 +199,18 @@ def stage_schedule(f: FunctionSpec, dom: DomainSpec, stages: int = 21, resolutio
     (delta.line_problem), else the one stage (dom, resolution), since
     every stage without a line is the same capped lattice."""
     if line_problem(f, dom) is None:
-        _require_counts(stages, resolution)
+        _require_counts(stages=stages, resolution=resolution)
         return [(dom, resolution)]
     return default_schedule(dom, stages, resolution, factor)
 
 
-def _require_counts(stages: int, resolution: int) -> None:
-    """Raise InvalidArgument unless a schedule has at least one stage of
-    at least one point."""
-    for name, value in (("stages", stages), ("resolution", resolution)):
-        if not value >= 1:
-            raise InvalidArgument(f"{name} must be at least 1, got {value!r}")
+def _require_counts(least: int = 1, **counts) -> None:
+    """Raise InvalidArgument unless every count is an integer of at least
+    `least`: a schedule has at least one stage of at least one point, and
+    a witness chain at least three pairs."""
+    for name, value in counts.items():
+        if not (isinstance(value, numbers.Integral) and value >= least):
+            raise InvalidArgument(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +218,7 @@ def _require_counts(stages: int, resolution: int) -> None:
 # ---------------------------------------------------------------------------
 
 def _stage_field(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
-                 resolution: int, eps: float):
+                 resolution: int, eps: float, bound: float = math.inf):
     """Returns (points, values, witnesses) for one stage grid as rows:
     points and witnesses (n, d), values (n,).  A point whose delta could
     not be found has value NaN and NaN in its witness row.
@@ -224,11 +227,14 @@ def _stage_field(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
     vectorized line engine on the window's stretch of that line, against
     the *full* line (the crossing may fall outside the window); a line
     coordinate t lifts to the row (t, 0, ..., 0).  The engine runs in
-    minimum mode: a point whose delta cannot be the stage minimum is not
-    refined and reads +inf, in its value and its witness row, so only the
-    minimum, its point and witness and the NaN count are the full field's.
-    A generic nD f runs one delta_field call over the rows of a capped
-    lattice over the window; a row whose delta raised reads NaN.
+    minimum mode below `bound`: a point whose delta cannot be the stage
+    minimum, or exceeds the bound, is not refined and reads +inf, in its
+    value and its witness row, so only a minimum within the bound, its
+    point and witness are the full field's.  With the default bound inf
+    the NaN count is the full field's too; under a finite bound no point
+    reads NaN (a point with no crossing reads +inf).  A generic nD f runs
+    one delta_field call over the rows of a capped lattice over the
+    window, whatever the bound; a row whose delta raised reads NaN.
     """
     require_positive("eps", eps)
     problem = line_problem(f, dom)
@@ -240,7 +246,7 @@ def _stage_field(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
         keep &= (ts < hi) if open_hi else (ts <= hi)
         ts = ts[keep]
         res = line_field(array_evaluator(profile), ts, eps, lo, hi, open_lo, open_hi,
-                         detect_points=1024, f_enc=enclosure_evaluator(profile), minimum=True)
+                         detect_points=1024, f_enc=enclosure_evaluator(profile), bound=bound)
         pad = np.zeros((ts.size, dom.dimension - 1))
         wit_ts = np.where(np.isnan(res.values), np.nan, ts + res.witness_offset)
         return np.column_stack([ts, pad]), res.values, np.column_stack([wit_ts, pad])
@@ -258,14 +264,15 @@ def _stage_field(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
 
 
 def _stage_min(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
-               resolution: int, eps: float):
+               resolution: int, eps: float, bound: float = math.inf):
     """(inf_delta, argmin, skipped, witness) of one stage: the smallest
     finite delta on the stage grid (+inf, None, None when there is none),
     the point and witness that attain it (the stage's only two Points),
     and the count of NaN points.  A +inf value (a delta that _stage_field
-    did not refine, being above the minimum) is neither the minimum nor
-    skipped."""
-    pts, values, wits = _stage_field(f, dom, window, resolution, eps)
+    did not refine, being above the minimum or `bound`) is neither the
+    minimum nor skipped.  On a line, a stage whose minimum exceeds a
+    finite bound reads (+inf, None, 0, None); see _stage_field."""
+    pts, values, wits = _stage_field(f, dom, window, resolution, eps, bound)
     skipped = int(np.count_nonzero(np.isnan(values)))
     finite = np.isfinite(values)
     if not finite.any():
@@ -280,10 +287,13 @@ def infimum_delta(f: FunctionSpec, dom: DomainSpec, eps: float,
     (by default stage_schedule's), one StageRecord per stage.
 
     Per-point failures (empty sphere preimage) are skipped and counted,
-    not fatal.
+    not fatal.  A resolution of a caller's schedule that is not an
+    integer of at least 1 raises InvalidArgument.
     """
     if schedule is None:
         schedule = stage_schedule(f, dom)
+    for _, resolution in schedule:
+        _require_counts(resolution=resolution)
     records = tuple(
         StageRecord(level, window, resolution,
                     *_stage_min(f, dom, window, resolution, eps)[:3])
@@ -302,16 +312,21 @@ def witness_search(f: FunctionSpec, dom: DomainSpec, eps0: float,
     delta field through stage_schedule's windows at factor 2^(1/4), up to
     400 stages of 512 points (fixed: no schedule or resolution keyword).
 
+    A stage after the first pair keeps only what the chain reads: its
+    least delta, if that is at most half the last pair's distance (the
+    chain's acceptance bound, which _stage_min prunes the line engine
+    with).  A stage above it is rejected, whether it reads that delta or
+    +inf, and counts toward the patience of _PATIENCE stages alike.
+
     Raises WitnessesStagnated (with the partial pairs attached) when the
     distances stop halving -- the signal that feeds an EvidenceUC or
     Inconclusive verdict.  uc_verdict ignores chains of <= 2 pairs, so a
-    count below 3 is an InvalidArgument, and a schedule of at most two
-    stages (every problem without a line has one) raises before
-    evaluating any stage.
+    count that is not an integer of at least 3 is an InvalidArgument, and
+    a schedule of at most two stages (every problem without a line has
+    one) raises before evaluating any stage.
     """
     require_positive("eps", eps0)
-    if count < 3:
-        raise InvalidArgument(f"a witness chain needs count >= 3 pairs, got {count!r}")
+    _require_counts(3, count=count)
     schedule = stage_schedule(f, dom, _MAX_WITNESS_STAGES, _WITNESS_RESOLUTION,
                               _WITNESS_FACTOR)
     if len(schedule) <= 2:
@@ -322,9 +337,9 @@ def witness_search(f: FunctionSpec, dom: DomainSpec, eps0: float,
     dists: list[float] = []
     since_last = 0
     for window, res in schedule:
-        v, x, _, y = _stage_min(f, dom, window, res, eps0)
-        if (y is not None and (not pairs or v <= 0.5 * dists[-1])
-                and _pins_eps(f, dom, x, y, eps0)):
+        bound = 0.5 * dists[-1] if pairs else math.inf
+        v, x, _, y = _stage_min(f, dom, window, res, eps0, bound)
+        if y is not None and v <= bound and _pins_eps(f, dom, x, y, eps0):
             pairs.append((x, y))
             dists.append(v)
             since_last = 0

@@ -555,37 +555,58 @@ MIN_PROBLEMS = {
 }
 
 
-def _minimum_pair(name, ps, eps, detect_points):
-    """line_field over ps in full and in minimum mode, with the evaluator
-    and enclosure that uc's stages pass."""
+# The caller's bound B of minimum mode, from the full field's minimum lo
+# (1.0 where no point crosses): inf, as infimum stages pass it, and finite
+# bounds as witness stages pass them, below, at and above the minimum.
+BOUNDS = {
+    "inf": lambda lo: INF,
+    "below": lambda lo: float(np.nextafter(lo, 0.0)),
+    "at": lambda lo: lo,
+    "above": lambda lo: 2.0 * lo,
+}
+
+
+def _minimum_pair(name, ps, eps, detect_points, where="inf"):
+    """line_field over ps in full mode and in minimum mode under the bound
+    BOUNDS[where], with the evaluator and enclosure that uc's stages pass.
+    Returns the full field, the minimum-mode field and the bound."""
     profile, lo, hi, open_lo, open_hi = line_problem(*MIN_PROBLEMS[name]())
     args = (array_evaluator(profile), ps, eps, lo, hi, open_lo, open_hi)
     kw = dict(detect_points=detect_points, f_enc=enclosure_evaluator(profile))
-    return line_field(*args, **kw), line_field(*args, **kw, minimum=True)
+    full = line_field(*args, **kw)
+    crossing = full.values[~np.isnan(full.values)]
+    bound = BOUNDS[where](float(crossing.min()) if crossing.size else 1.0)
+    return full, line_field(*args, **kw, bound=bound), bound
 
 
-def _assert_minimum_agrees(full, least):
-    """Minimum mode keeps every NaN, the first argmin, the minimum and its
-    witness offset bit for bit; each of its finite entries is the full
-    entry, and +inf marks only points whose full delta exceeds the minimum."""
+def _assert_minimum_agrees(full, least, bound=INF):
+    """Minimum mode under the bound B keeps the first argmin, the minimum
+    and its witness offset bit for bit where the minimum is at most B; each
+    of its finite entries is the full entry, and +inf marks only points
+    whose full delta exceeds the minimum or B.  With B = inf it keeps every
+    NaN; under a finite B no entry is NaN, and where the minimum exceeds B
+    every entry is +inf."""
     nan = np.isnan(full.values)
-    assert np.array_equal(np.isnan(least.values), nan)
+    if bound == INF:
+        assert np.array_equal(np.isnan(least.values), nan)
+    else:
+        assert not np.isnan(least.values).any()
     finite = np.isfinite(least.values)
     for name in ("values", "witness_offset"):
         assert np.array_equal(getattr(least, name)[finite], getattr(full, name)[finite]), name
-    far = ~finite & ~nan
+    far = ~finite & ~np.isnan(least.values)
     assert np.all(least.values[far] == INF) and np.all(least.witness_offset[far] == INF)
-    if nan.all():
+    if nan.all() or np.nanmin(full.values) > bound:
+        assert bound == INF or np.all(least.values == INF)
         return
     i = int(np.nanargmin(full.values))
     assert int(np.nanargmin(least.values)) == i
     assert least.values[i] == full.values[i]
     assert least.witness_offset[i] == full.witness_offset[i]
-    assert np.all(full.values[far] > full.values[i])
+    assert np.all(full.values[far & ~nan] > full.values[i])
 
 
-@pytest.mark.parametrize("detect_points", [1024, 4096])
-@pytest.mark.parametrize("name, eps, ps", [
+MIN_CASES = [
     # One chunk, as a default uc stage; the minimum 2 - sqrt(3) ties at -2 and 2.
     ("square", 1.0, np.linspace(-2.0, 2.0, 2048)),
     # |sin x - sin p| = 1.5 has no solution near many p: NaN entries.
@@ -600,10 +621,12 @@ def _assert_minimum_agrees(full, least):
     ("sqrt_hole", 2.008904663364039, np.array([2.2625965502493823, 1.5])),
     # Three chunks; the tie at -2 (first chunk) and 2 (last) spans them.
     ("square", 1.0, np.linspace(-2.0, 2.0, 5000)),
-])
-def test_minimum_mode_keeps_the_minimum(name, eps, ps, detect_points):
-    full, least = _minimum_pair(name, ps, eps, detect_points)
-    _assert_minimum_agrees(full, least)
+]
+
+
+def _check_minimum_case(name, eps, ps, detect_points, where):
+    full, least, bound = _minimum_pair(name, ps, eps, detect_points, where)
+    _assert_minimum_agrees(full, least, bound)
     if name != "sqrt_hole":  # two points: too few to need a skip
         assert np.isinf(least.values).any()  # the mode did skip some refinement
     if name == "square":
@@ -612,15 +635,30 @@ def test_minimum_mode_keeps_the_minimum(name, eps, ps, detect_points):
         assert np.isnan(full.values).any()
 
 
+@pytest.mark.parametrize("detect_points", [1024, 4096])
+@pytest.mark.parametrize("name, eps, ps", MIN_CASES)
+def test_minimum_mode_keeps_the_minimum(name, eps, ps, detect_points):
+    _check_minimum_case(name, eps, ps, detect_points, "inf")
+
+
+@pytest.mark.parametrize("where", ["below", "at", "above"])
+@pytest.mark.parametrize("detect_points", [1024, 4096])
+@pytest.mark.parametrize("name, eps, ps", MIN_CASES)
+def test_minimum_mode_keeps_the_minimum_under_a_bound(name, eps, ps, detect_points, where):
+    # A witness stage's bound: one float below, at and twice the minimum.
+    _check_minimum_case(name, eps, ps, detect_points, where)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(MIN_PROBLEMS)), st.floats(math.log(1e-3), math.log(3.0)),
-       st.integers(1, 1200), st.sampled_from([1024, 4096]), st.integers(0, 2 ** 32 - 1))
-def test_minimum_mode_agrees_on_random_points(name, log_eps, n, detect_points, seed):
+       st.integers(1, 1200), st.sampled_from([1024, 4096]), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(sorted(BOUNDS)))
+def test_minimum_mode_agrees_on_random_points(name, log_eps, n, detect_points, seed, where):
     profile, lo, hi, open_lo, open_hi = line_problem(*MIN_PROBLEMS[name]())
     a, b = max(lo, -10.0), min(hi, 10.0)
     ps = np.random.default_rng(seed).uniform(a, b, n)
     ps = ps[ps > a] if open_lo else ps
-    _assert_minimum_agrees(*_minimum_pair(name, ps, math.exp(log_eps), detect_points))
+    _assert_minimum_agrees(*_minimum_pair(name, ps, math.exp(log_eps), detect_points, where))
 
 
 def test_probe_rows_are_dense_detect_rows():
@@ -665,7 +703,7 @@ def test_sweep_returns_the_least_bound():
     assert np.all(side.root == INF)
 
 
-def _counted_field(f, dom, ps, eps, minimum):
+def _counted_field(f, dom, ps, eps, bound):
     """line_field of f over ps as uc's stages run it (1,024 detect points),
     with the number of samples its evaluator took."""
     profile, lo, hi, open_lo, open_hi = line_problem(f, dom)
@@ -675,7 +713,7 @@ def _counted_field(f, dom, ps, eps, minimum):
         taken[0] += np.size(x)
         return f_arr(x)
     res = line_field(counted, ps, eps, lo, hi, open_lo, open_hi, detect_points=1024,
-                     f_enc=enclosure_evaluator(profile), minimum=minimum)
+                     f_enc=enclosure_evaluator(profile), bound=bound)
     return res, taken[0]
 
 
@@ -687,8 +725,8 @@ def _counted_field(f, dom, ps, eps, minimum):
 ])
 def test_minimum_mode_sample_budget(src, dom, ps, share):
     f = ExpressionFn.parse(src)
-    full, n_full = _counted_field(f, dom, ps, 0.5, False)
-    least, n_least = _counted_field(f, dom, ps, 0.5, True)
+    full, n_full = _counted_field(f, dom, ps, 0.5, None)
+    least, n_least = _counted_field(f, dom, ps, 0.5, INF)
     _assert_minimum_agrees(full, least)
     assert n_least <= share * n_full
 
@@ -710,6 +748,38 @@ def test_undecided_sides_are_swept_again(monkeypatch):
     assert unbounded  # the re-sweep ran
     _assert_minimum_agrees(full, least)
     assert np.isnan(full.values).any()
+
+
+@pytest.mark.parametrize("where", ["below", "above"])
+def test_a_finite_bound_settles_no_nan_mask(monkeypatch, where):
+    # A witness stage passes a finite bound and reads only a least delta
+    # within it: a side cut at B stops, with no probe rows, and no side is
+    # swept again without the bound, so a point with no crossing reads +inf
+    # where the bound inf (test_undecided_sides_are_swept_again) reads NaN.
+    f, dom = MIN_PROBLEMS["sin"]()
+    ps = np.linspace(0.0, 10.0, 2048)
+    full, _, bound = _minimum_pair("sin", ps, 1.5, 1024, where)
+    calls = _sweep_calls(monkeypatch)
+    least, taken = _counted_field(f, dom, ps, 1.5, bound)
+    assert len(calls) == 2 and None not in [b for b, _ in calls]
+    _assert_minimum_agrees(full, least, bound)
+    calls.clear()
+    _, taken_inf = _counted_field(f, dom, ps, 1.5, INF)
+    assert None in [b for b, _ in calls] and taken < taken_inf
+
+
+def test_a_cut_side_known_to_cross_stops():
+    # The column of test_probe_rows_are_dense_detect_rows, known to cross:
+    # cut at B = 0.1 in its first window, it samples no probe rows.
+    rows = []
+
+    def eval_at(cols, ts):
+        rows.append(ts.shape[0])
+        return np.where(ts >= 5.0, 1.0, 0.0), np.ones(ts.shape, dtype=bool)
+    side, brackets, _ = _sweep(eval_at, np.zeros(1), 0.5, np.array([INF]), np.array([0.3]),
+                               np.ones(1), 1024, bound=0.1, known=np.ones(1, dtype=bool))
+    assert rows == [1024] and not brackets
+    assert np.isnan(side.root[0]) and not side.undecided[0]
 
 
 def _sweep_calls(monkeypatch):

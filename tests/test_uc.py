@@ -81,6 +81,44 @@ def test_witness_distances_are_pinned():
         assert abs(abs(fx - fy) - EPS) <= 1e-9
 
 
+def test_infimum_stages_keep_the_existence_decision():
+    # |sin x - sin p| = 1.9 has no solution near many p on [0, 10].  An
+    # infimum stage passes no finite bound, so it still tells a point with
+    # no crossing (NaN, counted as skipped) from one whose delta exceeds
+    # the minimum (+inf), at every stage of the default schedule.
+    trace = uc.infimum_delta(ExpressionFn.parse("sin(x)"), DomainSpec.interval(0.0, 10.0), 1.9)
+    assert [(r.inf_delta, r.argmin.coords, r.skipped) for r in trace.records] == [
+        (2.506493690432393, (4.392156862745098,), 187),
+        (2.506472870893267, (5.029354207436399,), 374),
+        (2.5064719638914825, (7.536656891495602,), 747),
+        (2.5064780683319277, (7.537860283341475,), 1495),
+    ]
+
+
+def test_witness_stages_are_bounded_by_half_the_last_distance(monkeypatch):
+    # The first stage has no pair to halve and passes no bound; every later
+    # stage passes half the distance of the last pair accepted, and a stage
+    # whose minimum exceeds it reads no minimum at all.
+    seen, stage_min = [], uc._stage_min
+
+    def spy(*args):
+        seen.append((args[-1], stage_min(*args)))
+        return seen[-1][1]
+    monkeypatch.setattr(uc, "_stage_min", spy)
+    w = uc.witness_search(ExpressionFn.parse("sin(1/x)"), UNIT, EPS, count=3)
+    assert seen[0][0] == math.inf
+    last = math.inf
+    for bound, (v, x, skipped, y) in seen:
+        assert bound == (math.inf if last == math.inf else 0.5 * last)
+        assert skipped == 0 and (y is None) == (v == math.inf)
+        if bound < math.inf and v > bound:
+            assert (v, x, y) == (math.inf, None, None)
+        if v in w.distances:
+            last = v
+    assert last == w.distances[-1]
+    assert any(bound < v for bound, (v, *_) in seen)  # some stage was rejected by it
+
+
 # uc_verdict at eps_grid=[0.5] on the full 21-stage, 2,048-point schedules.
 SQRT_VERDICT_STAGES = [(0.2500000000005, (0.0,), 0)] * 21
 SIN_INV_VERDICT_STAGES = [
@@ -189,10 +227,12 @@ def test_generic_nd_schedule_is_one_stage():
     assert uc.default_schedule(box, stages=uc._MAX_WITNESS_STAGES) == [(box, 2048)]
 
 
-@pytest.mark.parametrize("resolution", [0, -4])
+@pytest.mark.parametrize("resolution", [0, -4, 100.5, math.nan, math.inf])
 def test_schedule_needs_a_point_per_window(resolution):
     # A resolution below 1 samples nothing: an infimum over no points is
-    # refused, on a line and without one.
+    # refused, on a line and without one.  A resolution is a point count,
+    # so one that is not an integer is refused too, also in a caller's
+    # schedule.
     for f, dom in ((ExpressionFn.parse("x^2"), DomainSpec.interval(-1.0, 1.0)),
                    (ExpressionFn.parse("sqrt(x)"), DomainSpec.half_line(0.0)),
                    (ExpressionFn.parse("x1*x2"), BOX)):
@@ -200,10 +240,12 @@ def test_schedule_needs_a_point_per_window(resolution):
             uc.default_schedule(dom, resolution=resolution)
         with pytest.raises(dm.InvalidArgument):
             uc.stage_schedule(f, dom, resolution=resolution)
+        with pytest.raises(dm.InvalidArgument):
+            uc.infimum_delta(f, dom, EPS, schedule=[(dom, resolution)])
     assert uc.default_schedule(UNIT, stages=1, resolution=1)[0][1] == 1
 
 
-@pytest.mark.parametrize("stages", [0, -1])
+@pytest.mark.parametrize("stages", [0, -1, 2.5, math.nan, math.inf])
 def test_schedule_needs_a_stage(stages):
     # A stage count below 1 is refused too, also where the domain picks
     # its own count (a compact line, a generic nD problem).
@@ -238,10 +280,12 @@ def test_short_schedule_witness_search_evaluates_no_stage(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("count", [2, 1, 0, -1])
+@pytest.mark.parametrize("count", [2, 1, 0, -1, 3.5, math.nan, math.inf])
 def test_witness_chain_below_three_pairs_is_refused(monkeypatch, count):
     # uc_verdict ignores chains of <= 2 pairs, so a count below 3 could
-    # only produce a verdict from no evidence; it is refused before any stage.
+    # only produce a verdict from no evidence; it is refused before any
+    # stage, and so is a count that is no integer (3.5 would build 4 pairs,
+    # and no chain reaches nan or inf).
     calls = []
     monkeypatch.setattr(uc, "_stage_min", lambda *a: calls.append(a))
     f = ExpressionFn.parse("x")
