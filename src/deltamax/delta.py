@@ -219,13 +219,8 @@ def _line_rows(problem, dom: DomainSpec, ps, eps: float) -> list:
         at_fb = np.cumsum(~done) - 1  # a row's index in fb
 
     def solve(k, pt, t, fp):
-        if done[k]:
-            value, t_w, lower, upper, one_sided, diagnostics = _field_row(
-                piece, k, t, eps, piece.witness[k], piece.upper[k])
-        else:
-            j = at_fb[k]
-            value, t_w, lower, upper, one_sided, diagnostics = _field_row(
-                fb, j, t, eps, t + fb.witness_offset[j], fb.values[j])
+        res, j = (piece, k) if done[k] else (fb, at_fb[k])
+        value, t_w, lower, upper, one_sided, diagnostics = _field_row(res, j, t, eps)
         diagnostics["lower_kind"] = "proof" if done[k] and not claimed else "samples"
         if radial and t != 0.0:
             witness = Point(tuple(c * (t_w / t) for c in pt.coords))
@@ -242,10 +237,9 @@ def _line_rows(problem, dom: DomainSpec, ps, eps: float) -> list:
     return rows
 
 
-def _field_row(res, k: int, t: float, eps: float, witness: float, upper: float):
+def _field_row(res, k: int, t: float, eps: float):
     """(value, witness, lower, upper, one_sided, diagnostics) of row k of
-    a piece_field or line_field result, whose line coordinate is t, given
-    the row's witness and upper end."""
+    a piece_field or line_field result, whose line coordinate is t."""
     value, lower, searched = float(res.values[k]), float(res.lower[k]), float(res.searched[k])
     if math.isnan(value):
         raise EmptySpherePreimage(
@@ -258,7 +252,7 @@ def _field_row(res, k: int, t: float, eps: float, witness: float, upper: float):
             f"delta({t!r}, {eps!r}) is below the float64 resolution at p: "
             f"a violator sits {value!r} away, and no float closer to p than "
             "that, other than p itself, could be shown clear")
-    return (value, float(witness), lower, float(upper), bool(res.one_sided[k]),
+    return (value, float(res.witness[k]), lower, float(res.upper[k]), bool(res.one_sided[k]),
             {"achiever_h": float(res.root_h[k]), "searched_radius": searched,
              "detect_rounds": int(res.detect_rounds[k]),
              "enclosed_rounds": int(res.enclosed_rounds[k])})

@@ -358,13 +358,21 @@ def _abs_iv(lo, hi):
 
 
 def _periodic(fn, peak):
-    """Enclosure of sin or cos; `peak` is where fn has a maximum."""
+    """Enclosure of sin or cos; `peak` is the float nearest its maximum P
+    (pi/2 or 0).  [lo, hi] holds a maximum P + 2*pi*k when an integer k
+    lies in [a, b] for a = (lo - d - peak)/fl(2*pi), b = (hi + d - peak)/
+    fl(2*pi), a minimum when k + 1/2 does.  Each subtraction and the
+    division round by a relative u = 2**-53 at most, fl(2*pi) and peak lie
+    within 0.64u and u of 2*pi and P: so 2*pi*a lies within 3.7u(M + d) +
+    5.2u of lo - d - P for M = max(1, |lo|, |hi|), and d = 16uM covers
+    that: a <= (lo - P)/(2*pi) and b >= (hi - P)/(2*pi).  Monotone
+    rounding keeps those k (and k + 1/2 while |a|, |b| < 2**52) past ceil
+    and floor.  Past M = 3.5e15, d exceeds 2*pi: the enclosure is [-1, 1]."""
     def enclose(lo, hi):
         vlo, vhi = _out_libm(*_hull(fn(lo), fn(hi)))
-        # Generous slack keeps the float 2*pi reduction conservative.
-        slack = 1e-9 * np.maximum(1.0, np.maximum(-lo, hi))
-        a = (lo - slack - peak) / _TWO_PI
-        b = (hi + slack - peak) / _TWO_PI
+        pad = 2.0 ** -49 * np.maximum(1.0, np.maximum(-lo, hi))  # d = 16uM
+        a = (lo - pad - peak) / _TWO_PI
+        b = (hi + pad - peak) / _TWO_PI
         has_max = np.ceil(a) <= np.floor(b)
         has_min = np.ceil(a - 0.5) <= np.floor(b - 0.5)
         return (np.maximum(np.where(has_min, -1.0, vlo), -1.0),

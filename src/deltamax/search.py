@@ -20,15 +20,14 @@ in two calls.  On sampled ends no point lies nearer the secant root than
 half the stop width, so no violator end that the settle places passes
 eps by rounding alone (an end that the sweep found stays as it is).
 
-line_field keeps both sides of its points in one signed batch of columns
-(x = p + s*t, s = +-1) and settles both halves' brackets in one pass.
-In full mode it sweeps both halves at once: without a bound no column's
-sweep reads another's, so each gets the brackets of a sweep of its half
-alone.  In minimum mode it sweeps its +t half and then its -t half (the
-other half given no extent): the -t sweep starts from the bound B and
-the crossings that the whole +t sweep found, and one joint sweep of both
-halves sampled 37.5M points instead of 21.7M on uc_1d's traced perfbench
-pass.
+line_field settles the brackets of both halves of its signed batch
+(below) in one pass.  In full mode it sweeps both halves at once:
+without a bound no column's sweep reads another's, so each gets the
+brackets of a sweep of its half alone.  In minimum mode it sweeps its +t
+half and then its -t half (the other half given no extent): the -t sweep
+starts from the bound B and the crossings that the whole +t sweep found,
+and one joint sweep of both halves sampled 37.5M points instead of 21.7M
+on uc_1d's traced perfbench pass.
 
 In minimum mode (line_field(..., bound=...); a uc stage keeps only the
 least delta) no side samples detect rows densely past a bound B on the
@@ -92,6 +91,12 @@ line_field, as are functions with no enclosure of f' (abs, min, max,
 pow).  A caller that claims f monotone passes no f' enclosure: every
 window is then monotone, and the bracket rests on that claim.
 
+Both engines return a LineResult.  Each keeps the two sides of its n
+points in one signed batch of columns, x = p + s*t with s = 1 in column
+j < n (point j) and s = -1 in column n + j; _join takes the nearer
+crossing of each point, a tie going to the -t side, and its line
+coordinate as the witness.  _by_chunks runs either engine in chunks.
+
 Conventions: an evaluator maps (cols, ts) -> (f, valid) where ts has one
 row per probe offset and one column per selected base point.  Samples
 with valid=False (outside the domain) never form brackets; f = +/-inf is
@@ -122,9 +127,9 @@ R_MAX = float(2 ** 20)
 _TAIL_FRAC = 0.5 ** np.arange(1, 81, dtype=float)  # tail probes toward a finite end
 _REFINE_POINTS = 256  # fine rescan inside each found bracket
 _FRAC_FINE = np.arange(1, _REFINE_POINTS + 1, dtype=float) / _REFINE_POINTS
-# Base points per line_field batch: one default uc stage (2,048 points),
-# whose 4,096 signed columns, all live, take 16-row blocks under the cap.
-# piece_field walks its points in batches of the same size.
+# Base points per chunk of either engine (_by_chunks): one default uc
+# stage (2,048 points), whose 4,096 signed columns, all live, take 16-row
+# blocks under the cap.
 _CHUNK = 2048
 _BLOCK_SAMPLES = 2 ** 16  # most samples per evaluator call of a window or rescan
 _PROBE_ROWS = 16      # detect rows per window of a side cut at the minimum's bound
@@ -475,28 +480,58 @@ def _settle(eval_at, fp, eps, pos_scale, side: SideResult, brackets: list) -> No
 
 
 @dataclass
-class FieldResult:
-    """Vectorized two-sided search outcome for a batch of base points.
-    In minimum mode lower, root_h, one_sided, searched and the round
-    counts describe the pruned search: a side cut at B keeps its clear
-    radius at the cut, re-sweeps are not counted, and a +inf point whose
-    two sides were both re-swept may cross on both (one_sided False)."""
+class LineResult:
+    """Per-point outcome of either line engine.  Where `done` is False the
+    piece walk gave up on the point, and its other entries mean nothing.
+    In line_field's minimum mode lower, root_h, one_sided, searched and
+    the round counts describe the pruned search: a side cut at B keeps
+    its clear radius at the cut, re-sweeps are not counted, and a +inf
+    point whose two sides were both re-swept may cross on both."""
 
-    values: np.ndarray          # violator end; NaN where the sphere preimage was not found,
-    #                             +inf where minimum mode did not refine it (and, under
-    #                             a finite bound, where it found no crossing)
-    witness_offset: np.ndarray  # signed offset of the violator end
-    lower: np.ndarray           # clear lower bound; NaN below float resolution
-    root_h: np.ndarray          # h >= 0 at the violator end
+    done: np.ndarray
+    values: np.ndarray           # violator end; NaN: no side crosses; +inf: not refined
+    witness: np.ndarray          # its line coordinate (+inf where values is)
+    lower: np.ndarray            # lower bound; NaN where no float but p was shown clear
+    upper: np.ndarray            # upper bound: proved by piece_field, values in line_field
+    root_h: np.ndarray           # h >= 0 at the violator end, as evaluated
     one_sided: np.ndarray
-    searched: np.ndarray
-    detect_rounds: np.ndarray   # detect rounds, both sides
-    enclosed_rounds: np.ndarray  # of which proved clear by enclosure
+    searched: np.ndarray         # farthest window end, both sides
+    detect_rounds: np.ndarray    # windows tested, both sides
+    enclosed_rounds: np.ndarray  # of which proved clear
+
+
+def _join(done, values, witness, lower, upper, root_h, searched, detect_rounds,
+          enclosed_rounds) -> LineResult:
+    """The LineResult of per-side arrays over a signed batch of 2n columns:
+    values, witness and root_h from the nearer crossing (see the module
+    notes), the nearer ends, the farther search, the summed rounds, and
+    done where both sides are."""
+    n = values.size // 2
+    has = ~np.isnan(values)
+    pick = np.arange(n) + n * (has[n:] & ~(values[:n] < values[n:]))
+
+    def both(op, a):
+        return op(a[:n], a[n:])
+    return LineResult(
+        done=both(np.logical_and, done), values=values[pick], witness=witness[pick],
+        lower=both(np.minimum, lower), upper=both(np.fmin, upper), root_h=root_h[pick],
+        one_sided=both(np.logical_xor, has), searched=both(np.fmax, searched),
+        detect_rounds=both(np.add, detect_rounds), enclosed_rounds=both(np.add, enclosed_rounds))
+
+
+def _by_chunks(run, n: int) -> LineResult:
+    """The LineResult of n points, run(sl) giving it for each slice sl of
+    at most _CHUNK of them (one empty slice when n is 0)."""
+    parts = [run(slice(i, i + _CHUNK)) for i in range(0, max(n, 1), _CHUNK)]
+    if len(parts) == 1:
+        return parts[0]
+    return LineResult(**{name: np.concatenate([getattr(r, name) for r in parts])
+                         for name in LineResult.__dataclass_fields__})
 
 
 def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
                open_lo: bool, open_hi: bool, detect_points: int = SCAN_POINTS,
-               f_enc=None, bound: float | None = None) -> FieldResult:
+               f_enc=None, bound: float | None = None) -> LineResult:
     """delta field of a scalar function along an interval domain.
 
     `f_arr` is a lenient vectorized evaluator; `ps` must lie inside
@@ -507,22 +542,18 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
     proves clear; the result is the same with or without it.
 
     Both sides of every point, each with its own detect windows, are
-    swept and settled in one signed batch (see the module notes), with
-    the results of sweeping and settling each side alone: full mode
-    sweeps the batch by one _sweep call, minimum mode its +t half and
-    then its -t half.
-    Ties between equally distant crossings resolve to the negative side
-    (the left crossing), which keeps results deterministic.  `lower` is NaN where
-    the nearest clear end is within one float spacing of the base point:
-    float64 cannot sample a clear point other than the base point itself
-    there, so no positive lower bound exists.
+    swept and settled in one signed batch, each as if alone (see the
+    module notes).  Every point is done, and its upper end is its value.
+    `lower` is NaN where the nearest clear end is within one float spacing
+    of the base point: float64 cannot sample a clear point other than the
+    base point itself there, so no positive lower bound exists.
 
     `bound`, the caller's bound on the least delta, selects the mode.
     None is full mode.  A float keeps only what a least delta of the
     batch within it needs (minimum mode, see the module notes): where the
     minimum is at most the bound, it, its first argmin and its witness
-    offset are those of the full field, bit for bit.  Every other finite
-    value and witness offset is the full one too; a point whose delta
+    are those of the full field, bit for bit.  Every other finite value
+    and witness is the full one too; a point whose delta
     lies past the running bound B, or past the caller's, reads +inf in
     both instead, so where the minimum exceeds the caller's bound every
     point reads +inf.  The NaN mask (no crossing found) is the full
@@ -532,15 +563,9 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
     NaN: one with no crossing reads +inf.
     """
     ps = np.asarray(ps, dtype=float)
-    n = ps.size
-    dtypes = {"one_sided": bool, "detect_rounds": int, "enclosed_rounds": int}
-    out = {name: np.empty(n, dtype=dtypes.get(name, float))
-           for name in FieldResult.__dataclass_fields__}
-
     fp_all = np.asarray(f_arr(ps), dtype=float)
     eps_in = eps * (1.0 - 2.0 ** -50)
-    check_lo = math.isfinite(dom_lo)
-    check_hi = math.isfinite(dom_hi)
+    check_lo, check_hi = math.isfinite(dom_lo), math.isfinite(dom_hi)
 
     def member(x):
         """The domain test of the sample points; None when all pass."""
@@ -556,10 +581,10 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
     # Minimum mode: the least delta settled in earlier chunks, or the caller's bound.
     best = math.inf if bound is None else bound
     decide = bound == math.inf  # minimum mode settles the NaN mask only under the bound inf
-    for start in range(0, n, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, n))
-        p_c = ps[sl]
-        fp = fp_all[sl]
+
+    def chunk(sl):
+        nonlocal best
+        p_c, fp = ps[sl], fp_all[sl]
         pos_scale = np.abs(p_c)
         bad_fp = ~np.isfinite(fp)
 
@@ -627,63 +652,30 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
                 for cols, *_ in sweep(np.where(redo, ext, 0.0))[1]:
                     side.root[cols] = math.inf
         _settle(eval_at, fp2, eps, scale2, side, brackets)
-        side_p, side_n = (SideResult(**{k: v[half] for k, v in vars(side).items()})
-                          for half in (slice(None, m), slice(m, None)))
-
-        rp, rn = side_p.root, side_n.root
-        has_p, has_n = ~np.isnan(rp), ~np.isnan(rn)
-        use_neg = has_n & (~has_p | (rn <= rp))
-        values = np.where(use_neg, rn, rp)
         # A side without a crossing was cleared up to its searched radius
         # (or has no domain at all, which constrains nothing).
-        live_p, live_n = has_p | (ext[:m] > 0), has_n | (ext[m:] > 0)
-        clear = np.minimum(np.where(live_p, side_p.clear, np.inf),
-                           np.where(live_n, side_n.clear, np.inf))
-        # Each side's clear radius less its own grid step.
-        lower = np.minimum(np.where(live_p, side_p.clear - side_p.step, np.inf),
-                           np.where(live_n, side_n.clear - side_n.step, np.inf))
-        lower = np.minimum(lower, values)
-        tol_eff = TOL_X * np.maximum(1.0, pos_scale)
+        live = ~np.isnan(side.root) | (ext > 0.0)
+        cleared = np.where(live, side.clear, np.inf)
+        res = _join(np.ones(2 * m, dtype=bool), side.root, p_s + signs * side.root,
+                    cleared - side.step,  # each side's clear radius less its own grid step
+                    side.root, side.root_h, side.searched, side.rounds, side.enclosed)
+        values, clear = res.values, np.minimum(cleared[:m], cleared[m:])
+        lower = np.minimum(res.lower, values)
         bad = ~(lower > 0.0)
-        lower[bad] = np.minimum(clear[bad], tol_eff[bad])
+        lower[bad] = np.minimum(clear, TOL_X * np.maximum(1.0, pos_scale))[bad]
         lower[clear < np.spacing(pos_scale)] = np.nan
-        values[bad_fp] = np.nan
-        witness = np.where(use_neg, -rn, rp)
         if bound is not None:
             far = (values > min(b, bound)) | (np.isnan(values) & (not decide))
-            values[far] = witness[far] = math.inf
+            values[far] = res.witness[far] = math.inf
             best = float(np.min(values, initial=best, where=np.isfinite(values)))
-        chunk = dict(values=values, witness_offset=witness,
-                     lower=lower, root_h=np.where(use_neg, side_n.root_h, side_p.root_h),
-                     one_sided=has_p ^ has_n,
-                     searched=np.maximum(side_p.searched, side_n.searched),
-                     detect_rounds=side_p.rounds + side_n.rounds,
-                     enclosed_rounds=side_p.enclosed + side_n.enclosed)
-        for name, arr in out.items():
-            arr[sl] = chunk[name]
+        res.lower, res.upper = lower, values
+        return res
 
-    return FieldResult(**out)
-
-
-@dataclass
-class PieceResult:
-    """Per-point outcome of piece_field.  Where `done` is False the walk
-    gave up on the point, and its other entries mean nothing."""
-
-    done: np.ndarray
-    values: np.ndarray           # violator end; NaN where no side crosses
-    witness: np.ndarray          # its line coordinate
-    lower: np.ndarray            # proved lower bound; NaN where no float but p was proved clear
-    upper: np.ndarray            # proved upper bound
-    root_h: np.ndarray           # h >= 0 at the violator end, as evaluated
-    one_sided: np.ndarray
-    searched: np.ndarray         # farthest window end, both sides
-    detect_rounds: np.ndarray    # windows tested, both sides
-    enclosed_rounds: np.ndarray  # of which proved clear (0 without f_slope)
+    return _by_chunks(chunk, ps.size)
 
 
 def piece_field(f_arr, f_enc, f_slope, ps: np.ndarray, eps: float, dom_lo: float,
-                dom_hi: float) -> PieceResult:
+                dom_hi: float) -> LineResult:
     """delta field of a scalar function along an interval domain, from
     windows proved clear or proved monotone (see the module notes).
 
@@ -692,25 +684,19 @@ def piece_field(f_arr, f_enc, f_slope, ps: np.ndarray, eps: float, dom_lo: float
     on the whole line, as the caller claims, and f_enc then only needs
     to enclose f at the two ends of each interval.  `ps` must lie inside
     [dom_lo, dom_hi].  A point whose sides the walk cannot settle within
-    _MAX_SPLITS window splits or _WALK_ROUNDS rounds is not done.  Points
-    are walked in chunks of _CHUNK, which bounds the arrays of a round.
+    _MAX_SPLITS window splits or _WALK_ROUNDS rounds is not done.
     """
     ps = np.asarray(ps, dtype=float)
     with np.errstate(all="ignore"):
-        parts = [_pieces(f_arr, f_enc, f_slope, ps[i:i + _CHUNK], eps, dom_lo, dom_hi)
-                 for i in range(0, max(ps.size, 1), _CHUNK)]
-    if len(parts) == 1:
-        return parts[0]
-    return PieceResult(**{name: np.concatenate([getattr(r, name) for r in parts])
-                          for name in PieceResult.__dataclass_fields__})
+        return _by_chunks(lambda sl: _pieces(f_arr, f_enc, f_slope, ps[sl], eps, dom_lo, dom_hi),
+                          ps.size)
 
 
-def _pieces(f_arr, f_enc, f_slope, ps, eps, dom_lo, dom_hi) -> PieceResult:
+def _pieces(f_arr, f_enc, f_slope, ps, eps, dom_lo, dom_hi) -> LineResult:
     """piece_field, with numpy's floating-point warnings off."""
     n = ps.size
     fp = np.asarray(f_arr(ps), dtype=float)
-    # One signed batch, as in line_field: column j < n is point j's +t
-    # side, column n + j its -t side.
+    # One signed batch (see the module notes).
     p, s, fpc = _twice(ps), np.repeat((1.0, -1.0), n), _twice(fp)
     fp_lo, fp_hi = (_twice(a) for a in _enclosed(f_enc, ps, ps))
 
@@ -810,17 +796,10 @@ def _pieces(f_arr, f_enc, f_slope, ps, eps, dom_lo, dom_hi) -> PieceResult:
     side = np.full((5, 2 * n), np.nan)  # value, upper, witness, h; how far the side went
     side[:4, bc] = np.abs(u - p[bc]), ends[m + soft.size:], u, h_u
     side[4] = np.abs(np.where(np.isnan(xb), x_end, xb) - p)
-    has = ~np.isnan(side[0])
-    pick = np.arange(n) + n * (has[n:] & ~(side[0, :n] < side[0, n:]))
-    value, _, witness, root_h, _ = side[:, pick]
-    lower = np.minimum(low[:n], low[n:])
-    return PieceResult(
-        done=~(failed[:n] | failed[n:]), values=value, witness=witness,
-        lower=np.where(lower > 0.0, lower, np.nan), upper=np.fmin(side[1, :n], side[1, n:]),
-        root_h=root_h, one_sided=has[:n] ^ has[n:],
-        searched=np.fmax(side[4, :n], side[4, n:]),
-        detect_rounds=count[0, :n] + count[0, n:],
-        enclosed_rounds=(count[1, :n] + count[1, n:]) * (f_slope is not None))
+    res = _join(~failed, side[0], side[2], low, side[1], side[3], side[4], count[0],
+                count[1] * (f_slope is not None))
+    res.lower[~(res.lower > 0.0)] = np.nan
+    return res
 
 
 def _ksection(eval_at, cols, fp, eps, l, l_h, u, u_h, tol, scale, sampled):

@@ -138,10 +138,10 @@ def default_schedule(dom: DomainSpec, stages: int = 21, resolution: int = 2048,
     resolution on its full window, up to `resolution`.  A generic nD
     domain gets one stage on its (truncated) full window: _stage_field
     caps every nD grid at the same lattice, so more stages would repeat
-    it.  A stage count or resolution that is not an integer of at least 1
-    raises InvalidArgument.
+    it.  A stage count or resolution that is not an integer of at least
+    1, or a factor that is not a finite number > 1, raises InvalidArgument.
     """
-    _require_counts(stages=stages, resolution=resolution)
+    _require_counts(stages=stages, resolution=resolution, factor=factor)
     if dom.dimension > 1 and not dom.is_radial:
         return [(dom, resolution)]
 
@@ -163,8 +163,6 @@ def default_schedule(dom: DomainSpec, stages: int = 21, resolution: int = 2048,
     # so a line lying wholly beyond R_MAX still has windows.
     line_lo = lo if not math.isinf(lo) else (hi if math.isfinite(hi) else 0.0) - R_MAX
     line_hi = hi if not math.isinf(hi) else (lo if math.isfinite(lo) else 0.0) + R_MAX
-    if not factor > 1:
-        raise InvalidArgument(f"factor must exceed 1, got {factor!r}")
     # The windows grow with k toward (line_lo, line_hi), so only the first
     # few can be empty (an open end's first step reaching across the
     # line); they are skipped and do not count as stages.
@@ -199,18 +197,20 @@ def stage_schedule(f: FunctionSpec, dom: DomainSpec, stages: int = 21, resolutio
     (delta.line_problem), else the one stage (dom, resolution), since
     every stage without a line is the same capped lattice."""
     if line_problem(f, dom) is None:
-        _require_counts(stages=stages, resolution=resolution)
+        _require_counts(stages=stages, resolution=resolution, factor=factor)
         return [(dom, resolution)]
     return default_schedule(dom, stages, resolution, factor)
 
 
-def _require_counts(least: int = 1, **counts) -> None:
+def _require_counts(least: int = 1, factor: float = 2.0, **counts) -> None:
     """Raise InvalidArgument unless every count is an integer of at least
-    `least`: a schedule has at least one stage of at least one point, and
-    a witness chain at least three pairs."""
+    `least` (a schedule has at least one stage of at least one point, a
+    witness chain three pairs), and `factor` a finite number > 1."""
     for name, value in counts.items():
         if not (isinstance(value, numbers.Integral) and value >= least):
             raise InvalidArgument(f"{name} must be an integer >= {least}, got {value!r}")
+    if not (isinstance(factor, numbers.Real) and 1.0 < factor < math.inf):
+        raise InvalidArgument(f"factor must be a finite number > 1, got {factor!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +248,7 @@ def _stage_field(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
         res = line_field(array_evaluator(profile), ts, eps, lo, hi, open_lo, open_hi,
                          detect_points=1024, f_enc=enclosure_evaluator(profile), bound=bound)
         pad = np.zeros((ts.size, dom.dimension - 1))
-        wit_ts = np.where(np.isnan(res.values), np.nan, ts + res.witness_offset)
-        return np.column_stack([ts, pad]), res.values, np.column_stack([wit_ts, pad])
+        return np.column_stack([ts, pad]), res.values, np.column_stack([res.witness, pad])
 
     # The grid is capped to stay desk-scale.
     per_axis = max(3, min(resolution, int(round(4096 ** (1.0 / dom.dimension)))))

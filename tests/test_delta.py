@@ -654,6 +654,18 @@ class TestProvedBrackets:
         assert res.certified_lower <= want <= res.certified_upper
         assert want - res.certified_lower <= 1e-9 * want
 
+    @pytest.mark.parametrize("p, want", [
+        (1e-9, 5.31535891489091e-19), (1e-11, 7.47831817956741e-23),
+    ])
+    def test_sin_inv_near_zero(self, p, want):
+        # want: mpmath at 60 digits, at the float p.  Padded by 1e-9 |1/x|,
+        # every sin enclosure there was [-1, 1]; the walk gave up, and the
+        # sampled engine's lower ends, 2.5e-18 and 2.7e-18, lay above delta.
+        res = compute_delta(ExpressionFn.parse("sin(1/x)"),
+                            DomainSpec.interval(0.0, 1.0, open_lo=True), p, 0.5)
+        assert res.diagnostics["lower_kind"] == "proof"
+        assert res.certified_lower <= want <= res.certified_upper
+
     def test_one_sided_fallback_subtracts_its_own_step(self):
         # min has no derivative rule: line_field, whose lower end is now
         # the least over sides of clear - step, that side's own step

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -304,6 +305,60 @@ def test_enclosure_holds_every_sampled_value(ast, interval):
     lo, hi = interval
     xs = np.clip(lo + (hi - lo) * np.linspace(0.0, 1.0, 257), lo, hi)
     assert _encloses(ast, lo, hi, xs), to_source(ast)
+
+
+@st.composite
+def _periodic_intervals(draw):
+    """(lo, hi, j) with |lo|, |hi| up to 1e15.  Mostly each end lies a few
+    ulps or up to a radian off the float nearest the extremum pi/2*j of
+    sin or cos, on either side; else j is None."""
+    if draw(st.booleans()):
+        lo = draw(st.floats(-1e15, 1e15))
+        return lo, lo + draw(st.floats(0.0, 10.0)), None
+    j = draw(st.one_of(st.integers(-40, 40), st.integers(-6 * 10 ** 14, 6 * 10 ** 14)))
+    c = float(_half_pi_times(j))
+    ends = []
+    for sign in (-1.0, 1.0):
+        if draw(st.booleans()):
+            ends.append(c + draw(st.integers(-3, 3)) * float(np.spacing(c)))
+        else:
+            ends.append(c + sign * draw(st.floats(0.0, 1.0)))
+    return min(ends), max(ends), j
+
+
+def _half_pi_times(j: int) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal("1.57079632679489661923132169163975144209858469968755291") * j
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(st.sampled_from(["sin", "cos"]), _periodic_intervals())
+# The float below a maximum of sin and the next: without a pad the
+# reduced ends missed the maximum's k.
+@example("sin", (150740239059844.5, 150740239059844.53, 95964216676913))
+def test_periodic_enclosure_holds_far_from_zero(fn, interval):
+    # The reduction (x - peak)/fl(2*pi) errs by about 1e-16 |x|, which its
+    # pad must cover up to |x| = 1e15, where floats lie 0.125 apart: the
+    # enclosure holds every float sample, and +-1 where the exact
+    # extremum pi/2*j lies in [lo, hi].
+    lo, hi, j = interval
+    xs = np.clip(lo + (hi - lo) * np.linspace(0.0, 1.0, 257), lo, hi)
+    if j is not None:
+        c = float(_half_pi_times(j))
+        xs = np.concatenate((xs, c + np.arange(-4, 5) * np.spacing(c)))
+    ast = parse_source(f"{fn}(x)")
+    assert _encloses(ast, lo, hi, xs[(lo <= xs) & (xs <= hi)]), (lo, hi)
+    if j is not None and Decimal(lo) <= _half_pi_times(j) <= Decimal(hi):
+        elo, ehi = _enclose(ast, lo, hi)
+        assert elo <= (0, 1, 0, -1)[(j + (fn == "cos")) % 4] <= ehi, (lo, hi, j)
+
+
+@pytest.mark.parametrize("x", [4e15, -1e16, 1e300])
+def test_periodic_enclosure_past_the_pad_limit_is_the_whole_range(x):
+    # Past |x| = 3.5e15 the reduction's pad exceeds 2*pi.
+    for fn in ("sin", "cos"):
+        assert _enclose(parse_source(f"{fn}(x)"), x, x) == (-1.0, 1.0)
 
 
 @pytest.mark.parametrize("src,lo,hi", [

@@ -1,6 +1,7 @@
 """The line engine with and without interval enclosures of the expression,
 on a batch and point by point, in full and in minimum mode, scan_side
-with and without a reach, and the one bracket inverter, _ksection.
+with and without a reach, the one bracket inverter, _ksection, and the
+one side join of both line engines.
 
 Skipping a detect window that the enclosure proves clear, or every window
 past a ray's bounding-box exit, must not change any crossing, bit for bit;
@@ -32,6 +33,7 @@ from deltamax.model import (
     array_evaluator,
     enclosure_evaluator,
     norm_of_rows,
+    slope_enclosure,
 )
 from deltamax.search import (
     _BLOCK_SAMPLES,
@@ -46,6 +48,7 @@ from deltamax.search import (
     _scan_rows,
     _sweep,
     line_field,
+    piece_field,
     scan_side,
 )
 
@@ -581,7 +584,7 @@ def _minimum_pair(name, ps, eps, detect_points, where="inf"):
 
 def _assert_minimum_agrees(full, least, bound=INF):
     """Minimum mode under the bound B keeps the first argmin, the minimum
-    and its witness offset bit for bit where the minimum is at most B; each
+    and its witness bit for bit where the minimum is at most B; each
     of its finite entries is the full entry, and +inf marks only points
     whose full delta exceeds the minimum or B.  With B = inf it keeps every
     NaN; under a finite B no entry is NaN, and where the minimum exceeds B
@@ -592,17 +595,17 @@ def _assert_minimum_agrees(full, least, bound=INF):
     else:
         assert not np.isnan(least.values).any()
     finite = np.isfinite(least.values)
-    for name in ("values", "witness_offset"):
+    for name in ("values", "witness"):
         assert np.array_equal(getattr(least, name)[finite], getattr(full, name)[finite]), name
     far = ~finite & ~np.isnan(least.values)
-    assert np.all(least.values[far] == INF) and np.all(least.witness_offset[far] == INF)
+    assert np.all(least.values[far] == INF) and np.all(least.witness[far] == INF)
     if nan.all() or np.nanmin(full.values) > bound:
         assert bound == INF or np.all(least.values == INF)
         return
     i = int(np.nanargmin(full.values))
     assert int(np.nanargmin(least.values)) == i
     assert least.values[i] == full.values[i]
-    assert least.witness_offset[i] == full.witness_offset[i]
+    assert least.witness[i] == full.witness[i]
     assert np.all(full.values[far & ~nan] > full.values[i])
 
 
@@ -807,7 +810,7 @@ def test_a_uc_stage_is_one_chunk_of_two_bounded_sweeps(monkeypatch):
     assert not minus[:m].any() and np.array_equal(minus[m:], ps + 2.0)
 
 
-# Full-mode FieldResults of line queries as compute_delta ran them before
+# Full-mode LineResults of line queries as compute_delta ran them before
 # the piece walk (default detect points, with the enclosure), settled by
 # k-section.  Without a bound the two halves are independent, so one sweep
 # of both must give them as a sweep of each half alone would, bit for bit.
@@ -815,8 +818,9 @@ def test_a_uc_stage_is_one_chunk_of_two_bounded_sweeps(monkeypatch):
 FULL_PINS = {
     # Only the -t side of 1.9 crosses on [-2, 2]; -1.5 crosses on both.
     "one_sided": ("x^2", DomainSpec.interval(-2.0, 2.0), [1.9, -1.5], 1.0, dict(
-        values=[0.2844505578605987, 0.30277563773274474],
-        witness_offset=[-0.2844505578605987, -0.30277563773274474],
+        done=[True, True], values=[0.2844505578605987, 0.30277563773274474],
+        witness=[1.6155494421394012, -1.8027756377327449],
+        upper=[0.2844505578605987, 0.30277563773274474],
         lower=[0.09997558593750008, 0.302775478785446],
         root_h=[3.069544618483633e-12, 2.7049473771967314e-12],
         one_sided=[True, False],
@@ -824,14 +828,16 @@ FULL_PINS = {
         detect_rounds=[4, 5], enclosed_rounds=[3, 3])),
     # Only the tail probes toward the open end reach the crossing.
     "tail": ("ln(x)", UNIT, [0.5], 30.0, dict(
-        values=[0.49999999999995354], witness_offset=[-0.49999999999995354],
+        done=[True], values=[0.49999999999995354], witness=[4.64628335805628e-14],
+        upper=[0.49999999999995354],
         lower=[0.4998779296875], root_h=[0.006976499187626217], one_sided=[True],
         searched=[0.5], detect_rounds=[2], enclosed_rounds=[1])),
     # f is undefined on (-1, 1); the first point crosses between its last
     # valid -t sample and that hole.
     "hole": ("sqrt(x^2-1)", REALS_1D, [2.2625965502493823, 1.5], 2.008904663364039, dict(
-        values=[1.2623820830981658, 1.7829476593587401],
-        witness_offset=[-1.2623820830981658, 1.7829476593587401],
+        done=[True, True], values=[1.2623820830981658, 1.7829476593587401],
+        witness=[1.0002144671512165, 3.28294765935874],
+        upper=[1.2623820830981658, 1.7829476593587401],
         lower=[1.2623812238128662, 1.782946231373262],
         root_h=[4.8480330860911636e-11, 7.87370169064161e-13],
         one_sided=[False, False],
@@ -839,7 +845,8 @@ FULL_PINS = {
         detect_rounds=[5, 7], enclosed_rounds=[3, 2])),
     # Three detect windows proved clear by the enclosure.
     "enclosed": ("x^2", REALS_1D, [3.0], 1.0, dict(
-        values=[0.16227766016987907], witness_offset=[0.16227766016987907],
+        done=[True], values=[0.16227766016987907], witness=[3.162277660169879],
+        upper=[0.16227766016987907],
         lower=[0.16227758069405912], root_h=[9.485745522397337e-12], one_sided=[False],
         searched=[0.3333331666711316], detect_rounds=[5], enclosed_rounds=[3])),
 }
@@ -858,3 +865,24 @@ def test_full_mode_field_is_one_sweep_and_pinned(name, monkeypatch):
         got = getattr(res, field)
         assert got.dtype == np.asarray(values).dtype, field
         assert np.array_equal(got, values), field
+
+
+@pytest.mark.parametrize("dom, p, one_sided", [
+    # |x^2 - 0| = 1 at -1 and 1: a tie, which goes to the -t crossing.
+    (REALS_1D, 0.0, False),
+    # On [-2, 2] only the -t side of 1.9 crosses.
+    (DomainSpec.interval(-2.0, 2.0), 1.9, True),
+])
+def test_both_engines_join_their_sides_alike(dom, p, one_sided):
+    profile, lo, hi, open_lo, open_hi = line_problem(ExpressionFn.parse("x^2"), dom)
+    f_arr, f_enc = array_evaluator(profile), enclosure_evaluator(profile)
+    ps = np.array([p])
+    sampled = line_field(f_arr, ps, 1.0, lo, hi, open_lo, open_hi, f_enc=f_enc)
+    proved = piece_field(f_arr, f_enc, slope_enclosure(profile), ps, 1.0, lo, hi)
+    assert sampled.done.all() and np.array_equal(sampled.upper, sampled.values)
+    assert proved.done.all()
+    for res in (sampled, proved):
+        assert res.one_sided[0] == one_sided
+        assert res.witness[0] < p  # the -t side's crossing
+        # The witness is a line coordinate, values[0] away from p to rounding.
+        assert abs(abs(res.witness[0] - p) - res.values[0]) <= np.spacing(abs(p) + 1.0)

@@ -375,8 +375,26 @@ def test_open_finite_end_gets_every_stage(dom):
         assert len(set(schedule)) == stages  # windows keep growing
     assert len(uc.default_schedule(dom, stages=uc._MAX_WITNESS_STAGES,
                                    factor=uc._WITNESS_FACTOR)) == uc._MAX_WITNESS_STAGES
-    with pytest.raises(dm.InvalidArgument):
-        uc.default_schedule(dom, factor=1.0)
+
+
+@pytest.mark.parametrize("factor", [1.0, 0.5, math.nan, -2.0, math.inf, "2"])
+@pytest.mark.parametrize("dom", [
+    DomainSpec.interval(0.0, 1.0),  # compact: its stages refine the resolution
+    DomainSpec.box((-2.0, -2.0), (2.0, 2.0)),  # nD: one stage, and no line
+    UNIT,
+    DomainSpec.interval(0.0, 1.0, open_hi=True),
+    DomainSpec.interval(0.0, 1.0, open_lo=True, open_hi=True),
+    DomainSpec.half_line(0.0),
+    DomainSpec.annulus((0.0, 0.0), 0.0, math.inf, open_inner=True),
+], ids=["[0,1]", "box", "(0,1]", "[0,1)", "(0,1)", "[0,inf)", "punctured plane"])
+def test_every_schedule_refuses_a_factor_not_above_one(dom, factor):
+    # An infinite factor once repeated one window (21 times on (0, 1]),
+    # and a compact line or a box took any factor unchecked.
+    f = ExpressionFn.parse("x1*x2" if dom.dimension > 1 else "x")
+    with pytest.raises(dm.InvalidArgument, match="factor"):
+        uc.default_schedule(dom, factor=factor)
+    with pytest.raises(dm.InvalidArgument, match="factor"):
+        uc.stage_schedule(f, dom, factor=factor)
 
 
 @pytest.mark.parametrize("dom, lo, hi", [
