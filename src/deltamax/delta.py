@@ -10,7 +10,7 @@ hypotheses to one of four methods, whose name labels DeltaResult.backend:
                 function: min over the inverse images of f(p) +/- eps;
 * levelset1d -- the same formula for any other 1-d function, on pieces
                 of the line that interval enclosures of f and f' prove
-                monotone (search.piece_field);
+                monotone (search's piece walk);
 * radial     -- reduction of f(x) = g(||x||) to the 1-d problem at
                 ||p||, exact on origin-centered balls/annuli, where
                 dist(p, {||x|| = t}) = | ||p|| - t |;
@@ -22,14 +22,16 @@ hypotheses to one of four methods, whose name labels DeltaResult.backend:
 delta_field is the batched entry, with a DeltaResult or the point's
 DeltamaxError per row; compute_delta is its batch of one.  The first
 three backends share its line path: line_problem reduces (f, dom) to a
-profile on an interval of the line, and one piece_field call runs every
-point that passes the point gates.  The points it leaves (a profile
+profile and a search.Line, the profile's interval of the line with its
+evaluators, built once; one search.line_field call then runs every point
+that passes the point gates.  line_field picks the engine: the piece
+walk, and the sampled engine for the points it leaves (a profile
 without an enclosure of f', or one it cannot cut into few enough
-pieces) go through one call of the sampled line engine, line_field.
+pieces).
 
 Every result's diagnostics["lower_kind"] says what its bracket rests on:
-"proof" where enclosures of f proved both ends (piece_field on an
-expression profile), "samples" otherwise (line_field points, Monotone1DFn
+"proof" where enclosures of f proved both ends (the piece walk on an
+expression profile), "samples" otherwise (sampled points, Monotone1DFn
 profiles, whose monotonicity is the user's claim, and ray_nd).
 """
 
@@ -68,7 +70,7 @@ from .model import (
     value_at,
 )
 from .oracle import GridSpec, grid_delta_bounds
-from .search import R_MAX, SCAN_POINTS, TOL_F, line_field, piece_field, scan_side
+from .search import R_MAX, SCAN_POINTS, TOL_F, Line, line_field, scan_side
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,16 +140,17 @@ def line_bounds(dom: DomainSpec) -> tuple[float, float, bool, bool]:
     return dom.lo[0], dom.hi[0], dom.open_lo[0], dom.open_hi[0]
 
 
-def line_problem(f: FunctionSpec, dom: DomainSpec
-                 ) -> tuple[FunctionSpec, float, float, bool, bool] | None:
+def line_problem(f: FunctionSpec, dom: DomainSpec) -> tuple[FunctionSpec, Line] | None:
     """The 1-d problem behind delta(p, eps) on (f, dom), or None for a
     generic nD f.
 
-    Returns (profile, lo, hi, open_lo, open_hi).  A 1-d f on a 1-d domain
-    is its own profile on line_bounds(dom); a radial f = g(||x||) on an
-    origin-centered ball/annulus in dimension >= 2 reduces to g over the
-    radii.  A Monotone1DFn profile comes back clipped to its interval,
-    and a clipped end is closed.
+    Returns (profile, line): a 1-d f on a 1-d domain is its own profile
+    on line_bounds(dom); a radial f = g(||x||) on an origin-centered
+    ball/annulus in dimension >= 2 reduces to g over the radii.  line
+    carries the profile's evaluators: an enclosure of f and of f' for an
+    expression (either None where there is none), and for a Monotone1DFn,
+    clipped to its interval (a clipped end is closed), the claimed
+    enclosure and the monotone claim.
     """
     g = unwrap(f)
     if (isinstance(g, RadialFn) and dom.is_radial and dom.dimension > 1
@@ -160,7 +163,8 @@ def line_problem(f: FunctionSpec, dom: DomainSpec
     elif dom.dimension != 1:
         raise DimensionMismatch(f"1-d function on a {dom.dimension}-d domain")
     lo, hi, open_lo, open_hi = line_bounds(dom)
-    if isinstance(g, Monotone1DFn):
+    claimed = isinstance(g, Monotone1DFn)  # one monotone piece, on the user's claim
+    if claimed:
         a, b = g.interval
         if a > lo:
             lo, open_lo = a, False
@@ -168,7 +172,10 @@ def line_problem(f: FunctionSpec, dom: DomainSpec
             hi, open_hi = b, False
         if (lo, hi) != (a, b):
             g = replace(g, interval=(lo, hi))
-    return g, lo, hi, open_lo, open_hi
+    f_arr = array_evaluator(g)
+    enclose, slope = ((_claimed_enclosure(f_arr), None) if claimed
+                      else (enclosure_evaluator(g), slope_enclosure(g)))
+    return g, Line(f_arr, enclose, slope, lo, hi, open_lo, open_hi, claimed)
 
 
 def _attempt(call, *args):
@@ -188,40 +195,27 @@ def _line_rows(problem, dom: DomainSpec, ps, eps: float) -> list:
     The line coordinate t of p is p itself on a 1-d domain and ||p|| on
     a radial one.  The point gates are point_in, t on the clipped line
     and a strict read of f(p).  Every row that passes runs through one
-    piece_field call, the rows it does not settle through one line_field
-    call.  A radial witness is lifted along the ray through p (along the
-    first axis when p is the origin).
+    line_field call.  A radial witness is lifted along the ray through p
+    (along the first axis when p is the origin).
     """
-    g, lo, hi, open_lo, open_hi = problem
+    g, line = problem
     radial = dom.dimension > 1
-    claimed = isinstance(g, Monotone1DFn)  # one monotone piece, on the user's claim
-    backend = "monotone" if claimed else "levelset1d"
+    backend = "monotone" if line.monotone else "levelset1d"
 
     def gate(p):
         pt = point_in(dom, p)
         t = norm_of(dom.norm, pt.as_array()) if radial else pt.coords[0]
-        if not lo <= t <= hi:
+        if not line.lo <= t <= line.hi:
             raise DomainViolation(f"{pt.coords} is outside the domain {dom.describe()}")
         return pt, t, value_at(g, t)
 
     rows = [_attempt(gate, p) for p in ps]
     live = [i for i, row in enumerate(rows) if isinstance(row, tuple)]
-    ts = np.asarray([rows[i][1] for i in live], dtype=float)
-    f_arr = array_evaluator(g)
-    f_enc, f_slope = ((_claimed_enclosure(g), None) if claimed
-                      else (enclosure_evaluator(g), slope_enclosure(g)))
-    piece = (piece_field(f_arr, f_enc, f_slope, ts, eps, lo, hi)
-             if claimed or f_slope is not None else None)
-    done = piece.done if piece is not None else np.zeros(ts.size, dtype=bool)
-    back = np.flatnonzero(~done)
-    if back.size:
-        fb = line_field(f_arr, ts[back], eps, lo, hi, open_lo, open_hi, f_enc=f_enc)
-        at_fb = np.cumsum(~done) - 1  # a row's index in fb
+    res = line_field(line, np.asarray([rows[i][1] for i in live], dtype=float), eps)
 
     def solve(k, pt, t, fp):
-        res, j = (piece, k) if done[k] else (fb, at_fb[k])
-        value, t_w, lower, upper, one_sided, diagnostics = _field_row(res, j, t, eps)
-        diagnostics["lower_kind"] = "proof" if done[k] and not claimed else "samples"
+        value, t_w, lower, upper, one_sided, diagnostics = _field_row(res, k, t, eps)
+        diagnostics["lower_kind"] = "proof" if res.done[k] and not line.monotone else "samples"
         if radial and t != 0.0:
             witness = Point(tuple(c * (t_w / t) for c in pt.coords))
         else:
@@ -239,7 +233,7 @@ def _line_rows(problem, dom: DomainSpec, ps, eps: float) -> list:
 
 def _field_row(res, k: int, t: float, eps: float):
     """(value, witness, lower, upper, one_sided, diagnostics) of row k of
-    a piece_field or line_field result, whose line coordinate is t."""
+    a line_field result, whose line coordinate is t."""
     value, lower, searched = float(res.values[k]), float(res.lower[k]), float(res.searched[k])
     if math.isnan(value):
         raise EmptySpherePreimage(
@@ -261,11 +255,11 @@ def _field_row(res, k: int, t: float, eps: float):
 _LOW_PAD, _HIGH_PAD = 1.0 - 16.0 * 2.0 ** -52, 1.0 + 16.0 * 2.0 ** -52
 
 
-def _claimed_enclosure(g: Monotone1DFn):
-    """(lo, hi) -> the hull of g at the two ends, widened by 16 ulps: an
-    enclosure of g over [lo, hi] only because g is monotone, which rests
-    on the user's claim (Monotone1DFn samples it, it does not prove it)."""
-    g_arr = array_evaluator(g)
+def _claimed_enclosure(g_arr):
+    """(lo, hi) -> the hull of a Monotone1DFn's values g_arr at the two
+    ends, widened by 16 ulps: an enclosure of g over [lo, hi] only because
+    g is monotone, which rests on the user's claim (Monotone1DFn samples
+    it, it does not prove it)."""
 
     def run(lo, hi):
         v = g_arr(np.concatenate((np.ravel(lo), np.ravel(hi)))).reshape((2,) + np.shape(lo))
@@ -489,8 +483,7 @@ def delta_field(f: FunctionSpec, dom: DomainSpec | None, ps, eps: float,
     """Per p of ps, compute_delta's DeltaResult or the DeltamaxError it
     raises there.  A fault of the problem, a DimensionMismatch or an
     InvalidArgument (bad eps or directions), raises once.  A line problem
-    runs one piece_field call (and one line_field call for the points it
-    leaves); a generic nD f, compute_delta per point."""
+    runs one line_field call; a generic nD f, compute_delta per point."""
     if dom is None:
         dom = f.domain_hint()
     problem = line_problem(f, dom)

@@ -1,10 +1,26 @@
 """Internal crossing-search engine.
 
-Everything here works on h(t) = |f(x(t)) - f(p)| - eps along a half-line
-of offsets t >= 0 from a base point.  The scan walks outward in doubling
-windows, brackets the first sign change between consecutive valid
-samples, refines the bracket with one fine rescan, and inverts it by
-k-section (_ksection).  The violator end of the final bracket (a valid
+A line problem is one value, a Line: f on an interval of the line, with
+the evaluators that the engines read (f itself, an enclosure of f, one of
+f' or a monotone claim) and its membership test, Line.contains.
+line_field(line, ps, eps, bound=None) is the one line entry, and it picks
+the engine that runs inside it:
+
+* without a bound (every 1-d and radial delta query), the piece walk
+  (_pieces, below) takes every point of a line with an enclosure of f' or
+  a monotone claim.  The points it gives up on, and every point of any
+  other line, go to the sampled engine (_sampled_field) in full mode, at
+  SCAN_POINTS detect rows per window, in one call;
+* with a bound (uc's stages), the sampled engine runs in minimum mode,
+  at _MIN_DETECT detect rows per window.
+
+scan_side is the sampled engine's one-sided form, for ray_nd's rays.
+
+The sampled engine works on h(t) = |f(x(t)) - f(p)| - eps along a
+half-line of offsets t >= 0 from a base point.  The scan walks outward in
+doubling windows, brackets the first sign change between consecutive
+valid samples, refines the bracket with one fine rescan, and inverts it
+by k-section (_ksection).  The violator end of the final bracket (a valid
 sample with h >= 0) is the reported crossing; the clear end raises the
 sampled clear radius.  All of it is vectorized over a batch of base
 points ("columns"); the scalar backends run a batch of size one.
@@ -13,15 +29,15 @@ The work splits in two: the sweep (doubling detect windows, then tail
 probes) brackets each column's first crossing, and the settle step
 shrinks the brackets: one fine rescan, then k-section rounds of one
 evaluator call each.  _ksection is the one bracket inverter of the
-module; piece_field inverts its proved monotone windows with it too.
+module; the piece walk inverts its proved monotone windows with it too.
 Its first round spreads its points evenly over each bracket, later ones
 crowd them around the secant root, so a smooth bracket mostly settles
 in two calls.  On sampled ends no point lies nearer the secant root than
 half the stop width, so no violator end that the settle places passes
 eps by rounding alone (an end that the sweep found stays as it is).
 
-line_field settles the brackets of both halves of its signed batch
-(below) in one pass.  In full mode it sweeps both halves at once:
+The sampled engine settles the brackets of both halves of its signed
+batch (below) in one pass.  In full mode it sweeps both halves at once:
 without a bound no column's sweep reads another's, so each gets the
 brackets of a sweep of its half alone.  In minimum mode it sweeps its +t
 half and then its -t half (the other half given no extent): the -t sweep
@@ -29,29 +45,29 @@ starts from the bound B and the crossings that the whole +t sweep found,
 and one joint sweep of both halves sampled 37.5M points instead of 21.7M
 on uc_1d's traced perfbench pass.
 
-In minimum mode (line_field(..., bound=...); a uc stage keeps only the
-least delta) no side samples detect rows densely past a bound B on the
-minimum.  Every settled root lies in the [blo, bhi] of its sweep
-bracket (bhi up to the rounding of the rescan's last row, which an
-8-ulp pad absorbs), so past every clear sample of its side.  B is one
-float that _sweep owns: a sweep takes it in, lowers it to the padded
-least bhi after each detect round and its tail probes, and returns it.
-The +t sweep starts from the padded least of the caller's bound and the
-deltas of earlier chunks, the -t sweep from the +t sweep's B, and the
--t sweep's B picks the brackets to settle and the points that read
-+inf.  A column stops at the row block whose last clear sample passes B.
+In minimum mode (a uc stage keeps only the least delta) no side samples
+detect rows densely past a bound B on the minimum.  Every settled root
+lies in the [blo, bhi] of its sweep bracket (bhi up to the rounding of
+the rescan's last row, which an 8-ulp pad absorbs), so past every clear
+sample of its side.  B is one float that _sweep owns: a sweep takes it
+in, lowers it to the padded least bhi after each detect round and its
+tail probes, and returns it.  The +t sweep starts from the padded least
+of the caller's bound and the deltas of earlier chunks, the -t sweep
+from the +t sweep's B, and the -t sweep's B picks the brackets to settle
+and the points that read +inf.  A column stops at the row block whose
+last clear sample passes B.
 
 The caller's bound is inf for an infimum stage, which also counts the
 points with no crossing (NaN), and half the last pair's distance for a
 witness stage (uc.witness_search), which reads only a least delta within
 it.  So the NaN mask is settled only under the bound inf: there a cut
 side of a point with no crossing known walks on over the probe rows only
-(_PROBE_ROWS per window, every 64th of uc's 1,024: the same floats); a
-hit proves a crossing, and the point reads +inf.  A side that the probes
-leave undecided, of a point with no crossing, is swept again densely
-without B to tell NaN from +inf.  Under a finite bound every point
-counts as crossing: a cut side stops, no side is swept again, and a
-point with no crossing reads +inf.
+(_PROBE_ROWS per window, every 64th of the _MIN_DETECT rows: the same
+floats); a hit proves a crossing, and the point reads +inf.  A side that
+the probes leave undecided, of a point with no crossing, is swept again
+densely without B to tell NaN from +inf.  Under a finite bound every
+point counts as crossing: a cut side stops, no side is swept again, and
+a point with no crossing reads +inf.
 
 Every sampled window (detect window, tail probes, fine rescan) goes
 through _scan_rows, in row blocks of at most 2**16 samples, and a column
@@ -59,16 +75,17 @@ stops at the block that holds its first crossing: no sample past it can
 move the nearest crossing, so the brackets are those of the whole
 window, bit for bit.
 
-For a 1-d expression function, line_field first tests each detect window
-by an interval enclosure of the expression (expr.enclose_ast_array): a
-window whose bound on h is negative holds no crossing and is not
-sampled.  Where every window below the crossing window was proved so,
-the clear radius up to that window's start rests on a proof rather than
-on samples.  Skipping changes no result: the enclosure also bounds every
-float sample, so a skipped window is booked exactly as its samples would
-have been.
+Where the line has an enclosure of f (an expression, by
+expr.enclose_ast_array; a Monotone1DFn, by its claim), the sampled
+engine first tests each detect window by it: a window whose bound on h
+is negative holds no crossing and is not sampled.  Where every window
+below the crossing window was proved so, the clear radius up to that
+window's start rests on the enclosure rather than on samples.  Skipping
+changes no result: the enclosure also bounds every float sample (a
+claimed one, where f is monotone as claimed), so a skipped window is
+booked exactly as its samples would have been.
 
-piece_field is the proved engine of 1-d and radial delta queries: the
+The piece walk is the proved engine of 1-d and radial delta queries: the
 paper's explicit formula, the nearest solution of |f(x) - f(p)| = eps,
 read off pieces of the line on which f is proved monotone (interval
 analysis: Moore 1966; Hansen & Walster 2004).  Each side of each point
@@ -86,10 +103,10 @@ and the ends of the final bracket are proved by enclosures of f(x) and of
 f(p): the nearest point inward proved clear and outward proved a
 violator.  Both ends of delta's bracket are then proofs.  A point whose
 side splits more than _MAX_SPLITS windows (sin(1/x) near 0, a crossing
-at the domain's very end, a hole in f's natural domain) is left to
-line_field, as are functions with no enclosure of f' (abs, min, max,
-pow).  A caller that claims f monotone passes no f' enclosure: every
-window is then monotone, and the bracket rests on that claim.
+at the domain's very end, a hole in f's natural domain) is left to the
+sampled engine, as are lines with no enclosure of f' (abs, min, max,
+pow).  On a monotone claim the line has no f' enclosure: every window is
+then monotone, and the bracket rests on that claim.
 
 Both engines return a LineResult.  Each keeps the two sides of its n
 points in one signed batch of columns, x = p + s*t with s = 1 in column
@@ -106,10 +123,12 @@ treated as a definite |f - fp| >= eps exceedance, f = NaN as invalid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+
+from .model import IntervalFn
 
 SideEval = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 SideEnclose = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -132,10 +151,11 @@ _FRAC_FINE = np.arange(1, _REFINE_POINTS + 1, dtype=float) / _REFINE_POINTS
 # blocks under the cap.
 _CHUNK = 2048
 _BLOCK_SAMPLES = 2 ** 16  # most samples per evaluator call of a window or rescan
+_MIN_DETECT = 1024    # detect rows per window in minimum mode (uc's stages)
 _PROBE_ROWS = 16      # detect rows per window of a side cut at the minimum's bound
-# piece_field: windows tested per side and walk round, their ends in units
-# of the first width; the shrink of a window that failed, and the limits
-# past which a point falls back to line_field.
+# The piece walk: windows tested per side and walk round, their ends in
+# units of the first width; the shrink of a window that failed, and the
+# limits past which a point falls back to the sampled engine.
 _RUNGS = 16
 _RUNG_ENDS = 2.0 ** np.arange(1, _RUNGS + 1) - 1.0
 _SPLIT = 1.0 / 16.0
@@ -253,8 +273,8 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
 
     Two steps: the sweep brackets each column's first crossing, and the
     settle step refines every bracket by one fine rescan and k-section.
-    line_field runs the two steps itself (see the module notes); only it
-    skips windows by enclosure, runs tail probes toward a finite end and
+    _sampled_field runs the two steps itself (see the module notes); only
+    it skips windows by enclosure, runs tail probes toward a finite end and
     sets the bound B.
 
     detect_points controls the bracketing sweep resolution (defaults to
@@ -479,20 +499,54 @@ def _settle(eval_at, fp, eps, pos_scale, side: SideResult, brackets: list) -> No
     clear[cols] = np.maximum(clear[cols], t_clear)
 
 
+@dataclass(frozen=True)
+class Line:
+    """A line problem: f on the interval between lo and hi, an open end
+    excluded.  f is a lenient vectorized evaluator, enclose(lo, hi) an
+    interval extension of f and slope(lo, hi) one of f' (either None when
+    there is none).  monotone: f is monotone on the whole line, as the
+    caller claims; enclose then only needs to enclose f at the two ends of
+    each interval, and slope is None."""
+
+    f: Callable[[np.ndarray], np.ndarray]
+    enclose: IntervalFn | None
+    slope: IntervalFn | None
+    lo: float
+    hi: float
+    open_lo: bool
+    open_hi: bool
+    monotone: bool
+
+    def contains(self, x: np.ndarray) -> np.ndarray:
+        """Per float of x, whether it lies on the line; an infinite end
+        takes no comparison."""
+        if math.isfinite(self.lo):
+            inside = (x > self.lo) if self.open_lo else (x >= self.lo)
+            if math.isfinite(self.hi):
+                inside &= (x < self.hi) if self.open_hi else (x <= self.hi)
+            return inside
+        if math.isfinite(self.hi):
+            return (x < self.hi) if self.open_hi else (x <= self.hi)
+        return np.ones(np.shape(x), dtype=bool)
+
+
 @dataclass
 class LineResult:
-    """Per-point outcome of either line engine.  Where `done` is False the
-    piece walk gave up on the point, and its other entries mean nothing.
-    In line_field's minimum mode lower, root_h, one_sided, searched and
-    the round counts describe the pruned search: a side cut at B keeps
-    its clear radius at the cut, re-sweeps are not counted, and a +inf
-    point whose two sides were both re-swept may cross on both."""
+    """Per-point outcome of the line engines.  In line_field's full mode
+    `done` marks the points that the piece walk settled, the others being
+    the sampled engine's.  Inside the walk the other entries of a point it
+    gave up on mean nothing until line_field fills them in; the sampled
+    engine's own results are done everywhere.  In minimum mode lower,
+    root_h, one_sided, searched and the round counts describe the pruned
+    search: a side cut at B keeps its clear radius at the cut, re-sweeps
+    are not counted, and a +inf point whose two sides were both re-swept
+    may cross on both."""
 
     done: np.ndarray
     values: np.ndarray           # violator end; NaN: no side crosses; +inf: not refined
     witness: np.ndarray          # its line coordinate (+inf where values is)
     lower: np.ndarray            # lower bound; NaN where no float but p was shown clear
-    upper: np.ndarray            # upper bound: proved by piece_field, values in line_field
+    upper: np.ndarray            # upper bound: proved by the walk, values when sampled
     root_h: np.ndarray           # h >= 0 at the violator end, as evaluated
     one_sided: np.ndarray
     searched: np.ndarray         # farthest window end, both sides
@@ -529,54 +583,63 @@ def _by_chunks(run, n: int) -> LineResult:
                          for name in LineResult.__dataclass_fields__})
 
 
-def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
-               open_lo: bool, open_hi: bool, detect_points: int = SCAN_POINTS,
-               f_enc=None, bound: float | None = None) -> LineResult:
-    """delta field of a scalar function along an interval domain.
+def line_field(line: Line, ps: np.ndarray, eps: float, bound: float | None = None) -> LineResult:
+    """delta field of the line problem `line` at the points ps, which
+    must lie on it: the one line entry, which picks the engine.
 
-    `f_arr` is a lenient vectorized evaluator; `ps` must lie inside
-    [dom_lo, dom_hi].  Initial window radii come from a local derivative
-    probe so that very large and very small deltas are both reached in a
-    few doubling rounds.  `f_enc`, an interval extension of f
-    (model.enclosure_evaluator), lets the detect sweep skip windows it
-    proves clear; the result is the same with or without it.
+    Without a bound, the piece walk takes every point of a line with an
+    enclosure of f' or a monotone claim (see the module notes); the points
+    it gives up on, and every point of any other line, run the sampled
+    engine's full mode at SCAN_POINTS detect rows, and are not done.
+
+    `bound`, the caller's bound on the least delta (uc's stages), runs the
+    sampled engine's minimum mode at _MIN_DETECT detect rows: where the
+    minimum is at most the bound, it, its first argmin and its witness
+    are those of the sampled full field, bit for bit.  Every other finite
+    value and witness is the full one too; a point whose delta lies past
+    the running bound B, or past the caller's, reads +inf in both
+    instead, so where the minimum exceeds the caller's bound every point
+    reads +inf.  The NaN mask (no crossing found) is the full field's only
+    under the bound inf; the undecided sides of the points with no
+    crossing are then swept again together, by one _sweep call.  Under a
+    finite bound no point reads NaN: one with no crossing reads +inf.
+    """
+    ps = np.asarray(ps, dtype=float)
+    if bound is not None:
+        return _sampled_field(line, ps, eps, _MIN_DETECT, bound)
+    if line.slope is None and not line.monotone:
+        return replace(_sampled_field(line, ps, eps), done=np.zeros(ps.size, dtype=bool))
+    with np.errstate(all="ignore"):
+        res = _by_chunks(lambda sl: _pieces(line, ps[sl], eps), ps.size)
+    back = np.flatnonzero(~res.done)
+    if back.size:
+        for name, part in vars(_sampled_field(line, ps[back], eps)).items():
+            if name != "done":
+                getattr(res, name)[back] = part
+    return res
+
+
+def _sampled_field(line: Line, ps: np.ndarray, eps: float, detect_points: int = SCAN_POINTS,
+                   bound: float | None = None) -> LineResult:
+    """The sampled engine: line_field's delta field by detect sweeps of
+    `detect_points` rows per window, then the settle step.
+
+    Initial window radii come from a local derivative probe so that very
+    large and very small deltas are both reached in a few doubling
+    rounds.  line.enclose lets the detect sweep skip windows it proves
+    clear; the result is the same with or without it.
 
     Both sides of every point, each with its own detect windows, are
     swept and settled in one signed batch, each as if alone (see the
     module notes).  Every point is done, and its upper end is its value.
     `lower` is NaN where the nearest clear end is within one float spacing
     of the base point: float64 cannot sample a clear point other than the
-    base point itself there, so no positive lower bound exists.
-
-    `bound`, the caller's bound on the least delta, selects the mode.
-    None is full mode.  A float keeps only what a least delta of the
-    batch within it needs (minimum mode, see the module notes): where the
-    minimum is at most the bound, it, its first argmin and its witness
-    are those of the full field, bit for bit.  Every other finite value
-    and witness is the full one too; a point whose delta
-    lies past the running bound B, or past the caller's, reads +inf in
-    both instead, so where the minimum exceeds the caller's bound every
-    point reads +inf.  The NaN mask (no crossing found) is the full
-    field's only under the bound inf; the undecided sides of the points
-    with no crossing are then swept again together, by one _sweep call,
-    not by another line_field call.  Under a finite bound no point reads
-    NaN: one with no crossing reads +inf.
+    base point itself there, so no positive lower bound exists.  `bound`
+    None is full mode, a float minimum mode (see line_field).
     """
-    ps = np.asarray(ps, dtype=float)
+    f_arr, f_enc = line.f, line.enclose
     fp_all = np.asarray(f_arr(ps), dtype=float)
     eps_in = eps * (1.0 - 2.0 ** -50)
-    check_lo, check_hi = math.isfinite(dom_lo), math.isfinite(dom_hi)
-
-    def member(x):
-        """The domain test of the sample points; None when all pass."""
-        if not (check_lo or check_hi):
-            return None
-        if check_lo:
-            valid = (x > dom_lo) if open_lo else (x >= dom_lo)
-            if check_hi:
-                valid &= (x < dom_hi) if open_hi else (x <= dom_hi)
-            return valid
-        return (x < dom_hi) if open_hi else (x <= dom_hi)
 
     # Minimum mode: the least delta settled in earlier chunks, or the caller's bound.
     best = math.inf if bound is None else bound
@@ -597,9 +660,7 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
 
         def eval_at(cols, ts):
             x = p_s[cols][None, :] + signs[cols][None, :] * ts
-            f = np.asarray(f_arr(x.ravel()), dtype=float).reshape(x.shape)
-            valid = member(x)
-            return f, np.ones(x.shape, dtype=bool) if valid is None else valid
+            return np.asarray(f_arr(x.ravel()), dtype=float).reshape(x.shape), line.contains(x)
 
         def enclose_at(cols, t_lo, t_end):
             p, s = p_s[cols], signs[cols]
@@ -613,11 +674,10 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
             # below eps, absorbs its rounding, so h_up < 0 proves h < 0.
             h_up = np.maximum(fhi - fpc, fpc - flo) - eps_in
             # A clear window must end on a valid sample, as a sampled one does.
-            valid = member(b)
-            return h_up if valid is None else np.where(valid, h_up, np.inf)
+            return np.where(line.contains(b), h_up, np.inf)
 
         plus = signs > 0.0
-        ext = np.maximum(np.where(plus, dom_hi - p_s, p_s - dom_lo), 0.0)
+        ext = np.maximum(np.where(plus, line.hi - p_s, p_s - line.lo), 0.0)
         r0 = _twice(_estimate_r0(f_arr, p_c, fp, eps, ext[:m]))
         ext[_twice(bad_fp)] = 0.0
 
@@ -674,26 +734,13 @@ def line_field(f_arr, ps: np.ndarray, eps: float, dom_lo: float, dom_hi: float,
     return _by_chunks(chunk, ps.size)
 
 
-def piece_field(f_arr, f_enc, f_slope, ps: np.ndarray, eps: float, dom_lo: float,
-                dom_hi: float) -> LineResult:
-    """delta field of a scalar function along an interval domain, from
-    windows proved clear or proved monotone (see the module notes).
-
-    f_arr evaluates f; f_enc(lo, hi) encloses it over intervals and
-    f_slope(lo, hi) encloses f'.  f_slope None means that f is monotone
-    on the whole line, as the caller claims, and f_enc then only needs
-    to enclose f at the two ends of each interval.  `ps` must lie inside
-    [dom_lo, dom_hi].  A point whose sides the walk cannot settle within
-    _MAX_SPLITS window splits or _WALK_ROUNDS rounds is not done.
-    """
-    ps = np.asarray(ps, dtype=float)
-    with np.errstate(all="ignore"):
-        return _by_chunks(lambda sl: _pieces(f_arr, f_enc, f_slope, ps[sl], eps, dom_lo, dom_hi),
-                          ps.size)
-
-
-def _pieces(f_arr, f_enc, f_slope, ps, eps, dom_lo, dom_hi) -> LineResult:
-    """piece_field, with numpy's floating-point warnings off."""
+def _pieces(line: Line, ps, eps) -> LineResult:
+    """The piece walk over ps, from windows proved clear or proved
+    monotone (see the module notes), on a line with an enclosure of f' or
+    a monotone claim.  A point whose sides the walk cannot settle within
+    _MAX_SPLITS window splits or _WALK_ROUNDS rounds is not done.  The
+    caller turns off numpy's floating-point warnings."""
+    f_arr, f_enc, f_slope = line.f, line.enclose, line.slope
     n = ps.size
     fp = np.asarray(f_arr(ps), dtype=float)
     # One signed batch (see the module notes).
@@ -708,7 +755,7 @@ def _pieces(f_arr, f_enc, f_slope, ps, eps, dom_lo, dom_hi) -> LineResult:
         a, b = fp_lo[cols, None], fp_hi[cols, None]
         return np.maximum(hi - a, b - lo) < eps, np.maximum(lo - b, a - hi) > eps
 
-    far = np.repeat((dom_hi, dom_lo), n)
+    far = np.repeat((line.hi, line.lo), n)
     ext = s * (far - p)
     x_end = np.where(ext <= R_MAX, far, p + s * R_MAX)  # far: the side ends at the domain's end
     if f_slope is None:
@@ -879,7 +926,7 @@ def _proved_ends(f_enc, band, cols, sign, xa, l, u, xb):
     clear (the window being monotone, every point between xa and it is
     then clear too), stepping by the bracket's width times 0, 1, 3, 7, ...
     xb and xa, proved already, where no candidate between them is.
-    band(cols, lo, hi) is piece_field's test of f enclosures."""
+    band(cols, lo, hi) is the piece walk's test of f enclosures."""
     steps = (u - l)[:, None] * _LADDER
     cand = np.concatenate((u[:, None] + steps, l[:, None] - steps), axis=1)
     ok, hit = band(cols, *_enclosed(f_enc, cand, cand))

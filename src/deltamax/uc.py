@@ -29,8 +29,6 @@ from .model import (
     DomainSpec,
     FunctionSpec,
     Point,
-    array_evaluator,
-    enclosure_evaluator,
     lattice,
     require_positive,
     value_at,
@@ -223,30 +221,28 @@ def _stage_field(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
     points and witnesses (n, d), values (n,).  A point whose delta could
     not be found has value NaN and NaN in its witness row.
 
-    A problem that reduces to a line (delta.line_problem) runs the
-    vectorized line engine on the window's stretch of that line, against
-    the *full* line (the crossing may fall outside the window); a line
-    coordinate t lifts to the row (t, 0, ..., 0).  The engine runs in
-    minimum mode below `bound`: a point whose delta cannot be the stage
-    minimum, or exceeds the bound, is not refined and reads +inf, in its
-    value and its witness row, so only a minimum within the bound, its
-    point and witness are the full field's.  With the default bound inf
-    the NaN count is the full field's too; under a finite bound no point
-    reads NaN (a point with no crossing reads +inf).  A generic nD f runs
-    one delta_field call over the rows of a capped lattice over the
-    window, whatever the bound; a row whose delta raised reads NaN.
+    A problem that reduces to a line (delta.line_problem) passes its
+    search.Line, with the window's stretch of that line as the points, to
+    line_field under `bound`: the crossing may fall outside the window,
+    and a line coordinate t lifts to the row (t, 0, ..., 0).  Under a
+    bound line_field runs the sampled engine's minimum mode: a point whose
+    delta cannot be the stage minimum, or exceeds the bound, is not
+    refined and reads +inf, in its value and its witness row, so only a
+    minimum within the bound, its point and witness are the full field's.
+    With the default bound inf the NaN count is the full field's too;
+    under a finite bound no point reads NaN (a point with no crossing
+    reads +inf).  A generic nD f runs one delta_field call over the rows
+    of a capped lattice over the window, whatever the bound; a row whose
+    delta raised reads NaN.
     """
     require_positive("eps", eps)
     problem = line_problem(f, dom)
     if problem is not None:
-        profile, lo, hi, open_lo, open_hi = problem
+        line = problem[1]
         wlo, whi, _, _ = line_bounds(window)
-        ts = np.linspace(max(wlo, lo), min(whi, hi), resolution)
-        keep = (ts > lo) if open_lo else (ts >= lo)
-        keep &= (ts < hi) if open_hi else (ts <= hi)
-        ts = ts[keep]
-        res = line_field(array_evaluator(profile), ts, eps, lo, hi, open_lo, open_hi,
-                         detect_points=1024, f_enc=enclosure_evaluator(profile), bound=bound)
+        ts = np.linspace(max(wlo, line.lo), min(whi, line.hi), resolution)
+        ts = ts[line.contains(ts)]
+        res = line_field(line, ts, eps, bound)
         pad = np.zeros((ts.size, dom.dimension - 1))
         return np.column_stack([ts, pad]), res.values, np.column_stack([res.witness, pad])
 
@@ -417,11 +413,10 @@ def uc_verdict(f: FunctionSpec, dom: DomainSpec,
                              eps_tested=tuple(eps_grid[:len(traces)]),
                              traces=tuple(traces), witnesses=witnesses)
 
-    floors = [t.floor() for t in traces]
-    stable = all(_trace_is_stable(t) for t in traces)
-    if stable and all(fl > 0 and math.isfinite(fl) for fl in floors) and partial_max <= 2:
+    # A stable trace has every stage value finite and > 0, so its floor too.
+    if all(_trace_is_stable(t) for t in traces) and partial_max <= 2:
         return UcVerdict(kind=Verdict.EVIDENCE_UC, eps_tested=tuple(eps_grid),
-                         traces=tuple(traces), lower_bound=min(floors))
+                         traces=tuple(traces), lower_bound=min(t.floor() for t in traces))
     # An eps at which every stage skipped all of its points has no delta.
     empty = [t for t in traces if all(math.isinf(r.inf_delta) for r in t.records)]
     if partial_max > 2:
@@ -430,9 +425,7 @@ def uc_verdict(f: FunctionSpec, dom: DomainSpec,
     elif empty:
         reason = "; ".join(f"at eps {t.eps:.17g} all {len(t.records)} stages skipped every "
                            "point: no x with |f(x) - f(p)| = eps was found" for t in empty)
-    elif not stable:
-        reason = "stage infima kept shrinking; no stable positive floor"
     else:
-        reason = "no positive floor and no usable witness chain"
+        reason = "stage infima kept shrinking; no stable positive floor"
     return UcVerdict(kind=Verdict.INCONCLUSIVE, eps_tested=tuple(eps_grid),
                      traces=tuple(traces), reason=reason)

@@ -12,6 +12,7 @@ import pytest
 
 import deltamax as dm
 import deltamax.delta as delta_mod
+from deltamax import search
 from deltamax.delta import (
     compute_delta,
     delta_field,
@@ -19,6 +20,7 @@ from deltamax.delta import (
     direction_set,
     epsilon_bound,
     is_delta_epsilon_number,
+    line_problem,
 )
 from deltamax.errors import (
     ConstantFunction,
@@ -42,7 +44,7 @@ from deltamax.model import (
     norm_of_rows,
 )
 from deltamax.oracle import GridSpec, brute_force_inf, grid_delta_bounds
-from deltamax.search import R_MAX, line_field, piece_field, scan_side
+from deltamax.search import R_MAX, Line, _sampled_field, line_field, scan_side
 
 REALS = DomainSpec.interval(-math.inf, math.inf)
 HALF = DomainSpec.half_line(0.0)
@@ -183,11 +185,11 @@ class TestLevelSet1D:
         assert 1 <= diag["enclosed_rounds"] <= diag["detect_rounds"]
 
     def test_monotone_profile_is_only_sampled(self):
-        # A Monotone1DFn has no interval enclosure, so the line engine
-        # samples every window of it, as uc's stage fields do.
+        # A Monotone1DFn has no interval enclosure, so without the claimed
+        # one the sampled engine samples every window of it.
         assert enclosure_evaluator(cube()) is None
-        res = line_field(array_evaluator(cube()), np.asarray([2.0]), 1.0,
-                         -math.inf, math.inf, False, False)
+        line = Line(array_evaluator(cube()), None, None, -math.inf, math.inf, False, False, False)
+        res = _sampled_field(line, np.asarray([2.0]), 1.0)
         assert res.detect_rounds[0] >= 2
         assert res.enclosed_rounds[0] == 0
         assert res.values[0] == pytest.approx(compute_delta(cube(), None, 2.0, 1.0).value,
@@ -666,6 +668,20 @@ class TestProvedBrackets:
         assert res.diagnostics["lower_kind"] == "proof"
         assert res.certified_lower <= want <= res.certified_upper
 
+    def test_fallback_row_on_a_line_with_only_an_upper_end(self):
+        # (-inf, 1): the sampled engine tests its samples against the upper
+        # end alone.  The +t crossing of 0.9 would lie past 1, so delta is
+        # the -t one, eps/3.
+        f = ExpressionFn.parse("3*abs(x)")
+        dom = DomainSpec.interval(-math.inf, 1.0, open_hi=True)
+        line = line_problem(f, dom)[1]
+        assert line.contains(np.array([-1e300, 0.9, 1.0, 2.0])).tolist() == \
+            [True, True, False, False]
+        res = compute_delta(f, dom, 0.9, 0.5)
+        assert res.diagnostics["lower_kind"] == "samples" and res.one_sided
+        assert res.value == pytest.approx(0.5 / 3.0, rel=1e-9)
+        assert res.certified_lower <= 0.5 / 3.0 * (1.0 + 1e-15)
+
     def test_one_sided_fallback_subtracts_its_own_step(self):
         # min has no derivative rule: line_field, whose lower end is now
         # the least over sides of clear - step, that side's own step
@@ -752,6 +768,25 @@ class TestComputeDeltaRouting:
         with pytest.raises(DomainViolation):
             compute_delta(ExpressionFn.parse("exp(x)"), unit, 0.0, 0.1)
         assert compute_delta(g, unit, 0.5, 0.1).backend == "monotone"
+
+    def test_monotone_clipped_at_its_upper_end(self):
+        # R clipped to exp's interval (-inf, 1] ends at 1, closed.  At eps
+        # 1.5 the +t crossing of 0.5 lies past that end, so delta is the -t
+        # one; 1.5 lies on R but not on the clipped line, which the line
+        # gate refuses.
+        g = Monotone1DFn(fn=np.exp, interval=(-math.inf, 1.0), increasing=True)
+        line = line_problem(g, REALS)[1]
+        assert (line.hi, line.open_hi, line.monotone, line.slope) == (1.0, False, True, None)
+        res = compute_delta(g, REALS, 0.5, 1.5)
+        want = 0.5 - math.log(math.exp(0.5) - 1.5)
+        assert res.backend == "monotone" and res.one_sided
+        assert res.value == pytest.approx(want, rel=1e-9)
+        assert res.certified_lower <= want * (1.0 + 1e-12)
+        end, past = delta_field(g, REALS, [1.0, 1.5], 1.5)
+        assert end.value == pytest.approx(1.0 - math.log(math.e - 1.5), rel=1e-9)
+        assert isinstance(past, DomainViolation)
+        with pytest.raises(DomainViolation):
+            compute_delta(g, REALS, 1.5, 1.5)
 
     def test_expression_1d(self):
         res = compute_delta(ExpressionFn.parse("x^2"), REALS, 1.0, 0.5)
@@ -860,13 +895,13 @@ class TestDeltaField:
         # chunk; rows outside the domain and NaN points fail in between.
         ps = np.linspace(-10.0, 10.0, 2200)
         ps[::150] = math.nan
-        # x^2 with no derivative rule (abs): every row takes line_field.
+        # x^2 with no derivative rule (abs): every row takes the sampled engine.
         f, dom = ExpressionFn.parse("abs(x)^2"), DomainSpec.interval(-9.5, 9.5)
         calls = []
 
-        def counted(f_arr, ts, *args, **kwargs):
+        def counted(line, ts, *args, **kwargs):
             calls.append(ts.size)
-            return line_field(f_arr, ts, *args, **kwargs)
+            return line_field(line, ts, *args, **kwargs)
 
         monkeypatch.setattr(delta_mod, "line_field", counted)
         rows = delta_field(f, dom, ps, 0.5)
@@ -877,19 +912,19 @@ class TestDeltaField:
             assert _row_bits(row) == _row_bits(_outcome(lambda: compute_delta(f, dom, p, 0.5)))
 
     def test_many_chunks_in_one_piece_field_call(self, monkeypatch):
-        # The same rows of x^2 itself: one piece_field call walks them in
-        # 2,048-point chunks, and no row needs line_field.
+        # The same rows of x^2 itself: one line_field call walks them in
+        # 2,048-point chunks, and no row needs the sampled engine.
         ps = np.linspace(-10.0, 10.0, 2200)
         ps[::150] = math.nan
         f, dom = ExpressionFn.parse("x^2"), DomainSpec.interval(-9.5, 9.5)
         calls = []
 
-        def counted(f_arr, f_enc, f_slope, ts, *args):
+        def counted(line, ts, *args):
             calls.append(ts.size)
-            return piece_field(f_arr, f_enc, f_slope, ts, *args)
+            return line_field(line, ts, *args)
 
-        monkeypatch.setattr(delta_mod, "piece_field", counted)
-        monkeypatch.setattr(delta_mod, "line_field", None)
+        monkeypatch.setattr(delta_mod, "line_field", counted)
+        monkeypatch.setattr(search, "_sampled_field", None)
         rows = delta_field(f, dom, ps, 0.5)
         assert calls == [sum(isinstance(r, dm.DeltaResult) for r in rows)]
         assert calls[0] > 2048

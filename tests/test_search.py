@@ -33,7 +33,6 @@ from deltamax.model import (
     array_evaluator,
     enclosure_evaluator,
     norm_of_rows,
-    slope_enclosure,
 )
 from deltamax.search import (
     _BLOCK_SAMPLES,
@@ -46,9 +45,10 @@ from deltamax.search import (
     _ksection,
     _pad,
     _scan_rows,
+    Line,
+    _sampled_field,
     _sweep,
     line_field,
-    piece_field,
     scan_side,
 )
 
@@ -65,15 +65,21 @@ CASES = {
 }
 
 
+def _line(f_arr, lo, hi, open_lo, open_hi, enclose=None):
+    """The search.Line of f_arr between lo and hi, with no f' enclosure
+    and no monotone claim."""
+    return Line(f_arr, enclose, None, lo, hi, open_lo, open_hi, False)
+
+
 @pytest.mark.parametrize("eps", [1e-3, 0.5, 3.0])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_enclosure_leaves_field_bit_identical(name, eps):
     src, lo, hi, open_lo, open_hi, ps = CASES[name]
     f = ExpressionFn.parse(src)
     g = getattr(f, "inner", f)  # the profile of a radial function
-    args = (array_evaluator(g), ps, eps, lo, hi, open_lo, open_hi)
-    sampled = line_field(*args, detect_points=1024)
-    enclosed = line_field(*args, detect_points=1024, f_enc=enclosure_evaluator(g))
+    sampled = _sampled_field(_line(array_evaluator(g), lo, hi, open_lo, open_hi), ps, eps, 1024)
+    enclosed = _sampled_field(_line(array_evaluator(g), lo, hi, open_lo, open_hi,
+                                    enclosure_evaluator(g)), ps, eps, 1024)
     for field in dataclasses.fields(sampled):
         if field.name == "enclosed_rounds":
             continue
@@ -92,10 +98,11 @@ def test_batch_field_matches_points_alone(name, eps, enclose):
     src, lo, hi, open_lo, open_hi, ps = CASES[name]
     f = ExpressionFn.parse(src)
     g = getattr(f, "inner", f)  # the profile of a radial function
-    f_arr, f_enc = array_evaluator(g), enclosure_evaluator(g) if enclose else None
+    line = _line(array_evaluator(g), lo, hi, open_lo, open_hi,
+                 enclosure_evaluator(g) if enclose else None)
 
     def field_of(pts):
-        return line_field(f_arr, pts, eps, lo, hi, open_lo, open_hi, f_enc=f_enc)
+        return _sampled_field(line, pts, eps)
 
     ps = ps[::8]
     batch = field_of(ps)
@@ -366,10 +373,12 @@ def test_line_and_ray_calls_stay_within_a_block(monkeypatch):
 
     for chunk in (search._CHUNK, 2048):
         monkeypatch.setattr(search, "_CHUNK", chunk)
-        line_field(f_arr, np.linspace(-30.0, 30.0, 600), 0.5, -math.inf, math.inf, True, True)
+        _sampled_field(_line(f_arr, -math.inf, math.inf, True, True),
+                       np.linspace(-30.0, 30.0, 600), 0.5)
         # Tail-heavy: |x - p| = 5 has no solution on (0, 1], so every side
         # of all 2,000 points ends in tail probes toward its end.
-        res = line_field(ident, np.linspace(0.0, 1.0, 2001)[1:], 5.0, 0.0, 1.0, True, False)
+        res = _sampled_field(_line(ident, 0.0, 1.0, True, False),
+                             np.linspace(0.0, 1.0, 2001)[1:], 5.0)
         assert np.isnan(res.values).all()
         assert max(sizes) <= _BLOCK_SAMPLES
 
@@ -573,13 +582,11 @@ def _minimum_pair(name, ps, eps, detect_points, where="inf"):
     """line_field over ps in full mode and in minimum mode under the bound
     BOUNDS[where], with the evaluator and enclosure that uc's stages pass.
     Returns the full field, the minimum-mode field and the bound."""
-    profile, lo, hi, open_lo, open_hi = line_problem(*MIN_PROBLEMS[name]())
-    args = (array_evaluator(profile), ps, eps, lo, hi, open_lo, open_hi)
-    kw = dict(detect_points=detect_points, f_enc=enclosure_evaluator(profile))
-    full = line_field(*args, **kw)
+    line = line_problem(*MIN_PROBLEMS[name]())[1]
+    full = _sampled_field(line, ps, eps, detect_points)
     crossing = full.values[~np.isnan(full.values)]
     bound = BOUNDS[where](float(crossing.min()) if crossing.size else 1.0)
-    return full, line_field(*args, **kw, bound=bound), bound
+    return full, _sampled_field(line, ps, eps, detect_points, bound), bound
 
 
 def _assert_minimum_agrees(full, least, bound=INF):
@@ -657,10 +664,10 @@ def test_minimum_mode_keeps_the_minimum_under_a_bound(name, eps, ps, detect_poin
        st.integers(1, 1200), st.sampled_from([1024, 4096]), st.integers(0, 2 ** 32 - 1),
        st.sampled_from(sorted(BOUNDS)))
 def test_minimum_mode_agrees_on_random_points(name, log_eps, n, detect_points, seed, where):
-    profile, lo, hi, open_lo, open_hi = line_problem(*MIN_PROBLEMS[name]())
-    a, b = max(lo, -10.0), min(hi, 10.0)
+    line = line_problem(*MIN_PROBLEMS[name]())[1]
+    a, b = max(line.lo, -10.0), min(line.hi, 10.0)
     ps = np.random.default_rng(seed).uniform(a, b, n)
-    ps = ps[ps > a] if open_lo else ps
+    ps = ps[ps > a] if line.open_lo else ps
     _assert_minimum_agrees(*_minimum_pair(name, ps, math.exp(log_eps), detect_points, where))
 
 
@@ -709,14 +716,13 @@ def test_sweep_returns_the_least_bound():
 def _counted_field(f, dom, ps, eps, bound):
     """line_field of f over ps as uc's stages run it (1,024 detect points),
     with the number of samples its evaluator took."""
-    profile, lo, hi, open_lo, open_hi = line_problem(f, dom)
-    f_arr, taken = array_evaluator(profile), [0]
+    line = line_problem(f, dom)[1]
+    taken = [0]
 
     def counted(x):
         taken[0] += np.size(x)
-        return f_arr(x)
-    res = line_field(counted, ps, eps, lo, hi, open_lo, open_hi, detect_points=1024,
-                     f_enc=enclosure_evaluator(profile), bound=bound)
+        return line.f(x)
+    res = _sampled_field(dataclasses.replace(line, f=counted), ps, eps, 1024, bound)
     return res, taken[0]
 
 
@@ -855,10 +861,9 @@ FULL_PINS = {
 @pytest.mark.parametrize("name", sorted(FULL_PINS))
 def test_full_mode_field_is_one_sweep_and_pinned(name, monkeypatch):
     src, dom, ps, eps, want = FULL_PINS[name]
-    profile, lo, hi, open_lo, open_hi = line_problem(ExpressionFn.parse(src), dom)
+    line = line_problem(ExpressionFn.parse(src), dom)[1]
     calls = _sweep_calls(monkeypatch)
-    res = line_field(array_evaluator(profile), np.array(ps), eps, lo, hi, open_lo, open_hi,
-                     f_enc=enclosure_evaluator(profile))
+    res = _sampled_field(line, np.array(ps), eps)
     assert [bound for bound, _ in calls] == [None]
     assert sorted(want) == sorted(f.name for f in dataclasses.fields(res))
     for field, values in want.items():
@@ -874,11 +879,10 @@ def test_full_mode_field_is_one_sweep_and_pinned(name, monkeypatch):
     (DomainSpec.interval(-2.0, 2.0), 1.9, True),
 ])
 def test_both_engines_join_their_sides_alike(dom, p, one_sided):
-    profile, lo, hi, open_lo, open_hi = line_problem(ExpressionFn.parse("x^2"), dom)
-    f_arr, f_enc = array_evaluator(profile), enclosure_evaluator(profile)
+    line = line_problem(ExpressionFn.parse("x^2"), dom)[1]
     ps = np.array([p])
-    sampled = line_field(f_arr, ps, 1.0, lo, hi, open_lo, open_hi, f_enc=f_enc)
-    proved = piece_field(f_arr, f_enc, slope_enclosure(profile), ps, 1.0, lo, hi)
+    sampled = _sampled_field(line, ps, 1.0)
+    proved = line_field(line, ps, 1.0)
     assert sampled.done.all() and np.array_equal(sampled.upper, sampled.values)
     assert proved.done.all()
     for res in (sampled, proved):

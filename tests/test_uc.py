@@ -7,6 +7,7 @@ or the line search that moves any of them should be a deliberate one.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -185,6 +186,68 @@ def test_full_scale_sin_inv_verdict_is_pinned():
     assert w.distances == SIN_INV_VERDICT_DISTANCES
 
 
+@pytest.mark.parametrize("name, kind", [
+    ("square", uc.Verdict.EVIDENCE_NOT_UC),
+    ("identity", uc.Verdict.EVIDENCE_UC),
+    ("exp_norm", uc.Verdict.EVIDENCE_NOT_UC),
+    ("log_norm", uc.Verdict.EVIDENCE_NOT_UC),
+])
+def test_catalog_verdicts_at_one_eps_are_pinned(name, kind):
+    # The paper's canonical examples at eps 0.5: x^2 on R, e^||x|| and
+    # ln ||x|| near 0 are not UC, a full chain of 8 halving pairs each.
+    entry = dm.catalog_lookup(name)
+    verdict = uc.uc_verdict(entry.function, entry.domain, eps_grid=[EPS])
+    assert verdict.kind is kind
+    if kind is uc.Verdict.EVIDENCE_NOT_UC:
+        assert len(verdict.witnesses.pairs) == 8
+    else:
+        assert verdict.lower_bound > 0.0
+
+
+def test_verdict_without_a_grid_tests_the_default_grid():
+    # x on [0, 1]: delta(p, eps) = eps wherever a side stays on [0, 1], so
+    # the floor is the least eps of the default grid.
+    f, dom = ExpressionFn.parse("x"), DomainSpec.interval(0.0, 1.0)
+    grid = uc.default_eps_grid(f, dom)[1]
+    verdict = uc.uc_verdict(f, dom)
+    assert verdict.kind is uc.Verdict.EVIDENCE_UC
+    assert verdict.eps_tested == tuple(grid)
+    assert verdict.lower_bound == pytest.approx(grid[0], rel=1e-9)
+
+
+def test_chain_short_of_its_count_gets_its_own_reason():
+    # x^2 on R halves its witness distances until the windows stop growing
+    # at R_MAX: 17 pairs, short of a chain of 30.
+    verdict = uc.uc_verdict(ExpressionFn.parse("x^2"), DomainSpec.interval(-math.inf, math.inf),
+                            eps_grid=[EPS], count=30)
+    assert verdict.kind is uc.Verdict.INCONCLUSIVE
+    assert verdict.reason == ("witness distances halved 17 time(s) but the chain of 30 "
+                              "needed for evidence did not complete")
+
+
+def test_shrinking_infima_get_their_own_reason():
+    # square at eps 1e11: delta is about sqrt(eps) = 3.2e5 until the
+    # windows pass it, then falls in the last stages, too late for a chain
+    # of more than two halving pairs before R_MAX.
+    entry = dm.catalog_lookup("square")
+    verdict = uc.uc_verdict(entry.function, entry.domain, eps_grid=[1e11])
+    assert verdict.kind is uc.Verdict.INCONCLUSIVE
+    assert verdict.reason == "stage infima kept shrinking; no stable positive floor"
+    (trace,) = verdict.traces
+    assert all(math.isfinite(r.inf_delta) for r in trace.records)
+    assert trace.records[-1].inf_delta < 0.5 * trace.records[15].inf_delta
+
+
+@pytest.mark.parametrize("src, dom, y", [
+    ("ln(x)", DomainSpec.interval(0.0, 1.0), 0.0),      # f(y) = -inf
+    ("sqrt(x)", DomainSpec.interval(-1.0, 1.0), -1.0),  # f(y) is NaN
+])
+def test_pins_eps_refuses_a_non_finite_end(src, dom, y):
+    f = ExpressionFn.parse(src)
+    assert not uc._pins_eps(f, dom, Point((0.5,)), Point((y,)), EPS)
+    assert not uc._pins_eps(f, dom, Point((y,)), Point((0.5,)), EPS)
+
+
 def test_dim1_ball_stage_stays_inside_the_ball():
     # The line of a dim-1 ball is [c - r, c + r], not the radii [0, r].
     ball = DomainSpec.ball((5.0,), 1.0)
@@ -207,6 +270,34 @@ def test_clipped_monotone_end_is_sampled():
     assert pts[0].tolist() == [0.5]
     assert np.argmin(values) == 0
     assert values[0] == pytest.approx(compute_delta(f, UNIT, 0.5, 0.1).value, rel=1e-9)
+
+
+def test_monotone_stage_is_the_same_with_its_claimed_enclosure(monkeypatch):
+    # A Monotone1DFn line carries the claimed enclosure, which lets the
+    # sampled sweep skip windows it proves clear: the stage's points,
+    # values and witnesses are those without it, from no more samples of
+    # f, the enclosure's own counted.
+    taken = [0]
+
+    def counted(x):
+        taken[0] += np.size(x)
+        return np.exp(x)
+    f = Monotone1DFn(counted, (-math.inf, math.inf), True)
+    dom = DomainSpec.interval(-math.inf, math.inf)
+    window, resolution = uc.default_schedule(dom, stages=4)[-1]
+    taken[0] = 0
+    claimed = uc._stage_field(f, dom, window, resolution, EPS)
+    n_claimed, taken[0] = taken[0], 0
+    line_problem = uc.line_problem
+
+    def bare_line(*args):
+        g, line = line_problem(*args)
+        return g, dataclasses.replace(line, enclose=None)
+    monkeypatch.setattr(uc, "line_problem", bare_line)
+    bare = uc._stage_field(f, dom, window, resolution, EPS)
+    for got, want in zip(claimed, bare):
+        assert np.array_equal(got, want, equal_nan=True)
+    assert 0 < n_claimed <= taken[0]
 
 
 def test_radial_stage_matches_compute_delta():
