@@ -3,9 +3,11 @@
 For a continuous f and a point p, delta(p, eps) is the distance from p
 to the set of points whose image sits exactly eps away from f(p) -- the
 largest delta that works in the epsilon-delta continuity condition.
-This package computes it, certifies it against a brute-force oracle, and
-uses the resulting delta field to gather numerical evidence for or
-against uniform continuity.
+This package computes it inside a certified bracket, and uses the
+resulting delta field to gather numerical evidence for or against
+uniform continuity.  On a line (a 1-d or radial problem) interval
+enclosures of f prove the bracket; a grid oracle backs only the lower
+end of the nD ray estimate and the `certify` command's sandwich.
 """
 
 from .catalog import (

@@ -64,8 +64,6 @@ domain grammar (shape:param[:flags]):
 
 
 def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return f"{x:.17g}"
 
 

@@ -23,8 +23,9 @@ delta_field is the batched entry, with a DeltaResult or the point's
 DeltamaxError per row; compute_delta is its batch of one.  The first
 three backends share its line path: line_problem reduces (f, dom) to a
 profile and a search.Line, the profile's interval of the line with its
-evaluators, built once; one search.line_field call then runs every point
-that passes the point gates.  line_field picks the engine: the piece
+evaluators, built once per call, whose route (line or ray_nd) is
+decided on it; one search.line_field call then runs every point that
+passes the point gates.  line_field picks the engine: the piece
 walk, and the sampled engine for the points it leaves (a profile
 without an enclosure of f', or one it cannot cut into few enough
 pieces).
@@ -190,7 +191,8 @@ def _attempt(call, *args):
 
 
 def _line_rows(problem, dom: DomainSpec, ps, eps: float) -> list:
-    """delta_field of a line problem (see line_problem) on dom.
+    """delta_field of a line problem (see line_problem) on dom, built
+    once by the caller; a bad eps raises InvalidArgument.
 
     The line coordinate t of p is p itself on a 1-d domain and ||p|| on
     a radial one.  The point gates are point_in, t on the clipped line
@@ -198,6 +200,7 @@ def _line_rows(problem, dom: DomainSpec, ps, eps: float) -> list:
     line_field call.  A radial witness is lifted along the ray through p
     (along the first axis when p is the origin).
     """
+    require_positive("eps", eps)
     g, line = problem
     radial = dom.dimension > 1
     backend = "monotone" if line.monotone else "levelset1d"
@@ -487,22 +490,24 @@ def delta_field(f: FunctionSpec, dom: DomainSpec | None, ps, eps: float,
     if dom is None:
         dom = f.domain_hint()
     problem = line_problem(f, dom)
+    if problem is not None:
+        return _line_rows(problem, dom, ps, eps)
     require_positive("eps", eps)
-    if problem is None:
-        return [_attempt(compute_delta, f, dom, p, eps, directions) for p in ps]
-    return _line_rows(problem, dom, ps, eps)
+    return [_attempt(compute_delta, f, dom, p, eps, directions) for p in ps]
 
 
 def compute_delta(f: FunctionSpec, dom: DomainSpec | None, p, eps: float,
                   directions: int = 64) -> DeltaResult:
-    """delta(p, eps) by ray_nd for a generic nD f, else as delta_field's
-    batch of one (a 1-d or radial problem), raising its row's error.
-    dom=None is f's natural domain (f.domain_hint()), as in the CLI."""
+    """delta(p, eps) by ray_nd for a generic nD f, else delta_field's row
+    of p on the line problem built here (a 1-d or radial problem),
+    raising its error.  dom=None is f's natural domain (f.domain_hint()),
+    as in the CLI."""
     if dom is None:
         dom = f.domain_hint()
-    if line_problem(f, dom) is None:
+    problem = line_problem(f, dom)
+    if problem is None:
         return delta_ray_nd(f, dom, p, eps, directions)
-    (row,) = delta_field(f, dom, [p], eps)
+    (row,) = _line_rows(problem, dom, [p], eps)
     if isinstance(row, DeltamaxError):
         raise row
     return row

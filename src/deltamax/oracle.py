@@ -159,8 +159,6 @@ def brute_force_inf(f: FunctionSpec, dom: DomainSpec, eps: float, g: GridSpec,
     span = float(np.max(whi - wlo))
 
     def violator_grid(pad: float) -> np.ndarray:
-        if pad <= 0.0:
-            return pts
         padded = DomainSpec.box(wlo - pad, whi + pad, norm=dom.norm)
         return _masked_grid(dom, GridSpec(h=g.h, window=padded))
 

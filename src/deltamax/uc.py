@@ -194,7 +194,13 @@ def stage_schedule(f: FunctionSpec, dom: DomainSpec, stages: int = 21, resolutio
     run: default_schedule(dom, ...) for a problem that reduces to a line
     (delta.line_problem), else the one stage (dom, resolution), since
     every stage without a line is the same capped lattice."""
-    if line_problem(f, dom) is None:
+    return _schedule(line_problem(f, dom), dom, stages, resolution, factor)
+
+
+def _schedule(problem, dom: DomainSpec, stages: int = 21, resolution: int = 2048,
+              factor: float = 2.0) -> list[tuple[DomainSpec, int]]:
+    """stage_schedule of a problem its caller built (line_problem's)."""
+    if problem is None:
         _require_counts(stages=stages, resolution=resolution, factor=factor)
         return [(dom, resolution)]
     return default_schedule(dom, stages, resolution, factor)
@@ -215,17 +221,19 @@ def _require_counts(least: int = 1, factor: float = 2.0, **counts) -> None:
 # Field evaluation per stage
 # ---------------------------------------------------------------------------
 
-def _stage_field(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
+def _stage_field(f: FunctionSpec, dom: DomainSpec, problem, window: DomainSpec,
                  resolution: int, eps: float, bound: float = math.inf):
     """Returns (points, values, witnesses) for one stage grid as rows:
     points and witnesses (n, d), values (n,).  A point whose delta could
-    not be found has value NaN and NaN in its witness row.
+    not be found has value NaN and NaN in its witness row.  `problem` is
+    delta.line_problem(f, dom), built once by the caller (as is the
+    check of eps) and read by every stage.
 
-    A problem that reduces to a line (delta.line_problem) passes its
-    search.Line, with the window's stretch of that line as the points, to
-    line_field under `bound`: the crossing may fall outside the window,
-    and a line coordinate t lifts to the row (t, 0, ..., 0).  Under a
-    bound line_field runs the sampled engine's minimum mode: a point whose
+    A problem that reduces to a line passes its search.Line, with the
+    window's stretch of that line as the points, to line_field under
+    `bound`: the crossing may fall outside the window, and a line
+    coordinate t lifts to the row (t, 0, ..., 0).  Under a bound
+    line_field runs the sampled engine's minimum mode: a point whose
     delta cannot be the stage minimum, or exceeds the bound, is not
     refined and reads +inf, in its value and its witness row, so only a
     minimum within the bound, its point and witness are the full field's.
@@ -235,8 +243,6 @@ def _stage_field(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
     of a capped lattice over the window, whatever the bound; a row whose
     delta raised reads NaN.
     """
-    require_positive("eps", eps)
-    problem = line_problem(f, dom)
     if problem is not None:
         line = problem[1]
         wlo, whi, _, _ = line_bounds(window)
@@ -258,7 +264,7 @@ def _stage_field(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
     return pts, values, wits
 
 
-def _stage_min(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
+def _stage_min(f: FunctionSpec, dom: DomainSpec, problem, window: DomainSpec,
                resolution: int, eps: float, bound: float = math.inf):
     """(inf_delta, argmin, skipped, witness) of one stage: the smallest
     finite delta on the stage grid (+inf, None, None when there is none),
@@ -267,7 +273,7 @@ def _stage_min(f: FunctionSpec, dom: DomainSpec, window: DomainSpec,
     did not refine, being above the minimum or `bound`) is neither the
     minimum nor skipped.  On a line, a stage whose minimum exceeds a
     finite bound reads (+inf, None, 0, None); see _stage_field."""
-    pts, values, wits = _stage_field(f, dom, window, resolution, eps, bound)
+    pts, values, wits = _stage_field(f, dom, problem, window, resolution, eps, bound)
     skipped = int(np.count_nonzero(np.isnan(values)))
     finite = np.isfinite(values)
     if not finite.any():
@@ -282,16 +288,21 @@ def infimum_delta(f: FunctionSpec, dom: DomainSpec, eps: float,
     (by default stage_schedule's), one StageRecord per stage.
 
     Per-point failures (empty sphere preimage) are skipped and counted,
-    not fatal.  A resolution of a caller's schedule that is not an
-    integer of at least 1 raises InvalidArgument.
+    not fatal.  A bad eps, an empty schedule (an infimum over no points)
+    and a resolution of a caller's schedule that is not an integer of at
+    least 1 raise InvalidArgument, before any stage.  The problem
+    (delta.line_problem) is built once, and every stage reads it.
     """
-    if schedule is None:
-        schedule = stage_schedule(f, dom)
+    require_positive("eps", eps)
+    problem = line_problem(f, dom)
+    schedule = _schedule(problem, dom) if schedule is None else schedule
+    if not schedule:
+        raise InvalidArgument("an infimum needs a schedule of at least one stage")
     for _, resolution in schedule:
         _require_counts(resolution=resolution)
     records = tuple(
         StageRecord(level, window, resolution,
-                    *_stage_min(f, dom, window, resolution, eps)[:3])
+                    *_stage_min(f, dom, problem, window, resolution, eps)[:3])
         for level, (window, resolution) in enumerate(schedule))
     return InfTrace(eps=eps, records=records)
 
@@ -322,8 +333,8 @@ def witness_search(f: FunctionSpec, dom: DomainSpec, eps0: float,
     """
     require_positive("eps", eps0)
     _require_counts(3, count=count)
-    schedule = stage_schedule(f, dom, _MAX_WITNESS_STAGES, _WITNESS_RESOLUTION,
-                              _WITNESS_FACTOR)
+    problem = line_problem(f, dom)
+    schedule = _schedule(problem, dom, _MAX_WITNESS_STAGES, _WITNESS_RESOLUTION, _WITNESS_FACTOR)
     if len(schedule) <= 2:
         raise WitnessesStagnated(
             f"a schedule of {len(schedule)} stage(s) cannot build {count} halving pairs")
@@ -333,7 +344,7 @@ def witness_search(f: FunctionSpec, dom: DomainSpec, eps0: float,
     since_last = 0
     for window, res in schedule:
         bound = 0.5 * dists[-1] if pairs else math.inf
-        v, x, _, y = _stage_min(f, dom, window, res, eps0, bound)
+        v, x, _, y = _stage_min(f, dom, problem, window, res, eps0, bound)
         if y is not None and v <= bound and _pins_eps(f, dom, x, y, eps0):
             pairs.append((x, y))
             dists.append(v)

@@ -442,3 +442,43 @@ class TestFailurePath:
         code, out, err = run(capsys, *argv, "--directions", count)
         assert (code, out) == (cli.EXIT_PARSE, "")
         assert err == f"error: --directions must be at least 1, got {count}\n"
+
+
+class TestFiles:
+    """What --out and --trace write, byte for byte."""
+
+    @pytest.mark.parametrize("argv", [
+        ("delta", "--fn", "square", "--p", "3", "--eps", "1", "--stats"),
+        ("catalog",),
+        ("inf", "--fn", "x", "--domain", "interval:0:1", "--eps", "0.5", "--resolution", "64"),
+    ])
+    def test_out_writes_what_stdout_would_print(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.setattr(catalog, "_REGISTRY", {})  # the builtins only
+        code, printed, err = run(capsys, *argv)
+        assert (code, err) == (cli.EXIT_OK, "") and printed
+        path = tmp_path / "o.txt"
+        assert run(capsys, *argv, "--out", str(path)) == (cli.EXIT_OK, "", "")
+        assert path.read_bytes() == printed.encode("utf-8")
+
+    def test_uc_trace_is_the_inf_csv(self, capsys, tmp_path):
+        # uc's infimum trace at one eps is what inf prints for that eps.
+        problem = ("--fn", "x", "--domain", "interval:0:1")
+        path = tmp_path / "t.csv"
+        code, out, _ = run(capsys, "uc", *problem, "--eps-grid", "5", "--trace", str(path))
+        assert code == cli.EXIT_INCONCLUSIVE and out.startswith("verdict inconclusive\n")
+        code, inf_out, _ = run(capsys, "inf", *problem, "--eps", "5")
+        assert code == cli.EXIT_OK
+        assert path.read_text(encoding="utf-8") == inf_out
+        assert inf_out.splitlines()[0] == "eps,level,window,resolution,inf_delta,argmin,skipped"
+        assert len(inf_out.splitlines()) == 5  # the header and 4 stages
+
+
+def test_uc_without_a_grid_reports_its_grid(capsys):
+    # The default grid is a sampled heuristic: it is named on stderr, and
+    # stdout's eps_tested line lists the same values.
+    code, out, err = run(capsys, "uc", "--fn", "x", "--domain", "interval:0:1")
+    assert code == cli.EXIT_OK
+    (line,) = err.splitlines()
+    assert line.startswith("eps grid from sampled beta=") and "(heuristic): " in line
+    grid = line.split("(heuristic): ")[1]
+    assert fields(out)["eps_tested"] == grid

@@ -282,6 +282,10 @@ class TestRadial:
 
 
 class TestRayNd:
+    def test_needs_two_dimensions(self):
+        with pytest.raises(DimensionMismatch, match="dimension >= 2"):
+            delta_ray_nd(ExpressionFn.parse("x"), DomainSpec.interval(0.0, 1.0), 0.5, 0.1)
+
     def test_circle_level_set(self):
         f = ExpressionFn.parse("x1^2+x2^2")
         dom = DomainSpec.box((-10.0, -10.0), (10.0, 10.0))
@@ -506,6 +510,11 @@ class TestEpsilonBound:
     def test_constant(self):
         with pytest.raises(ConstantFunction):
             epsilon_bound(ExpressionFn.parse("2"), DomainSpec.interval(0.0, 1.0))
+
+    def test_no_finite_sample(self):
+        # sqrt(-1-x^2) is NaN at every sample: there is no spread to read.
+        with pytest.raises(ConstantFunction, match="no finite samples"):
+            epsilon_bound(ExpressionFn.parse("sqrt(-1-x^2)"), DomainSpec.interval(-1.0, 1.0))
 
     def test_spread_that_overflows(self):
         # 1e302*x spans +-1e308 on the truncated line: its spread is +inf in
@@ -797,6 +806,15 @@ class TestComputeDeltaRouting:
         dom = DomainSpec.box((-5.0, -5.0), (5.0, 5.0))
         res = compute_delta(f, dom, Point.of(0.0, 0.0), 0.5)
         assert res.backend == "ray_nd"
+
+    def test_one_d_function_on_a_two_d_domain(self):
+        # A fault of the problem, not of a point: both entries raise it.
+        f = ExpressionFn.parse("x^2")
+        dom = DomainSpec.box((-1.0, -1.0), (1.0, 1.0))
+        with pytest.raises(DimensionMismatch, match="1-d function on a 2-d domain"):
+            compute_delta(f, dom, Point.of(0.0, 0.0), 0.5)
+        with pytest.raises(DimensionMismatch, match="1-d function on a 2-d domain"):
+            delta_field(f, dom, [Point.of(0.0, 0.0)], 0.5)
 
 
 def _bits(x):

@@ -211,6 +211,12 @@ class TestEvalErrors:
         with pytest.raises(UnboundVariable):
             eval_ast_array(parse_source("x+1"), {})
 
+    def test_unbound_variable_in_an_enclosure(self):
+        # The interval extension raises on an unbound variable too.
+        box = (np.array([0.0]), np.array([1.0]))
+        with pytest.raises(UnboundVariable, match="'x2'"):
+            enclose_ast_array(parse_source("x1+x2"), {"x1": box})
+
 
 class TestFreeVars:
     def test_single(self):

@@ -132,6 +132,13 @@ class TestDomainSpec:
         dom = DomainSpec.interval(0.0, 1.0)
         assert not dom.contains(Point.of(0.5, 0.5))
 
+    def test_flat_rows_on_a_line(self):
+        # A 1-d domain reads an (n,) array as n one-coordinate rows.
+        dom = DomainSpec.interval(0.0, 1.0, open_hi=True)
+        flat = np.array([-0.5, 0.0, 0.5, 1.0])
+        assert dom.contains_rows(flat).tolist() == [False, True, True, False]
+        assert dom.contains_rows(flat).tolist() == dom.contains_rows(flat[:, None]).tolist()
+
 
 class TestDomainText:
     @pytest.mark.parametrize("text", [
@@ -143,6 +150,12 @@ class TestDomainText:
         "annulus:1.0:inf:dim=2",
         "annulus:0.0:1.0:open-inner:dim=2",
         "interval:0.0:1.0:norm=linf",
+        "ball:5",
+        "ball:0:5:dim=2",
+        "annulus:1,1:0.5:2",
+        "interval:0:1:open-right",
+        "box:0,0:1,1:open-right",
+        "annulus:1:2:open-outer:dim=2",
     ])
     def test_round_trip(self, text):
         dom = parse_domain(text)
@@ -155,6 +168,30 @@ class TestDomainText:
     def test_bad_number(self):
         with pytest.raises(DomainParseError):
             parse_domain("interval:a:b")
+
+    @pytest.mark.parametrize("text", [
+        "interval:0:1:norm=l3",     # unknown norm
+        "interval:0",               # too few parameters
+        "half_line:0:1",            # too many
+        "box:0,0:1",                # bounds of unequal length
+    ])
+    def test_bad_parameters(self, text):
+        with pytest.raises(DomainParseError):
+            parse_domain(text)
+
+    @pytest.mark.parametrize("text, want", [
+        # A ball's centre defaults to the origin, and a one-number centre
+        # is repeated over dim=N; an annulus may name its centre.
+        ("ball:5", DomainSpec.ball((0.0, 0.0), 5.0)),
+        ("ball:0:5:dim=2", DomainSpec.ball((0.0, 0.0), 5.0)),
+        ("annulus:1,1:0.5:2", DomainSpec.annulus((1.0, 1.0), 0.5, 2.0)),
+        ("interval:0:1:open-right", DomainSpec.interval(0.0, 1.0, open_hi=True)),
+        ("box:0,0:1,1:open-right", DomainSpec.box((0.0, 0.0), (1.0, 1.0), open_hi=(True, True))),
+        ("annulus:1:2:open-outer:dim=2",
+         DomainSpec.annulus((0.0, 0.0), 1.0, 2.0, open_outer=True)),
+    ])
+    def test_parses_to(self, text, want):
+        assert parse_domain(text) == want
 
     def test_family_decides_the_text(self):
         # A 1-d box is an interval and a closed zero-radius annulus a ball.
@@ -243,6 +280,20 @@ class TestFunctionSpecs:
         assert ExpressionFn.parse("x^2").dimension == 1
         assert ExpressionFn.parse("x1+x4").dimension == 4
 
+    def test_monotone_direction_checked(self):
+        # An increasing function claimed decreasing is refused as well.
+        with pytest.raises(InvalidDomain, match="not strictly decreasing"):
+            Monotone1DFn(fn=np.exp, interval=(0.0, 4.0), increasing=False)
+
+    def test_radial_cannot_nest(self):
+        inner = RadialFn(ExpressionFn.parse("exp(x)"), 2)
+        with pytest.raises(InvalidDomain, match="cannot nest"):
+            RadialFn(inner, 2)
+
+    def test_radial_needs_a_dimension(self):
+        with pytest.raises(InvalidDomain, match="dimension must be >= 1"):
+            RadialFn(ExpressionFn.parse("exp(x)"), 0)
+
 
 class TestCatalog:
     def test_unknown(self):
@@ -289,6 +340,20 @@ class TestCatalog:
         loaded = dm.load_manifest("loaded_test|x^2+1|interval:0:1\n")
         assert loaded[0].name == "loaded_test"
         assert eval_fn(dm.catalog_lookup("loaded_test").function, 1.0) == 2.0
+
+    def test_manifest_skips_blank_and_comment_lines(self, monkeypatch):
+        from deltamax import catalog
+
+        monkeypatch.setattr(catalog, "_REGISTRY", dict(catalog._REGISTRY))
+        text = "# a comment\n\n   \nskip_a|x+1|interval:0:1\n  # indented\nskip_b|x|interval:0:2\n"
+        assert [e.name for e in dm.load_manifest(text)] == ["skip_a", "skip_b"]
+
+    def test_manifest_names_the_bad_line(self, monkeypatch):
+        from deltamax import catalog
+
+        monkeypatch.setattr(catalog, "_REGISTRY", dict(catalog._REGISTRY))
+        with pytest.raises(DomainParseError, match="manifest line 3"):
+            dm.load_manifest("# header\ntwo_ok|x|interval:0:1\ntwo_fields|x\n")
 
     @pytest.mark.parametrize("name, source", [("a|b", "x"), ("ab", "x|x")])
     def test_register_refuses_a_pipe(self, monkeypatch, name, source):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import deltamax as dm
-from deltamax import cli, uc
+from deltamax import cli, delta, uc
 from deltamax.delta import compute_delta
 from deltamax.model import DomainSpec, ExpressionFn, Monotone1DFn, Point, RadialFn
 from deltamax.search import R_MAX, TOL_X
@@ -266,13 +266,14 @@ def test_clipped_monotone_end_is_sampled():
     # stage always refines (the others may read +inf).
     f = Monotone1DFn(lambda x: np.exp(-x), (0.5, 2.0), False)
     window, resolution = uc.default_schedule(UNIT, stages=3, resolution=8)[0]
-    pts, values = uc._stage_field(f, UNIT, window, resolution, 0.1)[:2]
+    problem = uc.line_problem(f, UNIT)
+    pts, values = uc._stage_field(f, UNIT, problem, window, resolution, 0.1)[:2]
     assert pts[0].tolist() == [0.5]
     assert np.argmin(values) == 0
     assert values[0] == pytest.approx(compute_delta(f, UNIT, 0.5, 0.1).value, rel=1e-9)
 
 
-def test_monotone_stage_is_the_same_with_its_claimed_enclosure(monkeypatch):
+def test_monotone_stage_is_the_same_with_its_claimed_enclosure():
     # A Monotone1DFn line carries the claimed enclosure, which lets the
     # sampled sweep skip windows it proves clear: the stage's points,
     # values and witnesses are those without it, from no more samples of
@@ -286,15 +287,11 @@ def test_monotone_stage_is_the_same_with_its_claimed_enclosure(monkeypatch):
     dom = DomainSpec.interval(-math.inf, math.inf)
     window, resolution = uc.default_schedule(dom, stages=4)[-1]
     taken[0] = 0
-    claimed = uc._stage_field(f, dom, window, resolution, EPS)
+    g, line = uc.line_problem(f, dom)
+    claimed = uc._stage_field(f, dom, (g, line), window, resolution, EPS)
     n_claimed, taken[0] = taken[0], 0
-    line_problem = uc.line_problem
-
-    def bare_line(*args):
-        g, line = line_problem(*args)
-        return g, dataclasses.replace(line, enclose=None)
-    monkeypatch.setattr(uc, "line_problem", bare_line)
-    bare = uc._stage_field(f, dom, window, resolution, EPS)
+    bare_line = dataclasses.replace(line, enclose=None)
+    bare = uc._stage_field(f, dom, (g, bare_line), window, resolution, EPS)
     for got, want in zip(claimed, bare):
         assert np.array_equal(got, want, equal_nan=True)
     assert 0 < n_claimed <= taken[0]
@@ -396,7 +393,7 @@ def test_stage_field_returns_rows(path):
         (window, res), eps = uc.default_schedule(dom, stages=1, resolution=16)[0], EPS
     else:  # |x1*x2| <= 4 on the box, so eps = 5 is out of reach from the origin
         f, dom, window, res, eps = ExpressionFn.parse("x1*x2"), BOX, BOX, 3, 5.0
-    pts, values, wits = uc._stage_field(f, dom, window, res, eps)
+    pts, values, wits = uc._stage_field(f, dom, uc.line_problem(f, dom), window, res, eps)
     n, d = pts.shape
     assert d == dom.dimension and values.shape == (n,) and wits.shape == (n, d)
     assert np.isnan(wits).any(axis=1).tolist() == np.isnan(values).tolist()
@@ -435,7 +432,7 @@ def test_problem_without_a_line_runs_one_stage(monkeypatch, capsys, disc):
 def test_explicit_schedule_runs_stage_by_stage(monkeypatch):
     calls = []
     monkeypatch.setattr(uc, "_stage_min",
-                        lambda *a: calls.append(a[2:4]) or (0.25, Point((2.0, 0.0)), 0, None))
+                        lambda *a: calls.append(a[3:5]) or (0.25, Point((2.0, 0.0)), 0, None))
     f, disc = ExpressionFn.parse("x1*x2"), DISCS[0]
     schedule = [(disc, 8), (BOX, 4), (disc, 16)]
     trace = uc.infimum_delta(f, disc, EPS, schedule=schedule)
@@ -528,3 +525,49 @@ def test_eps_without_delta_gets_its_own_reason():
     # An eps with a floor keeps the reason of the eps without one.
     verdict = uc.uc_verdict(f, dom, eps_grid=[0.5, 5.0])
     assert verdict.reason.startswith("at eps 5 all 4 stages")
+
+
+@pytest.mark.parametrize("schedule", [[], None], ids=["empty", "default"])
+@pytest.mark.parametrize("eps", [math.nan, -1.0, 0.0, math.inf])
+def test_infimum_checks_eps_before_any_stage(monkeypatch, schedule, eps):
+    # A bad eps is refused up front, also when no stage would read it.
+    calls = []
+    monkeypatch.setattr(uc, "_stage_min", lambda *a: calls.append(a))
+    with pytest.raises(dm.InvalidArgument, match="eps"):
+        uc.infimum_delta(ExpressionFn.parse("x"), UNIT, eps, schedule=schedule)
+    assert calls == []
+
+
+def test_infimum_over_no_stage_is_refused():
+    # An infimum over no points is undefined, as for a zero resolution.
+    for f, dom in ((ExpressionFn.parse("x"), UNIT), (ExpressionFn.parse("x1*x2"), BOX)):
+        with pytest.raises(dm.InvalidArgument, match="at least one stage"):
+            uc.infimum_delta(f, dom, EPS, schedule=[])
+
+
+def test_each_call_builds_its_line_problem_once(monkeypatch):
+    # compute_delta and delta_field build the line problem once and route
+    # on it; infimum_delta and witness_search build it once and hand it
+    # to every stage, so a uc verdict builds two per eps tested.
+    built, line_problem = [], delta.line_problem
+
+    def counted(*args):
+        built.append(args)
+        return line_problem(*args)
+    monkeypatch.setattr(delta, "line_problem", counted)
+    monkeypatch.setattr(uc, "line_problem", counted)
+    f, dom = ExpressionFn.parse("x^2"), DomainSpec.interval(-1.0, 1.0)
+    compute_delta(f, dom, 0.5, EPS)
+    assert len(built) == 1
+    delta.delta_field(f, dom, [0.0, 0.5], EPS)
+    assert len(built) == 2
+    problem = uc.line_problem(f, dom)
+    built.clear()
+    uc._stage_field(f, dom, problem, dom, 64, EPS)
+    uc._stage_min(f, dom, problem, dom, 64, EPS, 0.1)
+    assert built == []
+    for name in ("sqrt", "sin_inv"):
+        f, dom = _case(name)
+        built.clear()
+        verdict = uc.uc_verdict(f, dom, eps_grid=[EPS])
+        assert len(verdict.eps_tested) == 1 and len(built) == 2
