@@ -59,6 +59,9 @@ from .model import (
     NormTag,
     Point,
     RadialFn,
+    _quiet,
+    _sized_point,
+    _strict_read,
     array_evaluator,
     enclosure_evaluator,
     lattice,
@@ -195,64 +198,64 @@ def _line_rows(problem, dom: DomainSpec, ps, eps: float) -> list:
     once by the caller; a bad eps raises InvalidArgument.
 
     The line coordinate t of p is p itself on a 1-d domain and ||p|| on
-    a radial one.  The point gates are point_in, t on the clipped line
-    and a strict read of f(p).  Every row that passes runs through one
-    line_field call.  A radial witness is lifted along the ray through p
-    (along the first axis when p is the origin).
+    a radial one.  The point gates run on all rows at once: each p as a
+    Point of dom's dimension, then one test of membership in dom and in
+    the clipped line; a row that fails them never reaches the engine.
+    One line_field call runs the others and reads f(p) once for each
+    (res.fp), and the strict f(p) rule (model._strict_read) checks that
+    read.  A radial witness is lifted along the ray through p (along the
+    first axis when p is the origin).
     """
     require_positive("eps", eps)
-    g, line = problem
+    line = problem[1]
     radial = dom.dimension > 1
     backend = "monotone" if line.monotone else "levelset1d"
 
-    def gate(p):
-        pt = point_in(dom, p)
-        t = norm_of(dom.norm, pt.as_array()) if radial else pt.coords[0]
-        if not line.lo <= t <= line.hi:
-            raise DomainViolation(f"{pt.coords} is outside the domain {dom.describe()}")
-        return pt, t, value_at(g, t)
-
-    rows = [_attempt(gate, p) for p in ps]
-    live = [i for i, row in enumerate(rows) if isinstance(row, tuple)]
-    res = line_field(line, np.asarray([rows[i][1] for i in live], dtype=float), eps)
+    rows = [_attempt(_sized_point, dom, p) for p in ps]
+    live = [i for i, row in enumerate(rows) if isinstance(row, Point)]
+    arr = np.array([rows[i].coords for i in live], dtype=float).reshape(len(live), dom.dimension)
+    ts = norm_of_rows(dom.norm, arr) if radial else arr[:, 0]
+    inside = dom.contains_rows(arr) & (ts >= line.lo) & (ts <= line.hi)
+    for i, ok in zip(live, inside.tolist()):
+        if not ok:
+            rows[i] = DomainViolation(f"{rows[i].coords} is outside the domain {dom.describe()}")
+    live, ts = [i for i in live if isinstance(rows[i], Point)], ts[inside]
+    res = line_field(line, ts, eps)
 
     def solve(k, pt, t, fp):
-        value, t_w, lower, upper, one_sided, diagnostics = _field_row(res, k, t, eps)
-        diagnostics["lower_kind"] = "proof" if res.done[k] and not line.monotone else "samples"
+        """Row k of res, whose point pt has line coordinate t and f(p) fp."""
+        _strict_read([t], fp)
+        value, lower, searched = float(res.values[k]), float(res.lower[k]), float(res.searched[k])
+        if math.isnan(value):
+            raise EmptySpherePreimage(
+                f"no point with |f(x)-f({t})| = {eps} found within radius "
+                f"{searched}: the sphere preimage looks empty there, so "
+                "the nonemptiness hypothesis behind delta(p, eps) fails",
+                searched_radius=searched)
+        if math.isnan(lower):
+            raise FloatResolutionLimit(
+                f"delta({t!r}, {eps!r}) is below the float64 resolution at p: "
+                f"a violator sits {value!r} away, and no float closer to p than "
+                "that, other than p itself, could be shown clear")
+        t_w = float(res.witness[k])
         if radial and t != 0.0:
             witness = Point(tuple(c * (t_w / t) for c in pt.coords))
         else:
             witness = Point((t_w,) + (0.0,) * (pt.dim - 1))
+        diagnostics = {"achiever_h": float(res.root_h[k]), "searched_radius": searched,
+                       "detect_rounds": int(res.detect_rounds[k]),
+                       "enclosed_rounds": int(res.enclosed_rounds[k]),
+                       "lower_kind": "proof" if res.done[k] and not line.monotone else "samples"}
         if radial:
             diagnostics.update(radius=t, inner_backend=backend)
         return DeltaResult(value=value, witness=witness, certified_lower=lower,
-                           certified_upper=upper, backend="radial" if radial else backend,
-                           one_sided=one_sided, diagnostics=diagnostics)
+                           certified_upper=float(res.upper[k]),
+                           backend="radial" if radial else backend,
+                           one_sided=bool(res.one_sided[k]), diagnostics=diagnostics)
 
-    for k, i in enumerate(live):
-        rows[i] = _attempt(solve, k, *rows[i])
+    for k, (i, t, fp) in enumerate(zip(live, ts.tolist(), res.fp.tolist())):
+        rows[i] = _attempt(solve, k, rows[i], t, fp)
     return rows
-
-
-def _field_row(res, k: int, t: float, eps: float):
-    """(value, witness, lower, upper, one_sided, diagnostics) of row k of
-    a line_field result, whose line coordinate is t."""
-    value, lower, searched = float(res.values[k]), float(res.lower[k]), float(res.searched[k])
-    if math.isnan(value):
-        raise EmptySpherePreimage(
-            f"no point with |f(x)-f({t})| = {eps} found within radius "
-            f"{searched}: the sphere preimage looks empty there, so "
-            "the nonemptiness hypothesis behind delta(p, eps) fails",
-            searched_radius=searched)
-    if math.isnan(lower):
-        raise FloatResolutionLimit(
-            f"delta({t!r}, {eps!r}) is below the float64 resolution at p: "
-            f"a violator sits {value!r} away, and no float closer to p than "
-            "that, other than p itself, could be shown clear")
-    return (value, float(res.witness[k]), lower, float(res.upper[k]), bool(res.one_sided[k]),
-            {"achiever_h": float(res.root_h[k]), "searched_radius": searched,
-             "detect_rounds": int(res.detect_rounds[k]),
-             "enclosed_rounds": int(res.enclosed_rounds[k])})
 
 
 _LOW_PAD, _HIGH_PAD = 1.0 - 16.0 * 2.0 ** -52, 1.0 + 16.0 * 2.0 ** -52
@@ -318,12 +321,12 @@ def _box_exit(dom: DomainSpec, p_arr: np.ndarray, dirs: np.ndarray) -> np.ndarra
     lo, hi = dom.bounding_box()
     pad = 2.0 ** -30
     face = np.where(dirs > 0, hi, lo)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gap = np.abs(face - p_arr) + pad * (1.0 + np.abs(p_arr) + np.abs(face))
-        t = np.where(dirs != 0, gap / np.abs(dirs), math.inf)
+    gap = np.abs(face - p_arr) + pad * (1.0 + np.abs(p_arr) + np.abs(face))
+    t = np.where(dirs != 0, gap / np.abs(dirs), math.inf)
     return (1.0 + pad) * np.min(t, axis=1)
 
 
+@_quiet
 def delta_ray_nd(f: FunctionSpec, dom: DomainSpec, p, eps: float,
                  directions: int = 64) -> DeltaResult:
     """Heuristic delta estimator for generic functions in dim >= 2.
@@ -417,6 +420,7 @@ def delta_ray_nd(f: FunctionSpec, dom: DomainSpec, p, eps: float,
 # Membership predicate and epsilon range
 # ---------------------------------------------------------------------------
 
+@_quiet
 def is_delta_epsilon_number(f: FunctionSpec, dom: DomainSpec, p, eps: float,
                             beta: float, samples: int = 4096) -> bool:
     """Sampled check that beta is a valid delta at p: no grid point of the
@@ -439,11 +443,11 @@ def is_delta_epsilon_number(f: FunctionSpec, dom: DomainSpec, p, eps: float,
     if pts.size == 0:
         return True
     fv = array_evaluator(f, norm=dom.norm)(pts)
-    with np.errstate(invalid="ignore"):
-        viol = np.abs(fv - fp) >= eps
+    viol = np.abs(fv - fp) >= eps
     return not bool(np.any(viol & ~np.isnan(fv)))
 
 
+@_quiet
 def epsilon_bound(f: FunctionSpec, dom: DomainSpec, samples: int = 4096) -> float:
     """beta = 0.99 * (sampled image spread) / 4, below which delta(p, eps)
     is expected to be defined at every domain point.
@@ -481,6 +485,7 @@ def epsilon_bound(f: FunctionSpec, dom: DomainSpec, samples: int = 4096) -> floa
 # Auto-routing front door
 # ---------------------------------------------------------------------------
 
+@_quiet
 def delta_field(f: FunctionSpec, dom: DomainSpec | None, ps, eps: float,
                 directions: int = 64) -> list:
     """Per p of ps, compute_delta's DeltaResult or the DeltamaxError it
@@ -496,6 +501,7 @@ def delta_field(f: FunctionSpec, dom: DomainSpec | None, ps, eps: float,
     return [_attempt(compute_delta, f, dom, p, eps, directions) for p in ps]
 
 
+@_quiet
 def compute_delta(f: FunctionSpec, dom: DomainSpec | None, p, eps: float,
                   directions: int = 64) -> DeltaResult:
     """delta(p, eps) by ray_nd for a generic nD f, else delta_field's row

@@ -35,8 +35,8 @@ class NonFinite(DeltamaxError):
     """A value that must be finite is not: f(p) is NaN (f is undefined
     at p), or a point has a non-finite coordinate.
 
-    The one strict read of f at a point (model.value_at, behind eval_fn
-    and every delta entry point) raises this for NaN and
+    The strict f(p) rule (model._strict_read, on value_at's reads and on
+    the line engine's read of each row's f(p)) raises this for NaN and
     FloatResolutionLimit for +/-inf.
     """
     exit_code = 4
@@ -96,9 +96,9 @@ class FloatResolutionLimit(DeltamaxError):
 
     Either no float other than p itself lies closer to p than the nearest
     violator, so no positive lower bound can be sampled, or f(p) is
-    +/-inf: the one strict read of f at a point (model.value_at, behind
-    eval_fn and every delta entry point) raises this for +/-inf and
-    NonFinite for NaN.
+    +/-inf: the strict f(p) rule (model._strict_read, on value_at's reads
+    and on the line engine's read of each row's f(p)) raises this for
+    +/-inf and NonFinite for NaN.
     """
     exit_code = 5
 

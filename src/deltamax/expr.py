@@ -261,12 +261,12 @@ def eval_ast_array(a: Ast, env: dict[str, np.ndarray]) -> np.ndarray:
 
     It is lenient: invalid points yield NaN/inf in the output and the
     caller decides what they mean (usually: point outside the usable
-    domain, or a definite |f| = inf exceedance; model.value_at is the
-    one strict read of f at a point).
+    domain, or a definite |f| = inf exceedance; model._strict_read is
+    the strict f(p) rule).  It does not silence numpy's
+    floating-point warnings: every public entry of the package runs under
+    one errstate (model._quiet) that does.
     """
-    with np.errstate(all="ignore"):
-        out = _eval_array(a, env)
-    return np.asarray(out, dtype=float)
+    return np.asarray(_eval_array(a, env), dtype=float)
 
 
 def _eval_array(a: Ast, env: dict[str, np.ndarray]):
@@ -319,11 +319,11 @@ def enclose_ast_array(a: Ast, env: dict[str, tuple[np.ndarray, np.ndarray]]
     bound is known -- pow, a power that is not an integer constant, ln
     with lo <= 0, sqrt with lo < 0, division by an interval holding 0,
     overflow -- the result is (-inf, +inf).  Internally such a node has
-    NaN ends, which every later node carries on.
+    NaN ends, which every later node carries on.  Like eval_ast_array, it
+    leaves numpy's floating-point warnings to the caller's errstate.
     """
-    with np.errstate(all="ignore"):
-        lo, hi = _enclose(a, env)
-        ok = np.isfinite(hi - lo)
+    lo, hi = _enclose(a, env)
+    ok = np.isfinite(hi - lo)
     return np.where(ok, lo, -np.inf), np.where(ok, hi, np.inf)
 
 

@@ -7,13 +7,16 @@ half-lines.  The codomain is R with |.|.
 
 This module owns evaluation and inputs: array_evaluator maps (n, d) rows
 to values for every FunctionSpec, value_at reads f at one point under
-the strict f(p) rule, point_in gates a point into a domain (every
-FunctionSpec has a natural one), and require_positive checks eps.
+the strict f(p) rule (_strict_read), point_in gates a point into a domain
+(every FunctionSpec has a natural one), and require_positive checks eps.
+No evaluator silences numpy's floating-point warnings: each public entry
+of the package runs under one np.errstate(all="ignore") (_quiet).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -31,6 +34,15 @@ from .errors import (
 )
 
 INF = math.inf
+
+
+def _quiet(fn):
+    """fn under one np.errstate(all="ignore") per call (a public entry)."""
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return fn(*args, **kwargs)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +296,19 @@ class DomainSpec:
 def point_in(dom: DomainSpec, p) -> Point:
     """p (a Point, a number or coordinates) as a Point of dom: a point of
     another dimension raises DimensionMismatch, one outside dom
-    DomainViolation.  Every entry point takes its point through here."""
+    DomainViolation.  Every entry point takes its point through here, or
+    through _sized_point and one membership test of all its points."""
+    pt = _sized_point(dom, p)
+    if not dom.contains(pt):
+        raise DomainViolation(f"{pt.coords} is outside the domain {dom.describe()}")
+    return pt
+
+
+def _sized_point(dom: DomainSpec, p) -> Point:
+    """p as a Point of dom's dimension (DimensionMismatch otherwise)."""
     pt = _as_point(p)
     if pt.dim != dom.dimension:
         raise DimensionMismatch(f"a {pt.dim}-d point on a {dom.dimension}-d domain")
-    if not dom.contains(pt):
-        raise DomainViolation(f"{pt.coords} is outside the domain {dom.describe()}")
     return pt
 
 
@@ -492,8 +511,7 @@ def array_evaluator(f: FunctionSpec, norm: NormTag = NormTag.L2) -> Callable[[np
 
         def run(arr: np.ndarray) -> np.ndarray:
             arr = _columns(arr, 1, exact=True)
-            with np.errstate(all="ignore"):
-                out = np.array(fn(arr), dtype=float)  # a copy: fn may return arr
+            out = np.array(fn(arr), dtype=float)  # a copy: fn may return arr
             # broadcast_to is slow on the monotone inverse's one-point
             # calls, so only a constant fn (a scalar out) pays for it.
             return out if out.shape == arr.shape else np.broadcast_to(out, arr.shape)
@@ -520,19 +538,20 @@ def _columns(arr, dim: int = 1, exact: bool = False) -> np.ndarray:
 
 def value_at(f: FunctionSpec, x, norm: NormTag = NormTag.L2) -> float:
     """f(x) at one point x (a Point, a number or coordinates), read by
-    array_evaluator.  This is how every delta entry point reads f(p).
-
-    The read is strict: NaN means f is undefined at x and raises
-    NonFinite; +/-inf means f(x) lies beyond the float64 range, so
-    delta(x, eps) cannot be resolved there, and raises
-    FloatResolutionLimit.  Membership and dimension are not checked
-    (eval_fn adds those).
-    """
+    array_evaluator and checked by _strict_read.  Membership and dimension
+    are not checked (eval_fn adds those)."""
     row = np.asarray(x.coords if isinstance(x, Point) else x, dtype=float).reshape(1, -1)
-    value = float(array_evaluator(f, norm)(row)[0])
+    return _strict_read(row[0].tolist(), float(array_evaluator(f, norm)(row)[0]))
+
+
+def _strict_read(x: list[float], value: float) -> float:
+    """value, read as f(x), under the strict f(p) rule of every delta
+    entry point: NaN means f is undefined at x and raises NonFinite;
+    +/-inf means f(x) lies beyond the float64 range, so delta(x, eps)
+    cannot be resolved there, and raises FloatResolutionLimit."""
     if math.isfinite(value):
         return value
-    where = f"f({', '.join(map(repr, row[0].tolist()))}) = {value!r}"
+    where = f"f({', '.join(map(repr, x))}) = {value!r}"
     if math.isnan(value):
         raise NonFinite(where)
     raise FloatResolutionLimit(
@@ -540,6 +559,7 @@ def value_at(f: FunctionSpec, x, norm: NormTag = NormTag.L2) -> float:
         "resolved at this point")
 
 
+@_quiet
 def eval_fn(f: FunctionSpec, x, dom: DomainSpec | None = None) -> float:
     """f at one point x, strict about dimension, membership and value.
 

@@ -21,6 +21,7 @@ from .model import (
     FunctionSpec,
     Point,
     _as_point,
+    _quiet,
     array_evaluator,
     lattice,
     norm_of_rows,
@@ -82,6 +83,7 @@ def _masked_grid(dom: DomainSpec, g: GridSpec) -> np.ndarray:
     return pts[mask]
 
 
+@_quiet
 def grid_delta_bounds(f: FunctionSpec, dom: DomainSpec, p, eps: float,
                       g: GridSpec, require_radius: float | None = None
                       ) -> tuple[float, float]:
@@ -102,8 +104,7 @@ def grid_delta_bounds(f: FunctionSpec, dom: DomainSpec, p, eps: float,
         raise WindowTooSmall("the oracle window misses the domain entirely")
     fv = array_evaluator(f, norm=dom.norm)(pts)
 
-    with np.errstate(invalid="ignore"):
-        viol = (np.abs(fv - fp) >= eps) & ~np.isnan(fv)
+    viol = (np.abs(fv - fp) >= eps) & ~np.isnan(fv)
     dists = norm_of_rows(dom.norm, pts - p_arr)
 
     # Radius around p inside which the window itself has full coverage.
@@ -129,9 +130,8 @@ def _nearest_violators(f_arr, dom, pts, vpts, eps, chunk):
     out = np.full(pts.shape[0], math.inf)
     for start in range(0, pts.shape[0], chunk):
         rows = slice(start, min(start + chunk, pts.shape[0]))
-        with np.errstate(invalid="ignore"):
-            viol = np.abs(fv_p[rows, None] - fv_v[None, :]) >= eps
-            viol &= ~np.isnan(fv_v)[None, :]
+        viol = np.abs(fv_p[rows, None] - fv_v[None, :]) >= eps
+        viol &= ~np.isnan(fv_v)[None, :]
         diff = pts[rows][:, None, :] - vpts[None, :, :]
         dists = norm_of_rows(dom.norm, diff.reshape(-1, dim)).reshape(viol.shape)
         dists[~viol] = math.inf
@@ -139,6 +139,7 @@ def _nearest_violators(f_arr, dom, pts, vpts, eps, chunk):
     return out
 
 
+@_quiet
 def brute_force_inf(f: FunctionSpec, dom: DomainSpec, eps: float, g: GridSpec,
                     chunk: int = 512) -> tuple[float, Point]:
     """Minimum over grid points p of the nearest-violator distance.

@@ -118,6 +118,10 @@ Conventions: an evaluator maps (cols, ts) -> (f, valid) where ts has one
 row per probe offset and one column per selected base point.  Samples
 with valid=False (outside the domain) never form brackets; f = +/-inf is
 treated as a definite |f - fp| >= eps exceedance, f = NaN as invalid.
+No evaluator or enclosure silences numpy's warnings of such values:
+line_field runs both engines under one np.errstate, as each public entry
+runs under one (model._quiet).  Each engine reads f(p) once per point
+(LineResult.fp), and delta's strict f(p) rule checks that read.
 """
 
 from __future__ import annotations
@@ -161,6 +165,10 @@ _RUNG_ENDS = 2.0 ** np.arange(1, _RUNGS + 1) - 1.0
 _SPLIT = 1.0 / 16.0
 _MAX_SPLITS = 16
 _WALK_ROUNDS = 64
+# Row starts of a walk round's (c, _RUNGS + 1) table, and one before those
+# of its (c, _RUNGS) window arrays, for c <= 2*_CHUNK columns.
+_TABLE_ROWS = np.arange(2 * _CHUNK) * (_RUNGS + 1)
+_WINDOW_ROWS = np.arange(2 * _CHUNK) * _RUNGS - 1
 # k-section points per round, one column per bracket: evenly spread, then
 # at 0 and +/-2**-j (j = 1..40) of the bracket width around the secant root.
 _KSECT_AROUND = np.concatenate(([-1.0], -(0.5 ** np.arange(1, 41)), [0.0],
@@ -168,8 +176,12 @@ _KSECT_AROUND = np.concatenate(([-1.0], -(0.5 ** np.arange(1, 41)), [0.0],
 _KSECT_EVEN = np.linspace(0.0, 1.0, _KSECT_AROUND.size)[:, None]
 _KSECT_ROWS = np.arange(_KSECT_AROUND.size)[:, None]
 _KSECT_BLOCK = _BLOCK_SAMPLES // _KSECT_AROUND.size  # brackets per evaluator call
+_KSECT_COLS = np.arange(_KSECT_BLOCK)
 _KSECT_ROUNDS = 40
 _LADDER = 2.0 ** np.arange(48) - 1.0  # proof candidates, in final bracket widths
+# Candidates tried first: the first proof of 98.8% of point queries' bracket
+# ends, and of every end of a 10,000-point x^2 field, lies among them.
+_LADDER_FIRST = 8
 
 
 @dataclass
@@ -187,10 +199,9 @@ class SideResult:
 
 
 def _h_of(f: np.ndarray, fp, eps: float) -> np.ndarray:
-    with np.errstate(invalid="ignore"):
-        h = np.subtract(f, fp)
-        h = np.abs(h, out=h)
-        h -= eps
+    h = np.subtract(f, fp)
+    h = np.abs(h, out=h)
+    h -= eps
     return h
 
 
@@ -504,9 +515,11 @@ class Line:
     """A line problem: f on the interval between lo and hi, an open end
     excluded.  f is a lenient vectorized evaluator, enclose(lo, hi) an
     interval extension of f and slope(lo, hi) one of f' (either None when
-    there is none).  monotone: f is monotone on the whole line, as the
-    caller claims; enclose then only needs to enclose f at the two ends of
-    each interval, and slope is None."""
+    there is none); none of them silences numpy's warnings, which the
+    caller's errstate does (see the module notes).  monotone: f is
+    monotone on the whole line, as the caller claims; enclose then only
+    needs to enclose f at the two ends of each interval, and slope is
+    None."""
 
     f: Callable[[np.ndarray], np.ndarray]
     enclose: IntervalFn | None
@@ -543,6 +556,7 @@ class LineResult:
     may cross on both."""
 
     done: np.ndarray
+    fp: np.ndarray               # f(p), the one read of it that the engines make
     values: np.ndarray           # violator end; NaN: no side crosses; +inf: not refined
     witness: np.ndarray          # its line coordinate (+inf where values is)
     lower: np.ndarray            # lower bound; NaN where no float but p was shown clear
@@ -554,12 +568,12 @@ class LineResult:
     enclosed_rounds: np.ndarray  # of which proved clear
 
 
-def _join(done, values, witness, lower, upper, root_h, searched, detect_rounds,
+def _join(fp, done, values, witness, lower, upper, root_h, searched, detect_rounds,
           enclosed_rounds) -> LineResult:
-    """The LineResult of per-side arrays over a signed batch of 2n columns:
-    values, witness and root_h from the nearer crossing (see the module
-    notes), the nearer ends, the farther search, the summed rounds, and
-    done where both sides are."""
+    """The LineResult of the n points' f(p) and of per-side arrays over a
+    signed batch of 2n columns: values, witness and root_h from the nearer
+    crossing (see the module notes), the nearer ends, the farther search,
+    the summed rounds, and done where both sides are."""
     n = values.size // 2
     has = ~np.isnan(values)
     pick = np.arange(n) + n * (has[n:] & ~(values[:n] < values[n:]))
@@ -567,7 +581,7 @@ def _join(done, values, witness, lower, upper, root_h, searched, detect_rounds,
     def both(op, a):
         return op(a[:n], a[n:])
     return LineResult(
-        done=both(np.logical_and, done), values=values[pick], witness=witness[pick],
+        done=both(np.logical_and, done), fp=fp, values=values[pick], witness=witness[pick],
         lower=both(np.minimum, lower), upper=both(np.fmin, upper), root_h=root_h[pick],
         one_sided=both(np.logical_xor, has), searched=both(np.fmax, searched),
         detect_rounds=both(np.add, detect_rounds), enclosed_rounds=both(np.add, enclosed_rounds))
@@ -585,7 +599,9 @@ def _by_chunks(run, n: int) -> LineResult:
 
 def line_field(line: Line, ps: np.ndarray, eps: float, bound: float | None = None) -> LineResult:
     """delta field of the line problem `line` at the points ps, which
-    must lie on it: the one line entry, which picks the engine.
+    must lie on it: the one line entry, which picks the engine and runs
+    it under one np.errstate(all="ignore").  res.fp is f(p), read once
+    per point by the engine that took it.
 
     Without a bound, the piece walk takes every point of a line with an
     enclosure of f' or a monotone claim (see the module notes); the points
@@ -605,17 +621,17 @@ def line_field(line: Line, ps: np.ndarray, eps: float, bound: float | None = Non
     finite bound no point reads NaN: one with no crossing reads +inf.
     """
     ps = np.asarray(ps, dtype=float)
-    if bound is not None:
-        return _sampled_field(line, ps, eps, _MIN_DETECT, bound)
-    if line.slope is None and not line.monotone:
-        return replace(_sampled_field(line, ps, eps), done=np.zeros(ps.size, dtype=bool))
     with np.errstate(all="ignore"):
+        if bound is not None:
+            return _sampled_field(line, ps, eps, _MIN_DETECT, bound)
+        if line.slope is None and not line.monotone:
+            return replace(_sampled_field(line, ps, eps), done=np.zeros(ps.size, dtype=bool))
         res = _by_chunks(lambda sl: _pieces(line, ps[sl], eps), ps.size)
-    back = np.flatnonzero(~res.done)
-    if back.size:
-        for name, part in vars(_sampled_field(line, ps[back], eps)).items():
-            if name != "done":
-                getattr(res, name)[back] = part
+        back = (~res.done).nonzero()[0]
+        if back.size:
+            for name, part in vars(_sampled_field(line, ps[back], eps)).items():
+                if name != "done":
+                    getattr(res, name)[back] = part
     return res
 
 
@@ -655,7 +671,7 @@ def _sampled_field(line: Line, ps: np.ndarray, eps: float, detect_points: int = 
         # its -t side; x = p + s*t with s = +-1 gives the floats p + t and p - t.
         m = p_c.size
         p_s = _twice(p_c)
-        signs = np.repeat((1.0, -1.0), m)
+        signs = _halves(m, 1.0, -1.0)
         fp2, scale2 = _twice(np.where(bad_fp, 0.0, fp)), _twice(pos_scale)
 
         def eval_at(cols, ts):
@@ -716,7 +732,7 @@ def _sampled_field(line: Line, ps: np.ndarray, eps: float, detect_points: int = 
         # (or has no domain at all, which constrains nothing).
         live = ~np.isnan(side.root) | (ext > 0.0)
         cleared = np.where(live, side.clear, np.inf)
-        res = _join(np.ones(2 * m, dtype=bool), side.root, p_s + signs * side.root,
+        res = _join(fp, np.ones(2 * m, dtype=bool), side.root, p_s + signs * side.root,
                     cleared - side.step,  # each side's clear radius less its own grid step
                     side.root, side.root_h, side.searched, side.rounds, side.enclosed)
         values, clear = res.values, np.minimum(cleared[:m], cleared[m:])
@@ -743,19 +759,20 @@ def _pieces(line: Line, ps, eps) -> LineResult:
     f_arr, f_enc, f_slope = line.f, line.enclose, line.slope
     n = ps.size
     fp = np.asarray(f_arr(ps), dtype=float)
-    # One signed batch (see the module notes).
-    p, s, fpc = _twice(ps), np.repeat((1.0, -1.0), n), _twice(fp)
-    fp_lo, fp_hi = (_twice(a) for a in _enclosed(f_enc, ps, ps))
+    # One signed batch (see the module notes), its +t columns first.
+    p, s = _twice(ps), _halves(n, 1.0, -1.0)
+    fp_lo, fp_hi = _enclosed(f_enc, p, p)
 
-    def band(cols, lo, hi):
-        """(clear, violator) per interval [lo, hi] of f values beside
-        column cols: every value within eps of every f(p) of its
+    def band(at, lo, hi):
+        """(clear, violator) per interval [lo, hi] of f values, one row
+        per column of `at` (a slice or indices) and the intervals along
+        the last axis: every value within eps of every f(p) of its
         enclosure, or every one farther than eps.  A float difference
         below (above) the float eps proves the exact one below (above)."""
-        a, b = fp_lo[cols, None], fp_hi[cols, None]
+        a, b = fp_lo[at][:, None], fp_hi[at][:, None]
         return np.maximum(hi - a, b - lo) < eps, np.maximum(lo - b, a - hi) > eps
 
-    far = np.repeat((line.hi, line.lo), n)
+    far = _halves(n, line.hi, line.lo)
     ext = s * (far - p)
     x_end = np.where(ext <= R_MAX, far, p + s * R_MAX)  # far: the side ends at the domain's end
     if f_slope is None:
@@ -765,86 +782,110 @@ def _pieces(line: Line, ps, eps) -> LineResult:
         r0 = _r0(ps, np.abs(0.5 * (d_lo + d_hi)), eps)
 
     # The walk.  xa is each side's frontier: [p, xa] is proved clear.
-    xa, w, xb = p.copy(), _twice(r0), np.full(2 * n, np.nan)
-    count = np.zeros((3, 2 * n), dtype=int)  # windows tested, passed; splits
+    xa, sw, xb = p.copy(), s * _twice(r0), np.full(2 * n, np.nan)
+    tested, passed, splits = np.zeros((3, 2 * n), dtype=int)
     failed = ~np.isfinite(fp_hi - fp_lo)
     walking = (ext > 0.0) & ~failed
     for _ in range(_WALK_ROUNDS):
-        cols = np.flatnonzero(walking)
-        if not cols.size:
+        cols = walking.nonzero()[0]
+        if not (c := cols.size):
             break
-        sc, ec = s[cols, None], x_end[cols, None]
-        ends = xa[cols, None] + sc * (w[cols, None] * _RUNG_ENDS)
-        ends = np.where(sc > 0.0, np.minimum(ends, ec), np.maximum(ends, ec))
-        starts = np.concatenate((xa[cols, None], ends[:, :-1]), axis=1)
-        lo, hi = np.minimum(starts, ends), np.maximum(starts, ends)
-        f_lo, f_hi = _enclosed(f_enc, np.concatenate((lo, ends), axis=1),
-                               np.concatenate((hi, ends), axis=1))
-        clear, hit = band(cols, f_lo, f_hi)
+        at = slice(None) if c == 2 * n else cols
+        up = np.searchsorted(cols, n)  # the +t columns
+        # One table per round, read by flat indices: window j of a column
+        # runs from table[j] to table[j + 1], the frontier, then the rung
+        # ends (sw, the signed width, times _RUNG_ENDS) clipped to the
+        # side's end.
+        table = np.empty((c, _RUNGS + 1))
+        table[:, 0] = xa[at]
+        ends, ec = table[:, 1:], x_end[at]
+        np.multiply(sw[at][:, None], _RUNG_ENDS, out=ends)
+        ends += table[:, :1]
+        np.minimum(ends[:up], ec[:up, None], out=ends[:up])
+        np.maximum(ends[up:], ec[up:, None], out=ends[up:])
+        box = np.empty((2, 2, c, _RUNGS))  # (lo, hi) of the windows, then of their ends
+        np.minimum(table[:, :-1], ends, out=box[0, 0])
+        np.maximum(table[:, :-1], ends, out=box[1, 0])
+        box[:, 1] = ends
+        f_lo, f_hi = _enclosed(f_enc, box[0], box[1])
+        clear, hit = band(at, f_lo, f_hi)
         # A window passes if the enclosure proves it clear, or if f is
         # monotone on it and clear at both ends (its start is the frontier).
         if f_slope is None:
-            mono = np.ones(lo.shape, dtype=bool)
+            mono = np.ones((c, _RUNGS), dtype=bool)
         else:
             # A finite enclosure of f proves f defined, and so continuous,
             # on the window; one of f' that excludes 0, f monotone there.
-            d_lo, d_hi = _enclosed(f_slope, lo, hi)
-            mono = np.isfinite(f_hi[:, :_RUNGS] - f_lo[:, :_RUNGS]) & ((d_lo > 0.0) | (d_hi < 0.0))
-        passes = clear[:, :_RUNGS] | (mono & clear[:, _RUNGS:])
-        k = np.argmin(np.concatenate((passes, np.zeros((cols.size, 1), dtype=bool)), axis=1),
-                      axis=1)
-        rows, kk = np.arange(cols.size), np.minimum(k, _RUNGS - 1)
-        count[:2, cols] += [kk + 1, k]
-        at_k = ends[rows, kk]
-        xa[cols] = front = np.where(k < _RUNGS, starts[rows, kk], at_k)
-        at_end, grow = front == ec[:, 0], k == _RUNGS
-        cross = ~at_end & ~grow & mono[rows, kk] & hit[rows, _RUNGS + kk]
-        walking[cols[at_end | cross]] = False
+            d_lo, d_hi = _enclosed(f_slope, box[0, 0], box[1, 0])
+            mono = np.isfinite(f_hi[0] - f_lo[0]) & ((d_lo > 0.0) | (d_hi < 0.0))
+        passes = np.zeros((c, _RUNGS + 1), dtype=bool)  # a last window that fails
+        np.logical_or(clear[0], mono & clear[1], out=passes[:, :-1])
+        k = passes.argmin(axis=1)
+        grow = k == _RUNGS
+        k1 = k + ~grow  # one past kk, the window that failed (or the last one)
+        tested[at] += k1
+        passed[at] += k
+        front = table.ravel()[_TABLE_ROWS[:c] + k]
+        at_k = table.ravel()[_TABLE_ROWS[:c] + k1]  # window kk's end
+        kk = _WINDOW_ROWS[:c] + k1  # window kk in the (c, _RUNGS) arrays
+        stop = front == ec  # the frontier reached the side's end
+        cross = ~(stop | grow) & (mono & hit[1]).ravel()[kk]
+        stop |= cross
+        xa[at] = front
         xb[cols[cross]] = at_k[cross]
-        w[cols[grow]] *= 2.0 ** _RUNGS
-        split = ~at_end & ~grow & ~cross
+        walking[at] = ~stop
+        # A grown column's windows double _RUNGS times; a split one's start
+        # 1/16 as wide as window kk (a stopped column's width is unused).
+        sw[at] = np.where(grow, sw[at] * 2.0 ** _RUNGS, (at_k - front) * _SPLIT)
+        split = ~(stop | grow)
         if split.any():
             sp = cols[split]
-            w[sp] = np.abs(at_k[split] - front[split]) * _SPLIT
-            count[2, sp] += 1
+            splits[sp] += 1
             # A monotone window that ends at the side's end, with a finite
             # enclosure there that eps falls inside, stays so however it
             # is split.
-            tie = mono[rows, kk] & (at_k == ec[:, 0]) & np.isfinite(
-                f_hi[rows, _RUNGS + kk] - f_lo[rows, _RUNGS + kk])
-            gave_up = sp[(count[2, sp] > _MAX_SPLITS) | (w[sp] == 0.0) | tie[split]]
+            ki = kk[split]
+            tie = mono.ravel()[ki] & (at_k[split] == ec[split]) & np.isfinite(
+                f_hi[1].ravel()[ki] - f_lo[1].ravel()[ki])
+            gave_up = sp[(splits[sp] > _MAX_SPLITS) | (sw[sp] == 0.0) | tie]
             failed[gave_up] = True
             walking[gave_up] = False
     failed |= walking
 
     # Each crossing window [xa, xb] is monotone, clear at xa and a
     # violator at xb: k-section onto the crossing, then proofs of the ends.
-    bc = np.flatnonzero(~np.isnan(xb))
+    bc = (~np.isnan(xb)).nonzero()[0]
+    every = bc.size == 2 * n
+    at = slice(None) if every else bc
+    p_b = p[at]
+
     def eval_at(_, xs):
         return np.asarray(f_arr(xs.ravel()), dtype=float).reshape(xs.shape), True
 
     nan = np.full(bc.size, np.nan)
-    l, u, h_u = _ksection(eval_at, bc, fpc[bc], eps, xa[bc], nan, xb[bc], nan,
-                          TOL_X * np.maximum(1.0, np.abs(p[bc])), np.zeros(bc.size), False)
-    l_pr, u_pr = _proved_ends(f_enc, band, bc, s[bc], xa[bc], l, u, xb[bc])
+    l, u, h_u = _ksection(eval_at, bc, _twice(fp)[at], eps, xa[at], nan, xb[at], nan,
+                          TOL_X * np.maximum(1.0, np.abs(p_b)), np.zeros(bc.size), False)
+    l_pr, u_pr = _proved_ends(f_enc, band, bc, s[at], xa[at], l, u, xb[at])
+
+    def spread(part, fill):
+        """part on the crossing sides, fill (one or per side) elsewhere."""
+        out = part if every else np.full(2 * n, fill)
+        out[at] = part
+        return out
 
     # Per side: a crossing side's bracket; a side without one constrains
     # nothing when it reached the domain's end, and bounds delta by how
-    # far it was proved clear when it stopped at R_MAX.
-    soft = np.flatnonzero(~failed & np.isnan(xb) & (ext > R_MAX))
-    m = bc.size
-    # |x - p| one float toward 0 (toward inf for the violators u_pr): past
-    # the exact distance, which lies within half a float of the rounded one.
-    ends = np.nextafter(np.abs(np.concatenate((l_pr, x_end[soft], u_pr))
-                               - np.concatenate((p[bc], p[soft], p[bc]))),
-                        np.repeat((0.0, np.inf), (m + soft.size, m)))
-    low = np.full(2 * n, np.inf)
-    low[bc], low[soft] = ends[:m], ends[m:m + soft.size]
-    side = np.full((5, 2 * n), np.nan)  # value, upper, witness, h; how far the side went
-    side[:4, bc] = np.abs(u - p[bc]), ends[m + soft.size:], u, h_u
-    side[4] = np.abs(np.where(np.isnan(xb), x_end, xb) - p)
-    res = _join(~failed, side[0], side[2], low, side[1], side[3], side[4], count[0],
-                count[1] * (f_slope is not None))
+    # far it was proved clear when it stopped at R_MAX.  Each proved end
+    # is |x - p| one float toward 0 (toward inf for the violators u_pr):
+    # past the exact distance, which lies within half a float of the
+    # rounded one.
+    lower = spread(np.nextafter(np.abs(l_pr - p_b), 0.0), np.inf)
+    if not every:
+        soft = (~failed & np.isnan(xb) & (ext > R_MAX)).nonzero()[0]
+        lower[soft] = np.nextafter(np.abs(x_end[soft] - p[soft]), 0.0)
+    res = _join(fp, ~failed, spread(np.abs(u - p_b), np.nan), spread(u, np.nan), lower,
+                spread(np.nextafter(np.abs(u_pr - p_b), np.inf), np.nan), spread(h_u, np.nan),
+                np.abs(spread(xb[at], x_end) - p), tested, passed * (f_slope is not None))
     res.lower[~(res.lower > 0.0)] = np.nan
     return res
 
@@ -889,10 +930,12 @@ def _ksection(eval_at, cols, fp, eps, l, l_h, u, u_h, tol, scale, sampled):
     for r in range(_KSECT_ROUNDS):
         if not live.size:
             break
+        whole = live.size == l.size  # every bracket live: basic slices
         going = np.zeros(live.size, dtype=bool)
         for start in range(0, live.size, _KSECT_BLOCK):
-            b = live[start:start + _KSECT_BLOCK]
+            b = slice(start, start + _KSECT_BLOCK) if whole else live[start:start + _KSECT_BLOCK]
             lb, ub, hl, hu = br[:, b]
+            nb = lb.size
             w = ub - lb
             frac = _KSECT_EVEN
             if r:
@@ -902,18 +945,23 @@ def _ksection(eval_at, cols, fp, eps, l, l_h, u, u_h, tol, scale, sampled):
                                                         4.0 * np.spacing(scale[b] + ub)))
                     gap = 0.5 * (w_stop - np.spacing(ub)) / w
                     around = np.copysign(np.maximum(np.abs(around), gap), around)
-                frac = np.clip(np.fmin(np.fmax(hl / (hl - hu), 0.0), 1.0) + around, 0.0, 1.0)
+                frac = np.fmin(np.fmax(hl / (hl - hu), 0.0), 1.0) + around
+                frac = np.minimum(np.maximum(frac, 0.0, out=frac), 1.0, out=frac)  # clipped
             pts = lb + w * frac
             pts[-1] = ub
             f, valid = eval_at(cols[b], pts)
-            h = np.where(valid, np.abs(f - fp[b]) - eps, np.nan)  # NaN: never an end
-            i = (h >= 0.0).argmax(axis=0)
-            j, ar = i - 1, np.arange(b.size)
-            if not (h[j, ar] < 0.0).all():  # l: the last point before i with h < 0
-                j = _KSECT_ROWS.size - 1 - ((h < 0.0) & (_KSECT_ROWS < i))[::-1].argmax(axis=0)
-            at = np.array((j, i)), ar
-            new = np.concatenate((pts[at], h[at]))  # the rows of br
-            going[start:start + b.size] = ((new[0] != lb) | (new[1] != ub)) & unsettled(new, b)
+            h = _h_of(f, fp[b], eps)
+            if valid is not True:
+                h[~valid] = np.nan  # NaN: never an end
+            # i, and l: the last point before i with h < 0, as flat indices.
+            i = (h >= 0.0).argmax(axis=0) * nb + _KSECT_COLS[:nb]
+            j = i - nb
+            if not (h.ravel()[j] < 0.0).all():
+                j = (_KSECT_ROWS.size - 1 - ((h < 0.0) & (_KSECT_ROWS < i // nb))[::-1].argmax(axis=0)
+                     ) * nb + _KSECT_COLS[:nb]
+            at = np.array((j, i))
+            new = np.concatenate((pts.ravel()[at], h.ravel()[at]))  # the rows of br
+            going[start:start + nb] = ((new[0] != lb) | (new[1] != ub)) & unsettled(new, b)
             br[:, b] = new
         live = live[going]
     return br[0], br[1], br[3]
@@ -926,16 +974,30 @@ def _proved_ends(f_enc, band, cols, sign, xa, l, u, xb):
     clear (the window being monotone, every point between xa and it is
     then clear too), stepping by the bracket's width times 0, 1, 3, 7, ...
     xb and xa, proved already, where no candidate between them is.
-    band(cols, lo, hi) is the piece walk's test of f enclosures."""
-    steps = (u - l)[:, None] * _LADDER
-    cand = np.concatenate((u[:, None] + steps, l[:, None] - steps), axis=1)
-    ok, hit = band(cols, *_enclosed(f_enc, cand, cand))
-    hit, ok = hit[:, :_LADDER.size], ok[:, _LADDER.size:]
-    at = np.arange(cols.size)
-    u_pr = np.where(hit.any(axis=1), cand[at, hit.argmax(axis=1)], xb)
-    l_pr = np.where(ok.any(axis=1), cand[at, _LADDER.size + ok.argmax(axis=1)], xa)
-    return (np.where(sign * (l_pr - xa) < 0.0, xa, l_pr),   # short of xa
-            np.where(sign * (u_pr - xb) > 0.0, xb, u_pr))   # past xb
+    band(cols, lo, hi) is the piece walk's test of f enclosures.
+
+    Two steps: the first _LADDER_FIRST candidates, then all 48 for the
+    brackets where those of an end all fail; the same floats, contiguous
+    in both, so the first hit is the full ladder's."""
+    fallback = np.array((xb, xa))
+    out, past = fallback.copy(), np.array((sign, -sign))
+    rest = slice(None)
+    for ladder in (_LADDER[:_LADDER_FIRST], _LADDER):
+        ur, lr = u[rest][:, None], l[rest][:, None]
+        steps = (ur - lr) * ladder
+        cand = np.array((ur + steps, lr - steps))  # (u's end, l's end) x bracket x step
+        ok, hit = band(cols[rest], *_enclosed(f_enc, cand, cand))
+        hit[1] = ok[1]  # the proved candidates of each end
+        # Each end's first proved candidate, as a flat index, and whether it is one.
+        first = hit.argmax(axis=2) + np.arange(0, cand.size, ladder.size).reshape(2, -1)
+        has = hit.ravel()[first]
+        cand, fb = cand.ravel()[first], fallback[:, rest]
+        # An end past xb (short of xa) falls back to it.
+        out[:, rest] = np.where(has & (past[:, rest] * (cand - fb) <= 0.0), cand, fb)
+        rest = np.arange(cols.size)[rest][~has.all(axis=0)]
+        if not rest.size:
+            break
+    return out[1], out[0]
 
 
 def _enclosed(enc, lo, hi):
@@ -951,6 +1013,13 @@ def _twice(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a, a))
 
 
+def _halves(n: int, plus: float, minus: float) -> np.ndarray:
+    """plus on the +t half of a signed batch of 2n columns, minus on -t."""
+    out = np.empty(2 * n)
+    out[:n], out[n:] = plus, minus
+    return out
+
+
 def _pad(t: float) -> float:
     """t plus 8 ulps: a settled root can exceed its sweep bracket's
     violator end by the rounding of the rescan's last row,
@@ -962,15 +1031,14 @@ def _estimate_r0(f_arr, ps, fp, eps, ext_pos) -> np.ndarray:
     """Initial window radius ~ eps / |f'|, by a difference quotient."""
     s = 1e-6 * np.maximum(1.0, np.abs(ps))
     s = np.where(ext_pos >= s, s, -s)  # probe into the domain
-    with np.errstate(all="ignore"):
-        fs = np.asarray(f_arr(ps + s), dtype=float)
-        return _r0(ps, np.abs((fs - fp) / s), eps)
+    fs = np.asarray(f_arr(ps + s), dtype=float)
+    return _r0(ps, np.abs((fs - fp) / s), eps)
 
 
 def _r0(ps, slope, eps) -> np.ndarray:
-    """Initial window radius 0.5 eps / slope, clamped to sane bounds (R0
-    where the slope is 0 or not finite).  The caller turns off numpy's
-    warnings."""
-    est = np.where((slope > 0) & np.isfinite(slope), 0.5 * eps / slope, R0)
-    est = np.where(np.isfinite(est), est, R0)
-    return np.clip(est, 1e3 * TOL_X * np.maximum(1.0, np.abs(ps)), R_MAX)
+    """Initial window radius 0.5 eps / slope of a slope >= 0 (or NaN),
+    clamped to sane bounds: R0 where the slope is 0 or not finite, or the
+    radius overflows.  The caller turns off numpy's warnings."""
+    est = 0.5 * eps / slope
+    est = np.where((slope < np.inf) & (est < np.inf), est, R0)
+    return np.minimum(np.maximum(est, 1e3 * TOL_X * np.maximum(1.0, np.abs(ps))), R_MAX)

@@ -29,6 +29,7 @@ from .model import (
     DomainSpec,
     FunctionSpec,
     Point,
+    _quiet,
     lattice,
     require_positive,
     value_at,
@@ -282,6 +283,7 @@ def _stage_min(f: FunctionSpec, dom: DomainSpec, problem, window: DomainSpec,
     return float(values[i]), Point(tuple(pts[i])), skipped, Point(tuple(wits[i]))
 
 
+@_quiet
 def infimum_delta(f: FunctionSpec, dom: DomainSpec, eps: float,
                   schedule: list[tuple[DomainSpec, int]] | None = None) -> InfTrace:
     """Coarse-to-fine grid infima of delta(., eps) over a window schedule
@@ -311,6 +313,7 @@ def infimum_delta(f: FunctionSpec, dom: DomainSpec, eps: float,
 # Witness search
 # ---------------------------------------------------------------------------
 
+@_quiet
 def witness_search(f: FunctionSpec, dom: DomainSpec, eps0: float,
                    count: int = 8) -> WitnessPairs:
     """Build `count` pairs (x_n, y_n) with |f(x_n) - f(y_n)| = eps0 and
@@ -391,6 +394,7 @@ def default_eps_grid(f: FunctionSpec, dom: DomainSpec) -> tuple[float, list[floa
     return beta, [beta / 8.0, beta / 4.0, beta / 2.0]
 
 
+@_quiet
 def uc_verdict(f: FunctionSpec, dom: DomainSpec,
                eps_grid: list[float] | None = None,
                count: int = 8) -> UcVerdict:

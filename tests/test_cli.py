@@ -216,6 +216,22 @@ p,eps,delta,lower,upper,backend,error
 1,0.5,0.39346934028736658,0.39346934028736474,0.3934693402873683,levelset1d,
 2,0.5,0.78693868057473315,0.78693868057472594,0.78693868057474015,levelset1d,
 """),
+    # f(p) of -inf and of +inf beside good rows: the strict f(p) rule read
+    # off the line engine's one f(p) read of the batch.
+    ("scan", "--fn=-1/x^2", "--p-min", "1e-200", "--p-max", "1", "--p-count", "3",
+     "--eps", "0.5"): (cli.EXIT_OK, """\
+p,eps,delta,lower,upper,backend,error
+9.9999999999999998e-201,0.5,nan,nan,nan,,f(1e-200) = -inf is beyond the float64 range; so delta(p; eps) cannot be resolved at this point
+0.5,0.5,0.028595479208968322,0.028595479208968096,0.028595479208968714,levelset1d,
+1,0.5,0.18350341907294776,0.18350341907223786,0.18350341907294779,levelset1d,
+"""),
+    ("scan", "--fn", "square", "--p-min", "-1", "--p-max", "1e200", "--p-count", "3",
+     "--eps", "0.5"): (cli.EXIT_OK, """\
+p,eps,delta,lower,upper,backend,error
+-1,0.5,0.22474487139159227,0.22474487139158669,0.2247448713915923,levelset1d,
+4.9999999999999998e+199,0.5,nan,nan,nan,,f(5e+199) = inf is beyond the float64 range; so delta(p; eps) cannot be resolved at this point
+9.9999999999999997e+199,0.5,nan,nan,nan,,f(1e+200) = inf is beyond the float64 range; so delta(p; eps) cannot be resolved at this point
+"""),
     ("scan", "--fn", "x", "--domain", "interval:0:1", "--p-min", "0", "--p-max", "1",
      "--p-count", "3", "--eps-grid", "0.5,5"): (cli.EXIT_OK, """\
 p,eps,delta,lower,upper,backend,error

@@ -871,6 +871,12 @@ class TestDeltaField:
                        [-3.0, -1.0, 1e16, 0.0, 1e200, 0.5, math.nan, 3.0], 0.5),
         "levelset1d_strict_fp": (ExpressionFn.parse("ln(x)"), None,
                                  [-2.0, -1.0, 0.0, 1.0, 2.0], 0.5),
+        # f(1e-200) = -inf
+        "levelset1d_neg_inf": (ExpressionFn.parse("-1/x^2"), REALS, [1e-200, 0.5, -2.0], 0.5),
+        # 2 lies in the domain but outside the claimed interval, which clips the line
+        "monotone_clipped": (Monotone1DFn(fn=np.exp, interval=(-1.0, 1.0), increasing=True,
+                                          label="exp"),
+                             DomainSpec.interval(-5.0, 5.0), [0.5, 2.0, -0.25], 0.5),
         "levelset1d_empty": (ExpressionFn.parse("x"), DomainSpec.interval(0.0, 1.0),
                              [0.0, 0.5, 1.0, 1.5], 5.0),
         "levelset1d_open_end": (ExpressionFn.parse("sin(1/x)"),
@@ -896,6 +902,27 @@ class TestDeltaField:
         for p, row in zip(ps, rows):
             want = _outcome(lambda: compute_delta(f, dom, p, eps, directions=16))
             assert _row_bits(row) == _row_bits(want), p
+
+    # Per (case, row): the error of a row that the point gates or the
+    # strict read of f(p) stop, as the CLI's scan goldens cannot pin them
+    # (a NaN point, a point off a clipped Monotone1DFn line) or beside them.
+    GATE_ERRORS = {
+        ("levelset1d", 4): (FloatResolutionLimit, "f(1e+200) = inf is beyond the float64 "
+                            "range, so delta(p, eps) cannot be resolved at this point"),
+        ("levelset1d", 6): (NonFinite, "point coordinates must be finite, got (nan,)"),
+        ("levelset1d_strict_fp", 1): (NonFinite, "f(-1.0) = nan"),
+        ("levelset1d_neg_inf", 0): (FloatResolutionLimit, "f(1e-200) = -inf is beyond the "
+                                    "float64 range, so delta(p, eps) cannot be resolved at "
+                                    "this point"),
+        ("monotone_clipped", 1): (DomainViolation,
+                                  "(2.0,) is outside the domain interval:-5.0:5.0"),
+    }
+
+    @pytest.mark.parametrize("case, k", sorted(GATE_ERRORS))
+    def test_gate_errors_are_pinned(self, case, k):
+        f, dom, ps, eps = self.CASES[case]
+        row = delta_field(f, dom, ps, eps)[k]
+        assert (type(row), str(row)) == self.GATE_ERRORS[case, k]
 
     def test_every_backend_and_row_failure_is_covered(self):
         seen = set()
@@ -1211,3 +1238,49 @@ class TestNaturalDomain:
         assert square.function.domain_hint() is square.domain
         assert _same_result(compute_delta(square.function, None, 3.0, 1.0),
                             compute_delta(square.function, REALS, 3.0, 1.0))
+
+
+# One call per public entry, each of which evaluates f where numpy would
+# warn (log of 0, overflow, 0/0, ...) unless the entry's errstate (one per
+# public call) silences it: no RuntimeWarning may escape.
+_SIN_INV = (ExpressionFn.parse("sin(1/x)"), DomainSpec.interval(0.0, 1.0, open_lo=True))
+_SQRT = (ExpressionFn.parse("sqrt(x)"), HALF)
+QUIET_CALLS = {
+    "compute_delta_sqrt_at_0": lambda: compute_delta(ExpressionFn.parse("sqrt(x)"), None, 0.0, 0.5),
+    "compute_delta_ln_tail": lambda: compute_delta(
+        ExpressionFn.parse("ln(x)"), DomainSpec.interval(0.0, 1.0, open_lo=True), 0.5, 30.0),
+    "compute_delta_inverse": lambda: compute_delta(
+        ExpressionFn.parse("1/x"), DomainSpec.interval(0.0, 1.0, open_lo=True), 0.5, 0.5),
+    "compute_delta_exp_700": lambda: compute_delta(ExpressionFn.parse("exp(x)"), None, 700.0, 1.0),
+    "compute_delta_sin_inv": lambda: compute_delta(*_SIN_INV, 1e-15, 0.5),
+    "compute_delta_hole": lambda: compute_delta(ExpressionFn.parse("sqrt(x^2-1)"), None,
+                                                1.2609, 0.1),
+    "compute_delta_resolution": lambda: compute_delta(ExpressionFn.parse("x^2"), None, 1e8, 1e-9),
+    "compute_delta_ray_nd": lambda: compute_delta(
+        ExpressionFn.parse("x1*x2"), DomainSpec.box((-2.0, -2.0), (2.0, 2.0)), (1.0, 1.0), 0.5),
+    **{f"delta_field_{src}": (lambda src=src: delta_field(
+        ExpressionFn.parse(src), None, [math.nan, -1.0, 0.0, 1e-200, 1e200, 0.5, 2.0], 0.5))
+       for src in ("x^2", "ln(x)", "-1/x^2")},
+    **{f"{name}_{f[0].source}": (lambda call=call, f=f: call(*f, 0.5))
+       for f in (_SQRT, _SIN_INV)
+       for name, call in (("infimum_delta", dm.infimum_delta),
+                          ("witness_search", dm.witness_search),
+                          ("uc_verdict", lambda g, dom, eps: dm.uc_verdict(g, dom, [eps])))},
+    "eval_fn_ln_at_0": lambda: dm.eval_fn(ExpressionFn.parse("ln(x)"), 0.0),
+    "delta_ray_nd": lambda: delta_ray_nd(
+        ExpressionFn.parse("ln(x1*x2)"), DomainSpec.box((-2.0, -2.0), (2.0, 2.0)), (1.0, 1.0),
+        0.5, directions=8),
+    # Both grids hold x = 0, where 1/x is inf.
+    "grid_delta_bounds": lambda: grid_delta_bounds(
+        ExpressionFn.parse("1/x"), REALS, 0.5, 0.5, GridSpec.around(0.5, 1.0, 5)),
+    "is_delta_epsilon_number": lambda: is_delta_epsilon_number(
+        ExpressionFn.parse("1/x"), REALS, 0.5, 0.5, 1.0, samples=5),
+    "epsilon_bound": lambda: epsilon_bound(ExpressionFn.parse("ln(x)"), HALF),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUIET_CALLS))
+def test_no_floating_point_warning_escapes_a_public_entry(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _outcome(QUIET_CALLS[name])

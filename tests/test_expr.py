@@ -27,6 +27,11 @@ from deltamax.expr import (
     tokenize,
 )
 
+# eval_ast_array and enclose_ast_array leave numpy's floating-point
+# warnings (log of 0, overflow, ...) to their caller's errstate, which
+# every public entry of the package sets; these tests call them bare.
+pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
 
 class TestTokenize:
     def test_power_expression(self):

@@ -52,6 +52,11 @@ from deltamax.search import (
     scan_side,
 )
 
+# The engines' parts (_sampled_field, _sweep, scan_side, _box_exit, ...)
+# leave numpy's floating-point warnings to their caller's errstate, which
+# line_field and every public entry set; these tests call them bare.
+pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
 INF = math.inf
 UNIT = DomainSpec.interval(0.0, 1.0, open_lo=True)  # (0, 1]
 REALS_1D = DomainSpec.interval(-INF, INF)
@@ -820,11 +825,13 @@ def test_a_uc_stage_is_one_chunk_of_two_bounded_sweeps(monkeypatch):
 # the piece walk (default detect points, with the enclosure), settled by
 # k-section.  Without a bound the two halves are independent, so one sweep
 # of both must give them as a sweep of each half alone would, bit for bit.
-# `lower` is each side's clear radius less that side's own grid step.
+# `lower` is each side's clear radius less that side's own grid step; `fp`
+# is f(p) as the engine read it, the one read that delta's strict f(p)
+# rule checks.
 FULL_PINS = {
     # Only the -t side of 1.9 crosses on [-2, 2]; -1.5 crosses on both.
     "one_sided": ("x^2", DomainSpec.interval(-2.0, 2.0), [1.9, -1.5], 1.0, dict(
-        done=[True, True], values=[0.2844505578605987, 0.30277563773274474],
+        done=[True, True], fp=[3.61, 2.25], values=[0.2844505578605987, 0.30277563773274474],
         witness=[1.6155494421394012, -1.8027756377327449],
         upper=[0.2844505578605987, 0.30277563773274474],
         lower=[0.09997558593750008, 0.302775478785446],
@@ -834,14 +841,16 @@ FULL_PINS = {
         detect_rounds=[4, 5], enclosed_rounds=[3, 3])),
     # Only the tail probes toward the open end reach the crossing.
     "tail": ("ln(x)", UNIT, [0.5], 30.0, dict(
-        done=[True], values=[0.49999999999995354], witness=[4.64628335805628e-14],
+        done=[True], fp=[-0.6931471805599453], values=[0.49999999999995354],
+        witness=[4.64628335805628e-14],
         upper=[0.49999999999995354],
         lower=[0.4998779296875], root_h=[0.006976499187626217], one_sided=[True],
         searched=[0.5], detect_rounds=[2], enclosed_rounds=[1])),
     # f is undefined on (-1, 1); the first point crosses between its last
     # valid -t sample and that hole.
     "hole": ("sqrt(x^2-1)", REALS_1D, [2.2625965502493823, 1.5], 2.008904663364039, dict(
-        done=[True, True], values=[1.2623820830981658, 1.7829476593587401],
+        done=[True, True], fp=[2.029616502987795, 1.118033988749895],
+        values=[1.2623820830981658, 1.7829476593587401],
         witness=[1.0002144671512165, 3.28294765935874],
         upper=[1.2623820830981658, 1.7829476593587401],
         lower=[1.2623812238128662, 1.782946231373262],
@@ -851,7 +860,7 @@ FULL_PINS = {
         detect_rounds=[5, 7], enclosed_rounds=[3, 2])),
     # Three detect windows proved clear by the enclosure.
     "enclosed": ("x^2", REALS_1D, [3.0], 1.0, dict(
-        done=[True], values=[0.16227766016987907], witness=[3.162277660169879],
+        done=[True], fp=[9.0], values=[0.16227766016987907], witness=[3.162277660169879],
         upper=[0.16227766016987907],
         lower=[0.16227758069405912], root_h=[9.485745522397337e-12], one_sided=[False],
         searched=[0.3333331666711316], detect_rounds=[5], enclosed_rounds=[3])),
