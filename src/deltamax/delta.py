@@ -23,12 +23,13 @@ delta_field is the batched entry, with a DeltaResult or the point's
 DeltamaxError per row; compute_delta is its batch of one.  The first
 three backends share its line path: line_problem reduces (f, dom) to a
 profile and a search.Line, the profile's interval of the line with its
-evaluators, built once per call, whose route (line or ray_nd) is
-decided on it; one search.line_field call then runs every point that
-passes the point gates.  line_field picks the engine: the piece
-walk, and the sampled engine for the points it leaves (a profile
-without an enclosure of f', or one it cannot cut into few enough
-pieces).
+evaluators, built once per call (model.array_evaluator, then one
+model.interval_extensions call for the enclosures of f and f', shaped
+like their inputs), whose route (line or ray_nd) is decided on it;
+one search.line_field call then runs every point that passes the point
+gates.  line_field picks the engine: the piece walk, and the sampled
+engine for the points it leaves (a profile without an enclosure of f',
+or one it cannot cut into few enough pieces).
 
 Every result's diagnostics["lower_kind"] says what its bracket rests on:
 "proof" where enclosures of f proved both ends (the piece walk on an
@@ -63,13 +64,12 @@ from .model import (
     _sized_point,
     _strict_read,
     array_evaluator,
-    enclosure_evaluator,
+    interval_extensions,
     lattice,
     norm_of,
     norm_of_rows,
     point_in,
     require_positive,
-    slope_enclosure,
     unwrap,
     value_at,
 )
@@ -96,7 +96,9 @@ class DeltaResult:
       the piece walk leaves go through the sampled line engine: the lower
       end is a clear radius less its grid step, which an enclosure
       proved where a detect window was skipped, and the upper end is the
-      sampled violator.  ray_nd's lower end is the grid oracle's.
+      sampled violator, unless that lower end lies past a violator the
+      walk proved: the walk's proved clear radius and crossing stand
+      then.  ray_nd's lower end is the grid oracle's.
 
     `witness` is a domain point with |f(witness) - f(p)| >= eps as
     evaluated, the violator end of the final crossing bracket, and
@@ -151,10 +153,9 @@ def line_problem(f: FunctionSpec, dom: DomainSpec) -> tuple[FunctionSpec, Line] 
     Returns (profile, line): a 1-d f on a 1-d domain is its own profile
     on line_bounds(dom); a radial f = g(||x||) on an origin-centered
     ball/annulus in dimension >= 2 reduces to g over the radii.  line
-    carries the profile's evaluators: an enclosure of f and of f' for an
-    expression (either None where there is none), and for a Monotone1DFn,
-    clipped to its interval (a clipped end is closed), the claimed
-    enclosure and the monotone claim.
+    carries the profile's evaluator and its model.interval_extensions; a
+    Monotone1DFn, clipped to its interval (a clipped end is closed),
+    carries the monotone claim too.
     """
     g = unwrap(f)
     if (isinstance(g, RadialFn) and dom.is_radial and dom.dimension > 1
@@ -177,9 +178,7 @@ def line_problem(f: FunctionSpec, dom: DomainSpec) -> tuple[FunctionSpec, Line] 
         if (lo, hi) != (a, b):
             g = replace(g, interval=(lo, hi))
     f_arr = array_evaluator(g)
-    enclose, slope = ((_claimed_enclosure(f_arr), None) if claimed
-                      else (enclosure_evaluator(g), slope_enclosure(g)))
-    return g, Line(f_arr, enclose, slope, lo, hi, open_lo, open_hi, claimed)
+    return g, Line(f_arr, *interval_extensions(g, f_arr), lo, hi, open_lo, open_hi, claimed)
 
 
 def _attempt(call, *args):
@@ -256,25 +255,6 @@ def _line_rows(problem, dom: DomainSpec, ps, eps: float) -> list:
     for k, (i, t, fp) in enumerate(zip(live, ts.tolist(), res.fp.tolist())):
         rows[i] = _attempt(solve, k, rows[i], t, fp)
     return rows
-
-
-_LOW_PAD, _HIGH_PAD = 1.0 - 16.0 * 2.0 ** -52, 1.0 + 16.0 * 2.0 ** -52
-
-
-def _claimed_enclosure(g_arr):
-    """(lo, hi) -> the hull of a Monotone1DFn's values g_arr at the two
-    ends, widened by 16 ulps: an enclosure of g over [lo, hi] only because
-    g is monotone, which rests on the user's claim (Monotone1DFn samples
-    it, it does not prove it)."""
-
-    def run(lo, hi):
-        v = g_arr(np.concatenate((np.ravel(lo), np.ravel(hi)))).reshape((2,) + np.shape(lo))
-        a, b = np.fmin(v[0], v[1]), np.fmax(v[0], v[1])
-        # Outward by 16 ulps relative (and 1e-300), which keeps +/-inf.
-        return (np.minimum(a * _LOW_PAD, a * _HIGH_PAD) - 1e-300,
-                np.maximum(b * _LOW_PAD, b * _HIGH_PAD) + 1e-300)
-
-    return run
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +407,8 @@ def is_delta_epsilon_number(f: FunctionSpec, dom: DomainSpec, p, eps: float,
     open beta-ball (intersected with dom) moves f by eps or more.
 
     True is sampled evidence of membership in (0, delta(p, eps)]; False
-    is an exact refutation (a concrete violator was found).
+    is an exact refutation (a concrete violator was found).  When no grid
+    point of the ball lies in dom, True is vacuous: nothing was sampled.
     """
     require_positive("eps", eps)
     require_positive("beta", beta)

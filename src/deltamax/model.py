@@ -6,9 +6,11 @@ stay path-connected: intervals, boxes, balls, annuli (dim >= 2) and
 half-lines.  The codomain is R with |.|.
 
 This module owns evaluation and inputs: array_evaluator maps (n, d) rows
-to values for every FunctionSpec, value_at reads f at one point under
-the strict f(p) rule (_strict_read), point_in gates a point into a domain
-(every FunctionSpec has a natural one), and require_positive checks eps.
+to values for every FunctionSpec, interval_extensions builds a 1-d spec's
+enclosures of f and f' (bounds shaped like their inputs), value_at reads
+f at one point under the strict f(p) rule (_strict_read), point_in gates
+a point into a domain (every FunctionSpec has a natural one), and
+require_positive checks eps.
 No evaluator silences numpy's floating-point warnings: each public entry
 of the package runs under one np.errstate(all="ignore") (_quiet).
 """
@@ -365,7 +367,7 @@ class ExpressionFn(FunctionSpec):
         fn = cls(ast=ast, source=source)
         return RadialFn(inner=fn, dim=dim) if "r" in expr_mod.free_vars(ast) else fn
 
-    @property
+    @functools.cached_property
     def dimension(self) -> int:
         names = expr_mod.free_vars(self.ast)
         if not names or names == {"x"}:
@@ -373,6 +375,11 @@ class ExpressionFn(FunctionSpec):
         if "r" in names:
             return 1  # used as a radial profile g(r)
         return max(int(n[1:]) for n in names)
+
+    @functools.cached_property
+    def slope_ast(self) -> expr_mod.Ast | None:
+        """expr.derivative of a 1-d expression in its one variable."""
+        return expr_mod.derivative(self.ast, next(iter(expr_mod.free_vars(self.ast)), "x"))
 
     def domain_hint(self) -> DomainSpec:
         d = self.dimension
@@ -578,39 +585,49 @@ def eval_fn(f: FunctionSpec, x, dom: DomainSpec | None = None) -> float:
 IntervalFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def enclosure_evaluator(f: FunctionSpec) -> IntervalFn | None:
-    """Interval extension of a 1-d expression function, or None.
-
-    The returned callable maps (lo, hi) arrays to (lo, hi) bounds of f
-    over each interval (expr.enclose_ast_array; a constant f gives
-    scalars, which broadcast against the intervals); a radial profile
-    in r counts as 1-d.  Any other f (Monotone1DFn, nD, radial wrappers)
-    has no enclosure, and its searches keep sampling.
-    """
+def interval_extensions(f: FunctionSpec, f_arr: Callable[[np.ndarray], np.ndarray]
+                        ) -> tuple[IntervalFn | None, IntervalFn | None]:
+    """(enclose, slope): interval extensions of a 1-d f and of f' (None
+    where there is none), each mapping (lo, hi) arrays to bounds shaped
+    like lo.  A 1-d expression (a profile in r too) has enclose_ast_array
+    of f and of slope_ast (none for abs, min, max or pow); a Monotone1DFn
+    the claimed hull of f_arr, its evaluator, and no slope; any other f
+    (a 1-d RadialFn, an nD f) neither, and its searches keep sampling."""
     g = unwrap(f)
+    if isinstance(g, Monotone1DFn):
+        return _claimed_hull(f_arr), None
     if not isinstance(g, ExpressionFn) or g.dimension != 1:
-        return None
-    return _interval_fn(g.ast)
-
-
-def slope_enclosure(f: FunctionSpec) -> IntervalFn | None:
-    """Interval extension of f' for a 1-d expression function
-    (expr.derivative, enclosed as enclosure_evaluator encloses f), or
-    None: no enclosure of f, or abs, min, max or pow in the expression."""
-    g = unwrap(f)
-    if enclosure_evaluator(g) is None:
-        return None
-    var = next(iter(expr_mod.free_vars(g.ast)), "x")
-    d = expr_mod.derivative(g.ast, var)
-    return None if d is None else _interval_fn(d)
+        return None, None
+    d = g.slope_ast
+    return _interval_fn(g.ast), None if d is None else _interval_fn(d)
 
 
 def _interval_fn(ast: expr_mod.Ast) -> IntervalFn:
     """(lo, hi) -> enclose_ast_array of ast, its one variable (x, r or x1)
-    over [lo, hi]."""
+    over [lo, hi], shaped like lo."""
 
     def run(lo, hi):
         iv = (lo, hi)
-        return expr_mod.enclose_ast_array(ast, {"x": iv, "r": iv, "x1": iv})
+        a, b = expr_mod.enclose_ast_array(ast, {"x": iv, "r": iv, "x1": iv})
+        if a.shape != np.shape(lo):  # a constant expression's scalars
+            return np.full(np.shape(lo), a), np.full(np.shape(lo), b)
+        return a, b
+
+    return run
+
+
+def _claimed_hull(g_arr) -> IntervalFn:
+    """(lo, hi) -> the hull of a Monotone1DFn's values g_arr at the two
+    ends, widened by 16 ulps: an enclosure of g over [lo, hi] only because
+    g is monotone, which rests on the user's claim (Monotone1DFn samples
+    it, it does not prove it)."""
+    low, high = 1.0 - 16.0 * 2.0 ** -52, 1.0 + 16.0 * 2.0 ** -52
+
+    def run(lo, hi):
+        v = g_arr(np.concatenate((np.ravel(lo), np.ravel(hi)))).reshape((2,) + np.shape(lo))
+        a, b = np.fmin(v[0], v[1]), np.fmax(v[0], v[1])
+        # Outward by 16 ulps relative (and 1e-300), which keeps +/-inf.
+        return (np.minimum(a * low, a * high) - 1e-300,
+                np.maximum(b * low, b * high) + 1e-300)
 
     return run

@@ -2,7 +2,8 @@
 
 A line problem is one value, a Line: f on an interval of the line, with
 the evaluators that the engines read (f itself, an enclosure of f, one of
-f' or a monotone claim) and its membership test, Line.contains.
+f' or a monotone claim; model.interval_extensions builds the enclosures,
+shaped like their inputs) and its membership test, Line.contains.
 line_field(line, ps, eps, bound=None) is the one line entry, and it picks
 the engine that runs inside it:
 
@@ -515,11 +516,11 @@ class Line:
     """A line problem: f on the interval between lo and hi, an open end
     excluded.  f is a lenient vectorized evaluator, enclose(lo, hi) an
     interval extension of f and slope(lo, hi) one of f' (either None when
-    there is none); none of them silences numpy's warnings, which the
-    caller's errstate does (see the module notes).  monotone: f is
-    monotone on the whole line, as the caller claims; enclose then only
-    needs to enclose f at the two ends of each interval, and slope is
-    None."""
+    there is none), both built by model.interval_extensions and shaped
+    like lo; none of them silences numpy's warnings, which the caller's
+    errstate does (see the module notes).  monotone: f is monotone on the
+    whole line, as the caller claims; enclose then only needs to enclose
+    f at the two ends of each interval, and slope is None."""
 
     f: Callable[[np.ndarray], np.ndarray]
     enclose: IntervalFn | None
@@ -547,13 +548,13 @@ class Line:
 class LineResult:
     """Per-point outcome of the line engines.  In line_field's full mode
     `done` marks the points that the piece walk settled, the others being
-    the sampled engine's.  Inside the walk the other entries of a point it
-    gave up on mean nothing until line_field fills them in; the sampled
-    engine's own results are done everywhere.  In minimum mode lower,
-    root_h, one_sided, searched and the round counts describe the pruned
-    search: a side cut at B keeps its clear radius at the cut, re-sweeps
-    are not counted, and a +inf point whose two sides were both re-swept
-    may cross on both."""
+    the sampled engine's.  Inside the walk, a point it gave up on holds
+    the crossing it proved, if any, and its proved clear radius as lower;
+    the sampled engine's own results are done everywhere.  In minimum
+    mode lower, root_h, one_sided, searched and the round counts describe
+    the pruned search: a side cut at B keeps its clear radius at the cut,
+    re-sweeps are not counted, and a +inf point whose two sides were both
+    re-swept may cross on both."""
 
     done: np.ndarray
     fp: np.ndarray               # f(p), the one read of it that the engines make
@@ -606,7 +607,9 @@ def line_field(line: Line, ps: np.ndarray, eps: float, bound: float | None = Non
     Without a bound, the piece walk takes every point of a line with an
     enclosure of f' or a monotone claim (see the module notes); the points
     it gives up on, and every point of any other line, run the sampled
-    engine's full mode at SCAN_POINTS detect rows, and are not done.
+    engine's full mode at SCAN_POINTS detect rows, and are not done; one
+    whose sampled lower end exceeds a violator the walk proved keeps the
+    walk's row, its lower end the walk's proved clear radius (NaN at 0).
 
     `bound`, the caller's bound on the least delta (uc's stages), runs the
     sampled engine's minimum mode at _MIN_DETECT detect rows: where the
@@ -629,9 +632,12 @@ def line_field(line: Line, ps: np.ndarray, eps: float, bound: float | None = Non
         res = _by_chunks(lambda sl: _pieces(line, ps[sl], eps), ps.size)
         back = (~res.done).nonzero()[0]
         if back.size:
-            for name, part in vars(_sampled_field(line, ps[back], eps)).items():
+            sampled = _sampled_field(line, ps[back], eps)
+            # A sampled lower end past a violator the walk proved is wrong.
+            keep = ~(sampled.lower > res.upper[back])
+            for name, part in vars(sampled).items():
                 if name != "done":
-                    getattr(res, name)[back] = part
+                    getattr(res, name)[back[keep]] = part[keep]
     return res
 
 
@@ -761,7 +767,7 @@ def _pieces(line: Line, ps, eps) -> LineResult:
     fp = np.asarray(f_arr(ps), dtype=float)
     # One signed batch (see the module notes), its +t columns first.
     p, s = _twice(ps), _halves(n, 1.0, -1.0)
-    fp_lo, fp_hi = _enclosed(f_enc, p, p)
+    fp_lo, fp_hi = f_enc(p, p)
 
     def band(at, lo, hi):
         """(clear, violator) per interval [lo, hi] of f values, one row
@@ -778,7 +784,7 @@ def _pieces(line: Line, ps, eps) -> LineResult:
     if f_slope is None:
         r0 = _estimate_r0(f_arr, ps, fp, eps, ext[:n])
     else:
-        d_lo, d_hi = _enclosed(f_slope, ps, ps)
+        d_lo, d_hi = f_slope(ps, ps)
         r0 = _r0(ps, np.abs(0.5 * (d_lo + d_hi)), eps)
 
     # The walk.  xa is each side's frontier: [p, xa] is proved clear.
@@ -786,6 +792,7 @@ def _pieces(line: Line, ps, eps) -> LineResult:
     tested, passed, splits = np.zeros((3, 2 * n), dtype=int)
     failed = ~np.isfinite(fp_hi - fp_lo)
     walking = (ext > 0.0) & ~failed
+    walked = walking.copy()
     for _ in range(_WALK_ROUNDS):
         cols = walking.nonzero()[0]
         if not (c := cols.size):
@@ -807,7 +814,7 @@ def _pieces(line: Line, ps, eps) -> LineResult:
         np.minimum(table[:, :-1], ends, out=box[0, 0])
         np.maximum(table[:, :-1], ends, out=box[1, 0])
         box[:, 1] = ends
-        f_lo, f_hi = _enclosed(f_enc, box[0], box[1])
+        f_lo, f_hi = f_enc(box[0], box[1])
         clear, hit = band(at, f_lo, f_hi)
         # A window passes if the enclosure proves it clear, or if f is
         # monotone on it and clear at both ends (its start is the frontier).
@@ -816,7 +823,7 @@ def _pieces(line: Line, ps, eps) -> LineResult:
         else:
             # A finite enclosure of f proves f defined, and so continuous,
             # on the window; one of f' that excludes 0, f monotone there.
-            d_lo, d_hi = _enclosed(f_slope, box[0, 0], box[1, 0])
+            d_lo, d_hi = f_slope(box[0, 0], box[1, 0])
             mono = np.isfinite(f_hi[0] - f_lo[0]) & ((d_lo > 0.0) | (d_hi < 0.0))
         passes = np.zeros((c, _RUNGS + 1), dtype=bool)  # a last window that fails
         np.logical_or(clear[0], mono & clear[1], out=passes[:, :-1])
@@ -875,17 +882,17 @@ def _pieces(line: Line, ps, eps) -> LineResult:
 
     # Per side: a crossing side's bracket; a side without one constrains
     # nothing when it reached the domain's end, and bounds delta by how
-    # far it was proved clear when it stopped at R_MAX.  Each proved end
-    # is |x - p| one float toward 0 (toward inf for the violators u_pr):
-    # past the exact distance, which lies within half a float of the
-    # rounded one.
+    # far it was proved clear (xa) when it stopped at R_MAX or the walk
+    # gave it up.  Each proved end is |x - p| one float toward 0 (toward
+    # inf for the violators u_pr): past the exact distance, which lies
+    # within half a float of the rounded one.
     lower = spread(np.nextafter(np.abs(l_pr - p_b), 0.0), np.inf)
     if not every:
-        soft = (~failed & np.isnan(xb) & (ext > R_MAX)).nonzero()[0]
-        lower[soft] = np.nextafter(np.abs(x_end[soft] - p[soft]), 0.0)
+        soft = (np.isnan(xb) & np.where(failed, walked, ext > R_MAX)).nonzero()[0]
+        lower[soft] = np.nextafter(np.abs(xa[soft] - p[soft]), 0.0)
     res = _join(fp, ~failed, spread(np.abs(u - p_b), np.nan), spread(u, np.nan), lower,
                 spread(np.nextafter(np.abs(u_pr - p_b), np.inf), np.nan), spread(h_u, np.nan),
-                np.abs(spread(xb[at], x_end) - p), tested, passed * (f_slope is not None))
+                np.abs(spread(xb[at], xa) - p), tested, passed * (f_slope is not None))
     res.lower[~(res.lower > 0.0)] = np.nan
     return res
 
@@ -986,7 +993,7 @@ def _proved_ends(f_enc, band, cols, sign, xa, l, u, xb):
         ur, lr = u[rest][:, None], l[rest][:, None]
         steps = (ur - lr) * ladder
         cand = np.array((ur + steps, lr - steps))  # (u's end, l's end) x bracket x step
-        ok, hit = band(cols[rest], *_enclosed(f_enc, cand, cand))
+        ok, hit = band(cols[rest], *f_enc(cand, cand))
         hit[1] = ok[1]  # the proved candidates of each end
         # Each end's first proved candidate, as a flat index, and whether it is one.
         first = hit.argmax(axis=2) + np.arange(0, cand.size, ladder.size).reshape(2, -1)
@@ -998,14 +1005,6 @@ def _proved_ends(f_enc, band, cols, sign, xa, l, u, xb):
         if not rest.size:
             break
     return out[1], out[0]
-
-
-def _enclosed(enc, lo, hi):
-    """enc(lo, hi), each end shaped as lo (a constant f gives scalars)."""
-    a, b = enc(lo, hi)
-    if np.shape(a) != np.shape(lo):
-        a, b = np.full(np.shape(lo), a), np.full(np.shape(lo), b)
-    return a, b
 
 
 def _twice(a: np.ndarray) -> np.ndarray:

@@ -476,6 +476,15 @@ class TestFiles:
         assert run(capsys, *argv, "--out", str(path)) == (cli.EXIT_OK, "", "")
         assert path.read_bytes() == printed.encode("utf-8")
 
+    def test_catalog_loads_the_manifest_it_wrote(self, capsys, monkeypatch, tmp_path):
+        # --load prints the manifest it loaded, byte for byte as --out wrote it.
+        monkeypatch.setattr(catalog, "_REGISTRY", {})  # the builtins only
+        path = tmp_path / "m.txt"
+        assert run(capsys, "catalog", "--out", str(path)) == (cli.EXIT_OK, "", "")
+        code, out, err = run(capsys, "catalog", "--load", str(path))
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert out.encode("utf-8") == path.read_bytes() and out.startswith("square|x^2|")
+
     def test_uc_trace_is_the_inf_csv(self, capsys, tmp_path):
         # uc's infimum trace at one eps is what inf prints for that eps.
         problem = ("--fn", "x", "--domain", "interval:0:1")

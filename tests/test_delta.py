@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import warnings
 from decimal import Decimal, localcontext
 
@@ -12,6 +13,7 @@ import pytest
 
 import deltamax as dm
 import deltamax.delta as delta_mod
+import deltamax.expr as expr_mod
 from deltamax import search
 from deltamax.delta import (
     compute_delta,
@@ -39,7 +41,7 @@ from deltamax.model import (
     NormTag,
     Point,
     array_evaluator,
-    enclosure_evaluator,
+    interval_extensions,
     norm_of,
     norm_of_rows,
 )
@@ -185,10 +187,11 @@ class TestLevelSet1D:
         assert 1 <= diag["enclosed_rounds"] <= diag["detect_rounds"]
 
     def test_monotone_profile_is_only_sampled(self):
-        # A Monotone1DFn has no interval enclosure, so without the claimed
-        # one the sampled engine samples every window of it.
-        assert enclosure_evaluator(cube()) is None
-        line = Line(array_evaluator(cube()), None, None, -math.inf, math.inf, False, False, False)
+        # A Monotone1DFn's only interval enclosure is the claimed one, so
+        # without it the sampled engine samples every window of it.
+        g_arr = array_evaluator(cube())
+        assert interval_extensions(cube(), g_arr)[1] is None
+        line = Line(g_arr, None, None, -math.inf, math.inf, False, False, False)
         res = _sampled_field(line, np.asarray([2.0]), 1.0)
         assert res.detect_rounds[0] >= 2
         assert res.enclosed_rounds[0] == 0
@@ -496,6 +499,16 @@ class TestMembershipPredicate:
         f = ExpressionFn.parse("5")
         assert is_delta_epsilon_number(f, REALS, 0.0, 1.0, 100.0, samples=512)
 
+    def test_no_grid_point_in_the_ball_is_vacuously_true(self):
+        # A 4 x 4 grid over the 0.3-ball at the origin: its points inside the
+        # ball have |x2| = 0.1, outside a box 2e-9 thin in x2, so no sample
+        # is left and True is vacuous.  (A 3 x 3 grid holds the origin.)
+        thin = DomainSpec.box((-1.0, -1e-9), (1.0, 1e-9),
+                              open_lo=(False, True), open_hi=(False, True))
+        f = ExpressionFn.parse("x1+x2")
+        assert is_delta_epsilon_number(f, thin, (0.0, 0.0), 0.5, 0.3, samples=16)
+        assert is_delta_epsilon_number(f, thin, (0.0, 0.0), 0.5, 0.3, samples=9)
+
 
 class TestEpsilonBound:
     def test_identity_unit_interval(self):
@@ -510,6 +523,11 @@ class TestEpsilonBound:
     def test_constant(self):
         with pytest.raises(ConstantFunction):
             epsilon_bound(ExpressionFn.parse("2"), DomainSpec.interval(0.0, 1.0))
+
+    def test_domain_thinner_than_the_grid(self):
+        thin = DomainSpec.annulus((0.0, 0.0), 100.0, 100.0 + 1e-9)
+        with pytest.raises(ConstantFunction, match="domain sampling produced fewer than two points"):
+            epsilon_bound(ExpressionFn.parse("x1+x2"), thin)
 
     def test_no_finite_sample(self):
         # sqrt(-1-x^2) is NaN at every sample: there is no spread to read.
@@ -677,6 +695,32 @@ class TestProvedBrackets:
         assert res.diagnostics["lower_kind"] == "proof"
         assert res.certified_lower <= want <= res.certified_upper
 
+    def test_fallback_row_never_keeps_a_lower_end_the_walk_disproved(self):
+        # sin(1/x) at p = 1e-14: the walk gives up on the +t side with its
+        # frontier at p and proves a -t crossing with upper end 6.31e-29;
+        # the sampled row read lower 1.17e-20 (its first window far wider
+        # than delta), past that violator.  The walk's proved clear radius,
+        # 0, stands instead and raises, naming the walk's crossing.  The
+        # exact delta is 5.058123835e-29 (mpmath, 60 digits, at the float p).
+        with pytest.raises(FloatResolutionLimit, match="a violator sits") as info:
+            compute_delta(ExpressionFn.parse("sin(1/x)"),
+                          DomainSpec.interval(0.0, 1.0, open_lo=True), 1e-14, 0.5)
+        away = float(re.search(r"sits (\S+) away", str(info.value)).group(1))
+        assert 5.058123835e-29 <= away <= 6.32e-29
+
+    def test_rows_the_walk_does_not_contradict_keep_their_output(self):
+        # sin(1/x) at 1e-13 stays the walk's proof; x on [0, 1] at 0.5,
+        # whose two sides both tie at the domain's ends, stays the sampled row.
+        res = compute_delta(ExpressionFn.parse("sin(1/x)"),
+                            DomainSpec.interval(0.0, 1.0, open_lo=True), 1e-13, 0.5)
+        assert res.diagnostics["lower_kind"] == "proof"
+        assert (res.value, res.certified_lower, res.certified_upper) == (
+            5.061331567898012e-27, 5.010844469963866e-27, 5.099196891348621e-27)
+        res = compute_delta(ExpressionFn.parse("x"), DomainSpec.interval(0.0, 1.0), 0.5, 0.5)
+        assert res.diagnostics["lower_kind"] == "samples"
+        assert (res.value, res.certified_lower, res.certified_upper) == (
+            0.5, 0.49999999999999301, 0.5)
+
     def test_fallback_row_on_a_line_with_only_an_upper_end(self):
         # (-inf, 1): the sampled engine tests its samples against the upper
         # end alone.  The +t crossing of 0.9 would lie past 1, so delta is
@@ -763,6 +807,34 @@ class TestComputeDeltaRouting:
         entry = dm.catalog_lookup("exp_norm")
         res = compute_delta(entry.function, None, Point.of(1.0, 0.0), 0.5)
         assert res.backend == "radial"
+
+    @pytest.mark.parametrize("p", [3.0, -3.0, 0.1])
+    def test_1d_radial_function_is_a_line_without_enclosures(self, p):
+        # r^2 at dim 1 is |x|^2: a line with no interval extension, so the
+        # sampled engine takes every row; square's closed form is its delta.
+        res = compute_delta(ExpressionFn.parse("r^2", dim=1), None, p, 1.0)
+        want = 1.0 / (math.sqrt(p * p + 1.0) + abs(p))
+        assert res.backend == "levelset1d" and res.diagnostics["lower_kind"] == "samples"
+        assert res.certified_lower <= want <= res.certified_upper
+        square = compute_delta(ExpressionFn.parse("x^2"), None, p, 1.0)
+        assert res.value == pytest.approx(square.value, rel=1e-9)
+
+    def test_derivative_is_taken_once_per_spec(self, monkeypatch):
+        # f' is derived once per ExpressionFn, not once per query.
+        calls = []
+        derivative = expr_mod.derivative
+
+        def counted(*args):
+            calls.append(args)
+            return derivative(*args)
+
+        monkeypatch.setattr(expr_mod, "derivative", counted)
+        f = ExpressionFn.parse("x^3 - x")
+        compute_delta(f, None, 0.5, 0.25)
+        once = len(calls)
+        for p in np.linspace(-2.0, 2.0, 99).tolist():
+            compute_delta(f, None, p, 0.25)
+        assert once > 0 and len(calls) == once
 
     def test_monotone(self):
         res = compute_delta(cube(), REALS, 1.0, 0.5)

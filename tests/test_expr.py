@@ -123,6 +123,18 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_source("1 2")
 
+    @pytest.mark.parametrize("src, position, text, expected", [
+        ("(x", 2, "2: unexpected end of input (expected ))", (")",)),
+        ("(x 2)", 3, "3: unexpected '2' (expected ))", (")",)),
+        ("sin + 1", 0, "0: builtin 'sin' requires arguments (expected ()", ("(",)),
+        ("*x", 0, "0: unexpected '*'", ()),
+    ])
+    def test_error_position_text_and_expected(self, src, position, text, expected):
+        with pytest.raises(ParseError) as err:
+            parse_source(src)
+        assert (err.value.position, str(err.value), err.value.expected) == (
+            position, text, expected)
+
 
 # 50 hand-checked (expression, env, expected) triples; the expected side is
 # written directly against math.* so it never touches the evaluator code.

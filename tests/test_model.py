@@ -43,6 +43,9 @@ class TestPoint:
     def test_of(self):
         assert Point.of(1, 2).coords == (1.0, 2.0)
 
+    def test_iterates_its_coordinates(self):
+        assert tuple(Point.of(1.0, 2.0)) == (1.0, 2.0)
+
 
 class TestDistance:
     def test_l2_triangle(self):
@@ -100,6 +103,17 @@ class TestDomainSpec:
     def test_annulus_radius_ordering(self):
         with pytest.raises(InvalidDomain):
             DomainSpec.annulus((0.0, 0.0), 2.0, 1.0)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: DomainSpec(0), "dimension must be >= 1"),
+        (lambda: DomainSpec(2), "box-like domain needs lo/hi bounds"),
+        (lambda: DomainSpec(2, lo=(0.0,), hi=(1.0,)), "bounds do not match dimension"),
+        (lambda: DomainSpec(2, center=(0.0,)),
+         "radial domain needs a center of matching dimension"),
+    ], ids=["dimension_0", "no_bounds", "short_bounds", "short_center"])
+    def test_malformed_fields(self, make, message):
+        with pytest.raises(InvalidDomain, match=f"^{message}$"):
+            make()
 
     def test_open_interval_membership(self):
         dom = DomainSpec.interval(0.0, 1.0, open_lo=True)

@@ -118,6 +118,13 @@ class TestBruteForceInf:
         with pytest.raises(WindowTooSmall):
             brute_force_inf(entry.function, DomainSpec.interval(0.0, 0.1), 1e6, g)
 
+    def test_window_that_misses_a_thin_domain_raises(self):
+        # An annulus 1e-9 thick: no point of the 5 x 5 grid around (0, 50) lies in it.
+        thin = DomainSpec.annulus((0.0, 0.0), 100.0, 100.0 + 1e-9)
+        with pytest.raises(WindowTooSmall, match="the oracle window misses the domain entirely"):
+            brute_force_inf(ExpressionFn.parse("x1+x2"), thin, 1.0,
+                            GridSpec.around((0.0, 50.0), 1.0, 5))
+
 
 class TestSandwich:
     """Oracle invariant: grid lower <= value <= grid upper + h*sqrt(dim)."""

@@ -31,7 +31,7 @@ from deltamax.model import (
     Monotone1DFn,
     NormTag,
     array_evaluator,
-    enclosure_evaluator,
+    interval_extensions,
     norm_of_rows,
 )
 from deltamax.search import (
@@ -82,9 +82,10 @@ def test_enclosure_leaves_field_bit_identical(name, eps):
     src, lo, hi, open_lo, open_hi, ps = CASES[name]
     f = ExpressionFn.parse(src)
     g = getattr(f, "inner", f)  # the profile of a radial function
-    sampled = _sampled_field(_line(array_evaluator(g), lo, hi, open_lo, open_hi), ps, eps, 1024)
-    enclosed = _sampled_field(_line(array_evaluator(g), lo, hi, open_lo, open_hi,
-                                    enclosure_evaluator(g)), ps, eps, 1024)
+    g_arr = array_evaluator(g)
+    sampled = _sampled_field(_line(g_arr, lo, hi, open_lo, open_hi), ps, eps, 1024)
+    enclosed = _sampled_field(_line(g_arr, lo, hi, open_lo, open_hi,
+                                    interval_extensions(g, g_arr)[0]), ps, eps, 1024)
     for field in dataclasses.fields(sampled):
         if field.name == "enclosed_rounds":
             continue
@@ -103,8 +104,9 @@ def test_batch_field_matches_points_alone(name, eps, enclose):
     src, lo, hi, open_lo, open_hi, ps = CASES[name]
     f = ExpressionFn.parse(src)
     g = getattr(f, "inner", f)  # the profile of a radial function
-    line = _line(array_evaluator(g), lo, hi, open_lo, open_hi,
-                 enclosure_evaluator(g) if enclose else None)
+    g_arr = array_evaluator(g)
+    line = _line(g_arr, lo, hi, open_lo, open_hi,
+                 interval_extensions(g, g_arr)[0] if enclose else None)
 
     def field_of(pts):
         return _sampled_field(line, pts, eps)
@@ -117,11 +119,38 @@ def test_batch_field_matches_points_alone(name, eps, enclose):
         assert np.array_equal(getattr(batch, field.name), got, equal_nan=True), field.name
 
 
-def test_only_1d_expressions_have_an_enclosure():
-    assert enclosure_evaluator(ExpressionFn.parse("x1^2")) is not None
-    assert enclosure_evaluator(ExpressionFn.parse("x1*x2")) is None
-    assert enclosure_evaluator(ExpressionFn.parse("exp(r)", dim=2)) is None
-    assert enclosure_evaluator(Monotone1DFn(np.exp, (0.0, 1.0), True)) is None
+def _extensions(f):
+    return interval_extensions(f, array_evaluator(f))
+
+
+def test_each_kind_of_spec_has_its_interval_extensions():
+    # A 1-d expression encloses f and f'; a Monotone1DFn has its claimed
+    # hull of f and no slope; an nD expression, a radial function in
+    # dimension 2 and a 1-d RadialFn have neither, and keep sampling.
+    enclose, slope = _extensions(ExpressionFn.parse("x1^2"))
+    lo, hi = np.array([1.0, -3.0]), np.array([2.0, -2.0])
+    assert np.all(enclose(lo, hi)[0] <= np.array([1.0, 4.0]))
+    assert np.all(enclose(lo, hi)[1] >= np.array([4.0, 9.0]))
+    assert np.all(slope(lo, hi)[0] <= np.array([2.0, -6.0]))
+    assert np.all(slope(lo, hi)[1] >= np.array([4.0, -4.0]))
+    assert _extensions(ExpressionFn.parse("x1*x2")) == (None, None)
+    assert _extensions(ExpressionFn.parse("exp(r)", dim=2)) == (None, None)
+    assert _extensions(ExpressionFn.parse("r^2", dim=1)) == (None, None)
+    claimed, slope = _extensions(Monotone1DFn(np.exp, (0.0, 1.0), True))
+    assert slope is None
+    c_lo, c_hi = claimed(np.array([0.0, 0.25]), np.array([0.5, 1.0]))
+    assert np.all(c_lo < np.exp([0.0, 0.25])) and np.all(c_hi > np.exp([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 2, 3, search._RUNGS)])
+@pytest.mark.parametrize("src", ["3", "2*x"])
+def test_extensions_are_shaped_like_their_inputs(src, shape):
+    # A constant f (3) or f' (that of 2*x) comes out as arrays shaped like
+    # the intervals, as the walk's windows and proof ladders read them.
+    lo = np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape)
+    for ext in _extensions(ExpressionFn.parse(src)):
+        for end in ext(lo, lo + 0.5):
+            assert isinstance(end, np.ndarray) and end.shape == shape
 
 
 RAY_DOMAINS = {
