@@ -110,7 +110,9 @@ class DeltaResult:
     diagnostics give the ray count ("directions"), the grid oracle's step
     ("oracle_step"), the farthest window end over all rays
     ("searched_radius") and the windows summed over rays
-    ("detect_rounds").  1-d and radial queries go through one line front
+    ("detect_rounds"), each ray's counted until it crossed, left its
+    reach, or was stopped by the running minimum of the crossings found
+    (search.scan_side).  1-d and radial queries go through one line front
     end, so a radial result carries the same numbers as its 1-d profile
     at ||p||, with the witness lifted along the ray through p.
     """
@@ -313,11 +315,14 @@ def delta_ray_nd(f: FunctionSpec, dom: DomainSpec, p, eps: float,
 
     Runs the 1-d level-set search along each ray; the minimum crossing
     distance is an upper bound on the true delta (every crossing lies in
-    the sphere preimage).  A ray without a crossing stops at its exit
-    from the domain's bounding box, past which no sample is in the
-    domain, rather than at R_MAX.  The certified lower bound comes
-    from the grid oracle on the ball of that radius; only lower <= delta
-    <= value is guaranteed.
+    the sphere preimage).  The rays run under the running minimum of the
+    crossings found (search.scan_side): a ray that can no longer beat it
+    stops and reads +inf, and the least root, with its tie rule, is that
+    of every ray scanned to its own crossing.  A ray without a crossing
+    stops at its exit from the domain's bounding box, past which no
+    sample is in the domain, rather than at R_MAX.  The certified lower
+    bound comes from the grid oracle on the ball of that radius; only
+    lower <= delta <= value is guaranteed.
     """
     if dom.dimension < 2:
         raise DimensionMismatch("delta_ray_nd needs dimension >= 2")

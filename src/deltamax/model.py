@@ -591,11 +591,17 @@ def interval_extensions(f: FunctionSpec, f_arr: Callable[[np.ndarray], np.ndarra
     where there is none), each mapping (lo, hi) arrays to bounds shaped
     like lo.  A 1-d expression (a profile in r too) has enclose_ast_array
     of f and of slope_ast (none for abs, min, max or pow); a Monotone1DFn
-    the claimed hull of f_arr, its evaluator, and no slope; any other f
-    (a 1-d RadialFn, an nD f) neither, and its searches keep sampling."""
+    the claimed hull of f_arr, its evaluator, and no slope; a 1-d RadialFn
+    g(|x|) those of g over |[lo, hi]|, its slope g'(|x|) sign(x) (see
+    _signed); any other f (an nD f) neither, and its searches keep
+    sampling."""
     g = unwrap(f)
     if isinstance(g, Monotone1DFn):
         return _claimed_hull(f_arr), None
+    if isinstance(g, RadialFn) and g.dim == 1:
+        # f_arr, read only by a Monotone1DFn's hull, is g itself at |x|.
+        enclose, slope = (_of_abs(fn) for fn in interval_extensions(g.inner, f_arr))
+        return enclose, _signed(slope)
     if not isinstance(g, ExpressionFn) or g.dimension != 1:
         return None, None
     d = g.slope_ast
@@ -612,6 +618,29 @@ def _interval_fn(ast: expr_mod.Ast) -> IntervalFn:
         if a.shape != np.shape(lo):  # a constant expression's scalars
             return np.full(np.shape(lo), a), np.full(np.shape(lo), b)
         return a, b
+
+    return run
+
+
+def _of_abs(fn: IntervalFn | None) -> IntervalFn | None:
+    """(lo, hi) -> fn over the exact bounds of |x| on [lo, hi]."""
+    if fn is None:
+        return None
+    return lambda lo, hi: fn(*expr_mod._abs_iv(lo, hi))
+
+
+def _signed(slope: IntervalFn | None) -> IntervalFn | None:
+    """(lo, hi) -> slope(lo, hi) times sign(x) on [lo, hi]: 1 where lo >
+    0, -1 where hi < 0, and [-1, 1] otherwise, so a window that meets 0
+    is never proved monotone.  NaN bounds stay NaN."""
+    if slope is None:
+        return None
+
+    def run(lo, hi):
+        a, b = slope(lo, hi)
+        m = np.maximum(np.abs(a), np.abs(b))
+        return (np.where(lo > 0.0, a, np.where(hi < 0.0, -b, -m)),
+                np.where(lo > 0.0, b, np.where(hi < 0.0, -a, m)))
 
     return run
 

@@ -15,7 +15,9 @@ the engine that runs inside it:
 * with a bound (uc's stages), the sampled engine runs in minimum mode,
   at _MIN_DETECT detect rows per window.
 
-scan_side is the sampled engine's one-sided form, for ray_nd's rays.
+scan_side is the sampled engine's one-sided form, for ray_nd's rays,
+which keeps only the least crossing over its columns: it runs them under
+the bound B of minimum mode (below).
 
 The sampled engine works on h(t) = |f(x(t)) - f(p)| - eps along a
 half-line of offsets t >= 0 from a base point.  The scan walks outward in
@@ -69,6 +71,14 @@ the probes leave undecided, of a point with no crossing, is swept again
 densely without B to tell NaN from +inf.  Under a finite bound every
 point counts as crossing: a cut side stops, no side is swept again, and
 a point with no crossing reads +inf.
+
+scan_side sweeps its rays once, under B from +inf, each counting as
+crossing: a ray whose last clear sample passes B stops there and reads
++inf, and of the brackets only those whose clear end is within the
+final B are settled (the others read +inf too).  A ray that leaves its
+reach first, without a crossing, reads NaN.  The least root and the rays
+that attain it are those of a scan of each ray alone, bit for bit: every
+other ray's first crossing lies past a clear sample beyond B.
 
 Every sampled window (detect window, tail probes, fine rescan) goes
 through _scan_rows, in row blocks of at most 2**16 samples, and a column
@@ -196,6 +206,7 @@ class SideResult:
     searched: np.ndarray   # how far the side was scanned
     rounds: np.ndarray     # detect rounds
     enclosed: np.ndarray   # detect rounds proved clear by enclosure
+    cut: np.ndarray        # its last clear sample passed the bound B
     undecided: np.ndarray  # cut at the minimum's bound; its probe rows found no crossing
 
 
@@ -279,15 +290,22 @@ def _scan_rows(eval_at, cols, lo, span, frac, fp, eps, carry, carry_h, bound=Non
 def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
               pos_scale: np.ndarray, detect_points: int = SCAN_POINTS,
               reach: np.ndarray | None = None) -> SideResult:
-    """Find the nearest crossing of h along one side for every column.
-    Every side is unbounded (the valid mask is its only boundary): its
-    detect windows double from width R0, and no tail probes run.
+    """Find the nearest crossing of h over all columns (rays), and the
+    first crossing of every column that could be it.  Every side is
+    unbounded (the valid mask is its only boundary): its detect windows
+    double from width R0, and no tail probes run.
 
-    Two steps: the sweep brackets each column's first crossing, and the
-    settle step refines every bracket by one fine rescan and k-section.
-    _sampled_field runs the two steps itself (see the module notes); only
-    it skips windows by enclosure, runs tail probes toward a finite end and
-    sets the bound B.
+    Two steps: the sweep brackets each column's first crossing under one
+    running bound B, from +inf down to the padded least violator end
+    found (see the module notes), and the settle step refines, by one
+    fine rescan and k-section, the brackets whose clear end is within
+    the final B.  root is a column's settled crossing, +inf where it
+    stopped at B or its bracket was not settled (its crossing lies past
+    the least root), and NaN where it has no crossing within reach.  The
+    least root, and every column that attains it, are those of a scan of
+    each column alone, bit for bit; only searched, clear, step and rounds
+    stop early.  _sampled_field runs the two steps itself; only it skips
+    windows by enclosure and runs tail probes toward a finite end.
 
     detect_points controls the bracketing sweep resolution (defaults to
     SCAN_POINTS); the fine rescan inside a found bracket keeps the
@@ -303,9 +321,12 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
     radius.
     """
     n = fp.size
-    side, brackets, _ = _sweep(eval_at, fp, eps, np.full(n, math.inf), np.full(n, R0),
-                               pos_scale, detect_points, reach=reach)
-    _settle(eval_at, fp, eps, pos_scale, side, brackets)
+    side, brackets, b = _sweep(eval_at, fp, eps, np.full(n, math.inf), np.full(n, R0),
+                               pos_scale, detect_points, reach=reach, bound=math.inf,
+                               known=np.ones(n, dtype=bool))
+    side.root[side.cut] = math.inf
+    _settle(eval_at, fp, eps, pos_scale, side,
+            [tuple(part[br[1] <= b] for part in br) for br in brackets])
     return side
 
 
@@ -320,13 +341,14 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
     only if h < 0 at every float sample of the window and at every real
     offset in it; such a window is not sampled.  reach is scan_side's.
 
-    bound, a float, is minimum mode's B (see the module notes); it drops
-    to the padded least violator end after every detect round and after
-    the tail probes.  A column whose last valid clear sample passes B
-    samples no more detect rows densely: it stops if `known` says that
-    its point crosses already, and otherwise probes the rest of its
-    window, and the windows after it, on the probe rows only.  A probe
-    hit proves a crossing; a column out of windows first is undecided.
+    bound, a float, is the bound B of minimum mode and of scan_side (see
+    the module notes); it drops to the padded least violator end after
+    every detect round and after the tail probes.  A column whose last
+    valid clear sample passes B samples no more detect rows densely: it
+    stops if `known` says that its point crosses already, and otherwise
+    probes the rest of its window, and the windows after it, on the
+    probe rows only.  A probe hit proves a crossing; a column out of
+    windows first is undecided.
     Cut columns run no tail probes and keep their clear radius at the
     cut.  (reach's test, the window's last sample, would miss a crossing
     between the last valid sample and a stretch where f is undefined.)
@@ -336,7 +358,9 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
     the last clear sample and hi the first violator, with h at each (lo_h
     NaN where lo was proved clear, not sampled), at most one bracket per
     column.  root and root_h are NaN, but with a bound root is +inf where
-    a bracket or probe hit is.
+    a bracket or probe hit is.  cut marks the columns whose last clear
+    sample passed B (stopped or probed), undecided those of them that
+    neither a probe hit nor `known` shows to cross.
     """
     n = fp.size
     clear = np.zeros(n)
@@ -471,7 +495,7 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
     for cols, *_ in brackets if bound is not None else ():
         root[cols] = math.inf
     side = SideResult(root=root, root_h=np.full(n, np.nan), clear=clear, step=step,
-                      searched=searched, rounds=detect, enclosed=enclosed,
+                      searched=searched, rounds=detect, enclosed=enclosed, cut=probing,
                       undecided=probing & np.isnan(root) & ~known)
     return side, brackets, bound
 

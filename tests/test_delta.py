@@ -423,45 +423,48 @@ class TestRayNd:
 
 
 # (source, domain, p, eps, directions) -> (value, certified_lower, witness,
-# detect_rounds, searched_radius), each exact, as the k-section settle
-# gives them: any change to how the ray samples are laid out, evaluated or
-# scanned must leave every one of them bit for bit as it is.
+# detect_rounds, searched_radius), each exact.  The first three are the
+# k-section settle's and equal those of a scan of each ray alone: any
+# change to how the ray samples are laid out, evaluated or scanned must
+# leave them bit for bit as they are.  The last two count the windows of
+# the rays run under the running minimum (scan_side): in each of these
+# problems one window per ray before it stops or crosses.
 RAY_PINS = {
     "product_box": (
         ("x1*x2", DomainSpec.box((-2.0, -2.0), (2.0, 2.0)), (1.0, 1.0), 0.5, 64),
         (0.3178383641760482, 0.3035687982947706,
-         (1.2252931815220642, 1.2241968066270625), 74, 2.0)),
+         (1.2252931815220642, 1.2241968066270625), 64, 1.0)),
     "half_unbounded_box": (
         ("x1*x2", DomainSpec.box((-1.0, -1.0), (math.inf, 1.0)), (0.5, 0.25), 0.75, 64),
         (0.7999079875616502, 0.7639955836041817,
-         (1.0184759478883683, 0.8591268176875707), 114, 8.0)),
+         (1.0184759478883683, 0.8591268176875707), 64, 1.0)),
     "closed_disc": (
         ("x1*x2+x1", DomainSpec.ball((0.0, 0.0), 2.0, open_boundary=False), (0.5, -0.3),
          0.4, 64),
         (0.3830230979784179, 0.3658270198875215,
-         (0.8051006651009319, -0.06843947283711396), 88, 4.0)),
+         (0.8051006651009319, -0.06843947283711396), 64, 1.0)),
     "annulus": (
         ("x1+x2^2", DomainSpec.annulus((0.0, 0.0), 1.0, 3.0), (-1.5, 0.5), 1.0, 64),
         (0.5591866639146237, 0.5340816047398228,
-         (-1.2629909720155856, 1.0064745262635124), 116, 4.0)),
+         (-1.2629909720155856, 1.0064745262635124), 64, 1.0)),
     "l1_ball": (
         ("x1*x2", DomainSpec.ball((0.0, 0.0), 2.0, norm=NormTag.L1), (0.3, 0.2), 0.3, 32),
         (0.7043033388344162, 0.672683169507296,
-         (0.653010621250978, 0.5512927175834382), 56, 4.0)),
+         (0.653010621250978, 0.5512927175834382), 32, 1.0)),
     "linf_box": (
         ("sin(x1)+x2", DomainSpec.box((-3.0, -3.0), (3.0, 3.0), norm=NormTag.LINF),
          (0.4, -0.7), 0.6, 32),
         (0.3186146891571477, 0.2941955176100216,
-         (0.08138531084285233, -0.9918771547501436), 45, 4.0)),
+         (0.08138531084285233, -0.9918771547501436), 32, 1.0)),
     "product_3d": (
         ("x1*x2*x3", DomainSpec.box((-1.5,) * 3, (1.5,) * 3), (0.5, 0.4, -0.3), 0.2, 64),
         (0.4544088757896934, 0.3351034446927089,
-         (0.8369465462338742, 0.6447205893297359, -0.48184137190316034), 118, 4.0)),
+         (0.8369465462338742, 0.6447205893297359, -0.48184137190316034), 64, 1.0)),
     "ball_3d": (
         ("sin(x1)+x2*x3", DomainSpec.ball((0.0, 0.0, 0.0), 2.0, open_boundary=False),
          (0.2, -0.4, 0.6), 0.3, 32),
         (0.24195007729700033, 0.1828263010637433,
-         (0.01723120587467894, -0.49156607317841045, 0.7294258940115401), 34, 4.0)),
+         (0.01723120587467894, -0.49156607317841045, 0.7294258940115401), 32, 1.0)),
 }
 
 
@@ -476,6 +479,79 @@ def test_ray_nd_outputs_pinned(name):
         assert (res.value, res.certified_lower, res.witness.coords,
                 res.diagnostics["detect_rounds"], res.diagnostics["searched_radius"]) == want
         assert res.certified_upper == res.value
+
+
+def _running_min_problem(dim, shape, norm, seed):
+    """A seeded ray_nd problem (f, dom, p, eps) on a `shape` domain."""
+    rng = np.random.default_rng(seed)
+    if shape == "box":
+        dom = DomainSpec.box((-2.0, -1.5, -1.0)[:dim], (2.5, 2.0, 1.5)[:dim], norm=norm)
+    elif shape == "half_box":
+        dom = DomainSpec.box((-1.0,) * dim, (math.inf,) + (1.0,) * (dim - 1), norm=norm)
+    elif shape == "ball":
+        dom = DomainSpec.ball((0.2, -0.1, 0.3)[:dim], 2.5, norm=norm)
+    else:
+        dom = DomainSpec.annulus((0.0,) * dim, 0.5, 3.0, norm=norm)
+    lo, hi = dom.bounding_box(truncate=3.0)
+    cand = lo + (hi - lo) * rng.random((200, dim))
+    p = cand[dom.contains_rows(cand)][0]
+    eps = float(np.exp(rng.uniform(math.log(1e-3), math.log(3.0))))
+    f = ExpressionFn.parse("x1*x2+sin(3*x1)" if dim == 2 else "x1*x2-x3+sin(2*x3)")
+    return f, dom, Point(tuple(p.tolist())), eps
+
+
+@pytest.mark.parametrize("directions", [4, 16, 64])
+@pytest.mark.parametrize("norm", list(NormTag))
+@pytest.mark.parametrize("shape", ["box", "half_box", "ball", "annulus"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_running_minimum_changes_no_number(monkeypatch, dim, shape, norm, directions):
+    # scan_side runs its rays under one running bound on the least crossing.
+    # The reference scans each ray through its own one-column scan_side
+    # call, which no other ray can prune, and takes the least root by
+    # delta_ray_nd's tie rule: value, witness, achiever_h and root_h are
+    # the reference's bit for bit, every settled root is its ray's, a ray
+    # read +inf crosses past the minimum or not at all, and the rays run
+    # no more windows than the reference's.
+    seed = 1000 * dim + 100 * ["box", "half_box", "ball", "annulus"].index(shape) \
+        + 10 * list(NormTag).index(norm) + directions
+    f, dom, pt, eps = _running_min_problem(dim, shape, norm, seed)
+    calls = []
+
+    def spy(*args, **kw):
+        calls.append((args, kw, scan_side(*args, **kw)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(delta_mod, "scan_side", spy)
+    try:
+        res = delta_ray_nd(f, dom, pt, eps, directions=directions)
+    except EmptySpherePreimage:
+        res = None
+    (eval_at, fp, eps_s, scale), kw, side = calls[0]
+    alone = []
+    for j in range(directions):
+        one = np.array([j])
+        alone.append(scan_side(lambda cols, ts, one=one: eval_at(one[cols], ts), fp[one],
+                               eps_s, scale[one], reach=kw["reach"][one]))
+    roots = np.concatenate([a.root for a in alone])
+    root_h = np.concatenate([a.root_h for a in alone])
+    if res is None:
+        assert np.isnan(roots).all() and np.isnan(side.root).all()
+        return
+    value = float(np.nanmin(roots))
+    p_arr = np.array(pt.coords)
+    dirs = direction_set(dim, directions, norm)
+    best = min(np.flatnonzero(roots == value).tolist(),
+               key=lambda i: tuple(p_arr + roots[i] * dirs[i]))
+    assert res.value == value
+    assert res.witness.coords == tuple(p_arr + roots[best] * dirs[best])
+    assert res.diagnostics["achiever_h"] == root_h[best] == side.root_h[best]
+    settled = np.isfinite(side.root)
+    assert np.array_equal(side.root[settled], roots[settled])
+    assert np.array_equal(side.root_h[settled], root_h[settled])
+    assert np.array_equal(np.isnan(side.root), np.isnan(roots) & ~side.cut)
+    far = side.root == math.inf
+    assert np.all(np.isnan(roots[far]) | (roots[far] > value))
+    assert res.diagnostics["detect_rounds"] <= sum(int(a.rounds.sum()) for a in alone)
 
 
 class TestMembershipPredicate:
@@ -809,15 +885,27 @@ class TestComputeDeltaRouting:
         assert res.backend == "radial"
 
     @pytest.mark.parametrize("p", [3.0, -3.0, 0.1])
-    def test_1d_radial_function_is_a_line_without_enclosures(self, p):
-        # r^2 at dim 1 is |x|^2: a line with no interval extension, so the
-        # sampled engine takes every row; square's closed form is its delta.
+    def test_1d_radial_function_is_proved_like_its_profile(self, p):
+        # r^2 at dim 1 is |x|^2: g's enclosures over |[lo, hi]|, and f' =
+        # g'(|x|) sign(x), let the piece walk prove it; its value and both
+        # ends are x^2's, and square's closed form lies between them.
         res = compute_delta(ExpressionFn.parse("r^2", dim=1), None, p, 1.0)
         want = 1.0 / (math.sqrt(p * p + 1.0) + abs(p))
-        assert res.backend == "levelset1d" and res.diagnostics["lower_kind"] == "samples"
+        assert res.backend == "levelset1d" and res.diagnostics["lower_kind"] == "proof"
         assert res.certified_lower <= want <= res.certified_upper
         square = compute_delta(ExpressionFn.parse("x^2"), None, p, 1.0)
-        assert res.value == pytest.approx(square.value, rel=1e-9)
+        assert (res.value, res.certified_lower, res.certified_upper) == (
+            square.value, square.certified_lower, square.certified_upper)
+
+    def test_1d_radial_exp_is_proved(self):
+        # exp(|x|) at p = -2: the nearer crossing is toward 0, at |x| =
+        # ln(e^2 - 0.5), so delta = 2 - ln(e^2 - 0.5) = ln(1 + 0.5 e^-2)
+        # lies in the proved bracket.
+        res = compute_delta(ExpressionFn.parse("exp(r)", dim=1), None, -2.0, 0.5)
+        want = math.log1p(0.5 * math.exp(-2.0))
+        assert res.diagnostics["lower_kind"] == "proof"
+        assert res.certified_lower <= want <= res.certified_upper
+        assert res.value == pytest.approx(want, rel=1e-12)
 
     def test_derivative_is_taken_once_per_spec(self, monkeypatch):
         # f' is derived once per ExpressionFn, not once per query.

@@ -125,8 +125,9 @@ def _extensions(f):
 
 def test_each_kind_of_spec_has_its_interval_extensions():
     # A 1-d expression encloses f and f'; a Monotone1DFn has its claimed
-    # hull of f and no slope; an nD expression, a radial function in
-    # dimension 2 and a 1-d RadialFn have neither, and keep sampling.
+    # hull of f and no slope; a 1-d RadialFn g(|x|) has g's over |[lo, hi]|
+    # and g'(|x|) sign(x); an nD expression and a radial function in
+    # dimension 2 have neither, and keep sampling.
     enclose, slope = _extensions(ExpressionFn.parse("x1^2"))
     lo, hi = np.array([1.0, -3.0]), np.array([2.0, -2.0])
     assert np.all(enclose(lo, hi)[0] <= np.array([1.0, 4.0]))
@@ -135,7 +136,15 @@ def test_each_kind_of_spec_has_its_interval_extensions():
     assert np.all(slope(lo, hi)[1] >= np.array([4.0, -4.0]))
     assert _extensions(ExpressionFn.parse("x1*x2")) == (None, None)
     assert _extensions(ExpressionFn.parse("exp(r)", dim=2)) == (None, None)
-    assert _extensions(ExpressionFn.parse("r^2", dim=1)) == (None, None)
+    enclose, slope = _extensions(ExpressionFn.parse("r^2", dim=1))
+    lo, hi = np.array([1.0, -3.0, -1.0]), np.array([2.0, -2.0, 2.0])
+    assert np.all(enclose(lo, hi)[0] <= np.array([1.0, 4.0, 0.0]))
+    assert np.all(enclose(lo, hi)[1] >= np.array([4.0, 9.0, 4.0]))
+    assert np.all(slope(lo, hi)[0] <= np.array([2.0, -6.0, -2.0]))
+    assert np.all(slope(lo, hi)[1] >= np.array([4.0, -4.0, 4.0]))
+    # A window that meets 0 is never proved monotone.
+    d_lo, d_hi = slope(np.array([-1.0, 0.0]), np.array([2.0, 1.0]))
+    assert np.all(d_lo <= 0.0) and np.all(d_hi >= 0.0)
     claimed, slope = _extensions(Monotone1DFn(np.exp, (0.0, 1.0), True))
     assert slope is None
     c_lo, c_hi = claimed(np.array([0.0, 0.25]), np.array([0.5, 1.0]))
@@ -151,6 +160,43 @@ def test_extensions_are_shaped_like_their_inputs(src, shape):
     for ext in _extensions(ExpressionFn.parse(src)):
         for end in ext(lo, lo + 0.5):
             assert isinstance(end, np.ndarray) and end.shape == shape
+
+
+@st.composite
+def _radial_windows(draw):
+    """An interval [lo, hi] all negative, all positive or across 0."""
+    a, b = draw(st.floats(1e-3, 20.0)), draw(st.floats(1e-3, 20.0))
+    kind = draw(st.sampled_from(["negative", "positive", "across"]))
+    if kind == "across":
+        return -a, b
+    lo, hi = sorted((a, b))
+    return (-hi, -lo) if kind == "negative" else (lo, hi)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from(["r^2", "exp(r)", "sqrt(r) + r", "sin(r)"]), _radial_windows())
+def test_1d_radial_extensions_hold_f_and_its_slope(src, window):
+    # g(|x|) over [lo, hi] holds f at every sample; the slope, where it is
+    # not NaN (no bound), holds each central difference that stays on one
+    # side of 0 (the mean value theorem puts it at f' of a point inside),
+    # and a window across 0 is never proved monotone.
+    f = ExpressionFn.parse(src, dim=1)
+    f_arr = array_evaluator(f)
+    enclose, slope = _extensions(f)
+    lo, hi = np.array([window[0]]), np.array([window[1]])
+    xs = np.linspace(lo[0], hi[0], 257)
+    f_lo, f_hi = enclose(lo, hi)
+    fx = f_arr(xs)
+    assert np.all((f_lo <= fx) & (fx <= f_hi))
+    d_lo, d_hi = slope(lo, hi)
+    step = 1e-6 * max(1.0, float(np.max(np.abs(xs))))
+    at = xs[(np.abs(xs) > 2.0 * step) & (xs - step >= lo) & (xs + step <= hi)]
+    q = (f_arr(at + step) - f_arr(at - step)) / (2.0 * step)
+    tol = 1e-6 * (1.0 + np.abs(q))
+    assert np.all(np.isnan(d_lo) | (d_lo - tol <= q))
+    assert np.all(np.isnan(d_hi) | (q <= d_hi + tol))
+    if lo[0] <= 0.0 <= hi[0]:
+        assert not (d_lo > 0.0 or d_hi < 0.0)
 
 
 RAY_DOMAINS = {
@@ -198,6 +244,54 @@ def test_reach_leaves_ray_crossings_bit_identical(name, seed):
         assert np.array_equal(full.root, capped.root, equal_nan=True)
         assert np.array_equal(full.root_h, capped.root_h, equal_nan=True)
         assert np.all(capped.searched <= full.searched)
+
+
+def _ray_profiles(slopes, ends):
+    """eval_at of columns f = slopes[j]*t, valid up to t = ends[j]."""
+    def eval_at(cols, ts):
+        return slopes[cols] * ts, ts <= ends[cols]
+    return eval_at
+
+
+def _alone(eval_at, n, reach):
+    """scan_side of each column by itself, with f(p) = 0 and eps = 0.5."""
+    return [scan_side(lambda cols, ts, j=j: eval_at(np.array([j])[cols], ts), np.zeros(1),
+                      0.5, np.ones(1), reach=reach[j:j + 1]) for j in range(n)]
+
+
+def test_scan_side_stops_the_rays_that_cannot_hold_the_minimum():
+    # eps 0.5 on f = slope*t: ray 0 crosses at t = 0.5, which bounds the
+    # minimum after the first window [0, 1].  Ray 1 (crossing at 100) has
+    # passed that bound with its last clear sample and stops: +inf.  Ray 2
+    # brackets its crossing at 0.9 in the same window, past the bound:
+    # not settled, +inf.  Ray 3 leaves its domain at 0.25, short of the
+    # bound, and its reach ends there: no crossing, NaN.
+    slopes, ends = np.array([1.0, 0.005, 0.5 / 0.9, 0.0]), np.array([INF, INF, INF, 0.25])
+    reach = np.array([INF, INF, INF, 0.3])
+    eval_at = _ray_profiles(slopes, ends)
+    side = scan_side(eval_at, np.zeros(4), 0.5, np.ones(4), reach=reach)
+    alone = _alone(eval_at, 4, reach)
+    assert side.root[0] == alone[0].root[0] and side.root_h[0] == alone[0].root_h[0]
+    assert side.root[1:3].tolist() == [INF, INF] and np.isnan(side.root_h[1:]).all()
+    assert np.isnan(side.root[3]) and np.isnan(alone[3].root[0])
+    assert side.cut.tolist() == [False, True, False, False]
+    assert alone[1].root[0] > 99.0 and alone[2].root[0] > 0.8
+    assert side.rounds.tolist() == [1, 1, 1, 1]
+
+
+def test_scan_side_without_a_crossing_prunes_nothing():
+    # No ray crosses: the bound stays +inf, so every ray runs to its reach
+    # (or to R_MAX) as it would alone, and reads NaN; delta_ray_nd raises
+    # EmptySpherePreimage on such a scan.
+    reach = np.array([4.0, 9.0, INF])
+    eval_at = _ray_profiles(np.zeros(3), np.array([3.5, INF, INF]))
+    side = scan_side(eval_at, np.zeros(3), 0.5, np.ones(3), reach=reach)
+    alone = _alone(eval_at, 3, reach)
+    assert np.isnan(side.root).all() and not side.cut.any()
+    for name in ("clear", "step", "searched", "rounds"):
+        got = np.concatenate([getattr(a, name) for a in alone])
+        assert np.array_equal(getattr(side, name), got), name
+    assert side.searched[2] == search.R_MAX
 
 
 def _crossing_by_loop(ts, h, valid, carry_t, carry_h):
