@@ -21,15 +21,16 @@ hypotheses to one of four methods, whose name labels DeltaResult.backend:
 
 delta_field is the batched entry, with a DeltaResult or the point's
 DeltamaxError per row; compute_delta is its batch of one.  The first
-three backends share its line path: line_problem reduces (f, dom) to a
-profile and a search.Line, the profile's interval of the line with its
-evaluators, built once per call (model.array_evaluator, then one
+three backends share its line path: line_problem reduces (f, dom) to
+one search.Line, a profile's interval of the line with its evaluators,
+built once per call (model.array_evaluator, then one
 model.interval_extensions call for the enclosures of f and f', shaped
-like their inputs), whose route (line or ray_nd) is decided on it;
-one search.line_field call then runs every point that passes the point
-gates.  line_field picks the engine: the piece walk, and the sampled
-engine for the points it leaves (a profile without an enclosure of f',
-or one it cannot cut into few enough pieces).
+like their inputs), whose route (line or ray_nd) is decided on it (None
+is ray_nd's); one search.line_field call then runs every point that
+passes the point gates.  Every point starts at the piece walk, and the
+points it leaves go to the sampled engine: every point of a profile
+with neither an enclosure of f' nor a monotone claim, and those whose
+nearest crossing the walk cannot settle in few enough pieces.
 
 Every result's diagnostics["lower_kind"] says what its bracket rests on:
 "proof" where enclosures of f proved both ends (the piece walk on an
@@ -148,16 +149,16 @@ def line_bounds(dom: DomainSpec) -> tuple[float, float, bool, bool]:
     return dom.lo[0], dom.hi[0], dom.open_lo[0], dom.open_hi[0]
 
 
-def line_problem(f: FunctionSpec, dom: DomainSpec) -> tuple[FunctionSpec, Line] | None:
-    """The 1-d problem behind delta(p, eps) on (f, dom), or None for a
-    generic nD f.
+def line_problem(f: FunctionSpec, dom: DomainSpec) -> Line | None:
+    """The 1-d problem behind delta(p, eps) on (f, dom), as one
+    search.Line, or None for a generic nD f.
 
-    Returns (profile, line): a 1-d f on a 1-d domain is its own profile
-    on line_bounds(dom); a radial f = g(||x||) on an origin-centered
-    ball/annulus in dimension >= 2 reduces to g over the radii.  line
-    carries the profile's evaluator and its model.interval_extensions; a
-    Monotone1DFn, clipped to its interval (a clipped end is closed),
-    carries the monotone claim too.
+    The line is that of a profile: a 1-d f on a 1-d domain is its own
+    profile on line_bounds(dom); a radial f = g(||x||) on an
+    origin-centered ball/annulus in dimension >= 2 reduces to g over the
+    radii.  The line carries the profile's evaluator and its
+    model.interval_extensions; a Monotone1DFn, clipped to its interval (a
+    clipped end is closed), carries the monotone claim too.
     """
     g = unwrap(f)
     if (isinstance(g, RadialFn) and dom.is_radial and dom.dimension > 1
@@ -180,7 +181,7 @@ def line_problem(f: FunctionSpec, dom: DomainSpec) -> tuple[FunctionSpec, Line] 
         if (lo, hi) != (a, b):
             g = replace(g, interval=(lo, hi))
     f_arr = array_evaluator(g)
-    return g, Line(f_arr, *interval_extensions(g, f_arr), lo, hi, open_lo, open_hi, claimed)
+    return Line(f_arr, *interval_extensions(g, f_arr), lo, hi, open_lo, open_hi, claimed)
 
 
 def _attempt(call, *args):
@@ -194,9 +195,9 @@ def _attempt(call, *args):
         return exc
 
 
-def _line_rows(problem, dom: DomainSpec, ps, eps: float) -> list:
-    """delta_field of a line problem (see line_problem) on dom, built
-    once by the caller; a bad eps raises InvalidArgument.
+def _line_rows(line: Line, dom: DomainSpec, ps, eps: float) -> list:
+    """delta_field of the line problem `line` (line_problem's) on dom,
+    built once by the caller; a bad eps raises InvalidArgument.
 
     The line coordinate t of p is p itself on a 1-d domain and ||p|| on
     a radial one.  The point gates run on all rows at once: each p as a
@@ -208,7 +209,6 @@ def _line_rows(problem, dom: DomainSpec, ps, eps: float) -> list:
     first axis when p is the origin).
     """
     require_positive("eps", eps)
-    line = problem[1]
     radial = dom.dimension > 1
     backend = "monotone" if line.monotone else "levelset1d"
 
@@ -480,9 +480,9 @@ def delta_field(f: FunctionSpec, dom: DomainSpec | None, ps, eps: float,
     runs one line_field call; a generic nD f, compute_delta per point."""
     if dom is None:
         dom = f.domain_hint()
-    problem = line_problem(f, dom)
-    if problem is not None:
-        return _line_rows(problem, dom, ps, eps)
+    line = line_problem(f, dom)
+    if line is not None:
+        return _line_rows(line, dom, ps, eps)
     require_positive("eps", eps)
     return [_attempt(compute_delta, f, dom, p, eps, directions) for p in ps]
 
@@ -496,10 +496,10 @@ def compute_delta(f: FunctionSpec, dom: DomainSpec | None, p, eps: float,
     as in the CLI."""
     if dom is None:
         dom = f.domain_hint()
-    problem = line_problem(f, dom)
-    if problem is None:
+    line = line_problem(f, dom)
+    if line is None:
         return delta_ray_nd(f, dom, p, eps, directions)
-    (row,) = _line_rows(problem, dom, [p], eps)
+    (row,) = _line_rows(line, dom, [p], eps)
     if isinstance(row, DeltamaxError):
         raise row
     return row

@@ -7,17 +7,21 @@ shaped like their inputs) and its membership test, Line.contains.
 line_field(line, ps, eps, bound=None) is the one line entry, and it picks
 the engine that runs inside it:
 
-* without a bound (every 1-d and radial delta query), the piece walk
-  (_pieces, below) takes every point of a line with an enclosure of f' or
-  a monotone claim.  The points it gives up on, and every point of any
-  other line, go to the sampled engine (_sampled_field) in full mode, at
-  SCAN_POINTS detect rows per window, in one call;
+* without a bound (every 1-d and radial delta query), every point starts
+  at the piece walk (_pieces, below).  The points it gives up on go to
+  the sampled engine (_sampled_field) in full mode, at SCAN_POINTS detect
+  rows per window, in one call.  On a line with neither an enclosure of
+  f' nor a monotone claim (abs, min, max, pow) the walk gives up every
+  side before its first round, so all its points go there;
 * with a bound (uc's stages), the sampled engine runs in minimum mode,
   at _MIN_DETECT detect rows per window.
 
+Only the walk marks a point done (LineResult.done): a sampled row never
+is, in either mode.
+
 scan_side is the sampled engine's one-sided form, for ray_nd's rays,
-which keeps only the least crossing over its columns: it runs them under
-the bound B of minimum mode (below).
+which keeps only the least crossing over its columns: _sweep under the
+running bound B (below), then _settle under the final B.
 
 The sampled engine works on h(t) = |f(x(t)) - f(p)| - eps along a
 half-line of offsets t >= 0 from a base point.  The scan walks outward in
@@ -52,13 +56,17 @@ In minimum mode (a uc stage keeps only the least delta) no side samples
 detect rows densely past a bound B on the minimum.  Every settled root
 lies in the [blo, bhi] of its sweep bracket (bhi up to the rounding of
 the rescan's last row, which an 8-ulp pad absorbs), so past every clear
-sample of its side.  B is one float that _sweep owns: a sweep takes it
-in, lowers it to the padded least bhi after each detect round and its
-tail probes, and returns it.  The +t sweep starts from the padded least
-of the caller's bound and the deltas of earlier chunks, the -t sweep
-from the +t sweep's B, and the -t sweep's B picks the brackets to settle
-and the points that read +inf.  A column stops at the row block whose
-last clear sample passes B.
+sample of its side.  B is one float that _sweep and _settle own, for
+both of their bounded callers (minimum mode and scan_side): a sweep
+takes it in, lowers it to the padded least bhi after each detect round
+and its tail probes, reads +inf for every column whose crossing it
+knows to lie past B, and returns it; _settle takes the final B and
+settles only the brackets whose clear end is within it, the others
+keeping their +inf.  The +t sweep starts from the padded least of the
+caller's bound and the deltas of earlier chunks, the -t sweep from the
++t sweep's B, and the -t sweep's B goes to _settle and picks the points
+that read +inf.  A column stops at the row block whose last clear sample
+passes B.
 
 The caller's bound is inf for an infimum stage, which also counts the
 points with no crossing (NaN), and half the last pair's distance for a
@@ -74,9 +82,9 @@ a point with no crossing reads +inf.
 
 scan_side sweeps its rays once, under B from +inf, each counting as
 crossing: a ray whose last clear sample passes B stops there and reads
-+inf, and of the brackets only those whose clear end is within the
-final B are settled (the others read +inf too).  A ray that leaves its
-reach first, without a crossing, reads NaN.  The least root and the rays
++inf, and _settle settles only the brackets whose clear end is within
+the final B (the others read +inf too).  A ray that leaves its reach
+first, without a crossing, reads NaN.  The least root and the rays
 that attain it are those of a scan of each ray alone, bit for bit: every
 other ray's first crossing lies past a clear sample beyond B.
 
@@ -112,12 +120,17 @@ next round starting with windows 1/16 as wide.  The crossing is then
 inverted by k-section, one evaluator call per round for every bracket,
 and the ends of the final bracket are proved by enclosures of f(x) and of
 f(p): the nearest point inward proved clear and outward proved a
-violator.  Both ends of delta's bracket are then proofs.  A point whose
-side splits more than _MAX_SPLITS windows (sin(1/x) near 0, a crossing
-at the domain's very end, a hole in f's natural domain) is left to the
-sampled engine, as are lines with no enclosure of f' (abs, min, max,
-pow).  On a monotone claim the line has no f' enclosure: every window is
-then monotone, and the bracket rests on that claim.
+violator.  Both ends of delta's bracket are then proofs.  The walk gives
+up on a side that splits more than _MAX_SPLITS windows (sin(1/x) near 0,
+a crossing at the domain's very end, a level touched but not crossed, a
+hole in f's natural domain), and on every side of a line with neither
+an enclosure of f' nor a monotone claim (abs, min, max, pow) before its
+first round.  A given-up side whose proved frontier reaches the other
+side's proved upper end holds no nearer crossing: it reads +inf, and
+the point is the other side's bracket.  Any other point with a given-up
+side is left to the sampled engine.  On a monotone claim the line has
+no f' enclosure: every window is then monotone, and the bracket rests
+on that claim.
 
 Both engines return a LineResult.  Each keeps the two sides of its n
 points in one signed batch of columns, x = p + s*t with s = 1 in column
@@ -138,7 +151,7 @@ runs under one (model._quiet).  Each engine reads f(p) once per point
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -197,7 +210,9 @@ _LADDER_FIRST = 8
 
 @dataclass
 class SideResult:
-    """Per-column outcome of scanning one side."""
+    """Per-column outcome of scanning one side.  Under a running bound B
+    (see the module notes) root is +inf where the column's crossing is
+    known to lie past B, and NaN where no crossing is known."""
 
     root: np.ndarray       # violator end of the crossing bracket; NaN when none
     root_h: np.ndarray     # h >= 0 at the root
@@ -206,8 +221,7 @@ class SideResult:
     searched: np.ndarray   # how far the side was scanned
     rounds: np.ndarray     # detect rounds
     enclosed: np.ndarray   # detect rounds proved clear by enclosure
-    cut: np.ndarray        # its last clear sample passed the bound B
-    undecided: np.ndarray  # cut at the minimum's bound; its probe rows found no crossing
+    undecided: np.ndarray  # cut at the bound B, and no crossing is known or probed
 
 
 def _h_of(f: np.ndarray, fp, eps: float) -> np.ndarray:
@@ -295,11 +309,11 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
     unbounded (the valid mask is its only boundary): its detect windows
     double from width R0, and no tail probes run.
 
-    Two steps: the sweep brackets each column's first crossing under one
-    running bound B, from +inf down to the padded least violator end
-    found (see the module notes), and the settle step refines, by one
-    fine rescan and k-section, the brackets whose clear end is within
-    the final B.  root is a column's settled crossing, +inf where it
+    It is _sweep under one running bound B, from +inf down to the
+    padded least violator end found, with every column counted as
+    crossing, then _settle under the final B (see the module notes):
+    one fine rescan and k-section of the brackets whose clear end is
+    within it.  root is a column's settled crossing, +inf where it
     stopped at B or its bracket was not settled (its crossing lies past
     the least root), and NaN where it has no crossing within reach.  The
     least root, and every column that attains it, are those of a scan of
@@ -324,9 +338,7 @@ def scan_side(eval_at: SideEval, fp: np.ndarray, eps: float,
     side, brackets, b = _sweep(eval_at, fp, eps, np.full(n, math.inf), np.full(n, R0),
                                pos_scale, detect_points, reach=reach, bound=math.inf,
                                known=np.ones(n, dtype=bool))
-    side.root[side.cut] = math.inf
-    _settle(eval_at, fp, eps, pos_scale, side,
-            [tuple(part[br[1] <= b] for part in br) for br in brackets])
+    _settle(eval_at, fp, eps, pos_scale, side, brackets, b)
     return side
 
 
@@ -353,14 +365,16 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
     cut.  (reach's test, the window's last sample, would miss a crossing
     between the last valid sample and a stretch where f is undefined.)
 
-    Returns the side, the brackets found and the final bound.  The
-    brackets are a list of (cols, lo, hi, hi_h, lo_h) arrays, lo being
-    the last clear sample and hi the first violator, with h at each (lo_h
-    NaN where lo was proved clear, not sampled), at most one bracket per
-    column.  root and root_h are NaN, but with a bound root is +inf where
-    a bracket or probe hit is.  cut marks the columns whose last clear
-    sample passed B (stopped or probed), undecided those of them that
-    neither a probe hit nor `known` shows to cross.
+    Returns the side, the brackets found and the final bound (inf
+    without one), for _settle.  The brackets are a list of (cols, lo,
+    hi, hi_h, lo_h) arrays, lo being the last clear sample and hi the
+    first violator, with h at each (lo_h NaN where lo was proved clear,
+    not sampled), at most one bracket per column.  root and root_h are NaN, but with a
+    bound root is +inf where a bracket or probe hit is, and on every
+    column whose last clear sample passed B and whose point `known` says
+    crosses: each such crossing lies past B.  undecided marks the
+    columns that passed B and that neither a probe hit nor `known` shows
+    to cross.
     """
     n = fp.size
     clear = np.zeros(n)
@@ -494,20 +508,24 @@ def _sweep(eval_at, fp, eps, extents, r0, pos_scale, detect_points,
 
     for cols, *_ in brackets if bound is not None else ():
         root[cols] = math.inf
+    root[probing & known] = math.inf
     side = SideResult(root=root, root_h=np.full(n, np.nan), clear=clear, step=step,
-                      searched=searched, rounds=detect, enclosed=enclosed, cut=probing,
-                      undecided=probing & np.isnan(root) & ~known)
-    return side, brackets, bound
+                      searched=searched, rounds=detect, enclosed=enclosed,
+                      undecided=probing & np.isnan(root))
+    return side, brackets, math.inf if bound is None else bound
 
 
-def _settle(eval_at, fp, eps, pos_scale, side: SideResult, brackets: list) -> None:
+def _settle(eval_at, fp, eps, pos_scale, side: SideResult, brackets, bound=math.inf) -> None:
     """The settling half of scan_side: one fine rescan inside each
-    bracket, which sets the grid step behind the clear radius, then
-    k-section of sampled ends (_ksection), written into side's root,
-    root_h, clear and step.  Columns are independent here, so brackets of
-    several sweeps can be settled together."""
+    bracket whose clear end is at most `bound` (a sweep's final B), which
+    sets the grid step behind the clear radius, then k-section of sampled
+    ends (_ksection), written into side's root, root_h, clear and step.
+    A bracket past the bound can hold no least crossing: its column keeps
+    the root +inf that its sweep read.  Columns are independent here, so
+    brackets of several sweeps can be settled together."""
     if not brackets:
         return
+    brackets = [tuple(part[br[1] <= bound] for part in br) for br in brackets]
     cols, blo, bhi, bhi_h, blo_h = (np.concatenate(part) for part in zip(*brackets))
     clear, step = side.clear, side.step
 
@@ -570,15 +588,14 @@ class Line:
 
 @dataclass
 class LineResult:
-    """Per-point outcome of the line engines.  In line_field's full mode
-    `done` marks the points that the piece walk settled, the others being
-    the sampled engine's.  Inside the walk, a point it gave up on holds
-    the crossing it proved, if any, and its proved clear radius as lower;
-    the sampled engine's own results are done everywhere.  In minimum
-    mode lower, root_h, one_sided, searched and the round counts describe
-    the pruned search: a side cut at B keeps its clear radius at the cut,
-    re-sweeps are not counted, and a +inf point whose two sides were both
-    re-swept may cross on both."""
+    """Per-point outcome of the line engines.  `done` marks the points
+    that the piece walk settled; the sampled engine marks none.  A point
+    the walk gave up on holds the crossing it proved, if any, and its
+    proved clear radius as lower.  In minimum mode lower, root_h,
+    one_sided, searched and the round counts describe the pruned search:
+    a side cut at B keeps its clear radius at the cut and reads +inf
+    where its point is known to cross, re-sweeps are not counted, and a
+    +inf point whose two sides were both re-swept may cross on both."""
 
     done: np.ndarray
     fp: np.ndarray               # f(p), the one read of it that the engines make
@@ -628,12 +645,12 @@ def line_field(line: Line, ps: np.ndarray, eps: float, bound: float | None = Non
     it under one np.errstate(all="ignore").  res.fp is f(p), read once
     per point by the engine that took it.
 
-    Without a bound, the piece walk takes every point of a line with an
-    enclosure of f' or a monotone claim (see the module notes); the points
-    it gives up on, and every point of any other line, run the sampled
-    engine's full mode at SCAN_POINTS detect rows, and are not done; one
-    whose sampled lower end exceeds a violator the walk proved keeps the
-    walk's row, its lower end the walk's proved clear radius (NaN at 0).
+    Without a bound every point starts at the piece walk (see the module
+    notes); the points it gives up on (every point of a line with neither
+    an enclosure of f' nor a monotone claim) run the sampled engine's
+    full mode at SCAN_POINTS detect rows, and are not done; one whose
+    sampled lower end exceeds a violator the walk proved keeps the walk's
+    row, its lower end the walk's proved clear radius (NaN at 0).
 
     `bound`, the caller's bound on the least delta (uc's stages), runs the
     sampled engine's minimum mode at _MIN_DETECT detect rows: where the
@@ -651,8 +668,6 @@ def line_field(line: Line, ps: np.ndarray, eps: float, bound: float | None = Non
     with np.errstate(all="ignore"):
         if bound is not None:
             return _sampled_field(line, ps, eps, _MIN_DETECT, bound)
-        if line.slope is None and not line.monotone:
-            return replace(_sampled_field(line, ps, eps), done=np.zeros(ps.size, dtype=bool))
         res = _by_chunks(lambda sl: _pieces(line, ps[sl], eps), ps.size)
         back = (~res.done).nonzero()[0]
         if back.size:
@@ -660,8 +675,7 @@ def line_field(line: Line, ps: np.ndarray, eps: float, bound: float | None = Non
             # A sampled lower end past a violator the walk proved is wrong.
             keep = ~(sampled.lower > res.upper[back])
             for name, part in vars(sampled).items():
-                if name != "done":
-                    getattr(res, name)[back[keep]] = part[keep]
+                getattr(res, name)[back[keep]] = part[keep]
     return res
 
 
@@ -677,7 +691,7 @@ def _sampled_field(line: Line, ps: np.ndarray, eps: float, detect_points: int = 
 
     Both sides of every point, each with its own detect windows, are
     swept and settled in one signed batch, each as if alone (see the
-    module notes).  Every point is done, and its upper end is its value.
+    module notes).  No point is done, and its upper end is its value.
     `lower` is NaN where the nearest clear end is within one float spacing
     of the base point: float64 cannot sample a clear point other than the
     base point itself there, so no positive lower bound exists.  `bound`
@@ -734,7 +748,7 @@ def _sampled_field(line: Line, ps: np.ndarray, eps: float, detect_points: int = 
 
         if bound is None:
             # Without a bound the halves are independent: one sweep.
-            side, brackets, _ = sweep(ext)
+            side, brackets, b = sweep(ext)
         else:
             # The -t sweep starts from the bound B, and the crossings known,
             # that the whole +t sweep reached; it fills in the -t half of side.
@@ -746,9 +760,6 @@ def _sampled_field(line: Line, ps: np.ndarray, eps: float, detect_points: int = 
             for name, arr in vars(side).items():
                 arr[m:] = getattr(side_n, name)[m:]
             brackets += br_n
-            # Only a bracket whose clear end is within the bound can hold
-            # the minimum; the others keep a root of +inf.
-            brackets = [tuple(part[br[1] <= b] for part in br) for br in brackets]
             # The undecided sides of a point with no crossing known (none
             # under a finite bound): their dense sweep, without the bound,
             # decides NaN or +inf.
@@ -757,12 +768,12 @@ def _sampled_field(line: Line, ps: np.ndarray, eps: float, detect_points: int = 
             if redo.any():
                 for cols, *_ in sweep(np.where(redo, ext, 0.0))[1]:
                     side.root[cols] = math.inf
-        _settle(eval_at, fp2, eps, scale2, side, brackets)
+        _settle(eval_at, fp2, eps, scale2, side, brackets, b)
         # A side without a crossing was cleared up to its searched radius
         # (or has no domain at all, which constrains nothing).
         live = ~np.isnan(side.root) | (ext > 0.0)
         cleared = np.where(live, side.clear, np.inf)
-        res = _join(fp, np.ones(2 * m, dtype=bool), side.root, p_s + signs * side.root,
+        res = _join(fp, np.zeros(2 * m, dtype=bool), side.root, p_s + signs * side.root,
                     cleared - side.step,  # each side's clear radius less its own grid step
                     side.root, side.root_h, side.searched, side.rounds, side.enclosed)
         values, clear = res.values, np.minimum(cleared[:m], cleared[m:])
@@ -782,12 +793,17 @@ def _sampled_field(line: Line, ps: np.ndarray, eps: float, detect_points: int = 
 
 def _pieces(line: Line, ps, eps) -> LineResult:
     """The piece walk over ps, from windows proved clear or proved
-    monotone (see the module notes), on a line with an enclosure of f' or
-    a monotone claim.  A point whose sides the walk cannot settle within
-    _MAX_SPLITS window splits or _WALK_ROUNDS rounds is not done.  The
-    caller turns off numpy's floating-point warnings."""
+    monotone (see the module notes).  A point is not done where a side
+    the walk cannot settle within _MAX_SPLITS window splits or
+    _WALK_ROUNDS rounds may hold its nearest crossing, nor on a line with
+    neither an enclosure of f' nor a monotone claim, where every side
+    gives up before its first round, reading nothing.  The caller turns
+    off numpy's floating-point warnings."""
     f_arr, f_enc, f_slope = line.f, line.enclose, line.slope
     n = ps.size
+    if f_slope is None and not line.monotone:
+        nan, zero = np.full(2 * n, np.nan), np.zeros(2 * n, dtype=int)
+        return _join(nan[:n], zero.astype(bool), nan, nan, nan, nan, nan, nan, zero, zero)
     fp = np.asarray(f_arr(ps), dtype=float)
     # One signed batch (see the module notes), its +t columns first.
     p, s = _twice(ps), _halves(n, 1.0, -1.0)
@@ -910,12 +926,18 @@ def _pieces(line: Line, ps, eps) -> LineResult:
     # gave it up.  Each proved end is |x - p| one float toward 0 (toward
     # inf for the violators u_pr): past the exact distance, which lies
     # within half a float of the rounded one.
+    values = spread(np.abs(u - p_b), np.nan)
     lower = spread(np.nextafter(np.abs(l_pr - p_b), 0.0), np.inf)
+    upper = spread(np.nextafter(np.abs(u_pr - p_b), np.inf), np.nan)
     if not every:
         soft = (np.isnan(xb) & np.where(failed, walked, ext > R_MAX)).nonzero()[0]
         lower[soft] = np.nextafter(np.abs(xa[soft] - p[soft]), 0.0)
-    res = _join(fp, ~failed, spread(np.abs(u - p_b), np.nan), spread(u, np.nan), lower,
-                spread(np.nextafter(np.abs(u_pr - p_b), np.inf), np.nan), spread(h_u, np.nan),
+        # A given-up side proved clear up to the other side's proved upper
+        # end holds no nearer crossing: any it has is farther, not absent.
+        # It reads +inf, and stops holding its point back.
+        past = failed & (np.nextafter(np.abs(xa - p), 0.0) >= np.roll(upper, n))
+        values[past], failed[past] = math.inf, False
+    res = _join(fp, ~failed, values, spread(u, np.nan), lower, upper, spread(h_u, np.nan),
                 np.abs(spread(xb[at], xa) - p), tested, passed * (f_slope is not None))
     res.lower[~(res.lower > 0.0)] = np.nan
     return res

@@ -34,7 +34,7 @@ from .model import (
     require_positive,
     value_at,
 )
-from .search import R0, R_MAX, TOL_F, line_field
+from .search import R0, R_MAX, TOL_F, Line, line_field
 
 _WITNESS_FACTOR = 2.0 ** 0.25  # finer than the trace schedule: keeps the
 #                                halving pairs at small coordinates, where
@@ -198,10 +198,10 @@ def stage_schedule(f: FunctionSpec, dom: DomainSpec, stages: int = 21, resolutio
     return _schedule(line_problem(f, dom), dom, stages, resolution, factor)
 
 
-def _schedule(problem, dom: DomainSpec, stages: int = 21, resolution: int = 2048,
+def _schedule(line: Line | None, dom: DomainSpec, stages: int = 21, resolution: int = 2048,
               factor: float = 2.0) -> list[tuple[DomainSpec, int]]:
-    """stage_schedule of a problem its caller built (line_problem's)."""
-    if problem is None:
+    """stage_schedule of the line problem its caller built (line_problem's)."""
+    if line is None:
         _require_counts(stages=stages, resolution=resolution, factor=factor)
         return [(dom, resolution)]
     return default_schedule(dom, stages, resolution, factor)
@@ -222,30 +222,29 @@ def _require_counts(least: int = 1, factor: float = 2.0, **counts) -> None:
 # Field evaluation per stage
 # ---------------------------------------------------------------------------
 
-def _stage_field(f: FunctionSpec, dom: DomainSpec, problem, window: DomainSpec,
+def _stage_field(f: FunctionSpec, dom: DomainSpec, line: Line | None, window: DomainSpec,
                  resolution: int, eps: float, bound: float = math.inf):
     """Returns (points, values, witnesses) for one stage grid as rows:
     points and witnesses (n, d), values (n,).  A point whose delta could
-    not be found has value NaN and NaN in its witness row.  `problem` is
+    not be found has value NaN and NaN in its witness row.  `line` is
     delta.line_problem(f, dom), built once by the caller (as is the
     check of eps) and read by every stage.
 
-    A problem that reduces to a line passes its search.Line, with the
-    window's stretch of that line as the points, to line_field under
-    `bound`: the crossing may fall outside the window, and a line
-    coordinate t lifts to the row (t, 0, ..., 0).  Under a bound
-    line_field runs the sampled engine's minimum mode: a point whose
-    delta cannot be the stage minimum, or exceeds the bound, is not
-    refined and reads +inf, in its value and its witness row, so only a
-    minimum within the bound, its point and witness are the full field's.
-    With the default bound inf the NaN count is the full field's too;
-    under a finite bound no point reads NaN (a point with no crossing
-    reads +inf).  A generic nD f runs one delta_field call over the rows
-    of a capped lattice over the window, whatever the bound; a row whose
-    delta raised reads NaN.
+    A problem that reduces to a line passes that search.Line, with the
+    window's stretch of it as the points, to line_field under `bound`:
+    the crossing may fall outside the window, and a line coordinate t
+    lifts to the row (t, 0, ..., 0).  Under a bound line_field runs the
+    sampled engine's minimum mode, whose running bound B _sweep and
+    _settle own: a point whose delta cannot be the stage minimum, or
+    exceeds the bound, is not refined and reads +inf, in its value and
+    its witness row, so only a minimum within the bound, its point and
+    witness are the full field's.  With the default bound inf the NaN
+    count is the full field's too; under a finite bound no point reads
+    NaN (a point with no crossing reads +inf).  A generic nD f runs one
+    delta_field call over the rows of a capped lattice over the window,
+    whatever the bound; a row whose delta raised reads NaN.
     """
-    if problem is not None:
-        line = problem[1]
+    if line is not None:
         wlo, whi, _, _ = line_bounds(window)
         ts = np.linspace(max(wlo, line.lo), min(whi, line.hi), resolution)
         ts = ts[line.contains(ts)]
@@ -265,7 +264,7 @@ def _stage_field(f: FunctionSpec, dom: DomainSpec, problem, window: DomainSpec,
     return pts, values, wits
 
 
-def _stage_min(f: FunctionSpec, dom: DomainSpec, problem, window: DomainSpec,
+def _stage_min(f: FunctionSpec, dom: DomainSpec, line: Line | None, window: DomainSpec,
                resolution: int, eps: float, bound: float = math.inf):
     """(inf_delta, argmin, skipped, witness) of one stage: the smallest
     finite delta on the stage grid (+inf, None, None when there is none),
@@ -274,7 +273,7 @@ def _stage_min(f: FunctionSpec, dom: DomainSpec, problem, window: DomainSpec,
     did not refine, being above the minimum or `bound`) is neither the
     minimum nor skipped.  On a line, a stage whose minimum exceeds a
     finite bound reads (+inf, None, 0, None); see _stage_field."""
-    pts, values, wits = _stage_field(f, dom, problem, window, resolution, eps, bound)
+    pts, values, wits = _stage_field(f, dom, line, window, resolution, eps, bound)
     skipped = int(np.count_nonzero(np.isnan(values)))
     finite = np.isfinite(values)
     if not finite.any():
@@ -292,19 +291,19 @@ def infimum_delta(f: FunctionSpec, dom: DomainSpec, eps: float,
     Per-point failures (empty sphere preimage) are skipped and counted,
     not fatal.  A bad eps, an empty schedule (an infimum over no points)
     and a resolution of a caller's schedule that is not an integer of at
-    least 1 raise InvalidArgument, before any stage.  The problem
+    least 1 raise InvalidArgument, before any stage.  The line problem
     (delta.line_problem) is built once, and every stage reads it.
     """
     require_positive("eps", eps)
-    problem = line_problem(f, dom)
-    schedule = _schedule(problem, dom) if schedule is None else schedule
+    line = line_problem(f, dom)
+    schedule = _schedule(line, dom) if schedule is None else schedule
     if not schedule:
         raise InvalidArgument("an infimum needs a schedule of at least one stage")
     for _, resolution in schedule:
         _require_counts(resolution=resolution)
     records = tuple(
         StageRecord(level, window, resolution,
-                    *_stage_min(f, dom, problem, window, resolution, eps)[:3])
+                    *_stage_min(f, dom, line, window, resolution, eps)[:3])
         for level, (window, resolution) in enumerate(schedule))
     return InfTrace(eps=eps, records=records)
 
@@ -336,8 +335,8 @@ def witness_search(f: FunctionSpec, dom: DomainSpec, eps0: float,
     """
     require_positive("eps", eps0)
     _require_counts(3, count=count)
-    problem = line_problem(f, dom)
-    schedule = _schedule(problem, dom, _MAX_WITNESS_STAGES, _WITNESS_RESOLUTION, _WITNESS_FACTOR)
+    line = line_problem(f, dom)
+    schedule = _schedule(line, dom, _MAX_WITNESS_STAGES, _WITNESS_RESOLUTION, _WITNESS_FACTOR)
     if len(schedule) <= 2:
         raise WitnessesStagnated(
             f"a schedule of {len(schedule)} stage(s) cannot build {count} halving pairs")
@@ -347,7 +346,7 @@ def witness_search(f: FunctionSpec, dom: DomainSpec, eps0: float,
     since_last = 0
     for window, res in schedule:
         bound = 0.5 * dists[-1] if pairs else math.inf
-        v, x, _, y = _stage_min(f, dom, problem, window, res, eps0, bound)
+        v, x, _, y = _stage_min(f, dom, line, window, res, eps0, bound)
         if y is not None and v <= bound and _pins_eps(f, dom, x, y, eps0):
             pairs.append((x, y))
             dists.append(v)

@@ -548,8 +548,8 @@ def test_running_minimum_changes_no_number(monkeypatch, dim, shape, norm, direct
     settled = np.isfinite(side.root)
     assert np.array_equal(side.root[settled], roots[settled])
     assert np.array_equal(side.root_h[settled], root_h[settled])
-    assert np.array_equal(np.isnan(side.root), np.isnan(roots) & ~side.cut)
     far = side.root == math.inf
+    assert np.array_equal(np.isnan(side.root), np.isnan(roots) & ~far)
     assert np.all(np.isnan(roots[far]) | (roots[far] > value))
     assert res.diagnostics["detect_rounds"] <= sum(int(a.rounds.sum()) for a in alone)
 
@@ -735,6 +735,21 @@ class TestProvedBrackets:
         assert Decimal(res.certified_lower) <= want <= Decimal(res.certified_upper)
         assert res.diagnostics["lower_kind"] == "proof"
 
+    @pytest.mark.parametrize("p, eps", [(1.0, 1.0), (-1.0, 1.0), (0.5, 0.25), (2.0, 4.0),
+                                        (3.0, 9.0), (-1.5, 2.25), (10.0, 100.0)])
+    def test_a_touch_beyond_the_crossing_is_proved(self, p, eps):
+        # x^2 at eps = p^2 touches the level 0 at x = 0, |p| away, where the
+        # walk gives up on the side toward 0; that side is proved clear
+        # past the other side's crossing sqrt(p^2 + eps) - |p|, so the row
+        # is the proved side's bracket.  The sampled fallback read 5.8e-7
+        # relative below delta.
+        res = compute_delta(dm.catalog_lookup("square").function, None, p, eps)
+        assert res.diagnostics["lower_kind"] == "proof" and not res.one_sided
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = (Decimal(p) ** 2 + Decimal(eps)).sqrt() - abs(Decimal(p))
+        assert Decimal(res.certified_lower) <= want <= Decimal(res.certified_upper)
+
     def test_sliver_beside_a_hole(self):
         # sqrt(x^2-1) at eps = f(p) - 0.01: the -t violators [1, 1.00005] end
         # where f becomes undefined, thinner than a detect step.
@@ -803,7 +818,7 @@ class TestProvedBrackets:
         # the -t one, eps/3.
         f = ExpressionFn.parse("3*abs(x)")
         dom = DomainSpec.interval(-math.inf, 1.0, open_hi=True)
-        line = line_problem(f, dom)[1]
+        line = line_problem(f, dom)
         assert line.contains(np.array([-1e300, 0.9, 1.0, 2.0])).tolist() == \
             [True, True, False, False]
         res = compute_delta(f, dom, 0.9, 0.5)
@@ -944,7 +959,7 @@ class TestComputeDeltaRouting:
         # one; 1.5 lies on R but not on the clipped line, which the line
         # gate refuses.
         g = Monotone1DFn(fn=np.exp, interval=(-math.inf, 1.0), increasing=True)
-        line = line_problem(g, REALS)[1]
+        line = line_problem(g, REALS)
         assert (line.hi, line.open_hi, line.monotone, line.slope) == (1.0, False, True, None)
         res = compute_delta(g, REALS, 0.5, 1.5)
         want = 0.5 - math.log(math.exp(0.5) - 1.5)

@@ -274,7 +274,7 @@ def test_scan_side_stops_the_rays_that_cannot_hold_the_minimum():
     assert side.root[0] == alone[0].root[0] and side.root_h[0] == alone[0].root_h[0]
     assert side.root[1:3].tolist() == [INF, INF] and np.isnan(side.root_h[1:]).all()
     assert np.isnan(side.root[3]) and np.isnan(alone[3].root[0])
-    assert side.cut.tolist() == [False, True, False, False]
+    assert not side.undecided.any()
     assert alone[1].root[0] > 99.0 and alone[2].root[0] > 0.8
     assert side.rounds.tolist() == [1, 1, 1, 1]
 
@@ -287,7 +287,7 @@ def test_scan_side_without_a_crossing_prunes_nothing():
     eval_at = _ray_profiles(np.zeros(3), np.array([3.5, INF, INF]))
     side = scan_side(eval_at, np.zeros(3), 0.5, np.ones(3), reach=reach)
     alone = _alone(eval_at, 3, reach)
-    assert np.isnan(side.root).all() and not side.cut.any()
+    assert np.isnan(side.root).all() and not side.undecided.any()
     for name in ("clear", "step", "searched", "rounds"):
         got = np.concatenate([getattr(a, name) for a in alone])
         assert np.array_equal(getattr(side, name), got), name
@@ -710,7 +710,7 @@ def _minimum_pair(name, ps, eps, detect_points, where="inf"):
     """line_field over ps in full mode and in minimum mode under the bound
     BOUNDS[where], with the evaluator and enclosure that uc's stages pass.
     Returns the full field, the minimum-mode field and the bound."""
-    line = line_problem(*MIN_PROBLEMS[name]())[1]
+    line = line_problem(*MIN_PROBLEMS[name]())
     full = _sampled_field(line, ps, eps, detect_points)
     crossing = full.values[~np.isnan(full.values)]
     bound = BOUNDS[where](float(crossing.min()) if crossing.size else 1.0)
@@ -792,7 +792,7 @@ def test_minimum_mode_keeps_the_minimum_under_a_bound(name, eps, ps, detect_poin
        st.integers(1, 1200), st.sampled_from([1024, 4096]), st.integers(0, 2 ** 32 - 1),
        st.sampled_from(sorted(BOUNDS)))
 def test_minimum_mode_agrees_on_random_points(name, log_eps, n, detect_points, seed, where):
-    line = line_problem(*MIN_PROBLEMS[name]())[1]
+    line = line_problem(*MIN_PROBLEMS[name]())
     a, b = max(line.lo, -10.0), min(line.hi, 10.0)
     ps = np.random.default_rng(seed).uniform(a, b, n)
     ps = ps[ps > a] if line.open_lo else ps
@@ -844,7 +844,7 @@ def test_sweep_returns_the_least_bound():
 def _counted_field(f, dom, ps, eps, bound):
     """line_field of f over ps as uc's stages run it (1,024 detect points),
     with the number of samples its evaluator took."""
-    line = line_problem(f, dom)[1]
+    line = line_problem(f, dom)
     taken = [0]
 
     def counted(x):
@@ -907,7 +907,8 @@ def test_a_finite_bound_settles_no_nan_mask(monkeypatch, where):
 
 def test_a_cut_side_known_to_cross_stops():
     # The column of test_probe_rows_are_dense_detect_rows, known to cross:
-    # cut at B = 0.1 in its first window, it samples no probe rows.
+    # cut at B = 0.1 in its first window, it samples no probe rows and
+    # reads +inf: its crossing lies past B.
     rows = []
 
     def eval_at(cols, ts):
@@ -916,7 +917,7 @@ def test_a_cut_side_known_to_cross_stops():
     side, brackets, _ = _sweep(eval_at, np.zeros(1), 0.5, np.array([INF]), np.array([0.3]),
                                np.ones(1), 1024, bound=0.1, known=np.ones(1, dtype=bool))
     assert rows == [1024] and not brackets
-    assert np.isnan(side.root[0]) and not side.undecided[0]
+    assert side.root[0] == INF and not side.undecided[0]
 
 
 def _sweep_calls(monkeypatch):
@@ -950,11 +951,11 @@ def test_a_uc_stage_is_one_chunk_of_two_bounded_sweeps(monkeypatch):
 # of both must give them as a sweep of each half alone would, bit for bit.
 # `lower` is each side's clear radius less that side's own grid step; `fp`
 # is f(p) as the engine read it, the one read that delta's strict f(p)
-# rule checks.
+# rule checks.  Only the piece walk marks a row done, so no sampled row is.
 FULL_PINS = {
     # Only the -t side of 1.9 crosses on [-2, 2]; -1.5 crosses on both.
     "one_sided": ("x^2", DomainSpec.interval(-2.0, 2.0), [1.9, -1.5], 1.0, dict(
-        done=[True, True], fp=[3.61, 2.25], values=[0.2844505578605987, 0.30277563773274474],
+        done=[False, False], fp=[3.61, 2.25], values=[0.2844505578605987, 0.30277563773274474],
         witness=[1.6155494421394012, -1.8027756377327449],
         upper=[0.2844505578605987, 0.30277563773274474],
         lower=[0.09997558593750008, 0.302775478785446],
@@ -964,7 +965,7 @@ FULL_PINS = {
         detect_rounds=[4, 5], enclosed_rounds=[3, 3])),
     # Only the tail probes toward the open end reach the crossing.
     "tail": ("ln(x)", UNIT, [0.5], 30.0, dict(
-        done=[True], fp=[-0.6931471805599453], values=[0.49999999999995354],
+        done=[False], fp=[-0.6931471805599453], values=[0.49999999999995354],
         witness=[4.64628335805628e-14],
         upper=[0.49999999999995354],
         lower=[0.4998779296875], root_h=[0.006976499187626217], one_sided=[True],
@@ -972,7 +973,7 @@ FULL_PINS = {
     # f is undefined on (-1, 1); the first point crosses between its last
     # valid -t sample and that hole.
     "hole": ("sqrt(x^2-1)", REALS_1D, [2.2625965502493823, 1.5], 2.008904663364039, dict(
-        done=[True, True], fp=[2.029616502987795, 1.118033988749895],
+        done=[False, False], fp=[2.029616502987795, 1.118033988749895],
         values=[1.2623820830981658, 1.7829476593587401],
         witness=[1.0002144671512165, 3.28294765935874],
         upper=[1.2623820830981658, 1.7829476593587401],
@@ -983,7 +984,7 @@ FULL_PINS = {
         detect_rounds=[5, 7], enclosed_rounds=[3, 2])),
     # Three detect windows proved clear by the enclosure.
     "enclosed": ("x^2", REALS_1D, [3.0], 1.0, dict(
-        done=[True], fp=[9.0], values=[0.16227766016987907], witness=[3.162277660169879],
+        done=[False], fp=[9.0], values=[0.16227766016987907], witness=[3.162277660169879],
         upper=[0.16227766016987907],
         lower=[0.16227758069405912], root_h=[9.485745522397337e-12], one_sided=[False],
         searched=[0.3333331666711316], detect_rounds=[5], enclosed_rounds=[3])),
@@ -993,7 +994,7 @@ FULL_PINS = {
 @pytest.mark.parametrize("name", sorted(FULL_PINS))
 def test_full_mode_field_is_one_sweep_and_pinned(name, monkeypatch):
     src, dom, ps, eps, want = FULL_PINS[name]
-    line = line_problem(ExpressionFn.parse(src), dom)[1]
+    line = line_problem(ExpressionFn.parse(src), dom)
     calls = _sweep_calls(monkeypatch)
     res = _sampled_field(line, np.array(ps), eps)
     assert [bound for bound, _ in calls] == [None]
@@ -1011,11 +1012,11 @@ def test_full_mode_field_is_one_sweep_and_pinned(name, monkeypatch):
     (DomainSpec.interval(-2.0, 2.0), 1.9, True),
 ])
 def test_both_engines_join_their_sides_alike(dom, p, one_sided):
-    line = line_problem(ExpressionFn.parse("x^2"), dom)[1]
+    line = line_problem(ExpressionFn.parse("x^2"), dom)
     ps = np.array([p])
     sampled = _sampled_field(line, ps, 1.0)
     proved = line_field(line, ps, 1.0)
-    assert sampled.done.all() and np.array_equal(sampled.upper, sampled.values)
+    assert not sampled.done.any() and np.array_equal(sampled.upper, sampled.values)
     assert proved.done.all()
     for res in (sampled, proved):
         assert res.one_sided[0] == one_sided

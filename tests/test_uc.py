@@ -288,11 +288,11 @@ def test_monotone_stage_is_the_same_with_its_claimed_enclosure():
     dom = DomainSpec.interval(-math.inf, math.inf)
     window, resolution = uc.default_schedule(dom, stages=4)[-1]
     taken[0] = 0
-    g, line = uc.line_problem(f, dom)
-    claimed = uc._stage_field(f, dom, (g, line), window, resolution, EPS)
+    line = uc.line_problem(f, dom)
+    claimed = uc._stage_field(f, dom, line, window, resolution, EPS)
     n_claimed, taken[0] = taken[0], 0
-    bare_line = dataclasses.replace(line, enclose=None)
-    bare = uc._stage_field(f, dom, (g, bare_line), window, resolution, EPS)
+    bare = uc._stage_field(f, dom, dataclasses.replace(line, enclose=None), window,
+                           resolution, EPS)
     for got, want in zip(claimed, bare):
         assert np.array_equal(got, want, equal_nan=True)
     assert 0 < n_claimed <= taken[0]
